@@ -214,16 +214,16 @@ impl ConfigDelta {
                 }
                 // The region the edit can influence: the device's speaker
                 // component *before and after* the edit (a cost change never
-                // alters adjacency, so the two coincide). `region_of` is
+                // alters adjacency, so the two coincide). `ospf_region_of` is
                 // `Some` exactly when the device runs OSPF.
-                let Some(region) = network.ospf_scoped_slices().region_of(*device) else {
+                let Some(region) = network.ospf_region_of(*device) else {
                     return Err(DeltaError::NoOspfProcess(*device));
                 };
                 let ospf = network
                     .device_mut(*device)
                     .ospf
                     .as_mut()
-                    .expect("region_of implies an OSPF process");
+                    .expect("ospf_region_of implies an OSPF process");
                 ospf.interface_costs.insert(*link, *cost);
                 Ok(DeltaTouch {
                     devices: vec![*device],

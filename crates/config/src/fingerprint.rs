@@ -3,24 +3,41 @@
 //! The incremental verification service keys its result cache by *what a
 //! verification task actually reads*: the PEC's own configuration content
 //! plus a network "slice" per protocol (everything an `OspfModel` /
-//! `BgpModel` constructor consumes). Fingerprints are stable 64-bit FNV-1a
-//! hashes computed over the serde [`Value`](serde::Value) tree, so any type
-//! that serializes deterministically (the whole configuration model: derive
-//! order is declaration order, maps are `BTreeMap`s) can be hashed without
-//! bespoke per-type code.
+//! `BgpModel` constructor consumes). A fingerprint is a 64-bit hash produced
+//! by the one hasher in the workspace, [`Fingerprinter`]: FNV-1a over
+//! 64-bit *words* (one multiply per word, not per byte) with a fold after
+//! each multiply so high input bits reach the low output bits too.
+//!
+//! Typed content is hashed by **structural traversal**: [`Fingerprinter`] is
+//! a [`serde::Sink`], and [`Fingerprinter::write`] streams a value's serde
+//! shape into it — tags, lengths, field names and scalars, in declaration
+//! order — without building the `Value` tree. Any type that serializes
+//! deterministically (the whole configuration model: derive order is
+//! declaration order, maps are `BTreeMap`s) is therefore hashed without
+//! bespoke per-type code, and a field added to a derived type is hashed the
+//! day it is added. The tree walk survives only as `Value`'s own `stream`
+//! impl, which the tests use as the oracle: streaming a value and streaming
+//! its tree must absorb the same words.
+//!
+//! The expensive part of key derivation — one multi-source Dijkstra per
+//! (OSPF PEC x failure set) — is memoized across requests in a
+//! [`SliceMemo`]; see [`OspfScopedSlices`] for why that needs no
+//! invalidation.
 //!
 //! These are cache keys, not security hashes: a collision merely serves a
-//! stale verification result, and 64-bit FNV over structured input makes
-//! that astronomically unlikely for the config sizes involved.
+//! stale verification result, and 64 bits over structured input make that
+//! astronomically unlikely for the config sizes involved.
 
 use crate::Network;
 use plankton_net::failure::FailureSet;
 use plankton_net::topology::{LinkId, NodeId, SubgraphComponents};
-use serde::{Serialize, Value};
-use std::cell::RefCell;
+use serde::Serialize;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::rc::Rc;
+use std::sync::Mutex;
 
-/// A 64-bit FNV-1a hasher with structure tagging.
+/// A 64-bit word-wise FNV-1a hasher with structure tagging.
 #[derive(Clone, Debug)]
 pub struct Fingerprinter {
     state: u64,
@@ -41,80 +58,92 @@ impl Fingerprinter {
         Fingerprinter { state: FNV_OFFSET }
     }
 
-    /// Absorb raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Absorb one byte (used as a structure/type tag).
-    pub fn write_u8(&mut self, b: u8) {
-        self.write_bytes(&[b]);
-    }
-
-    /// Absorb a u64 (little-endian).
+    /// Absorb one 64-bit word: xor, multiply, fold. The multiply alone only
+    /// carries input bits upwards; the fold brings the high half back down,
+    /// so every output bit depends on every input bit (the cache shards on
+    /// the low bits). Each step is a bijection of the state for a fixed word
+    /// and of the word for a fixed state.
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        let x = (self.state ^ v).wrapping_mul(FNV_PRIME);
+        self.state = x ^ (x >> 32);
+    }
+
+    /// Absorb one byte (used as a structure/type tag) as a word of its own.
+    #[inline]
+    pub fn write_u8(&mut self, b: u8) {
+        self.write_u64(b as u64);
+    }
+
+    /// Absorb raw bytes: the length, then little-endian words, the last one
+    /// zero-padded (the length disambiguates the padding).
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        self.write_u64(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(last));
+        }
     }
 
     /// Absorb a string (length-prefixed).
     pub fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
         self.write_bytes(s.as_bytes());
     }
 
-    /// Absorb a serde value tree, tagged by shape.
-    pub fn write_value(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.write_u8(0),
-            Value::Bool(b) => {
-                self.write_u8(1);
-                self.write_u8(*b as u8);
-            }
-            Value::Int(n) => {
-                self.write_u8(2);
-                self.write_u64(*n as u64);
-            }
-            Value::UInt(n) => {
-                self.write_u8(3);
-                self.write_u64(*n);
-            }
-            Value::Float(f) => {
-                self.write_u8(4);
-                self.write_u64(f.to_bits());
-            }
-            Value::Str(s) => {
-                self.write_u8(5);
-                self.write_str(s);
-            }
-            Value::Array(items) => {
-                self.write_u8(6);
-                self.write_u64(items.len() as u64);
-                for item in items {
-                    self.write_value(item);
-                }
-            }
-            Value::Object(fields) => {
-                self.write_u8(7);
-                self.write_u64(fields.len() as u64);
-                for (k, val) in fields {
-                    self.write_str(k);
-                    self.write_value(val);
-                }
-            }
-        }
-    }
-
-    /// Absorb any serializable value.
+    /// Absorb any serializable value by streaming its serde shape (see the
+    /// module docs); no intermediate tree is built.
     pub fn write<T: Serialize + ?Sized>(&mut self, t: &T) {
-        self.write_value(&t.to_value());
+        t.stream(self);
     }
 
     /// The accumulated hash.
     pub fn finish(&self) -> u64 {
         self.state
+    }
+}
+
+/// The serde shape, tagged so that differently-shaped values with the same
+/// scalars cannot absorb the same words.
+impl serde::Sink for Fingerprinter {
+    fn null(&mut self) {
+        self.write_u8(0);
+    }
+    fn bool(&mut self, b: bool) {
+        self.write_u8(1);
+        self.write_u8(b as u8);
+    }
+    fn int(&mut self, n: i64) {
+        self.write_u8(2);
+        self.write_u64(n as u64);
+    }
+    fn uint(&mut self, n: u64) {
+        self.write_u8(3);
+        self.write_u64(n);
+    }
+    fn float(&mut self, f: f64) {
+        self.write_u8(4);
+        self.write_u64(f.to_bits());
+    }
+    fn str(&mut self, s: &str) {
+        self.write_u8(5);
+        self.write_str(s);
+    }
+    fn array(&mut self, len: usize) {
+        self.write_u8(6);
+        self.write_u64(len as u64);
+    }
+    fn object(&mut self, len: usize) {
+        self.write_u8(7);
+        self.write_u64(len as u64);
+    }
+    fn key(&mut self, k: &str) {
+        self.write_str(k);
     }
 }
 
@@ -125,7 +154,10 @@ impl Fingerprinter {
 /// serialized shape of any hashed type) must bump this constant. Rejecting a
 /// stale snapshot costs one cold verification; accepting one would silently
 /// serve results keyed under different semantics.
-pub const FINGERPRINT_SCHEME_VERSION: u32 = 1;
+///
+/// History: 1 = byte-wise FNV-1a over the serde `Value` tree; 2 = word-wise
+/// FNV-1a over the streamed shape.
+pub const FINGERPRINT_SCHEME_VERSION: u32 = 2;
 
 /// Fingerprint one serializable value.
 pub fn fingerprint_of<T: Serialize + ?Sized>(t: &T) -> u64 {
@@ -256,14 +288,13 @@ impl Network {
         fp.finish()
     }
 
-    /// The scoped OSPF slicing state for this network: the OSPF speaker
-    /// graph's connected components plus memoized per-component closures.
-    /// Compute once per key-derivation pass; see [`OspfScopedSlices`].
-    pub fn ospf_scoped_slices(&self) -> OspfScopedSlices<'_> {
-        let components = self.topology.subgraph_components(
+    /// The OSPF speaker graph's connected components: speakers joined by
+    /// links on which both ends form an adjacency.
+    fn ospf_components(&self) -> SubgraphComponents {
+        self.topology.subgraph_components(
             |n| self.device(n).runs_ospf(),
             |l| {
-                let enabled = |n: plankton_net::topology::NodeId| {
+                let enabled = |n: NodeId| {
                     self.device(n)
                         .ospf
                         .as_ref()
@@ -272,13 +303,32 @@ impl Network {
                 };
                 enabled(l.a.node) && enabled(l.b.node)
             },
-        );
+        )
+    }
+
+    /// The OSPF speaker component members around `device`, if it is a
+    /// speaker — the region an OSPF edit at `device` can influence, used by
+    /// the delta layer's advisory touch reporting.
+    pub fn ospf_region_of(&self, device: NodeId) -> Option<Vec<NodeId>> {
+        let components = self.ospf_components();
+        let c = components.component_of(device)?;
+        Some(components.members(c).to_vec())
+    }
+
+    /// The scoped OSPF slicing state for this network: the OSPF speaker
+    /// graph's connected components plus per-request closures, over the
+    /// session-lifetime `memo` of competitive fingerprints. Compute once per
+    /// key-derivation pass; see [`OspfScopedSlices`].
+    pub fn ospf_scoped_slices<'a>(&'a self, memo: &'a SliceMemo) -> OspfScopedSlices<'a> {
         OspfScopedSlices {
             network: self,
-            components,
+            memo,
+            components: self.ospf_components(),
             structural: RefCell::new(HashMap::new()),
-            relevant: RefCell::new(HashMap::new()),
-            cost_maps: RefCell::new(HashMap::new()),
+            regions: RefCell::new(HashMap::new()),
+            live_graphs: RefCell::new(HashMap::new()),
+            memo_hits: Cell::new(0),
+            memo_misses: Cell::new(0),
         }
     }
 
@@ -327,6 +377,113 @@ impl Network {
     }
 }
 
+/// A session-lifetime, thread-safe memo of competitive-cost fingerprints
+/// (see [`OspfScopedSlices`]), shared by every request and every snapshot of
+/// a verification session — it lives beside the result cache.
+///
+/// **Soundness.** An entry is keyed by *content*: the hash of the region's
+/// per-link directional cost table, and the hash of the sorted origin
+/// devices plus the failed links inside the region. Those are the whole
+/// input of the Dijkstra the fingerprint is computed from, so equal key ⇒
+/// identical input ⇒ identical fingerprint — the argument the result cache
+/// itself rests on (and, like its keys, up to a 64-bit collision in each
+/// half). Nothing in the key names a snapshot, so an entry never goes stale
+/// and there is no invalidation step: a delta that changes a cost changes
+/// the region hash and simply looks up (or computes) a different entry, and
+/// a restore to an earlier state finds the earlier entry again. The
+/// advisory `DeltaTouch` is never consulted. Debug builds recompute every
+/// hit and assert it equal.
+///
+/// **Bound.** Two generations of at most [`SliceMemo::GENERATION_ENTRIES`]
+/// fixed-size entries each — under half a megabyte in all. Inserts go to
+/// the young generation; when it is full it becomes the old one and the
+/// previous old one is dropped. A hit in the old generation is copied
+/// forward, so what recent requests used survives a rotation. Eviction only
+/// costs a recomputation.
+#[derive(Debug, Default)]
+pub struct SliceMemo {
+    generations: Mutex<Generations>,
+}
+
+#[derive(Debug, Default)]
+struct Generations {
+    young: HashMap<MemoKey, u64>,
+    old: HashMap<MemoKey, u64>,
+}
+
+/// (region cost-table hash, hash of `[origin count, origins.., failed
+/// links..]`).
+type MemoKey = (u64, u64);
+
+fn memo_key(region: u64, origins: &[NodeId], failed_in_scope: &[LinkId]) -> MemoKey {
+    let mut fp = Fingerprinter::new();
+    fp.write_u8(b'K');
+    fp.write_u64(origins.len() as u64);
+    for o in origins {
+        fp.write_u64(o.0 as u64);
+    }
+    for l in failed_in_scope {
+        fp.write_u64(l.0 as u64);
+    }
+    (region, fp.finish())
+}
+
+impl SliceMemo {
+    /// Entries per generation: a full generation is a hash table of 8 192
+    /// slots of 25 bytes (16-byte key, 8-byte fingerprint, 1 control byte)
+    /// at its maximum load of 7/8 — 200 KB, 400 KB for both.
+    pub const GENERATION_ENTRIES: usize = 7 * 1024;
+
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Generations> {
+        // A holder only moves or inserts map entries; a panic between two
+        // such steps leaves valid maps, so a poisoned lock is still usable.
+        self.generations
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn get(&self, key: MemoKey) -> Option<u64> {
+        let mut g = self.lock();
+        if let Some(&fp) = g.young.get(&key) {
+            return Some(fp);
+        }
+        let fp = g.old.get(&key).copied()?;
+        g.insert(key, fp);
+        Some(fp)
+    }
+
+    fn insert(&self, key: MemoKey, fp: u64) {
+        self.lock().insert(key, fp);
+    }
+
+    /// Resident entries (both generations; an entry copied forward counts
+    /// twice until the old generation is dropped). Never above twice
+    /// [`SliceMemo::GENERATION_ENTRIES`].
+    pub fn len(&self) -> usize {
+        let g = self.lock();
+        g.young.len() + g.old.len()
+    }
+
+    /// Is the memo empty?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Generations {
+    fn insert(&mut self, key: MemoKey, fp: u64) {
+        if self.young.len() >= SliceMemo::GENERATION_ENTRIES {
+            self.old = std::mem::take(&mut self.young);
+        }
+        self.young.insert(key, fp);
+    }
+}
+
 /// Per-PEC scoped OSPF slices: fingerprint only what one destination's OSPF
 /// exploration can actually read, instead of the global
 /// [`Network::ospf_slice_fingerprint`].
@@ -356,36 +513,155 @@ impl Network {
 /// key — and, provably, its byte-exact verification outcome — unchanged.
 /// When scoping cannot be established (an origin that is not an OSPF
 /// speaker), [`OspfScopedSlices::fingerprint`] returns `None` and the caller
-/// falls back to the global slice. Structural fingerprints are memoized per
-/// component and competitive-cost fingerprints per (origin set × in-scope
-/// failed links), so a key-derivation pass over every (PEC × failure-set)
-/// task costs one Dijkstra per distinct memo entry.
+/// falls back to the global slice.
+///
+/// **Cost.** The competitive fingerprint is one Dijkstra over the region.
+/// It is looked up in the session's [`SliceMemo`] first, keyed by the
+/// content of exactly what that Dijkstra reads (region cost table, origins,
+/// in-scope failed links — the soundness argument is on [`SliceMemo`]), so a
+/// request whose regions are in a state seen before — a static-route edit, a
+/// link coming back up, a cost restored — runs none. Computing the key costs
+/// one pass over the region's links per request (`regions`); a miss builds
+/// the live adjacency once per (region, failed links) per request
+/// (`live_graphs`, shared by every PEC scoped to the region) and runs the
+/// Dijkstra over it with no searching: each edge carries both directional
+/// costs.
 pub struct OspfScopedSlices<'a> {
     network: &'a Network,
+    memo: &'a SliceMemo,
     components: SubgraphComponents,
-    /// Memoized per-component structural fingerprints.
+    /// Per-component structural fingerprints.
     structural: RefCell<HashMap<usize, u64>>,
-    /// Memoized competitive-cost fingerprints keyed by
-    /// (sorted origin devices, failed links within the origin components).
-    relevant: RefCell<HashMap<ScopeKey, u64>>,
-    /// Memoized live directional cost maps keyed by (origin components,
-    /// failed links within them) — origin-set independent, so one build
-    /// serves every PEC scoped to the same components under the same
-    /// failure set.
-    cost_maps: RefCell<CostMapMemo>,
+    /// Per origin-component set: the per-link cost table and its hash.
+    regions: RefCell<HashMap<Vec<usize>, Rc<Region>>>,
+    /// Per (origin components, failed links within them): the live
+    /// adjacency — origin-set independent.
+    live_graphs: RefCell<LiveGraphs>,
+    memo_hits: Cell<u64>,
+    memo_misses: Cell<u64>,
 }
 
-/// `c(n ← m)` aggregated over live adjacency-enabled links, as directed
-/// `(to, from, cost)` triples sorted by `(to, from)`.
-type DirectionalCosts = Vec<(NodeId, NodeId, u64)>;
+type LiveGraphs = HashMap<(Vec<usize>, Vec<LinkId>), Rc<CostGraph>>;
 
-/// Memo table for [`DirectionalCosts`], keyed by (origin components,
-/// in-scope failed links).
-type CostMapMemo = HashMap<(Vec<usize>, Vec<LinkId>), std::rc::Rc<DirectionalCosts>>;
+/// The per-link directional costs of a set of components, failures *not*
+/// removed: `(link, a, b, cost at a, cost at b)` in component-then-link
+/// order, and the hash of that table.
+struct Region {
+    links: Vec<(LinkId, NodeId, NodeId, u64, u64)>,
+    hash: u64,
+}
 
-/// Memo key for competitive-cost fingerprints: (sorted origin devices,
-/// in-scope failed links).
-type ScopeKey = (Vec<NodeId>, Vec<LinkId>);
+/// The live directional cost map as a CSR adjacency over node indices:
+/// `edges[offsets[n]..offsets[n + 1]]` are `n`'s neighbours in ascending
+/// order, each with `c(n ← m)` and `c(m ← n)` aggregated (cheapest) over the
+/// live parallel links — exactly the aggregation the OSPF model performs.
+struct CostGraph {
+    offsets: Vec<u32>,
+    edges: Vec<Edge>,
+}
+
+#[derive(Clone, Copy)]
+struct Edge {
+    /// The neighbour `m`.
+    to: u32,
+    /// `c(n ← m)`: configured at `n` towards `m`.
+    cost_in: u64,
+    /// `c(m ← n)`: configured at `m` towards `n`.
+    cost_out: u64,
+}
+
+impl CostGraph {
+    fn build(n_nodes: usize, region: &Region, failed_in_scope: &[LinkId]) -> Self {
+        let mut directed: Vec<(u32, Edge)> = Vec::with_capacity(2 * region.links.len());
+        for &(l, a, b, cost_a, cost_b) in &region.links {
+            if failed_in_scope.binary_search(&l).is_ok() {
+                continue;
+            }
+            let edge = |to: NodeId, cost_in, cost_out| Edge {
+                to: to.0,
+                cost_in,
+                cost_out,
+            };
+            directed.push((a.0, edge(b, cost_a, cost_b)));
+            directed.push((b.0, edge(a, cost_b, cost_a)));
+        }
+        directed.sort_unstable_by_key(|&(n, e)| (n, e.to));
+        let mut offsets = vec![0u32; n_nodes + 1];
+        let mut edges: Vec<Edge> = Vec::with_capacity(directed.len());
+        let mut last: Option<(u32, u32)> = None;
+        for (n, e) in directed {
+            if last == Some((n, e.to)) {
+                // A parallel link: keep the cheapest cost each way.
+                let merged = edges.last_mut().expect("a previous edge set `last`");
+                merged.cost_in = merged.cost_in.min(e.cost_in);
+                merged.cost_out = merged.cost_out.min(e.cost_out);
+            } else {
+                edges.push(e);
+                offsets[n as usize + 1] += 1;
+                last = Some((n, e.to));
+            }
+        }
+        for n in 0..n_nodes {
+            offsets[n + 1] += offsets[n];
+        }
+        CostGraph { offsets, edges }
+    }
+
+    fn edges_of(&self, n: usize) -> &[Edge] {
+        &self.edges[self.offsets[n] as usize..self.offsets[n + 1] as usize]
+    }
+
+    /// The competitive-cost fingerprint from `origins`: every directional
+    /// cost the Dijkstra trajectory from `origins` can observe.
+    fn competitive_fingerprint(&self, origins: &[NodeId]) -> u64 {
+        // Multi-source Dijkstra from the origin set: dist(n) is the cost of
+        // n's converged best route, relaxing dist(m) ≤ dist(n) + c(m ← n).
+        let n_nodes = self.offsets.len() - 1;
+        let mut dist = vec![u64::MAX; n_nodes];
+        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>> = origins
+            .iter()
+            .map(|o| std::cmp::Reverse((0, o.0)))
+            .collect();
+        for &o in origins {
+            dist[o.index()] = 0;
+        }
+        while let Some(std::cmp::Reverse((d, n))) = heap.pop() {
+            if dist[n as usize] < d {
+                continue;
+            }
+            for e in self.edges_of(n as usize) {
+                let cand = d.saturating_add(e.cost_out);
+                if cand < dist[e.to as usize] {
+                    dist[e.to as usize] = cand;
+                    heap.push(std::cmp::Reverse((cand, e.to)));
+                }
+            }
+        }
+
+        // Competitive directional costs, in (n, m) order: c(n ← m) with
+        // dist(m) + c ≤ dist(n). Everything costlier is shadowed.
+        let mut fp = Fingerprinter::new();
+        fp.write_u8(b'R');
+        fp.write_u64(origins.len() as u64);
+        for &o in origins {
+            fp.write_u64(o.0 as u64);
+        }
+        let mut records = 0u64;
+        for (n, &dn) in dist.iter().enumerate() {
+            for e in self.edges_of(n) {
+                let dm = dist[e.to as usize];
+                if dm != u64::MAX && dm.saturating_add(e.cost_in) <= dn {
+                    fp.write_u64(n as u64);
+                    fp.write_u64(e.to as u64);
+                    fp.write_u64(e.cost_in);
+                    records += 1;
+                }
+            }
+        }
+        fp.write_u64(records);
+        fp.finish()
+    }
+}
 
 impl OspfScopedSlices<'_> {
     /// The speaker-graph components underlying the slices.
@@ -393,12 +669,9 @@ impl OspfScopedSlices<'_> {
         &self.components
     }
 
-    /// The OSPF speaker component members around `device`, if it is a
-    /// speaker — the region an OSPF edit at `device` can influence, used by
-    /// the delta layer's advisory touch reporting.
-    pub fn region_of(&self, device: NodeId) -> Option<Vec<NodeId>> {
-        let c = self.components.component_of(device)?;
-        Some(self.components.members(c).to_vec())
+    /// `(hits, misses)` of this pass's lookups in the session memo.
+    pub fn memo_stats(&self) -> (u64, u64) {
+        (self.memo_hits.get(), self.memo_misses.get())
     }
 
     /// The scoped slice fingerprint for a task whose OSPF origin devices are
@@ -446,9 +719,9 @@ impl OspfScopedSlices<'_> {
         fp
     }
 
-    /// The competitive-cost fingerprint: every directional cost that can be
-    /// observed by the Dijkstra trajectory from `origins` with `failures`
-    /// removed (memoized per distinct (origins, in-scope failed links)).
+    /// The competitive-cost fingerprint of `origins` over `comps` with
+    /// `failures` removed: from the session memo when this exact Dijkstra
+    /// input was seen before, computed (and remembered) otherwise.
     fn competitive_fingerprint(
         &self,
         origins: &[NodeId],
@@ -462,91 +735,41 @@ impl OspfScopedSlices<'_> {
             .filter(|&l| {
                 self.components
                     .component_of_link(l)
-                    .map(|c| comps.contains(&c))
-                    .unwrap_or(false)
+                    .is_some_and(|c| comps.contains(&c))
             })
             .collect();
-        let memo_key = (origins.to_vec(), failed_in_scope);
-        if let Some(&fp) = self.relevant.borrow().get(&memo_key) {
+        let region = self.region(comps);
+        let key = memo_key(region.hash, origins, &failed_in_scope);
+        let remembered = self.memo.get(key);
+        let counter = if remembered.is_some() {
+            &self.memo_hits
+        } else {
+            &self.memo_misses
+        };
+        counter.set(counter.get() + 1);
+        // Release builds trust a remembered answer; debug builds challenge
+        // it: a stored answer must equal its recomputation.
+        if let (Some(fp), false) = (remembered, cfg!(debug_assertions)) {
             return fp;
         }
-
-        let cost = self.cost_map(comps, &memo_key.1, failures);
-
-        // Multi-source Dijkstra from the origin set: dist(n) is the cost of
-        // n's converged best route, relaxing dist(n) ≤ dist(m) + c(n ← m).
-        let n_nodes = self.network.node_count();
-        let mut dist = vec![u64::MAX; n_nodes];
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>> = origins
-            .iter()
-            .map(|o| std::cmp::Reverse((0, o.0)))
-            .collect();
-        for &o in origins {
-            dist[o.index()] = 0;
+        let fp = self
+            .live_graph(comps, failed_in_scope, &region)
+            .competitive_fingerprint(origins);
+        match remembered {
+            Some(stored) => assert_eq!(
+                stored, fp,
+                "slice memo served a fingerprint its own inputs do not reproduce"
+            ),
+            None => self.memo.insert(key, fp),
         }
-        while let Some(std::cmp::Reverse((d, n))) = heap.pop() {
-            let n = NodeId(n);
-            if dist[n.index()] < d {
-                continue;
-            }
-            // The cost triples are sorted by (to, from): n's in-edges are the
-            // contiguous (m, n, c(m ← n)) run — relax outwards over them.
-            let start = cost.partition_point(|&(to, _, _)| to < n);
-            for &(_, m, _) in cost[start..].iter().take_while(|&&(to, _, _)| to == n) {
-                // Relaxing m needs c(m ← n).
-                let idx = cost
-                    .binary_search_by_key(&(m, n), |&(to, from, _)| (to, from))
-                    .expect("directional costs are symmetric pairs");
-                let cand = d.saturating_add(cost[idx].2);
-                if cand < dist[m.index()] {
-                    dist[m.index()] = cand;
-                    heap.push(std::cmp::Reverse((cand, m.0)));
-                }
-            }
-        }
-
-        // Competitive directional costs: c(n ← m) with
-        // dist(m) + c ≤ dist(n). Everything costlier is shadowed.
-        let records: Vec<(NodeId, NodeId, u64)> = cost
-            .iter()
-            .filter(|&&(n, m, c)| {
-                let dm = dist[m.index()];
-                dm != u64::MAX && dm.saturating_add(c) <= dist[n.index()]
-            })
-            .copied()
-            .collect();
-        let mut fp = Fingerprinter::new();
-        fp.write_u8(b'R');
-        fp.write_u64(origins.len() as u64);
-        for &o in origins {
-            fp.write_u64(o.0 as u64);
-        }
-        fp.write_u64(records.len() as u64);
-        for (n, m, c) in records {
-            fp.write_u64(n.0 as u64);
-            fp.write_u64(m.0 as u64);
-            fp.write_u64(c);
-        }
-        let fp = fp.finish();
-        self.relevant.borrow_mut().insert(memo_key, fp);
         fp
     }
 
-    /// The live directional cost map of the given components with `failures`
-    /// removed: `c(n ← m)` = the cheapest cost configured at `n` over the
-    /// live, adjacency-enabled links towards `m` — exactly the aggregation
-    /// the OSPF model performs. Origin-independent, so memoized per
-    /// (components, in-scope failed links) and shared by every PEC scoped to
-    /// the same region.
-    fn cost_map(
-        &self,
-        comps: &[usize],
-        failed_in_scope: &[LinkId],
-        failures: &FailureSet,
-    ) -> std::rc::Rc<DirectionalCosts> {
-        let memo_key = (comps.to_vec(), failed_in_scope.to_vec());
-        if let Some(map) = self.cost_maps.borrow().get(&memo_key) {
-            return map.clone();
+    /// The per-link cost table of `comps` and its content hash (one pass
+    /// over the region's links, once per request).
+    fn region(&self, comps: &[usize]) -> Rc<Region> {
+        if let Some(region) = self.regions.borrow().get(comps) {
+            return region.clone();
         }
         let cost_at = |n: NodeId, l: LinkId| -> u64 {
             self.network
@@ -556,32 +779,58 @@ impl OspfScopedSlices<'_> {
                 .and_then(|o| o.cost(l))
                 .expect("component links are adjacency-enabled at both ends") as u64
         };
-        let mut cost: HashMap<(NodeId, NodeId), u64> = HashMap::new();
+        let mut fp = Fingerprinter::new();
+        fp.write_u8(b'G');
+        let mut links = Vec::new();
         for &c in comps {
             for &l in self.components.links(c) {
-                if failures.contains(l) {
-                    continue;
-                }
                 let link = self.network.topology.link(l);
                 let (a, b) = (link.a.node, link.b.node);
-                let ea = cost.entry((a, b)).or_insert(u64::MAX);
-                *ea = (*ea).min(cost_at(a, l));
-                let eb = cost.entry((b, a)).or_insert(u64::MAX);
-                *eb = (*eb).min(cost_at(b, l));
+                let (cost_a, cost_b) = (cost_at(a, l), cost_at(b, l));
+                for word in [l.0 as u64, a.0 as u64, b.0 as u64, cost_a, cost_b] {
+                    fp.write_u64(word);
+                }
+                links.push((l, a, b, cost_a, cost_b));
             }
         }
-        let mut triples: DirectionalCosts = cost.into_iter().map(|((n, m), c)| (n, m, c)).collect();
-        triples.sort_unstable();
-        let map = std::rc::Rc::new(triples);
-        self.cost_maps.borrow_mut().insert(memo_key, map.clone());
-        map
+        fp.write_u64(links.len() as u64);
+        let region = Rc::new(Region {
+            links,
+            hash: fp.finish(),
+        });
+        self.regions
+            .borrow_mut()
+            .insert(comps.to_vec(), region.clone());
+        region
+    }
+
+    /// The live adjacency of `comps` with `failed_in_scope` removed.
+    fn live_graph(
+        &self,
+        comps: &[usize],
+        failed_in_scope: Vec<LinkId>,
+        region: &Region,
+    ) -> Rc<CostGraph> {
+        let key = (comps.to_vec(), failed_in_scope);
+        if let Some(graph) = self.live_graphs.borrow().get(&key) {
+            return graph.clone();
+        }
+        let graph = Rc::new(CostGraph::build(self.network.node_count(), region, &key.1));
+        self.live_graphs.borrow_mut().insert(key, graph.clone());
+        graph
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::scenarios::{fat_tree_ospf, ring_ospf, CoreStaticRoutes};
+    use super::{fingerprint_of, Fingerprinter, SliceMemo};
+    use crate::scenarios::{
+        fat_tree_bgp_rfc7938, fat_tree_ospf, isp_ibgp_over_ospf, ring_ospf, CoreStaticRoutes,
+    };
     use crate::static_routes::StaticRoute;
+    use plankton_net::failure::FailureSet;
+    use plankton_net::generators::as_topo::AsTopologySpec;
+    use serde::Serialize;
 
     #[test]
     fn fingerprints_are_deterministic() {
@@ -633,14 +882,15 @@ mod tests {
 
     #[test]
     fn scoped_slice_is_deterministic_and_origin_sensitive() {
-        use plankton_net::failure::FailureSet;
         let s = fat_tree_ospf(4, CoreStaticRoutes::None);
-        let slices = s.network.ospf_scoped_slices();
+        let memo = SliceMemo::new();
+        let slices = s.network.ospf_scoped_slices(&memo);
         let o1 = vec![s.fat_tree.edge[0][0]];
         let o2 = vec![s.fat_tree.edge[1][0]];
         let none = FailureSet::none();
         let a = slices.fingerprint(&o1, &none).unwrap();
         assert_eq!(a, slices.fingerprint(&o1, &none).unwrap(), "memo stable");
+        assert_eq!(slices.memo_stats(), (1, 1), "second lookup is a memo hit");
         assert_ne!(
             a,
             slices.fingerprint(&o2, &none).unwrap(),
@@ -659,7 +909,6 @@ mod tests {
 
     #[test]
     fn non_competitive_cost_change_leaves_scoped_slice_alone() {
-        use plankton_net::failure::FailureSet;
         // The aggregation-side cost of an edge link is competitive only for
         // the prefix at that edge switch: a remote pod's scoped slice must
         // not move, while the local pod's must.
@@ -670,7 +919,8 @@ mod tests {
         let local = vec![edge];
         let remote = vec![s.fat_tree.edge[2][0]];
         let none = FailureSet::none();
-        let before = s.network.ospf_scoped_slices();
+        let memo = SliceMemo::new();
+        let before = s.network.ospf_scoped_slices(&memo);
         let (local_before, remote_before) = (
             before.fingerprint(&local, &none).unwrap(),
             before.fingerprint(&remote, &none).unwrap(),
@@ -679,7 +929,7 @@ mod tests {
         if let Some(ospf) = &mut net.device_mut(agg).ospf {
             ospf.interface_costs.insert(link, 42);
         }
-        let after = net.ospf_scoped_slices();
+        let after = net.ospf_scoped_slices(&memo);
         assert_ne!(local_before, after.fingerprint(&local, &none).unwrap());
         assert_eq!(remote_before, after.fingerprint(&remote, &none).unwrap());
         // The global slice is coarser: it moves for both.
@@ -691,53 +941,185 @@ mod tests {
 
     #[test]
     fn scoped_slice_is_down_link_agnostic() {
-        use plankton_net::failure::FailureSet;
         let s = ring_ospf(6);
         let origins = vec![s.origin];
         let none = FailureSet::none();
-        let before = s.network.ospf_scoped_slices().fingerprint(&origins, &none);
+        let memo = SliceMemo::new();
+        let before = s
+            .network
+            .ospf_scoped_slices(&memo)
+            .fingerprint(&origins, &none);
         let mut net = s.network.clone();
         net.set_link_down(s.ring.links[2]);
         // Down-ness reaches keys through the effective failure set; the
         // slice itself must not move, or fault-tolerance cache entries would
         // be lost to every link delta.
         assert_eq!(
-            net.ospf_scoped_slices().fingerprint(&origins, &none),
+            net.ospf_scoped_slices(&memo).fingerprint(&origins, &none),
             before
         );
     }
 
     #[test]
     fn non_speaker_origin_forces_global_fallback() {
-        use plankton_net::failure::FailureSet;
         let s = fat_tree_ospf(4, CoreStaticRoutes::None);
         let mut net = s.network.clone();
         let edge = s.fat_tree.edge[0][0];
         net.device_mut(edge).ospf = None;
-        let slices = net.ospf_scoped_slices();
+        let memo = SliceMemo::new();
+        let slices = net.ospf_scoped_slices(&memo);
         assert_eq!(slices.fingerprint(&[edge], &FailureSet::none()), None);
-        assert!(slices.region_of(edge).is_none());
+        assert!(net.ospf_region_of(edge).is_none());
     }
 
     #[test]
     fn component_split_changes_scoped_slice() {
-        use plankton_net::failure::FailureSet;
         // Draining a device's OSPF process splits / shrinks its component:
         // every PEC scoped to that component must re-key.
         let s = ring_ospf(6);
         let origins = vec![s.origin];
         let none = FailureSet::none();
+        let memo = SliceMemo::new();
         let before = s
             .network
-            .ospf_scoped_slices()
+            .ospf_scoped_slices(&memo)
             .fingerprint(&origins, &none)
             .unwrap();
         let mut net = s.network.clone();
         net.device_mut(s.ring.routers[3]).ospf = None;
         let after = net
-            .ospf_scoped_slices()
+            .ospf_scoped_slices(&memo)
             .fingerprint(&origins, &none)
             .unwrap();
         assert_ne!(before, after);
+    }
+
+    /// The oracle for structural traversal: streaming a value and streaming
+    /// the `Value` tree it serializes to must absorb the same words.
+    fn assert_streams_like_its_tree<T: Serialize + ?Sized>(t: &T) {
+        assert_eq!(fingerprint_of(t), fingerprint_of(&t.to_value()));
+    }
+
+    #[test]
+    fn streamed_fingerprints_equal_the_tree_walk() {
+        let nets = [
+            fat_tree_ospf(4, CoreStaticRoutes::MatchingOspf).network,
+            fat_tree_bgp_rfc7938(4, 7).network,
+            isp_ibgp_over_ospf(&AsTopologySpec::paper_as(3967)).network,
+        ];
+        for mut net in nets {
+            net.set_link_down(net.topology.links()[1].id);
+            assert_streams_like_its_tree(&net.devices);
+            assert_streams_like_its_tree(&net.down_links);
+            for n in net.topology.node_ids().take(8) {
+                let device = net.device(n);
+                assert_streams_like_its_tree(&device.ospf);
+                assert_streams_like_its_tree(&device.bgp);
+                assert_streams_like_its_tree(&device.static_routes);
+            }
+        }
+        assert_streams_like_its_tree(&FailureSet::from_links(vec![
+            plankton_net::topology::LinkId(3),
+            plankton_net::topology::LinkId(1),
+        ]));
+        assert_streams_like_its_tree("a string longer than one word");
+    }
+
+    #[test]
+    fn byte_input_is_length_and_padding_safe() {
+        let fp = |bytes: &[u8]| {
+            let mut fp = Fingerprinter::new();
+            fp.write_bytes(bytes);
+            fp.finish()
+        };
+        // A zero-padded tail must not collide with explicit zero bytes, and
+        // every prefix of a buffer hashes differently.
+        assert_ne!(fp(b"abc"), fp(b"abc\0"));
+        assert_ne!(fp(b"12345678"), fp(b"12345678\0"));
+        let buf: Vec<u8> = (0..40u8).collect();
+        let mut seen = std::collections::HashSet::new();
+        for len in 0..=buf.len() {
+            assert!(seen.insert(fp(&buf[..len])), "prefix {len} collided");
+        }
+        // One flipped bit anywhere changes the hash (the cache-file checksum
+        // relies on it).
+        let base = fp(&buf);
+        for i in 0..buf.len() {
+            let mut flipped = buf.clone();
+            flipped[i] ^= 0x40;
+            assert_ne!(fp(&flipped), base, "bit flip at byte {i} went unseen");
+        }
+    }
+
+    #[test]
+    fn memo_stays_under_its_bound_and_eviction_never_changes_a_fingerprint() {
+        // 5 000 distinct region states (one cost value each) x 6 origins
+        // fill the memo several times over. The resident entries must never
+        // exceed the cap, and every fingerprint served through the shared
+        // memo — fresh, remembered, or recomputed after eviction — must
+        // equal the one a fresh memo computes.
+        let s = ring_ospf(6);
+        let none = FailureSet::none();
+        let shared = SliceMemo::new();
+        let mut net = s.network.clone();
+        let mut peak = 0;
+        for state in 0..5_000u32 {
+            if let Some(ospf) = &mut net.device_mut(s.ring.routers[0]).ospf {
+                ospf.interface_costs.insert(s.ring.links[0], 1 + state);
+            }
+            let fresh = SliceMemo::new();
+            let (warm, cold) = (
+                net.ospf_scoped_slices(&shared),
+                net.ospf_scoped_slices(&fresh),
+            );
+            for &origin in &s.ring.routers {
+                assert_eq!(
+                    warm.fingerprint(&[origin], &none),
+                    cold.fingerprint(&[origin], &none),
+                    "state {state}, origin {origin:?}"
+                );
+            }
+            peak = peak.max(shared.len());
+            assert!(peak <= 2 * SliceMemo::GENERATION_ENTRIES, "{peak} entries");
+        }
+        assert!(
+            peak > SliceMemo::GENERATION_ENTRIES,
+            "the walk must fill a generation, or it tests no eviction ({peak} entries)"
+        );
+        assert!(shared.len() < 5_000 * 6, "entries were evicted");
+        // The base state was seen first and evicted long ago: asking again
+        // recomputes it, to the same value.
+        let base = s.network.ospf_scoped_slices(&shared);
+        let oracle = SliceMemo::new();
+        assert_eq!(
+            base.fingerprint(&[s.origin], &none),
+            s.network
+                .ospf_scoped_slices(&oracle)
+                .fingerprint(&[s.origin], &none)
+        );
+    }
+
+    #[test]
+    fn a_hit_in_the_old_generation_survives_the_next_rotation() {
+        let s = ring_ospf(6);
+        let none = FailureSet::none();
+        let memo = SliceMemo::new();
+        let hot = [s.origin];
+        s.network.ospf_scoped_slices(&memo).fingerprint(&hot, &none);
+        let mut net = s.network.clone();
+        for state in 0..4_000u32 {
+            if let Some(ospf) = &mut net.device_mut(s.ring.routers[0]).ospf {
+                ospf.interface_costs.insert(s.ring.links[0], 100 + state);
+            }
+            let slices = net.ospf_scoped_slices(&memo);
+            for &origin in &s.ring.routers {
+                slices.fingerprint(&[origin], &none);
+            }
+            // The hot entry is asked for between the cold ones, as the base
+            // state is between a benchmark's forward deltas.
+            let base = s.network.ospf_scoped_slices(&memo);
+            base.fingerprint(&hot, &none);
+            assert_eq!(base.memo_stats(), (1, 0), "hot entry lost at state {state}");
+        }
     }
 }

@@ -26,7 +26,7 @@ pub use bgp::{BgpConfig, BgpNeighborConfig, BgpSessionKind};
 pub use delta::{ConfigDelta, DeltaError, DeltaTouch};
 pub use device::DeviceConfig;
 pub use fingerprint::{
-    combine, fingerprint_of, Fingerprinter, OspfScopedSlices, FINGERPRINT_SCHEME_VERSION,
+    combine, fingerprint_of, Fingerprinter, OspfScopedSlices, SliceMemo, FINGERPRINT_SCHEME_VERSION,
 };
 pub use network::Network;
 pub use ospf::OspfConfig;

@@ -16,6 +16,13 @@
 //! from the engine's worker pool and planning-pass lookups from several
 //! client connections off one global lock. Counters are plain atomics.
 //!
+//! The cache also owns the session's [`SliceMemo`] — the memo of the
+//! Dijkstra-derived slice fingerprints that task keys are composed from. It
+//! lives here because it has the cache's lifetime and the cache's soundness
+//! argument (content-addressed, so valid across snapshots with nothing to
+//! invalidate), and because every caller that can consult the cache already
+//! holds it.
+//!
 //! Because keys are content hashes, entries are also meaningful *across
 //! process lifetimes*: [`ResultCache::to_snapshot`] /
 //! [`ResultCache::absorb_snapshot`] serialize the map (version-stamped with
@@ -27,7 +34,7 @@ use crate::outcome::ConvergedRecord;
 use crate::report::Violation;
 use parking_lot::Mutex;
 use plankton_checker::SearchStats;
-use plankton_config::FINGERPRINT_SCHEME_VERSION;
+use plankton_config::{Fingerprinter, SliceMemo, FINGERPRINT_SCHEME_VERSION};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
@@ -134,6 +141,7 @@ pub struct ResultCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
+    slice_memo: SliceMemo,
 }
 
 impl Default for ResultCache {
@@ -165,7 +173,15 @@ impl ResultCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
+            slice_memo: SliceMemo::new(),
         }
+    }
+
+    /// The session's memo of slice fingerprints, consulted when task keys
+    /// are derived. Survives [`ResultCache::clear`]: its entries are keyed
+    /// by the content they were computed from, not by a network.
+    pub fn slice_memo(&self) -> &SliceMemo {
+        &self.slice_memo
     }
 
     fn shard(&self, key: u64) -> &Mutex<Shard> {
@@ -342,10 +358,7 @@ impl ResultCache {
             std::process::id(),
             WRITER.fetch_add(1, Ordering::Relaxed)
         ));
-        let body = format!(
-            "{json}\n{CHECKSUM_PREFIX}{:016x}\n",
-            fnv1a64(json.as_bytes())
-        );
+        let body = format!("{json}\n{CHECKSUM_PREFIX}{:016x}\n", checksum(&json));
         std::fs::write(&tmp, body)?;
         std::fs::rename(&tmp, path)?;
         Ok(snapshot.entries.len())
@@ -370,16 +383,13 @@ impl ResultCache {
 /// Marker line that carries the snapshot checksum, after the JSON body.
 const CHECKSUM_PREFIX: &str = "#plankton-cache-fnv64:";
 
-/// FNV-1a over the snapshot body; cheap, no tables, and plenty to catch the
-/// failure modes that actually happen to a cache file (truncation by a
-/// mid-write crash, a flipped bit, a partial rename target).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    hash
+/// The workspace's one hasher over the snapshot body; cheap, no tables, and
+/// plenty to catch the failure modes that actually happen to a cache file
+/// (truncation by a mid-write crash, a flipped bit, a partial rename target).
+fn checksum(body: &str) -> u64 {
+    let mut fp = Fingerprinter::new();
+    fp.write_str(body);
+    fp.finish()
 }
 
 /// Split a persisted snapshot into body + footer and verify the checksum,
@@ -395,7 +405,7 @@ fn verify_checksum(raw: &str) -> Result<&str, String> {
     };
     let expected = u64::from_str_radix(hex.trim(), 16)
         .map_err(|_| "unreadable checksum footer".to_string())?;
-    let actual = fnv1a64(body.as_bytes());
+    let actual = checksum(body);
     if actual != expected {
         return Err(format!(
             "checksum mismatch (stored {expected:016x}, computed {actual:016x}): \

@@ -38,6 +38,9 @@ use std::time::Instant;
 struct IncrementalMetrics {
     tasks_rerun: Arc<plankton_telemetry::Counter>,
     tasks_cached: Arc<plankton_telemetry::Counter>,
+    key_memo_hits: Arc<plankton_telemetry::Counter>,
+    key_memo_misses: Arc<plankton_telemetry::Counter>,
+    key_memo_entries: Arc<plankton_telemetry::Gauge>,
 }
 
 fn incremental_metrics() -> &'static IncrementalMetrics {
@@ -52,6 +55,19 @@ fn incremental_metrics() -> &'static IncrementalMetrics {
             tasks_cached: registry.counter(
                 "plankton_tasks_cached_total",
                 "Tasks served entirely from the result cache.",
+            ),
+            key_memo_hits: registry.counter(
+                "plankton_key_memo_hits_total",
+                "Scoped OSPF slice fingerprints served from the session's slice memo \
+                 while deriving task keys.",
+            ),
+            key_memo_misses: registry.counter(
+                "plankton_key_memo_misses_total",
+                "Scoped OSPF slice fingerprints that had to run their Dijkstra.",
+            ),
+            key_memo_entries: registry.gauge(
+                "plankton_key_memo_entries",
+                "Entries resident in the slice memo (bounded; two generations).",
             ),
         }
     })
@@ -155,7 +171,8 @@ impl Plankton {
         } else {
             OspfSliceMode::Global
         };
-        let keys = TaskKeys::compute(
+        let keys = TaskKeys::compute_with_memo(
+            cache.slice_memo(),
             self.network(),
             self.pecs(),
             deps,
@@ -169,6 +186,7 @@ impl Plankton {
             },
         );
         phases.key_compute_micros = lap(&mut mark);
+        let (memo_hits, memo_misses) = keys.memo_stats();
 
         // Plan: a component task is clean only if *every* PEC it verifies
         // hits the cache; otherwise the whole task re-runs (its PECs share
@@ -227,12 +245,14 @@ impl Plankton {
         stats.pecs_reexplored = reexplored_pecs.len();
         stats.pecs_cached = cached_pecs.difference(&reexplored_pecs).count();
         phases.invalidation_micros = lap(&mut mark);
-        incremental_metrics()
-            .tasks_rerun
-            .add(stats.tasks_rerun as u64);
-        incremental_metrics()
-            .tasks_cached
-            .add(stats.tasks_cached as u64);
+        let metrics = incremental_metrics();
+        metrics.tasks_rerun.add(stats.tasks_rerun as u64);
+        metrics.tasks_cached.add(stats.tasks_cached as u64);
+        metrics.key_memo_hits.add(memo_hits);
+        metrics.key_memo_misses.add(memo_misses);
+        metrics
+            .key_memo_entries
+            .set(cache.slice_memo().len() as u64);
         trace::event(
             Level::Info,
             "keys_invalidated",
@@ -242,28 +262,26 @@ impl Plankton {
                 Field::u64("tasks_cached", stats.tasks_cached as u64),
                 Field::u64("key_hits", stats.key_hits),
                 Field::u64("key_misses", stats.key_misses),
+                Field::u64("memo_hits", memo_hits),
+                Field::u64("memo_misses", memo_misses),
             ],
         );
 
         // Fold the cached outcomes in first (and honor stop-at-first: a
         // cached violation means a fresh run would have stopped too).
         for ((pec, f), outcome) in &cached {
-            let mut relabeled = (**outcome).clone();
-            for v in &mut relabeled.violations {
+            let failures = &ctx.failure_sets[*f];
+            let relabeled = outcome.violations.iter().map(|v| {
+                let mut v = v.clone();
                 v.pec = *pec;
                 // Failure-invariant PECs share one outcome across failure
                 // sets; re-annotate with this task's set (a no-op for
                 // failure-keyed outcomes, which were computed under it).
-                v.failures = ctx.failure_sets[*f].clone();
-                v.trail.failures = ctx.failure_sets[*f].clone();
-            }
-            ctx.absorb(&crate::verifier::PecTaskResult {
-                records: Vec::new(),
-                violations: relabeled.violations,
-                stats: outcome.stats,
-                data_planes_checked: outcome.data_planes_checked,
-                complete: true,
+                v.failures = failures.clone();
+                v.trail.failures = failures.clone();
+                v
             });
+            ctx.absorb_parts(outcome.stats, outcome.data_planes_checked, relabeled);
             stats.steps_cached += outcome.stats.steps;
         }
         if options.stop_at_first_violation && !ctx.violations.lock().is_empty() {

@@ -43,12 +43,11 @@ use std::time::Instant;
 /// the task identity in the cost-attribution registry. FNV-1a over the
 /// canonical sorted link ids, so equal sets key identically across runs.
 pub(crate) fn failure_set_fingerprint(failures: &FailureSet) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut fp = plankton_config::Fingerprinter::new();
     for link in failures.links() {
-        h ^= link.0 as u64 + 1;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        fp.write_u64(link.0 as u64);
     }
-    h
+    fp.finish()
 }
 
 /// Attributes a panicking task to its (PEC × failure-set) identity. Armed
@@ -151,15 +150,29 @@ pub(crate) struct PecTaskResult {
 impl<'a> RunCtx<'a> {
     /// Fold one PEC's task result into the run-wide aggregates.
     pub(crate) fn absorb(&self, result: &PecTaskResult) {
-        *self.total_stats.lock() += result.stats;
-        if result.data_planes_checked > 0 {
+        self.absorb_parts(
+            result.stats,
+            result.data_planes_checked,
+            result.violations.iter().cloned(),
+        );
+    }
+
+    /// [`RunCtx::absorb`] from the parts of an outcome, so a cached outcome
+    /// is folded in by reference: only its (normally absent) violations are
+    /// cloned, by the caller, as it relabels them.
+    pub(crate) fn absorb_parts(
+        &self,
+        stats: SearchStats,
+        data_planes_checked: u64,
+        violations: impl ExactSizeIterator<Item = Violation>,
+    ) {
+        *self.total_stats.lock() += stats;
+        if data_planes_checked > 0 {
             self.data_planes_checked
-                .fetch_add(result.data_planes_checked, Ordering::Relaxed);
+                .fetch_add(data_planes_checked, Ordering::Relaxed);
         }
-        if !result.violations.is_empty() {
-            self.violations
-                .lock()
-                .extend(result.violations.iter().cloned());
+        if violations.len() > 0 {
+            self.violations.lock().extend(violations);
         }
     }
 

@@ -23,7 +23,7 @@
 use crate::dependency::PecDependencies;
 use crate::pec::{OriginProtocol, Pec, PecId, PecSet};
 use plankton_config::static_routes::StaticNextHop;
-use plankton_config::{DeltaTouch, Fingerprinter, Network, OspfScopedSlices};
+use plankton_config::{DeltaTouch, Fingerprinter, Network, OspfScopedSlices, SliceMemo};
 use plankton_net::failure::FailureSet;
 use plankton_net::topology::NodeId;
 use std::collections::BTreeSet;
@@ -59,7 +59,8 @@ pub enum OspfSliceMode {
 /// The network-level slice fingerprints shared by every PEC of one request,
 /// computed once (each is an O(network) traversal — per-PEC recomputation
 /// would dominate small-delta re-verification latency). The scoped OSPF
-/// slicer memoizes its per-component closures across PECs the same way.
+/// slicer memoizes its per-component closures across PECs the same way, and
+/// its Dijkstras across requests in the session's [`SliceMemo`].
 struct NetworkSlices<'a> {
     ospf_global: u64,
     bgp: u64,
@@ -68,13 +69,13 @@ struct NetworkSlices<'a> {
 }
 
 impl<'a> NetworkSlices<'a> {
-    fn of(network: &'a Network, mode: OspfSliceMode) -> Self {
+    fn of(network: &'a Network, mode: OspfSliceMode, memo: &'a SliceMemo) -> Self {
         NetworkSlices {
             ospf_global: network.ospf_slice_fingerprint(),
             bgp: network.bgp_slice_fingerprint(),
             ownership: network.address_ownership_fingerprint(),
             scoped: match mode {
-                OspfSliceMode::Scoped => Some(network.ospf_scoped_slices()),
+                OspfSliceMode::Scoped => Some(network.ospf_scoped_slices(memo)),
                 OspfSliceMode::Global => None,
             },
         }
@@ -159,6 +160,8 @@ pub struct TaskKeys {
     /// `keys[pec.index()][failure_idx]` — `0` for PECs outside the needed
     /// set (never looked up).
     keys: Vec<Vec<u64>>,
+    /// This pass's `(hits, misses)` in the session's slice memo.
+    memo_stats: (u64, u64),
 }
 
 impl TaskKeys {
@@ -171,8 +174,40 @@ impl TaskKeys {
     /// records are produced) and whether the policy verdict is evaluated
     /// for `p` at all. Both change a task's observable outcome without
     /// changing the network, so they are part of the key.
+    ///
+    /// Derives every key from nothing: [`TaskKeys::compute_with_memo`] over
+    /// an empty memo.
     #[allow(clippy::too_many_arguments)] // a keyed compute: every input is a key input
     pub fn compute(
+        network: &Network,
+        pecs: &PecSet,
+        deps: &PecDependencies,
+        failure_sets: &[FailureSet],
+        policy_fp: u64,
+        options_fp: u64,
+        mode: OspfSliceMode,
+        run_flags: impl Fn(PecId) -> u8,
+    ) -> TaskKeys {
+        Self::compute_with_memo(
+            &SliceMemo::new(),
+            network,
+            pecs,
+            deps,
+            failure_sets,
+            policy_fp,
+            options_fp,
+            mode,
+            run_flags,
+        )
+    }
+
+    /// [`TaskKeys::compute`] over the session's slice memo: scoped OSPF
+    /// slices whose Dijkstra input was seen before — by any earlier request,
+    /// against any snapshot — are looked up instead of recomputed. The keys
+    /// are identical to the ones an empty memo yields (see [`SliceMemo`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn compute_with_memo(
+        memo: &SliceMemo,
         network: &Network,
         pecs: &PecSet,
         deps: &PecDependencies,
@@ -192,7 +227,7 @@ impl TaskKeys {
                 fp.finish()
             })
             .collect();
-        let slices = NetworkSlices::of(network, mode);
+        let slices = NetworkSlices::of(network, mode, memo);
         let mut keys = vec![vec![0u64; nf]; pecs.len()];
         // Components are listed dependencies-first, so every dependency's
         // keys exist by the time a dependent composes them.
@@ -262,7 +297,16 @@ impl TaskKeys {
                 }
             }
         }
-        TaskKeys { keys }
+        let memo_stats = slices
+            .scoped
+            .as_ref()
+            .map_or((0, 0), OspfScopedSlices::memo_stats);
+        TaskKeys { keys, memo_stats }
+    }
+
+    /// `(hits, misses)` of this derivation's lookups in the slice memo.
+    pub fn memo_stats(&self) -> (u64, u64) {
+        self.memo_stats
     }
 
     /// The key of `(pec, failure_idx)`.

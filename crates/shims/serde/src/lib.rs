@@ -18,7 +18,11 @@
 //! * newtype structs serialize transparently as their inner value, tuple
 //!   structs as arrays, enums in serde's externally-tagged form;
 //! * maps serialize as arrays of `[key, value]` pairs so non-string keys
-//!   round-trip without a string conversion.
+//!   round-trip without a string conversion;
+//! * [`Serialize::stream`] walks the same tree shape into a [`Sink`] without
+//!   building it — what content hashing uses, so a hot path pays no
+//!   allocation per hashed value. Derived impls and the impls in this file
+//!   emit exactly the events a walk of [`Serialize::to_value`] would.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -82,10 +86,41 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// A consumer of the event stream of a value tree, in pre-order: one call
+/// per scalar; `array(len)` is followed by `len` values; `object(len)` by
+/// `len` pairs of a `key` and a value.
+pub trait Sink {
+    /// A null.
+    fn null(&mut self);
+    /// A boolean.
+    fn bool(&mut self, b: bool);
+    /// A signed integer.
+    fn int(&mut self, n: i64);
+    /// An unsigned integer.
+    fn uint(&mut self, n: u64);
+    /// A float.
+    fn float(&mut self, f: f64);
+    /// A string.
+    fn str(&mut self, s: &str);
+    /// The start of an array of `len` values.
+    fn array(&mut self, len: usize);
+    /// The start of an object of `len` key/value pairs.
+    fn object(&mut self, len: usize);
+    /// The key of the next object value.
+    fn key(&mut self, k: &str);
+}
+
 /// Types that can convert themselves into a [`Value`].
 pub trait Serialize {
     /// The value-tree form of `self`.
     fn to_value(&self) -> Value;
+
+    /// Emit the events of [`Serialize::to_value`]'s tree into `sink` without
+    /// building the tree. The default goes through the tree, so a hand
+    /// written impl that only provides `to_value` stays correct.
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        self.to_value().stream(sink)
+    }
 }
 
 /// Types that can reconstruct themselves from a [`Value`].
@@ -147,6 +182,7 @@ macro_rules! impl_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::UInt(*self as u64) }
+            fn stream<S: Sink + ?Sized>(&self, sink: &mut S) { sink.uint(*self as u64) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -169,6 +205,7 @@ macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::Int(*self as i64) }
+            fn stream<S: Sink + ?Sized>(&self, sink: &mut S) { sink.int(*self as i64) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -194,6 +231,7 @@ macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::Float(*self as f64) }
+            fn stream<S: Sink + ?Sized>(&self, sink: &mut S) { sink.float(*self as f64) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -214,6 +252,9 @@ impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
     }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.bool(*self)
+    }
 }
 
 impl Deserialize for bool {
@@ -228,6 +269,9 @@ impl Deserialize for bool {
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
+    }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.str(self)
     }
 }
 
@@ -244,11 +288,17 @@ impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
     }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.str(self)
+    }
 }
 
 impl Serialize for char {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.str(self.encode_utf8(&mut [0; 4]))
     }
 }
 
@@ -264,6 +314,9 @@ impl Deserialize for char {
 impl Serialize for () {
     fn to_value(&self) -> Value {
         Value::Null
+    }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        sink.null()
     }
 }
 
@@ -281,11 +334,17 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        (**self).stream(sink)
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        (**self).stream(sink)
     }
 }
 
@@ -299,6 +358,9 @@ impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        (**self).stream(sink)
+    }
 }
 
 impl<T: Deserialize> Deserialize for Arc<T> {
@@ -310,6 +372,9 @@ impl<T: Deserialize> Deserialize for Arc<T> {
 impl<T: Serialize + ?Sized> Serialize for Rc<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        (**self).stream(sink)
     }
 }
 
@@ -330,6 +395,12 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Null,
         }
     }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        match self {
+            Some(t) => t.stream(sink),
+            None => sink.null(),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -344,6 +415,9 @@ impl<T: Deserialize> Deserialize for Option<T> {
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        stream_seq(self.len(), self.iter(), sink)
     }
 }
 
@@ -360,11 +434,17 @@ impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        stream_seq(self.len(), self.iter(), sink)
+    }
 }
 
 impl<T: Serialize> Serialize for BTreeSet<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        stream_seq(self.len(), self.iter(), sink)
     }
 }
 
@@ -381,6 +461,9 @@ impl<T: Serialize> Serialize for HashSet<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        stream_seq(self.len(), self.iter(), sink)
+    }
 }
 
 impl<T: Deserialize + Eq + Hash> Deserialize for HashSet<T> {
@@ -389,6 +472,30 @@ impl<T: Deserialize + Eq + Hash> Deserialize for HashSet<T> {
             Value::Array(items) => items.iter().map(T::from_value).collect(),
             other => unexpected("array", other),
         }
+    }
+}
+
+fn stream_seq<'a, T: Serialize + 'a, S: Sink + ?Sized>(
+    len: usize,
+    items: impl Iterator<Item = &'a T>,
+    sink: &mut S,
+) {
+    sink.array(len);
+    for item in items {
+        item.stream(sink);
+    }
+}
+
+fn stream_map<'a, K: Serialize + 'a, V: Serialize + 'a, S: Sink + ?Sized>(
+    len: usize,
+    entries: impl Iterator<Item = (&'a K, &'a V)>,
+    sink: &mut S,
+) {
+    sink.array(len);
+    for (k, v) in entries {
+        sink.array(2);
+        k.stream(sink);
+        v.stream(sink);
     }
 }
 
@@ -415,6 +522,9 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
     fn to_value(&self) -> Value {
         map_to_value(self.iter())
     }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        stream_map(self.len(), self.iter(), sink)
+    }
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
@@ -429,6 +539,9 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
     fn to_value(&self) -> Value {
         map_to_value(self.iter())
+    }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        stream_map(self.len(), self.iter(), sink)
     }
 }
 
@@ -446,6 +559,10 @@ macro_rules! impl_tuple {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$i.to_value()),+])
+            }
+            fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+                sink.array([$($i),+].len());
+                $(self.$i.stream(sink);)+
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -473,6 +590,24 @@ impl_tuple! {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+    fn stream<S: Sink + ?Sized>(&self, sink: &mut S) {
+        match self {
+            Value::Null => sink.null(),
+            Value::Bool(b) => sink.bool(*b),
+            Value::Int(n) => sink.int(*n),
+            Value::UInt(n) => sink.uint(*n),
+            Value::Float(f) => sink.float(*f),
+            Value::Str(s) => sink.str(s),
+            Value::Array(items) => stream_seq(items.len(), items.iter(), sink),
+            Value::Object(fields) => {
+                sink.object(fields.len());
+                for (k, v) in fields {
+                    sink.key(k);
+                    v.stream(sink);
+                }
+            }
+        }
     }
 }
 

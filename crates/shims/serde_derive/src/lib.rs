@@ -310,52 +310,118 @@ fn ser_tuple(fields: &[Field], access: impl Fn(usize) -> String) -> String {
     format!("::serde::Value::Array(::std::vec![{}])", items.join(", "))
 }
 
+/// `Serialize::stream` statements for a shape: the same events, in the same
+/// order, as a walk of the tree `ser_named` / `ser_tuple` build.
+fn stream_named(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let live: Vec<&str> = fields
+        .iter()
+        .filter(|f| !f.skip)
+        .map(|f| f.name.as_deref().unwrap())
+        .collect();
+    let mut out = format!("::serde::Sink::object(__s, {});", live.len());
+    for name in live {
+        out.push_str(&format!(
+            "::serde::Sink::key(__s, {name:?}); ::serde::Serialize::stream({}, __s);",
+            access(name)
+        ));
+    }
+    out
+}
+
+fn stream_tuple(fields: &[Field], access: impl Fn(usize) -> String) -> String {
+    let live: Vec<usize> = fields
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| !f.skip)
+        .map(|(i, _)| i)
+        .collect();
+    let mut out = String::new();
+    if !(live.len() == 1 && fields.len() == 1) {
+        out.push_str(&format!("::serde::Sink::array(__s, {});", live.len()));
+    }
+    for i in live {
+        out.push_str(&format!("::serde::Serialize::stream({}, __s);", access(i)));
+    }
+    out
+}
+
+const STREAM_SIG: &str =
+    "fn stream<__S: ::serde::Sink + ?::core::marker::Sized>(&self, __s: &mut __S)";
+
 fn gen_serialize(item: &Item) -> String {
     match item {
         Item::Struct { name, shape } => {
-            let body = match shape {
-                Shape::Unit => "::serde::Value::Null".to_string(),
-                Shape::Named(fields) => ser_named(fields, |f| format!("&self.{f}")),
-                Shape::Tuple(fields) => ser_tuple(fields, |i| format!("&self.{i}")),
+            let (body, stream) = match shape {
+                Shape::Unit => (
+                    "::serde::Value::Null".to_string(),
+                    "::serde::Sink::null(__s);".to_string(),
+                ),
+                Shape::Named(fields) => (
+                    ser_named(fields, |f| format!("&self.{f}")),
+                    stream_named(fields, |f| format!("&self.{f}")),
+                ),
+                Shape::Tuple(fields) => (
+                    ser_tuple(fields, |i| format!("&self.{i}")),
+                    stream_tuple(fields, |i| format!("&self.{i}")),
+                ),
             };
             format!(
                 "impl ::serde::Serialize for {name} {{ \
-                 fn to_value(&self) -> ::serde::Value {{ {body} }} }}"
+                 fn to_value(&self) -> ::serde::Value {{ {body} }} \
+                 {STREAM_SIG} {{ {stream} }} }}"
             )
         }
         Item::Enum { name, variants } => {
             let mut arms = String::new();
+            let mut stream_arms = String::new();
+            // A tagged variant is a one-entry object keyed by its name.
+            let tagged = |vname: &str, inner: String| {
+                format!(
+                    "{{ ::serde::Sink::object(__s, 1); ::serde::Sink::key(__s, {vname:?}); \
+                     {inner} }}"
+                )
+            };
             for (vname, shape) in variants {
                 match shape {
-                    Shape::Unit => arms.push_str(&format!(
-                        "{name}::{vname} => ::serde::Value::Str(\
-                         ::std::string::String::from({vname:?})),"
-                    )),
+                    Shape::Unit => {
+                        arms.push_str(&format!(
+                            "{name}::{vname} => ::serde::Value::Str(\
+                             ::std::string::String::from({vname:?})),"
+                        ));
+                        stream_arms.push_str(&format!(
+                            "{name}::{vname} => ::serde::Sink::str(__s, {vname:?}),"
+                        ));
+                    }
                     Shape::Tuple(fields) => {
                         let binds: Vec<String> =
                             (0..fields.len()).map(|i| format!("__b{i}")).collect();
+                        let pattern = format!("{name}::{vname}({})", binds.join(", "));
                         let inner = ser_tuple(fields, |i| format!("__b{i}"));
                         arms.push_str(&format!(
-                            "{name}::{vname}({}) => ::serde::Value::Object(::std::vec![(\
-                             ::std::string::String::from({vname:?}), {inner})]),",
-                            binds.join(", ")
+                            "{pattern} => ::serde::Value::Object(::std::vec![(\
+                             ::std::string::String::from({vname:?}), {inner})]),"
                         ));
+                        let inner = stream_tuple(fields, |i| format!("__b{i}"));
+                        stream_arms.push_str(&format!("{pattern} => {},", tagged(vname, inner)));
                     }
                     Shape::Named(fields) => {
                         let binds: Vec<String> =
                             fields.iter().map(|f| f.name.clone().unwrap()).collect();
+                        let pattern = format!("{name}::{vname} {{ {} }}", binds.join(", "));
                         let inner = ser_named(fields, |f| f.to_string());
                         arms.push_str(&format!(
-                            "{name}::{vname} {{ {} }} => ::serde::Value::Object(::std::vec![(\
-                             ::std::string::String::from({vname:?}), {inner})]),",
-                            binds.join(", ")
+                            "{pattern} => ::serde::Value::Object(::std::vec![(\
+                             ::std::string::String::from({vname:?}), {inner})]),"
                         ));
+                        let inner = stream_named(fields, |f| f.to_string());
+                        stream_arms.push_str(&format!("{pattern} => {},", tagged(vname, inner)));
                     }
                 }
             }
             format!(
                 "impl ::serde::Serialize for {name} {{ \
-                 fn to_value(&self) -> ::serde::Value {{ match self {{ {arms} }} }} }}"
+                 fn to_value(&self) -> ::serde::Value {{ match self {{ {arms} }} }} \
+                 {STREAM_SIG} {{ match self {{ {stream_arms} }} }} }}"
             )
         }
     }

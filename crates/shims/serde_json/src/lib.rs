@@ -418,4 +418,100 @@ mod tests {
         assert!(from_str::<String>("\"\\ude00\"").is_err(), "unpaired low");
         assert!(from_str::<String>("\"\\ud83d\\u0041\"").is_err());
     }
+
+    /// `Serialize::stream` must emit exactly the events a walk of
+    /// `to_value`'s tree emits — for every shape the derive supports and
+    /// every container impl — or content hashes would depend on which of
+    /// the two a caller happened to use.
+    #[test]
+    fn derived_stream_matches_the_value_tree_for_every_shape() {
+        use serde::{Serialize, Sink};
+        use std::collections::{BTreeMap, BTreeSet};
+
+        #[derive(Default)]
+        struct Log(Vec<String>);
+        impl Sink for Log {
+            fn null(&mut self) {
+                self.0.push("null".into());
+            }
+            fn bool(&mut self, b: bool) {
+                self.0.push(format!("bool {b}"));
+            }
+            fn int(&mut self, n: i64) {
+                self.0.push(format!("int {n}"));
+            }
+            fn uint(&mut self, n: u64) {
+                self.0.push(format!("uint {n}"));
+            }
+            fn float(&mut self, f: f64) {
+                self.0.push(format!("float {f}"));
+            }
+            fn str(&mut self, s: &str) {
+                self.0.push(format!("str {s:?}"));
+            }
+            fn array(&mut self, len: usize) {
+                self.0.push(format!("array {len}"));
+            }
+            fn object(&mut self, len: usize) {
+                self.0.push(format!("object {len}"));
+            }
+            fn key(&mut self, k: &str) {
+                self.0.push(format!("key {k:?}"));
+            }
+        }
+
+        #[derive(Serialize)]
+        struct Unit;
+        #[derive(Serialize)]
+        struct Newtype(u32);
+        #[derive(Serialize)]
+        struct Pair(i8, String);
+        #[derive(Serialize)]
+        enum Choice {
+            Plain,
+            One(Newtype),
+            Two(u8, bool),
+            Named { x: f32, y: Option<char> },
+        }
+        #[derive(Serialize)]
+        struct Everything {
+            unit: Unit,
+            pair: Pair,
+            choices: Vec<Choice>,
+            #[serde(skip)]
+            _scratch: u64,
+            map: BTreeMap<u16, (u8, String)>,
+            set: BTreeSet<i64>,
+            nothing: Option<u8>,
+            boxed: Box<Newtype>,
+            empty: (),
+        }
+
+        let value = Everything {
+            unit: Unit,
+            pair: Pair(-3, "p".into()),
+            choices: vec![
+                Choice::Plain,
+                Choice::One(Newtype(7)),
+                Choice::Two(1, true),
+                Choice::Named {
+                    x: 0.5,
+                    y: Some('é'),
+                },
+                Choice::Named { x: 1.0, y: None },
+            ],
+            _scratch: 99,
+            map: [(2, (3, "m".to_string()))].into_iter().collect(),
+            set: [-1, 4].into_iter().collect(),
+            nothing: None,
+            boxed: Box::new(Newtype(8)),
+            empty: (),
+        };
+        let (mut direct, mut via_tree) = (Log::default(), Log::default());
+        value.stream(&mut direct);
+        value.to_value().stream(&mut via_tree);
+        assert_eq!(direct.0, via_tree.0);
+        assert!(direct.0.contains(&"key \"choices\"".to_string()));
+        assert!(!direct.0.iter().any(|e| e.contains("_scratch")));
+    }
 }

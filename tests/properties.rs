@@ -284,8 +284,11 @@ fn scoped_slices_invariant_under_down_link_permutations() {
         let (network, nodes) = build_ospf_network(n, &edges, destination);
         let origins = vec![nodes[0]];
         let fixed_failures = FailureSet::none();
+        // One memo for the whole walk: every step after the first is a memo
+        // hit, which debug builds recompute and compare.
+        let memo = plankton::config::SliceMemo::new();
         let baseline = network
-            .ospf_scoped_slices()
+            .ospf_scoped_slices(&memo)
             .fingerprint(&origins, &fixed_failures)
             .expect("origins are speakers");
 
@@ -301,7 +304,7 @@ fn scoped_slices_invariant_under_down_link_permutations() {
                 downed.push(l);
             }
             assert_eq!(
-                net.ospf_scoped_slices()
+                net.ospf_scoped_slices(&memo)
                     .fingerprint(&origins, &fixed_failures),
                 Some(baseline),
                 "seed {seed}: slice moved after downing {downed:?}"
@@ -311,7 +314,7 @@ fn scoped_slices_invariant_under_down_link_permutations() {
             let l = downed.swap_remove(rng.gen_range(0..downed.len()));
             net.set_link_up(l);
             assert_eq!(
-                net.ospf_scoped_slices()
+                net.ospf_scoped_slices(&memo)
                     .fingerprint(&origins, &fixed_failures),
                 Some(baseline),
                 "seed {seed}: slice moved after re-raising {l:?}"
@@ -333,7 +336,8 @@ fn scoped_slices_invariant_under_out_of_region_edits() {
         let (network, origin_a, origin_b, b_links) =
             build_two_component_network(&mut rng, dest_a, dest_b);
         let none = FailureSet::none();
-        let slices = network.ospf_scoped_slices();
+        let memo = plankton::config::SliceMemo::new();
+        let slices = network.ospf_scoped_slices(&memo);
         assert_ne!(
             slices.components().component_of(origin_a),
             slices.components().component_of(origin_b),
@@ -354,7 +358,8 @@ fn scoped_slices_invariant_under_out_of_region_edits() {
         .apply(&mut net)
         .expect("edit applies");
         assert_eq!(
-            net.ospf_scoped_slices().fingerprint(&[origin_a], &none),
+            net.ospf_scoped_slices(&memo)
+                .fingerprint(&[origin_a], &none),
             Some(a_baseline),
             "seed {seed}: B-side cost edit moved A's scoped slice"
         );
@@ -382,7 +387,8 @@ fn scoped_slices_invariant_under_out_of_region_edits() {
             .static_routes
             .push(plankton::config::StaticRoute::null(dest_b));
         assert_eq!(
-            net.ospf_scoped_slices().fingerprint(&[origin_a], &none),
+            net.ospf_scoped_slices(&memo)
+                .fingerprint(&[origin_a], &none),
             Some(a_baseline),
             "seed {seed}: static route moved the scoped OSPF slice"
         );
