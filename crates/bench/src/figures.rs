@@ -1128,7 +1128,15 @@ pub fn checker_bench(quick: bool) -> FigureResult {
                        scenario: &FailureScenario,
                        options: &PlanktonOptions| {
         checker_measure(
-            iterations, label, reps, plankton, policy, scenario, options, &mut rows, &mut points,
+            iterations,
+            label,
+            reps,
+            plankton,
+            policy,
+            scenario,
+            options,
+            &mut rows,
+            &mut points,
         )
     };
 
@@ -1206,7 +1214,15 @@ pub fn checker_scale_bench(quick: bool) -> FigureResult {
                        scenario: &FailureScenario,
                        options: &PlanktonOptions| {
         checker_measure(
-            iterations, label, reps, plankton, policy, scenario, options, &mut rows, &mut points,
+            iterations,
+            label,
+            reps,
+            plankton,
+            policy,
+            scenario,
+            options,
+            &mut rows,
+            &mut points,
         )
     };
     let full_search = SearchOptions::all_optimizations().without_policy_pruning();
@@ -1253,7 +1269,10 @@ pub fn checker_scale_bench(quick: bool) -> FigureResult {
         let sources: Vec<NodeId> = s.network.topology.node_ids().collect();
         let plankton = Plankton::new(s.network.clone());
         measure(
-            format!("{} all-node reachability, full convergence", s.as_topology.name),
+            format!(
+                "{} all-node reachability, full convergence",
+                s.as_topology.name
+            ),
             1,
             &plankton,
             &Reachability::new(sources),
@@ -1749,8 +1768,22 @@ pub fn run_figure(id: &str, quick: bool) -> Option<FigureResult> {
 /// checker inner-loop benchmark and the incremental-service benchmark).
 pub fn all_figures() -> Vec<&'static str> {
     vec![
-        "2", "7a", "7b", "7c", "7d", "7e", "7f", "7g", "7h", "7i", "8", "9", "cores", "checker",
-        "checker_scale", "service",
+        "2",
+        "7a",
+        "7b",
+        "7c",
+        "7d",
+        "7e",
+        "7f",
+        "7g",
+        "7h",
+        "7i",
+        "8",
+        "9",
+        "cores",
+        "checker",
+        "checker_scale",
+        "service",
     ]
 }
 

@@ -12,9 +12,10 @@
 //! instead of per *state*:
 //!
 //! * **Delta-maintained enabled sets** — a step at node `n` can only change
-//!   the enabled status of `n` and its reverse peers, so only that dirty
-//!   neighborhood is recomputed
-//!   ([`IncrementalEnabled`](plankton_protocols::IncrementalEnabled))
+//!   the entries of `n` and its reverse peers, and a reverse peer's only
+//!   through the one advertisement `n` now sends it: `n` is recomputed and
+//!   each reverse peer's cached entry is patched for that single edge
+//!   ([`IncrementalEnabled`](plankton_protocols::IncrementalEnabled)),
 //!   instead of calling `Rpvp::enabled()` from scratch every iteration.
 //! * **Apply/undo DFS** — steps are applied in place and reverted from a
 //!   compact undo stack ([`UndoStack`](crate::UndoStack)), eliminating the
@@ -50,9 +51,11 @@ use plankton_protocols::{ProtocolModel, RouteHandle, RouteInterner};
 /// Fold one finished search into the process-global metrics. Handles are
 /// resolved once and cached: this runs once per (PEC-component × failure
 /// scenario) task, and must stay off the per-step path entirely.
-fn record_run_metrics(stats: &SearchStats) {
+fn record_run_metrics(stats: &SearchStats, edge_updates: u64) {
     use std::sync::OnceLock;
     static STEPS: OnceLock<std::sync::Arc<plankton_telemetry::Counter>> = OnceLock::new();
+    static EDGE_UPDATES: OnceLock<std::sync::Arc<plankton_telemetry::Counter>> = OnceLock::new();
+    static FULL_RECOMPUTES: OnceLock<std::sync::Arc<plankton_telemetry::Counter>> = OnceLock::new();
     static UNDO_DEPTH: OnceLock<std::sync::Arc<plankton_telemetry::Gauge>> = OnceLock::new();
     let registry = plankton_telemetry::metrics::global();
     STEPS
@@ -63,6 +66,22 @@ fn record_run_metrics(stats: &SearchStats) {
             )
         })
         .add(stats.steps);
+    EDGE_UPDATES
+        .get_or_init(|| {
+            registry.counter(
+                "plankton_enabled_edge_updates_total",
+                "Enabled-set entries patched for the one advertisement a step changed.",
+            )
+        })
+        .add(edge_updates);
+    FULL_RECOMPUTES
+        .get_or_init(|| {
+            registry.counter(
+                "plankton_enabled_full_recomputes_total",
+                "Enabled-set entries re-derived from every peer's advertisement.",
+            )
+        })
+        .add(stats.enabled_recomputed_nodes);
     UNDO_DEPTH
         .get_or_init(|| {
             registry.gauge(
@@ -103,7 +122,7 @@ pub struct ModelChecker<'m> {
     undo: UndoStack,
     /// Pooled buffers for branch-point enabled-set snapshots.
     snapshots: SnapshotPool,
-    /// Reusable buffers for the decision-independence component labelling.
+    /// Reusable buffers for the decision-independence reachability search.
     di_scratch: DiScratch,
 }
 
@@ -203,7 +222,7 @@ impl<'m> ModelChecker<'m> {
         self.stats.visited_states = self.visited.len() as u64;
         self.stats.approx_memory_bytes =
             (self.interner.run_approx_bytes() + self.visited.approx_bytes()) as u64;
-        record_run_metrics(&self.stats);
+        record_run_metrics(&self.stats, self.enabled.edge_update_count());
         (
             self.stats,
             ScratchParts {
@@ -267,6 +286,7 @@ impl<'m> ModelChecker<'m> {
             state,
             &mut self.interner,
             node,
+            prev_best,
             &mut self.undo.enabled_prev,
         );
         self.undo.push_frame(UndoFrame {

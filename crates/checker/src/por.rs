@@ -335,19 +335,28 @@ impl PorHeuristic for BgpPor {
 /// performs no heap allocation once warmed up.
 #[derive(Default)]
 pub struct DiScratch {
-    /// Component label per node (`usize::MAX` = unlabelled / decided).
-    component: Vec<usize>,
-    /// DFS stack for the component labelling.
-    stack: Vec<NodeId>,
-    /// Component labels already claimed by an enabled node (tiny: one entry
-    /// per enabled node, scanned linearly).
-    seen: Vec<usize>,
+    /// `stamp[n] == epoch` ⟺ the current call's search already reached `n`
+    /// (bumping `epoch` un-reaches every node without touching the vector).
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// The breadth-first frontier.
+    queue: Vec<NodeId>,
 }
 
 impl DiScratch {
     /// Empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Open a fresh search over `n` nodes.
+    fn begin(&mut self, n: usize) {
+        if self.stamp.len() != n || self.epoch == u32::MAX {
+            self.stamp.clear();
+            self.stamp.resize(n, 0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
     }
 }
 
@@ -357,9 +366,19 @@ impl DiScratch {
 /// The execution order between the enabled nodes is irrelevant when (a) every
 /// pending update comes from a peer that has already made its final decision,
 /// and (b) no advertisement can flow between any two enabled nodes without
-/// passing through an already-decided node (checked as: the enabled nodes lie
-/// in pairwise-distinct connected components of the peer graph restricted to
-/// undecided nodes). When both hold, a single arbitrary order is explored.
+/// passing through an already-decided node: the enabled nodes lie in
+/// pairwise-distinct connected components of the peer graph restricted to
+/// undecided nodes. When both hold, a single arbitrary order is explored.
+///
+/// (b) is checked by a breadth-first search from each enabled node over
+/// undecided nodes that gives up the moment it reaches a second enabled
+/// node — the common outcome, a few hops away — rather than by labelling
+/// every component first. Searches share one set of reached-marks, so the
+/// worst case (the answer is "independent") is still a single O(V+E) pass.
+/// Decided nodes belong to no component: one enabled node that is itself
+/// decided is independent of everything, two are treated as dependent. The
+/// peer relation is taken to be symmetric, as it is for every adjacency- and
+/// session-based model.
 pub fn decision_independent(
     model: &dyn ProtocolModel,
     enabled: &EnabledView<'_>,
@@ -377,40 +396,38 @@ pub fn decision_independent(
         return None;
     }
     if enabled.len() > 1 {
-        // Component labelling of the undecided subgraph.
-        let n = model.node_count();
-        scratch.component.clear();
-        scratch.component.resize(n, usize::MAX);
-        scratch.stack.clear();
-        let component = &mut scratch.component;
-        let stack = &mut scratch.stack;
-        let mut next = 0usize;
-        for start in 0..n {
-            if decided[start] || component[start] != usize::MAX {
+        scratch.begin(model.node_count());
+        let (stamp, epoch, queue) = (&mut scratch.stamp, scratch.epoch, &mut scratch.queue);
+        let mut decided_enabled = false;
+        for choice in enabled.iter() {
+            let start = choice.node;
+            if decided[start.index()] {
+                if decided_enabled {
+                    return None;
+                }
+                decided_enabled = true;
                 continue;
             }
-            let label = next;
-            next += 1;
-            stack.push(NodeId(start as u32));
-            component[start] = label;
-            while let Some(u) = stack.pop() {
+            stamp[start.index()] = epoch;
+            queue.clear();
+            queue.push(start);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
                 for &p in model.peers(u) {
-                    if !decided[p.index()] && component[p.index()] == usize::MAX {
-                        component[p.index()] = label;
-                        stack.push(p);
+                    if decided[p.index()] || stamp[p.index()] == epoch {
+                        continue;
                     }
+                    if enabled.get_node(p).is_some() {
+                        // Two enabled nodes can still influence each other
+                        // through undecided nodes: independence does not
+                        // apply.
+                        return None;
+                    }
+                    stamp[p.index()] = epoch;
+                    queue.push(p);
                 }
             }
-        }
-        scratch.seen.clear();
-        for choice in enabled.iter() {
-            let label = component[choice.node.index()];
-            if scratch.seen.contains(&label) {
-                // Two enabled nodes can still influence each other through
-                // undecided nodes: independence does not apply.
-                return None;
-            }
-            scratch.seen.push(label);
         }
     }
     // Order does not matter; still branch over a node's tied updates.
@@ -431,7 +448,8 @@ mod tests {
     use plankton_net::failure::FailureSet;
     use plankton_protocols::bgp::UniformUnderlay;
     use plankton_protocols::ospf::OspfModel;
-    use plankton_protocols::rpvp::Rpvp;
+    use plankton_protocols::rpvp::{EnabledChoice, Rpvp};
+    use plankton_protocols::{Preference, RouteHandle};
     use std::sync::Arc;
 
     #[test]
@@ -476,7 +494,12 @@ mod tests {
         let state = rpvp.initial_state(&mut interner);
         let enabled = rpvp.enabled(&state, &mut interner);
         assert_eq!(
-            NoPor.pick(&state, &EnabledView::Slice(&enabled), &[false; 4], &interner),
+            NoPor.pick(
+                &state,
+                &EnabledView::Slice(&enabled),
+                &[false; 4],
+                &interner
+            ),
             PorDecision::BranchAll
         );
     }
@@ -567,5 +590,160 @@ mod tests {
         // isolated from each other and the order genuinely cannot matter.
         decided[s.ring.routers[2].index()] = true;
         assert!(decision_independent(&model, &view, &decided, &mut scratch).is_some());
+    }
+
+    /// The label-everything pass `decision_independent` replaced, kept as
+    /// its oracle: label every connected component of the undecided
+    /// subgraph, then require pairwise-distinct labels of the enabled nodes.
+    fn decision_independent_by_labelling(
+        model: &dyn ProtocolModel,
+        enabled: &EnabledView<'_>,
+        decided: &[bool],
+    ) -> Option<PorDecision> {
+        let first = enabled.first()?;
+        let all_from_decided = enabled.iter().all(|choice| {
+            choice
+                .best_updates
+                .iter()
+                .all(|(peer, _)| decided[peer.index()])
+        });
+        if !all_from_decided {
+            return None;
+        }
+        if enabled.len() > 1 {
+            let n = model.node_count();
+            let mut component = vec![usize::MAX; n];
+            let mut stack = Vec::new();
+            let mut next = 0usize;
+            for start in 0..n {
+                if decided[start] || component[start] != usize::MAX {
+                    continue;
+                }
+                let label = next;
+                next += 1;
+                stack.push(NodeId(start as u32));
+                component[start] = label;
+                while let Some(u) = stack.pop() {
+                    for &p in model.peers(u) {
+                        if !decided[p.index()] && component[p.index()] == usize::MAX {
+                            component[p.index()] = label;
+                            stack.push(p);
+                        }
+                    }
+                }
+            }
+            let mut seen = Vec::new();
+            for choice in enabled.iter() {
+                let label = component[choice.node.index()];
+                if seen.contains(&label) {
+                    return None;
+                }
+                seen.push(label);
+            }
+        }
+        if first.best_updates.len() > 1 {
+            Some(PorDecision::BranchUpdates { node: first.node })
+        } else {
+            Some(PorDecision::Deterministic {
+                node: first.node,
+                update: 0,
+            })
+        }
+    }
+
+    /// A bare symmetric peer graph; the independence test reads nothing else.
+    struct PeerGraph(Vec<Vec<NodeId>>);
+
+    impl ProtocolModel for PeerGraph {
+        fn node_count(&self) -> usize {
+            self.0.len()
+        }
+        fn origins(&self) -> &[NodeId] {
+            &[]
+        }
+        fn peers(&self, n: NodeId) -> &[NodeId] {
+            &self.0[n.index()]
+        }
+        fn advertise(&self, _: NodeId, _: NodeId, _: &Route) -> Option<Route> {
+            None
+        }
+        fn origin_route(&self, _: NodeId) -> Route {
+            unreachable!("no origins")
+        }
+        fn prefer(&self, _: NodeId, _: &Route, _: &Route) -> Preference {
+            Preference::Tied
+        }
+        fn name(&self) -> &'static str {
+            "graph"
+        }
+    }
+
+    #[test]
+    fn early_exit_search_agrees_with_component_labelling() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let mut scratch = DiScratch::new();
+        let (mut independent, mut dependent) = (0, 0);
+        for _ in 0..2000 {
+            let n = 2 + below(23);
+            // Sparse graphs, so the undecided subgraph falls apart into
+            // several components often enough to see both answers.
+            let mut peers = vec![Vec::new(); n];
+            for _ in 0..below(2 * n) {
+                let (a, b) = (below(n), below(n));
+                if a != b && !peers[a].contains(&NodeId(b as u32)) {
+                    peers[a].push(NodeId(b as u32));
+                    peers[b].push(NodeId(a as u32));
+                }
+            }
+            let model = PeerGraph(peers);
+            for _ in 0..3 {
+                let density = 1 + below(4);
+                let decided: Vec<bool> = (0..n).map(|_| below(5) < density).collect();
+                for _ in 0..3 {
+                    // Enabled nodes may be decided themselves; pending
+                    // updates mostly (not always) come from decided peers.
+                    let mut enabled: Vec<EnabledChoice> = Vec::new();
+                    for i in 0..n {
+                        if below(n) >= 3 {
+                            continue;
+                        }
+                        let node = NodeId(i as u32);
+                        let updates = below(3);
+                        let best_updates = model
+                            .peers(node)
+                            .iter()
+                            .filter(|p| decided[p.index()] || below(8) == 0)
+                            .take(updates)
+                            .map(|&p| (p, RouteHandle(1)))
+                            .collect();
+                        enabled.push(EnabledChoice {
+                            node,
+                            invalid: false,
+                            best_updates,
+                        });
+                    }
+                    let view = EnabledView::Slice(&enabled);
+                    let got = decision_independent(&model, &view, &decided, &mut scratch);
+                    let want = decision_independent_by_labelling(&model, &view, &decided);
+                    assert_eq!(got, want, "{:?} decided={decided:?} {enabled:?}", model.0);
+                    if enabled.len() > 1 {
+                        match got {
+                            Some(_) => independent += 1,
+                            None => dependent += 1,
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            independent > 500 && dependent > 500,
+            "one-sided oracle run: {independent} independent, {dependent} dependent"
+        );
     }
 }

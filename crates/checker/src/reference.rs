@@ -206,9 +206,7 @@ impl<'m> ReferenceChecker<'m> {
             let enabled = self.enabled(state);
 
             if self.options.consistent_executions {
-                let inconsistent = enabled
-                    .iter()
-                    .any(|c| c.invalid || state.has_route(c.node));
+                let inconsistent = enabled.iter().any(|c| c.invalid || state.has_route(c.node));
                 if inconsistent {
                     self.stats.pruned_inconsistent += 1;
                     break;
@@ -249,10 +247,7 @@ impl<'m> ReferenceChecker<'m> {
                     continue;
                 }
                 PorDecision::BranchUpdates { node } => {
-                    let c = view
-                        .get_node(node)
-                        .expect("branch node is enabled")
-                        .clone();
+                    let c = view.get_node(node).expect("branch node is enabled").clone();
                     self.branch(state, decided, depth, callback, &[c], false);
                     break;
                 }

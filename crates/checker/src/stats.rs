@@ -25,9 +25,12 @@ pub struct SearchStats {
     pub converged_states: u64,
     /// Steps taken through the deterministic-node fast path.
     pub deterministic_steps: u64,
-    /// Nodes whose enabled status was recomputed by the delta-maintained
-    /// enabled set (the pre-change explorer recomputed every node at every
-    /// step, so `steps × node_count` is the figure this improves on).
+    /// Enabled-set entries the delta-maintained enabled set re-derived *in
+    /// full*, from every peer's advertisement (the pre-incremental explorer
+    /// did that for every node at every step, so `steps × node_count` is the
+    /// figure this improves on). Single-edge patches of a reverse peer's
+    /// entry are not counted here; the process metrics report them as
+    /// `plankton_enabled_edge_updates_total`.
     #[serde(default)]
     pub enabled_recomputed_nodes: u64,
     /// Deepest apply/undo stack reached by the in-place DFS (the number of

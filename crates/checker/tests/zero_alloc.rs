@@ -85,9 +85,9 @@ fn steady_state_step_path_does_not_allocate() {
     // Warm-up pass: drive one full execution to convergence so every route
     // the walk will ever adopt is interned and every buffer is sized.
     while let Some((node, adopt)) = first_choice(&inc) {
-        rpvp.step_adopting(&mut state, &interner, node, adopt);
+        let prev = rpvp.step_adopting(&mut state, &interner, node, adopt);
         displaced.clear();
-        inc.refresh_after_step(&rpvp, &state, &mut interner, node, &mut displaced);
+        inc.refresh_after_step(&rpvp, &state, &mut interner, node, prev, &mut displaced);
     }
     visited.insert(&state.best, &interner);
     let interned_after_warmup = interner.len();
@@ -106,7 +106,14 @@ fn steady_state_step_path_does_not_allocate() {
         measured += ALLOCATIONS.load(Ordering::Relaxed) - before;
 
         displaced.clear();
-        inc.refresh_after_step(&rpvp, &state, &mut interner, node, &mut displaced);
+        inc.refresh_after_step(
+            &rpvp,
+            &state,
+            &mut interner,
+            node,
+            prev_best,
+            &mut displaced,
+        );
 
         // Undo: restore the handle and the displaced cache entries, then
         // verify the enabled view is iterable without touching the heap.
@@ -121,10 +128,10 @@ fn steady_state_step_path_does_not_allocate() {
 
         // Redo and record the visited fingerprint (bitstate: fixed memory).
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        rpvp.step_adopting(&mut state, &interner, node, adopt);
+        let prev = rpvp.step_adopting(&mut state, &interner, node, adopt);
         measured += ALLOCATIONS.load(Ordering::Relaxed) - before;
         displaced.clear();
-        inc.refresh_after_step(&rpvp, &state, &mut interner, node, &mut displaced);
+        inc.refresh_after_step(&rpvp, &state, &mut interner, node, prev, &mut displaced);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         visited.insert(&state.best, &interner);
         measured += ALLOCATIONS.load(Ordering::Relaxed) - before;

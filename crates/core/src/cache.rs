@@ -36,9 +36,9 @@ use parking_lot::Mutex;
 use plankton_checker::SearchStats;
 use plankton_config::{Fingerprinter, SliceMemo, FINGERPRINT_SCHEME_VERSION};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Process-global cache metrics, resolved once. Every [`ResultCache`]
@@ -48,6 +48,7 @@ struct CacheMetrics {
     hits: Arc<plankton_telemetry::Counter>,
     misses: Arc<plankton_telemetry::Counter>,
     evictions: Arc<plankton_telemetry::Counter>,
+    capacity: Arc<plankton_telemetry::Gauge>,
     /// One occupancy gauge per shard, labelled `shard="0"`..`shard="15"`.
     shard_entries: Vec<Arc<plankton_telemetry::Gauge>>,
 }
@@ -70,7 +71,11 @@ fn cache_metrics() -> &'static CacheMetrics {
             ),
             evictions: registry.counter(
                 "plankton_cache_evictions_total",
-                "Entries evicted oldest-first by the capacity bound.",
+                "Entries evicted (second chance) by the capacity bound.",
+            ),
+            capacity: registry.gauge(
+                "plankton_cache_capacity",
+                "Bound on resident result-cache entries (follows the largest pass seen).",
             ),
             shard_entries: SHARD_LABELS
                 .iter()
@@ -103,15 +108,59 @@ pub struct PolicyOutcome {
     pub records: Vec<Arc<ConvergedRecord>>,
 }
 
-/// One lock's worth of the cache: the key → outcome map plus the key
-/// insertion order, so the capacity bound can evict oldest-first.
+/// One resident entry, in its shard's clock.
+#[derive(Debug)]
+struct Slot {
+    key: u64,
+    outcome: Arc<PolicyOutcome>,
+    /// Set by every lookup that hits; cleared when the clock hand passes.
+    referenced: bool,
+}
+
+/// One lock's worth of the cache: the resident entries in a clock (a ring of
+/// slots with a hand), plus the key → slot index.
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<u64, Arc<PolicyOutcome>>,
-    /// Keys in insertion order. First-write-wins inserts keep this in exact
-    /// 1:1 correspondence with `map` (every resident key appears exactly
-    /// once), so popping the front is popping the oldest resident entry.
-    order: VecDeque<u64>,
+    slots: Vec<Slot>,
+    index: HashMap<u64, usize>,
+    /// The next slot the eviction sweep examines.
+    hand: usize,
+}
+
+impl Shard {
+    /// The outcome under `key`, marking it referenced.
+    fn lookup(&mut self, key: u64) -> Option<Arc<PolicyOutcome>> {
+        let slot = &mut self.slots[*self.index.get(&key)?];
+        slot.referenced = true;
+        Some(Arc::clone(&slot.outcome))
+    }
+
+    /// Store a non-resident `key`, keeping at most `capacity` entries.
+    /// Returns whether an entry was evicted to make room.
+    fn store(&mut self, key: u64, outcome: Arc<PolicyOutcome>, capacity: usize) -> bool {
+        let slot = Slot {
+            key,
+            outcome,
+            referenced: false,
+        };
+        if self.slots.len() < capacity {
+            self.index.insert(key, self.slots.len());
+            self.slots.push(slot);
+            return false;
+        }
+        // Second chance: an entry looked up since the hand last passed it
+        // gives up its mark instead of its slot. Terminates within two
+        // laps — the first clears every mark it meets.
+        while self.slots[self.hand].referenced {
+            self.slots[self.hand].referenced = false;
+            self.hand = (self.hand + 1) % self.slots.len();
+        }
+        self.index.remove(&self.slots[self.hand].key);
+        self.index.insert(key, self.hand);
+        self.slots[self.hand] = slot;
+        self.hand = (self.hand + 1) % self.slots.len();
+        true
+    }
 }
 
 /// A serializable image of the cache contents, stamped with the
@@ -122,22 +171,36 @@ struct Shard {
 pub struct CacheSnapshot {
     /// [`FINGERPRINT_SCHEME_VERSION`] at save time.
     pub version: u32,
-    /// Every resident `(key, outcome)` pair, in shard-then-insertion order.
+    /// Every resident `(key, outcome)` pair, in shard-then-slot order.
     pub entries: Vec<(u64, Arc<PolicyOutcome>)>,
 }
 
 /// A concurrent, sharded, content-hash-keyed map of task outcomes.
 ///
 /// Entries are immutable once inserted (`Arc`-shared). The cache is bounded
-/// per shard: when an insert would exceed a shard's share of the capacity,
-/// the shard's *oldest* entries are evicted first — content keys carry no
-/// recency signal beyond insertion order, and oldest-first keeps the warm
-/// working set (what recent verifies touched) alive. Eviction only costs
+/// per shard, and the bound is what keeps a long-lived daemon's memory from
+/// following its request count: every delta mints keys that are never looked
+/// up again. When an insert would exceed a shard's share of the capacity, a
+/// *second-chance* sweep picks the victim: each entry carries a referenced
+/// bit that any hit ([`ResultCache::get`] / [`ResultCache::peek`]) sets; the
+/// clock hand clears set bits as it passes and evicts the first entry whose
+/// bit is already clear. Entries that every re-verify touches — the base
+/// configuration's tasks — therefore outlive any number of one-shot keys,
+/// while a never-reused key is gone within one lap. Eviction only costs
 /// re-verification, never correctness.
+///
+/// A cache built with [`ResultCache::new`] sizes its bound from the work it
+/// sees: [`ResultCache::DEFAULT_CAPACITY`] entries, raised to four times the
+/// task count of the largest verification pass ([`ResultCache::fit_pass`]),
+/// so one pass's results can never evict each other. A cache built with
+/// [`ResultCache::with_capacity`] keeps exactly the bound it was given.
 #[derive(Debug)]
 pub struct ResultCache {
     shards: Box<[Mutex<Shard>]>,
-    shard_capacity: usize,
+    shard_capacity: AtomicUsize,
+    /// Does the bound grow with the passes seen (`new`), or stay as given
+    /// (`with_capacity`)?
+    follows_passes: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -151,29 +214,57 @@ impl Default for ResultCache {
 }
 
 impl ResultCache {
-    /// Default bound on resident entries.
-    pub const DEFAULT_CAPACITY: usize = 1 << 20;
+    /// The bound on resident entries a [`ResultCache::new`] cache starts
+    /// with (and never goes below).
+    pub const DEFAULT_CAPACITY: usize = 16_384;
 
     /// Lock shards (a power of two; keys are FNV hashes, so the low bits
     /// select uniformly).
     pub const SHARDS: usize = 16;
 
-    /// An empty cache with the default capacity.
+    /// An empty cache whose capacity follows the largest pass it serves.
     pub fn new() -> Self {
-        Self::with_capacity(Self::DEFAULT_CAPACITY)
+        ResultCache {
+            follows_passes: true,
+            ..Self::with_capacity(Self::DEFAULT_CAPACITY)
+        }
     }
 
     /// An empty cache bounded to (approximately, rounded up to a multiple of
-    /// [`ResultCache::SHARDS`]) `capacity` entries.
+    /// [`ResultCache::SHARDS`]) `capacity` entries, for good.
     pub fn with_capacity(capacity: usize) -> Self {
         let shards = (0..Self::SHARDS).map(|_| Mutex::new(Shard::default()));
+        let shard_capacity = capacity.max(1).div_ceil(Self::SHARDS);
+        cache_metrics()
+            .capacity
+            .set((shard_capacity * Self::SHARDS) as u64);
         ResultCache {
             shards: shards.collect(),
-            shard_capacity: capacity.max(1).div_ceil(Self::SHARDS),
+            shard_capacity: AtomicUsize::new(shard_capacity),
+            follows_passes: false,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             slice_memo: SliceMemo::new(),
+        }
+    }
+
+    /// The current bound on resident entries.
+    pub fn capacity(&self) -> usize {
+        self.shard_capacity.load(Ordering::Relaxed) * Self::SHARDS
+    }
+
+    /// Tell the cache a verification pass of `tasks` (PEC × failure-set)
+    /// tasks is about to look up and insert its keys. A cache from
+    /// [`ResultCache::new`] raises its bound to hold four such passes; one
+    /// from [`ResultCache::with_capacity`] ignores the hint.
+    pub fn fit_pass(&self, tasks: usize) {
+        if !self.follows_passes {
+            return;
+        }
+        let wanted = tasks.saturating_mul(4).div_ceil(Self::SHARDS);
+        if self.shard_capacity.fetch_max(wanted, Ordering::Relaxed) < wanted {
+            cache_metrics().capacity.set(self.capacity() as u64);
         }
     }
 
@@ -190,7 +281,7 @@ impl ResultCache {
 
     /// Look a task outcome up, counting the hit/miss.
     pub fn get(&self, key: u64) -> Option<Arc<PolicyOutcome>> {
-        let found = self.shard(key).lock().map.get(&key).cloned();
+        let found = self.shard(key).lock().lookup(key);
         match &found {
             Some(_) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -209,7 +300,7 @@ impl ResultCache {
     /// that hits but whose component re-runs anyway saved no work and must
     /// not count as reuse).
     pub fn peek(&self, key: u64) -> Option<Arc<PolicyOutcome>> {
-        self.shard(key).lock().map.get(&key).cloned()
+        self.shard(key).lock().lookup(key)
     }
 
     /// Record `n` tasks actually served from the cache (the planning pass
@@ -228,34 +319,25 @@ impl ResultCache {
     /// Insert a task outcome. First write wins (outcomes for equal keys are
     /// equal by construction); returns whether the entry was actually
     /// inserted (`false` = the key was already resident). When the shard is
-    /// at capacity the oldest resident entries are evicted to make room.
+    /// at capacity a second-chance sweep evicts one entry to make room.
     pub fn insert(&self, key: u64, outcome: Arc<PolicyOutcome>) -> bool {
         let mut shard = self.shard(key).lock();
-        if shard.map.contains_key(&key) {
+        if shard.index.contains_key(&key) {
             return false;
         }
-        let mut evicted = 0u64;
-        while shard.map.len() >= self.shard_capacity {
-            let Some(oldest) = shard.order.pop_front() else {
-                break;
-            };
-            shard.map.remove(&oldest);
-            evicted += 1;
+        let capacity = self.shard_capacity.load(Ordering::Relaxed);
+        if shard.store(key, outcome, capacity) {
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+            cache_metrics().evictions.inc();
         }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            cache_metrics().evictions.add(evicted);
-        }
-        shard.map.insert(key, outcome);
-        shard.order.push_back(key);
         cache_metrics().shard_entries[(key as usize) & (Self::SHARDS - 1)]
-            .set(shard.map.len() as u64);
+            .set(shard.slots.len() as u64);
         true
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| s.lock().slots.len()).sum()
     }
 
     /// Is the cache empty?
@@ -266,9 +348,7 @@ impl ResultCache {
     /// Drop every entry.
     pub fn clear(&self) {
         for (i, shard) in self.shards.iter().enumerate() {
-            let mut shard = shard.lock();
-            shard.map.clear();
-            shard.order.clear();
+            *shard.lock() = Shard::default();
             cache_metrics().shard_entries[i].set(0);
         }
     }
@@ -276,7 +356,7 @@ impl ResultCache {
     /// Resident entries per shard, in shard order (surfaced in daemon
     /// `Stats` so occupancy skew is visible without a metrics scrape).
     pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.lock().map.len()).collect()
+        self.shards.iter().map(|s| s.lock().slots.len()).collect()
     }
 
     /// Lifetime hit count.
@@ -289,7 +369,7 @@ impl ResultCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted by the capacity bound (oldest-first), lifetime.
+    /// Entries evicted by the capacity bound, lifetime.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -300,11 +380,12 @@ impl ResultCache {
         let mut entries = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.lock();
-            for &key in &shard.order {
-                if let Some(outcome) = shard.map.get(&key) {
-                    entries.push((key, outcome.clone()));
-                }
-            }
+            entries.extend(
+                shard
+                    .slots
+                    .iter()
+                    .map(|slot| (slot.key, Arc::clone(&slot.outcome))),
+            );
         }
         CacheSnapshot {
             version: FINGERPRINT_SCHEME_VERSION,
@@ -443,38 +524,100 @@ mod tests {
         assert_eq!(cache.misses(), 1, "peek does not count");
     }
 
-    #[test]
-    fn capacity_bound_evicts_oldest_first() {
-        // Total capacity SHARDS*1 → one entry per shard; all keys in one
-        // shard, so each insert past the first evicts exactly the oldest.
-        let cache = ResultCache::with_capacity(1);
-        cache.insert(shard_key(0), Arc::new(PolicyOutcome::default()));
-        cache.insert(shard_key(1), Arc::new(PolicyOutcome::default()));
-        assert_eq!(cache.evictions(), 1);
-        assert!(cache.peek(shard_key(0)).is_none(), "oldest entry evicted");
-        assert!(cache.peek(shard_key(1)).is_some(), "newest entry resident");
-        cache.insert(shard_key(2), Arc::new(PolicyOutcome::default()));
-        assert_eq!(cache.evictions(), 2);
-        assert!(cache.peek(shard_key(1)).is_none(), "evicts in FIFO order");
-        assert!(cache.peek(shard_key(2)).is_some());
-        assert_eq!(cache.len(), 1);
+    fn outcome() -> Arc<PolicyOutcome> {
+        Arc::new(PolicyOutcome::default())
     }
 
     #[test]
-    fn reinserting_a_resident_key_neither_evicts_nor_duplicates() {
+    fn capacity_bound_evicts_unreferenced_entries_in_clock_order() {
+        // Two entries per shard, all keys in one shard.
         let cache = ResultCache::with_capacity(ResultCache::SHARDS * 2);
-        cache.insert(shard_key(0), Arc::new(PolicyOutcome::default()));
-        cache.insert(shard_key(1), Arc::new(PolicyOutcome::default()));
+        cache.insert(shard_key(0), outcome());
+        cache.insert(shard_key(1), outcome());
+        cache.insert(shard_key(2), outcome());
+        assert_eq!(cache.evictions(), 1);
+        assert!(
+            cache.peek(shard_key(1)).is_some(),
+            "key 1 resident, now marked"
+        );
+        // The hand stands on key 1: its mark buys it one pass, key 2 goes.
+        cache.insert(shard_key(3), outcome());
+        assert_eq!(cache.evictions(), 2);
+        assert_eq!(cache.len(), 2);
+        // The mark is spent: key 1 is the next victim.
+        cache.insert(shard_key(4), outcome());
+        let resident: Vec<u64> = cache.to_snapshot().entries.iter().map(|e| e.0).collect();
+        assert_eq!(resident, vec![shard_key(3), shard_key(4)]);
+    }
+
+    #[test]
+    fn reinserting_a_resident_key_neither_evicts_nor_marks() {
+        let cache = ResultCache::with_capacity(ResultCache::SHARDS * 2);
+        cache.insert(shard_key(0), outcome());
+        cache.insert(shard_key(1), outcome());
         // Shard full; re-inserting a resident key must not evict anything.
-        cache.insert(shard_key(0), Arc::new(PolicyOutcome::default()));
+        assert!(!cache.insert(shard_key(0), outcome()));
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.len(), 2);
-        // The next *new* key evicts key 0 (still the oldest — re-insert did
-        // not refresh its position).
-        cache.insert(shard_key(2), Arc::new(PolicyOutcome::default()));
+        // Nor does it count as a use: key 0 is still the first victim.
+        cache.insert(shard_key(2), outcome());
         assert_eq!(cache.evictions(), 1);
-        assert!(cache.peek(shard_key(0)).is_none());
-        assert!(cache.peek(shard_key(1)).is_some());
+        let resident: Vec<u64> = cache.to_snapshot().entries.iter().map(|e| e.0).collect();
+        assert_eq!(resident, vec![shard_key(2), shard_key(1)]);
+    }
+
+    #[test]
+    fn a_hot_key_survives_ten_capacities_of_cold_inserts() {
+        let capacity = ResultCache::SHARDS * 8;
+        let cache = ResultCache::with_capacity(capacity);
+        let hot = shard_key(0);
+        cache.insert(hot, outcome());
+        for i in 1..=10 * capacity as u64 {
+            // The hot key is looked up twice per lap of its shard's clock
+            // (eight slots), get and peek alternating.
+            if i % 4 == 0 {
+                let found = if i % 8 == 0 {
+                    cache.get(hot)
+                } else {
+                    cache.peek(hot)
+                };
+                assert!(found.is_some(), "hot key evicted after {i} cold inserts");
+            }
+            cache.insert(shard_key(i), outcome());
+        }
+        assert!(cache.evictions() >= 9 * capacity as u64);
+    }
+
+    #[test]
+    fn never_reused_keys_do_not_grow_the_cache_past_its_capacity() {
+        let cache = ResultCache::with_capacity(64);
+        let mut key = 0u64;
+        for _pass in 0..100 {
+            for _ in 0..40 {
+                // A fresh key per task, spread over the shards.
+                key += 1;
+                cache.insert(key.wrapping_mul(0x9E37_79B9_7F4A_7C15), outcome());
+                assert!(cache.len() <= cache.capacity());
+            }
+        }
+        assert_eq!(cache.capacity(), 64);
+        assert!(cache.evictions() >= 4000 - 64);
+    }
+
+    #[test]
+    fn the_default_capacity_follows_the_largest_pass() {
+        let cache = ResultCache::new();
+        assert_eq!(cache.capacity(), ResultCache::DEFAULT_CAPACITY);
+        cache.fit_pass(100);
+        assert_eq!(cache.capacity(), ResultCache::DEFAULT_CAPACITY, "a floor");
+        cache.fit_pass(10_000);
+        assert_eq!(cache.capacity(), 40_000);
+        cache.fit_pass(5_000);
+        assert_eq!(cache.capacity(), 40_000, "never lowered");
+        // An explicit bound is kept, whatever passes come by.
+        let fixed = ResultCache::with_capacity(32);
+        fixed.fit_pass(10_000);
+        assert_eq!(fixed.capacity(), 32);
     }
 
     #[test]

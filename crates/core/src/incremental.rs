@@ -239,6 +239,9 @@ impl Plankton {
                 }
             }
         }
+        // The bound follows the working set: one pass's keys must fit with
+        // room to spare, or its inserts would evict each other.
+        cache.fit_pass((stats.key_hits + stats.key_misses) as usize);
         stats.tasks_total = needed_components.len() * nf;
         stats.tasks_rerun = dirty_tasks.len();
         stats.tasks_cached = stats.tasks_total - stats.tasks_rerun;

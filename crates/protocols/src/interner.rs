@@ -348,7 +348,11 @@ mod tests {
         assert_eq!(warm.run_interned(), 0);
         assert_eq!(warm.run_approx_bytes(), 0);
         assert_eq!(warm.intern(&b), hb, "handles survive begin_run");
-        assert_eq!(warm.intern(&b), hb, "re-touch in the same run is idempotent");
+        assert_eq!(
+            warm.intern(&b),
+            hb,
+            "re-touch in the same run is idempotent"
+        );
         let hc = warm.intern(&c);
         assert_ne!(hc, ha);
         let mut fresh = RouteInterner::new();

@@ -34,7 +34,7 @@ pub mod spvp;
 pub use bgp::{BgpModel, IgpUnderlay, TableUnderlay, UniformUnderlay};
 pub use hopvec::HopVec;
 pub use interner::{RouteHandle, RouteInterner};
-pub use model::{Preference, ProtocolModel};
+pub use model::{Preference, ProtocolModel, ReversePeer};
 pub use ospf::OspfModel;
 pub use route::{Route, SessionType};
 pub use rpvp::{

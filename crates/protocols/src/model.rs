@@ -31,6 +31,22 @@ impl Preference {
     }
 }
 
+/// One entry of [`ProtocolModel::reverse_peers`]`()[n]`: a node that listens
+/// to `n`, and where.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReversePeer {
+    /// The listening node `m` (`n ∈ peers(m)`).
+    pub node: NodeId,
+    /// The index of `n` in `peers(m)`, or [`ReversePeer::REPEATED`] when `n`
+    /// occurs there more than once.
+    pub slot: u32,
+}
+
+impl ReversePeer {
+    /// The `slot` of a node that lists the same peer more than once.
+    pub const REPEATED: u32 = u32::MAX;
+}
+
 /// A routing protocol instance for **one destination prefix**: the abstract
 /// import/export filters and ranking function that RPVP executes over.
 ///
@@ -62,7 +78,10 @@ pub trait ProtocolModel: Sync {
     /// origination attributes).
     fn origin_route(&self, origin: NodeId) -> Route;
 
-    /// The ranking function of `n`: compare two candidate routes.
+    /// The ranking function of `n`: compare two candidate routes. "Strictly
+    /// preferred" must be a strict partial order — in particular
+    /// *transitive* — which the delta-maintained enabled set relies on
+    /// ([`IncrementalEnabled`](crate::rpvp::IncrementalEnabled)).
     fn prefer(&self, n: NodeId, a: &Route, b: &Route) -> Preference;
 
     /// A short protocol name for reporting ("ospf", "bgp").
@@ -70,22 +89,28 @@ pub trait ProtocolModel: Sync {
 
     /// The reverse-peer index: `reverse_peers()[n]` lists the nodes that
     /// consider advertisements *from* `n` (every `m` with `n ∈ peers(m)`),
-    /// sorted and deduplicated. An RPVP step at `n` can only change the
-    /// enabled status of `n` itself and of these nodes, which is what makes
-    /// delta-maintained enabled sets sound. Built once per checker run
-    /// (O(edges)); models with precomputed adjacency may override.
-    fn reverse_peers(&self) -> Vec<Vec<NodeId>> {
+    /// sorted by node and deduplicated, each with the slot `n` occupies in
+    /// `peers(m)` ([`ReversePeer`]). An RPVP step at `n` can only change the
+    /// enabled status of `n` itself and of these nodes, and only through the
+    /// one advertisement `n → m` — which is what makes delta-maintained
+    /// enabled sets sound, and single-edge updates of them possible. Built
+    /// once per checker run (O(edges)).
+    fn reverse_peers(&self) -> Vec<Vec<ReversePeer>> {
         let n = self.node_count();
-        let mut rev: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut rev: Vec<Vec<ReversePeer>> = vec![Vec::new(); n];
         for i in 0..n {
             let m = NodeId(i as u32);
-            for &p in self.peers(m) {
-                rev[p.index()].push(m);
+            for (slot, &p) in self.peers(m).iter().enumerate() {
+                // Nodes are visited in id order, so each list stays sorted
+                // and a repeat of `m` can only be the entry pushed last.
+                match rev[p.index()].last_mut() {
+                    Some(last) if last.node == m => last.slot = ReversePeer::REPEATED,
+                    _ => rev[p.index()].push(ReversePeer {
+                        node: m,
+                        slot: slot as u32,
+                    }),
+                }
             }
-        }
-        for list in &mut rev {
-            list.sort_unstable();
-            list.dedup();
         }
         rev
     }
@@ -190,14 +215,16 @@ mod tests {
             // m ∈ rev[n] ⟺ n ∈ peers(m).
             for j in 0..3u32 {
                 let mm = NodeId(j);
+                let slot = m.peers(mm).iter().position(|&p| p == n);
+                let entry = rev[n.index()].iter().find(|r| r.node == mm);
                 assert_eq!(
-                    rev[n.index()].contains(&mm),
-                    m.peers(mm).contains(&n),
+                    entry.map(|r| r.slot as usize),
+                    slot,
                     "rev[{n}] vs peers({mm})"
                 );
             }
             // Sorted and deduplicated.
-            assert!(rev[n.index()].windows(2).all(|w| w[0] < w[1]));
+            assert!(rev[n.index()].windows(2).all(|w| w[0].node < w[1].node));
         }
     }
 

@@ -14,17 +14,17 @@ use plankton_config::Network;
 use plankton_net::failure::FailureSet;
 use plankton_net::ip::Prefix;
 use plankton_net::topology::NodeId;
-use std::collections::HashMap;
 
 /// An OSPF instance for a single destination prefix.
 #[derive(Clone, Debug)]
 pub struct OspfModel {
     node_count: usize,
     origins: Vec<NodeId>,
+    /// `peers[n]`, sorted by node id.
     peers: Vec<Vec<NodeId>>,
-    /// cost[(n, m)] = the cost configured at `n` for its cheapest live,
-    /// OSPF-enabled link towards `m`.
-    cost: HashMap<(NodeId, NodeId), u64>,
+    /// `costs[n][i]` = the cost configured at `n` for its cheapest live,
+    /// OSPF-enabled link towards `peers[n][i]`.
+    costs: Vec<Vec<u64>>,
     prefix: Prefix,
 }
 
@@ -42,12 +42,14 @@ impl OspfModel {
         let topo = &network.topology;
         let node_count = topo.node_count();
         let mut peers = vec![Vec::new(); node_count];
-        let mut cost = HashMap::new();
+        let mut costs = vec![Vec::new(); node_count];
+        let mut adjacent: Vec<(NodeId, u64)> = Vec::new();
 
         for n in topo.node_ids() {
             let Some(my_ospf) = &network.device(n).ospf else {
                 continue;
             };
+            adjacent.clear();
             for &(m, link) in topo.neighbors(n) {
                 if failures.contains(link) {
                     continue;
@@ -58,15 +60,14 @@ impl OspfModel {
                 let (Some(my_cost), Some(_)) = (my_ospf.cost(link), peer_ospf.cost(link)) else {
                     continue;
                 };
-                let entry = cost.entry((n, m)).or_insert(u64::MAX);
-                *entry = (*entry).min(my_cost as u64);
-                if !peers[n.index()].contains(&m) {
-                    peers[n.index()].push(m);
-                }
+                adjacent.push((m, my_cost as u64));
             }
-        }
-        for p in peers.iter_mut() {
-            p.sort();
+            // Sorted by (peer, cost): the first entry of each peer's run is
+            // its cheapest parallel link.
+            adjacent.sort_unstable();
+            adjacent.dedup_by_key(|&mut (m, _)| m);
+            peers[n.index()] = adjacent.iter().map(|&(m, _)| m).collect();
+            costs[n.index()] = adjacent.iter().map(|&(_, c)| c).collect();
         }
 
         let mut origins = origins;
@@ -79,7 +80,7 @@ impl OspfModel {
             node_count,
             origins,
             peers,
-            cost,
+            costs,
             prefix,
         }
     }
@@ -91,7 +92,8 @@ impl OspfModel {
 
     /// The configured cost from `n` towards `m`, if they are OSPF-adjacent.
     pub fn link_cost(&self, n: NodeId, m: NodeId) -> Option<u64> {
-        self.cost.get(&(n, m)).copied()
+        let i = self.peers[n.index()].binary_search(&m).ok()?;
+        Some(self.costs[n.index()][i])
     }
 
     /// The equal-cost next hops of `n` in a converged state: every OSPF peer
@@ -106,16 +108,13 @@ impl OspfModel {
             return Vec::new();
         }
         let mut hops = Vec::new();
-        for &m in &self.peers[n.index()] {
+        for (&m, &link) in self.peers[n.index()].iter().zip(&self.costs[n.index()]) {
             let Some(Some(peer_best)) = best.get(m.index()) else {
                 continue;
             };
             if peer_best.traverses(n) {
                 continue;
             }
-            let Some(link) = self.link_cost(n, m) else {
-                continue;
-            };
             if peer_best.igp_cost + link == my_best.igp_cost {
                 hops.push(m);
             }

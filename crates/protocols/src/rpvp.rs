@@ -17,9 +17,22 @@
 //! [`RouteHandle`](crate::interner::RouteHandle)s, a step is an integer
 //! swap, an undo record is a single `Copy` handle, and visited-state checks
 //! upstream are direct handle compares with no re-interning pass.
+//!
+//! Two routines define the enabled set. [`Rpvp::enabled_at_with`] derives one
+//! node's entry from scratch — every peer's advertisement, the usable ones,
+//! the maximal among those — and is the only definition of an entry:
+//! [`Rpvp::enabled`], the reference explorer and
+//! [`IncrementalEnabled::rebuild`] are loops over it. A search does not call
+//! it per node per step, though. [`IncrementalEnabled`] keeps the entries
+//! across steps and, after a step at `n`, re-derives `n`'s entry only; each
+//! node listening to `n` has its cached entry *patched* for the single
+//! advertisement that changed, which costs one `advertise` and a comparison
+//! or two instead of a pass over its peers. A step is O(deg) route
+//! derivations rather than O(deg²); the rule, the argument that it is exact,
+//! and the cases that fall back to the full routine are on the type.
 
 use crate::interner::{RouteHandle, RouteInterner};
-use crate::model::{Preference, ProtocolModel};
+use crate::model::{Preference, ProtocolModel, ReversePeer};
 use crate::route::Route;
 use plankton_net::topology::NodeId;
 use serde::{Deserialize, Serialize};
@@ -523,7 +536,8 @@ impl<'m> Rpvp<'m> {
         for i in 0..scratch.len() {
             let mut dominated = false;
             for j in 0..scratch.len() {
-                if j != i && self.model.prefer(n, &scratch[j].1, &scratch[i].1) == Preference::Better
+                if j != i
+                    && self.model.prefer(n, &scratch[j].1, &scratch[i].1) == Preference::Better
                 {
                     dominated = true;
                     break;
@@ -643,15 +657,45 @@ impl<'m> Rpvp<'m> {
 /// A delta-maintained RPVP enabled set.
 ///
 /// The paper's Algorithm 1 recomputes the enabled set `E` from scratch at
-/// every step — O(nodes × peers) of route derivations per transition. But a
-/// step at node `n` only changes `best(n)`, and a node `m`'s enabled status
-/// depends solely on `best(m)` and `best(p)` for `p ∈ peers(m)`: the only
-/// nodes whose status can change are `n` itself and the reverse peers of `n`
-/// ([`ProtocolModel::reverse_peers`]).
+/// every step — O(nodes × peers) route derivations per transition. But a
+/// step at node `n` only changes `best(n)`, and a node `m`'s entry depends
+/// solely on `best(m)` and on `best(p)` for `p ∈ peers(m)`: the only entries
+/// that can change are `n`'s own and those of the reverse peers of `n`
+/// ([`ProtocolModel::reverse_peers`]) — and a reverse peer `m` sees the step
+/// through exactly one advertisement, `n → m`.
 ///
-/// The cache is one slot per node plus a presence bitset: installing,
-/// replacing or removing an entry is O(1) (the previous sorted-vector cache
-/// paid a memmove per update), and iteration in node-id order — the same
+/// # The single-edge rule
+///
+/// `n`'s own entry is recomputed in full ([`Rpvp::enabled_at_with`]). For a
+/// reverse peer `m`, when `n` held `⊥` before the step, the candidate set of
+/// `m` gained at most one element — `a = advertise(n→m, best(n))`, if `m`
+/// can use it — and lost none, so the cached maximal set `U` is patched
+/// instead of re-derived:
+///
+/// * some `u ∈ U` is strictly preferred over `a` ⇒ the entry is unchanged;
+/// * otherwise `a` is maximal: the members it beats leave `U`, and `a` is
+///   inserted at `n`'s slot in `peers(m)` (candidate order, which is the
+///   order branches are explored in);
+/// * `invalid(m)` is re-evaluated only when `best(m).head == n`.
+///
+/// Comparing `a` with `U` alone — not with the dominated candidates nobody
+/// cached — is exact because [`ProtocolModel::prefer`] is a strict partial
+/// order: every dominated candidate sits below some member of `U`, so by
+/// transitivity it can neither beat `a` unless that member does, nor become
+/// maximal when `a` removes that member (then `a` beats it too). For the same
+/// reason an `a` that is beaten by one member cannot beat another.
+///
+/// The rule needs the old contribution of `n` to be empty and `n`'s slot to
+/// be unique; when `n` held a route before the step (a path change, only
+/// reachable with consistent-execution pruning off) or occurs twice in
+/// `peers(m)`, `m` falls back to the full recomputation. That routine stays
+/// the single definition of an entry: debug builds re-derive every patched
+/// slot with it and assert equality, so any debug test run audits the rule.
+///
+/// # Storage
+///
+/// One slot per node plus a presence bitset: installing, replacing or
+/// removing an entry is O(1), and iteration in node-id order — the same
 /// order as [`Rpvp::enabled`] — is a word-at-a-time bitset sweep
 /// ([`EnabledView::Slots`]). Displaced entries are handed back to the caller
 /// so an apply/undo search can restore them exactly when it backtracks.
@@ -662,15 +706,18 @@ pub struct IncrementalEnabled {
     bits: Vec<u64>,
     /// Number of enabled nodes.
     len: usize,
-    /// `rev_peers[n]` = nodes that consider advertisements from `n`.
-    rev_peers: Vec<Vec<NodeId>>,
+    /// `rev_peers[n]` = nodes that consider advertisements from `n`, each
+    /// with `n`'s slot in their peer list.
+    rev_peers: Vec<Vec<ReversePeer>>,
     /// Nodes that may ever be enabled (non-origins, and allowed by any
     /// influence pruning the search applies). Ineligible nodes are skipped
     /// entirely, never recomputed.
     eligible: Vec<bool>,
-    /// Total `enabled_at` recomputations performed (observability: the
-    /// pre-change explorer recomputed every node at every step).
+    /// Full `enabled_at` recomputations performed (the pre-incremental
+    /// explorer did one per node per step).
     recomputed: u64,
+    /// Single-edge updates performed in place of a full recomputation.
+    edge_updates: u64,
     /// Candidate-route buffer threaded into
     /// [`Rpvp::enabled_at_with`], reused across every recomputation.
     candidates: Vec<(NodeId, Route)>,
@@ -679,7 +726,7 @@ pub struct IncrementalEnabled {
 impl IncrementalEnabled {
     /// An enabled set over the given reverse-peer index and eligibility mask.
     /// Call [`IncrementalEnabled::rebuild`] before use.
-    pub fn new(rev_peers: Vec<Vec<NodeId>>, eligible: Vec<bool>) -> Self {
+    pub fn new(rev_peers: Vec<Vec<ReversePeer>>, eligible: Vec<bool>) -> Self {
         let n = eligible.len();
         IncrementalEnabled {
             slots: (0..n).map(|_| None).collect(),
@@ -688,6 +735,7 @@ impl IncrementalEnabled {
             rev_peers,
             eligible,
             recomputed: 0,
+            edge_updates: 0,
             candidates: Vec::new(),
         }
     }
@@ -735,9 +783,14 @@ impl IncrementalEnabled {
         self.len == 0
     }
 
-    /// Number of `enabled_at` recomputations performed so far.
+    /// Number of full `enabled_at` recomputations performed so far.
     pub fn recompute_count(&self) -> u64 {
         self.recomputed
+    }
+
+    /// Number of single-edge updates performed so far.
+    pub fn edge_update_count(&self) -> u64 {
+        self.edge_updates
     }
 
     /// Install `entry` as node `node`'s cache slot (None = not enabled) and
@@ -766,9 +819,11 @@ impl IncrementalEnabled {
         prev
     }
 
-    /// Recompute the dirty neighborhood of `node` after its best route
-    /// changed: `node` itself plus its reverse peers. Every displaced cache
-    /// slot is pushed onto `displaced` (in recompute order) so the caller
+    /// Bring the cache up to date after `node`'s best route changed from
+    /// `prev` to `state.best[node]`: `node` itself is recomputed, each
+    /// reverse peer gets a single-edge update (see the type docs) or, when
+    /// its preconditions do not hold, a full recomputation. Every displaced
+    /// cache slot is pushed onto `displaced` (in update order) so the caller
     /// can undo the step by replaying them in reverse through
     /// [`IncrementalEnabled::set_entry`].
     pub fn refresh_after_step(
@@ -777,13 +832,19 @@ impl IncrementalEnabled {
         state: &RpvpState,
         interner: &mut RouteInterner,
         node: NodeId,
+        prev: RouteHandle,
         displaced: &mut Vec<(NodeId, Option<EnabledChoice>)>,
     ) {
         self.refresh_node(rpvp, state, interner, node, displaced);
         for k in 0..self.rev_peers[node.index()].len() {
-            let m = self.rev_peers[node.index()][k];
-            if m != node {
-                self.refresh_node(rpvp, state, interner, m, displaced);
+            let to = self.rev_peers[node.index()][k];
+            if to.node == node {
+                continue;
+            }
+            if prev.is_none() && to.slot != ReversePeer::REPEATED {
+                self.edge_update(rpvp, state, interner, node, to, displaced);
+            } else {
+                self.refresh_node(rpvp, state, interner, to.node, displaced);
             }
         }
     }
@@ -806,6 +867,104 @@ impl IncrementalEnabled {
         // (None → None) transitions need no undo record.
         if had_new || prev.is_some() {
             displaced.push((m, prev));
+        }
+    }
+
+    /// Patch the entry of `to.node` for the one advertisement that changed:
+    /// `n`, which held `⊥` before the step and sits at `peers(m)[to.slot]`
+    /// only, now holds `state.best[n]`.
+    fn edge_update(
+        &mut self,
+        rpvp: &Rpvp,
+        state: &RpvpState,
+        interner: &mut RouteInterner,
+        n: NodeId,
+        to: ReversePeer,
+        displaced: &mut Vec<(NodeId, Option<EnabledChoice>)>,
+    ) {
+        let m = to.node;
+        if !self.eligible[m.index()] {
+            return;
+        }
+        self.edge_updates += 1;
+        let model = rpvp.model;
+        let old = self.slots[m.index()].as_ref();
+        let current = interner.resolve(state.best[m.index()]);
+        let invalid = if current.and_then(Route::next_hop) == Some(n) {
+            rpvp.invalid(state, interner, m)
+        } else {
+            old.is_some_and(|c| c.invalid)
+        };
+        let old_updates = old.map_or(&[][..], |c| &c.best_updates);
+        // The new advertisement, if `m` can use it and no cached maximal
+        // update dominates it; `kept` collects the updates it does not beat.
+        let mut kept = UpdateVec::new();
+        let adv = interner
+            .resolve(state.best[n.index()])
+            .and_then(|best_n| model.advertise(n, m, best_n))
+            .filter(|a| {
+                current.is_none_or(|cur| model.prefer(m, a, cur) == Preference::Better)
+                    && old_updates.iter().all(|&(p, u)| {
+                        let cached = interner.resolve(u).expect("cached update is interned");
+                        match model.prefer(m, a, cached) {
+                            Preference::Worse => false,
+                            Preference::Better => true,
+                            Preference::Tied => {
+                                kept.push((p, u));
+                                true
+                            }
+                        }
+                    })
+            });
+        let best_updates = match adv {
+            None if old.is_some_and(|c| c.invalid) == invalid => {
+                return self.audit(rpvp, state, interner, m);
+            }
+            None => old_updates.iter().copied().collect(),
+            Some(adv) => {
+                // Survivors keep their order; `adv` goes where `n` sits in
+                // `peers(m)`. A survivor precedes it iff its peer occupies an
+                // earlier slot: walk the slots before `n`'s, matching the
+                // survivors as the subsequence of the peer list they are.
+                let mut before = 0;
+                if !kept.is_empty() {
+                    for &p in &model.peers(m)[..to.slot as usize] {
+                        if before < kept.len() && kept[before].0 == p {
+                            before += 1;
+                        }
+                    }
+                }
+                let handle = interner.intern_owned(adv);
+                let mut updates = UpdateVec::new();
+                for &e in &kept[..before] {
+                    updates.push(e);
+                }
+                updates.push((n, handle));
+                for &e in &kept[before..] {
+                    updates.push(e);
+                }
+                updates
+            }
+        };
+        let entry = (invalid || !best_updates.is_empty()).then_some(EnabledChoice {
+            node: m,
+            invalid,
+            best_updates,
+        });
+        let prev = self.set_entry(m, entry);
+        displaced.push((m, prev));
+        self.audit(rpvp, state, interner, m);
+    }
+
+    /// Debug builds challenge every patched slot by re-deriving it with the
+    /// full routine (which interns nothing the patch did not).
+    fn audit(&mut self, rpvp: &Rpvp, state: &RpvpState, interner: &mut RouteInterner, m: NodeId) {
+        if cfg!(debug_assertions) {
+            assert_eq!(
+                self.slots[m.index()],
+                rpvp.enabled_at_with(state, interner, m, &mut self.candidates),
+                "single-edge update of {m} diverged from the full recomputation"
+            );
         }
     }
 }
@@ -1054,8 +1213,8 @@ mod tests {
                 .first()
                 .map(|&(_, h)| h)
                 .unwrap_or(RouteHandle::NONE);
-            rpvp.step_adopting(&mut s, &interner, choice.node, adopt);
-            inc.refresh_after_step(&rpvp, &s, &mut interner, choice.node, &mut displaced);
+            let prev = rpvp.step_adopting(&mut s, &interner, choice.node, adopt);
+            inc.refresh_after_step(&rpvp, &s, &mut interner, choice.node, prev, &mut displaced);
             assert_eq!(inc.view().to_vec(), rpvp.enabled(&s, &mut interner));
             assert_eq!(inc.len(), inc.view().iter().count());
             steps += 1;
@@ -1064,6 +1223,104 @@ mod tests {
         assert!(rpvp.converged(&s, &interner));
         assert!(inc.is_empty());
         assert!(inc.recompute_count() > 0);
+    }
+
+    /// [`Line4`] with node 2 listing its upstream peer twice: the reverse
+    /// index cannot name one slot for it, so steps at node 1 must fall back
+    /// to recomputing node 2 in full.
+    struct Line4Doubled;
+
+    impl ProtocolModel for Line4Doubled {
+        fn node_count(&self) -> usize {
+            4
+        }
+        fn origins(&self) -> &[NodeId] {
+            Line4.origins()
+        }
+        fn peers(&self, n: NodeId) -> &[NodeId] {
+            const P2: [NodeId; 3] = [NodeId(1), NodeId(3), NodeId(1)];
+            match n.0 {
+                2 => &P2,
+                _ => Line4.peers(n),
+            }
+        }
+        fn advertise(&self, from: NodeId, to: NodeId, r: &Route) -> Option<Route> {
+            Line4.advertise(from, to, r)
+        }
+        fn origin_route(&self, o: NodeId) -> Route {
+            Line4.origin_route(o)
+        }
+        fn prefer(&self, n: NodeId, a: &Route, b: &Route) -> Preference {
+            Line4.prefer(n, a, b)
+        }
+        fn name(&self) -> &'static str {
+            "line4-doubled"
+        }
+    }
+
+    #[test]
+    fn a_peer_listed_twice_falls_back_to_the_full_recomputation() {
+        let m = Line4Doubled;
+        let rev = m.reverse_peers();
+        assert_eq!(
+            rev[1],
+            vec![
+                ReversePeer {
+                    node: NodeId(0),
+                    slot: 0
+                },
+                ReversePeer {
+                    node: NodeId(2),
+                    slot: ReversePeer::REPEATED
+                }
+            ]
+        );
+        let rpvp = Rpvp::new(&m);
+        let mut interner = RouteInterner::new();
+        let mut s = rpvp.initial_state(&mut interner);
+        let mut inc = IncrementalEnabled::new(rev, eligible_for(&m));
+        inc.rebuild(&rpvp, &s, &mut interner);
+        let mut displaced = Vec::new();
+        while let Some(choice) = inc.view().first().cloned() {
+            let (full, edges) = (inc.recompute_count(), inc.edge_update_count());
+            let prev = rpvp.step_adopting(&mut s, &interner, choice.node, choice.best_updates[0].1);
+            inc.refresh_after_step(&rpvp, &s, &mut interner, choice.node, prev, &mut displaced);
+            assert_eq!(inc.view().to_vec(), rpvp.enabled(&s, &mut interner));
+            if choice.node == NodeId(1) {
+                // Itself and node 2 in full; the origin is not eligible.
+                assert_eq!(inc.recompute_count(), full + 2);
+                assert_eq!(inc.edge_update_count(), edges);
+                // Both copies of the advertisement are maximal.
+                assert_eq!(inc.view().first().unwrap().best_updates.len(), 2);
+            }
+        }
+        assert!(rpvp.converged(&s, &interner));
+        assert!(
+            inc.edge_update_count() > 0,
+            "node 3 ↔ node 2 are plain edges"
+        );
+    }
+
+    #[test]
+    fn edge_update_revalidates_a_path_through_the_stepped_node() {
+        let m = Line4;
+        let rpvp = Rpvp::new(&m);
+        let mut interner = RouteInterner::new();
+        let mut s = rpvp.initial_state(&mut interner);
+        rpvp.step(&mut s, &mut interner, NodeId(1), Some(NodeId(0)));
+        rpvp.step(&mut s, &mut interner, NodeId(2), Some(NodeId(1)));
+        let route_of_1 = std::mem::replace(&mut s.best[1], RouteHandle::NONE);
+        let mut inc = IncrementalEnabled::new(m.reverse_peers(), eligible_for(&m));
+        inc.rebuild(&rpvp, &s, &mut interner);
+        assert!(inc.view().get_node(NodeId(2)).unwrap().invalid);
+        // Node 1 re-adopts the very path node 2's route continues: node 2
+        // gains no update, but is no longer invalid — and no longer enabled.
+        let prev = rpvp.step_adopting(&mut s, &interner, NodeId(1), route_of_1);
+        let mut displaced = Vec::new();
+        inc.refresh_after_step(&rpvp, &s, &mut interner, NodeId(1), prev, &mut displaced);
+        assert_eq!(inc.edge_update_count(), 1);
+        assert_eq!(inc.view().get_node(NodeId(2)), None);
+        assert_eq!(inc.view().to_vec(), rpvp.enabled(&s, &mut interner));
     }
 
     #[test]
@@ -1083,7 +1340,14 @@ mod tests {
             .unwrap_or(RouteHandle::NONE);
         let prev_best = rpvp.step_adopting(&mut s, &interner, choice.node, adopt);
         let mut displaced = Vec::new();
-        inc.refresh_after_step(&rpvp, &s, &mut interner, choice.node, &mut displaced);
+        inc.refresh_after_step(
+            &rpvp,
+            &s,
+            &mut interner,
+            choice.node,
+            prev_best,
+            &mut displaced,
+        );
         assert_ne!(inc.view().to_vec(), before);
         // Undo: revert the state, then replay displaced entries in reverse.
         rpvp.undo_step(&mut s, choice.node, prev_best);

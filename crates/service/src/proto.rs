@@ -464,7 +464,7 @@ pub struct ServiceStats {
     /// `Error` and keeps serving, but exits non-zero at end of stream).
     #[serde(default)]
     pub parse_errors: u64,
-    /// Entries evicted by the cache capacity bound (oldest-first).
+    /// Entries evicted by the cache capacity bound (second chance).
     pub cache_evictions: u64,
     /// Client connections currently open (socket mode; 0 on stdio).
     #[serde(default)]

@@ -412,6 +412,13 @@ fn queue_metrics() -> &'static QueueMetrics {
 struct QueueInner {
     coalescer: Coalescer,
     stopped: bool,
+    /// The pending-delta count at which the drain thread wants to be woken
+    /// ([`DeltaQueue::wait_drain_needed`] records its threshold here before
+    /// it sleeps; `u64::MAX` until then).
+    drain_at: u64,
+    /// Is the drain thread asleep *without* a timeout (it found the queue
+    /// empty), so that only a push can start its lag timer?
+    drain_untimed: bool,
 }
 
 /// The shared streaming queue: a [`Coalescer`] behind a mutex + condvar,
@@ -450,6 +457,8 @@ impl DeltaQueue {
             inner: Mutex::new(QueueInner {
                 coalescer: Coalescer::default(),
                 stopped: false,
+                drain_at: u64::MAX,
+                drain_untimed: false,
             }),
             drain_wakeup: Condvar::new(),
             enqueued: AtomicU64::new(0),
@@ -478,6 +487,13 @@ impl DeltaQueue {
         }
         let (_, folded) = inner.coalescer.push(delta, Instant::now());
         let depth = inner.coalescer.live() as u64;
+        // Wake the drain thread only when it cannot wake itself: it sleeps
+        // without a timeout on an empty queue (this push starts its lag
+        // timer), or the count threshold is reached. Otherwise it is busy or
+        // on a timeout of its own that can only be early, never late — and a
+        // wakeup per delta would cost the ingest path a futex call and a
+        // lock hand-off each, exactly while the daemon is otherwise idle.
+        let wake = inner.drain_untimed || depth >= inner.drain_at;
         drop(inner);
         self.enqueued.fetch_add(1, Ordering::Relaxed);
         self.coalesced.fetch_add(folded, Ordering::Relaxed);
@@ -487,7 +503,9 @@ impl DeltaQueue {
             metrics.coalesced.add(folded);
         }
         metrics.depth.set(depth);
-        self.drain_wakeup.notify_one();
+        if wake {
+            self.drain_wakeup.notify_one();
+        }
         Ok(folded)
     }
 
@@ -523,12 +541,13 @@ impl DeltaQueue {
     /// applied batch out from under its pinned snapshot.
     pub fn wait_drain_needed(&self, max_lag_deltas: u64, max_lag: Duration) -> bool {
         let mut inner = self.inner.lock().unwrap();
+        inner.drain_at = max_lag_deltas.max(1);
         loop {
             let live = inner.coalescer.live() as u64;
             if inner.stopped {
                 return live > 0;
             }
-            if live >= max_lag_deltas.max(1) {
+            if live >= inner.drain_at {
                 return true;
             }
             if let Some(oldest) = inner.coalescer.oldest() {
@@ -536,15 +555,17 @@ impl DeltaQueue {
                 if age >= max_lag {
                     return true;
                 }
-                // Sleep until the oldest delta crosses the lag bound (or a
-                // push/stop wakes us earlier).
+                // Sleep until the oldest delta crosses the lag bound (or the
+                // push that reaches `drain_at`, or a stop, wakes us earlier).
                 let (guard, _) = self
                     .drain_wakeup
                     .wait_timeout(inner, max_lag - age)
                     .unwrap();
                 inner = guard;
             } else {
+                inner.drain_untimed = true;
                 inner = self.drain_wakeup.wait(inner).unwrap();
+                inner.drain_untimed = false;
             }
         }
     }
@@ -851,6 +872,32 @@ mod tests {
         assert!(queue.wait_drain_needed(1000, Duration::from_millis(20)));
         assert!(start.elapsed() >= Duration::from_millis(10));
         assert_eq!(queue.take_all().len(), 1);
+    }
+
+    #[test]
+    fn a_sleeping_drain_is_woken_by_the_first_push_and_by_the_threshold_push() {
+        // Pushes in between wake nobody, so a lost wakeup here would leave
+        // the waiter asleep for the hour-long lag bound. (The result holds
+        // for every interleaving; the pause only makes the interesting one —
+        // the waiter asleep before each push — the likely one.)
+        let queue = Arc::new(DeltaQueue::new());
+        let (done, woke) = std::sync::mpsc::channel();
+        let waiter = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || {
+                done.send(queue.wait_drain_needed(3, Duration::from_secs(3600)))
+                    .unwrap();
+            })
+        };
+        for n in 0..3 {
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(woke.try_recv().is_err(), "woke below the threshold");
+            queue
+                .push(ConfigDelta::LinkDown { link: link(n) }, 100)
+                .unwrap();
+        }
+        assert_eq!(woke.recv_timeout(Duration::from_secs(10)), Ok(true));
+        waiter.join().unwrap();
     }
 
     #[test]

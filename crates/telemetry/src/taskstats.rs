@@ -10,6 +10,15 @@
 //! engine's per-step hot loop. The human-readable label (the failure-set
 //! rendering) is built lazily, only the first time a key is seen.
 //!
+//! The registry is **bounded**: a long-lived daemon sees an unbounded stream
+//! of task identities (every link that ever goes down is a new failure set
+//! for every PEC), and a table that kept them all would make the daemon's
+//! memory follow its request count. A stripe that reaches its share of
+//! [`TaskCosts::CAPACITY`] sheds its colder half — least total time first,
+//! then fewest executions and hits — before admitting a new identity, so the
+//! hottest tasks, which are what the table is for, are never the ones lost.
+//! [`TaskCosts::shed_entries`] counts what was dropped.
+//!
 //! Queried as a top-K hottest-tasks table (`Top {k}` / `planktonctl top`).
 //! Ordering is deterministic: total duration descending, then group
 //! ascending, then label ascending — ties cannot reshuffle between polls.
@@ -58,6 +67,27 @@ struct Shard {
     entries: HashMap<(u64, u64), Arc<Entry>>,
 }
 
+impl Shard {
+    /// Drop the colder half of the entries; returns how many went.
+    fn shed_colder_half(&mut self) -> u64 {
+        let heat = |e: &Entry| {
+            let c = &e.cost;
+            (
+                c.total_micros.load(Ordering::Relaxed),
+                c.runs.load(Ordering::Relaxed) + c.cache_hits.load(Ordering::Relaxed),
+            )
+        };
+        let mut by_heat: Vec<((u64, u64), (u64, u64))> =
+            self.entries.iter().map(|(k, e)| (heat(e), *k)).collect();
+        let keep_from = by_heat.len() / 2;
+        by_heat.select_nth_unstable(keep_from);
+        for (_, key) in &by_heat[..keep_from] {
+            self.entries.remove(key);
+        }
+        keep_from as u64
+    }
+}
+
 struct Entry {
     group: u64,
     label: String,
@@ -68,9 +98,13 @@ struct Entry {
 /// atomic accumulators.
 pub struct TaskCosts {
     shards: Vec<RwLock<Shard>>,
+    shed: AtomicU64,
 }
 
 impl TaskCosts {
+    /// Bound on resident task identities (split evenly over the stripes).
+    pub const CAPACITY: usize = 4096;
+
     /// An empty registry.
     pub fn new() -> Self {
         TaskCosts {
@@ -81,7 +115,13 @@ impl TaskCosts {
                     })
                 })
                 .collect(),
+            shed: AtomicU64::new(0),
         }
+    }
+
+    /// Task identities dropped by the capacity bound so far.
+    pub fn shed_entries(&self) -> u64 {
+        self.shed.load(Ordering::Relaxed)
     }
 
     fn entry(&self, group: u64, sub: u64, label: impl FnOnce() -> String) -> Arc<Entry> {
@@ -93,6 +133,12 @@ impl TaskCosts {
             }
         }
         let mut guard = shard.write().expect("taskstats shard poisoned");
+        if guard.entries.len() >= Self::CAPACITY / SHARDS
+            && !guard.entries.contains_key(&(group, sub))
+        {
+            let shed = guard.shed_colder_half();
+            self.shed.fetch_add(shed, Ordering::Relaxed);
+        }
         guard
             .entries
             .entry((group, sub))
@@ -232,6 +278,30 @@ mod tests {
         assert_eq!(row.panics, 1);
         assert_eq!(costs.totals(3, 10), (2, 400, 300));
         assert_eq!(costs.totals(9, 9), (0, 0, 0));
+    }
+
+    #[test]
+    fn the_registry_is_bounded_and_sheds_the_coldest_identities() {
+        let costs = TaskCosts::new();
+        // One hot task, then a stream of never-repeated identities — the
+        // shape of a daemon whose every link flap mints new failure sets.
+        costs.record_run(1, 1, 5_000, 10, || "hot".to_string());
+        for i in 0..20 * TaskCosts::CAPACITY as u64 {
+            costs.record_cache_hit(2 + i % 7, 1_000 + i, || "cold".to_string());
+            if i % 64 == 0 {
+                costs.record_run(1, 1, 10, 1, || unreachable!("hot entry was shed"));
+            }
+            if i % 1024 == 0 {
+                assert!(costs.snapshot().len() <= TaskCosts::CAPACITY);
+            }
+        }
+        assert!(costs.snapshot().len() <= TaskCosts::CAPACITY);
+        assert!(costs.shed_entries() >= 18 * TaskCosts::CAPACITY as u64);
+        assert_eq!(costs.top(1)[0].label, "hot");
+        assert!(
+            costs.totals(1, 1).0 > 1_000,
+            "the hot entry kept its history"
+        );
     }
 
     #[test]

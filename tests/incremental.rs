@@ -297,7 +297,14 @@ fn incremental_enabled_matches_full_recompute_on_random_walk() {
         };
         let prev_best = rpvp.step_adopting(&mut state, &interner, choice.node, adopt);
         displaced.clear();
-        inc.refresh_after_step(&rpvp, &state, &mut interner, choice.node, &mut displaced);
+        inc.refresh_after_step(
+            &rpvp,
+            &state,
+            &mut interner,
+            choice.node,
+            prev_best,
+            &mut displaced,
+        );
         assert_eq!(
             inc.view().to_vec(),
             rpvp.enabled(&state, &mut interner),
@@ -316,8 +323,15 @@ fn incremental_enabled_matches_full_recompute_on_random_walk() {
                 rpvp.enabled(&state, &mut interner),
                 "undo diverged after step {steps}"
             );
-            rpvp.step_adopting(&mut state, &interner, choice.node, adopt);
-            inc.refresh_after_step(&rpvp, &state, &mut interner, choice.node, &mut displaced);
+            let prev = rpvp.step_adopting(&mut state, &interner, choice.node, adopt);
+            inc.refresh_after_step(
+                &rpvp,
+                &state,
+                &mut interner,
+                choice.node,
+                prev,
+                &mut displaced,
+            );
         }
         steps += 1;
     }

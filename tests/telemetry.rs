@@ -188,6 +188,9 @@ fn metrics_request_renders_prometheus_text_with_live_families() {
         "plankton_task_seconds",
         "plankton_rpvp_steps_total",
         "plankton_undo_depth_max",
+        "plankton_enabled_edge_updates_total",
+        "plankton_enabled_full_recomputes_total",
+        "plankton_cache_capacity",
     ] {
         assert!(
             text.contains(&format!("# TYPE {family}")),
