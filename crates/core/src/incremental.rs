@@ -1,10 +1,14 @@
-//! Incremental re-verification: delta-aware invalidation over the result
-//! cache plus partial task-graph resubmission.
+//! The keyed verification path, and incremental re-verification on top of
+//! it: delta-aware invalidation over the result cache plus partial
+//! task-graph resubmission.
 //!
-//! The long-running service keeps one [`IncrementalVerifier`] per loaded
-//! network. A configuration delta rebuilds the cheap analysis layers (PEC
-//! trie, dependency graph) and leaves the expensive layer — per-task
-//! verification results — in the content-addressed [`ResultCache`]. The next
+//! [`Plankton::verify_with_cache`] is the workspace's one verification
+//! driver — a one-shot [`Plankton::verify`] is the same run over an empty
+//! cache, where every task is dirty. The long-running service keeps one
+//! [`IncrementalVerifier`] per loaded network. A configuration delta
+//! rebuilds the cheap analysis layers (PEC trie, dependency graph) and
+//! leaves the expensive layer — per-task verification results — in the
+//! content-addressed [`ResultCache`]. The next
 //! `verify` computes every task's content key ([`plankton_pec::TaskKeys`]),
 //! serves clean tasks straight from the cache, and resubmits *only* the
 //! dirty subset of the (PEC-component × failure-scenario) cross product to
@@ -19,14 +23,14 @@ use crate::cache::{PolicyOutcome, ResultCache};
 use crate::options::PlanktonOptions;
 use crate::outcome::ConvergedRecord;
 use crate::report::{PhaseTimings, VerificationReport};
-use crate::verifier::{lap, Plankton};
+use crate::verifier::Plankton;
 use plankton_config::{ConfigDelta, DeltaError, DeltaTouch, Network};
 use plankton_engine::{pec_task_graph_sparse, Engine};
 use plankton_net::failure::FailureScenario;
 use plankton_pec::{pecs_touched_by, OspfSliceMode, PecId, TaskKeys};
 use plankton_telemetry::trace::{self, Field, Level};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -133,10 +137,22 @@ pub struct AppliedBatch {
     pub snapshot: Arc<Plankton>,
 }
 
+/// Advance `mark` to now and return the microseconds since its previous
+/// position. Phases measured as contiguous laps of one clock sum to the
+/// enclosing wall time by construction.
+fn lap(mark: &mut Instant) -> u64 {
+    let now = Instant::now();
+    let elapsed = now.duration_since(*mark).as_micros() as u64;
+    *mark = now;
+    elapsed
+}
+
 impl Plankton {
-    /// Like [`Plankton::verify`], but serves clean (PEC × failure-scenario)
-    /// tasks from `cache` and re-executes only tasks whose content key
-    /// misses, inserting every complete fresh result for the next call.
+    /// Verify `policy` under the failure environment `scenario`, serving
+    /// clean (PEC × failure-scenario) tasks from `cache` and executing only
+    /// tasks whose content key misses, inserting every complete fresh result
+    /// for the next call. This is the one verification path:
+    /// [`Plankton::verify`] is this function over an empty cache.
     ///
     /// `policy_fp` must fingerprint the policy *including every parameter*
     /// that changes its verdict (built-in policy names alone do not — e.g.
@@ -154,11 +170,30 @@ impl Plankton {
         let mut mark = start;
         let mut phases = PhaseTimings::default();
         let deps = self.dependencies();
-        // The same environment planning as `Plankton::verify` — identical
-        // failure sets and needed/checked partitions are a precondition of
-        // report identity.
         let ctx = self.prepare_run_ctx(policy, scenario, options);
         let nf = ctx.failure_sets.len();
+
+        // Only components containing a needed PEC become tasks — with
+        // `restrict_to_prefixes` on a large network that is a tiny fraction
+        // of the cross product. The set is closed under dependencies
+        // (`needed` includes every transitive dependency).
+        let needed_components: Vec<usize> = (0..deps.component_count())
+            .filter(|&c| deps.components[c].iter().any(|p| ctx.needed.contains(p)))
+            .collect();
+        // The run's outcome table: one slot per (PEC of a needed component,
+        // failure set), set at most once — by the planning pass below when
+        // the cache holds the outcome, else by the task that verified the
+        // PEC's component under that failure set, strictly before the engine
+        // releases any dependent task — and read by dependency lookups.
+        let slot_row: BTreeMap<PecId, usize> = needed_components
+            .iter()
+            .flat_map(|&c| &deps.components[c])
+            .enumerate()
+            .map(|(row, &p)| (p, row))
+            .collect();
+        let slots: Vec<OnceLock<Arc<PolicyOutcome>>> =
+            (0..slot_row.len() * nf).map(|_| OnceLock::new()).collect();
+        let slot = |pec: PecId, f: usize| slot_row.get(&pec).map(|row| &slots[row * nf + f]);
 
         let options_fp = options.cache_fingerprint();
         // Scoped OSPF slices are sound only under deterministic-node
@@ -181,8 +216,10 @@ impl Plankton {
             options_fp,
             ospf_mode,
             |p| {
-                let comp = deps.component_of(p);
-                (ctx.has_dependents.contains(&comp) as u8) | ((ctx.checked.contains(&p) as u8) << 1)
+                slot_row.contains_key(&p).then(|| {
+                    (ctx.has_dependents.contains(&deps.component_of(p)) as u8)
+                        | ((ctx.checked.contains(&p) as u8) << 1)
+                })
             },
         );
         phases.key_compute_micros = lap(&mut mark);
@@ -191,51 +228,42 @@ impl Plankton {
         // Plan: a component task is clean only if *every* PEC it verifies
         // hits the cache; otherwise the whole task re-runs (its PECs share
         // one session pass).
-        let needed_components: Vec<usize> = (0..deps.component_count())
-            .filter(|&c| deps.components[c].iter().any(|p| ctx.needed.contains(p)))
-            .collect();
         let mut stats = IncrementalRunStats {
             pecs_checked: ctx.checked.len(),
             ..Default::default()
         };
-        let mut cached: HashMap<(PecId, usize), Arc<PolicyOutcome>> = HashMap::new();
         let mut dirty_tasks: Vec<(usize, usize)> = Vec::new();
         let mut reexplored_pecs: BTreeSet<PecId> = BTreeSet::new();
         let mut cached_pecs: BTreeSet<PecId> = BTreeSet::new();
         for &c in &needed_components {
+            let component = &deps.components[c];
             for f in 0..nf {
-                let mut hits: Vec<(PecId, Arc<PolicyOutcome>)> = Vec::new();
-                let mut all_hit = true;
-                for &p in &deps.components[c] {
-                    match cache.peek(keys.key(p, f)) {
-                        Some(outcome) => hits.push((p, outcome)),
-                        None => all_hit = false,
-                    }
-                }
+                let hits: Vec<Arc<PolicyOutcome>> = component
+                    .iter()
+                    .filter_map(|&p| cache.peek(keys.key(p, f)))
+                    .collect();
                 // A key that hits while a sibling misses saved no work (the
                 // whole component re-runs), so only fully-served tasks count
                 // as reuse — in the run stats and the cache counters alike.
-                let size = deps.components[c].len() as u64;
-                if all_hit {
+                let size = component.len() as u64;
+                if hits.len() == component.len() {
                     stats.key_hits += size;
                     cache.count_hits(size);
                     let fhash = crate::verifier::failure_set_fingerprint(&ctx.failure_sets[f]);
-                    for (p, outcome) in hits {
+                    for (&p, outcome) in component.iter().zip(hits) {
                         plankton_telemetry::taskstats::global().record_cache_hit(
                             p.0 as u64,
                             fhash,
                             || ctx.failure_sets[f].to_string(),
                         );
                         cached_pecs.insert(p);
-                        cached.insert((p, f), outcome);
+                        let _ = slot(p, f).expect("a needed component's PEC").set(outcome);
                     }
                 } else {
                     stats.key_misses += size;
                     cache.count_misses(size);
                     dirty_tasks.push((c, f));
-                    for &p in &deps.components[c] {
-                        reexplored_pecs.insert(p);
-                    }
+                    reexplored_pecs.extend(component);
                 }
             }
         }
@@ -272,20 +300,13 @@ impl Plankton {
 
         // Fold the cached outcomes in first (and honor stop-at-first: a
         // cached violation means a fresh run would have stopped too).
-        for ((pec, f), outcome) in &cached {
-            let failures = &ctx.failure_sets[*f];
-            let relabeled = outcome.violations.iter().map(|v| {
-                let mut v = v.clone();
-                v.pec = *pec;
-                // Failure-invariant PECs share one outcome across failure
-                // sets; re-annotate with this task's set (a no-op for
-                // failure-keyed outcomes, which were computed under it).
-                v.failures = failures.clone();
-                v.trail.failures = failures.clone();
-                v
-            });
-            ctx.absorb_parts(outcome.stats, outcome.data_planes_checked, relabeled);
-            stats.steps_cached += outcome.stats.steps;
+        for (&pec, row) in &slot_row {
+            for (f, failures) in ctx.failure_sets.iter().enumerate() {
+                if let Some(outcome) = slots[row * nf + f].get() {
+                    ctx.absorb(pec, failures, outcome);
+                    stats.steps_cached += outcome.stats.steps;
+                }
+            }
         }
         if options.stop_at_first_violation && !ctx.violations.lock().is_empty() {
             ctx.stop.store(true, Ordering::Relaxed);
@@ -293,68 +314,40 @@ impl Plankton {
         phases.cache_io_micros = lap(&mut mark);
 
         // Partial resubmission: only the dirty tasks, with scheduling edges
-        // among them (clean dependencies are served from the cache).
+        // among them (clean dependencies are already in the table).
         let (graph, map) = pec_task_graph_sparse(deps, &dirty_tasks);
-        let slot_row: BTreeMap<PecId, usize> = ctx
-            .needed
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, i))
-            .collect();
-        let slots: Vec<OnceLock<Vec<Arc<ConvergedRecord>>>> =
-            (0..slot_row.len() * nf).map(|_| OnceLock::new()).collect();
-        let slot = |pec: PecId, f: usize| slot_row.get(&pec).map(|row| &slots[row * nf + f]);
-
-        let fresh_steps = AtomicU64::new(0);
         let engine = Engine::new(options.parallelism);
         let mut engine_stats = engine.run(&graph, |task, worker| {
+            let _trace = trace::scope(ctx.trace_id);
             if ctx.deadline_passed() {
                 worker.request_stop();
                 return;
             }
             let (c, f) = map.decode(task);
-            let component = &deps.components[c];
             let failures = &ctx.failure_sets[f];
             let lookup = |p: PecId| -> Option<Arc<ConvergedRecord>> {
-                if let Some(records) = slot(p, f).and_then(|cell| cell.get()) {
-                    return records.first().cloned();
-                }
-                cached
-                    .get(&(p, f))
-                    .and_then(|outcome| outcome.records.first().cloned())
+                slot(p, f)?.get()?.records.first().cloned()
             };
-            let results = self.run_component_under_failures(
+            let outcomes = self.run_component_under_failures(
                 &ctx,
-                component,
+                &deps.components[c],
                 failures,
                 &lookup,
-                Some(worker.scratch_cell()),
+                worker.scratch_cell(),
             );
-            for (pec, result) in results {
-                ctx.absorb(&result);
-                fresh_steps.fetch_add(result.stats.steps, Ordering::Relaxed);
-                if result.complete {
-                    cache.insert(
-                        keys.key(pec, f),
-                        Arc::new(PolicyOutcome {
-                            violations: result.violations.clone(),
-                            stats: result.stats,
-                            data_planes_checked: result.data_planes_checked,
-                            records: result.records.clone(),
-                        }),
-                    );
-                }
-                if let Some(cell) = slot(pec, f) {
-                    let _ = cell.set(result.records);
-                }
+            for (pec, outcome) in outcomes {
+                ctx.absorb(pec, failures, &outcome);
+                cache.insert(keys.key(pec, f), Arc::clone(&outcome));
+                let _ = slot(pec, f).expect("a needed component's PEC").set(outcome);
             }
             if ctx.stop.load(Ordering::Relaxed) {
                 worker.request_stop();
             }
         });
+        let total_stats = ctx.total_stats.into_inner();
         engine_stats.interned_routes = ctx.interner.len() as u64;
-        engine_stats.states_explored = ctx.total_stats.lock().states_explored();
-        stats.steps_reexplored = fresh_steps.load(Ordering::Relaxed);
+        engine_stats.states_explored = total_stats.states_explored();
+        stats.steps_reexplored = total_stats.steps - stats.steps_cached;
         phases.exploration_micros = lap(&mut mark);
         trace::event(
             Level::Info,
@@ -367,8 +360,10 @@ impl Plankton {
             ],
         );
 
+        // A deterministic violation order, whatever the worker interleaving.
         let mut violations = ctx.violations.into_inner();
-        Plankton::sort_violations(&mut violations);
+        violations
+            .sort_by(|a, b| (a.pec, &a.failures, &a.reason).cmp(&(b.pec, &b.failures, &b.reason)));
         let elapsed = start.elapsed();
         phases.merge_micros = lap(&mut mark);
         trace::event(
@@ -384,7 +379,7 @@ impl Plankton {
         let report = VerificationReport {
             policy: policy.name().to_string(),
             violations,
-            stats: ctx.total_stats.into_inner(),
+            stats: total_stats,
             pecs_verified: ctx.checked.len(),
             failure_sets_explored: nf,
             data_planes_checked: ctx.data_planes_checked.load(Ordering::Relaxed),
@@ -841,7 +836,6 @@ mod tests {
         let oneshot = Plankton::new(s.network.clone()).verify(&policy, &scenario, &options);
         assert_sums(&oneshot, "one-shot");
         assert!(oneshot.phases.exploration_micros > 0);
-        assert_eq!(oneshot.phases.cache_io_micros, 0, "no cache on this path");
     }
 
     #[test]

@@ -32,6 +32,6 @@ pub use options::{
     PlanktonOptions, Tuning, DEFAULT_MAX_LAG_DELTAS, DEFAULT_MAX_LAG_MS,
     DEFAULT_MAX_PENDING_DELTAS, DEFAULT_SLOW_TASK_MICROS,
 };
-pub use outcome::{ConvergedRecord, PecOutcome};
+pub use outcome::ConvergedRecord;
 pub use report::{PhaseTimings, VerificationReport, Violation};
 pub use verifier::Plankton;

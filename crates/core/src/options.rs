@@ -10,10 +10,6 @@ use std::time::{Duration, Instant};
 pub struct PlanktonOptions {
     /// Number of PEC verifications run concurrently (the paper's "cores").
     pub parallelism: usize,
-    /// Use the legacy level-barrier scheduler instead of the work-stealing
-    /// engine. Kept for differential testing: the engine and the sequential
-    /// path must produce identical reports.
-    pub sequential: bool,
     /// Use the pre-incremental clone-based explorer
     /// ([`plankton_checker::ReferenceChecker`]) instead of the incremental
     /// one. Kept for differential testing: both explorers must produce
@@ -54,7 +50,6 @@ impl Default for PlanktonOptions {
     fn default() -> Self {
         PlanktonOptions {
             parallelism: 1,
-            sequential: false,
             reference_explorer: false,
             lec_failure_pruning: true,
             stop_at_first_violation: true,
@@ -81,7 +76,6 @@ impl PlanktonOptions {
     pub fn no_optimizations() -> Self {
         PlanktonOptions {
             parallelism: 1,
-            sequential: false,
             reference_explorer: false,
             lec_failure_pruning: false,
             stop_at_first_violation: true,
@@ -92,13 +86,6 @@ impl PlanktonOptions {
             deadline: None,
             slow_task_micros: DEFAULT_SLOW_TASK_MICROS,
         }
-    }
-
-    /// Use the legacy level-barrier scheduler, builder-style (differential
-    /// testing against the work-stealing engine).
-    pub fn sequential(mut self) -> Self {
-        self.sequential = true;
-        self
     }
 
     /// Use the pre-incremental reference explorer, builder-style
@@ -146,7 +133,7 @@ impl PlanktonOptions {
 
     /// A fingerprint of every option that can change a verification task's
     /// *outcome* (violations, stats, records) — part of the result-cache
-    /// key. Scheduling-only knobs (`parallelism`, `sequential`, `deadline`)
+    /// key. Scheduling-only knobs (`parallelism`, `deadline`)
     /// and observability-only knobs (`slow_task_micros`) are excluded: they
     /// change who runs a task (or whether it runs at all —
     /// deadline-skipped tasks are never cached) or what gets logged, never

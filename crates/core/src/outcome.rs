@@ -1,11 +1,11 @@
-//! Per-PEC verification outcomes shared across dependent PECs (§3.2: "all
-//! possible outcomes of S are written to an in-memory filesystem" — here, an
-//! in-memory [`DependencyStore`](plankton_pec::DependencyStore)).
+//! The converged records PECs hand to their dependents (§3.2: "all possible
+//! outcomes of S are written to an in-memory filesystem" — here, the
+//! `records` of a [`PolicyOutcome`](crate::cache::PolicyOutcome) in the
+//! run's outcome table).
 
 use plankton_dataplane::ForwardingGraph;
 use plankton_net::failure::FailureSet;
 use plankton_net::topology::NodeId;
-use plankton_pec::PecId;
 use plankton_protocols::Route;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -44,64 +44,10 @@ impl ConvergedRecord {
     }
 }
 
-/// Every converged outcome recorded for one PEC (one entry per explored
-/// failure set per converged state).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct PecOutcome {
-    /// The PEC these outcomes belong to.
-    pub pec: PecId,
-    /// All converged records, grouped implicitly by their failure set.
-    /// Records are shared (`Arc`) so dependency lookups and the engine's
-    /// per-failure outcome slots can hand them out without deep copies.
-    pub records: Vec<Arc<ConvergedRecord>>,
-}
-
-impl PecOutcome {
-    /// A new, empty outcome for a PEC.
-    pub fn new(pec: PecId) -> Self {
-        PecOutcome {
-            pec,
-            records: Vec::new(),
-        }
-    }
-
-    /// The records computed under a specific failure set. Dependent PECs must
-    /// match topology changes across explorations (§3.2), so they only
-    /// consume records with exactly their own failure set.
-    pub fn under_failures(&self, failures: &FailureSet) -> Vec<Arc<ConvergedRecord>> {
-        self.records
-            .iter()
-            .filter(|r| &r.failures == failures)
-            .cloned()
-            .collect()
-    }
-
-    /// The first record computed under a specific failure set, without the
-    /// per-record Arc traffic and allocation of [`PecOutcome::under_failures`]
-    /// (the hot path: dependency lookups only consume the first match, §6).
-    pub fn first_under_failures(&self, failures: &FailureSet) -> Option<Arc<ConvergedRecord>> {
-        self.records
-            .iter()
-            .find(|r| &r.failures == failures)
-            .cloned()
-    }
-
-    /// Total number of converged records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Is the outcome empty?
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use plankton_net::ip::Prefix;
-    use plankton_net::topology::LinkId;
 
     fn record(failures: FailureSet) -> ConvergedRecord {
         let mut forwarding = ForwardingGraph::new(3);
@@ -130,26 +76,5 @@ mod tests {
         assert_eq!(r.igp_cost_from(NodeId(0)), Some(20));
         assert_eq!(r.igp_cost_from(NodeId(2)), Some(0));
         assert!(r.reachable_from(NodeId(0)));
-    }
-
-    #[test]
-    fn records_filtered_by_failure_set() {
-        let mut outcome = PecOutcome::new(PecId(3));
-        outcome.records.push(Arc::new(record(FailureSet::none())));
-        outcome
-            .records
-            .push(Arc::new(record(FailureSet::single(LinkId(1)))));
-        outcome.records.push(Arc::new(record(FailureSet::none())));
-        assert_eq!(outcome.under_failures(&FailureSet::none()).len(), 2);
-        assert_eq!(
-            outcome.under_failures(&FailureSet::single(LinkId(1))).len(),
-            1
-        );
-        assert_eq!(
-            outcome.under_failures(&FailureSet::single(LinkId(9))).len(),
-            0
-        );
-        assert_eq!(outcome.len(), 3);
-        assert!(!outcome.is_empty());
     }
 }

@@ -42,23 +42,26 @@ impl fmt::Display for Violation {
 ///
 /// Filled by measuring contiguous laps of one clock, so the phases sum to
 /// (within scheduling noise of) the report's `elapsed` — "why was this
-/// verify slow?" is answerable from the report alone.
+/// verify slow?" is answerable from the report alone. Every report carries
+/// every lap: a one-shot [`Plankton::verify`](crate::Plankton::verify) runs
+/// over a private empty cache, so it too derives keys (`key_compute`),
+/// plans against the cache (`invalidation`, all misses) and folds cached
+/// outcomes (`cache_io`, none).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseTimings {
     /// Planning the run environment (failure sets, needed/checked PEC sets)
-    /// and, on the caching path, computing content-addressed task keys
-    /// (device/PEC fingerprints, dependency-closure hashing).
+    /// and computing content-addressed task keys (device/PEC fingerprints,
+    /// dependency-closure hashing).
     pub key_compute_micros: u64,
     /// Deciding which tasks to re-run: cache lookups and hit/miss
-    /// accounting over the task list. Zero on the non-caching path.
+    /// accounting over the task list.
     pub invalidation_micros: u64,
     /// Model checking: the engine run over every re-run task.
     pub exploration_micros: u64,
     /// Folding per-task outcomes into the final report (violation sort,
     /// stat aggregation).
     pub merge_micros: u64,
-    /// Replaying cached outcomes into the run (clone out of the cache).
-    /// Zero on the non-caching path.
+    /// Replaying cached outcomes into the run.
     pub cache_io_micros: u64,
 }
 
@@ -115,8 +118,8 @@ pub struct VerificationReport {
     /// Size of the largest strongly connected component of the PEC
     /// dependency graph.
     pub largest_scc: usize,
-    /// What the parallel engine's worker pool did (`None` when the legacy
-    /// sequential scheduler ran).
+    /// What the engine's worker pool did. Every verification sets it;
+    /// [`VerificationReport::normalized_json`] clears it.
     pub engine: Option<EngineStats>,
     /// Did the run abandon work because [`PlanktonOptions::deadline`]
     /// passed? A deadline-exceeded report is *incomplete* — unexplored

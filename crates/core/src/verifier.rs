@@ -1,42 +1,45 @@
 //! The top-level Plankton verifier (Figure 3 of the paper).
 //!
-//! Two execution paths share one per-(component × failure-scenario) work
-//! routine:
-//!
-//! * the **work-stealing engine** (default): the cross product of PEC
-//!   dependency components and failure scenarios becomes a task graph driven
-//!   by `plankton_engine` — a component's tasks are released the moment its
-//!   dependencies' outcomes land, independent components never wait on each
-//!   other, and the whole pool drains early on the first violation;
-//! * the **legacy level-barrier scheduler**
-//!   ([`PlanktonOptions::sequential`]): kept for differential testing.
+//! There is one execution path. The cross product of PEC dependency
+//! components and failure scenarios becomes a task graph driven by
+//! `plankton_engine`: a component's tasks are released the moment its
+//! dependencies' outcomes land, independent components never wait on each
+//! other, and the whole pool drains early on the first violation. Every
+//! task is identified by a content key and its outcome goes through a
+//! [`ResultCache`] ([`Plankton::verify_with_cache`]); a one-shot
+//! [`Plankton::verify`] is that path over a private, empty cache. This
+//! module holds what the path is made of: the run context, the
+//! per-(component × failure-scenario) work routine and the dependency
+//! underlay.
 //!
 //! Violations are sorted before the report is assembled, so with
-//! [`PlanktonOptions::collect_all_violations`] both paths produce identical
-//! reports regardless of worker interleaving. Under the default
+//! [`PlanktonOptions::collect_all_violations`] reports are identical
+//! regardless of worker count and interleaving (the engine at one worker is
+//! the sequential oracle the tests compare against). Under the default
 //! stop-at-first-violation semantics only `holds()` is deterministic: which
 //! violation lands first — and how much work the fleet did before the stop
 //! broadcast reached it — depends on scheduling.
 
+use crate::cache::{PolicyOutcome, ResultCache};
 use crate::failures::failure_sets_to_explore;
 use crate::options::PlanktonOptions;
-use crate::outcome::{ConvergedRecord, PecOutcome};
-use crate::report::{PhaseTimings, VerificationReport, Violation};
+use crate::outcome::ConvergedRecord;
+use crate::report::{VerificationReport, Violation};
 use crate::session::{DataPlane, PecSession};
 use crate::underlay::DependencyUnderlay;
 use parking_lot::Mutex;
 use plankton_checker::{SearchScratch, SearchStats};
 use plankton_config::Network;
-use plankton_engine::{pec_task_graph_for, Engine, SharedRouteInterner};
+use plankton_engine::SharedRouteInterner;
 use plankton_net::failure::{FailureScenario, FailureSet};
 use plankton_net::topology::NodeId;
-use plankton_pec::{compute_pecs, DependencyStore, Pec, PecDependencies, PecId, PecSet, Scheduler};
+use plankton_pec::{compute_pecs, Pec, PecDependencies, PecId, PecSet};
 use plankton_policy::{ConvergedView, Policy};
 use plankton_telemetry::trace::{self, Field, Level};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A cheap stable fingerprint of a failure set, used (with the PEC id) as
@@ -67,16 +70,6 @@ impl Drop for TaskPanicGuard<'_> {
                 .record_panic(self.pec, self.fhash, || self.failures.to_string());
         }
     }
-}
-
-/// Advance `mark` to now and return the microseconds since its previous
-/// position. Phases measured as contiguous laps of one clock sum to the
-/// enclosing wall time by construction.
-pub(crate) fn lap(mark: &mut Instant) -> u64 {
-    let now = Instant::now();
-    let elapsed = now.duration_since(*mark).as_micros() as u64;
-    *mark = now;
-    elapsed
 }
 
 /// The Plankton configuration verifier.
@@ -130,49 +123,29 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) trace_id: u64,
 }
 
-/// The outcome of verifying one PEC of one component task under one failure
-/// set — the unit the incremental service caches.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct PecTaskResult {
-    /// Converged records for dependent PECs (empty without dependents).
-    pub(crate) records: Vec<Arc<ConvergedRecord>>,
-    /// Violations found on this PEC under this failure set.
-    pub(crate) violations: Vec<Violation>,
-    /// Model-checking statistics of this PEC's runs.
-    pub(crate) stats: SearchStats,
-    /// Converged data planes the policy was evaluated on.
-    pub(crate) data_planes_checked: u64,
-    /// Did the PEC run to completion? `false` when the early-stop broadcast
-    /// skipped it — such results are partial and must never be cached.
-    pub(crate) complete: bool,
-}
-
 impl<'a> RunCtx<'a> {
-    /// Fold one PEC's task result into the run-wide aggregates.
-    pub(crate) fn absorb(&self, result: &PecTaskResult) {
-        self.absorb_parts(
-            result.stats,
-            result.data_planes_checked,
-            result.violations.iter().cloned(),
-        );
-    }
-
-    /// [`RunCtx::absorb`] from the parts of an outcome, so a cached outcome
-    /// is folded in by reference: only its (normally absent) violations are
-    /// cloned, by the caller, as it relabels them.
-    pub(crate) fn absorb_parts(
-        &self,
-        stats: SearchStats,
-        data_planes_checked: u64,
-        violations: impl ExactSizeIterator<Item = Violation>,
-    ) {
-        *self.total_stats.lock() += stats;
-        if data_planes_checked > 0 {
+    /// Fold `pec`'s outcome under `failures` into the run-wide aggregates —
+    /// fresh from a task or out of the cache alike. Violations are relabeled
+    /// on the way: a cached outcome carries the PEC id of the partition it
+    /// was computed in (ids shift when a delta repartitions the header
+    /// space, content does not), and failure-invariant PECs share one
+    /// outcome across failure sets. For an outcome computed by this run
+    /// both are already right.
+    pub(crate) fn absorb(&self, pec: PecId, failures: &FailureSet, outcome: &PolicyOutcome) {
+        *self.total_stats.lock() += outcome.stats;
+        if outcome.data_planes_checked > 0 {
             self.data_planes_checked
-                .fetch_add(data_planes_checked, Ordering::Relaxed);
+                .fetch_add(outcome.data_planes_checked, Ordering::Relaxed);
         }
-        if violations.len() > 0 {
-            self.violations.lock().extend(violations);
+        if !outcome.violations.is_empty() {
+            let relabeled = outcome.violations.iter().map(|v| {
+                let mut v = v.clone();
+                v.pec = pec;
+                v.failures = failures.clone();
+                v.trail.failures = failures.clone();
+                v
+            });
+            self.violations.lock().extend(relabeled);
         }
     }
 
@@ -258,9 +231,7 @@ impl Plankton {
     /// Build the shared run context of one verification request: the
     /// failure environment (policy-interesting nodes; §4.3 LEC pruning only
     /// without cross-PEC dependencies), the needed/checked PEC sets and the
-    /// dependents map, plus fresh run-wide aggregates. One definition used
-    /// by both [`Plankton::verify`] and the cached incremental path — they
-    /// must plan identical environments for report identity to hold.
+    /// dependents map, plus fresh run-wide aggregates.
     pub(crate) fn prepare_run_ctx<'a>(
         &'a self,
         policy: &'a dyn Policy,
@@ -302,185 +273,42 @@ impl Plankton {
         }
     }
 
-    /// The deterministic violation order reports are assembled in,
-    /// regardless of worker interleaving (shared by every execution path).
-    pub(crate) fn sort_violations(violations: &mut [Violation]) {
-        violations
-            .sort_by(|a, b| (a.pec, &a.failures, &a.reason).cmp(&(b.pec, &b.failures, &b.reason)));
-    }
-
-    /// Verify `policy` under the failure environment `scenario`.
+    /// Verify `policy` under the failure environment `scenario`: the keyed
+    /// path over a private, empty cache. Every key misses, so every needed
+    /// task runs, and the policy fingerprint (which only has to tell the
+    /// policies sharing a cache apart) can be any constant.
     pub fn verify(
         &self,
         policy: &dyn Policy,
         scenario: &FailureScenario,
         options: &PlanktonOptions,
     ) -> VerificationReport {
-        let start = Instant::now();
-        let mut mark = start;
-        let mut phases = PhaseTimings::default();
-        let ctx = self.prepare_run_ctx(policy, scenario, options);
-        phases.key_compute_micros = lap(&mut mark);
-
-        let (largest_scc, engine_stats) = if options.sequential {
-            (self.run_sequential(&ctx), None)
-        } else {
-            let stats = self.run_engine(&ctx);
-            (self.deps.largest_component(), Some(stats))
-        };
-        phases.exploration_micros = lap(&mut mark);
-
-        let mut violations = ctx.violations.into_inner();
-        Self::sort_violations(&mut violations);
-        phases.merge_micros = lap(&mut mark);
-
-        VerificationReport {
-            policy: policy.name().to_string(),
-            violations,
-            stats: ctx.total_stats.into_inner(),
-            pecs_verified: ctx.checked.len(),
-            failure_sets_explored: ctx.failure_sets.len(),
-            data_planes_checked: ctx.data_planes_checked.load(Ordering::Relaxed),
-            elapsed: start.elapsed(),
-            phases,
-            largest_scc,
-            engine: engine_stats,
-            deadline_exceeded: ctx.deadline_hit.load(Ordering::Relaxed),
-        }
+        self.verify_with_cache(policy, 0, scenario, options, &ResultCache::new())
+            .0
     }
 
-    /// The work-stealing engine path: one task per (needed component ×
-    /// failure scenario), outcomes in per-task slots, early stop broadcast
-    /// to the pool.
-    fn run_engine(&self, ctx: &RunCtx<'_>) -> plankton_engine::EngineStats {
-        let nf = ctx.failure_sets.len();
-        // Only components containing a needed PEC become tasks — with
-        // `restrict_to_prefixes` on a large network that is a tiny fraction
-        // of the cross product. The active set is closed under dependencies
-        // (`needed` includes every transitive dependency), so remapped edges
-        // never dangle.
-        let active: Vec<usize> = (0..self.deps.component_count())
-            .filter(|&c| {
-                self.deps.components[c]
-                    .iter()
-                    .any(|p| ctx.needed.contains(p))
-            })
-            .collect();
-        let (graph, map) = pec_task_graph_for(&self.deps, nf, &active);
-
-        // One outcome slot per (needed PEC, failure set); set exactly once,
-        // by the task that verified the PEC's component under that failure
-        // set, strictly before the engine releases any dependent task.
-        let slot_row: BTreeMap<PecId, usize> = ctx
-            .needed
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, i))
-            .collect();
-        let slots: Vec<OnceLock<Vec<Arc<ConvergedRecord>>>> =
-            (0..slot_row.len() * nf).map(|_| OnceLock::new()).collect();
-        let slot = |pec: PecId, f: usize| slot_row.get(&pec).map(|row| &slots[row * nf + f]);
-
-        let engine = Engine::new(ctx.options.parallelism);
-        let mut stats = engine.run(&graph, |task, worker| {
-            let _trace = trace::scope(ctx.trace_id);
-            if ctx.deadline_passed() {
-                worker.request_stop();
-                return;
-            }
-            let (active_idx, f) = map.decode(task);
-            let component = &self.deps.components[active[active_idx]];
-            let failures = &ctx.failure_sets[f];
-            let lookup = |p: PecId| -> Option<Arc<ConvergedRecord>> {
-                slot(p, f)?
-                    .get()
-                    .and_then(|records| records.first().cloned())
-            };
-            let results = self.run_component_under_failures(
-                ctx,
-                component,
-                failures,
-                &lookup,
-                Some(worker.scratch_cell()),
-            );
-            for (pec, result) in results {
-                ctx.absorb(&result);
-                if let Some(cell) = slot(pec, f) {
-                    let _ = cell.set(result.records);
-                }
-            }
-            if ctx.stop.load(Ordering::Relaxed) {
-                worker.request_stop();
-            }
-        });
-        stats.interned_routes = ctx.interner.len() as u64;
-        stats.states_explored = ctx.total_stats.lock().states_explored();
-        stats
-    }
-
-    /// The legacy level-barrier path, kept behind
-    /// [`PlanktonOptions::sequential`] for differential testing. Returns the
-    /// scheduler's largest-SCC figure.
-    fn run_sequential(&self, ctx: &RunCtx<'_>) -> usize {
-        let scheduler = Scheduler::new(ctx.options.parallelism);
-        let verify_component = |component: &[PecId], store: &DependencyStore<PecOutcome>| {
-            let _trace = trace::scope(ctx.trace_id);
-            let mut outcomes: BTreeMap<PecId, PecOutcome> = BTreeMap::new();
-            let needs_work = component.iter().any(|p| ctx.needed.contains(p));
-            if !needs_work {
-                return outcomes;
-            }
-            for &pec_id in component {
-                outcomes.insert(pec_id, PecOutcome::new(pec_id));
-            }
-            for failures in &ctx.failure_sets {
-                if ctx.stop.load(Ordering::Relaxed) || ctx.deadline_passed() {
-                    break;
-                }
-                let lookup = |p: PecId| -> Option<Arc<ConvergedRecord>> {
-                    store.get(p).and_then(|o| o.first_under_failures(failures))
-                };
-                let results =
-                    self.run_component_under_failures(ctx, component, failures, &lookup, None);
-                for (pec, result) in results {
-                    ctx.absorb(&result);
-                    outcomes
-                        .get_mut(&pec)
-                        .expect("component PEC pre-inserted")
-                        .records
-                        .extend(result.records);
-                }
-            }
-            outcomes
-        };
-        let (_, sched_report) = scheduler.run(&self.deps, verify_component);
-        sched_report.largest_component
-    }
-
-    /// Verify every PEC of one component under one failure set: the shared
-    /// inner routine of every execution path. Returns per-PEC task results;
-    /// the *caller* folds them into the run aggregates (via
-    /// [`RunCtx::absorb`]) so the incremental path can additionally cache
-    /// each complete result under its content key.
+    /// Verify every PEC of one component under one failure set: the work of
+    /// one engine task. Returns the outcome of every PEC that ran to
+    /// completion — a PEC the early-stop broadcast (or the deadline) skipped
+    /// has none, so partial results can never be cached. The *caller* folds
+    /// the outcomes into the run aggregates ([`RunCtx::absorb`]), caches
+    /// them under their content keys and publishes them to dependents.
     pub(crate) fn run_component_under_failures(
         &self,
         ctx: &RunCtx<'_>,
         component: &[PecId],
         failures: &FailureSet,
         lookup: &dyn Fn(PecId) -> Option<Arc<ConvergedRecord>>,
-        scratch: Option<&RefCell<SearchScratch>>,
-    ) -> BTreeMap<PecId, PecTaskResult> {
-        let mut out: BTreeMap<PecId, PecTaskResult> = BTreeMap::new();
-        if !component.iter().any(|p| ctx.needed.contains(p)) {
-            return out;
-        }
+        scratch: &RefCell<SearchScratch>,
+    ) -> Vec<(PecId, Arc<PolicyOutcome>)> {
+        let mut out = Vec::with_capacity(component.len());
         for &pec_id in component {
-            let mut result = PecTaskResult::default();
+            // The stop flag latches, so the rest of the component is
+            // skipped with this PEC.
             if ctx.stop.load(Ordering::Relaxed) || ctx.deadline_passed() {
-                out.insert(pec_id, result);
-                continue;
+                break;
             }
-            result.complete = true;
+            let mut result = PolicyOutcome::default();
             let fhash = failure_set_fingerprint(failures);
             let _panic_attr = TaskPanicGuard {
                 pec: pec_id.0 as u64,
@@ -488,8 +316,8 @@ impl Plankton {
                 failures,
             };
             // Chaos hook: `task=panic@pec:<id>` models a bug in this PEC's
-            // model-checking run. On the engine path the panic is contained
-            // as a structured `TaskFailure` (io_err has no meaning here).
+            // model-checking run. The engine contains the panic as a
+            // structured `TaskFailure` (io_err has no meaning here).
             let _ = plankton_faultinject::trigger_keyed("task", "pec", pec_id.0 as u64);
             // Attribution is always on (like metrics), so the clock always
             // runs: two `Instant` reads per *task*, nothing per step.
@@ -510,7 +338,7 @@ impl Plankton {
                 policy_sources: ctx.policy.sources(),
                 has_dependents: component_has_dependents,
                 has_dependencies: component_has_dependencies,
-                scratch,
+                scratch: Some(scratch),
             };
             let (planes, stats) = session.data_planes();
             result.stats = stats;
@@ -580,7 +408,7 @@ impl Plankton {
                     ],
                 );
             }
-            out.insert(pec_id, result);
+            out.push((pec_id, Arc::new(result)));
         }
         out
     }
@@ -681,7 +509,7 @@ mod tests {
         assert!(report.holds(), "{report}");
         assert!(report.failure_sets_explored > 1);
         assert_eq!(report.pecs_verified, 1);
-        assert!(report.engine.is_some(), "engine path is the default");
+        assert!(report.engine.is_some());
     }
 
     #[test]
@@ -757,15 +585,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_verification_agree() {
+    fn one_and_four_worker_verification_agree() {
         let s = fat_tree_ospf(4, CoreStaticRoutes::Looping);
         let plankton = Plankton::new(s.network.clone());
         let serial = plankton.verify(
             &LoopFreedom::everywhere(),
             &FailureScenario::no_failures(),
-            &PlanktonOptions::with_cores(1)
-                .sequential()
-                .collect_all_violations(),
+            &PlanktonOptions::with_cores(1).collect_all_violations(),
         );
         let parallel = plankton.verify(
             &LoopFreedom::everywhere(),
@@ -774,7 +600,7 @@ mod tests {
         );
         assert_eq!(serial.holds(), parallel.holds());
         assert_eq!(serial.violations.len(), parallel.violations.len());
-        assert!(serial.engine.is_none());
+        assert_eq!(serial.normalized_json(), parallel.normalized_json());
         let engine = parallel.engine.expect("engine stats recorded");
         assert_eq!(engine.workers, 4);
         assert_eq!(engine.tasks_pending, 0);

@@ -2,7 +2,8 @@
 //!
 //! A task is one unit of schedulable work; edges point from a task to the
 //! tasks it depends on. For Plankton the tasks are the cross product of PEC
-//! dependency components and failure scenarios (see [`pec_task_graph`]): a
+//! dependency components and failure scenarios (see
+//! [`pec_task_graph_sparse`]): a
 //! component's verification under failure set *F* needs the converged
 //! outcomes of its dependency components under exactly *F* (§3.2 — topology
 //! changes are matched across explorations), and nothing else. Tasks of
@@ -97,84 +98,9 @@ impl TaskGraph {
     }
 }
 
-/// The dense encoding of (component, failure-scenario) pairs as [`TaskId`]s.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TaskMap {
-    /// Number of PEC dependency components.
-    pub components: usize,
-    /// Number of failure sets explored per component.
-    pub failure_sets: usize,
-}
-
-impl TaskMap {
-    /// Total number of tasks.
-    pub fn len(&self) -> usize {
-        self.components * self.failure_sets
-    }
-
-    /// Is the cross product empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The task for `component` under failure set `failure_idx`.
-    pub fn task(&self, component: usize, failure_idx: usize) -> TaskId {
-        debug_assert!(component < self.components && failure_idx < self.failure_sets);
-        TaskId(component * self.failure_sets + failure_idx)
-    }
-
-    /// The `(component, failure_idx)` pair of a task.
-    pub fn decode(&self, task: TaskId) -> (usize, usize) {
-        (
-            task.index() / self.failure_sets,
-            task.index() % self.failure_sets,
-        )
-    }
-}
-
-/// Build the (component × failure-scenario) task graph for a PEC dependency
-/// analysis: task *(c, F)* depends on *(d, F)* for every component *d* that
-/// *c* depends on. Failure scenarios never constrain each other.
-pub fn pec_task_graph(deps: &PecDependencies, failure_sets: usize) -> (TaskGraph, TaskMap) {
-    let all: Vec<usize> = (0..deps.component_count()).collect();
-    pec_task_graph_for(deps, failure_sets, &all)
-}
-
-/// Like [`pec_task_graph`], but over a subset of components (a restricted
-/// verification only schedules the components it needs). Task column *i*
-/// corresponds to `components[i]`; dependency edges pointing outside the
-/// subset are dropped, so the caller must pass a set closed under
-/// dependencies for the scheduling contract to hold.
-pub fn pec_task_graph_for(
-    deps: &PecDependencies,
-    failure_sets: usize,
-    components: &[usize],
-) -> (TaskGraph, TaskMap) {
-    let index: std::collections::BTreeMap<usize, usize> = components
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| (c, i))
-        .collect();
-    let map = TaskMap {
-        components: components.len(),
-        failure_sets,
-    };
-    let mut graph = TaskGraph::new(map.len());
-    for (i, &c) in components.iter().enumerate() {
-        for d in &deps.component_deps[c] {
-            let Some(&j) = index.get(d) else { continue };
-            for f in 0..failure_sets {
-                graph.add_dependency(map.task(i, f), map.task(j, f));
-            }
-        }
-    }
-    debug_assert!(graph.is_acyclic(), "SCC condensation must be a DAG");
-    (graph, map)
-}
-
-/// The encoding of an *explicit* task list — the partial-resubmission form
-/// used by incremental re-verification, where only the dirty subset of the
-/// (component × failure-scenario) cross product is re-run.
+/// The encoding of an explicit task list: a verification runs only the
+/// subset of the (component × failure-scenario) cross product whose outcome
+/// its result cache does not hold — all of it on a cold cache.
 #[derive(Clone, Debug, Default)]
 pub struct SparseTaskMap {
     /// `tasks[t]` = the `(component, failure_idx)` pair of task `t`.
@@ -199,10 +125,12 @@ impl SparseTaskMap {
 }
 
 /// Build the task graph for an explicit list of `(component, failure_idx)`
-/// pairs — the dirty tasks of an incremental re-verification. Edges are
-/// added only between tasks *present in the list*: a dependency on a clean
-/// (cached) task needs no scheduling edge because its outcome is already
-/// available from the result cache. The list must therefore be closed
+/// pairs — the dirty tasks of a verification: task *(c, F)* depends on
+/// *(d, F)* for every component *d* that *c* depends on, and failure
+/// scenarios never constrain each other. Edges are added only between
+/// tasks *present in the list*: a dependency on a clean (cached) task needs
+/// no scheduling edge because its outcome is already available from the
+/// result cache. The list must therefore be closed
 /// upwards — if `(c, f)` is dirty and `c` depends on `d`, then either
 /// `(d, f)` is in the list or `(d, f)`'s cached outcome is current — which
 /// is exactly the contract content-keyed invalidation provides (a dirty
@@ -265,19 +193,22 @@ mod tests {
     }
 
     #[test]
-    fn cross_product_replicates_edges_per_failure_set() {
-        // PEC 0 depends on PEC 1; 3 failure sets.
+    fn full_cross_product_replicates_edges_per_failure_set() {
+        // PEC 0 depends on PEC 1; 3 failure sets, every task listed.
         let deps = deps_from_edges(2, &[(0, 1)]);
-        let (graph, map) = pec_task_graph(&deps, 3);
+        let c0 = deps.component_of(PecId(0));
+        let c1 = deps.component_of(PecId(1));
+        let tasks: Vec<(usize, usize)> = [c1, c0]
+            .iter()
+            .flat_map(|&c| (0..3).map(move |f| (c, f)))
+            .collect();
+        let (graph, map) = pec_task_graph_sparse(&deps, &tasks);
         assert_eq!(graph.len(), 6);
         assert_eq!(graph.edge_count(), 3);
         // Each dependent task points at its own failure set's producer.
-        let comp_of_pec0 = deps.component_of(PecId(0));
-        let comp_of_pec1 = deps.component_of(PecId(1));
         for f in 0..3 {
-            let t = map.task(comp_of_pec0, f);
-            assert_eq!(graph.dependencies(t), &[map.task(comp_of_pec1, f)]);
-            assert_eq!(map.decode(t), (comp_of_pec0, f));
+            assert_eq!(graph.dependencies(TaskId(3 + f)), &[TaskId(f)]);
+            assert_eq!(map.decode(TaskId(3 + f)), (c0, f));
         }
         assert!(graph.is_acyclic());
     }
@@ -298,19 +229,5 @@ mod tests {
         assert!(graph.dependencies(TaskId(2)).is_empty());
         assert_eq!(map.decode(TaskId(2)), (c0, 1));
         assert_eq!(map.len(), 3);
-    }
-
-    #[test]
-    fn task_map_roundtrips() {
-        let map = TaskMap {
-            components: 4,
-            failure_sets: 5,
-        };
-        assert_eq!(map.len(), 20);
-        for c in 0..4 {
-            for f in 0..5 {
-                assert_eq!(map.decode(map.task(c, f)), (c, f));
-            }
-        }
     }
 }

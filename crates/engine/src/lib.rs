@@ -6,12 +6,11 @@
 //!
 //! The paper's prototype forks one model-checking **process** per packet
 //! equivalence class and lets the operating system schedule them, with
-//! converged outcomes exchanged through an in-memory filesystem. The seed
-//! implementation approximated this with a level-barrier scheduler
-//! ([`plankton_pec::Scheduler`]): dependency waves run strictly one after
-//! another, so one slow component stalls every unrelated component in later
-//! waves. This crate replaces the barriers with a dependency-counting task
-//! graph driven by a fixed worker pool:
+//! converged outcomes exchanged through an in-memory filesystem. Here the
+//! same ordering is a dependency-counting task graph driven by a fixed
+//! worker pool — no level barriers, so one slow component never stalls an
+//! unrelated one, and the pool at one worker is the sequential execution
+//! the tests compare every other worker count against:
 //!
 //! * [`graph::TaskGraph`] — the (PEC-component × failure-scenario) cross
 //!   product as a DAG; a task becomes runnable the moment the outcomes of
@@ -34,15 +33,15 @@
 //! * per-worker [`SearchScratch`](plankton_checker::SearchScratch) reuse —
 //!   each worker hands the visited-set allocation of its previous
 //!   model-checking run to the next one, killing the per-task allocation
-//!   churn the naive scheduler paid.
+//!   churn.
 //!
 //! The engine is deliberately generic: it executes *tasks* identified by
 //! [`graph::TaskId`] and knows nothing about PECs beyond the convenience
-//! constructor [`graph::pec_task_graph`]. `plankton-core` owns the mapping
-//! from tasks to verification work and the outcome store; the contract is
-//! simply that a task's side effects (outcome insertion) are complete when
-//! its closure returns, which is exactly when the engine releases its
-//! dependents.
+//! constructor [`graph::pec_task_graph_sparse`]. `plankton-core` owns the
+//! mapping from tasks to verification work and the outcome table; the
+//! contract is simply that a task's side effects (outcome insertion) are
+//! complete when its closure returns, which is exactly when the engine
+//! releases its dependents.
 
 pub mod executor;
 pub mod graph;
@@ -51,10 +50,7 @@ pub mod queue;
 pub mod stats;
 
 pub use executor::{Engine, WorkerContext};
-pub use graph::{
-    pec_task_graph, pec_task_graph_for, pec_task_graph_sparse, SparseTaskMap, TaskGraph, TaskId,
-    TaskMap,
-};
+pub use graph::{pec_task_graph_sparse, SparseTaskMap, TaskGraph, TaskId};
 pub use interner::SharedRouteInterner;
 pub use queue::TaskQueue;
 pub use stats::{EngineStats, TaskFailure};

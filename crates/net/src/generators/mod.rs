@@ -3,8 +3,8 @@
 //! The paper's evaluation (§5) uses four families of networks:
 //!
 //! * **fat trees** (synthetic data centers) for the OSPF loop / reachability
-//!   and BGP waypoint experiments — [`fat_tree`];
-//! * **rings** for the optimization micro-benchmarks (Figure 8) — [`ring`];
+//!   and BGP waypoint experiments — [`mod@fat_tree`];
+//! * **rings** for the optimization micro-benchmarks (Figure 8) — [`mod@ring`];
 //! * **RocketFuel AS topologies** for the failure-tolerance and
 //!   iBGP-over-OSPF experiments — the original measured topologies are not
 //!   redistributable, so [`as_topo`] generates synthetic ISP topologies at

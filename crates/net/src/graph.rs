@@ -18,7 +18,7 @@ pub const INFINITY: u64 = u64::MAX;
 pub struct ShortestPaths {
     /// The source of the computation.
     pub source: NodeId,
-    /// dist[n] = cost of the best path from `source` to `n` (`INFINITY` if
+    /// `dist[n]` = cost of the best path from `source` to `n` (`INFINITY` if
     /// unreachable).
     pub dist: Vec<u64>,
     /// For every node, the set of predecessor nodes on *some* shortest path

@@ -157,8 +157,8 @@ pub fn pec_failure_invariant(pec: &Pec) -> bool {
 /// The per-(PEC × failure-set) task keys of one verification request.
 #[derive(Clone, Debug)]
 pub struct TaskKeys {
-    /// `keys[pec.index()][failure_idx]` — `0` for PECs outside the needed
-    /// set (never looked up).
+    /// `keys[pec.index()][failure_idx]` — an empty row for PECs the request
+    /// does not run (never derived, and a lookup panics).
     keys: Vec<Vec<u64>>,
     /// This pass's `(hits, misses)` in the session's slice memo.
     memo_stats: (u64, u64),
@@ -175,8 +175,8 @@ impl TaskKeys {
     /// for `p` at all. Both change a task's observable outcome without
     /// changing the network, so they are part of the key.
     ///
-    /// Derives every key from nothing: [`TaskKeys::compute_with_memo`] over
-    /// an empty memo.
+    /// Derives the keys of every PEC from nothing:
+    /// [`TaskKeys::compute_with_memo`] over an empty memo.
     #[allow(clippy::too_many_arguments)] // a keyed compute: every input is a key input
     pub fn compute(
         network: &Network,
@@ -197,7 +197,7 @@ impl TaskKeys {
             policy_fp,
             options_fp,
             mode,
-            run_flags,
+            |p| Some(run_flags(p)),
         )
     }
 
@@ -205,6 +205,12 @@ impl TaskKeys {
     /// slices whose Dijkstra input was seen before — by any earlier request,
     /// against any snapshot — are looked up instead of recomputed. The keys
     /// are identical to the ones an empty memo yields (see [`SliceMemo`]).
+    ///
+    /// `run_flags(p)` is `None` for a PEC the request does not run: its keys
+    /// are not derived — on a restricted request over a large network the
+    /// un-needed PECs' slices would cost more than the verification. The
+    /// PECs with flags must be closed under dependencies (a dependent's key
+    /// composes its dependencies' keys).
     #[allow(clippy::too_many_arguments)]
     pub fn compute_with_memo(
         memo: &SliceMemo,
@@ -215,7 +221,7 @@ impl TaskKeys {
         policy_fp: u64,
         options_fp: u64,
         mode: OspfSliceMode,
-        run_flags: impl Fn(PecId) -> u8,
+        run_flags: impl Fn(PecId) -> Option<u8>,
     ) -> TaskKeys {
         let nf = failure_sets.len();
         let failure_fps: Vec<u64> = failure_sets
@@ -228,11 +234,14 @@ impl TaskKeys {
             })
             .collect();
         let slices = NetworkSlices::of(network, mode, memo);
-        let mut keys = vec![vec![0u64; nf]; pecs.len()];
+        let mut keys = vec![Vec::new(); pecs.len()];
         // Components are listed dependencies-first, so every dependency's
         // keys exist by the time a dependent composes them.
         for component in &deps.components {
             for &pec_id in component {
+                let Some(flags) = run_flags(pec_id) else {
+                    continue;
+                };
                 let pec = pecs.pec(pec_id);
                 let comp = deps.component_of(pec_id);
                 let dependency_pecs = deps.transitive_dependencies(comp);
@@ -247,7 +256,7 @@ impl TaskKeys {
                 ));
                 base.write_u64(policy_fp);
                 base.write_u64(options_fp);
-                base.write_u8(run_flags(pec_id));
+                base.write_u8(flags);
                 // PECs verified together in one SCC share the run.
                 base.write_u64(component.len() as u64);
                 let base = base.finish();
@@ -255,10 +264,10 @@ impl TaskKeys {
                 // dependencies, nothing depending on them — bit 0 of the run
                 // flags) share one outcome across every failure set; the
                 // merge layer rewrites the failure annotations.
-                let invariant = pec_failure_invariant(pec)
-                    && dependency_pecs.is_empty()
-                    && run_flags(pec_id) & 1 == 0;
+                let invariant =
+                    pec_failure_invariant(pec) && dependency_pecs.is_empty() && flags & 1 == 0;
                 let origin_sets = ospf_origin_sets(pec);
+                let mut row = Vec::with_capacity(nf);
                 for f in 0..nf {
                     let mut fp = Fingerprinter::new();
                     fp.write_u64(base);
@@ -293,8 +302,9 @@ impl TaskKeys {
                     for &dep in &dependency_pecs {
                         fp.write_u64(keys[dep.index()][f]);
                     }
-                    keys[pec_id.index()][f] = fp.finish();
+                    row.push(fp.finish());
                 }
+                keys[pec_id.index()] = row;
             }
         }
         let memo_stats = slices

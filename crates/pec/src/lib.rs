@@ -1,7 +1,7 @@
 //! # plankton-pec
 //!
-//! Packet Equivalence Class (PEC) computation and scheduling — the first
-//! phase of Plankton's analysis (§3.1, §3.2 of the paper).
+//! Packet Equivalence Class (PEC) computation and dependency analysis — the
+//! first phase of Plankton's analysis (§3.1, §3.2 of the paper).
 //!
 //! * [`trie`] — the binary prefix trie that collects every prefix referenced
 //!   by the configuration and partitions the destination header space into
@@ -10,17 +10,16 @@
 //!   per-prefix configuration objects that contribute to it.
 //! * [`compute`] — building PECs from a [`Network`](plankton_config::Network).
 //! * [`dependency`] — the PEC dependency graph (recursive static routes,
-//!   iBGP over an IGP), Tarjan SCCs and the condensation DAG (Figure 5).
-//! * [`scheduler`] — the dependency-aware scheduler: strongly connected
-//!   components are verified together, dependencies first, independent
-//!   components in parallel, with converged outcomes of earlier runs stored
-//!   for their dependents (§3.2).
+//!   iBGP over an IGP), Tarjan SCCs and the condensation DAG (Figure 5):
+//!   strongly connected components are verified together, dependencies
+//!   first (§3.2) — the scheduling itself is `plankton-engine`'s.
+//! * [`invalidation`] — the content keys of (PEC × failure-scenario)
+//!   verification tasks, and the advisory delta → dirty-PEC mapping.
 
 pub mod compute;
 pub mod dependency;
 pub mod invalidation;
 pub mod pec;
-pub mod scheduler;
 pub mod trie;
 
 pub use compute::compute_pecs;
@@ -29,5 +28,4 @@ pub use invalidation::{
     pec_content_fingerprint, pec_failure_invariant, pecs_touched_by, OspfSliceMode, TaskKeys,
 };
 pub use pec::{OriginProtocol, Pec, PecId, PecSet, PrefixConfig};
-pub use scheduler::{DependencyStore, Scheduler, SchedulerReport};
 pub use trie::PrefixTrie;

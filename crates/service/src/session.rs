@@ -8,8 +8,9 @@
 //! verification clones the current analysis snapshot (`Arc`) and works
 //! off-lock for its whole duration — while mutations (`Load`, `ApplyDelta`)
 //! are serialized inside [`IncrementalVerifier`] and land as an atomic
-//! copy-on-write snapshot swap. The shared [`ResultCache`] means concurrent
-//! clients warm each other's verifications.
+//! copy-on-write snapshot swap. The shared
+//! [`ResultCache`](plankton_core::ResultCache) means concurrent clients warm
+//! each other's verifications.
 //!
 //! With a cache directory configured ([`ServiceSession::with_cache_dir`]),
 //! the content-addressed result cache also survives process restarts:
@@ -470,6 +471,9 @@ impl ServiceSession {
                 let Some(verifier) = self.verifier() else {
                     return Response::error("no network loaded");
                 };
+                // Program order: deltas this client enqueued earlier land
+                // before this one.
+                self.flush_queue_locked(&verifier);
                 match verifier.apply_delta(delta) {
                     Ok(applied) => {
                         self.last_reports.lock().clear();

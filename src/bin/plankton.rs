@@ -15,7 +15,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  plankton verify --config <file.json> --policy <reachability|loop|blackhole|waypoint|bounded-path-length> \\\n                  [--source <node-name>]... [--waypoint <node-name>]... [--prefix <a.b.c.d/len>]... \\\n                  [--max-failures <k>] [--max-hops <n>] [--cores <n>] [--all-violations] [--sequential]\n  plankton pecs   --config <file.json>"
+        "usage:\n  plankton verify --config <file.json> --policy <reachability|loop|blackhole|waypoint|bounded-path-length> \\\n                  [--source <node-name>]... [--waypoint <node-name>]... [--prefix <a.b.c.d/len>]... \\\n                  [--max-failures <k>] [--max-hops <n>] [--cores <n>] [--all-violations]\n  plankton pecs   --config <file.json>"
     );
     exit(2);
 }
@@ -31,7 +31,6 @@ struct Args {
     max_hops: usize,
     cores: usize,
     all_violations: bool,
-    sequential: bool,
 }
 
 fn parse_args() -> Args {
@@ -46,7 +45,6 @@ fn parse_args() -> Args {
         max_hops: 16,
         cores: 1,
         all_violations: false,
-        sequential: false,
     };
     let mut iter = std::env::args().skip(1);
     match iter.next() {
@@ -71,7 +69,6 @@ fn parse_args() -> Args {
             "--max-hops" => args.max_hops = value().parse().unwrap_or_else(|_| usage()),
             "--cores" => args.cores = value().parse().unwrap_or_else(|_| usage()),
             "--all-violations" => args.all_violations = true,
-            "--sequential" => args.sequential = true,
             _ => usage(),
         }
     }
@@ -149,9 +146,6 @@ fn main() {
     }
     if args.all_violations {
         options = options.collect_all_violations();
-    }
-    if args.sequential {
-        options = options.sequential();
     }
     let scenario = FailureScenario::up_to(args.max_failures);
 

@@ -13,7 +13,7 @@
 //! * [`config`] — OSPF/BGP/static-route configuration and ready-made
 //!   evaluation scenarios;
 //! * [`pec`] — packet equivalence classes, the dependency graph and the
-//!   dependency-aware scheduler;
+//!   content keys of verification tasks;
 //! * [`protocols`] — SPVP, RPVP and the OSPF/BGP protocol models;
 //! * [`checker`] — the explicit-state model checker with partial order
 //!   reduction, policy-based pruning and state hashing;

@@ -67,9 +67,9 @@ fn normalized(report: &VerificationReport) -> String {
     r.normalized_json()
 }
 
-/// Run the same verification through the reference explorer (sequential),
-/// the incremental explorer (sequential) and the incremental explorer on
-/// the parallel engine, and assert all three reports are identical.
+/// Run the same verification through the reference explorer (one worker),
+/// the incremental explorer (one worker) and the incremental explorer on
+/// four workers, and assert all three reports are identical.
 fn assert_differential(
     label: &str,
     network: &Network,
@@ -78,12 +78,14 @@ fn assert_differential(
     options: PlanktonOptions,
 ) {
     let plankton = Plankton::new(network.clone());
+    let mut one_worker = options.clone();
+    one_worker.parallelism = 1;
     let reference = plankton.verify(
         policy,
         scenario,
-        &options.clone().sequential().with_reference_explorer(),
+        &one_worker.clone().with_reference_explorer(),
     );
-    let incremental_seq = plankton.verify(policy, scenario, &options.clone().sequential());
+    let incremental_seq = plankton.verify(policy, scenario, &one_worker);
     let incremental_par = {
         let mut par = options.clone();
         par.parallelism = 4;
@@ -102,12 +104,12 @@ fn assert_differential(
     assert_eq!(
         normalized(&reference),
         normalized(&incremental_seq),
-        "{label}: sequential incremental report differs from pre-change behavior"
+        "{label}: one-worker incremental report differs from pre-change behavior"
     );
     assert_eq!(
         normalized(&reference),
         normalized(&incremental_par),
-        "{label}: parallel incremental report differs from pre-change behavior"
+        "{label}: four-worker incremental report differs from pre-change behavior"
     );
 }
 

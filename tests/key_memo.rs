@@ -19,7 +19,7 @@ use plankton::config::{ConfigDelta, DeviceConfig, OspfConfig};
 use plankton::core::failures::failure_sets_to_explore;
 use plankton::core::IncrementalVerifier;
 use plankton::net::generators::as_topo::AsTopologySpec;
-use plankton::pec::{OspfSliceMode, TaskKeys};
+use plankton::pec::{OspfSliceMode, PecId, TaskKeys};
 use plankton::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -126,7 +126,7 @@ fn assert_warm_keys_equal_fresh_keys(
             1,
             2,
             mode,
-            |_| 0,
+            |_| Some(0),
         );
         let fresh = TaskKeys::compute(network, pecs, deps, &sets, 1, 2, mode, |_| 0);
         for pec in pecs.iter() {
@@ -265,6 +265,66 @@ fn isp_walk_keys_match_a_fresh_memo_and_reports_match_from_scratch() {
         0x6b65_7902,
         200,
     );
+}
+
+/// A restricted request derives keys for the PECs it runs and no others:
+/// every needed `(PEC, failure set)` key equals the one the all-PEC
+/// derivation yields under the same flags, and the un-needed PECs' slices
+/// are first computed when a later derivation asks for them.
+#[test]
+fn restricted_requests_derive_only_the_needed_pecs_keys() {
+    let s = small_isp();
+    let plankton = Plankton::new(s.network.clone());
+    let (network, pecs, deps) = (plankton.network(), plankton.pecs(), plankton.dependencies());
+    let sets = failure_sets_to_explore(network, &FailureScenario::up_to(1), &[], false);
+
+    // One iBGP destination and the loopback PECs it depends on.
+    let checked = pecs.pecs_overlapping(&s.bgp_destinations[0])[0].id;
+    let mut needed = deps.transitive_dependencies(deps.component_of(checked));
+    assert!(
+        !needed.is_empty(),
+        "the destination depends on loopback PECs"
+    );
+    needed.push(checked);
+    assert!(needed.len() < pecs.active_pecs().len());
+    let flags =
+        |p: PecId| (needed.contains(&p) && p != checked) as u8 | ((p == checked) as u8) << 1;
+
+    let derive = |memo: &plankton::config::SliceMemo, restricted: bool| {
+        TaskKeys::compute_with_memo(
+            memo,
+            network,
+            pecs,
+            deps,
+            &sets,
+            1,
+            2,
+            OspfSliceMode::Scoped,
+            |p| (!restricted || needed.contains(&p)).then(|| flags(p)),
+        )
+    };
+    let memo = plankton::config::SliceMemo::new();
+    let restricted = derive(&memo, true);
+    let all = derive(&plankton::config::SliceMemo::new(), false);
+    for &pec in &needed {
+        for (f, failures) in sets.iter().enumerate() {
+            assert_eq!(
+                restricted.key(pec, f),
+                all.key(pec, f),
+                "key of {pec} under {failures}"
+            );
+        }
+    }
+
+    // The restricted pass left the memo holding exactly its own slices: a
+    // second restricted pass finds them all, and the all-PEC pass still has
+    // to compute the rest.
+    let needed_misses = restricted.memo_stats().1;
+    assert!(needed_misses > 0);
+    assert_eq!(derive(&memo, true).memo_stats().1, 0);
+    let rest_misses = derive(&memo, false).memo_stats().1;
+    assert!(rest_misses > 0, "un-needed PECs were derived after all");
+    assert_eq!(needed_misses + rest_misses, all.memo_stats().1);
 }
 
 /// Three verifying readers and one delta writer share one session — one

@@ -172,6 +172,58 @@ fn seeded_storm_streaming_report_is_byte_identical_to_sequential_replay() {
     );
 }
 
+/// Per-connection program order across the two delta paths: a v1
+/// `ApplyDelta` sent after an enqueue-acked delta must land after it. Both
+/// write the same directional cost, so the order decides the final network.
+#[test]
+fn v1_apply_delta_lands_after_deltas_enqueued_before_it() {
+    let s = ring_ospf(6);
+    let cost_change = |cost| ConfigDelta::OspfCostChange {
+        device: s.ring.routers[0],
+        link: s.ring.links[0],
+        cost,
+    };
+    let verify = verify_request(&s);
+
+    let replay = ServiceSession::with_network(s.network.clone());
+    for cost in [5, 9] {
+        let Response::DeltaApplied(_) = replay.handle(&Request::ApplyDelta {
+            delta: cost_change(cost),
+        }) else {
+            panic!("replay delta rejected");
+        };
+    }
+    let replay_bytes = final_report_bytes(&replay, &verify);
+
+    // No background drain: the enqueued delta is still pending when the v1
+    // delta arrives.
+    let session = ServiceSession::with_network(s.network.clone());
+    let Response::DeltasAccepted { lag, .. } = session.handle(&Request::ApplyDeltas {
+        deltas: vec![cost_change(5)],
+        ack: "enqueued".into(),
+    }) else {
+        panic!("enqueue not accepted");
+    };
+    assert_eq!(lag.pending, 1);
+    let Response::DeltaApplied(_) = session.handle(&Request::ApplyDelta {
+        delta: cost_change(9),
+    }) else {
+        panic!("v1 delta rejected");
+    };
+    let session_bytes = final_report_bytes(&session, &verify);
+
+    let network_json = |session: &ServiceSession| {
+        let verifier = session.verifier().expect("a network is loaded");
+        verifier.snapshot().network().to_json()
+    };
+    assert_eq!(
+        network_json(&session),
+        network_json(&replay),
+        "the enqueued cost change was applied after the v1 one that followed it"
+    );
+    assert_eq!(session_bytes, replay_bytes);
+}
+
 /// A lone delta must not wait for `max_lag_deltas` peers: the age bound
 /// (`max_lag_ms`) alone must get it verified.
 #[test]
