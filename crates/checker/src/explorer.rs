@@ -27,6 +27,10 @@
 //!   an integer swap (no route clone, no lazily-synced handle mirror), an
 //!   undo frame is `Copy`, and a visited-set check is a direct handle
 //!   comparison with no re-interning pass.
+//! * **Borrowed converged states** — the callback receives a
+//!   [`ConvergedState`] view of the live handle vector and the interner, so
+//!   an emit copies nothing; what the caller keeps past the callback, it
+//!   copies itself.
 //!
 //! All per-run scratch — visited set, undo stack, interner, branch-snapshot
 //! buffers — lives in a [`ScratchParts`](crate::scratch::ScratchParts)
@@ -192,7 +196,7 @@ impl<'m> ModelChecker<'m> {
     /// state. Returns the search statistics.
     pub fn run<F>(self, callback: &mut F) -> SearchStats
     where
-        F: FnMut(&ConvergedState, &Trail) -> Verdict,
+        F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
         self.run_returning(callback).0
     }
@@ -202,7 +206,7 @@ impl<'m> ModelChecker<'m> {
     /// [`SearchScratch`](crate::SearchScratch) for the next run.
     pub fn run_returning<F>(mut self, callback: &mut F) -> (SearchStats, ScratchParts)
     where
-        F: FnMut(&ConvergedState, &Trail) -> Verdict,
+        F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
         let mut state = self.rpvp.initial_state(&mut self.interner);
         let mut decided = vec![false; self.rpvp.model().node_count()];
@@ -248,10 +252,10 @@ impl<'m> ModelChecker<'m> {
 
     fn emit<F>(&mut self, state: &RpvpState, callback: &mut F)
     where
-        F: FnMut(&ConvergedState, &Trail) -> Verdict,
+        F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
         self.stats.converged_states += 1;
-        let converged = ConvergedState::from_handles(&state.best, &self.interner);
+        let converged = ConvergedState::new(&state.best, &self.interner);
         if callback(&converged, &self.trail) == Verdict::Stop {
             self.stop = true;
         }
@@ -335,7 +339,7 @@ impl<'m> ModelChecker<'m> {
 
     fn dfs<F>(&mut self, state: &mut RpvpState, decided: &mut [bool], depth: u64, callback: &mut F)
     where
-        F: FnMut(&ConvergedState, &Trail) -> Verdict,
+        F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
         let undo_mark = self.undo.depth();
         let mut depth = depth;
@@ -454,7 +458,7 @@ impl<'m> ModelChecker<'m> {
         choices: &[EnabledChoice],
         include_clears: bool,
     ) where
-        F: FnMut(&ConvergedState, &Trail) -> Verdict,
+        F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
         self.stats.branch_points += 1;
         for choice in choices {
@@ -523,15 +527,21 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::Arc;
 
+    /// Run the search, recording every converged state as the next hop of
+    /// each node (the view itself only lives for the callback).
     fn collect_converged(
         model: &dyn ProtocolModel,
         por: Box<dyn PorHeuristic + '_>,
         options: SearchOptions,
-    ) -> (Vec<ConvergedState>, SearchStats) {
+    ) -> (Vec<Vec<Option<NodeId>>>, SearchStats) {
         let checker = ModelChecker::new(model, por, options, FailureSet::none());
         let mut states = Vec::new();
         let stats = checker.run(&mut |s, _| {
-            states.push(s.clone());
+            states.push(
+                (0..s.node_count() as u32)
+                    .map(|n| s.next_hop(NodeId(n)))
+                    .collect(),
+            );
             Verdict::Continue
         });
         (states, stats)
@@ -561,7 +571,7 @@ mod tests {
         // Every node reaches the origin.
         for n in s.network.topology.node_ids() {
             if n != s.origin {
-                assert!(states[0].best(n).is_some());
+                assert!(states[0][n.index()].is_some());
             }
         }
     }
@@ -585,10 +595,8 @@ mod tests {
         // The naive search revisits the converged state through many
         // executions; the set of distinct converged forwarding states must
         // still be exactly the optimized one.
-        let canon =
-            |s: &ConvergedState| (0..4u32).map(|n| s.next_hop(NodeId(n))).collect::<Vec<_>>();
-        let naive_set: HashSet<_> = naive.iter().map(canon).collect();
-        let opt_set: HashSet<_> = optimized.iter().map(canon).collect();
+        let naive_set: HashSet<_> = naive.into_iter().collect();
+        let opt_set: HashSet<_> = optimized.into_iter().collect();
         assert_eq!(naive_set, opt_set);
         assert!(naive_stats.steps > 0);
         assert!(naive_stats.undo_depth_max > 0);
@@ -611,7 +619,7 @@ mod tests {
         let b = g.actors[1];
         let outcomes: HashSet<(Option<NodeId>, Option<NodeId>)> = states
             .iter()
-            .map(|s| (s.next_hop(a), s.next_hop(b)))
+            .map(|s| (s[a.index()], s[b.index()]))
             .collect();
         assert!(
             outcomes.contains(&(Some(b), Some(g.origin))),
@@ -652,10 +660,8 @@ mod tests {
         let (without, without_stats) =
             collect_converged(&model, Box::new(NoPor), SearchOptions::no_optimizations());
         // Same distinct converged forwarding states, fewer or equal steps.
-        let canon =
-            |s: &ConvergedState| (0..6u32).map(|n| s.next_hop(NodeId(n))).collect::<Vec<_>>();
-        let a: HashSet<_> = with.iter().map(canon).collect();
-        let b: HashSet<_> = without.iter().map(canon).collect();
+        let a: HashSet<_> = with.into_iter().collect();
+        let b: HashSet<_> = without.into_iter().collect();
         assert_eq!(a, b);
         assert_eq!(a.len(), 1, "OSPF has a single converged forwarding state");
         assert!(with_stats.steps <= without_stats.steps);
@@ -712,7 +718,7 @@ mod tests {
             "policy pruning should finish after the source decides (took {} steps)",
             stats.steps
         );
-        assert!(states[0].best(source).is_some());
+        assert!(states[0][source.index()].is_some());
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl<'m> ReferenceChecker<'m> {
     /// state. Returns the search statistics.
     pub fn run<F>(mut self, callback: &mut F) -> SearchStats
     where
-        F: FnMut(&ConvergedState, &Trail) -> Verdict,
+        F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
         let mut state = self.rpvp.initial_state(&mut self.interner);
         let mut decided = vec![false; self.rpvp.model().node_count()];
@@ -148,10 +148,10 @@ impl<'m> ReferenceChecker<'m> {
 
     fn emit<F>(&mut self, state: &RpvpState, callback: &mut F)
     where
-        F: FnMut(&ConvergedState, &Trail) -> Verdict,
+        F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
         self.stats.converged_states += 1;
-        let converged = ConvergedState::from_handles(&state.best, &self.interner);
+        let converged = ConvergedState::new(&state.best, &self.interner);
         if callback(&converged, &self.trail) == Verdict::Stop {
             self.stop = true;
         }
@@ -183,7 +183,7 @@ impl<'m> ReferenceChecker<'m> {
 
     fn dfs<F>(&mut self, state: &mut RpvpState, decided: &mut [bool], depth: u64, callback: &mut F)
     where
-        F: FnMut(&ConvergedState, &Trail) -> Verdict,
+        F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
         // Deterministic steps applied inside this frame push trail events
         // that belong to the frame; discard them when the frame exits so
@@ -269,7 +269,7 @@ impl<'m> ReferenceChecker<'m> {
         choices: &[EnabledChoice],
         include_clears: bool,
     ) where
-        F: FnMut(&ConvergedState, &Trail) -> Verdict,
+        F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
         self.stats.branch_points += 1;
         for choice in choices {
@@ -323,7 +323,7 @@ mod tests {
         );
         let mut states = Vec::new();
         let stats = checker.run(&mut |c, _| {
-            states.push(c.clone());
+            states.push(c.to_routes());
             Verdict::Continue
         });
         assert_eq!(states.len(), 1);

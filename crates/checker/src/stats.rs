@@ -43,7 +43,10 @@ pub struct SearchStats {
     pub interned_routes: u64,
     /// Distinct states recorded in the visited set.
     pub visited_states: u64,
-    /// Approximate memory of interner + visited set, in bytes.
+    /// Approximate memory of interner + visited set, in bytes. Summed like
+    /// the other counters, so for a whole verification (and the report's
+    /// "~N MiB") this is the total over every model-checking run, not a
+    /// peak: the runs of one worker reuse one set of allocations.
     pub approx_memory_bytes: u64,
     /// Whether the search hit its step limit before finishing.
     pub truncated: bool,
@@ -55,7 +58,8 @@ impl SearchStats {
         self.steps + 1
     }
 
-    /// Approximate memory in mebibytes, for reporting.
+    /// Approximate memory in mebibytes, for reporting (a sum over runs; see
+    /// [`SearchStats::approx_memory_bytes`]).
     pub fn approx_memory_mib(&self) -> f64 {
         self.approx_memory_bytes as f64 / (1024.0 * 1024.0)
     }

@@ -14,27 +14,43 @@
 //! (path vectors and all) before interning them — that construction is the
 //! irreducible cost of evaluating the protocol's advertise function, not
 //! step overhead, and it is bounded by the stepped node's neighborhood.
+//!
+//! The same holds one level up, for converged states: the explorer hands
+//! its callback a view of the live handle vector, so a steady-state run
+//! whose callback only reads routes through that view allocates nothing
+//! from its first converged state to its last.
+//!
 //! This lives in its own integration-test binary because the global
-//! allocator is process-wide.
+//! allocator is process-wide; allocations are counted per thread, so the
+//! tests here do not see each other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-use plankton_checker::VisitedSet;
+use plankton_checker::{ModelChecker, NoPor, SearchOptions, SearchScratch, Verdict, VisitedSet};
 use plankton_config::scenarios::ring_ospf;
 use plankton_net::failure::FailureSet;
+use plankton_net::ip::Prefix;
 use plankton_net::topology::NodeId;
 use plankton_protocols::ospf::OspfModel;
 use plankton_protocols::rpvp::{EnabledChoice, IncrementalEnabled, Rpvp};
-use plankton_protocols::{ProtocolModel, RouteHandle, RouteInterner};
+use plankton_protocols::{Preference, ProtocolModel, Route, RouteHandle, RouteInterner};
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static COUNT: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Allocations made by the current thread so far.
+fn allocations() -> usize {
+    COUNT.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // `try_with`: the slot is gone while the thread tears down.
+        let _ = COUNT.try_with(|c| c.set(c.get() + 1));
         System.alloc(layout)
     }
 
@@ -101,9 +117,9 @@ fn steady_state_step_path_does_not_allocate() {
     let mut measured = 0usize;
     let mut steps = 0usize;
     while let Some((node, adopt)) = first_choice(&inc) {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let prev_best = rpvp.step_adopting(&mut state, &interner, node, adopt);
-        measured += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        measured += allocations() - before;
 
         displaced.clear();
         inc.refresh_after_step(
@@ -117,24 +133,24 @@ fn steady_state_step_path_does_not_allocate() {
 
         // Undo: restore the handle and the displaced cache entries, then
         // verify the enabled view is iterable without touching the heap.
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         rpvp.undo_step(&mut state, node, prev_best);
         for (n, entry) in displaced.drain(..).rev() {
             inc.set_entry(n, entry);
         }
         let live = inc.view().iter().count();
         assert!(live > 0, "pre-step enabled set cannot be empty here");
-        measured += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        measured += allocations() - before;
 
         // Redo and record the visited fingerprint (bitstate: fixed memory).
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let prev = rpvp.step_adopting(&mut state, &interner, node, adopt);
-        measured += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        measured += allocations() - before;
         displaced.clear();
         inc.refresh_after_step(&rpvp, &state, &mut interner, node, prev, &mut displaced);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         visited.insert(&state.best, &interner);
-        measured += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        measured += allocations() - before;
         steps += 1;
     }
     assert!(steps > 0, "the walk must take steps");
@@ -146,5 +162,97 @@ fn steady_state_step_path_does_not_allocate() {
     assert_eq!(
         measured, 0,
         "steady-state step path allocated {measured} times over {steps} steps"
+    );
+}
+
+/// An origin (node 0), two relays (1, 2) that listen to it only, and
+/// `leaves` nodes that listen to both relays and rank the two routes equal:
+/// every leaf picks either relay, so there are `2^leaves` converged states,
+/// every execution takes the same `2 + leaves` steps, and every route is
+/// short enough to live inline.
+struct TwoRelays {
+    peers: Vec<Vec<NodeId>>,
+}
+
+impl TwoRelays {
+    fn new(leaves: usize) -> Self {
+        let mut peers = vec![Vec::new(), vec![NodeId(0)], vec![NodeId(0)]];
+        peers.resize(3 + leaves, vec![NodeId(1), NodeId(2)]);
+        TwoRelays { peers }
+    }
+}
+
+impl ProtocolModel for TwoRelays {
+    fn node_count(&self) -> usize {
+        self.peers.len()
+    }
+    fn origins(&self) -> &[NodeId] {
+        const O: [NodeId; 1] = [NodeId(0)];
+        &O
+    }
+    fn peers(&self, n: NodeId) -> &[NodeId] {
+        &self.peers[n.index()]
+    }
+    fn advertise(&self, from: NodeId, to: NodeId, r: &Route) -> Option<Route> {
+        (!r.traverses(to)).then(|| r.extended_through(from))
+    }
+    fn origin_route(&self, _o: NodeId) -> Route {
+        Route::originated(Prefix::DEFAULT)
+    }
+    fn prefer(&self, _n: NodeId, a: &Route, b: &Route) -> Preference {
+        match a.hop_count().cmp(&b.hop_count()) {
+            std::cmp::Ordering::Less => Preference::Better,
+            std::cmp::Ordering::Greater => Preference::Worse,
+            std::cmp::Ordering::Equal => Preference::Tied,
+        }
+    }
+    fn name(&self) -> &'static str {
+        "two-relays"
+    }
+}
+
+#[test]
+fn steady_state_run_emits_converged_states_without_allocating() {
+    let leaves = 5usize;
+    let model = TwoRelays::new(leaves);
+    // No reduction: the search branches over every choice and reaches each
+    // of the 2^leaves converged states once (bitstate: fixed memory).
+    let options = SearchOptions::no_optimizations().with_bitstate(1 << 16);
+    let mut scratch = SearchScratch::new();
+    let mut run = || {
+        let parts = scratch.take_parts(&options);
+        let checker = ModelChecker::new_with_scratch(
+            &model,
+            Box::new(NoPor),
+            options.clone(),
+            FailureSet::none(),
+            parts,
+        );
+        // Allocation count at the first emit, and the next hops read.
+        let mut first_emit = None;
+        let mut via_relay = 0u64;
+        let (stats, parts) = checker.run_returning(&mut |state, _| {
+            first_emit.get_or_insert_with(allocations);
+            for n in 0..state.node_count() as u32 {
+                let n = NodeId(n);
+                let relay = state.best(n).and_then(|_| state.next_hop(n));
+                via_relay += u64::from(matches!(relay, Some(NodeId(1 | 2))));
+            }
+            Verdict::Continue
+        });
+        let allocated = allocations() - first_emit.expect("the run converges");
+        scratch.put_parts(parts);
+        (stats, via_relay, allocated)
+    };
+    // Warm-up: interns every route and sizes every pooled buffer.
+    let (warm, _, _) = run();
+    let (stats, via_relay, allocated) = run();
+    assert_eq!(stats.converged_states, 1 << leaves);
+    assert_eq!(stats.converged_states, warm.converged_states);
+    assert_eq!(via_relay, stats.converged_states * leaves as u64);
+    assert_eq!(
+        allocated, 0,
+        "{allocated} allocations from the first of {} converged states to the end of the run",
+        stats.converged_states
     );
 }

@@ -34,4 +34,4 @@ pub use options::{
 };
 pub use outcome::ConvergedRecord;
 pub use report::{PhaseTimings, VerificationReport, Violation};
-pub use verifier::Plankton;
+pub use verifier::{data_planes_capped_counter, Plankton};

@@ -156,7 +156,9 @@ impl VerificationReport {
         serde_json::to_string(&r).expect("reports always serialize")
     }
 
-    /// A one-line summary suitable for experiment logs.
+    /// A one-line summary suitable for experiment logs. The trailing
+    /// "~N MiB" is [`SearchStats::approx_memory_bytes`] summed over every
+    /// model-checking run of the verification, not the process's peak.
     pub fn summary(&self) -> String {
         format!(
             "{}: {} ({} PECs, {} failure sets, {} data planes, {} states, {:.3}s, ~{:.1} MiB)",

@@ -5,6 +5,21 @@
 //! exhaustively, static routes and connected prefixes are resolved directly,
 //! and the FIB model combines one converged alternative per prefix into a
 //! complete data plane for the PEC, which is what policies see.
+//!
+//! The data planes are *streamed* ([`PecSession::stream_planes`]). Prefixes
+//! run most specific first. Every prefix but the last keeps its converged
+//! alternatives (usually one); the last prefix's explorer feeds each
+//! converged state, viewed in place, straight into the plane builder, which
+//! combines it with every selection of the earlier prefixes' alternatives —
+//! in the cross product's odometer order, the most specific prefix turning
+//! fastest — and writes the result into a reused forwarding-graph buffer
+//! with exactly
+//! [`Fib::lookup`](plankton_dataplane::Fib::lookup)'s arbitration
+//! ([`Lookup`]). The sink sees a borrowed [`PlaneRef`] while the explorer is
+//! still at that state: no converged state of the streamed prefix is
+//! stored, and a plane's control routes and trail are copied only when the
+//! sink asks for them. [`PecSession::data_planes`] is a collector over the
+//! same stream.
 
 use crate::options::PlanktonOptions;
 use crate::outcome::ConvergedRecord;
@@ -14,45 +29,50 @@ use plankton_checker::{
     SearchScratch, SearchStats, Trail, Verdict,
 };
 use plankton_config::{Network, StaticNextHop};
-use plankton_dataplane::{FibEntry, ForwardingGraph, NetworkFib, RouteSource};
+use plankton_dataplane::{FibEntry, Forward, ForwardingGraph, Lookup, RouteSource};
 use plankton_engine::SharedRouteInterner;
 use plankton_net::failure::FailureSet;
+use plankton_net::ip::{Ipv4Addr, Prefix};
 use plankton_net::topology::NodeId;
 use plankton_pec::{OriginProtocol, Pec, PrefixConfig};
-use plankton_protocols::{BgpModel, OspfModel, ProtocolModel, Route, SessionType};
+use plankton_protocols::{BgpModel, ConvergedState, OspfModel, ProtocolModel, Route, SessionType};
 use std::cell::RefCell;
 use std::sync::Arc;
 
-/// One converged alternative of one prefix's control plane: the FIB entries
-/// it contributes per device, the converged control routes, and the
-/// execution trail that produced it.
-#[derive(Clone, Debug)]
-pub struct PrefixAlternative {
-    /// Per-device FIB entries contributed by this alternative.
-    pub entries: Vec<Vec<FibEntry>>,
-    /// The converged control-plane route per device.
-    pub control_routes: Vec<Option<Route>>,
-    /// The execution trail (non-deterministic choices) behind it.
-    pub trail: Trail,
+/// One converged alternative of a prefix whose states are collected rather
+/// than streamed: the FIB entries it contributes per device, the converged
+/// control routes, and the execution trail that produced it.
+struct PrefixAlternative {
+    entries: Vec<Vec<FibEntry>>,
+    control_routes: Vec<Option<Route>>,
+    /// Does any device hold a control route?
+    has_routes: bool,
+    trail: Trail,
 }
 
-/// The control-plane results for one prefix of the PEC: entries common to
-/// every alternative (static routes, connected routes) plus the alternatives
-/// produced by model checking the routing protocols.
-#[derive(Clone, Debug)]
-pub struct PrefixRun {
-    /// The prefix these results are for.
-    pub prefix: plankton_net::ip::Prefix,
-    /// Entries present regardless of protocol convergence.
-    pub base_entries: Vec<Vec<FibEntry>>,
-    /// Converged protocol alternatives (at least one, possibly empty of
-    /// routes).
-    pub alternatives: Vec<PrefixAlternative>,
-    /// Aggregated model-checking statistics for this prefix.
-    pub stats: SearchStats,
+impl PrefixAlternative {
+    fn new(entries: Vec<Vec<FibEntry>>, control_routes: Vec<Option<Route>>, trail: Trail) -> Self {
+        let has_routes = control_routes.iter().any(Option::is_some);
+        PrefixAlternative {
+            entries,
+            control_routes,
+            has_routes,
+            trail,
+        }
+    }
 }
 
-/// A complete data plane for the PEC (one alternative chosen per prefix).
+/// The collected control-plane results for one prefix of the PEC: entries
+/// common to every alternative (static routes, connected routes) plus the
+/// alternatives produced by model checking the routing protocols.
+struct PrefixRun {
+    base_entries: Vec<Vec<FibEntry>>,
+    /// At least one, possibly empty of routes.
+    alternatives: Vec<PrefixAlternative>,
+}
+
+/// A complete data plane for the PEC (one alternative chosen per prefix),
+/// owned.
 #[derive(Clone, Debug)]
 pub struct DataPlane {
     /// The combined forwarding graph.
@@ -62,6 +82,328 @@ pub struct DataPlane {
     /// The trail of the alternative that contributed the most specific
     /// prefix's routes.
     pub trail: Trail,
+}
+
+/// Where a plane's control routes come from.
+#[derive(Clone, Copy)]
+enum Control<'p> {
+    /// No prefix produced a route.
+    None,
+    /// A collected alternative's routes.
+    Routes(&'p [Option<Route>]),
+    /// The routes of the converged state being streamed.
+    Converged(ConvergedState<'p>),
+}
+
+/// A data plane as [`PecSession::stream_planes`] hands it out: the
+/// forwarding graph is the builder's reused buffer, the control routes and
+/// trail are read where they live and copied only on demand. Valid for the
+/// sink call only.
+pub struct PlaneRef<'p> {
+    /// The combined forwarding graph.
+    pub forwarding: &'p ForwardingGraph,
+    /// The forwarding graph of the plane streamed just before this one for
+    /// the same (PEC × failure set), if any, so that a sink can put off work
+    /// on the first plane until it knows a second one exists.
+    pub previous: Option<&'p ForwardingGraph>,
+    control: Control<'p>,
+    /// `None`: a fresh trail under `failures` (no prefix produced routes).
+    trail: Option<&'p Trail>,
+    failures: &'p FailureSet,
+}
+
+impl<'p> PlaneRef<'p> {
+    /// Device `n`'s control-plane route for the most specific prefix that
+    /// produced any.
+    pub fn control_route(&self, n: NodeId) -> Option<&'p Route> {
+        match self.control {
+            Control::None => None,
+            Control::Routes(routes) => routes[n.index()].as_ref(),
+            Control::Converged(state) => state.best(n),
+        }
+    }
+
+    /// Every device's control route, copied into `out` (replacing its
+    /// contents, keeping its allocation).
+    pub fn control_routes_into(&self, out: &mut Vec<Option<Route>>) {
+        out.clear();
+        out.extend(
+            (0..self.forwarding.node_count() as u32)
+                .map(|i| self.control_route(NodeId(i)).cloned()),
+        );
+    }
+
+    /// The execution trail behind the plane, copied.
+    pub fn trail(&self) -> Trail {
+        match self.trail {
+            Some(trail) => trail.clone(),
+            None => Trail::new(self.failures.clone()),
+        }
+    }
+
+    /// Copy the whole plane out.
+    pub fn to_owned(&self) -> DataPlane {
+        let mut control_routes = Vec::new();
+        self.control_routes_into(&mut control_routes);
+        DataPlane {
+            forwarding: self.forwarding.clone(),
+            control_routes,
+            trail: self.trail(),
+        }
+    }
+}
+
+/// What one [`PecSession::stream_planes`] run did.
+#[derive(Clone, Copy, Debug)]
+pub struct PlaneStream {
+    /// Model-checking statistics over every prefix's runs.
+    pub stats: SearchStats,
+    /// Planes handed to the sink.
+    pub planes: u64,
+    /// Planes of the cross product that
+    /// [`PlanktonOptions::max_data_planes_per_pec`] kept from the sink.
+    pub capped: u64,
+}
+
+/// How a protocol instance's converged routes become FIB entries.
+enum Forwarder<'m> {
+    /// OSPF: equal-cost multipath recovered from the converged costs.
+    Ospf(&'m OspfModel),
+    /// BGP: eBGP routes forward to the (adjacent) peer, iBGP routes along
+    /// the IGP towards the BGP next hop.
+    Bgp(&'m DependencyUnderlay),
+}
+
+impl Forwarder<'_> {
+    /// The FIB source of a converged route.
+    fn source(&self, route: &Route) -> RouteSource {
+        match self {
+            Forwarder::Ospf(_) => RouteSource::Ospf,
+            Forwarder::Bgp(_) if route.learned_via == SessionType::Ibgp => RouteSource::Ibgp,
+            Forwarder::Bgp(_) => RouteSource::Ebgp,
+        }
+    }
+
+    /// The forwarding `node`'s converged `route` installs: delivery at the
+    /// origin, otherwise the next hops (computed into `hops`), or nothing
+    /// when none resolve.
+    fn forward<'h>(
+        &self,
+        state: &ConvergedState<'_>,
+        node: NodeId,
+        route: &Route,
+        hops: &'h mut Vec<NodeId>,
+    ) -> Option<Forward<'h>> {
+        hops.clear();
+        if route.is_origin() {
+            return Some(Forward::Deliver);
+        }
+        match self {
+            Forwarder::Ospf(model) => {
+                model.ecmp_next_hops(state, node, hops);
+                if hops.is_empty() {
+                    hops.extend(route.next_hop());
+                }
+            }
+            Forwarder::Bgp(underlay) => {
+                let bgp_next_hop = route.next_hop().expect("a non-origin route has a next hop");
+                match route.learned_via {
+                    // eBGP peers are directly connected: forward to them.
+                    SessionType::Ebgp | SessionType::Igp | SessionType::Originated => {
+                        hops.push(bgp_next_hop)
+                    }
+                    // iBGP: forward along the IGP towards the peer.
+                    SessionType::Ibgp => {
+                        hops.extend_from_slice(
+                            underlay
+                                .igp_next_hops(node, bgp_next_hop)
+                                .unwrap_or_default(),
+                        );
+                    }
+                }
+            }
+        }
+        (!hops.is_empty()).then_some(Forward::Via(hops))
+    }
+
+    /// A converged state as a collected alternative for `prefix`.
+    fn alternative(
+        &self,
+        prefix: Prefix,
+        state: &ConvergedState<'_>,
+        trail: &Trail,
+        hops: &mut Vec<NodeId>,
+    ) -> PrefixAlternative {
+        let n = state.node_count();
+        let mut entries = vec![Vec::new(); n];
+        for (i, node_entries) in entries.iter_mut().enumerate() {
+            let node = NodeId(i as u32);
+            let Some(route) = state.best(node) else {
+                continue;
+            };
+            let source = self.source(route);
+            match self.forward(state, node, route, hops) {
+                Some(Forward::Deliver) => node_entries.push(FibEntry::local(prefix, source)),
+                Some(Forward::Via(h)) => {
+                    node_entries.push(FibEntry::via(prefix, h.to_vec(), source))
+                }
+                _ => {}
+            }
+        }
+        PrefixAlternative::new(entries, state.to_routes(), trail.clone())
+    }
+}
+
+/// The converged state the streamed prefix's explorer is at.
+struct Streamed<'a> {
+    prefix: Prefix,
+    state: ConvergedState<'a>,
+    trail: &'a Trail,
+    forwarder: &'a Forwarder<'a>,
+}
+
+/// Offer a collected entry list to `lookup`, in table order.
+fn offer<'e>(lookup: &mut Lookup, winner: &mut Forward<'e>, entries: &'e [FibEntry]) {
+    for e in entries {
+        if lookup.offer(e.prefix, e.admin_distance) {
+            *winner = e.action();
+        }
+    }
+}
+
+/// Builds the planes of one (PEC × failure set) from the collected prefixes
+/// and the streamed prefix's converged states.
+struct PlaneBuilder<'s> {
+    /// The collected prefixes, most specific first.
+    collected: &'s [PrefixRun],
+    /// The streamed prefix's base entries.
+    base: &'s [Vec<FibEntry>],
+    addr: Ipv4Addr,
+    failures: &'s FailureSet,
+    cap: usize,
+    /// The planes are built alternately in these two buffers, so the one
+    /// before is still intact while the sink sees the current one.
+    graphs: [ForwardingGraph; 2],
+    /// Index of the buffer the next plane is built in.
+    next: usize,
+    /// Odometer over the collected prefixes' alternatives (position 0, the
+    /// most specific prefix, turns fastest).
+    selection: Vec<usize>,
+    /// Next-hop scratch for the streamed entry.
+    hops: Vec<NodeId>,
+    /// Converged states the streamed prefix produced.
+    states: u64,
+    planes: u64,
+    capped: u64,
+}
+
+impl<'s> PlaneBuilder<'s> {
+    fn new(
+        session: &'s PecSession<'_>,
+        collected: &'s [PrefixRun],
+        base: &'s [Vec<FibEntry>],
+        cap: usize,
+    ) -> Self {
+        let n = session.network.node_count();
+        PlaneBuilder {
+            collected,
+            base,
+            addr: session.pec.representative(),
+            failures: session.failures,
+            cap,
+            graphs: [ForwardingGraph::new(n), ForwardingGraph::new(n)],
+            next: 0,
+            selection: vec![0; collected.len()],
+            hops: Vec::new(),
+            states: 0,
+            planes: 0,
+            capped: 0,
+        }
+    }
+
+    /// Emit every plane that pairs `streamed` (`None`: the streamed prefix
+    /// contributes its base entries only) with a selection of the collected
+    /// alternatives, in odometer order, until the cap is reached; count the
+    /// rest as capped.
+    fn emit(&mut self, streamed: Option<&Streamed<'_>>, sink: &mut dyn FnMut(&PlaneRef<'_>)) {
+        let selections: usize = self
+            .collected
+            .iter()
+            .map(|run| run.alternatives.len())
+            .product();
+        let build = selections.min(self.cap.saturating_sub(self.planes as usize));
+        self.capped += (selections - build) as u64;
+        self.selection.fill(0);
+        for _ in 0..build {
+            self.build(streamed);
+            let (control, trail) = self.control(streamed);
+            sink(&PlaneRef {
+                forwarding: &self.graphs[self.next],
+                previous: (self.planes > 0).then(|| &self.graphs[1 - self.next]),
+                control,
+                trail,
+                failures: self.failures,
+            });
+            self.planes += 1;
+            self.next = 1 - self.next;
+            // Turn the odometer.
+            for (pos, run) in self.collected.iter().enumerate() {
+                self.selection[pos] += 1;
+                if self.selection[pos] < run.alternatives.len() {
+                    break;
+                }
+                self.selection[pos] = 0;
+            }
+        }
+    }
+
+    /// Write the plane of the current selection into the next buffer. Each
+    /// device offers its candidate entries to [`Lookup`] in table order:
+    /// per collected prefix its base entries, then its alternative's; then
+    /// the streamed prefix's base entries and, last, the streamed entry.
+    fn build(&mut self, streamed: Option<&Streamed<'_>>) {
+        let graph = &mut self.graphs[self.next];
+        for i in 0..graph.node_count() {
+            let node = NodeId(i as u32);
+            let mut lookup = Lookup::new(self.addr);
+            let mut winner = Forward::NoRoute;
+            for (run, &alt) in self.collected.iter().zip(&self.selection) {
+                offer(&mut lookup, &mut winner, &run.base_entries[i]);
+                offer(&mut lookup, &mut winner, &run.alternatives[alt].entries[i]);
+            }
+            offer(&mut lookup, &mut winner, &self.base[i]);
+            if let Some(s) = streamed {
+                if let Some(route) = s.state.best(node) {
+                    // Derive the streamed entry only if it would win.
+                    let distance = s.forwarder.source(route).default_distance();
+                    if lookup.beats(s.prefix, distance) {
+                        if let Some(action) =
+                            s.forwarder.forward(&s.state, node, route, &mut self.hops)
+                        {
+                            winner = action;
+                        }
+                    }
+                }
+            }
+            graph.set(i, winner);
+        }
+    }
+
+    /// The control routes of the current selection — those of the first
+    /// prefix, most specific first, whose alternative has any — and the
+    /// trail of that alternative.
+    fn control<'p>(&'p self, streamed: Option<&Streamed<'p>>) -> (Control<'p>, Option<&'p Trail>) {
+        for (run, &alt) in self.collected.iter().zip(&self.selection) {
+            let alt = &run.alternatives[alt];
+            if alt.has_routes {
+                return (Control::Routes(&alt.control_routes), Some(&alt.trail));
+            }
+        }
+        match streamed {
+            Some(s) if s.state.has_routes() => (Control::Converged(s.state), Some(s.trail)),
+            _ => (Control::None, None),
+        }
+    }
 }
 
 /// Inputs describing how one PEC should be verified under one failure set.
@@ -110,21 +452,16 @@ impl<'a> PecSession<'a> {
         search
     }
 
-    /// Run the control plane for one contributing prefix.
-    fn run_prefix(&self, cfg: &PrefixConfig, single_prefix: bool) -> PrefixRun {
-        let n = self.network.node_count();
-        let mut base_entries: Vec<Vec<FibEntry>> = vec![Vec::new(); n];
-        let mut stats = SearchStats::default();
-
-        // Connected prefixes (loopbacks): delivered locally at their owner.
+    /// The entries of `cfg` present regardless of protocol convergence:
+    /// connected prefixes (delivered at their owner) and static routes.
+    fn base_entries(&self, cfg: &PrefixConfig) -> Vec<Vec<FibEntry>> {
+        let mut base_entries: Vec<Vec<FibEntry>> = vec![Vec::new(); self.network.node_count()];
         for (owner, proto) in &cfg.origins {
             if *proto == OriginProtocol::Connected {
                 base_entries[owner.index()]
                     .push(FibEntry::local(cfg.prefix, RouteSource::Connected));
             }
         }
-
-        // Static routes.
         for (device, sr) in &cfg.static_routes {
             let entry = match sr.next_hop {
                 StaticNextHop::Null => FibEntry::null(cfg.prefix),
@@ -159,98 +496,116 @@ impl<'a> PecSession<'a> {
             };
             base_entries[device.index()].push(entry);
         }
+        base_entries
+    }
 
-        // Protocol runs.
-        let ospf_origins: Vec<NodeId> = cfg
-            .origins
-            .iter()
-            .filter(|(_, p)| *p == OriginProtocol::Ospf)
-            .map(|(n, _)| *n)
-            .collect();
-        let bgp_origins: Vec<NodeId> = cfg
-            .origins
-            .iter()
-            .filter(|(_, p)| *p == OriginProtocol::Bgp)
-            .map(|(n, _)| *n)
-            .collect();
-
-        let mut ospf_alts: Vec<PrefixAlternative> = Vec::new();
-        if !ospf_origins.is_empty() {
-            let model = OspfModel::new(self.network, cfg.prefix, ospf_origins, self.failures);
-            let (alts, s) = self.explore(
-                &model,
-                Box::new(OspfPor),
-                single_prefix,
-                |converged, node| {
-                    let ecmp = model.ecmp_next_hops(&converged.best, node);
-                    if !ecmp.is_empty() {
-                        return ecmp;
-                    }
-                    converged
-                        .next_hop(node)
-                        .map(|h| vec![h])
-                        .unwrap_or_default()
-                },
-                |_| RouteSource::Ospf,
-            );
-            stats += s;
-            ospf_alts = alts;
-        }
-
-        let mut bgp_alts: Vec<PrefixAlternative> = Vec::new();
-        if !bgp_origins.is_empty() {
-            let model = BgpModel::new(
-                self.network,
-                cfg.prefix,
-                bgp_origins,
-                self.failures,
-                self.underlay.clone(),
-            );
-            let underlay = self.underlay.clone();
-            let por: Box<dyn PorHeuristic> = if self.options.search.deterministic_nodes {
-                Box::new(BgpPor::from_model(&model))
+    /// Exhaustively model check `cfg`'s instance of `protocol` (OSPF or
+    /// BGP, from the given origins), handing every converged state — with
+    /// its trail and the forwarder that turns its routes into FIB entries —
+    /// to `on_converged`.
+    fn run_protocol(
+        &self,
+        cfg: &PrefixConfig,
+        protocol: OriginProtocol,
+        origins: Vec<NodeId>,
+        single_prefix: bool,
+        on_converged: &mut dyn FnMut(&ConvergedState<'_>, &Trail, &Forwarder<'_>),
+    ) -> SearchStats {
+        let (ospf, bgp);
+        let (model, por, forwarder): (&dyn ProtocolModel, Box<dyn PorHeuristic>, _) =
+            if protocol == OriginProtocol::Ospf {
+                ospf = OspfModel::new(self.network, cfg.prefix, origins, self.failures);
+                (&ospf, Box::new(OspfPor), Forwarder::Ospf(&ospf))
             } else {
-                Box::new(NoPor)
+                bgp = BgpModel::new(
+                    self.network,
+                    cfg.prefix,
+                    origins,
+                    self.failures,
+                    self.underlay.clone(),
+                );
+                let por: Box<dyn PorHeuristic> = if self.options.search.deterministic_nodes {
+                    Box::new(BgpPor::from_model(&bgp))
+                } else {
+                    Box::new(NoPor)
+                };
+                (&bgp, por, Forwarder::Bgp(&self.underlay))
             };
-            let (alts, s) = self.explore(
-                &model,
-                por,
-                single_prefix,
-                |converged, node| {
-                    let Some(route) = converged.best(node) else {
-                        return Vec::new();
-                    };
-                    let Some(bgp_next_hop) = route.next_hop() else {
-                        return Vec::new(); // the origin delivers locally
-                    };
-                    match route.learned_via {
-                        // eBGP peers are directly connected: forward to them.
-                        SessionType::Ebgp | SessionType::Igp | SessionType::Originated => {
-                            vec![bgp_next_hop]
-                        }
-                        // iBGP: forward along the IGP towards the peer.
-                        SessionType::Ibgp => underlay
-                            .igp_next_hops(node, bgp_next_hop)
-                            .unwrap_or_default(),
-                    }
-                },
-                |route| match route.learned_via {
-                    SessionType::Ibgp => RouteSource::Ibgp,
-                    _ => RouteSource::Ebgp,
-                },
-            );
-            stats += s;
-            bgp_alts = alts;
+        let search_options = self.search_options(single_prefix);
+        let mut callback = |converged: &ConvergedState<'_>, trail: &Trail| {
+            on_converged(converged, trail, &forwarder);
+            Verdict::Continue
+        };
+        if self.options.reference_explorer {
+            // Differential-testing path: the pre-incremental clone-based
+            // search (allocates fresh state; ignores the worker scratch).
+            let checker = ReferenceChecker::new(model, por, search_options, self.failures.clone());
+            return checker.run(&mut callback);
         }
+        let checker = match self.scratch {
+            Some(scratch) => {
+                let parts = scratch.borrow_mut().take_parts(&search_options);
+                ModelChecker::new_with_scratch(
+                    model,
+                    por,
+                    search_options,
+                    self.failures.clone(),
+                    parts,
+                )
+            }
+            None => ModelChecker::new(model, por, search_options, self.failures.clone()),
+        };
+        let (stats, parts) = checker.run_returning(&mut callback);
+        if let Some(scratch) = self.scratch {
+            scratch.borrow_mut().put_parts(parts);
+        }
+        stats
+    }
 
-        // Combine the per-protocol alternatives (cross product; usually one
-        // side is empty or both have a single element).
+    /// Model check `cfg`'s instance of `protocol`, keeping every converged
+    /// state as an alternative.
+    fn collect(
+        &self,
+        cfg: &PrefixConfig,
+        protocol: OriginProtocol,
+        origins: Vec<NodeId>,
+        single_prefix: bool,
+    ) -> (Vec<PrefixAlternative>, SearchStats) {
+        let mut alternatives = Vec::new();
+        let mut hops = Vec::new();
+        let stats = self.run_protocol(cfg, protocol, origins, single_prefix, &mut |s, t, f| {
+            alternatives.push(f.alternative(cfg.prefix, s, t, &mut hops))
+        });
+        (alternatives, stats)
+    }
+
+    /// Run the control plane of a prefix that is not streamed and collect
+    /// its alternatives: the cross product of the OSPF and BGP ones (usually
+    /// one side is empty or both have a single element).
+    fn collect_prefix(
+        &self,
+        cfg: &PrefixConfig,
+        single_prefix: bool,
+        stats: &mut SearchStats,
+    ) -> PrefixRun {
+        let n = self.network.node_count();
+        let mut collect = |protocol| {
+            let origins = origins_of(cfg, protocol);
+            if origins.is_empty() {
+                return Vec::new();
+            }
+            let (alternatives, s) = self.collect(cfg, protocol, origins, single_prefix);
+            *stats += s;
+            alternatives
+        };
+        let ospf_alts = collect(OriginProtocol::Ospf);
+        let bgp_alts = collect(OriginProtocol::Bgp);
         let alternatives = match (ospf_alts.is_empty(), bgp_alts.is_empty()) {
-            (true, true) => vec![PrefixAlternative {
-                entries: vec![Vec::new(); n],
-                control_routes: vec![None; n],
-                trail: Trail::new(self.failures.clone()),
-            }],
+            (true, true) => vec![PrefixAlternative::new(
+                vec![Vec::new(); n],
+                vec![None; n],
+                Trail::new(self.failures.clone()),
+            )],
             (false, true) => ospf_alts,
             (true, false) => bgp_alts,
             (false, false) => {
@@ -269,194 +624,117 @@ impl<'a> PecSession<'a> {
                             .zip(&b.control_routes)
                             .map(|(ospf, bgp)| bgp.clone().or_else(|| ospf.clone()))
                             .collect();
-                        combined.push(PrefixAlternative {
+                        combined.push(PrefixAlternative::new(
                             entries,
                             control_routes,
-                            trail: b.trail.clone(),
-                        });
+                            b.trail.clone(),
+                        ));
                     }
                 }
                 combined
             }
         };
-
         PrefixRun {
-            prefix: cfg.prefix,
-            base_entries,
+            base_entries: self.base_entries(cfg),
             alternatives,
-            stats,
         }
     }
 
-    /// Exhaustively model check one protocol instance, converting each
-    /// converged state into a [`PrefixAlternative`].
-    fn explore<F, G>(
-        &self,
-        model: &dyn ProtocolModel,
-        por: Box<dyn PorHeuristic + '_>,
-        single_prefix: bool,
-        next_hops_of: F,
-        source_of: G,
-    ) -> (Vec<PrefixAlternative>, SearchStats)
-    where
-        F: Fn(&plankton_protocols::ConvergedState, NodeId) -> Vec<NodeId>,
-        G: Fn(&Route) -> RouteSource,
-    {
-        let n = self.network.node_count();
-        let prefix = {
-            // The model's origin route carries the prefix.
-            model
-                .origins()
-                .first()
-                .map(|&o| model.origin_route(o).attrs.prefix)
-                .unwrap_or(plankton_net::ip::Prefix::DEFAULT)
-        };
-        let search_options = self.search_options(single_prefix);
-        let mut alternatives = Vec::new();
-        let mut on_converged = |converged: &plankton_protocols::ConvergedState, trail: &Trail| {
-            let mut entries = vec![Vec::new(); n];
-            let mut control_routes = vec![None; n];
-            for i in 0..n {
-                let node = NodeId(i as u32);
-                let Some(route) = converged.best(node) else {
-                    continue;
-                };
-                control_routes[i] = Some(route.clone());
-                if route.is_origin() {
-                    entries[i].push(FibEntry::local(prefix, source_of(route)));
-                    continue;
-                }
-                let hops = next_hops_of(converged, node);
-                if !hops.is_empty() {
-                    entries[i].push(FibEntry::via(prefix, hops, source_of(route)));
-                }
-            }
-            alternatives.push(PrefixAlternative {
-                entries,
-                control_routes,
-                trail: trail.clone(),
-            });
-            Verdict::Continue
-        };
-        if self.options.reference_explorer {
-            // Differential-testing path: the pre-incremental clone-based
-            // search (allocates fresh state; ignores the worker scratch).
-            let checker = ReferenceChecker::new(model, por, search_options, self.failures.clone());
-            let stats = checker.run(&mut on_converged);
-            return (alternatives, stats);
-        }
-        let checker = match self.scratch {
-            Some(scratch) => {
-                let parts = scratch.borrow_mut().take_parts(&search_options);
-                ModelChecker::new_with_scratch(
-                    model,
-                    por,
-                    search_options,
-                    self.failures.clone(),
-                    parts,
-                )
-            }
-            None => ModelChecker::new(model, por, search_options, self.failures.clone()),
-        };
-        let (stats, parts) = checker.run_returning(&mut on_converged);
-        if let Some(scratch) = self.scratch {
-            scratch.borrow_mut().put_parts(parts);
-        }
-        (alternatives, stats)
-    }
-
-    /// Verify the PEC under this session's failure set: run every prefix,
-    /// build every combined data plane (bounded by
-    /// [`PlanktonOptions::max_data_planes_per_pec`]).
-    pub fn data_planes(&self) -> (Vec<DataPlane>, SearchStats) {
+    /// Verify the PEC under this session's failure set, handing each
+    /// combined data plane to `sink` as it is built (bounded by
+    /// [`PlanktonOptions::max_data_planes_per_pec`]; see the module docs).
+    pub fn stream_planes(&self, sink: &mut dyn FnMut(&PlaneRef<'_>)) -> PlaneStream {
         let n = self.network.node_count();
         let single_prefix = self.pec.prefixes.len() <= 1;
-        let mut runs: Vec<PrefixRun> = Vec::new();
         let mut stats = SearchStats::default();
-        for cfg in &self.pec.prefixes {
-            let run = self.run_prefix(cfg, single_prefix);
-            stats += run.stats;
-            runs.push(run);
+        // The last prefix streams when one protocol originates it; a prefix
+        // both OSPF and BGP originate keeps its collected cross product.
+        let streamed = self.pec.prefixes.split_last().and_then(|(last, _)| {
+            let ospf = origins_of(last, OriginProtocol::Ospf);
+            let bgp = origins_of(last, OriginProtocol::Bgp);
+            match (ospf.is_empty(), bgp.is_empty()) {
+                (false, true) => Some((last, OriginProtocol::Ospf, ospf)),
+                (true, false) => Some((last, OriginProtocol::Bgp, bgp)),
+                _ => None,
+            }
+        });
+        let collected_cfgs = match streamed {
+            Some(_) => &self.pec.prefixes[..self.pec.prefixes.len() - 1],
+            None => &self.pec.prefixes[..],
+        };
+        let collected: Vec<PrefixRun> = collected_cfgs
+            .iter()
+            .map(|cfg| self.collect_prefix(cfg, single_prefix, &mut stats))
+            .collect();
+        let base = match streamed {
+            Some((last, ..)) => self.base_entries(last),
+            None => vec![Vec::new(); n],
+        };
+        // A PEC with no configuration has a single all-blackhole data plane,
+        // not counted against the cap.
+        let cap = if self.pec.prefixes.is_empty() {
+            usize::MAX
+        } else {
+            self.options.max_data_planes_per_pec
+        };
+        let mut builder = PlaneBuilder::new(self, &collected, &base, cap);
+        if let Some((last, protocol, origins)) = streamed {
+            let on_converged =
+                &mut |state: &ConvergedState<'_>, trail: &Trail, forwarder: &Forwarder<'_>| {
+                    builder.states += 1;
+                    let streamed = Streamed {
+                        prefix: last.prefix,
+                        state: *state,
+                        trail,
+                        forwarder,
+                    };
+                    builder.emit(Some(&streamed), sink);
+                };
+            stats += self.run_protocol(last, protocol, origins, single_prefix, on_converged);
         }
-        if runs.is_empty() {
-            // A PEC with no configuration: a single all-blackhole data plane.
-            return (
-                vec![DataPlane {
-                    forwarding: ForwardingGraph::new(n),
-                    control_routes: vec![None; n],
-                    trail: Trail::new(self.failures.clone()),
-                }],
-                stats,
-            );
+        if builder.states == 0 {
+            builder.emit(None, sink);
         }
+        PlaneStream {
+            stats,
+            planes: builder.planes,
+            capped: builder.capped,
+        }
+    }
 
-        // Cross product of per-prefix alternatives.
+    /// Every combined data plane of the PEC, owned: a collector over
+    /// [`PecSession::stream_planes`].
+    pub fn data_planes(&self) -> (Vec<DataPlane>, SearchStats) {
         let mut planes = Vec::new();
-        let mut selection = vec![0usize; runs.len()];
-        loop {
-            if planes.len() >= self.options.max_data_planes_per_pec {
-                break;
-            }
-            let mut fib = NetworkFib::new(n);
-            let mut control_routes: Vec<Option<Route>> = vec![None; n];
-            let mut trail = Trail::new(self.failures.clone());
-            // Prefixes are ordered most specific first; take the control view
-            // and trail from the most specific prefix that produced routes.
-            for (run, &alt_idx) in runs.iter().zip(selection.iter()) {
-                let alt = &run.alternatives[alt_idx];
-                for node in 0..n {
-                    for e in &run.base_entries[node] {
-                        fib.fib_mut(NodeId(node as u32)).add(e.clone());
-                    }
-                    for e in &alt.entries[node] {
-                        fib.fib_mut(NodeId(node as u32)).add(e.clone());
-                    }
-                }
-                if control_routes.iter().all(|r| r.is_none())
-                    && alt.control_routes.iter().any(|r| r.is_some())
-                {
-                    control_routes = alt.control_routes.clone();
-                    trail = alt.trail.clone();
-                }
-            }
-            let forwarding = ForwardingGraph::from_fib(&fib, self.pec.representative());
-            planes.push(DataPlane {
-                forwarding,
-                control_routes,
-                trail,
-            });
-
-            // Advance the selection (odometer).
-            let mut pos = 0;
-            loop {
-                if pos == runs.len() {
-                    return (planes, stats);
-                }
-                selection[pos] += 1;
-                if selection[pos] < runs[pos].alternatives.len() {
-                    break;
-                }
-                selection[pos] = 0;
-                pos += 1;
-            }
-        }
-        (planes, stats)
+        let stream = self.stream_planes(&mut |plane| planes.push(plane.to_owned()));
+        (planes, stream.stats)
     }
 
     /// Turn a data plane into the record stored for dependent PECs, sharing
     /// route allocations through the engine's interner.
-    pub fn record_of(&self, plane: &DataPlane, interner: &SharedRouteInterner) -> ConvergedRecord {
+    pub fn record_of(
+        &self,
+        plane: &PlaneRef<'_>,
+        interner: &SharedRouteInterner,
+    ) -> ConvergedRecord {
         ConvergedRecord {
             failures: self.failures.clone(),
             owners: plane.forwarding.delivery_points(),
             forwarding: plane.forwarding.clone(),
-            control_routes: plane
-                .control_routes
-                .iter()
-                .map(|r| interner.intern_opt(r.as_ref()))
+            control_routes: (0..plane.forwarding.node_count() as u32)
+                .map(|i| interner.intern_opt(plane.control_route(NodeId(i))))
                 .collect(),
         }
     }
+}
+
+/// The devices originating `cfg`'s prefix into `protocol`.
+fn origins_of(cfg: &PrefixConfig, protocol: OriginProtocol) -> Vec<NodeId> {
+    cfg.origins
+        .iter()
+        .filter(|(_, p)| *p == protocol)
+        .map(|(n, _)| *n)
+        .collect()
 }
 
 #[cfg(test)]
@@ -502,8 +780,13 @@ mod tests {
                 "{n} cannot reach the destination"
             );
         }
-        let record = session.record_of(&planes[0], &SharedRouteInterner::new());
-        assert_eq!(record.owners, vec![s.origin]);
+        let mut records = Vec::new();
+        session.stream_planes(&mut |plane| {
+            records.push(session.record_of(plane, &SharedRouteInterner::new()))
+        });
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].owners, vec![s.origin]);
+        assert_eq!(records[0].forwarding, planes[0].forwarding);
     }
 
     #[test]

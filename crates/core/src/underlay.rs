@@ -54,9 +54,9 @@ impl DependencyUnderlay {
 
     /// The IGP forwarding next hops `from` uses towards `owner`'s loopback
     /// (empty if `from` is the owner itself), or `None` if unreachable.
-    pub fn igp_next_hops(&self, from: NodeId, owner: NodeId) -> Option<Vec<NodeId>> {
+    pub fn igp_next_hops(&self, from: NodeId, owner: NodeId) -> Option<&[NodeId]> {
         if from == owner {
-            return Some(Vec::new());
+            return Some(&[]);
         }
         let per_node = self.hops_to.get(&owner)?;
         let hops = per_node.get(from.index())?;
@@ -65,7 +65,7 @@ impl DependencyUnderlay {
             // unreachable from here in this converged state.
             return None;
         }
-        Some(hops.clone())
+        Some(hops)
     }
 
     /// Record the converged state of the PEC containing `addr`, for recursive

@@ -25,11 +25,12 @@ use crate::failures::failure_sets_to_explore;
 use crate::options::PlanktonOptions;
 use crate::outcome::ConvergedRecord;
 use crate::report::{VerificationReport, Violation};
-use crate::session::{DataPlane, PecSession};
+use crate::session::{PecSession, PlaneStream};
 use crate::underlay::DependencyUnderlay;
 use parking_lot::Mutex;
 use plankton_checker::{SearchScratch, SearchStats};
 use plankton_config::Network;
+use plankton_dataplane::{ForwardingGraph, WalkEnd};
 use plankton_engine::SharedRouteInterner;
 use plankton_net::failure::{FailureScenario, FailureSet};
 use plankton_net::topology::NodeId;
@@ -37,7 +38,7 @@ use plankton_pec::{compute_pecs, Pec, PecDependencies, PecId, PecSet};
 use plankton_policy::{ConvergedView, Policy};
 use plankton_telemetry::trace::{self, Field, Level};
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -340,47 +341,67 @@ impl Plankton {
                 has_dependencies: component_has_dependencies,
                 scratch: Some(scratch),
             };
-            let (planes, stats) = session.data_planes();
-            result.stats = stats;
-
-            let mut seen_signatures: BTreeSet<Vec<(usize, bool, Vec<usize>)>> = BTreeSet::new();
-            for plane in &planes {
+            // One pass per plane, as the explorer finds it: §3.5 signature,
+            // dedupe, policy check; plus the record dependents read.
+            let mut signatures = SignatureSet::new(
+                ctx.policy.sources(),
+                &ctx.interesting,
+                self.network.node_count(),
+            );
+            let mut first_unsigned = false;
+            let mut control_routes = Vec::new();
+            let stream = session.stream_planes(&mut |plane| {
                 if component_has_dependents {
                     result
                         .records
                         .push(Arc::new(session.record_of(plane, &ctx.interner)));
                 }
                 if !should_check {
-                    continue;
+                    return;
                 }
                 if ctx.options.equivalence_suppression {
-                    let signature = equivalence_signature(
-                        plane,
-                        ctx.policy.sources().as_deref(),
-                        &ctx.interesting,
-                    );
-                    if !seen_signatures.insert(signature) {
-                        continue;
+                    // The first plane's signature is only needed once a
+                    // second plane of this (PEC × failure set) arrives.
+                    match plane.previous {
+                        None => first_unsigned = true,
+                        Some(previous) => {
+                            if std::mem::take(&mut first_unsigned) {
+                                signatures.insert(previous);
+                            }
+                            if !signatures.insert(plane.forwarding) {
+                                return;
+                            }
+                        }
                     }
                 }
                 result.data_planes_checked += 1;
+                plane.control_routes_into(&mut control_routes);
                 let view = ConvergedView {
                     pec,
-                    forwarding: &plane.forwarding,
-                    control_routes: &plane.control_routes,
+                    forwarding: plane.forwarding,
+                    control_routes: &control_routes,
                 };
                 if let plankton_policy::PolicyResult::Violated(reason) = ctx.policy.check(&view) {
                     result.violations.push(Violation {
                         pec: pec_id,
                         prefix: pec.most_specific().map(|c| c.prefix),
                         failures: failures.clone(),
-                        trail: plane.trail.clone(),
+                        trail: plane.trail(),
                         reason,
                     });
                     if ctx.options.stop_at_first_violation {
                         ctx.stop.store(true, Ordering::Relaxed);
                     }
                 }
+            });
+            result.stats = stream.stats;
+            if stream.capped > 0 {
+                record_capped(
+                    pec_id,
+                    failures,
+                    &stream,
+                    ctx.options.max_data_planes_per_pec,
+                );
             }
             let elapsed = task_start.elapsed().as_micros() as u64;
             let costs = plankton_telemetry::taskstats::global();
@@ -460,34 +481,90 @@ impl Plankton {
     }
 }
 
-/// The policy-level equivalence signature of a data plane (§3.5): for every
-/// source, the length of its forwarding path, whether it is delivered, and
-/// the positions of the interesting nodes along it. Data planes with equal
-/// signatures are indistinguishable to the policy, so only one of them is
-/// checked.
-fn equivalence_signature(
-    plane: &DataPlane,
-    sources: Option<&[NodeId]>,
-    interesting: &[NodeId],
-) -> Vec<(usize, bool, Vec<usize>)> {
-    let sources: Vec<NodeId> = match sources {
-        Some(s) => s.to_vec(),
-        None => (0..plane.forwarding.node_count() as u32)
-            .map(NodeId)
-            .collect(),
-    };
-    sources
-        .iter()
-        .map(|&s| {
-            let outcome = plane.forwarding.walk(s);
-            let path = outcome.path();
-            let positions = interesting
+/// The counter of planes [`PlanktonOptions::max_data_planes_per_pec`] kept
+/// from the policy (`plankton_data_planes_capped_total`).
+pub fn data_planes_capped_counter() -> &'static Arc<plankton_telemetry::Counter> {
+    static CAPPED: std::sync::OnceLock<Arc<plankton_telemetry::Counter>> =
+        std::sync::OnceLock::new();
+    CAPPED.get_or_init(|| {
+        plankton_telemetry::metrics::global().counter(
+            "plankton_data_planes_capped_total",
+            "Converged data planes skipped because a (PEC x failure set) reached max_data_planes_per_pec.",
+        )
+    })
+}
+
+/// Account for planes the cap kept from the policy: a counter and a warn
+/// event, so that reduced coverage is never silent.
+fn record_capped(pec: PecId, failures: &FailureSet, stream: &PlaneStream, cap: usize) {
+    data_planes_capped_counter().add(stream.capped);
+    if trace::enabled(Level::Warn) {
+        let failures_text = failures.to_string();
+        trace::event(
+            Level::Warn,
+            "data_planes_capped",
+            &[
+                Field::u64("pec", pec.0 as u64),
+                Field::str("failures", &failures_text),
+                Field::u64("converged", stream.planes + stream.capped),
+                Field::u64("cap", cap as u64),
+            ],
+        );
+    }
+}
+
+/// The §3.5 policy-level equivalence signatures seen so far in one
+/// (PEC × failure set). A plane's signature is, for every source, the length
+/// of its forwarding path, whether it is delivered, and the positions of the
+/// interesting nodes along it; data planes with equal signatures are
+/// indistinguishable to the policy, so only one of them is checked.
+struct SignatureSet<'a> {
+    sources: Vec<NodeId>,
+    interesting: &'a [NodeId],
+    seen: HashSet<Vec<u32>>,
+    /// The signature being computed, flattened: per source its path
+    /// length, delivered flag, position count, then the positions.
+    scratch: Vec<u32>,
+    path: Vec<NodeId>,
+    on_path: Vec<bool>,
+}
+
+impl<'a> SignatureSet<'a> {
+    /// Signatures over the policy's `sources` (`None`: every node).
+    fn new(sources: Option<Vec<NodeId>>, interesting: &'a [NodeId], nodes: usize) -> Self {
+        SignatureSet {
+            sources: sources.unwrap_or_else(|| (0..nodes as u32).map(NodeId).collect()),
+            interesting,
+            seen: HashSet::new(),
+            scratch: Vec::new(),
+            path: Vec::new(),
+            on_path: vec![false; nodes],
+        }
+    }
+
+    /// Record `plane`'s signature; returns whether it was new.
+    fn insert(&mut self, plane: &ForwardingGraph) -> bool {
+        self.scratch.clear();
+        for &s in &self.sources {
+            let end = plane.walk_into(s, &mut self.path, &mut self.on_path);
+            let positions = self
+                .interesting
                 .iter()
-                .filter_map(|w| path.iter().position(|n| n == w))
-                .collect();
-            (path.len(), outcome.is_delivered(), positions)
-        })
-        .collect()
+                .filter_map(|w| self.path.iter().position(|n| n == w));
+            let at = self.scratch.len();
+            self.scratch.extend([
+                self.path.len() as u32,
+                (end == WalkEnd::Delivered) as u32,
+                0,
+            ]);
+            self.scratch.extend(positions.map(|p| p as u32));
+            self.scratch[at + 2] = (self.scratch.len() - at - 3) as u32;
+        }
+        if self.seen.contains(&self.scratch[..]) {
+            return false;
+        }
+        self.seen.insert(self.scratch.clone())
+    }
 }
 
 #[cfg(test)]

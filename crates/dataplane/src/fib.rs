@@ -99,6 +99,66 @@ impl FibEntry {
     pub fn is_local(&self) -> bool {
         !self.drop && self.next_hops.is_empty()
     }
+
+    /// What a device whose lookup selects this entry does with the traffic.
+    pub fn action(&self) -> Forward<'_> {
+        if self.drop {
+            Forward::Drop
+        } else if self.next_hops.is_empty() {
+            Forward::Deliver
+        } else {
+            Forward::Via(&self.next_hops)
+        }
+    }
+}
+
+/// The forwarding action a device takes for one destination.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Forward<'a> {
+    /// No matching entry: the traffic is dropped silently.
+    NoRoute,
+    /// A null route: the traffic is discarded.
+    Drop,
+    /// The device owns the destination and delivers the traffic.
+    Deliver,
+    /// The traffic is forwarded to these next hops.
+    Via(&'a [NodeId]),
+}
+
+/// [`Fib::lookup`]'s arbitration, fed one candidate at a time in table
+/// order: among the candidates whose prefix contains the address, the
+/// longest prefix wins, then the lowest administrative distance, and the
+/// first candidate wins a tie. Callers that derive a candidate only when it
+/// could win ask [`Lookup::beats`] before building it.
+#[derive(Clone, Copy, Debug)]
+pub struct Lookup {
+    addr: plankton_net::ip::Ipv4Addr,
+    best: Option<(std::cmp::Reverse<u8>, u8)>,
+}
+
+impl Lookup {
+    /// A lookup of `addr` with no candidate seen yet.
+    pub fn new(addr: plankton_net::ip::Ipv4Addr) -> Self {
+        Lookup { addr, best: None }
+    }
+
+    /// Would a candidate for `prefix` at `admin_distance`, offered next,
+    /// displace the current winner?
+    pub fn beats(&self, prefix: Prefix, admin_distance: u8) -> bool {
+        prefix.contains(self.addr)
+            && self
+                .best
+                .is_none_or(|best| (std::cmp::Reverse(prefix.len()), admin_distance) < best)
+    }
+
+    /// Offer the next candidate; returns whether it is the new winner.
+    pub fn offer(&mut self, prefix: Prefix, admin_distance: u8) -> bool {
+        let wins = self.beats(prefix, admin_distance);
+        if wins {
+            self.best = Some((std::cmp::Reverse(prefix.len()), admin_distance));
+        }
+        wins
+    }
 }
 
 /// The FIB of a single device: candidate entries for the prefixes of one PEC.
@@ -131,10 +191,14 @@ impl Fib {
     /// The winning entry for a destination address: longest prefix match
     /// first, then lowest administrative distance.
     pub fn lookup(&self, addr: plankton_net::ip::Ipv4Addr) -> Option<&FibEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.prefix.contains(addr))
-            .min_by_key(|e| (std::cmp::Reverse(e.prefix.len()), e.admin_distance))
+        let mut lookup = Lookup::new(addr);
+        let mut winner = None;
+        for e in &self.entries {
+            if lookup.offer(e.prefix, e.admin_distance) {
+                winner = Some(e);
+            }
+        }
+        winner
     }
 }
 

@@ -6,7 +6,7 @@
 //! graph (§3.5), so the walks, loop detection and multipath enumeration here
 //! are the substrate every policy is built on.
 
-use crate::fib::NetworkFib;
+use crate::fib::{Forward, NetworkFib};
 use plankton_net::ip::Ipv4Addr;
 use plankton_net::topology::NodeId;
 use serde::{Deserialize, Serialize};
@@ -59,6 +59,18 @@ impl PathOutcome {
     }
 }
 
+/// How a [`ForwardingGraph::walk_into`] ended (the [`PathOutcome`] without
+/// its path).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WalkEnd {
+    /// The packet reached a delivery point.
+    Delivered,
+    /// The packet entered a forwarding loop.
+    Loop,
+    /// The packet was dropped.
+    Blackhole,
+}
+
 /// The forwarding graph of one PEC.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ForwardingGraph {
@@ -87,15 +99,23 @@ impl ForwardingGraph {
         let n = fib.fibs.len();
         let mut graph = ForwardingGraph::new(n);
         for i in 0..n {
-            let node = NodeId(i as u32);
-            match fib.lookup(node, addr) {
-                None => {}
-                Some(entry) if entry.drop => graph.drops[i] = true,
-                Some(entry) if entry.is_local() => graph.delivers[i] = true,
-                Some(entry) => graph.next_hops[i] = entry.next_hops.clone(),
-            }
+            let action = fib
+                .lookup(NodeId(i as u32), addr)
+                .map_or(Forward::NoRoute, |entry| entry.action());
+            graph.set(i, action);
         }
         graph
+    }
+
+    /// Make `action` device `i`'s forwarding, replacing whatever it was
+    /// (the device's next-hop buffer is reused, not reallocated).
+    pub fn set(&mut self, i: usize, action: Forward<'_>) {
+        self.next_hops[i].clear();
+        self.delivers[i] = action == Forward::Deliver;
+        self.drops[i] = action == Forward::Drop;
+        if let Forward::Via(hops) = action {
+            self.next_hops[i].extend_from_slice(hops);
+        }
     }
 
     /// Number of devices.
@@ -114,27 +134,47 @@ impl ForwardingGraph {
     /// Walk from `src` following the *first* next hop at every device (the
     /// single-path view used by most policies).
     pub fn walk(&self, src: NodeId) -> PathOutcome {
-        let mut path = vec![src];
-        let mut seen: HashSet<NodeId> = HashSet::from([src]);
+        let mut path = Vec::new();
+        let mut seen = vec![false; self.node_count()];
+        match self.walk_into(src, &mut path, &mut seen) {
+            WalkEnd::Delivered => PathOutcome::Delivered { path },
+            WalkEnd::Loop => PathOutcome::Loop { path },
+            WalkEnd::Blackhole => PathOutcome::Blackhole { path },
+        }
+    }
+
+    /// [`ForwardingGraph::walk`] into caller-owned buffers: `path` is
+    /// overwritten with the nodes traversed and the way the walk ended is
+    /// returned. `seen` is a scratch flag per device, all `false` on entry
+    /// and left all `false` again.
+    pub fn walk_into(&self, src: NodeId, path: &mut Vec<NodeId>, seen: &mut [bool]) -> WalkEnd {
+        path.clear();
+        path.push(src);
+        seen[src.index()] = true;
         let mut cur = src;
-        loop {
+        let end = loop {
             if self.delivers[cur.index()] {
-                return PathOutcome::Delivered { path };
+                break WalkEnd::Delivered;
             }
             if self.drops[cur.index()] {
-                return PathOutcome::Blackhole { path };
+                break WalkEnd::Blackhole;
             }
             match self.next_hops[cur.index()].first() {
-                None => return PathOutcome::Blackhole { path },
+                None => break WalkEnd::Blackhole,
                 Some(&next) => {
                     path.push(next);
-                    if !seen.insert(next) {
-                        return PathOutcome::Loop { path };
+                    if seen[next.index()] {
+                        break WalkEnd::Loop;
                     }
+                    seen[next.index()] = true;
                     cur = next;
                 }
             }
+        };
+        for n in path.iter() {
+            seen[n.index()] = false;
         }
+        end
     }
 
     /// Enumerate every multipath branch from `src`, up to `limit` paths.

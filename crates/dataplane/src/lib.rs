@@ -9,5 +9,5 @@
 pub mod fib;
 pub mod forwarding;
 
-pub use fib::{Fib, FibEntry, NetworkFib, RouteSource};
-pub use forwarding::{ForwardingGraph, PathOutcome};
+pub use fib::{Fib, FibEntry, Forward, Lookup, NetworkFib, RouteSource};
+pub use forwarding::{ForwardingGraph, PathOutcome, WalkEnd};

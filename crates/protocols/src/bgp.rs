@@ -382,12 +382,15 @@ impl ProtocolModel for BgpModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpvp::Rpvp;
+    use crate::interner::RouteInterner;
+    use crate::rpvp::{Rpvp, RpvpState};
     use plankton_config::scenarios::{bgp_wedgie, disagree_gadget, fat_tree_bgp_rfc7938};
 
-    fn converge_first_choice(model: &BgpModel) -> crate::rpvp::ConvergedState {
+    /// Converge `model` along the first enabled choice; the state comes back
+    /// with the interner that resolves it.
+    fn converge_first_choice(model: &BgpModel) -> (RpvpState, RouteInterner) {
         let rpvp = Rpvp::new(model);
-        let mut interner = crate::interner::RouteInterner::new();
+        let mut interner = RouteInterner::new();
         let mut state = rpvp.initial_state(&mut interner);
         let mut steps = 0usize;
         loop {
@@ -400,7 +403,7 @@ mod tests {
             steps += 1;
             assert!(steps < 100_000, "BGP did not converge");
         }
-        rpvp.converged_state(&state, &interner)
+        (state, interner)
     }
 
     #[test]
@@ -481,7 +484,8 @@ mod tests {
             &FailureSet::none(),
             Arc::new(UniformUnderlay),
         );
-        let converged = converge_first_choice(&model);
+        let (state, interner) = converge_first_choice(&model);
+        let converged = Rpvp::new(&model).converged_state(&state, &interner);
         // Exactly one of a, b uses the other as next hop; the other goes
         // direct (whichever order the first-choice walk took).
         let a = g.actors[0];

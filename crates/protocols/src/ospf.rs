@@ -10,6 +10,7 @@
 
 use crate::model::{Preference, ProtocolModel};
 use crate::route::{Route, SessionType};
+use crate::rpvp::ConvergedState;
 use plankton_config::Network;
 use plankton_net::failure::FailureSet;
 use plankton_net::ip::Prefix;
@@ -96,20 +97,20 @@ impl OspfModel {
         Some(self.costs[n.index()][i])
     }
 
-    /// The equal-cost next hops of `n` in a converged state: every OSPF peer
-    /// `m` whose advertised route would have the same cost as `n`'s converged
-    /// best route. This recovers OSPF multipath from the single-best-path
-    /// converged state.
-    pub fn ecmp_next_hops(&self, best: &[Option<Route>], n: NodeId) -> Vec<NodeId> {
-        let Some(Some(my_best)) = best.get(n.index()) else {
-            return Vec::new();
+    /// The equal-cost next hops of `n` in a converged state, written into
+    /// `hops` (cleared first, sorted): every OSPF peer `m` whose advertised
+    /// route would have the same cost as `n`'s converged best route. This
+    /// recovers OSPF multipath from the single-best-path converged state.
+    pub fn ecmp_next_hops(&self, state: &ConvergedState<'_>, n: NodeId, hops: &mut Vec<NodeId>) {
+        hops.clear();
+        let Some(my_best) = state.best(n) else {
+            return;
         };
         if my_best.is_origin() {
-            return Vec::new();
+            return;
         }
-        let mut hops = Vec::new();
         for (&m, &link) in self.peers[n.index()].iter().zip(&self.costs[n.index()]) {
-            let Some(Some(peer_best)) = best.get(m.index()) else {
+            let Some(peer_best) = state.best(m) else {
                 continue;
             };
             if peer_best.traverses(n) {
@@ -120,7 +121,6 @@ impl OspfModel {
             }
         }
         hops.sort();
-        hops
     }
 }
 
@@ -179,15 +179,18 @@ impl ProtocolModel for OspfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpvp::Rpvp;
+    use crate::interner::RouteInterner;
+    use crate::rpvp::{Rpvp, RpvpState};
     use plankton_config::scenarios::{fat_tree_ospf, ring_ospf, CoreStaticRoutes};
     use plankton_config::{DeviceConfig, OspfConfig};
     use plankton_net::graph::dijkstra;
     use plankton_net::topology::TopologyBuilder;
 
-    fn run_to_convergence(model: &OspfModel) -> crate::rpvp::ConvergedState {
+    /// Converge `model` along the first enabled choice; the state comes back
+    /// with the interner that resolves it.
+    fn run_to_convergence(model: &OspfModel) -> (RpvpState, RouteInterner) {
         let rpvp = Rpvp::new(model);
-        let mut interner = crate::interner::RouteInterner::new();
+        let mut interner = RouteInterner::new();
         let mut state = rpvp.initial_state(&mut interner);
         let mut steps = 0usize;
         loop {
@@ -200,7 +203,8 @@ mod tests {
             steps += 1;
             assert!(steps < 100_000, "OSPF did not converge");
         }
-        rpvp.converged_state(&state, &interner)
+        assert!(rpvp.converged(&state, &interner));
+        (state, interner)
     }
 
     #[test]
@@ -212,7 +216,8 @@ mod tests {
             vec![s.origin],
             &FailureSet::none(),
         );
-        let converged = run_to_convergence(&model);
+        let (state, interner) = run_to_convergence(&model);
+        let converged = ConvergedState::new(&state.best, &interner);
         // Compare against Dijkstra from the origin (symmetric unit weights).
         let sp = dijkstra(
             &s.network.topology,
@@ -232,7 +237,8 @@ mod tests {
         // Fail the link between the origin and its clockwise neighbor.
         let failed = FailureSet::single(s.ring.links[0]);
         let model = OspfModel::new(&s.network, s.destination, vec![s.origin], &failed);
-        let converged = run_to_convergence(&model);
+        let (state, interner) = run_to_convergence(&model);
+        let converged = ConvergedState::new(&state.best, &interner);
         // Router 1 (the far end of the failed link) must now route the long
         // way round: 5 hops.
         let r1 = s.ring.routers[1];
@@ -246,7 +252,8 @@ mod tests {
         let dest_edge = s.fat_tree.edge[0][0];
         let prefix = s.fat_tree.prefix_of_edge(dest_edge).unwrap();
         let model = OspfModel::new(&s.network, prefix, vec![dest_edge], &FailureSet::none());
-        let converged = run_to_convergence(&model);
+        let (state, interner) = run_to_convergence(&model);
+        let converged = ConvergedState::new(&state.best, &interner);
         let other_pod_edge = s.fat_tree.edge[2][1];
         let route = converged.best(other_pod_edge).unwrap();
         // edge → agg → core → agg → edge = 4 hops at cost 40.
@@ -263,14 +270,17 @@ mod tests {
         let dest_edge = s.fat_tree.edge[0][0];
         let prefix = s.fat_tree.prefix_of_edge(dest_edge).unwrap();
         let model = OspfModel::new(&s.network, prefix, vec![dest_edge], &FailureSet::none());
-        let converged = run_to_convergence(&model);
+        let (state, interner) = run_to_convergence(&model);
+        let converged = ConvergedState::new(&state.best, &interner);
         // An edge switch in another pod has two equal-cost uplinks.
         let other_pod_edge = s.fat_tree.edge[1][0];
-        let hops = model.ecmp_next_hops(&converged.best, other_pod_edge);
+        let mut hops = Vec::new();
+        model.ecmp_next_hops(&converged, other_pod_edge, &mut hops);
         assert_eq!(hops.len(), 2);
         assert!(hops.iter().all(|h| s.fat_tree.aggregation[1].contains(h)));
         // The origin has no next hops.
-        assert!(model.ecmp_next_hops(&converged.best, dest_edge).is_empty());
+        model.ecmp_next_hops(&converged, dest_edge, &mut hops);
+        assert!(hops.is_empty());
     }
 
     #[test]
@@ -289,7 +299,8 @@ mod tests {
         let model = OspfModel::new(&net, p, vec![a], &FailureSet::none());
         assert!(model.peers(a).is_empty());
         assert!(model.peers(c).is_empty());
-        let converged = run_to_convergence(&model);
+        let (state, interner) = run_to_convergence(&model);
+        let converged = ConvergedState::new(&state.best, &interner);
         assert!(converged.best(c).is_none());
     }
 
@@ -308,7 +319,8 @@ mod tests {
         // b's cost towards a is b's configured interface cost (7).
         assert_eq!(model.link_cost(b, a), Some(7));
         assert_eq!(model.link_cost(a, b), Some(5));
-        let converged = run_to_convergence(&model);
+        let (state, interner) = run_to_convergence(&model);
+        let converged = ConvergedState::new(&state.best, &interner);
         assert_eq!(converged.best(b).unwrap().igp_cost, 7);
     }
 
@@ -319,7 +331,8 @@ mod tests {
         // Router 0 is now isolated from router 1 and 3.
         let model = OspfModel::new(&s.network, s.destination, vec![s.origin], &failed);
         assert!(model.peers(s.ring.routers[0]).is_empty());
-        let converged = run_to_convergence(&model);
+        let (state, interner) = run_to_convergence(&model);
+        let converged = ConvergedState::new(&state.best, &interner);
         assert!(converged.best(s.ring.routers[1]).is_none());
         assert!(converged.best(s.ring.routers[2]).is_none());
     }

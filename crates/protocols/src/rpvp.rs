@@ -16,7 +16,10 @@
 //! method), so [`RpvpState`] is a flat vector of
 //! [`RouteHandle`](crate::interner::RouteHandle)s, a step is an integer
 //! swap, an undo record is a single `Copy` handle, and visited-state checks
-//! upstream are direct handle compares with no re-interning pass.
+//! upstream are direct handle compares with no re-interning pass. Converged
+//! states leave the layer the same way: a [`ConvergedState`] is a borrowed
+//! view of the live handle vector and the interner, so emitting one to a
+//! policy callback copies no route.
 //!
 //! Two routines define the enabled set. [`Rpvp::enabled_at_with`] derives one
 //! node's entry from scratch — every peer's advertisement, the usable ones,
@@ -318,25 +321,44 @@ impl<'a> Iterator for EnabledIter<'a> {
     }
 }
 
-/// A converged RPVP state with handles resolved back to owned routes, so
-/// policies and the forwarding analyses downstream never touch the interner.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ConvergedState {
-    /// The best route of every node in the converged state.
-    pub best: Vec<Option<Route>>,
+/// A converged RPVP state, viewed in place: the explorer's live handle
+/// vector plus the interner that resolves it. Handing one to a callback
+/// copies nothing; the view is valid for the callback only, so a consumer
+/// that keeps a state past it copies the routes out
+/// ([`ConvergedState::to_routes`]).
+#[derive(Clone, Copy)]
+pub struct ConvergedState<'a> {
+    best: &'a [RouteHandle],
+    interner: &'a RouteInterner,
 }
 
-impl ConvergedState {
-    /// Resolve a handle-native state snapshot into owned routes.
-    pub fn from_handles(best: &[RouteHandle], interner: &RouteInterner) -> Self {
-        ConvergedState {
-            best: best.iter().map(|&h| interner.resolve(h).cloned()).collect(),
-        }
+impl<'a> ConvergedState<'a> {
+    /// View `best` (one handle per node) through `interner`.
+    pub fn new(best: &'a [RouteHandle], interner: &'a RouteInterner) -> Self {
+        ConvergedState { best, interner }
+    }
+
+    /// Number of nodes in the state.
+    pub fn node_count(&self) -> usize {
+        self.best.len()
     }
 
     /// The best route of node `n`.
-    pub fn best(&self, n: NodeId) -> Option<&Route> {
-        self.best[n.index()].as_ref()
+    pub fn best(&self, n: NodeId) -> Option<&'a Route> {
+        self.interner.resolve(self.best[n.index()])
+    }
+
+    /// Does any node hold a route?
+    pub fn has_routes(&self) -> bool {
+        self.best.iter().any(|h| h.is_some())
+    }
+
+    /// The best route of every node, copied out of the interner.
+    pub fn to_routes(&self) -> Vec<Option<Route>> {
+        self.best
+            .iter()
+            .map(|&h| self.interner.resolve(h).cloned())
+            .collect()
     }
 
     /// The forwarding next hop of node `n`, if it has a route and is not the
@@ -367,16 +389,6 @@ impl ConvergedState {
                 None => return seen,
             }
         }
-    }
-
-    /// Nodes holding a route in this converged state.
-    pub fn routed_nodes(&self) -> Vec<NodeId> {
-        self.best
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.is_some())
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
     }
 }
 
@@ -647,10 +659,14 @@ impl<'m> Rpvp<'m> {
             .all(|n| !self.is_enabled(state, interner, n))
     }
 
-    /// Snapshot a converged state, resolving handles to owned routes.
-    pub fn converged_state(&self, state: &RpvpState, interner: &RouteInterner) -> ConvergedState {
+    /// View a converged state through `interner`.
+    pub fn converged_state<'s>(
+        &self,
+        state: &'s RpvpState,
+        interner: &'s RouteInterner,
+    ) -> ConvergedState<'s> {
         debug_assert!(self.converged(state, interner), "state is not converged");
-        ConvergedState::from_handles(&state.best, interner)
+        ConvergedState::new(&state.best, interner)
     }
 }
 
@@ -1079,7 +1095,11 @@ mod tests {
             c.walk_from(NodeId(3)),
             vec![NodeId(3), NodeId(2), NodeId(1), NodeId(0)]
         );
-        assert_eq!(c.routed_nodes().len(), 4);
+        assert!(c.has_routes());
+        assert_eq!(c.node_count(), 4);
+        let routes = c.to_routes();
+        assert!(routes.iter().all(Option::is_some));
+        assert_eq!(routes[2].as_ref(), c.best(NodeId(2)));
     }
 
     #[test]

@@ -14,7 +14,6 @@
 
 use crate::model::ProtocolModel;
 use crate::route::Route;
-use crate::rpvp::ConvergedState;
 use plankton_net::topology::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,21 +148,22 @@ impl<'m> Spvp<'m> {
     }
 
     /// Run with a seeded pseudo-random scheduler until convergence or until
-    /// `max_steps` deliveries have happened. Returns the converged state, or
-    /// `None` if the run was cut off (which can legitimately happen: SPVP may
-    /// diverge for some configurations).
-    pub fn run(mut self, seed: u64, max_steps: usize) -> Option<ConvergedState> {
+    /// `max_steps` deliveries have happened. Returns the converged best route
+    /// of every node — owned, so the oracle shares no interner with the RPVP
+    /// explorers it checks — or `None` if the run was cut off (which can
+    /// legitimately happen: SPVP may diverge for some configurations).
+    pub fn run(mut self, seed: u64, max_steps: usize) -> Option<Vec<Option<Route>>> {
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..max_steps {
             let pending = self.pending();
             if pending.is_empty() {
-                return Some(ConvergedState { best: self.best });
+                return Some(self.best);
             }
             let (n, idx) = pending[rng.gen_range(0..pending.len())];
             self.deliver(n, idx);
         }
         if self.converged() {
-            Some(ConvergedState { best: self.best })
+            Some(self.best)
         } else {
             None
         }
@@ -193,8 +193,8 @@ mod tests {
             let other = Spvp::new(&model).run(seed, 100_000).expect("must converge");
             for n in s.network.topology.node_ids() {
                 assert_eq!(
-                    baseline.best(n).map(|r| r.igp_cost),
-                    other.best(n).map(|r| r.igp_cost),
+                    baseline[n.index()].as_ref().map(|r| r.igp_cost),
+                    other[n.index()].as_ref().map(|r| r.igp_cost),
                     "OSPF outcome must be deterministic"
                 );
             }
@@ -216,8 +216,8 @@ mod tests {
         let mut outcomes = std::collections::HashSet::new();
         for seed in 0..40u64 {
             if let Some(converged) = Spvp::new(&model).run(seed, 100_000) {
-                let nh_a = converged.next_hop(a);
-                let nh_b = converged.next_hop(b);
+                let nh_a = converged[a.index()].as_ref().and_then(Route::next_hop);
+                let nh_b = converged[b.index()].as_ref().and_then(Route::next_hop);
                 outcomes.insert((nh_a, nh_b));
             }
         }
@@ -245,7 +245,7 @@ mod tests {
         let mut interner = crate::interner::RouteInterner::new();
         for seed in 0..10u64 {
             if let Some(converged) = Spvp::new(&model).run(seed, 100_000) {
-                let state = crate::rpvp::RpvpState::from_routes(&converged.best, &mut interner);
+                let state = crate::rpvp::RpvpState::from_routes(&converged, &mut interner);
                 assert!(
                     rpvp.converged(&state, &interner),
                     "SPVP-converged state is not RPVP-stable (seed {seed})"

@@ -151,6 +151,16 @@ fn main() {
 
     let report = verifier.verify(policy.as_ref(), &scenario, &options);
     println!("{report}");
+    // The report does not say when the per-(PEC × failure set) plane cap
+    // kept converged states from the policy; say it here.
+    let capped = plankton::core::data_planes_capped_counter().get();
+    if capped > 0 {
+        eprintln!(
+            "note: {capped} converged data planes were not checked: a (PEC x failure set) \
+             exceeded max_data_planes_per_pec = {}",
+            options.max_data_planes_per_pec
+        );
+    }
     if let Some(violation) = report.first_violation() {
         println!("counterexample trail:\n{}", violation.trail);
     }

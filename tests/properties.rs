@@ -219,7 +219,7 @@ fn spvp_convergence_is_rpvp_stable() {
             if let Some(converged) = Spvp::new(&model).run(seed, 100_000) {
                 let rpvp = Rpvp::new(&model);
                 let mut interner = plankton::protocols::RouteInterner::new();
-                let state = RpvpState::from_routes(&converged.best, &mut interner);
+                let state = RpvpState::from_routes(&converged, &mut interner);
                 assert!(rpvp.converged(&state, &interner), "ring {n}, seed {seed}");
             }
         }

@@ -2,10 +2,18 @@
 //! assert (a) the JSONL event log reconstructs the causal chain of a delta
 //! (request → delta applied → keys invalidated → tasks re-run → report
 //! merged) with one trace id per request, and (b) the `Metrics` request
-//! renders the live metric families as Prometheus text exposition.
+//! renders the live metric families as Prometheus text exposition. Also:
+//! (c) planes the per-(PEC × failure set) cap keeps from the policy are
+//! never silent — a counter, a warn event per capped task, and a note from
+//! `plankton verify`.
 
+use plankton::config::scenarios::fat_tree_bgp_rfc7938;
+use plankton::policy::Waypoint;
+use plankton::prelude::*;
+use plankton_telemetry::trace::{self, Event, FieldValue, Level, Sink};
 use std::io::Write;
 use std::process::{Command, Stdio};
+use std::sync::{Arc, Mutex};
 
 /// Spawn `planktond --scenario ring:4 --log-json <log>` and feed it
 /// `input` on stdin; returns (stdout, exit-success).
@@ -269,5 +277,110 @@ fn planktonctl_metrics_prints_raw_exposition() {
     let shutdown = ctl(&["\"Shutdown\""]);
     assert!(shutdown.status.success());
     assert!(daemon.wait().unwrap().success(), "daemon shut down cleanly");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `data_planes_capped` events seen, as (pec, failures, converged, cap).
+#[derive(Default)]
+struct CappedEvents(Mutex<Vec<(u64, String, u64, u64)>>);
+
+impl Sink for CappedEvents {
+    fn emit(&self, event: &Event<'_>) {
+        if event.name != "data_planes_capped" {
+            return;
+        }
+        let field = |key: &str| event.fields.iter().find(|f| f.key == key).map(|f| f.value);
+        let number = |key: &str| match field(key) {
+            Some(FieldValue::U64(n)) => n,
+            other => panic!("{key} is not a number: {other:?}"),
+        };
+        let failures = match field("failures") {
+            Some(FieldValue::Str(s)) => s.to_string(),
+            other => panic!("failures is not a string: {other:?}"),
+        };
+        let seen = (number("pec"), failures, number("converged"), number("cap"));
+        self.0.lock().unwrap().push(seen);
+    }
+}
+
+/// A cap of 3 on the RFC 7938 k=4 data center, whose PECs converge in more
+/// ways than that: every capped (PEC × failure set) leaves a warn event, and
+/// the counter moves by exactly the planes the events say were skipped.
+#[test]
+fn capped_planes_are_counted_and_reported() {
+    let s = fat_tree_bgp_rfc7938(4, 7938);
+    let policy = Waypoint::new(vec![s.monitored_edges.0], s.waypoints.clone());
+    let mut options = PlanktonOptions::with_cores(1).collect_all_violations();
+    options.max_data_planes_per_pec = 3;
+    let sink = Arc::new(CappedEvents::default());
+    trace::add_sink(Level::Warn, sink.clone());
+    let counter = plankton::core::data_planes_capped_counter();
+    let before = counter.get();
+    Plankton::new(s.network.clone()).verify(&policy, &FailureScenario::up_to(1), &options);
+    let after = counter.get();
+    trace::clear_sinks();
+    let events = std::mem::take(&mut *sink.0.lock().unwrap());
+    assert!(!events.is_empty(), "some PEC converges in more than 3 ways");
+    let mut skipped = 0;
+    for (pec, failures, converged, cap) in &events {
+        assert_eq!(*cap, 3, "pec{pec} under {failures}");
+        assert!(
+            *converged > 3,
+            "pec{pec} under {failures}: {converged} planes"
+        );
+        skipped += converged - cap;
+    }
+    assert!(
+        events
+            .iter()
+            .any(|(_, failures, ..)| failures != "(no failures)"),
+        "failure sets are named"
+    );
+    assert_eq!(after - before, skipped);
+}
+
+/// `plankton verify` says on stderr when the cap kept planes from the
+/// policy (the report itself does not change), and says nothing otherwise.
+#[test]
+fn plankton_verify_notes_capped_planes_on_stderr() {
+    let dir = std::env::temp_dir().join(format!("plankton-capped-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (k, capped) in [(4, None), (8, Some(14_336))] {
+        let s = fat_tree_bgp_rfc7938(k, 7938);
+        let config = dir.join(format!("bgp_k{k}.json"));
+        std::fs::write(&config, s.network.to_json()).unwrap();
+        let name = |n: NodeId| s.network.topology.node(n).name.clone();
+        let mut args = vec![
+            "verify".to_string(),
+            "--config".into(),
+            config.display().to_string(),
+            "--policy".into(),
+            "waypoint".into(),
+            "--all-violations".into(),
+            "--source".into(),
+            name(s.monitored_edges.0),
+        ];
+        for &w in &s.waypoints {
+            args.extend(["--waypoint".to_string(), name(w)]);
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_plankton"))
+            .args(&args)
+            .output()
+            .expect("run plankton");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        match capped {
+            None => assert!(stderr.is_empty(), "k={k}: {stderr}"),
+            Some(n) => {
+                let prefix = format!("note: {n} converged data planes were not checked");
+                assert_eq!(stderr.lines().count(), 1, "k={k}: {stderr}");
+                assert!(stderr.starts_with(&prefix), "k={k}: {stderr}");
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                assert!(
+                    stdout.contains(", 120 data planes, 38825 states,"),
+                    "{stdout}"
+                );
+            }
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
