@@ -1,24 +1,18 @@
-//! `compare` — the CI bench-regression gate.
+//! `compare` — the CI bench-regression gate for the checker figures.
 //!
 //! ```text
 //! cargo run --release -p plankton-bench --bin compare -- \
-//!     --baseline BENCH_service.json --current bench-out/BENCH_service.json \
-//!     --allow ospf_cost_spine_central
+//!     --baseline BENCH_checker.json --current bench-out/BENCH_checker.json
 //! ```
 //!
 //! Exits non-zero when any scenario's speedup falls below
-//! `baseline × min-ratio` (default 0.7), when any `identical` field is
-//! `false`, or when a baseline scenario is missing from the current run.
-//! `--allow LABEL` exempts honest-~1× scenarios (substring match) from the
-//! speedup gate only.
+//! `baseline × min-ratio` (default 0.7), or when a baseline scenario is
+//! missing from the current run.
 
 use plankton_bench::compare::{compare, parse_entries};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: compare --baseline <file.json> --current <file.json> \
-         [--min-ratio <r>] [--allow <label>]..."
-    );
+    eprintln!("usage: compare --baseline <file.json> --current <file.json> [--min-ratio <r>]");
     std::process::exit(2);
 }
 
@@ -38,7 +32,6 @@ fn main() {
     let mut baseline: Option<String> = None;
     let mut current: Option<String> = None;
     let mut min_ratio = 0.7f64;
-    let mut allow: Vec<String> = Vec::new();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let mut value = || iter.next().cloned().unwrap_or_else(|| usage());
@@ -48,7 +41,6 @@ fn main() {
             "--min-ratio" => {
                 min_ratio = value().parse().unwrap_or_else(|_| usage());
             }
-            "--allow" => allow.push(value()),
             _ => usage(),
         }
     }
@@ -58,7 +50,7 @@ fn main() {
 
     let base_entries = read_entries(&baseline);
     let cur_entries = read_entries(&current);
-    let outcome = compare(&base_entries, &cur_entries, min_ratio, &allow);
+    let outcome = compare(&base_entries, &cur_entries, min_ratio);
     for line in &outcome.checked {
         println!("ok   {line}");
     }

@@ -1,61 +1,36 @@
-//! The CI bench-regression gate: diff a freshly measured benchmark JSON
-//! against the committed baseline and fail loudly when performance or
-//! correctness regressed.
+//! The CI bench-regression gate: diff a freshly measured checker benchmark
+//! JSON against the committed baseline and fail loudly when a speedup
+//! regressed.
 //!
-//! Two regression classes are gated:
-//!
-//! * **Speedup regressions** — a scenario whose measured `speedup` falls
-//!   below `baseline × min_ratio` (default 0.7; speedups are ratios of two
-//!   wall clocks on the same machine, so they transfer across runner
-//!   hardware far better than absolute seconds). Scenarios that honestly
-//!   measure ~1× (a spine-central OSPF cost change re-runs most OSPF PECs
-//!   by design) are exempted through an explicit allowlist — their noise
-//!   band straddles 1.0 and a ratio gate on them would only flake.
-//! * **Correctness flips** — any point whose `identical` field is `false`:
-//!   the incremental report diverged from the from-scratch oracle, which is
-//!   a cache-invalidation bug no matter how fast it was.
-//!
-//! A scenario present in the baseline but missing from the current run also
-//! fails the gate: silently dropping a measurement reads as "still fast".
+//! A scenario fails when its measured `speedup` falls below
+//! `baseline × min_ratio` (default 0.7; speedups are ratios of two wall
+//! clocks on the same machine, so they transfer across runner hardware far
+//! better than absolute seconds). A scenario present in the baseline but
+//! missing from the current run also fails the gate: silently dropping a
+//! measurement reads as "still fast".
 
-use crate::figures::{CheckerBenchPoint, ServiceBenchPoint};
+use crate::figures::CheckerBenchPoint;
 
-/// One comparable benchmark entry, shape-erased from the per-figure point
-/// types.
+/// One comparable benchmark entry.
 #[derive(Clone, Debug)]
 pub struct Entry {
     /// Stable label used to match baseline and current points.
     pub label: String,
     /// The measured speedup.
     pub speedup: f64,
-    /// The correctness bit, where the figure records one.
-    pub identical: Option<bool>,
 }
 
-/// Parse a benchmark JSON file (either the service or the checker shape)
-/// into comparable entries.
+/// Parse a checker benchmark JSON file into comparable entries.
 pub fn parse_entries(json: &str) -> Result<Vec<Entry>, String> {
-    if let Ok(points) = serde_json::from_str::<Vec<ServiceBenchPoint>>(json) {
-        return Ok(points
-            .iter()
-            .map(|p| Entry {
-                label: format!("{} / {}", p.scenario, p.delta),
-                speedup: p.speedup,
-                identical: Some(p.identical),
-            })
-            .collect());
-    }
-    if let Ok(points) = serde_json::from_str::<Vec<CheckerBenchPoint>>(json) {
-        return Ok(points
-            .iter()
-            .map(|p| Entry {
-                label: p.scenario.clone(),
-                speedup: p.speedup,
-                identical: None,
-            })
-            .collect());
-    }
-    Err("unrecognized benchmark JSON shape (neither service nor checker points)".into())
+    let points = serde_json::from_str::<Vec<CheckerBenchPoint>>(json)
+        .map_err(|e| format!("not a list of checker benchmark points: {e}"))?;
+    Ok(points
+        .iter()
+        .map(|p| Entry {
+            label: p.scenario.clone(),
+            speedup: p.speedup,
+        })
+        .collect())
 }
 
 /// The gate's verdict: every check performed plus every failure found.
@@ -75,29 +50,9 @@ impl GateOutcome {
 }
 
 /// Compare `current` against `baseline`. `min_ratio` is the fraction of the
-/// baseline speedup a scenario must retain; `allow_honest` entries exempt
-/// scenarios (by substring match on the label) from the speedup gate —
-/// never from the `identical` gate.
-pub fn compare(
-    baseline: &[Entry],
-    current: &[Entry],
-    min_ratio: f64,
-    allow_honest: &[String],
-) -> GateOutcome {
+/// baseline speedup a scenario must retain.
+pub fn compare(baseline: &[Entry], current: &[Entry], min_ratio: f64) -> GateOutcome {
     let mut outcome = GateOutcome::default();
-    let exempted = |label: &str| -> bool { allow_honest.iter().any(|allow| label.contains(allow)) };
-
-    // Correctness first: a non-identical point fails even if the scenario is
-    // new or allowlisted.
-    for cur in current {
-        if cur.identical == Some(false) {
-            outcome.failures.push(format!(
-                "{}: identical=false — incremental result diverged from the from-scratch oracle",
-                cur.label
-            ));
-        }
-    }
-
     for base in baseline {
         let Some(cur) = current.iter().find(|c| c.label == base.label) else {
             outcome.failures.push(format!(
@@ -106,13 +61,6 @@ pub fn compare(
             ));
             continue;
         };
-        if exempted(&base.label) {
-            outcome.checked.push(format!(
-                "{}: speedup {:.2}x (honest-1x allowlisted, ratio gate skipped)",
-                cur.label, cur.speedup
-            ));
-            continue;
-        }
         let floor = base.speedup * min_ratio;
         if cur.speedup < floor {
             outcome.failures.push(format!(
@@ -133,88 +81,56 @@ pub fn compare(
 mod tests {
     use super::*;
 
-    fn entry(label: &str, speedup: f64, identical: Option<bool>) -> Entry {
+    fn entry(label: &str, speedup: f64) -> Entry {
         Entry {
             label: label.into(),
             speedup,
-            identical,
         }
     }
 
     #[test]
     fn matching_run_passes() {
-        let base = vec![entry("a / x", 5.0, Some(true)), entry("b", 2.8, None)];
-        let cur = vec![entry("a / x", 4.6, Some(true)), entry("b", 2.2, None)];
-        let out = compare(&base, &cur, 0.7, &[]);
+        let base = vec![entry("a", 5.0), entry("b", 2.8)];
+        let cur = vec![entry("a", 4.6), entry("b", 2.2)];
+        let out = compare(&base, &cur, 0.7);
         assert!(out.passed(), "{:?}", out.failures);
         assert_eq!(out.checked.len(), 2);
     }
 
     #[test]
     fn doctored_speedup_regression_fails() {
-        let base = vec![entry("a / x", 5.0, Some(true))];
-        let cur = vec![entry("a / x", 3.0, Some(true))];
-        let out = compare(&base, &cur, 0.7, &[]);
+        let base = vec![entry("a", 5.0)];
+        let cur = vec![entry("a", 3.0)];
+        let out = compare(&base, &cur, 0.7);
         assert!(!out.passed());
         assert!(out.failures[0].contains("fell below"));
     }
 
     #[test]
-    fn identical_false_fails_even_when_allowlisted() {
-        let base = vec![entry("honest / spine", 1.0, Some(true))];
-        let cur = vec![entry("honest / spine", 1.0, Some(false))];
-        let out = compare(&base, &cur, 0.7, &["spine".into()]);
-        assert!(!out.passed());
-        assert!(out.failures[0].contains("identical=false"));
-    }
-
-    #[test]
-    fn allowlist_exempts_honest_scenarios_from_the_ratio_gate() {
-        let base = vec![entry("k6 / ospf_cost_spine_central", 1.1, Some(true))];
-        let cur = vec![entry("k6 / ospf_cost_spine_central", 0.6, Some(true))];
-        let out = compare(&base, &cur, 0.7, &["ospf_cost_spine_central".into()]);
-        assert!(out.passed(), "{:?}", out.failures);
-    }
-
-    #[test]
     fn missing_scenario_fails() {
-        let base = vec![entry("a / x", 5.0, Some(true))];
-        let out = compare(&base, &[], 0.7, &[]);
+        let base = vec![entry("a", 5.0)];
+        let out = compare(&base, &[], 0.7);
         assert!(!out.passed());
         assert!(out.failures[0].contains("missing"));
     }
 
     #[test]
     fn new_scenarios_in_current_are_tolerated() {
-        let base = vec![entry("a / x", 5.0, Some(true))];
-        let cur = vec![
-            entry("a / x", 5.0, Some(true)),
-            entry("new", 1.0, Some(true)),
-        ];
-        assert!(compare(&base, &cur, 0.7, &[]).passed());
+        let base = vec![entry("a", 5.0)];
+        let cur = vec![entry("a", 5.0), entry("new", 1.0)];
+        assert!(compare(&base, &cur, 0.7).passed());
     }
 
     #[test]
     fn json_shapes_round_trip() {
-        let service = r#"[{"scenario":"fat tree k=6 loop freedom","delta":"static_route_add",
-            "pecs_checked":63,"pecs_reexplored":1,"pecs_cached":62,"tasks_rerun":1,
-            "tasks_cached":62,"steps_reexplored":10,"steps_cached":100,
-            "full_seconds":1.0,"incremental_seconds":0.2,"speedup":5.0,"identical":true}]"#;
-        let entries = parse_entries(service).unwrap();
-        assert_eq!(entries.len(), 1);
-        assert_eq!(
-            entries[0].label,
-            "fat tree k=6 loop freedom / static_route_add"
-        );
-        assert_eq!(entries[0].identical, Some(true));
-
         let checker = r#"[{"scenario":"fat tree k=6 reachability","steps":100,
             "reference_seconds":1.0,"incremental_seconds":0.4,
             "reference_steps_per_sec":100.0,"incremental_steps_per_sec":250.0,
             "speedup":2.5,"enabled_recomputed_nodes":7,"undo_depth_max":3}]"#;
         let entries = parse_entries(checker).unwrap();
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].identical, None);
+        assert_eq!(entries[0].label, "fat tree k=6 reachability");
+        assert_eq!(entries[0].speedup, 2.5);
 
         assert!(parse_entries("[{\"nope\":1}]").is_err());
     }

@@ -1296,451 +1296,8 @@ pub fn checker_scale_bench(quick: bool) -> FigureResult {
     }
 }
 
-/// One measured point of the incremental-service benchmark, serialized as
-/// JSON (`BENCH_service.json`): wall-clock and step counts for a delta
-/// re-verification against a from-scratch re-verification of the same
-/// post-delta network.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct ServiceBenchPoint {
-    /// Workload label.
-    pub scenario: String,
-    /// The delta kind applied between the runs.
-    pub delta: String,
-    /// PECs whose verdict the request needs.
-    pub pecs_checked: usize,
-    /// PECs the incremental run re-explored.
-    pub pecs_reexplored: usize,
-    /// PECs served entirely from the cache.
-    pub pecs_cached: usize,
-    /// (component × failure-set) tasks resubmitted.
-    pub tasks_rerun: usize,
-    /// Tasks served from the cache.
-    pub tasks_cached: usize,
-    /// RPVP steps re-executed by the incremental run.
-    pub steps_reexplored: u64,
-    /// RPVP steps served from the cache.
-    pub steps_cached: u64,
-    /// Wall-clock seconds for a from-scratch re-verification (PEC
-    /// computation + full verify of the post-delta network).
-    pub full_seconds: f64,
-    /// Wall-clock seconds for the incremental path (delta application +
-    /// invalidation + partial resubmission + report merge).
-    pub incremental_seconds: f64,
-    /// `full_seconds / incremental_seconds`.
-    pub speedup: f64,
-    /// Did the two reports match exactly (modulo engine pool stats)?
-    pub identical: bool,
-    /// Streaming ingestion rate (`update_storm` only; 0 elsewhere).
-    #[serde(default)]
-    pub deltas_per_sec: f64,
-    /// Median enqueue→verified lag, milliseconds (`update_storm` only).
-    #[serde(default)]
-    pub lag_p50_ms: f64,
-    /// 99th-percentile enqueue→verified lag, milliseconds (`update_storm`
-    /// only).
-    #[serde(default)]
-    pub lag_p99_ms: f64,
-    /// Deltas coalesced away by the streaming queue (`update_storm` only).
-    #[serde(default)]
-    pub coalesced: u64,
-}
-
-/// Incremental-service benchmark: apply a small config delta to a fat-tree
-/// workload and compare the service's delta re-verification against
-/// re-running Plankton from scratch on the post-delta network. The last row
-/// carries the raw points as JSON (`BENCH_service.json`).
-pub fn service_bench(quick: bool) -> FigureResult {
-    use plankton_config::static_routes::StaticRoute;
-    use plankton_config::ConfigDelta;
-    use plankton_core::{IncrementalRunStats, IncrementalVerifier};
-
-    let k = if quick { 4 } else { 6 };
-    let iterations = if quick { 1 } else { 3 };
-    let s = fat_tree_ospf(k, CoreStaticRoutes::MatchingOspf);
-    let policy = LoopFreedom::everywhere();
-    let options = PlanktonOptions::default().collect_all_violations();
-
-    let mut rows = Vec::new();
-    let mut points: Vec<ServiceBenchPoint> = Vec::new();
-    let mut measure = |label: &str,
-                       delta: ConfigDelta,
-                       warm_scenario: &FailureScenario,
-                       reverify_scenario: &FailureScenario| {
-        // Warm the session cache with the pre-delta verification, then time
-        // the operator-visible latency: delta application + incremental
-        // re-verification. Best-of-`iterations` with a fresh warmed session
-        // per attempt — both sides of the speedup ratio are sub-5ms wall
-        // clocks, so a single sample is scheduler-noise-bound and would make
-        // the CI regression gate flaky.
-        let mut inc_best: Option<(Duration, _, _)> = None;
-        for _ in 0..iterations {
-            let session = IncrementalVerifier::new(s.network.clone());
-            session.verify(&policy, 1, warm_scenario, &options);
-            let ((report, run), inc_time) = time(|| {
-                session.apply_delta(&delta).expect("delta applies");
-                session.verify(&policy, 1, reverify_scenario, &options)
-            });
-            if inc_best
-                .as_ref()
-                .map(|(t, _, _)| inc_time < *t)
-                .unwrap_or(true)
-            {
-                inc_best = Some((inc_time, report, run));
-            }
-        }
-        let (inc_time, report, run) = inc_best.expect("at least one iteration");
-        // The from-scratch baseline pays what a non-incremental deployment
-        // pays per change: PEC computation plus a full verification.
-        let mut post_network = s.network.clone();
-        delta.apply(&mut post_network).expect("delta applies");
-        let mut full_best: Option<(Duration, _)> = None;
-        for _ in 0..iterations {
-            let (full_report, full_time) = time(|| {
-                let plankton = Plankton::new(post_network.clone());
-                plankton.verify(&policy, reverify_scenario, &options)
-            });
-            if full_best
-                .as_ref()
-                .map(|(t, _)| full_time < *t)
-                .unwrap_or(true)
-            {
-                full_best = Some((full_time, full_report));
-            }
-        }
-        let (full_time, full_report) = full_best.expect("at least one iteration");
-        let identical = report.normalized_json() == full_report.normalized_json();
-        assert!(identical, "incremental and from-scratch reports must match");
-        let speedup = full_time.as_secs_f64() / inc_time.as_secs_f64().max(1e-9);
-        rows.push(
-            Row::new(format!("K={k} {label}"))
-                .col("full", secs(full_time))
-                .col("incremental", secs(inc_time))
-                .col("speedup", format!("{speedup:.1}x"))
-                .col(
-                    "pecs_rerun",
-                    format!("{}/{}", run.pecs_reexplored, run.pecs_checked),
-                )
-                .col("steps_cached", run.steps_cached),
-        );
-        points.push(ServiceBenchPoint {
-            scenario: format!("fat tree k={k} loop freedom"),
-            delta: label.to_string(),
-            pecs_checked: run.pecs_checked,
-            pecs_reexplored: run.pecs_reexplored,
-            pecs_cached: run.pecs_cached,
-            tasks_rerun: run.tasks_rerun,
-            tasks_cached: run.tasks_cached,
-            steps_reexplored: run.steps_reexplored,
-            steps_cached: run.steps_cached,
-            full_seconds: full_time.as_secs_f64(),
-            incremental_seconds: inc_time.as_secs_f64(),
-            speedup,
-            identical,
-            deltas_per_sec: 0.0,
-            lag_p50_ms: 0.0,
-            lag_p99_ms: 0.0,
-            coalesced: 0,
-        });
-    };
-
-    // A one-prefix config edit: only the overlapping PEC re-runs.
-    measure(
-        "static_route_add",
-        ConfigDelta::StaticRouteAdd {
-            device: s.fat_tree.aggregation[0][0],
-            route: StaticRoute::to_interface(s.destinations[0], s.fat_tree.edge[0][0]),
-        },
-        &FailureScenario::no_failures(),
-        &FailureScenario::no_failures(),
-    );
-    // An edge-local OSPF cost edit — the aggregation-side cost of one edge
-    // link. Competitive only for the prefix originated at that edge switch:
-    // scoped slices keep every other OSPF PEC's cache entry alive.
-    let agg = s.fat_tree.aggregation[0][0];
-    let edge_link = s
-        .network
-        .topology
-        .link_between(agg, s.fat_tree.edge[0][0])
-        .expect("edge link");
-    measure(
-        "ospf_cost_edge_local",
-        ConfigDelta::OspfCostChange {
-            device: agg,
-            link: edge_link,
-            cost: 42,
-        },
-        &FailureScenario::no_failures(),
-        &FailureScenario::no_failures(),
-    );
-    // A spine-central OSPF cost edit — the same aggregation switch's uplink
-    // towards a core. That cost sits on the shortest paths of every remote
-    // pod's prefix, so most OSPF PECs honestly re-run (~1×); the CI gate
-    // allowlists this scenario.
-    let core_link = s
-        .network
-        .topology
-        .neighbors(agg)
-        .iter()
-        .find(|(n, _)| s.fat_tree.core.contains(n))
-        .map(|&(_, l)| l)
-        .expect("aggregation uplink");
-    measure(
-        "ospf_cost_spine_central",
-        ConfigDelta::OspfCostChange {
-            device: agg,
-            link: core_link,
-            cost: 42,
-        },
-        &FailureScenario::no_failures(),
-        &FailureScenario::no_failures(),
-    );
-    // A link failure after a fault-tolerance run: the ≤1-failure exploration
-    // pre-paid for the delta's effective failure sets.
-    measure(
-        "link_down",
-        ConfigDelta::LinkDown {
-            link: s.network.topology.links()[0].id,
-        },
-        &FailureScenario::up_to(1),
-        &FailureScenario::no_failures(),
-    );
-
-    // Daemon restart with a persisted cache: the cold side pays what a cold
-    // daemon pays (PEC computation + full verify); the warm side pays the
-    // restart path (deserialize the persisted cache into a brand-new session,
-    // then a delta-free re-verify that must be served fully from cache).
-    {
-        let mut inc_best: Option<(Duration, IncrementalRunStats, _)> = None;
-        // The fault-tolerance environment: the workload where restart
-        // amortization matters (a cold daemon re-explores every failure set;
-        // a warm one re-reads one cache file).
-        let warm_scenario = FailureScenario::up_to(1);
-        let session = IncrementalVerifier::new(s.network.clone());
-        let (cold_report, _) = session.verify(&policy, 1, &warm_scenario, &options);
-        let persisted =
-            serde_json::to_string(&session.cache().to_snapshot()).expect("cache serializes");
-        drop(session);
-        for _ in 0..iterations {
-            let ((report, run), inc_time) = time(|| {
-                let restarted = IncrementalVerifier::new(s.network.clone());
-                let snapshot: plankton_core::CacheSnapshot =
-                    serde_json::from_str(&persisted).expect("cache snapshot parses");
-                restarted
-                    .cache()
-                    .absorb_snapshot(&snapshot)
-                    .expect("scheme version matches");
-                restarted.verify(&policy, 1, &warm_scenario, &options)
-            });
-            assert_eq!(run.tasks_rerun, 0, "warm restart must be fully cached");
-            if inc_best
-                .as_ref()
-                .map(|(t, _, _)| inc_time < *t)
-                .unwrap_or(true)
-            {
-                inc_best = Some((inc_time, run, report));
-            }
-        }
-        let (inc_time, run, report) = inc_best.expect("at least one iteration");
-        let mut full_best: Option<Duration> = None;
-        for _ in 0..iterations {
-            let (full_report, full_time) = time(|| {
-                let plankton = Plankton::new(s.network.clone());
-                plankton.verify(&policy, &warm_scenario, &options)
-            });
-            assert_eq!(report.normalized_json(), full_report.normalized_json());
-            full_best = Some(full_best.map_or(full_time, |t| t.min(full_time)));
-        }
-        let full_time = full_best.expect("at least one iteration");
-        let identical = report.normalized_json() == cold_report.normalized_json();
-        assert!(identical, "warm-restart report must match the cold run");
-        let speedup = full_time.as_secs_f64() / inc_time.as_secs_f64().max(1e-9);
-        rows.push(
-            Row::new(format!("K={k} warm_restart"))
-                .col("cold", secs(full_time))
-                .col("restarted", secs(inc_time))
-                .col("speedup", format!("{speedup:.1}x"))
-                .col("tasks_cached", run.tasks_cached)
-                .col("steps_cached", run.steps_cached),
-        );
-        points.push(ServiceBenchPoint {
-            scenario: format!("fat tree k={k} loop freedom"),
-            delta: "warm_restart".to_string(),
-            pecs_checked: run.pecs_checked,
-            pecs_reexplored: run.pecs_reexplored,
-            pecs_cached: run.pecs_cached,
-            tasks_rerun: run.tasks_rerun,
-            tasks_cached: run.tasks_cached,
-            steps_reexplored: run.steps_reexplored,
-            steps_cached: run.steps_cached,
-            full_seconds: full_time.as_secs_f64(),
-            incremental_seconds: inc_time.as_secs_f64(),
-            speedup,
-            identical,
-            deltas_per_sec: 0.0,
-            lag_p50_ms: 0.0,
-            lag_p99_ms: 0.0,
-            coalesced: 0,
-        });
-    }
-
-    // Streaming update storm: sustained ingestion rate of the coalescing
-    // bounded-lag queue (`ApplyDeltas {ack: "enqueued"}` + background drain)
-    // against one-at-a-time replay (`ApplyDelta` + `Verify` per delta) of
-    // the same storm to the same verified end state. `speedup` here is the
-    // deltas/sec ratio; the lag percentiles come from the drain's
-    // enqueue→verified histogram.
-    {
-        use plankton_core::Tuning;
-        use plankton_service::{PolicySpec, Request, Response, ServiceSession, VerifyOptions};
-        use std::sync::Arc;
-
-        let ring = ring_ospf(8);
-        let count = if quick { 40 } else { 120 };
-        // Deterministic xorshift64* storm concentrated on three targets so
-        // coalescing has real work: link flaps, OSPF cost churn, static
-        // route add/remove.
-        let mut state: u64 = 0x5EED_0BEE;
-        let mut deltas = Vec::with_capacity(count);
-        for _ in 0..count {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let r = state.wrapping_mul(0x2545F4914F6CDD1D);
-            let slot = (r >> 8) as usize % 3;
-            deltas.push(match r % 5 {
-                0 => ConfigDelta::LinkDown {
-                    link: ring.ring.links[slot],
-                },
-                1 => ConfigDelta::LinkUp {
-                    link: ring.ring.links[slot],
-                },
-                2 => ConfigDelta::OspfCostChange {
-                    device: ring.ring.routers[slot],
-                    link: ring.ring.links[slot],
-                    cost: 1 + ((r >> 16) % 100) as u32,
-                },
-                3 => ConfigDelta::StaticRouteAdd {
-                    device: ring.ring.routers[slot],
-                    route: StaticRoute::null(ring.destination)
-                        .with_distance(1 + ((r >> 16) % 200) as u8),
-                },
-                _ => ConfigDelta::StaticRouteRemove {
-                    device: ring.ring.routers[slot],
-                    prefix: ring.destination,
-                },
-            });
-        }
-        let verify = Request::Verify {
-            policy: PolicySpec::LoopFreedom,
-            options: Some(VerifyOptions {
-                restrict_prefixes: vec![ring.destination],
-                ..VerifyOptions::default()
-            }),
-        };
-        let report_bytes = |session: &ServiceSession| {
-            let Response::Report(summary) = session.handle(&verify) else {
-                panic!("storm verify failed");
-            };
-            session
-                .last_report(&summary.policy)
-                .expect("verified policy stored")
-                .normalized_json()
-        };
-
-        // One-at-a-time replay: what a non-streaming deployment pays to keep
-        // the network continuously verified through the storm. No-op deltas
-        // (downing a downed link) answer with an error and change nothing —
-        // the streaming path must converge to the same state regardless.
-        let sequential = ServiceSession::with_network(ring.network.clone());
-        sequential.handle(&verify);
-        let replay_start = Instant::now();
-        for delta in &deltas {
-            let _ = sequential.handle(&Request::ApplyDelta {
-                delta: delta.clone(),
-            });
-            sequential.handle(&verify);
-        }
-        let replay_time = replay_start.elapsed();
-        let replay_bytes = report_bytes(&sequential);
-
-        // Streaming: enqueue-acked bursts, coalesced and verified at
-        // bounded lag by the background drain (which re-verifies the
-        // registered policy after every batch), then a final flush + verify.
-        let streaming = Arc::new(ServiceSession::new().with_tuning(Tuning {
-            max_lag_deltas: Some(16),
-            max_lag_ms: Some(5),
-            ..Tuning::default()
-        }));
-        streaming.load(ring.network.clone());
-        streaming.handle(&verify);
-        let drain = streaming.start_streaming();
-        let stream_start = Instant::now();
-        for burst in deltas.chunks(8) {
-            let response = streaming.handle(&Request::ApplyDeltas {
-                deltas: burst.to_vec(),
-                ack: "enqueued".into(),
-            });
-            assert!(
-                matches!(response, Response::DeltasAccepted { .. }),
-                "storm burst refused: {response:?}"
-            );
-        }
-        drain.stop();
-        let stream_time = stream_start.elapsed();
-        let stream_bytes = report_bytes(&streaming);
-        let identical = stream_bytes == replay_bytes;
-        assert!(
-            identical,
-            "coalesced streaming storm diverged from sequential replay"
-        );
-
-        let stats = streaming.stats();
-        let replay_rate = count as f64 / replay_time.as_secs_f64().max(1e-9);
-        let stream_rate = count as f64 / stream_time.as_secs_f64().max(1e-9);
-        let speedup = stream_rate / replay_rate;
-        rows.push(
-            Row::new(format!("ring n=8 update_storm ({count} deltas)"))
-                .col("replay", format!("{replay_rate:.0}/s"))
-                .col("streaming", format!("{stream_rate:.0}/s"))
-                .col("speedup", format!("{speedup:.1}x"))
-                .col("coalesced", stats.deltas_coalesced)
-                .col("lag_p50_ms", format!("{:.2}", stats.verify_lag_p50_ms))
-                .col("lag_p99_ms", format!("{:.2}", stats.verify_lag_p99_ms)),
-        );
-        points.push(ServiceBenchPoint {
-            scenario: "ring n=8 update storm".into(),
-            delta: "update_storm".to_string(),
-            pecs_checked: 0,
-            pecs_reexplored: 0,
-            pecs_cached: 0,
-            tasks_rerun: 0,
-            tasks_cached: 0,
-            steps_reexplored: 0,
-            steps_cached: 0,
-            full_seconds: replay_time.as_secs_f64(),
-            incremental_seconds: stream_time.as_secs_f64(),
-            speedup,
-            identical,
-            deltas_per_sec: stream_rate,
-            lag_p50_ms: stats.verify_lag_p50_ms,
-            lag_p99_ms: stats.verify_lag_p99_ms,
-            coalesced: stats.deltas_coalesced,
-        });
-    }
-
-    rows.push(Row::new("json").col(
-        "data",
-        serde_json::to_string(&points).expect("bench points serialize"),
-    ));
-    FigureResult {
-        id: "service".into(),
-        caption: "Incremental service: delta re-verify vs full re-verify".into(),
-        rows,
-    }
-}
-
 /// Run one figure by id ("2", "7a".."7i", "8", "9", "cores", "checker",
-/// "checker_scale", "service").
+/// "checker_scale").
 pub fn run_figure(id: &str, quick: bool) -> Option<FigureResult> {
     let result = match id {
         "2" => fig2(quick),
@@ -1758,14 +1315,13 @@ pub fn run_figure(id: &str, quick: bool) -> Option<FigureResult> {
         "cores" => cores_scaling(quick),
         "checker" => checker_bench(quick),
         "checker_scale" => checker_scale_bench(quick),
-        "service" => service_bench(quick),
         _ => return None,
     };
     Some(result)
 }
 
-/// Every figure id, in paper order (plus the engine scaling sweep, the
-/// checker inner-loop benchmark and the incremental-service benchmark).
+/// Every figure id, in paper order (plus the engine scaling sweep and the
+/// checker inner-loop benchmarks).
 pub fn all_figures() -> Vec<&'static str> {
     vec![
         "2",
@@ -1783,7 +1339,6 @@ pub fn all_figures() -> Vec<&'static str> {
         "cores",
         "checker",
         "checker_scale",
-        "service",
     ]
 }
 

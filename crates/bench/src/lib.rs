@@ -18,5 +18,5 @@ pub mod figures;
 pub use compare::{compare, parse_entries, Entry, GateOutcome};
 pub use figures::{
     all_figures, checker_bench, cores_scaling, run_figure, CheckerBenchPoint, CoresScalingPoint,
-    FigureResult, Row, ServiceBenchPoint,
+    FigureResult, Row,
 };

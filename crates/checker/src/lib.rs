@@ -31,7 +31,6 @@
 //! against the incremental one.
 
 pub mod explorer;
-pub mod interner;
 pub mod options;
 pub mod por;
 pub mod reference;
@@ -42,8 +41,8 @@ pub mod undo;
 pub mod visited;
 
 pub use explorer::{ModelChecker, Verdict};
-pub use interner::{RouteHandle, RouteInterner};
 pub use options::SearchOptions;
+pub use plankton_protocols::{RouteHandle, RouteInterner};
 pub use por::{BgpPor, DiScratch, NoPor, OspfPor, PorDecision, PorHeuristic};
 pub use reference::ReferenceChecker;
 pub use scratch::{ScratchParts, SearchScratch, SnapshotPool};

@@ -26,7 +26,6 @@
 //! differential tests byte-identical.
 
 use crate::explorer::{influence_set, Verdict};
-use crate::interner::RouteInterner;
 use crate::options::SearchOptions;
 use crate::por::{decision_independent, DiScratch, PorDecision, PorHeuristic};
 use crate::stats::SearchStats;
@@ -35,7 +34,7 @@ use crate::visited::VisitedSet;
 use plankton_net::failure::FailureSet;
 use plankton_net::topology::NodeId;
 use plankton_protocols::rpvp::{ConvergedState, EnabledChoice, EnabledView, Rpvp, RpvpState};
-use plankton_protocols::ProtocolModel;
+use plankton_protocols::{ProtocolModel, RouteInterner};
 
 /// The pre-change explicit-state model checker (see module docs).
 pub struct ReferenceChecker<'m> {

@@ -190,7 +190,7 @@ impl SearchScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interner::RouteHandle;
+    use plankton_protocols::RouteHandle;
 
     #[test]
     fn exact_set_is_reused_and_cleared() {

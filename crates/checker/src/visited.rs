@@ -1,7 +1,7 @@
 //! Visited-state tracking: exact storage of interned states, or SPIN-style
 //! bitstate hashing through a Bloom filter (§5, Figure 9 of the paper).
 
-use crate::interner::{RouteHandle, RouteInterner};
+use plankton_protocols::{RouteHandle, RouteInterner};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};

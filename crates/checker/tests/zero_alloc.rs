@@ -24,9 +24,10 @@
 //! allocator is process-wide; allocations are counted per thread, so the
 //! tests here do not see each other's.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocations;
 use plankton_checker::{ModelChecker, NoPor, SearchOptions, SearchScratch, Verdict, VisitedSet};
 use plankton_config::scenarios::ring_ospf;
 use plankton_net::failure::FailureSet;
@@ -35,32 +36,6 @@ use plankton_net::topology::NodeId;
 use plankton_protocols::ospf::OspfModel;
 use plankton_protocols::rpvp::{EnabledChoice, IncrementalEnabled, Rpvp};
 use plankton_protocols::{Preference, ProtocolModel, Route, RouteHandle, RouteInterner};
-
-struct CountingAlloc;
-
-thread_local! {
-    static COUNT: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Allocations made by the current thread so far.
-fn allocations() -> usize {
-    COUNT.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // `try_with`: the slot is gone while the thread tears down.
-        let _ = COUNT.try_with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 /// The first enabled choice's `(node, adoption handle)`, copied out so the
 /// borrow of the cache ends before the state is mutated. `NONE` requests an

@@ -269,8 +269,8 @@ impl ResultCache {
     }
 
     /// The session's memo of slice fingerprints, consulted when task keys
-    /// are derived. Survives [`ResultCache::clear`]: its entries are keyed
-    /// by the content they were computed from, not by a network.
+    /// are derived. Its entries are keyed by the content they were computed
+    /// from, not by a network, so they stay valid across every delta.
     pub fn slice_memo(&self) -> &SliceMemo {
         &self.slice_memo
     }
@@ -343,14 +343,6 @@ impl ResultCache {
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drop every entry.
-    pub fn clear(&self) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            *shard.lock() = Shard::default();
-            cache_metrics().shard_entries[i].set(0);
-        }
     }
 
     /// Resident entries per shard, in shard order (surfaced in daemon

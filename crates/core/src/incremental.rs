@@ -35,16 +35,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Process-global incremental-path counters, resolved once. The ratio of
+/// Process-global incremental-path instruments, resolved once. The ratio of
 /// `plankton_tasks_rerun_total` to `plankton_pecs_dirty_advisory_total`
-/// (folded in by [`IncrementalVerifier::apply_delta`]) is the invalidation
-/// precision the content keys buy over the advisory touch set.
+/// (folded in by [`IncrementalVerifier::apply_deltas`] for every applied
+/// delta) is the invalidation precision the content keys buy over the
+/// advisory touch set.
 struct IncrementalMetrics {
     tasks_rerun: Arc<plankton_telemetry::Counter>,
     tasks_cached: Arc<plankton_telemetry::Counter>,
     key_memo_hits: Arc<plankton_telemetry::Counter>,
     key_memo_misses: Arc<plankton_telemetry::Counter>,
     key_memo_entries: Arc<plankton_telemetry::Gauge>,
+    pecs_dirty: Arc<plankton_telemetry::Counter>,
+    swap_seconds: Arc<plankton_telemetry::Histogram>,
 }
 
 fn incremental_metrics() -> &'static IncrementalMetrics {
@@ -52,6 +55,16 @@ fn incremental_metrics() -> &'static IncrementalMetrics {
     METRICS.get_or_init(|| {
         let registry = plankton_telemetry::metrics::global();
         IncrementalMetrics {
+            pecs_dirty: registry.counter(
+                "plankton_pecs_dirty_advisory_total",
+                "PECs the advisory touch set marked dirty across all deltas \
+                 (compare with plankton_tasks_rerun_total for invalidation precision).",
+            ),
+            swap_seconds: registry.histogram(
+                "plankton_snapshot_swap_seconds",
+                "Delta apply end-to-end: analysis rebuild plus snapshot pointer swap.",
+                plankton_telemetry::Unit::Micros,
+            ),
             tasks_rerun: registry.counter(
                 "plankton_tasks_rerun_total",
                 "Tasks resubmitted to the engine because their content key missed.",
@@ -104,21 +117,22 @@ pub struct IncrementalRunStats {
     pub steps_cached: u64,
 }
 
-/// The result of applying one delta through an [`IncrementalVerifier`].
+/// What one applied delta touched, as reported by
+/// [`IncrementalVerifier::apply_deltas`].
 #[derive(Clone, Debug)]
 pub struct AppliedDelta {
     /// The delta's kind tag (for logs/statistics).
     pub kind: &'static str,
     /// What the config diff layer reports as touched.
     pub touch: DeltaTouch,
-    /// The PECs (of the *post-delta* partition) the touch maps to, closed
+    /// The PECs (of the *post-batch* partition) the touch maps to, closed
     /// under reverse dependencies — the advisory dirty set.
     pub pecs_touched: BTreeSet<PecId>,
-    /// Number of PECs in the post-delta partition.
+    /// Number of PECs in the post-batch partition.
     pub pecs_total: usize,
 }
 
-/// The result of applying a coalesced batch of deltas in one rebuild
+/// The result of applying a batch of deltas in one rebuild
 /// ([`IncrementalVerifier::apply_deltas`]).
 pub struct AppliedBatch {
     /// Per input delta, in order: `Ok` carries the advisory dirty info,
@@ -127,14 +141,47 @@ pub struct AppliedBatch {
     pub outcomes: Vec<Result<AppliedDelta, DeltaError>>,
     /// Number of deltas that applied (the `Ok` outcomes).
     pub applied: usize,
-    /// Union advisory dirty set across applied deltas, mapped through the
-    /// post-batch partition.
-    pub pecs_touched: BTreeSet<PecId>,
-    /// Number of PECs in the post-batch partition.
-    pub pecs_total: usize,
     /// The pinned post-batch analysis snapshot. Lagged verification runs
     /// against exactly this `Arc`, immune to newer concurrent deltas.
     pub snapshot: Arc<Plankton>,
+}
+
+/// Instrument one rebuild of [`IncrementalVerifier::apply_deltas`]: the
+/// swap latency, the advisory dirty count of every applied delta, and one
+/// `delta_applied` event (`kind` is `mixed` when the applied deltas differ
+/// in kind; `pecs_touched` is the union of their dirty sets).
+fn record_rebuild(
+    start: Instant,
+    deltas: usize,
+    outcomes: &[Result<AppliedDelta, DeltaError>],
+    pecs_total: usize,
+) {
+    let elapsed = start.elapsed().as_micros() as u64;
+    let applied: Vec<&AppliedDelta> = outcomes.iter().flatten().collect();
+    let dirty: usize = applied.iter().map(|a| a.pecs_touched.len()).sum();
+    let union: BTreeSet<PecId> = applied
+        .iter()
+        .flat_map(|a| a.pecs_touched.iter().copied())
+        .collect();
+    let kind = match applied.split_first() {
+        Some((first, rest)) if rest.iter().all(|a| a.kind == first.kind) => first.kind,
+        _ => "mixed",
+    };
+    let metrics = incremental_metrics();
+    metrics.swap_seconds.observe(elapsed);
+    metrics.pecs_dirty.add(dirty as u64);
+    trace::event(
+        Level::Info,
+        "delta_applied",
+        &[
+            Field::str("kind", kind),
+            Field::u64("applied", applied.len() as u64),
+            Field::u64("skipped", (deltas - applied.len()) as u64),
+            Field::u64("pecs_touched", union.len() as u64),
+            Field::u64("pecs_total", pecs_total as u64),
+            Field::u64("elapsed_us", elapsed),
+        ],
+    );
 }
 
 /// Advance `mark` to now and return the microseconds since its previous
@@ -401,12 +448,12 @@ impl Plankton {
 /// analysis state ([`Plankton`] — network, PEC trie, dependency graph) is an
 /// immutable snapshot behind an `Arc`. Readers ([`IncrementalVerifier::verify`],
 /// queries) clone the `Arc` and work off their snapshot without holding any
-/// lock for the duration of a verification; writers
-/// ([`IncrementalVerifier::apply_delta`], [`IncrementalVerifier::load`])
-/// build the replacement snapshot *off-lock* and swap the pointer. Writers
-/// are serialized by a dedicated mutation lock (a read-modify-write against
-/// the current snapshot must not race another), so every delta is applied
-/// against the snapshot its caller observed or a successor of it.
+/// lock for the duration of a verification; the one writer
+/// ([`IncrementalVerifier::apply_deltas`]) builds the replacement snapshot
+/// *off-lock* and swaps the pointer. Writers are serialized by a dedicated
+/// mutation lock (a read-modify-write against the current snapshot must not
+/// race another), so every delta is applied against the snapshot its caller
+/// observed or a successor of it.
 ///
 /// The result cache is shared across all of it without generation tagging:
 /// content-addressed keys make an entry computed against *any* snapshot
@@ -415,8 +462,8 @@ impl Plankton {
 /// unreachable from the new snapshot's keys if the delta invalidated them.
 pub struct IncrementalVerifier {
     snapshot: parking_lot::RwLock<Arc<Plankton>>,
-    /// Serializes mutators (`apply_delta`, `load`) end-to-end; the snapshot
-    /// write lock above is only held for the pointer swap itself.
+    /// Serializes `apply_deltas` calls end-to-end; the snapshot write lock
+    /// above is only held for the pointer swap itself.
     mutate: parking_lot::Mutex<()>,
     cache: Arc<ResultCache>,
     deltas_applied: AtomicU64,
@@ -456,94 +503,28 @@ impl IncrementalVerifier {
         self.deltas_applied.load(Ordering::Relaxed)
     }
 
-    /// Replace the whole network (a `load` request): drops the cache.
-    pub fn load(&self, network: Network) {
-        let _serialize = self.mutate.lock();
-        let plankton = Arc::new(Plankton::new(network));
-        *self.snapshot.write() = plankton;
-        // A concurrent verify against the old snapshot may re-insert entries
-        // after this clear; content keys keep them harmless (and they stay
-        // *useful* if the old network is ever loaded again).
-        self.cache.clear();
-        self.deltas_applied.store(0, Ordering::Relaxed);
-    }
-
-    /// Apply one configuration delta: the network mutates, the PEC trie and
-    /// dependency graph are recomputed (off-lock — concurrent verifies keep
-    /// reading the old snapshot meanwhile), and the advisory dirty set is
-    /// derived by mapping the delta's touch through the new partition. The
-    /// result cache is kept — content keys make stale entries unreachable.
+    /// Apply one configuration delta: [`IncrementalVerifier::apply_deltas`]
+    /// over a one-element batch, returning that element's outcome.
     pub fn apply_delta(&self, delta: &ConfigDelta) -> Result<AppliedDelta, DeltaError> {
-        let start = Instant::now();
-        let _serialize = self.mutate.lock();
-        // Chaos hook: `snapshot_swap=delay:<N>ms` widens the rebuild window
-        // for race soaks; `snapshot_swap=panic` models a rebuild bug (the
-        // service contains it and keeps the *old* snapshot serving).
-        let _ = plankton_faultinject::trigger("snapshot_swap");
-        let mut network = self.snapshot().network().clone();
-        let touch = delta.apply(&mut network)?;
-        let plankton = Arc::new(Plankton::new(network));
-        let pecs_touched = pecs_touched_by(
-            plankton.network(),
-            plankton.pecs(),
-            plankton.dependencies(),
-            &touch,
-        );
-        let pecs_total = plankton.pecs().len();
-        *self.snapshot.write() = plankton;
-        self.deltas_applied.fetch_add(1, Ordering::Relaxed);
-
-        let elapsed = start.elapsed().as_micros() as u64;
-        static SWAP_SECONDS: OnceLock<Arc<plankton_telemetry::Histogram>> = OnceLock::new();
-        static PECS_DIRTY: OnceLock<Arc<plankton_telemetry::Counter>> = OnceLock::new();
-        let registry = plankton_telemetry::metrics::global();
-        SWAP_SECONDS
-            .get_or_init(|| {
-                registry.histogram(
-                    "plankton_snapshot_swap_seconds",
-                    "Delta apply end-to-end: analysis rebuild plus snapshot pointer swap.",
-                    plankton_telemetry::Unit::Micros,
-                )
-            })
-            .observe(elapsed);
-        PECS_DIRTY
-            .get_or_init(|| {
-                registry.counter(
-                    "plankton_pecs_dirty_advisory_total",
-                    "PECs the advisory touch set marked dirty across all deltas \
-                     (compare with plankton_tasks_rerun_total for invalidation precision).",
-                )
-            })
-            .add(pecs_touched.len() as u64);
-        trace::event(
-            Level::Info,
-            "delta_applied",
-            &[
-                Field::str("kind", delta.kind()),
-                Field::u64("pecs_touched", pecs_touched.len() as u64),
-                Field::u64("pecs_total", pecs_total as u64),
-                Field::u64("elapsed_us", elapsed),
-            ],
-        );
-
-        Ok(AppliedDelta {
-            kind: delta.kind(),
-            touch,
-            pecs_touched,
-            pecs_total,
-        })
+        let mut batch = self.apply_deltas(std::slice::from_ref(delta));
+        batch.outcomes.pop().expect("one outcome per delta")
     }
 
-    /// Apply a whole batch of deltas in **one** analysis rebuild: one network
-    /// clone, every delta applied to it in order, one `Plankton::new`, one
-    /// snapshot swap. This is what makes streaming ingestion sustain high
-    /// delta rates — N queued updates cost one rebuild instead of N.
+    /// Apply a batch of configuration deltas in **one** analysis rebuild —
+    /// the only path by which the network changes: one network clone, every
+    /// delta applied to it in order, one `Plankton::new` (PEC trie and
+    /// dependency graph, built off-lock while concurrent verifies keep
+    /// reading the old snapshot), one snapshot swap. N queued updates cost
+    /// one rebuild instead of N. Each applied delta's advisory dirty set is
+    /// its touch mapped through the post-batch partition. The result cache
+    /// is kept — content keys make stale entries unreachable.
     ///
     /// A delta that fails to apply (e.g. [`DeltaError::NoOp`] from an
     /// `[Up, Down]` pair coalesced to a no-op) is skipped and reported in its
     /// slot: `apply` leaves the network unchanged on error, so skipping is
     /// byte-identical to sequential one-at-a-time replay where the same
-    /// delta would have errored against the same state.
+    /// delta would have errored against the same state. A batch where
+    /// nothing applies keeps the current snapshot (no rebuild, no event).
     ///
     /// The returned [`AppliedBatch::snapshot`] is the *pinned* post-batch
     /// analysis: a lagged verification must run against exactly this `Arc`
@@ -552,84 +533,52 @@ impl IncrementalVerifier {
     pub fn apply_deltas(&self, deltas: &[ConfigDelta]) -> AppliedBatch {
         let start = Instant::now();
         let _serialize = self.mutate.lock();
+        // Chaos hook: `snapshot_swap=delay:<N>ms` widens the rebuild window
+        // for race soaks; `snapshot_swap=panic` models a rebuild bug (the
+        // service contains it and keeps the *old* snapshot serving).
         let _ = plankton_faultinject::trigger("snapshot_swap");
 
-        let mut network = self.snapshot().network().clone();
-        let mut touches: Vec<(usize, &'static str, DeltaTouch)> = Vec::new();
-        let mut outcomes: Vec<Result<AppliedDelta, DeltaError>> = Vec::with_capacity(deltas.len());
-        for (index, delta) in deltas.iter().enumerate() {
-            match delta.apply(&mut network) {
-                Ok(touch) => {
-                    touches.push((index, delta.kind(), touch));
-                    // Placeholder; rewritten below once the post-batch
-                    // partition exists to map touches through.
-                    outcomes.push(Err(DeltaError::NoOp(String::new())));
-                }
-                Err(e) => outcomes.push(Err(e)),
-            }
-        }
-
-        let applied = touches.len();
-        let (snapshot, pecs_touched, pecs_total) = if applied == 0 {
-            // Nothing changed: keep the current snapshot, no rebuild.
-            let snapshot = self.snapshot();
-            let total = snapshot.pecs().len();
-            (snapshot, BTreeSet::new(), total)
+        let current = self.snapshot();
+        let mut network = current.network().clone();
+        let touches: Vec<Result<DeltaTouch, DeltaError>> = deltas
+            .iter()
+            .map(|delta| delta.apply(&mut network))
+            .collect();
+        let applied = touches.iter().filter(|touch| touch.is_ok()).count();
+        let snapshot = if applied == 0 {
+            current
         } else {
-            let plankton = Arc::new(Plankton::new(network));
-            let mut union: BTreeSet<PecId> = BTreeSet::new();
-            for (index, kind, touch) in touches {
-                let pecs = pecs_touched_by(
-                    plankton.network(),
-                    plankton.pecs(),
-                    plankton.dependencies(),
+            Arc::new(Plankton::new(network))
+        };
+        let pecs_total = snapshot.pecs().len();
+        let outcomes: Vec<Result<AppliedDelta, DeltaError>> = deltas
+            .iter()
+            .zip(touches)
+            .map(|(delta, touch)| {
+                let touch = touch?;
+                let pecs_touched = pecs_touched_by(
+                    snapshot.network(),
+                    snapshot.pecs(),
+                    snapshot.dependencies(),
                     &touch,
                 );
-                union.extend(pecs.iter().copied());
-                outcomes[index] = Ok(AppliedDelta {
-                    kind,
+                Ok(AppliedDelta {
+                    kind: delta.kind(),
                     touch,
-                    pecs_touched: pecs,
-                    pecs_total: plankton.pecs().len(),
-                });
-            }
-            let total = plankton.pecs().len();
-            *self.snapshot.write() = plankton.clone();
+                    pecs_touched,
+                    pecs_total,
+                })
+            })
+            .collect();
+        if applied > 0 {
+            *self.snapshot.write() = Arc::clone(&snapshot);
             self.deltas_applied
                 .fetch_add(applied as u64, Ordering::Relaxed);
-            (plankton, union, total)
-        };
-
-        let elapsed = start.elapsed().as_micros() as u64;
-        static BATCH_SECONDS: OnceLock<Arc<plankton_telemetry::Histogram>> = OnceLock::new();
-        let registry = plankton_telemetry::metrics::global();
-        BATCH_SECONDS
-            .get_or_init(|| {
-                registry.histogram(
-                    "plankton_delta_batch_seconds",
-                    "Batched delta apply end-to-end: one network clone + one \
-                     analysis rebuild + one snapshot swap for the whole batch.",
-                    plankton_telemetry::Unit::Micros,
-                )
-            })
-            .observe(elapsed);
-        trace::event(
-            Level::Info,
-            "delta_batch_applied",
-            &[
-                Field::u64("deltas", deltas.len() as u64),
-                Field::u64("applied", applied as u64),
-                Field::u64("skipped", (deltas.len() - applied) as u64),
-                Field::u64("pecs_touched", pecs_touched.len() as u64),
-                Field::u64("elapsed_us", elapsed),
-            ],
-        );
-
+            record_rebuild(start, deltas.len(), &outcomes, pecs_total);
+        }
         AppliedBatch {
             outcomes,
             applied,
-            pecs_touched,
-            pecs_total,
             snapshot,
         }
     }

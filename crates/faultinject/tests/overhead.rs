@@ -1,32 +1,14 @@
 //! The zero-cost-when-disabled guarantee for failpoint hooks, asserted with
-//! a counting global allocator (same harness as
-//! `crates/telemetry/tests/overhead.rs`): a disarmed `trigger` /
-//! `trigger_keyed` must not allocate — it is one relaxed atomic load. This
-//! is what lets failpoints sit inside the per-task and per-write hot paths
-//! without moving the committed bench gates.
+//! the shared counting global allocator (`tests/support/counting_alloc.rs`):
+//! a disarmed `trigger` / `trigger_keyed` must not allocate — it is one
+//! relaxed atomic load. This is what lets failpoints sit inside the per-task
+//! and per-write hot paths without moving the committed bench gates.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocations;
 use plankton_faultinject as fp;
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 /// One test fn so the disarmed-path assertion cannot race an arming test:
 /// the failpoint table is process-global and integration tests in one
@@ -36,13 +18,13 @@ fn disarmed_triggers_do_not_allocate_and_armed_points_fire() {
     // Phase 1: nothing armed. The full hook path must be allocation-free.
     fp::clear();
     assert!(!fp::armed());
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..1000 {
         fp::trigger("cache_save").unwrap();
         fp::trigger("write").unwrap();
         fp::trigger_keyed("task", "pec", i).unwrap();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -58,10 +40,10 @@ fn disarmed_triggers_do_not_allocate_and_armed_points_fire() {
 
     // Phase 3: clearing restores the free path.
     fp::clear();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..1000 {
         fp::trigger("cache_save").unwrap();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(after - before, 0);
 }

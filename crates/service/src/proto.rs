@@ -201,9 +201,11 @@ pub enum Request {
     /// clients never send it and are untouched; `planktonctl` sends it once
     /// per connection and refuses an unknown major version.
     Hello,
-    /// Apply one configuration delta, synchronously (kept as the
-    /// single-element alias of `ApplyDeltas {ack: "verified"}`; the
-    /// response stays [`Response::DeltaApplied`] for wire compatibility).
+    /// Apply one configuration delta, synchronously: exactly a one-element
+    /// `ApplyDeltas {ack: "verified"}` — the same session routine applies
+    /// the pending queue and this delta in one rebuild — answered, for wire
+    /// compatibility, with [`Response::DeltaApplied`] for an applied delta
+    /// and an `Error` carrying the `rejected` detail otherwise.
     ApplyDelta {
         /// The delta.
         delta: ConfigDelta,

@@ -4,9 +4,13 @@
 //! Production routers emit updates far faster than one verification per
 //! update can absorb (ROADMAP item 2). The [`DeltaQueue`] decouples
 //! ingestion from verification: `ApplyDeltas {ack: "enqueued"}` appends to
-//! the queue and returns immediately; a background drain
-//! ([`crate::StreamingHandle`]) takes whole batches and applies them in one
-//! analysis rebuild ([`plankton_core::IncrementalVerifier::apply_deltas`]).
+//! the queue and returns immediately. The queue is emptied only by the
+//! session's one delta path, under its mutation lock: the background drain
+//! ([`crate::StreamingHandle`]), a `Verify`'s read-your-writes flush and
+//! every synchronous delta request (v1 `ApplyDelta`, `ApplyDeltas {ack:
+//! "verified"}`) take the whole pending batch and apply it, followed by the
+//! request's own deltas, in one analysis rebuild
+//! ([`plankton_core::IncrementalVerifier::apply_deltas`]).
 //!
 //! # Coalescing
 //!
@@ -102,9 +106,8 @@ enum SlotState {
 }
 
 /// The pure coalescing engine: an ordered list of entries plus the open-slot
-/// map. Shared by the live [`DeltaQueue`] and the synchronous
-/// `ApplyDeltas {ack: "verified"}` path (which coalesces a request's batch
-/// without queueing it).
+/// map. Shared by the live [`DeltaQueue`] and [`coalesce_batch`], which
+/// coalesces a synchronous request's own deltas without queueing them.
 #[derive(Default)]
 pub struct Coalescer {
     entries: Vec<Pending>,
@@ -287,9 +290,9 @@ pub struct CoalescedBatch {
     pub coalesced: u64,
 }
 
-/// Coalesce a one-shot batch (the synchronous `ack: "verified"` path),
-/// tracking which input delta ended up where so per-delta acks can report
-/// `applied` vs `coalesced`.
+/// Coalesce a synchronous request's own batch (v1 `ApplyDelta`'s one delta
+/// or an `ApplyDeltas {ack: "verified"}` batch), tracking which input delta
+/// ended up where so per-delta acks can report `applied` vs `coalesced`.
 pub fn coalesce_batch(deltas: Vec<ConfigDelta>) -> CoalescedBatch {
     let mut coalescer = Coalescer::default();
     let now = Instant::now();
@@ -520,8 +523,8 @@ impl DeltaQueue {
         inner.coalescer.oldest().map(|t| t.elapsed())
     }
 
-    /// Take everything pending right now (the synchronous flush path used by
-    /// `Verify` and `ack: "verified"`). Never blocks.
+    /// Take everything pending right now (the session's one delta path, for
+    /// the drain and every synchronous flush alike). Never blocks.
     pub fn take_all(&self) -> Vec<(ConfigDelta, Instant)> {
         let mut inner = self.inner.lock().unwrap();
         let batch = inner.coalescer.take();

@@ -6,11 +6,20 @@
 //! concurrent Unix-socket server hands one session to a thread per
 //! connection. Reads (`Verify`, `Query`, `Stats`) run concurrently — a
 //! verification clones the current analysis snapshot (`Arc`) and works
-//! off-lock for its whole duration — while mutations (`Load`, `ApplyDelta`)
-//! are serialized inside [`IncrementalVerifier`] and land as an atomic
-//! copy-on-write snapshot swap. The shared
-//! [`ResultCache`](plankton_core::ResultCache) means concurrent clients warm
-//! each other's verifications.
+//! off-lock for its whole duration — while mutations are serialized by the
+//! session's mutation lock and land as an atomic copy-on-write snapshot
+//! swap. The shared [`ResultCache`](plankton_core::ResultCache) means
+//! concurrent clients warm each other's verifications.
+//!
+//! Every delta reaches the network through one routine,
+//! `ServiceSession::apply_pending_then`: under the mutation lock it takes
+//! whatever the streaming queue holds, coalesces the request's own deltas,
+//! and applies `pending ++ own` in a single
+//! [`IncrementalVerifier::apply_deltas`] rebuild. v1 `ApplyDelta` calls it
+//! with its one delta, `ApplyDeltas {ack: "verified"}` with its batch, and
+//! `Verify`'s read-your-writes flush and the background drain with none —
+//! so a client's deltas land in the order it sent them, whichever request
+//! carried them.
 //!
 //! With a cache directory configured ([`ServiceSession::with_cache_dir`]),
 //! the content-addressed result cache also survives process restarts:
@@ -25,8 +34,11 @@ use crate::proto::{
 };
 use crate::queue::{coalesce_batch, BatchFate, DeltaQueue, PushError};
 use parking_lot::{Mutex, RwLock};
-use plankton_config::{ConfigDelta, Network};
-use plankton_core::{IncrementalVerifier, Plankton, PlanktonOptions, Tuning, VerificationReport};
+use plankton_config::{ConfigDelta, DeltaError, Network};
+use plankton_core::{
+    AppliedBatch, AppliedDelta, IncrementalVerifier, Plankton, PlanktonOptions, Tuning,
+    VerificationReport,
+};
 use plankton_telemetry::trace::{self, Field, Level};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -139,12 +151,42 @@ struct StreamingPolicy {
     max_failures: usize,
 }
 
+/// What one pass of `ServiceSession::apply_pending_then` did.
+struct DeltaPass {
+    /// The verifier the pass applied to (a later `Load` may replace it).
+    verifier: Arc<IncrementalVerifier>,
+    /// The rebuild's outcome over `pending ++ own survivors`, in that order.
+    batch: AppliedBatch,
+    /// One fate per delta of the request's own batch; survivor outputs
+    /// index the survivors, which follow the pending deltas in `batch`.
+    fates: Vec<BatchFate>,
+    /// Request deltas coalesced away within the request.
+    coalesced: u64,
+    /// Enqueue instants of the pending deltas taken from the queue.
+    enqueued: Vec<Instant>,
+    /// When the pass started (the lag cycle's start).
+    started: Instant,
+}
+
+impl DeltaPass {
+    /// The apply outcome of the request's `input`-th delta, or `None` when
+    /// it was coalesced into a later delta of the same request.
+    fn outcome(&self, input: usize) -> Option<&Result<AppliedDelta, DeltaError>> {
+        match self.fates[input] {
+            BatchFate::Survivor { output } => {
+                Some(&self.batch.outcomes[self.enqueued.len() + output])
+            }
+            BatchFate::Coalesced => None,
+        }
+    }
+}
+
 /// Server-side state behind the request loop(s).
 pub struct ServiceSession {
     verifier: RwLock<Option<Arc<IncrementalVerifier>>>,
-    /// Serializes session-level mutations (`Load`, `ApplyDelta`) with each
-    /// other: without it a `Load` could replace the verifier while a
-    /// concurrent delta is applying to the old one — the delta would be
+    /// Serializes session-level mutations (`Load` and every delta apply)
+    /// with each other: without it a `Load` could replace the verifier while
+    /// a concurrent delta is applying to the old one — the delta would be
     /// acknowledged and then silently discarded with no defined order.
     mutate: Mutex<()>,
     /// Last full report per policy report name, for follow-up queries —
@@ -465,20 +507,19 @@ impl ServiceSession {
                 proto_version: PROTO_VERSION.to_string(),
                 features: PROTO_FEATURES.iter().map(|f| f.to_string()).collect(),
             },
-            Request::ApplyDeltas { deltas, ack } => self.apply_deltas(deltas, ack),
+            Request::ApplyDeltas { deltas, ack } => self.accept_deltas(deltas, ack),
             Request::ApplyDelta { delta } => {
-                let _serialize = self.mutate.lock();
-                let Some(verifier) = self.verifier() else {
+                let Some(pass) = self.apply_pending_then(std::slice::from_ref(delta)) else {
                     return Response::error("no network loaded");
                 };
-                // Program order: deltas this client enqueued earlier land
-                // before this one.
-                self.flush_queue_locked(&verifier);
-                match verifier.apply_delta(delta) {
+                self.queue
+                    .record_drain(&pass.enqueued, pass.started.elapsed());
+                let lone = pass
+                    .outcome(0)
+                    .expect("a lone delta has nothing to fold into");
+                match lone {
                     Ok(applied) => {
-                        self.last_reports.lock().clear();
-                        let snapshot = verifier.snapshot();
-                        let network = snapshot.network();
+                        let network = pass.batch.snapshot.network();
                         Response::DeltaApplied(DeltaSummary {
                             kind: applied.kind.to_string(),
                             devices_touched: applied
@@ -617,8 +658,13 @@ impl ServiceSession {
             return Response::error("no network loaded");
         };
         // Read-your-writes: everything the client enqueued before this
-        // verify is applied first (an empty queue makes this a no-op).
-        self.flush_queue(&verifier);
+        // verify is applied first (an empty queue skips the mutation lock).
+        if self.queue.depth() > 0 {
+            if let Some(pass) = self.apply_pending_then(&[]) {
+                self.queue
+                    .record_drain(&pass.enqueued, pass.started.elapsed());
+            }
+        }
         // Pin the snapshot for name resolution *and* verification: a delta
         // landing between the two must not tear this request.
         let snapshot = verifier.snapshot();
@@ -731,7 +777,7 @@ impl ServiceSession {
     }
 
     /// Handle `ApplyDeltas {deltas, ack}` — the batched v2 delta surface.
-    fn apply_deltas(&self, deltas: &[ConfigDelta], ack: &str) -> Response {
+    fn accept_deltas(&self, deltas: &[ConfigDelta], ack: &str) -> Response {
         let Some(mode) = DeltaAckMode::parse(ack) else {
             return Response::error(format!(
                 "unknown ack mode {ack:?} (use \"verified\" or \"enqueued\")"
@@ -747,7 +793,7 @@ impl ServiceSession {
         }
         match mode {
             DeltaAckMode::Enqueued => self.enqueue_deltas(deltas),
-            DeltaAckMode::Verified => self.apply_deltas_now(deltas),
+            DeltaAckMode::Verified => self.apply_verified(deltas),
         }
     }
 
@@ -806,30 +852,27 @@ impl ServiceSession {
         }
     }
 
-    /// `ack: "verified"`: flush anything already pending (read-your-writes),
-    /// coalesce the request's own batch, and apply it in one analysis
-    /// rebuild before replying — per-delta acks report `applied`,
-    /// `coalesced` or `rejected` (a rejected delta, e.g. a no-op, leaves the
-    /// network unchanged exactly as sequential replay would).
-    fn apply_deltas_now(&self, deltas: &[ConfigDelta]) -> Response {
-        let _serialize = self.mutate.lock();
-        let Some(verifier) = self.verifier() else {
+    /// `ack: "verified"`: apply whatever is pending (read-your-writes) and
+    /// the request's own coalesced batch in one analysis rebuild before
+    /// replying — per-delta acks report `applied`, `coalesced` or `rejected`
+    /// (a rejected delta, e.g. a no-op, leaves the network unchanged exactly
+    /// as sequential replay would).
+    fn apply_verified(&self, deltas: &[ConfigDelta]) -> Response {
+        let Some(pass) = self.apply_pending_then(deltas) else {
             return Response::error("no network loaded");
         };
-        self.flush_queue_locked(&verifier);
-        let batch = coalesce_batch(deltas.to_vec());
-        let outcome = verifier.apply_deltas(&batch.deltas);
-        self.last_reports.lock().clear();
+        self.queue
+            .record_drain(&pass.enqueued, pass.started.elapsed());
         let acks = deltas
             .iter()
-            .zip(&batch.fates)
-            .map(|(delta, fate)| match fate {
-                BatchFate::Coalesced => DeltaAck {
+            .enumerate()
+            .map(|(input, delta)| match pass.outcome(input) {
+                None => DeltaAck {
                     kind: delta.kind().to_string(),
                     status: "coalesced".to_string(),
                     detail: String::new(),
                 },
-                BatchFate::Survivor { output } => match &outcome.outcomes[*output] {
+                Some(outcome) => match outcome {
                     Ok(applied) => DeltaAck {
                         kind: applied.kind.to_string(),
                         status: "applied".to_string(),
@@ -850,36 +893,45 @@ impl ServiceSession {
         Response::DeltasAccepted {
             ack: "verified".to_string(),
             deltas: acks,
-            coalesced: batch.coalesced,
+            coalesced: pass.coalesced,
             lag: self.lag_summary(),
         }
     }
 
-    /// Apply everything pending in the streaming queue, serialized against
-    /// other mutations. Called by `Verify` (read-your-writes: a verify must
-    /// observe every delta the client enqueued before it).
-    fn flush_queue(&self, verifier: &Arc<IncrementalVerifier>) {
-        if self.queue.depth() == 0 {
-            return;
-        }
+    /// The one delta path. Under the mutation lock: take everything pending
+    /// in the streaming queue, coalesce the request's own `deltas`, and apply
+    /// `pending ++ own survivors` in **one**
+    /// [`IncrementalVerifier::apply_deltas`] rebuild. Pending deltas go
+    /// first, so whatever a client enqueued lands before anything it sends
+    /// later; the final network equals one-at-a-time replay because apply is
+    /// sequential and skips errored deltas.
+    ///
+    /// `None` when there is nothing to apply or no network is loaded. The
+    /// caller records the pending deltas' lag (`DeltaPass::enqueued`) once
+    /// they count as verified for it.
+    fn apply_pending_then(&self, deltas: &[ConfigDelta]) -> Option<DeltaPass> {
+        let started = Instant::now();
         let _serialize = self.mutate.lock();
-        self.flush_queue_locked(verifier);
-    }
-
-    /// The mutate-lock-held flush body ([`Mutex`] here is not reentrant, so
-    /// paths already holding the lock call this directly).
-    fn flush_queue_locked(&self, verifier: &IncrementalVerifier) {
-        let start = Instant::now();
-        let batch = self.queue.take_all();
-        if batch.is_empty() {
-            return;
+        let (mut batch, enqueued): (Vec<_>, Vec<_>) = self.queue.take_all().into_iter().unzip();
+        if batch.is_empty() && deltas.is_empty() {
+            return None;
         }
-        let (deltas, enqueued): (Vec<_>, Vec<_>) = batch.into_iter().unzip();
-        let _ = verifier.apply_deltas(&deltas);
-        self.last_reports.lock().clear();
-        // Lag is enqueue→applied here; the caller's verify completes against
-        // the flushed snapshot immediately after.
-        self.queue.record_drain(&enqueued, start.elapsed());
+        // Without a verifier nothing can be pending: `Load` clears the queue.
+        let verifier = self.verifier()?;
+        let own = coalesce_batch(deltas.to_vec());
+        batch.extend(own.deltas);
+        let outcome = verifier.apply_deltas(&batch);
+        if outcome.applied > 0 {
+            self.last_reports.lock().clear();
+        }
+        Some(DeltaPass {
+            verifier,
+            batch: outcome,
+            fates: own.fates,
+            coalesced: own.coalesced,
+            enqueued,
+            started,
+        })
     }
 
     /// Pending/oldest/percentile lag figures for `DeltasAccepted` replies.
@@ -902,26 +954,16 @@ impl ServiceSession {
     /// the pinned post-batch snapshot so follow-up queries keep getting
     /// served. The take happens *under* the mutate lock — a concurrent
     /// `Verify` flush therefore either applies these deltas itself (and
-    /// this drain takes an empty batch) or waits and pins the post-batch
+    /// this drain finds nothing to apply) or waits and pins the post-batch
     /// snapshot; a signalled batch can never fall between a flush and its
     /// pinned snapshot. Verification runs off the lock — a delta landing
     /// mid-verify just means the stored report fails its snapshot-identity
     /// check and is refreshed on the next drain.
     fn drain_pending(&self) {
-        let start = Instant::now();
-        let guard = self.mutate.lock();
-        let batch = self.queue.take_all();
-        if batch.is_empty() {
+        let Some(pass) = self.apply_pending_then(&[]) else {
             return;
-        }
-        let (deltas, enqueued): (Vec<_>, Vec<_>) = batch.into_iter().unzip();
-        let Some(verifier) = self.verifier() else {
-            return; // Load raced the drain; its queue.clear() owns cleanup.
         };
-        let outcome = verifier.apply_deltas(&deltas);
-        self.last_reports.lock().clear();
-        drop(guard);
-        let snapshot = outcome.snapshot.clone();
+        let snapshot = &pass.batch.snapshot;
         let policies: Vec<StreamingPolicy> =
             self.streaming_policies.lock().values().cloned().collect();
         let mut reverified = 0u64;
@@ -937,7 +979,7 @@ impl ServiceSession {
                 streaming.spec.fingerprint(),
                 &scenario,
                 &streaming.options,
-                verifier.cache(),
+                pass.verifier.cache(),
             );
             if let Some(engine) = &report.engine {
                 if engine.tasks_panicked > 0 {
@@ -949,15 +991,16 @@ impl ServiceSession {
                 .lock()
                 .insert(report.policy.clone(), (snapshot.clone(), Arc::new(report)));
         }
-        self.queue.record_drain(&enqueued, start.elapsed());
+        self.queue
+            .record_drain(&pass.enqueued, pass.started.elapsed());
         trace::event(
             Level::Info,
             "stream_drain",
             &[
-                Field::u64("batch", deltas.len() as u64),
-                Field::u64("applied", outcome.applied as u64),
+                Field::u64("batch", pass.enqueued.len() as u64),
+                Field::u64("applied", pass.batch.applied as u64),
                 Field::u64("policies_reverified", reverified),
-                Field::u64("elapsed_us", start.elapsed().as_micros() as u64),
+                Field::u64("elapsed_us", pass.started.elapsed().as_micros() as u64),
             ],
         );
     }

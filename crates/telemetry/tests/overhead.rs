@@ -3,30 +3,15 @@
 //! all. This lives in its own integration-test binary because the global
 //! allocator and the global sink registry are process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use counting_alloc::allocations;
 use plankton_telemetry::taskstats::TaskCosts;
 use plankton_telemetry::trace::{self, Event, Field, Level, Sink};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 struct CountingSink {
     seen: AtomicU64,
@@ -53,14 +38,14 @@ fn disabled_event_path_does_not_allocate_and_sinks_see_events_once_installed() {
     ];
     // Warm up any lazy thread-local init outside the measured window.
     trace::event(Level::Info, "warmup", &fields);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..1000 {
         trace::event(Level::Info, "request", &fields);
         trace::event(Level::Error, "boom", &[]);
         let span = trace::span(Level::Debug, "phase");
         drop(span);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -91,9 +76,9 @@ fn disabled_event_path_does_not_allocate_and_sinks_see_events_once_installed() {
     trace::clear_sinks();
     assert!(plankton_telemetry::recorder::global().is_none());
     assert!(!trace::enabled(Level::Error));
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     trace::event(Level::Error, "gone", &fields);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(after - before, 0);
     assert_eq!(sink.seen.load(Ordering::Relaxed), 3);
 
@@ -102,13 +87,13 @@ fn disabled_event_path_does_not_allocate_and_sinks_see_events_once_installed() {
     // shard read-lock plus relaxed atomic adds — zero allocations.
     let costs = TaskCosts::new();
     costs.record_run(7, 42, 100, 10, || "f{3}".to_string());
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for i in 0..1000 {
         costs.record_run(7, 42, i, 1, || unreachable!("label rebuilt"));
         costs.record_cache_hit(7, 42, || unreachable!("label rebuilt"));
     }
     let (runs, total, _max) = costs.totals(7, 42);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

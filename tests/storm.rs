@@ -224,6 +224,87 @@ fn v1_apply_delta_lands_after_deltas_enqueued_before_it() {
     assert_eq!(session_bytes, replay_bytes);
 }
 
+/// v1 `ApplyDelta` is the one-element `ApplyDeltas {ack: "verified"}`: over
+/// a seeded sequence with no-op rejections and a static route added and
+/// removed, the two surfaces answer alike (`DeltaApplied` ↔ `applied` with
+/// the same kind, `Error` ↔ `rejected` with the same message) and leave the
+/// same network after every step.
+#[test]
+fn v1_apply_delta_matches_a_one_element_verified_batch() {
+    let s = ring_ospf(6);
+    let mut deltas = storm_deltas(&s, 0xD1FF_0001, 40);
+    // The storm only touches slots 0..3; these target slot 4 so the no-op
+    // and the add/remove pair are guaranteed, not left to the seed.
+    let spare_link = s.ring.links[4];
+    let spare_router = s.ring.routers[4];
+    deltas.splice(
+        20..20,
+        [
+            ConfigDelta::LinkDown { link: spare_link },
+            ConfigDelta::LinkDown { link: spare_link },
+            ConfigDelta::StaticRouteAdd {
+                device: spare_router,
+                route: StaticRoute::null(s.destination),
+            },
+            ConfigDelta::StaticRouteRemove {
+                device: spare_router,
+                prefix: s.destination,
+            },
+            ConfigDelta::LinkUp { link: spare_link },
+        ],
+    );
+    let v1 = ServiceSession::with_network(s.network.clone());
+    let v2 = ServiceSession::with_network(s.network.clone());
+    let network_json = |session: &ServiceSession| {
+        let verifier = session.verifier().expect("a network is loaded");
+        verifier.snapshot().network().to_json()
+    };
+    let (mut applied, mut rejected) = (0, 0);
+    for (step, delta) in deltas.iter().enumerate() {
+        let one = v1.handle(&Request::ApplyDelta {
+            delta: delta.clone(),
+        });
+        let batch = v2.handle(&Request::ApplyDeltas {
+            deltas: vec![delta.clone()],
+            ack: "verified".into(),
+        });
+        let Response::DeltasAccepted {
+            deltas: acks,
+            coalesced: 0,
+            ..
+        } = &batch
+        else {
+            panic!("step {step}: batch not accepted: {batch:?}");
+        };
+        let [ack] = acks.as_slice() else {
+            panic!("step {step}: one ack per delta, got {acks:?}");
+        };
+        match &one {
+            Response::DeltaApplied(summary) => {
+                assert_eq!(ack.status, "applied", "step {step}: {one:?} vs {ack:?}");
+                assert_eq!(ack.kind, summary.kind, "step {step}");
+                applied += 1;
+            }
+            Response::Error { message, .. } => {
+                assert_eq!(ack.status, "rejected", "step {step}: {one:?} vs {ack:?}");
+                assert_eq!(&ack.detail, message, "step {step}");
+                rejected += 1;
+            }
+            other => panic!("step {step}: unexpected v1 response {other:?}"),
+        }
+        assert_eq!(network_json(&v1), network_json(&v2), "step {step}");
+    }
+    assert!(
+        applied > 0 && rejected > 0,
+        "{applied} applied, {rejected} rejected"
+    );
+    let verify = verify_request(&s);
+    assert_eq!(
+        final_report_bytes(&v1, &verify),
+        final_report_bytes(&v2, &verify)
+    );
+}
+
 /// A lone delta must not wait for `max_lag_deltas` peers: the age bound
 /// (`max_lag_ms`) alone must get it verified.
 #[test]

@@ -18,8 +18,14 @@ use std::sync::{Arc, Mutex};
 /// Spawn `planktond --scenario ring:4 --log-json <log>` and feed it
 /// `input` on stdin; returns (stdout, exit-success).
 fn run_daemon_logged(input: &str, log: &std::path::Path) -> (String, bool) {
+    run_daemon_logged_with(&[], input, log)
+}
+
+/// [`run_daemon_logged`] with extra daemon flags.
+fn run_daemon_logged_with(flags: &[&str], input: &str, log: &std::path::Path) -> (String, bool) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_planktond"))
         .args(["--scenario", "ring:4", "--log-json", log.to_str().unwrap()])
+        .args(flags)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -234,6 +240,63 @@ fn metrics_request_renders_prometheus_text_with_live_families() {
     assert!(
         text.contains(r#"plankton_request_seconds_count{kind="verify"} 2"#),
         "{text}"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Deltas that only ever arrive enqueue-acked go through the same apply as
+/// v1 ones: the `Verify` that flushes them logs `delta_applied` in its own
+/// chain, and the advisory dirty counter — the denominator of the
+/// invalidation-precision ratio — counts them.
+#[test]
+fn enqueued_deltas_are_logged_and_counted_like_v1_deltas() {
+    let dir = std::env::temp_dir().join(format!("plankton-enqueued-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("events.jsonl");
+    let input = [
+        r#"{"ApplyDeltas": {"deltas": [{"LinkDown": {"link": 0}}], "ack": "enqueued"}}"#,
+        r#"{"Verify": {"policy": "LoopFreedom"}}"#,
+        r#""Metrics""#,
+        r#""Shutdown""#,
+    ]
+    .join("\n")
+        + "\n";
+    // A lag bound far past the test's life: the Verify, not the background
+    // drain, applies the enqueued delta.
+    let (stdout, success) = run_daemon_logged_with(&["--max-lag-ms", "600000"], &input, &log);
+    assert!(success, "clean stream exits zero");
+
+    let events = events_of(&log);
+    let verify_trace = events
+        .iter()
+        .find(|e| field_str(e, "event") == "request" && field_str(e, "kind") == "verify")
+        .map(|e| field_u64(e, "trace"))
+        .expect("verify request logged");
+    let chain: Vec<&str> = events
+        .iter()
+        .filter(|e| field_u64(e, "trace") == verify_trace)
+        .map(|e| field_str(e, "event"))
+        .collect();
+    assert!(chain.contains(&"delta_applied"), "{chain:?}");
+
+    let metrics_line = stdout
+        .lines()
+        .find(|l| l.contains("\"MetricsText\""))
+        .expect("MetricsText response served");
+    let response: serde::Value = serde_json::from_str(metrics_line).unwrap();
+    let Some(serde::Value::Str(text)) = response.get("MetricsText").and_then(|v| v.get("text"))
+    else {
+        panic!("MetricsText.text missing: {metrics_line}");
+    };
+    let dirty: u64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix("plankton_pecs_dirty_advisory_total "))
+        .map(|n| n.parse().unwrap())
+        .unwrap_or(0);
+    assert!(
+        dirty > 0,
+        "the enqueued delta's dirty PECs went uncounted:\n{text}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
