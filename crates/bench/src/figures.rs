@@ -940,88 +940,6 @@ pub fn fig9(quick: bool) -> FigureResult {
     }
 }
 
-/// One measured point of the cores-scaling sweep, serialized as JSON so
-/// future changes can track parallel speedup across commits.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
-pub struct CoresScalingPoint {
-    /// Engine workers used.
-    pub workers: usize,
-    /// Wall-clock seconds for the verification.
-    pub seconds: f64,
-    /// Speedup relative to the 1-worker run of the same sweep.
-    pub speedup: f64,
-    /// Tasks in the engine's (component × failure-scenario) graph.
-    pub tasks_total: usize,
-    /// Tasks that migrated between workers by stealing.
-    pub tasks_stolen: u64,
-    /// States explored by the model checker (identical across worker counts
-    /// — a sanity check that parallelism does not change the search).
-    pub states_explored: u64,
-}
-
-/// Cores-scaling sweep: the fat-tree loop workload on a growing engine
-/// worker pool. The last row carries the raw sweep as JSON.
-///
-/// Scaling note: the shape of the curve depends on the machine — on a
-/// single-core container every worker count measures the same serialized
-/// work (speedup ≈ 1.0 plus scheduling overhead), while multi-core machines
-/// should approach linear speedup, since the fat-tree workload is dozens of
-/// independent (PEC × failure-scenario) tasks.
-pub fn cores_scaling(quick: bool) -> FigureResult {
-    let cores: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let s = fat_tree_ospf(4, CoreStaticRoutes::MatchingOspf);
-    let scenario = if quick {
-        FailureScenario::no_failures()
-    } else {
-        FailureScenario::up_to(1)
-    };
-    let plankton = Plankton::new(s.network.clone());
-    let mut rows = Vec::new();
-    let mut points: Vec<CoresScalingPoint> = Vec::new();
-    let mut base_seconds = None;
-    for &c in cores {
-        let (report, elapsed) = time(|| {
-            plankton.verify(
-                &LoopFreedom::everywhere(),
-                &scenario,
-                &PlanktonOptions::with_cores(c).collect_all_violations(),
-            )
-        });
-        assert!(
-            report.holds(),
-            "the matching-static-routes fat tree is loop-free"
-        );
-        let seconds = elapsed.as_secs_f64();
-        let base = *base_seconds.get_or_insert(seconds);
-        let speedup = base / seconds.max(1e-9);
-        let engine = report.engine.clone().expect("engine stats recorded");
-        rows.push(
-            Row::new(format!("{c} workers"))
-                .col("time", secs(elapsed))
-                .col("speedup", format!("{speedup:.2}x"))
-                .col("tasks", engine.tasks_total)
-                .col("stolen", engine.tasks_stolen),
-        );
-        points.push(CoresScalingPoint {
-            workers: c,
-            seconds,
-            speedup,
-            tasks_total: engine.tasks_total,
-            tasks_stolen: engine.tasks_stolen,
-            states_explored: report.stats.states_explored(),
-        });
-    }
-    rows.push(Row::new("json").col(
-        "data",
-        serde_json::to_string(&points).expect("sweep points serialize"),
-    ));
-    FigureResult {
-        id: "cores".into(),
-        caption: "Engine cores-scaling sweep on the K=4 fat tree".into(),
-        rows,
-    }
-}
-
 /// One measured point of the incremental-explorer benchmark, serialized as
 /// JSON (`BENCH_checker.json`) so the single-core steps/sec trajectory can
 /// be tracked across commits.
@@ -1296,7 +1214,7 @@ pub fn checker_scale_bench(quick: bool) -> FigureResult {
     }
 }
 
-/// Run one figure by id ("2", "7a".."7i", "8", "9", "cores", "checker",
+/// Run one figure by id ("2", "7a".."7i", "8", "9", "checker",
 /// "checker_scale").
 pub fn run_figure(id: &str, quick: bool) -> Option<FigureResult> {
     let result = match id {
@@ -1312,7 +1230,6 @@ pub fn run_figure(id: &str, quick: bool) -> Option<FigureResult> {
         "7i" => fig7i(quick),
         "8" => fig8(quick),
         "9" => fig9(quick),
-        "cores" => cores_scaling(quick),
         "checker" => checker_bench(quick),
         "checker_scale" => checker_scale_bench(quick),
         _ => return None,
@@ -1320,8 +1237,8 @@ pub fn run_figure(id: &str, quick: bool) -> Option<FigureResult> {
     Some(result)
 }
 
-/// Every figure id, in paper order (plus the engine scaling sweep and the
-/// checker inner-loop benchmarks).
+/// Every figure id, in paper order (plus the checker inner-loop
+/// benchmarks).
 pub fn all_figures() -> Vec<&'static str> {
     vec![
         "2",
@@ -1336,7 +1253,6 @@ pub fn all_figures() -> Vec<&'static str> {
         "7i",
         "8",
         "9",
-        "cores",
         "checker",
         "checker_scale",
     ]
@@ -1388,26 +1304,6 @@ mod tests {
             }
         }
         assert!(run_figure("nope", true).is_none());
-    }
-
-    #[test]
-    fn quick_cores_scaling_emits_json() {
-        let f = cores_scaling(true);
-        assert_eq!(f.id, "cores");
-        // 3 worker counts plus the JSON row.
-        assert_eq!(f.rows.len(), 4);
-        let json_row = f.rows.last().unwrap();
-        assert_eq!(json_row.label, "json");
-        let data = &json_row.values[0].1;
-        let points: Vec<CoresScalingPoint> =
-            serde_json::from_str(data).expect("sweep JSON parses back");
-        assert_eq!(points.len(), 3);
-        assert_eq!(points[0].workers, 1);
-        assert!((points[0].speedup - 1.0).abs() < 1e-9);
-        // Parallelism must not change the search itself.
-        assert!(points.windows(2).all(|w| {
-            w[0].states_explored == w[1].states_explored && w[0].tasks_total == w[1].tasks_total
-        }));
     }
 
     #[test]

@@ -16,7 +16,4 @@ pub mod compare;
 pub mod figures;
 
 pub use compare::{compare, parse_entries, Entry, GateOutcome};
-pub use figures::{
-    all_figures, checker_bench, cores_scaling, run_figure, CheckerBenchPoint, CoresScalingPoint,
-    FigureResult, Row,
-};
+pub use figures::{all_figures, checker_bench, run_figure, CheckerBenchPoint, FigureResult, Row};

@@ -30,7 +30,7 @@ use plankton_net::failure::FailureScenario;
 use plankton_pec::{pecs_touched_by, OspfSliceMode, PecId, TaskKeys};
 use plankton_telemetry::trace::{self, Field, Level};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -392,7 +392,17 @@ impl Plankton {
             }
         });
         let total_stats = ctx.total_stats.into_inner();
-        engine_stats.interned_routes = ctx.interner.len() as u64;
+        // The engine line's route count: distinct control routes over the
+        // records this run built for dependents.
+        let mut record_routes = HashSet::new();
+        for &(c, f) in &dirty_tasks {
+            for outcome in deps.components[c].iter().filter_map(|&p| slot(p, f)?.get()) {
+                for record in &outcome.records {
+                    record_routes.extend(record.control_routes.iter().flatten());
+                }
+            }
+        }
+        engine_stats.interned_routes = record_routes.len() as u64;
         engine_stats.states_explored = total_stats.states_explored();
         stats.steps_reexplored = total_stats.steps - stats.steps_cached;
         phases.exploration_micros = lap(&mut mark);

@@ -28,10 +28,7 @@ pub mod verifier;
 pub use cache::{CacheSnapshot, PolicyOutcome, ResultCache};
 pub use failures::{DeviceEquivalence, LinkEquivalenceClasses};
 pub use incremental::{AppliedBatch, AppliedDelta, IncrementalRunStats, IncrementalVerifier};
-pub use options::{
-    PlanktonOptions, Tuning, DEFAULT_MAX_LAG_DELTAS, DEFAULT_MAX_LAG_MS,
-    DEFAULT_MAX_PENDING_DELTAS, DEFAULT_SLOW_TASK_MICROS,
-};
+pub use options::{PlanktonOptions, DEFAULT_SLOW_TASK_MICROS};
 pub use outcome::ConvergedRecord;
 pub use report::{PhaseTimings, VerificationReport, Violation};
 pub use verifier::{data_planes_capped_counter, Plankton};

@@ -125,12 +125,6 @@ impl PlanktonOptions {
         self
     }
 
-    /// Warn about tasks slower than `threshold`, builder-style.
-    pub fn with_slow_task_threshold(mut self, threshold: Duration) -> Self {
-        self.slow_task_micros = threshold.as_micros() as u64;
-        self
-    }
-
     /// A fingerprint of every option that can change a verification task's
     /// *outcome* (violations, stats, records) — part of the result-cache
     /// key. Scheduling-only knobs (`parallelism`, `deadline`)
@@ -167,109 +161,6 @@ impl PlanktonOptions {
     }
 }
 
-/// Default [`Tuning::max_lag_deltas`]: drain the streaming queue once this
-/// many deltas are pending.
-pub const DEFAULT_MAX_LAG_DELTAS: u64 = 64;
-/// Default [`Tuning::max_lag_ms`]: drain the streaming queue once the oldest
-/// pending delta is this old, even below the delta-count threshold.
-pub const DEFAULT_MAX_LAG_MS: u64 = 50;
-/// Default [`Tuning::max_pending_deltas`]: queue high-water mark above which
-/// further deltas are shed with `overloaded + retry_after_ms`.
-pub const DEFAULT_MAX_PENDING_DELTAS: u64 = 4096;
-
-/// The one tuning surface shared by requests, CLI flags and defaults.
-///
-/// Every knob that used to live on an ad-hoc builder (`--slow-task-ms`,
-/// `--max-inflight`, per-request `cores`/`deadline_ms`) plus the streaming-lag
-/// knobs lives here as an `Option`: `None` means "no opinion at this layer".
-/// Layers compose with [`Tuning::overlaid_on`] under a single precedence
-/// order: **request > CLI > default**. Verify-scoped knobs (`cores`,
-/// `deadline_ms`, `slow_task_ms`) are honored per request; daemon-scoped
-/// knobs (`max_inflight`, lag and queue bounds) have no per-request reading
-/// and are resolved once at the CLI layer.
-///
-/// Applying a `Tuning` can never change a result-cache key:
-/// [`Tuning::apply_to`] only writes [`PlanktonOptions`] fields excluded from
-/// [`PlanktonOptions::cache_fingerprint`] (`parallelism`, `deadline`,
-/// `slow_task_micros`).
-#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct Tuning {
-    /// Degree of parallelism for a verification ([`PlanktonOptions::parallelism`]).
-    #[serde(default)]
-    pub cores: Option<u64>,
-    /// Per-verification deadline in milliseconds ([`PlanktonOptions::deadline`]).
-    #[serde(default)]
-    pub deadline_ms: Option<u64>,
-    /// Slow-task warn threshold in milliseconds (`planktond --slow-task-ms`).
-    #[serde(default)]
-    pub slow_task_ms: Option<u64>,
-    /// Bound on concurrently running verifies (`planktond --max-inflight`).
-    #[serde(default)]
-    pub max_inflight: Option<u64>,
-    /// Streaming: drain once this many deltas are pending (`--max-lag-deltas`).
-    #[serde(default)]
-    pub max_lag_deltas: Option<u64>,
-    /// Streaming: drain once the oldest pending delta is this old (`--max-lag-ms`).
-    #[serde(default)]
-    pub max_lag_ms: Option<u64>,
-    /// Streaming: queue high-water mark before shedding (`--max-pending-deltas`).
-    #[serde(default)]
-    pub max_pending_deltas: Option<u64>,
-}
-
-impl Tuning {
-    /// `true` when no layer has expressed any opinion.
-    pub fn is_empty(&self) -> bool {
-        *self == Tuning::default()
-    }
-
-    /// Compose two layers: every knob set in `self` wins, every knob left
-    /// `None` falls through to `base`. `request.overlaid_on(&cli)` is the
-    /// documented request > CLI > default order.
-    pub fn overlaid_on(&self, base: &Tuning) -> Tuning {
-        Tuning {
-            cores: self.cores.or(base.cores),
-            deadline_ms: self.deadline_ms.or(base.deadline_ms),
-            slow_task_ms: self.slow_task_ms.or(base.slow_task_ms),
-            max_inflight: self.max_inflight.or(base.max_inflight),
-            max_lag_deltas: self.max_lag_deltas.or(base.max_lag_deltas),
-            max_lag_ms: self.max_lag_ms.or(base.max_lag_ms),
-            max_pending_deltas: self.max_pending_deltas.or(base.max_pending_deltas),
-        }
-    }
-
-    /// Write the verify-scoped knobs into `options`. Only touches fields
-    /// excluded from the cache fingerprint, so a tuned and an untuned run
-    /// share cached results.
-    pub fn apply_to(&self, options: &mut PlanktonOptions) {
-        if let Some(cores) = self.cores {
-            options.parallelism = (cores as usize).max(1);
-        }
-        if let Some(ms) = self.deadline_ms {
-            options.deadline = Some(Instant::now() + Duration::from_millis(ms));
-        }
-        if let Some(ms) = self.slow_task_ms {
-            options.slow_task_micros = ms.saturating_mul(1_000);
-        }
-    }
-
-    /// [`Tuning::max_lag_deltas`] or its default.
-    pub fn effective_max_lag_deltas(&self) -> u64 {
-        self.max_lag_deltas.unwrap_or(DEFAULT_MAX_LAG_DELTAS)
-    }
-
-    /// [`Tuning::max_lag_ms`] or its default.
-    pub fn effective_max_lag_ms(&self) -> u64 {
-        self.max_lag_ms.unwrap_or(DEFAULT_MAX_LAG_MS)
-    }
-
-    /// [`Tuning::max_pending_deltas`] or its default.
-    pub fn effective_max_pending_deltas(&self) -> u64 {
-        self.max_pending_deltas
-            .unwrap_or(DEFAULT_MAX_PENDING_DELTAS)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,69 +187,5 @@ mod tests {
         let n = PlanktonOptions::no_optimizations();
         assert!(!n.search.consistent_executions);
         assert!(!n.equivalence_suppression);
-    }
-
-    #[test]
-    fn slow_task_threshold_is_not_part_of_the_cache_key() {
-        let a = PlanktonOptions::default();
-        let b = PlanktonOptions::default().with_slow_task_threshold(Duration::from_millis(1));
-        assert_eq!(a.slow_task_micros, DEFAULT_SLOW_TASK_MICROS);
-        assert_eq!(b.slow_task_micros, 1_000);
-        assert_eq!(a.cache_fingerprint(), b.cache_fingerprint());
-    }
-
-    #[test]
-    fn tuning_precedence_is_request_over_cli_over_default() {
-        let cli = Tuning {
-            cores: Some(2),
-            slow_task_ms: Some(10),
-            max_lag_deltas: Some(128),
-            ..Default::default()
-        };
-        let request = Tuning {
-            cores: Some(8),
-            deadline_ms: Some(500),
-            ..Default::default()
-        };
-        let effective = request.overlaid_on(&cli);
-        assert_eq!(effective.cores, Some(8)); // request wins
-        assert_eq!(effective.slow_task_ms, Some(10)); // CLI fills the gap
-        assert_eq!(effective.deadline_ms, Some(500));
-        assert_eq!(effective.max_lag_deltas, Some(128));
-        assert_eq!(effective.max_lag_ms, None); // default layer
-        assert_eq!(effective.effective_max_lag_ms(), DEFAULT_MAX_LAG_MS);
-    }
-
-    #[test]
-    fn tuning_never_changes_the_cache_fingerprint() {
-        let tuning = Tuning {
-            cores: Some(16),
-            deadline_ms: Some(1),
-            slow_task_ms: Some(1),
-            max_inflight: Some(1),
-            max_lag_deltas: Some(1),
-            max_lag_ms: Some(1),
-            max_pending_deltas: Some(1),
-        };
-        let plain = PlanktonOptions::default();
-        let mut tuned = PlanktonOptions::default();
-        tuning.apply_to(&mut tuned);
-        assert_eq!(tuned.parallelism, 16);
-        assert!(tuned.deadline.is_some());
-        assert_eq!(tuned.slow_task_micros, 1_000);
-        assert_eq!(plain.cache_fingerprint(), tuned.cache_fingerprint());
-    }
-
-    #[test]
-    fn tuning_round_trips_through_serde_and_tolerates_missing_fields() {
-        let t = Tuning {
-            max_lag_deltas: Some(32),
-            ..Default::default()
-        };
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Tuning = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
-        let empty: Tuning = serde_json::from_str("{}").unwrap();
-        assert!(empty.is_empty());
     }
 }

@@ -8,7 +8,6 @@ use plankton_net::failure::FailureSet;
 use plankton_net::topology::NodeId;
 use plankton_protocols::Route;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// One converged data plane of a PEC under one failure scenario, together
 /// with the control-plane information dependents need.
@@ -20,10 +19,8 @@ pub struct ConvergedRecord {
     pub forwarding: ForwardingGraph,
     /// The converged control-plane route per device for the PEC's most
     /// specific prefix (used for control-plane policies and for IGP cost
-    /// lookups by dependent PECs). Routes are hash-consed through the
-    /// engine's shared interner, so records across failure scenarios and
-    /// converged alternatives share one allocation per distinct route.
-    pub control_routes: Vec<Option<Arc<Route>>>,
+    /// lookups by dependent PECs).
+    pub control_routes: Vec<Option<Route>>,
     /// The devices at which the PEC's traffic is delivered (owners of the
     /// matched prefixes).
     pub owners: Vec<NodeId>,
@@ -61,11 +58,7 @@ mod tests {
         ConvergedRecord {
             failures,
             forwarding,
-            control_routes: vec![
-                Some(Arc::new(r0)),
-                Some(Arc::new(r1)),
-                Some(Arc::new(origin)),
-            ],
+            control_routes: vec![Some(r0), Some(r1), Some(origin)],
             owners: vec![NodeId(2)],
         }
     }

@@ -30,7 +30,6 @@ use plankton_checker::{
 };
 use plankton_config::{Network, StaticNextHop};
 use plankton_dataplane::{FibEntry, Forward, ForwardingGraph, Lookup, RouteSource};
-use plankton_engine::SharedRouteInterner;
 use plankton_net::failure::FailureSet;
 use plankton_net::ip::{Ipv4Addr, Prefix};
 use plankton_net::topology::NodeId;
@@ -710,20 +709,15 @@ impl<'a> PecSession<'a> {
         (planes, stream.stats)
     }
 
-    /// Turn a data plane into the record stored for dependent PECs, sharing
-    /// route allocations through the engine's interner.
-    pub fn record_of(
-        &self,
-        plane: &PlaneRef<'_>,
-        interner: &SharedRouteInterner,
-    ) -> ConvergedRecord {
+    /// Turn a data plane into the record stored for dependent PECs.
+    pub fn record_of(&self, plane: &PlaneRef<'_>) -> ConvergedRecord {
+        let mut control_routes = Vec::new();
+        plane.control_routes_into(&mut control_routes);
         ConvergedRecord {
             failures: self.failures.clone(),
             owners: plane.forwarding.delivery_points(),
             forwarding: plane.forwarding.clone(),
-            control_routes: (0..plane.forwarding.node_count() as u32)
-                .map(|i| interner.intern_opt(plane.control_route(NodeId(i))))
-                .collect(),
+            control_routes,
         }
     }
 }
@@ -781,9 +775,7 @@ mod tests {
             );
         }
         let mut records = Vec::new();
-        session.stream_planes(&mut |plane| {
-            records.push(session.record_of(plane, &SharedRouteInterner::new()))
-        });
+        session.stream_planes(&mut |plane| records.push(session.record_of(plane)));
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].owners, vec![s.origin]);
         assert_eq!(records[0].forwarding, planes[0].forwarding);

@@ -145,11 +145,7 @@ mod tests {
         ConvergedRecord {
             failures: FailureSet::none(),
             forwarding,
-            control_routes: vec![
-                Some(std::sync::Arc::new(r0)),
-                Some(std::sync::Arc::new(r1)),
-                Some(std::sync::Arc::new(origin)),
-            ],
+            control_routes: vec![Some(r0), Some(r1), Some(origin)],
             owners: vec![NodeId(2)],
         }
     }

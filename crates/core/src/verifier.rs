@@ -31,7 +31,6 @@ use parking_lot::Mutex;
 use plankton_checker::{SearchScratch, SearchStats};
 use plankton_config::Network;
 use plankton_dataplane::{ForwardingGraph, WalkEnd};
-use plankton_engine::SharedRouteInterner;
 use plankton_net::failure::{FailureScenario, FailureSet};
 use plankton_net::topology::NodeId;
 use plankton_pec::{compute_pecs, Pec, PecDependencies, PecId, PecSet};
@@ -113,7 +112,6 @@ pub(crate) struct RunCtx<'a> {
     pub(crate) total_stats: Mutex<SearchStats>,
     pub(crate) data_planes_checked: AtomicU64,
     pub(crate) stop: AtomicBool,
-    pub(crate) interner: SharedRouteInterner,
     /// Mirror of [`PlanktonOptions::deadline`], checked between tasks.
     pub(crate) deadline: Option<Instant>,
     /// Latched when the deadline fired; the report is marked incomplete.
@@ -267,7 +265,6 @@ impl Plankton {
             total_stats: Mutex::new(SearchStats::default()),
             data_planes_checked: AtomicU64::new(0),
             stop: AtomicBool::new(false),
-            interner: SharedRouteInterner::new(),
             deadline: options.deadline,
             deadline_hit: AtomicBool::new(false),
             trace_id: trace::current(),
@@ -352,9 +349,7 @@ impl Plankton {
             let mut control_routes = Vec::new();
             let stream = session.stream_planes(&mut |plane| {
                 if component_has_dependents {
-                    result
-                        .records
-                        .push(Arc::new(session.record_of(plane, &ctx.interner)));
+                    result.records.push(Arc::new(session.record_of(plane)));
                 }
                 if !should_check {
                     return;

@@ -25,11 +25,6 @@
 //!   the whole fleet drain as soon as one worker finds a violation (unless
 //!   the caller asked for all violations), and an [`stats::EngineStats`]
 //!   snapshot of what the pool did;
-//! * [`interner::SharedRouteInterner`] — a concurrent sharded hash-consing
-//!   table for [`Route`](plankton_protocols::Route)s, so the converged
-//!   records stored for dependent PECs share one allocation per distinct
-//!   route instead of cloning route paths per record (the cross-task
-//!   analogue of the checker's per-run state hashing, §4.4);
 //! * per-worker [`SearchScratch`](plankton_checker::SearchScratch) reuse —
 //!   each worker hands the visited-set allocation of its previous
 //!   model-checking run to the next one, killing the per-task allocation
@@ -45,12 +40,10 @@
 
 pub mod executor;
 pub mod graph;
-pub mod interner;
 pub mod queue;
 pub mod stats;
 
 pub use executor::{Engine, WorkerContext};
 pub use graph::{pec_task_graph_sparse, SparseTaskMap, TaskGraph, TaskId};
-pub use interner::SharedRouteInterner;
 pub use queue::TaskQueue;
 pub use stats::{EngineStats, TaskFailure};

@@ -36,7 +36,9 @@ pub struct EngineStats {
     /// Model-checking runs that reused a previous run's visited-set
     /// allocation through the per-worker scratch.
     pub scratch_reuses: u64,
-    /// Distinct control-plane routes in the shared interner after the run.
+    /// Distinct control-plane routes across the converged records the run
+    /// built for dependent PECs (filled in by the verifier; 0 when no
+    /// verified PEC has dependents).
     pub interned_routes: u64,
     /// Total states explored across every model-checking run (filled in by
     /// the verifier, which owns the search statistics).

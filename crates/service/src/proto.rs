@@ -12,13 +12,17 @@
 //! session resolves them against the currently loaded topology.
 
 use plankton_config::{ConfigDelta, Network};
-use plankton_core::{IncrementalRunStats, PhaseTimings, Tuning, VerificationReport, Violation};
+use plankton_core::{
+    IncrementalRunStats, PhaseTimings, PlanktonOptions, VerificationReport, Violation,
+};
+use plankton_net::failure::FailureScenario;
 use plankton_net::ip::Prefix;
 use plankton_net::topology::NodeId;
 use plankton_policy::{
     BlackholeFreedom, BoundedPathLength, LoopFreedom, Policy, Reachability, Waypoint,
 };
 use serde::{Deserialize, Serialize};
+use std::time::Duration;
 
 /// The protocol version answered by [`Response::Welcome`]. Major bumps mean
 /// incompatible changes (a client refusing an unknown major is correct);
@@ -99,9 +103,14 @@ impl PolicySpec {
         plankton_config::fingerprint_of(self)
     }
 
-    /// Resolve device names and build the policy object.
+    /// Resolve device names and build the policy object. An empty source
+    /// or waypoint list is refused: a policy quantified over no sources
+    /// would hold vacuously.
     pub fn build(&self, network: &Network) -> Result<Box<dyn Policy>, String> {
-        let resolve = |names: &[String]| -> Result<Vec<NodeId>, String> {
+        let resolve = |role: &str, names: &[String]| -> Result<Vec<NodeId>, String> {
+            if names.is_empty() {
+                return Err(format!("the policy needs at least one {role}"));
+            }
             names
                 .iter()
                 .map(|name| {
@@ -113,20 +122,26 @@ impl PolicySpec {
                 .collect()
         };
         Ok(match self {
-            PolicySpec::Reachability { sources } => Box::new(Reachability::new(resolve(sources)?)),
+            PolicySpec::Reachability { sources } => {
+                Box::new(Reachability::new(resolve("source", sources)?))
+            }
             PolicySpec::LoopFreedom => Box::new(LoopFreedom::everywhere()),
             PolicySpec::BlackholeFreedom => Box::<BlackholeFreedom>::default(),
-            PolicySpec::Waypoint { sources, waypoints } => {
-                Box::new(Waypoint::new(resolve(sources)?, resolve(waypoints)?))
-            }
-            PolicySpec::BoundedPathLength { sources, max_hops } => {
-                Box::new(BoundedPathLength::new(resolve(sources)?, *max_hops))
-            }
+            PolicySpec::Waypoint { sources, waypoints } => Box::new(Waypoint::new(
+                resolve("source", sources)?,
+                resolve("waypoint", waypoints)?,
+            )),
+            PolicySpec::BoundedPathLength { sources, max_hops } => Box::new(
+                BoundedPathLength::new(resolve("source", sources)?, *max_hops),
+            ),
         })
     }
 }
 
-/// Per-request verification options (all fields optional on the wire).
+/// Per-request verification options (all fields optional on the wire) —
+/// with [`PolicySpec`], the whole verification question. `planktond`'s own
+/// settings (workers, admission bound, slow-task threshold, streaming lag)
+/// are daemon-wide and not part of a request.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct VerifyOptions {
     /// Explore up to this many simultaneous link failures (default 0).
@@ -141,7 +156,7 @@ pub struct VerifyOptions {
     /// wants complete, deterministic per-task outcomes.
     #[serde(default)]
     pub stop_at_first: bool,
-    /// Engine worker threads (default 1).
+    /// Engine worker threads (0 or 1 = one worker).
     #[serde(default)]
     pub cores: usize,
     /// Abandon the verification after this many milliseconds and answer
@@ -150,12 +165,27 @@ pub struct VerifyOptions {
     /// cached and never stored for queries.
     #[serde(default)]
     pub deadline_ms: u64,
-    /// The unified tuning surface ([`Tuning`]): any knob set here wins over
-    /// the daemon's CLI layer (request > CLI > default). The legacy `cores`
-    /// and `deadline_ms` fields above remain honored for v1 clients; a
-    /// knob set in both places resolves to `tuning`.
-    #[serde(default)]
-    pub tuning: Tuning,
+}
+
+impl VerifyOptions {
+    /// The verifier options and failure environment these options ask for —
+    /// the one resolution `planktond`'s `Verify`, its streaming re-verify and
+    /// `plankton verify` share. Everything not on the wire keeps its
+    /// [`PlanktonOptions::default`] (all §4 optimizations on); the deadline
+    /// starts counting now.
+    pub fn resolve(&self) -> (PlanktonOptions, FailureScenario) {
+        let mut options = PlanktonOptions::with_cores(self.cores);
+        if !self.restrict_prefixes.is_empty() {
+            options = options.restricted_to(self.restrict_prefixes.clone());
+        }
+        if !self.stop_at_first {
+            options = options.collect_all_violations();
+        }
+        if self.deadline_ms > 0 {
+            options = options.with_deadline(Duration::from_millis(self.deadline_ms));
+        }
+        (options, FailureScenario::up_to(self.max_failures))
+    }
 }
 
 /// Follow-up queries against the session's last results.
@@ -800,10 +830,71 @@ mod tests {
         assert_eq!(stats.queue_depth, 0);
         assert_eq!(stats.deltas_coalesced, 0);
 
-        // A v1 VerifyOptions without `tuning` gets the empty tuning layer.
         let opts: VerifyOptions = serde_json::from_str(r#"{"max_failures":1}"#).unwrap();
-        assert!(opts.tuning.is_empty());
         assert_eq!(opts.max_failures, 1);
+    }
+
+    #[test]
+    fn a_verify_line_still_carrying_tuning_parses() {
+        // Lines written for daemons that read a per-request `tuning` object
+        // still parse; the unknown field is ignored.
+        let line = r#"{"Verify": {"policy": "LoopFreedom", "options":
+                      {"cores": 2, "tuning": {"max_inflight": 0, "cores": 8}}}}"#;
+        let Request::Verify { options, .. } = serde_json::from_str(line).unwrap() else {
+            panic!("bad parse");
+        };
+        assert_eq!(options.unwrap().cores, 2);
+    }
+
+    #[test]
+    fn resolution_table() {
+        let (options, scenario) = VerifyOptions::default().resolve();
+        assert_eq!(options.parallelism, 1, "cores 0 is one worker");
+        assert!(options.deadline.is_none(), "deadline_ms 0 is no deadline");
+        assert!(!options.stop_at_first_violation, "the service collects all");
+        assert!(
+            options.restrict_to_prefixes.is_none(),
+            "empty = unrestricted"
+        );
+        assert_eq!(scenario.max_failures, 0);
+        assert!(scenario.candidates.is_none());
+        // Everything off the wire keeps its default: all §4 optimizations on.
+        assert_eq!(
+            options.cache_fingerprint(),
+            PlanktonOptions::default()
+                .collect_all_violations()
+                .cache_fingerprint()
+        );
+
+        let prefix: Prefix = "10.0.0.0/24".parse().unwrap();
+        let (options, scenario) = VerifyOptions {
+            max_failures: 2,
+            restrict_prefixes: vec![prefix],
+            stop_at_first: true,
+            cores: 3,
+            deadline_ms: 60_000,
+        }
+        .resolve();
+        assert_eq!(options.parallelism, 3);
+        assert!(options.deadline.is_some());
+        assert!(options.stop_at_first_violation);
+        assert_eq!(options.restrict_to_prefixes, Some(vec![prefix]));
+        assert_eq!(scenario.max_failures, 2);
+    }
+
+    #[test]
+    fn cores_deadline_and_slow_task_never_change_the_cache_fingerprint() {
+        let (plain, _) = VerifyOptions::default().resolve();
+        let (mut tuned, _) = VerifyOptions {
+            cores: 16,
+            deadline_ms: 1,
+            ..Default::default()
+        }
+        .resolve();
+        tuned.slow_task_micros = 1_000;
+        assert_eq!(tuned.parallelism, 16);
+        assert!(tuned.deadline.is_some());
+        assert_eq!(plain.cache_fingerprint(), tuned.cache_fingerprint());
     }
 
     #[test]

@@ -611,8 +611,9 @@ impl DeltaQueue {
         queue_metrics().depth.set(0);
     }
 
-    /// Stop the queue: pushes fail, `wait_batch` drains what is left and
-    /// then returns `None`.
+    /// Stop the queue: pushes fail, and [`DeltaQueue::wait_drain_needed`]
+    /// keeps answering `true` until the drain has taken what is left, then
+    /// returns `false`.
     pub fn stop(&self) {
         self.inner.lock().unwrap().stopped = true;
         self.drain_wakeup.notify_all();

@@ -90,18 +90,41 @@ pub fn serve<R: BufRead, W: Write>(
     Ok(false)
 }
 
-/// How the Unix-socket server runs.
+/// The daemon's settings, one per `planktond` flag and held by the
+/// [`ServiceSession`] ([`ServiceSession::with_options`]). A request cannot
+/// override them: its own surface is [`VerifyOptions`](crate::VerifyOptions).
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Worker threads handling *ready* connections (`planktond --threads`).
-    /// The connection count itself is unbounded: connections are
+    /// Worker threads handling *ready* connections (`--threads`). The
+    /// connection count itself is unbounded: connections are
     /// readiness-multiplexed, so an idle client costs one fd, not a thread.
     pub workers: usize,
+    /// Bound on concurrently running verifies (`--max-inflight`); excess
+    /// verifies are shed with `overloaded + retry_after_ms`. `None` = no
+    /// bound.
+    pub max_inflight: Option<u64>,
+    /// `slow_task` warn threshold in milliseconds (`--slow-task-ms`).
+    pub slow_task_ms: u64,
+    /// Streaming: drain once this many deltas are pending (`--max-lag-deltas`).
+    pub max_lag_deltas: u64,
+    /// Streaming: drain once the oldest pending delta is this old, even
+    /// below the count threshold (`--max-lag-ms`).
+    pub max_lag_ms: u64,
+    /// Streaming: queue high-water mark past which further deltas are shed
+    /// with `overloaded + retry_after_ms` (`--max-pending-deltas`).
+    pub max_pending_deltas: u64,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        ServeOptions { workers: 4 }
+        ServeOptions {
+            workers: 4,
+            max_inflight: None,
+            slow_task_ms: plankton_core::DEFAULT_SLOW_TASK_MICROS / 1_000,
+            max_lag_deltas: 64,
+            max_lag_ms: 50,
+            max_pending_deltas: 4096,
+        }
     }
 }
 
@@ -271,11 +294,7 @@ mod unix_server {
     }
 
     /// See [`serve_unix`].
-    pub fn run(
-        session: &ServiceSession,
-        path: &std::path::Path,
-        options: &ServeOptions,
-    ) -> io::Result<()> {
+    pub fn run(session: &ServiceSession, path: &std::path::Path) -> io::Result<()> {
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
         listener.set_nonblocking(true)?;
@@ -289,7 +308,7 @@ mod unix_server {
         let mut next_token = TOKEN_FIRST_CONN;
 
         let result = std::thread::scope(|scope| -> io::Result<()> {
-            for _ in 0..options.workers.max(1) {
+            for _ in 0..session.options().workers.max(1) {
                 let (queue, conns, poller) = (&queue, &conns, &poller);
                 let (session, shutdown) = (&session, &shutdown);
                 scope.spawn(move || {
@@ -447,12 +466,8 @@ mod unix_server {
 /// the connections they are pumping (writing those responses), and every
 /// remaining connection is shut down so parked clients read EOF.
 #[cfg(unix)]
-pub fn serve_unix(
-    session: &ServiceSession,
-    path: &std::path::Path,
-    options: &ServeOptions,
-) -> io::Result<()> {
-    unix_server::run(session, path, options)
+pub fn serve_unix(session: &ServiceSession, path: &std::path::Path) -> io::Result<()> {
+    unix_server::run(session, path)
 }
 
 /// Connect to a daemon socket, retrying with a short backoff until
@@ -664,7 +679,7 @@ mod tests {
         let sock_path = path.clone();
         let server = std::thread::spawn(move || {
             let session = ServiceSession::with_network(network);
-            serve_unix(&session, &sock_path, &ServeOptions::default()).unwrap();
+            serve_unix(&session, &sock_path).unwrap();
         });
         let stream =
             connect_with_retry(&path, std::time::Duration::from_secs(10)).expect("daemon binds");
@@ -698,7 +713,7 @@ mod tests {
         let sock_path = path.clone();
         let server = std::thread::spawn(move || {
             let session = ServiceSession::with_network(network);
-            serve_unix(&session, &sock_path, &ServeOptions::default()).unwrap();
+            serve_unix(&session, &sock_path).unwrap();
         });
         let timeout = std::time::Duration::from_secs(10);
         // First connection: open, exchange one request, then stay idle.

@@ -33,12 +33,13 @@ use crate::proto::{
     ViolationSummary, PROTO_FEATURES, PROTO_VERSION,
 };
 use crate::queue::{coalesce_batch, BatchFate, DeltaQueue, PushError};
+use crate::serve::ServeOptions;
 use parking_lot::{Mutex, RwLock};
 use plankton_config::{ConfigDelta, DeltaError, Network};
 use plankton_core::{
-    AppliedBatch, AppliedDelta, IncrementalVerifier, Plankton, PlanktonOptions, Tuning,
-    VerificationReport,
+    AppliedBatch, AppliedDelta, IncrementalVerifier, Plankton, PlanktonOptions, VerificationReport,
 };
+use plankton_net::failure::FailureScenario;
 use plankton_telemetry::trace::{self, Field, Level};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -142,14 +143,9 @@ type SnapshotReport = (Arc<Plankton>, Arc<VerificationReport>);
 
 /// A policy the background drain re-verifies after each drained batch:
 /// every policy a `Verify` request has successfully run since load, with
-/// the request's effective options (minus its deadline — a streaming
-/// re-verify must not inherit a one-shot request's time budget).
-#[derive(Clone)]
-struct StreamingPolicy {
-    spec: PolicySpec,
-    options: PlanktonOptions,
-    max_failures: usize,
-}
+/// the request's options (minus its deadline — a streaming re-verify must
+/// not inherit a one-shot request's time budget).
+type StreamingPolicy = (PolicySpec, VerifyOptions);
 
 /// What one pass of `ServiceSession::apply_pending_then` did.
 struct DeltaPass {
@@ -210,10 +206,9 @@ pub struct ServiceSession {
     connections_drained: AtomicU64,
     /// Where the result cache is persisted across restarts, when configured.
     cache_dir: Option<PathBuf>,
-    /// The CLI/default tuning layer ([`Tuning`]): admission bound, slow-task
-    /// threshold, streaming lag and queue bounds. A request's
-    /// `VerifyOptions::tuning` overlays this (request > CLI > default).
-    tuning: Tuning,
+    /// The daemon's settings: admission bound, slow-task threshold,
+    /// streaming lag and queue bounds, socket workers.
+    options: ServeOptions,
     /// The streaming delta queue (`ApplyDeltas {ack: "enqueued"}`), drained
     /// by [`ServiceSession::start_streaming`]'s background thread or
     /// synchronously flushed by `Verify` / `ack: "verified"`.
@@ -255,7 +250,7 @@ impl ServiceSession {
             connections_served: AtomicU64::new(0),
             connections_drained: AtomicU64::new(0),
             cache_dir: None,
-            tuning: Tuning::default(),
+            options: ServeOptions::default(),
             queue: Arc::new(DeltaQueue::new()),
             streaming_policies: Mutex::new(BTreeMap::new()),
             verifies_inflight: AtomicU64::new(0),
@@ -280,36 +275,21 @@ impl ServiceSession {
         self.cache_dir.as_deref()
     }
 
-    /// Install the session-level (CLI) tuning layer, builder-style. Knobs a
-    /// request sets in `VerifyOptions::tuning` overlay these.
-    pub fn with_tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
+    /// Install the daemon's settings, builder-style (`planktond` sets them
+    /// once from its flags).
+    pub fn with_options(mut self, options: ServeOptions) -> Self {
+        self.options = options;
         self
     }
 
-    /// The session-level tuning layer.
-    pub fn tuning(&self) -> &Tuning {
-        &self.tuning
+    /// The daemon's settings.
+    pub fn options(&self) -> &ServeOptions {
+        &self.options
     }
 
     /// The streaming delta queue.
     pub fn queue(&self) -> &DeltaQueue {
         &self.queue
-    }
-
-    /// Bound concurrently running `Verify` requests, builder-style
-    /// (`planktond --max-inflight`). Excess verifies are shed with a
-    /// structured `overloaded` reply carrying `retry_after_ms`.
-    pub fn with_max_inflight(mut self, max: u64) -> Self {
-        self.tuning.max_inflight = Some(max);
-        self
-    }
-
-    /// Set the `slow_task` warn threshold applied to every verification,
-    /// builder-style (`planktond --slow-task-ms`).
-    pub fn with_slow_task_threshold(mut self, threshold: Duration) -> Self {
-        self.tuning.slow_task_ms = Some(threshold.as_millis() as u64);
-        self
     }
 
     /// The persisted-cache path, if a cache directory is configured.
@@ -639,7 +619,7 @@ impl ServiceSession {
         }
         self.verifies_inflight.fetch_add(1, Ordering::Relaxed);
         let _inflight = InflightGuard(&self.verifies_inflight);
-        if let Some(max) = self.tuning.max_inflight {
+        if let Some(max) = self.options.max_inflight {
             if self.verifies_inflight.load(Ordering::Relaxed) > max {
                 self.requests_shed.fetch_add(1, Ordering::Relaxed);
                 service_metrics().requests_shed.inc();
@@ -672,28 +652,8 @@ impl ServiceSession {
             Ok(p) => p,
             Err(message) => return Response::error(message),
         };
-        let defaults = VerifyOptions::default();
-        let opts = options.unwrap_or(&defaults);
-        // One precedence order for every knob: the request's `tuning`
-        // overlays its own legacy fields (v1 `cores`/`deadline_ms`), which
-        // overlay the session (CLI) layer; whatever is still unset falls
-        // through to the defaults baked into PlanktonOptions.
-        let legacy = Tuning {
-            cores: (opts.cores > 0).then_some(opts.cores as u64),
-            deadline_ms: (opts.deadline_ms > 0).then_some(opts.deadline_ms),
-            ..Default::default()
-        };
-        let effective = opts.tuning.overlaid_on(&legacy).overlaid_on(&self.tuning);
-        let mut plankton_options = PlanktonOptions::default();
-        if !opts.restrict_prefixes.is_empty() {
-            plankton_options = plankton_options.restricted_to(opts.restrict_prefixes.clone());
-        }
-        if !opts.stop_at_first {
-            plankton_options = plankton_options.collect_all_violations();
-        }
-        effective.apply_to(&mut plankton_options);
-        let deadline_ms = effective.deadline_ms.unwrap_or(0);
-        let scenario = plankton_net::failure::FailureScenario::up_to(opts.max_failures);
+        let opts = options.cloned().unwrap_or_default();
+        let (plankton_options, scenario) = self.resolve(&opts);
         // The failure environment is keyed per task (each task's effective
         // failure set is in its content key), so `max_failures` stays out of
         // the policy fingerprint — a fault-tolerance verification's entries
@@ -746,13 +706,14 @@ impl ServiceSession {
             trace::event(
                 Level::Warn,
                 "verify_deadline_exceeded",
-                &[Field::u64("deadline_ms", deadline_ms)],
+                &[Field::u64("deadline_ms", opts.deadline_ms)],
             );
             return Response::error_kind(
                 error_kind::DEADLINE_EXCEEDED,
                 format!(
-                    "verification exceeded its {deadline_ms}ms deadline; \
-                     partial results were not served"
+                    "verification exceeded its {}ms deadline; \
+                     partial results were not served",
+                    opts.deadline_ms
                 ),
             );
         }
@@ -761,19 +722,23 @@ impl ServiceSession {
             .lock()
             .insert(report.policy.clone(), (snapshot, Arc::new(report)));
         // Register for streaming: the background drain re-verifies this
-        // policy after every drained batch, with the same effective options
-        // minus the deadline (a one-shot time budget must not recur).
-        let mut streaming_options = plankton_options.clone();
-        streaming_options.deadline = None;
-        self.streaming_policies.lock().insert(
-            summary.policy.clone(),
-            StreamingPolicy {
-                spec: spec.clone(),
-                options: streaming_options,
-                max_failures: opts.max_failures,
-            },
-        );
+        // policy after every drained batch, with the same options minus the
+        // deadline (a one-shot time budget must not recur).
+        let streaming = VerifyOptions {
+            deadline_ms: 0,
+            ..opts
+        };
+        self.streaming_policies
+            .lock()
+            .insert(summary.policy.clone(), (spec.clone(), streaming));
         Response::Report(summary)
+    }
+
+    /// [`VerifyOptions::resolve`] under the daemon's slow-task threshold.
+    fn resolve(&self, opts: &VerifyOptions) -> (PlanktonOptions, FailureScenario) {
+        let (mut options, scenario) = opts.resolve();
+        options.slow_task_micros = self.options.slow_task_ms.saturating_mul(1_000);
+        (options, scenario)
     }
 
     /// Handle `ApplyDeltas {deltas, ack}` — the batched v2 delta surface.
@@ -805,7 +770,7 @@ impl ServiceSession {
         if self.verifier().is_none() {
             return Response::error("no network loaded");
         }
-        let high_water = self.tuning.effective_max_pending_deltas();
+        let high_water = self.options.max_pending_deltas;
         let mut acks = Vec::with_capacity(deltas.len());
         let mut coalesced = 0u64;
         for delta in deltas {
@@ -823,7 +788,7 @@ impl ServiceSession {
                     });
                 }
                 Err(PushError::HighWater) => {
-                    let retry = self.tuning.effective_max_lag_ms().max(SHED_RETRY_AFTER_MS);
+                    let retry = self.options.max_lag_ms.max(SHED_RETRY_AFTER_MS);
                     trace::event(
                         Level::Warn,
                         "deltas_shed",
@@ -967,18 +932,18 @@ impl ServiceSession {
         let policies: Vec<StreamingPolicy> =
             self.streaming_policies.lock().values().cloned().collect();
         let mut reverified = 0u64;
-        for streaming in &policies {
+        for (spec, opts) in &policies {
             // A policy can stop building after a structural delta (e.g. its
             // device was removed); it is skipped, not fatal.
-            let Ok(policy) = streaming.spec.build(snapshot.network()) else {
+            let Ok(policy) = spec.build(snapshot.network()) else {
                 continue;
             };
-            let scenario = plankton_net::failure::FailureScenario::up_to(streaming.max_failures);
+            let (options, scenario) = self.resolve(opts);
             let (report, _run) = snapshot.verify_with_cache(
                 policy.as_ref(),
-                streaming.spec.fingerprint(),
+                spec.fingerprint(),
                 &scenario,
-                &streaming.options,
+                &options,
                 pass.verifier.cache(),
             );
             if let Some(engine) = &report.engine {
@@ -1007,13 +972,13 @@ impl ServiceSession {
 
     /// Start the background drain thread enforcing the bounded-lag contract:
     /// it wakes when `max_lag_deltas` deltas are pending or the oldest
-    /// pending delta is `max_lag_ms` old (session tuning), drains the whole
+    /// pending delta is `max_lag_ms` old ([`ServeOptions`]), drains the whole
     /// coalesced batch in one rebuild, and re-verifies streaming policies.
     /// Dropping (or `stop`ping) the handle drains what is left and joins.
     pub fn start_streaming(self: &Arc<Self>) -> StreamingHandle {
         let session = Arc::clone(self);
-        let max_lag_deltas = self.tuning.effective_max_lag_deltas();
-        let max_lag = Duration::from_millis(self.tuning.effective_max_lag_ms());
+        let max_lag_deltas = self.options.max_lag_deltas;
+        let max_lag = Duration::from_millis(self.options.max_lag_ms);
         let queue = Arc::clone(&self.queue);
         let thread = std::thread::Builder::new()
             .name("plankton-drain".into())

@@ -11,6 +11,7 @@
 //! scenario builders can emit it.
 
 use plankton::prelude::*;
+use plankton::service::{PolicySpec, VerifyOptions};
 use std::process::exit;
 
 fn usage() -> ! {
@@ -23,68 +24,66 @@ fn usage() -> ! {
 struct Args {
     command: String,
     config: Option<String>,
-    policy: Option<String>,
-    sources: Vec<String>,
-    waypoints: Vec<String>,
-    prefixes: Vec<Prefix>,
-    max_failures: usize,
-    max_hops: usize,
-    cores: usize,
-    all_violations: bool,
+    policy: Option<PolicySpec>,
+    options: VerifyOptions,
 }
 
+/// The flags as the verification question the daemon answers too: a
+/// [`PolicySpec`] plus [`VerifyOptions`]. The CLI stops at the first
+/// violation unless `--all-violations` is given.
 fn parse_args() -> Args {
-    let mut args = Args {
-        command: String::new(),
-        config: None,
-        policy: None,
-        sources: Vec::new(),
-        waypoints: Vec::new(),
-        prefixes: Vec::new(),
-        max_failures: 0,
-        max_hops: 16,
-        cores: 1,
-        all_violations: false,
+    let mut config = None;
+    let mut policy = None;
+    let mut sources = Vec::new();
+    let mut waypoints = Vec::new();
+    let mut max_hops = 16;
+    let mut options = VerifyOptions {
+        stop_at_first: true,
+        ..Default::default()
     };
     let mut iter = std::env::args().skip(1);
-    match iter.next() {
-        Some(c) if c == "verify" || c == "pecs" => args.command = c,
+    let command = match iter.next() {
+        Some(c) if c == "verify" || c == "pecs" => c,
         _ => usage(),
-    }
+    };
     while let Some(flag) = iter.next() {
         let mut value = || iter.next().unwrap_or_else(|| usage());
         match flag.as_str() {
-            "--config" => args.config = Some(value()),
-            "--policy" => args.policy = Some(value()),
-            "--source" => args.sources.push(value()),
-            "--waypoint" => args.waypoints.push(value()),
+            "--config" => config = Some(value()),
+            "--policy" => policy = Some(value()),
+            "--source" => sources.push(value()),
+            "--waypoint" => waypoints.push(value()),
             "--prefix" => match value().parse() {
-                Ok(p) => args.prefixes.push(p),
+                Ok(p) => options.restrict_prefixes.push(p),
                 Err(e) => {
                     eprintln!("bad --prefix: {e}");
                     exit(2);
                 }
             },
-            "--max-failures" => args.max_failures = value().parse().unwrap_or_else(|_| usage()),
-            "--max-hops" => args.max_hops = value().parse().unwrap_or_else(|_| usage()),
-            "--cores" => args.cores = value().parse().unwrap_or_else(|_| usage()),
-            "--all-violations" => args.all_violations = true,
+            "--max-failures" => {
+                options.max_failures = value().parse().unwrap_or_else(|_| usage());
+            }
+            "--max-hops" => max_hops = value().parse().unwrap_or_else(|_| usage()),
+            "--cores" => options.cores = value().parse().unwrap_or_else(|_| usage()),
+            "--all-violations" => options.stop_at_first = false,
             _ => usage(),
         }
     }
-    args
-}
-
-fn resolve_nodes(network: &Network, names: &[String]) -> Vec<NodeId> {
-    names
-        .iter()
-        .map(|name| {
-            network.topology.node_by_name(name).unwrap_or_else(|| {
-                eprintln!("unknown device {name:?}");
-                exit(2);
-            })
-        })
-        .collect()
+    let policy = match policy.as_deref() {
+        None if command == "pecs" => None,
+        Some("reachability") => Some(PolicySpec::Reachability { sources }),
+        Some("loop") => Some(PolicySpec::LoopFreedom),
+        Some("blackhole") => Some(PolicySpec::BlackholeFreedom),
+        Some("waypoint") => Some(PolicySpec::Waypoint { sources, waypoints }),
+        Some("bounded-path-length") => Some(PolicySpec::BoundedPathLength { sources, max_hops }),
+        _ => usage(),
+    };
+    Args {
+        command,
+        config,
+        policy,
+        options,
+    }
 }
 
 fn main() {
@@ -127,27 +126,12 @@ fn main() {
         return;
     }
 
-    let sources = resolve_nodes(&network, &args.sources);
-    let waypoints = resolve_nodes(&network, &args.waypoints);
-    let policy: Box<dyn Policy> = match args.policy.as_deref() {
-        Some("reachability") => Box::new(Reachability::new(sources.clone())),
-        Some("loop") => Box::new(LoopFreedom::everywhere()),
-        Some("blackhole") => Box::new(BlackholeFreedom::default()),
-        Some("waypoint") => Box::new(Waypoint::new(sources.clone(), waypoints)),
-        Some("bounded-path-length") => {
-            Box::new(BoundedPathLength::new(sources.clone(), args.max_hops))
-        }
-        _ => usage(),
-    };
-
-    let mut options = PlanktonOptions::with_cores(args.cores);
-    if !args.prefixes.is_empty() {
-        options = options.restricted_to(args.prefixes.clone());
-    }
-    if args.all_violations {
-        options = options.collect_all_violations();
-    }
-    let scenario = FailureScenario::up_to(args.max_failures);
+    let spec = args.policy.as_ref().expect("verify has a policy");
+    let policy = spec.build(&network).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        exit(2);
+    });
+    let (options, scenario) = args.options.resolve();
 
     let report = verifier.verify(policy.as_ref(), &scenario, &options);
     println!("{report}");

@@ -12,6 +12,13 @@
 //! warm-started on the next run, so a restarted daemon re-verifies an
 //! unchanged network entirely from cache.
 //!
+//! `--threads`, `--max-inflight`, `--slow-task-ms`, `--max-lag-deltas`,
+//! `--max-lag-ms` and `--max-pending-deltas` fill one
+//! [`ServeOptions`] that the session holds
+//! for its lifetime; no request overrides them. A `Verify` request carries
+//! only its own five `VerifyOptions` (failures, prefixes, stop-at-first,
+//! cores, deadline).
+//!
 //! ```text
 //! planktond --scenario fat-tree:4                # stdio, demo network
 //! planktond --config net.json --socket /tmp/p.sock --threads 8
@@ -28,7 +35,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  planktond [--config <file.json> | --scenario <ring:N|fat-tree:K|ibgp:ASN>]\n            [--socket <path>] [--threads <N>] [--cache-dir <dir>]\n            [--max-inflight <N>] [--slow-task-ms <N>]\n            [--max-lag-deltas <N>] [--max-lag-ms <N>] [--max-pending-deltas <N>]\n            [--recorder-capacity <N>]\n            [--log-json <file.jsonl>] [--log-level <error|warn|info|debug|trace>]\n\nWithout --socket the daemon serves newline-delimited JSON requests on\nstdin/stdout; with it, on a Unix socket. Connections are readiness-\nmultiplexed: the count is unbounded, --threads sizes the worker pool\npumping ready connections (default 4). With --cache-dir the result cache\nis persisted on shutdown and warm-started on the next run. Without\n--config/--scenario, start with a `Load` request.\n\n--max-inflight bounds concurrently running Verify requests: excess\nverifies get a structured `overloaded` error with a retry_after_ms hint\ninstead of queuing (planktonctl retries these automatically).\n\nStreaming deltas (`ApplyDeltas {{ack: \"enqueued\"}}`) queue, coalesce, and\nare verified at bounded lag by a background drain: --max-lag-deltas (64)\nand --max-lag-ms (50) bound how many deltas / how long a delta may wait\nbefore the batch is applied; --max-pending-deltas (4096) is the queue\nhigh-water mark past which new deltas are shed with `overloaded`.\n\n--slow-task-ms sets the slow_task warn threshold (default 250).\n--recorder-capacity sizes the in-memory flight recorder serving `Dump`\nrequests (default 2048 events; 0 disables it).\n\n--log-json appends every trace event as one JSON line to the given file;\n--log-level pretty-prints events at or above the level to stderr.\n\nFault injection for chaos testing: set PLANKTON_FAILPOINTS, e.g.\nPLANKTON_FAILPOINTS='task=panic*1,cache_save=io_err' (see README)."
+        "usage:\n  planktond [--config <file.json> | --scenario <ring:N|fat-tree:K|ibgp:ASN>]\n            [--socket <path>] [--threads <N>] [--cache-dir <dir>]\n            [--max-inflight <N>] [--slow-task-ms <N>]\n            [--max-lag-deltas <N>] [--max-lag-ms <N>] [--max-pending-deltas <N>]\n            [--recorder-capacity <N>]\n            [--log-json <file.jsonl>] [--log-level <error|warn|info|debug|trace>]\n\nWithout --socket the daemon serves newline-delimited JSON requests on\nstdin/stdout; with it, on a Unix socket. Connections are readiness-\nmultiplexed: the count is unbounded, --threads sizes the worker pool\npumping ready connections (default 4). With --cache-dir the result cache\nis persisted on shutdown and warm-started on the next run. Without\n--config/--scenario, start with a `Load` request.\n\n--threads, --max-inflight, --slow-task-ms and the three streaming flags\nare daemon-wide settings; a request cannot override them.\n\n--max-inflight bounds concurrently running Verify requests: excess\nverifies get a structured `overloaded` error with a retry_after_ms hint\ninstead of queuing (planktonctl retries these automatically).\n\nStreaming deltas (`ApplyDeltas {{ack: \"enqueued\"}}`) queue, coalesce, and\nare verified at bounded lag by a background drain: --max-lag-deltas (64)\nand --max-lag-ms (50) bound how many deltas / how long a delta may wait\nbefore the batch is applied; --max-pending-deltas (4096) is the queue\nhigh-water mark past which new deltas are shed with `overloaded`.\n\n--slow-task-ms sets the slow_task warn threshold (default 250).\n--recorder-capacity sizes the in-memory flight recorder serving `Dump`\nrequests (default 2048 events; 0 disables it).\n\n--log-json appends every trace event as one JSON line to the given file;\n--log-level pretty-prints events at or above the level to stderr.\n\nFault injection for chaos testing: set PLANKTON_FAILPOINTS, e.g.\nPLANKTON_FAILPOINTS='task=panic*1,cache_save=io_err' (see README)."
     );
     exit(2);
 }
@@ -61,9 +68,8 @@ fn main() {
     let mut cache_dir: Option<String> = None;
     let mut log_json: Option<String> = None;
     let mut log_level: Option<String> = None;
-    let mut tuning = plankton::core::Tuning::default();
+    let mut options = ServeOptions::default();
     let mut recorder_capacity: usize = plankton_telemetry::recorder::DEFAULT_CAPACITY;
-    let mut threads: usize = ServeOptions::default().workers;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -75,25 +81,21 @@ fn main() {
             "--log-json" => log_json = Some(value()),
             "--log-level" => log_level = Some(value()),
             "--threads" => {
-                threads = value().parse().unwrap_or_else(|_| usage());
-                if threads == 0 {
+                options.workers = value().parse().unwrap_or_else(|_| usage());
+                if options.workers == 0 {
                     usage();
                 }
             }
             "--max-inflight" => {
-                tuning.max_inflight = Some(value().parse().unwrap_or_else(|_| usage()));
+                options.max_inflight = Some(value().parse().unwrap_or_else(|_| usage()));
             }
-            "--slow-task-ms" => {
-                tuning.slow_task_ms = Some(value().parse().unwrap_or_else(|_| usage()));
-            }
+            "--slow-task-ms" => options.slow_task_ms = value().parse().unwrap_or_else(|_| usage()),
             "--max-lag-deltas" => {
-                tuning.max_lag_deltas = Some(value().parse().unwrap_or_else(|_| usage()));
+                options.max_lag_deltas = value().parse().unwrap_or_else(|_| usage());
             }
-            "--max-lag-ms" => {
-                tuning.max_lag_ms = Some(value().parse().unwrap_or_else(|_| usage()));
-            }
+            "--max-lag-ms" => options.max_lag_ms = value().parse().unwrap_or_else(|_| usage()),
             "--max-pending-deltas" => {
-                tuning.max_pending_deltas = Some(value().parse().unwrap_or_else(|_| usage()));
+                options.max_pending_deltas = value().parse().unwrap_or_else(|_| usage());
             }
             "--recorder-capacity" => {
                 recorder_capacity = value().parse().unwrap_or_else(|_| usage());
@@ -120,7 +122,7 @@ fn main() {
         plankton_telemetry::trace::init_stderr(level);
     }
 
-    let mut session = ServiceSession::new().with_tuning(tuning);
+    let mut session = ServiceSession::new().with_options(options);
     if let Some(dir) = &cache_dir {
         session = session.with_cache_dir(dir);
     }
@@ -154,9 +156,11 @@ fn main() {
         Some(path) => {
             #[cfg(unix)]
             {
-                eprintln!("planktond: listening on {path} ({threads} worker threads)");
-                let options = ServeOptions { workers: threads };
-                if let Err(e) = plankton_service::serve_unix(&session, path.as_ref(), &options) {
+                eprintln!(
+                    "planktond: listening on {path} ({} worker threads)",
+                    session.options().workers
+                );
+                if let Err(e) = plankton_service::serve_unix(&session, path.as_ref()) {
                     eprintln!("planktond: socket error: {e}");
                     exit(1);
                 }

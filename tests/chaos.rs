@@ -17,7 +17,9 @@
 //! var only reaches the child).
 
 use plankton::config::scenarios::ring_ospf;
-use plankton::service::{error_kind, PolicySpec, Request, Response, ServiceSession, VerifyOptions};
+use plankton::service::{
+    error_kind, PolicySpec, Request, Response, ServeOptions, ServiceSession, VerifyOptions,
+};
 use std::sync::Mutex;
 
 /// Serializes every in-process test that arms failpoints (the table is
@@ -109,7 +111,10 @@ fn deadline_exceeded_is_structured_and_never_serves_a_report() {
 /// work, and the shed count is observable in `Stats`.
 #[test]
 fn overload_shedding_refuses_excess_verifies_with_a_retry_hint() {
-    let session = ServiceSession::with_network(ring_ospf(4).network).with_max_inflight(0);
+    let session = ServiceSession::with_network(ring_ospf(4).network).with_options(ServeOptions {
+        max_inflight: Some(0),
+        ..ServeOptions::default()
+    });
     let response = session.handle(&verify_request(0));
     let Response::Error {
         kind,

@@ -422,11 +422,7 @@ fn oracle(
                                 failures: failures.clone(),
                                 owners: plane.forwarding.delivery_points(),
                                 forwarding: plane.forwarding.clone(),
-                                control_routes: plane
-                                    .routes
-                                    .iter()
-                                    .map(|r| r.clone().map(Arc::new))
-                                    .collect(),
+                                control_routes: plane.routes.clone(),
                             },
                         ));
                     }

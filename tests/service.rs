@@ -240,6 +240,34 @@ fn fat_tree_static_remove_and_policy_violation_flow() {
     assert_eq!(restored.normalized_json(), clean.normalized_json());
 }
 
+/// A policy quantified over no sources (or no waypoints) would hold
+/// vacuously; `Verify` refuses it as a bad request instead of answering
+/// `holds: true`.
+#[test]
+fn verify_refuses_empty_source_and_waypoint_lists() {
+    use plankton::service::{handle_line, Response, ServiceSession};
+    let s = fat_tree_ospf(4, CoreStaticRoutes::MatchingOspf);
+    let edge = s.network.topology.node(s.fat_tree.edge[0][0]).name.clone();
+    let session = ServiceSession::with_network(s.network.clone());
+    for policy in [
+        r#"{"Reachability": {"sources": []}}"#.to_string(),
+        r#"{"BoundedPathLength": {"sources": [], "max_hops": 4}}"#.to_string(),
+        format!(r#"{{"Waypoint": {{"sources": [], "waypoints": ["{edge}"]}}}}"#),
+        format!(r#"{{"Waypoint": {{"sources": ["{edge}"], "waypoints": []}}}}"#),
+    ] {
+        let line = format!(r#"{{"Verify": {{"policy": {policy}}}}}"#);
+        let (reply, _) = handle_line(&session, &line);
+        match serde_json::from_str::<Response>(&reply).unwrap() {
+            Response::Error { kind, message, .. } => {
+                assert_eq!(kind, "request", "{line}");
+                assert!(message.contains("at least one"), "{message}");
+            }
+            other => panic!("{line} answered {other:?}"),
+        }
+    }
+    assert_eq!(session.stats().verifies, 0);
+}
+
 /// Seeded random-delta soak: drive one incremental session through a random
 /// delta sequence and cross-check the scoped OSPF keys against the
 /// global-slice oracle at every step.
@@ -529,12 +557,13 @@ fn concurrent_client_soak_matches_single_threaded_oracles() {
     let dir = std::env::temp_dir().join(format!("plankton-soak-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("planktond.sock");
-    let session = ServiceSession::with_network(s.network.clone());
+    let session = ServiceSession::with_network(s.network.clone()).with_options(ServeOptions {
+        workers: 8,
+        ..ServeOptions::default()
+    });
     let timeout = Duration::from_secs(30);
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| {
-            plankton::service::serve_unix(&session, &path, &ServeOptions { workers: 8 }).unwrap()
-        });
+        let server = scope.spawn(|| plankton::service::serve_unix(&session, &path).unwrap());
         let readers: Vec<_> = (0..3)
             .map(|_| {
                 scope.spawn(|| {

@@ -11,8 +11,9 @@
 use plankton::config::scenarios::{ring_ospf, RingOspfScenario};
 use plankton::config::static_routes::StaticRoute;
 use plankton::config::ConfigDelta;
-use plankton::core::Tuning;
-use plankton::service::{PolicySpec, Request, Response, ServiceSession, VerifyOptions};
+use plankton::service::{
+    PolicySpec, Request, Response, ServeOptions, ServiceSession, VerifyOptions,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -111,10 +112,10 @@ fn seeded_storm_streaming_report_is_byte_identical_to_sequential_replay() {
 
     // Streaming run: tight lag bounds so the storm drains in many small
     // coalesced batches while we are still enqueuing.
-    let streaming = Arc::new(ServiceSession::new().with_tuning(Tuning {
-        max_lag_deltas: Some(8),
-        max_lag_ms: Some(5),
-        ..Tuning::default()
+    let streaming = Arc::new(ServiceSession::new().with_options(ServeOptions {
+        max_lag_deltas: 8,
+        max_lag_ms: 5,
+        ..ServeOptions::default()
     }));
     let Response::Loaded { .. } = streaming.load(s.network.clone()) else {
         panic!("load failed");
@@ -310,10 +311,10 @@ fn v1_apply_delta_matches_a_one_element_verified_batch() {
 #[test]
 fn lone_enqueued_delta_is_verified_within_the_lag_bound() {
     let s = ring_ospf(4);
-    let session = Arc::new(ServiceSession::new().with_tuning(Tuning {
-        max_lag_deltas: Some(1_000_000), // count bound effectively off
-        max_lag_ms: Some(25),
-        ..Tuning::default()
+    let session = Arc::new(ServiceSession::new().with_options(ServeOptions {
+        max_lag_deltas: 1_000_000, // count bound effectively off
+        max_lag_ms: 25,
+        ..ServeOptions::default()
     }));
     session.load(s.network.clone());
     let handle = session.start_streaming();
@@ -363,9 +364,9 @@ fn lone_enqueued_delta_is_verified_within_the_lag_bound() {
 fn storm_past_the_high_water_mark_sheds_with_retry_hint() {
     let s = ring_ospf(6);
     // No background drain: the queue can only fill.
-    let session = ServiceSession::new().with_tuning(Tuning {
-        max_pending_deltas: Some(4),
-        ..Tuning::default()
+    let session = ServiceSession::new().with_options(ServeOptions {
+        max_pending_deltas: 4,
+        ..ServeOptions::default()
     });
     session.load(s.network.clone());
 
@@ -471,20 +472,21 @@ fn verified_ack_batch_reports_per_delta_fates_in_order() {
 #[cfg(unix)]
 #[test]
 fn connections_can_dwarf_the_worker_pool() {
-    use plankton::service::{connect_with_retry, ServeOptions};
+    use plankton::service::connect_with_retry;
     use std::io::{BufRead, BufReader, Write};
 
     let s = ring_ospf(4);
-    let session = ServiceSession::with_network(s.network.clone());
+    let session = ServiceSession::with_network(s.network.clone()).with_options(ServeOptions {
+        workers: 2,
+        ..ServeOptions::default()
+    });
     let dir = std::env::temp_dir().join(format!("plankton-storm-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("planktond.sock");
     let timeout = Duration::from_secs(30);
 
     std::thread::scope(|scope| {
-        let server = scope.spawn(|| {
-            plankton::service::serve_unix(&session, &path, &ServeOptions { workers: 2 }).unwrap()
-        });
+        let server = scope.spawn(|| plankton::service::serve_unix(&session, &path).unwrap());
 
         // Open all 6 connections up front (3× the worker pool), then talk
         // on every one of them.

@@ -447,3 +447,33 @@ fn plankton_verify_notes_capped_planes_on_stderr() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `plankton verify` builds its policy through the same `PolicySpec` check
+/// as the daemon: no sources (or no waypoints) is a usage error, exit 2,
+/// not a vacuous HOLDS.
+#[test]
+fn plankton_verify_refuses_a_policy_without_sources() {
+    let dir = std::env::temp_dir().join(format!("plankton-nosrc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let s = plankton::config::scenarios::ring_ospf(4);
+    let config = dir.join("ring4.json");
+    std::fs::write(&config, s.network.to_json()).unwrap();
+    let router = s.network.topology.node(s.ring.routers[1]).name.clone();
+    for extra in [
+        vec!["--policy", "reachability"],
+        vec!["--policy", "bounded-path-length"],
+        vec!["--policy", "waypoint", "--waypoint", &router],
+        vec!["--policy", "waypoint", "--source", &router],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_plankton"))
+            .args(["verify", "--config", config.to_str().unwrap()])
+            .args(&extra)
+            .output()
+            .expect("run plankton");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(stderr.contains("at least one"), "{extra:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{extra:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
