@@ -13,10 +13,31 @@
 //!
 //! * **Delta-maintained enabled sets** — a step at node `n` can only change
 //!   the entries of `n` and its reverse peers, and a reverse peer's only
-//!   through the one advertisement `n` now sends it: `n` is recomputed and
-//!   each reverse peer's cached entry is patched for that single edge
+//!   through the one advertisement `n` now sends it: `n`'s entry is dropped
+//!   (it adopted one of its own maximal updates, so nothing can beat that)
+//!   and each reverse peer's cached entry is patched for that single edge
 //!   ([`IncrementalEnabled`](plankton_protocols::IncrementalEnabled)),
 //!   instead of calling `Rpvp::enabled()` from scratch every iteration.
+//! * **Step decisions from what the step changed** — each iteration asks,
+//!   in this order: is the execution still consistent (§4.1.1)? have all
+//!   policy sources decided (§4.2)? is the state converged? and then what
+//!   to step. None of these walks the enabled set unless it must:
+//!   - the consistency check reads a counter of enabled nodes that already
+//!     hold a route, kept by the enabled set's O(1) slot swaps;
+//!   - the POR heuristic ([`PorHeuristic::pick`]) runs first, and
+//!     decision independence (§4.1.3) is searched only when its answer
+//!     could differ: when independence holds the explorer takes the first
+//!     enabled node, so a `pick` that already chose exactly that decision
+//!     needs no search (debug builds search anyway and assert agreement);
+//!   - independence's condition (a), "every pending update comes from a
+//!     decided peer", is an invariant of the search rather than a sweep
+//!     (see [`decision_independent`]).
+//!
+//!   What remains per step is `pick` itself (a pass over the enabled set for
+//!   [`OspfPor`](crate::OspfPor) and [`BgpPor`](crate::BgpPor)), the
+//!   independence search when `pick` disagrees with it (it usually gives up
+//!   a few hops from its first node), and O(deg) route derivations for the
+//!   reverse peers.
 //! * **Apply/undo DFS** — steps are applied in place and reverted from a
 //!   compact undo stack ([`UndoStack`](crate::UndoStack)), eliminating the
 //!   full `RpvpState` clone plus `decided.to_vec()` per branch alternative.
@@ -39,7 +60,9 @@
 //! nothing on the step path.
 
 use crate::options::SearchOptions;
-use crate::por::{decision_independent, DiScratch, PorDecision, PorHeuristic};
+use crate::por::{
+    decision_independent, independent_decision, DiScratch, PorDecision, PorHeuristic,
+};
 use crate::scratch::{ScratchParts, SnapshotPool};
 use crate::stats::SearchStats;
 use crate::trail::Trail;
@@ -51,44 +74,76 @@ use plankton_protocols::rpvp::{
     ConvergedState, EnabledChoice, IncrementalEnabled, Rpvp, RpvpState,
 };
 use plankton_protocols::{ProtocolModel, RouteHandle, RouteInterner};
+use plankton_telemetry::{Counter, Gauge};
+use std::sync::{Arc, OnceLock};
+
+/// Decision-independence searches of one run: run, and avoided because the
+/// heuristic's answer already was independence's.
+#[derive(Clone, Copy, Debug, Default)]
+struct IndependenceSearches {
+    run: u64,
+    skipped: u64,
+}
 
 /// Fold one finished search into the process-global metrics. Handles are
 /// resolved once and cached: this runs once per (PEC-component × failure
 /// scenario) task, and must stay off the per-step path entirely.
-fn record_run_metrics(stats: &SearchStats, edge_updates: u64) {
-    use std::sync::OnceLock;
-    static STEPS: OnceLock<std::sync::Arc<plankton_telemetry::Counter>> = OnceLock::new();
-    static EDGE_UPDATES: OnceLock<std::sync::Arc<plankton_telemetry::Counter>> = OnceLock::new();
-    static FULL_RECOMPUTES: OnceLock<std::sync::Arc<plankton_telemetry::Counter>> = OnceLock::new();
-    static UNDO_DEPTH: OnceLock<std::sync::Arc<plankton_telemetry::Gauge>> = OnceLock::new();
-    let registry = plankton_telemetry::metrics::global();
-    STEPS
-        .get_or_init(|| {
-            registry.counter(
-                "plankton_rpvp_steps_total",
-                "RPVP transitions applied by the model checker.",
-            )
-        })
-        .add(stats.steps);
-    EDGE_UPDATES
-        .get_or_init(|| {
-            registry.counter(
-                "plankton_enabled_edge_updates_total",
-                "Enabled-set entries patched for the one advertisement a step changed.",
-            )
-        })
-        .add(edge_updates);
-    FULL_RECOMPUTES
-        .get_or_init(|| {
-            registry.counter(
-                "plankton_enabled_full_recomputes_total",
-                "Enabled-set entries re-derived from every peer's advertisement.",
-            )
-        })
-        .add(stats.enabled_recomputed_nodes);
+fn record_run_metrics(
+    stats: &SearchStats,
+    enabled: &IncrementalEnabled,
+    searches: IndependenceSearches,
+) {
+    type Cell = OnceLock<Arc<Counter>>;
+    fn add(cell: &'static Cell, name: &'static str, help: &'static str, value: u64) {
+        cell.get_or_init(|| plankton_telemetry::metrics::global().counter(name, help))
+            .add(value);
+    }
+    static STEPS: Cell = OnceLock::new();
+    static EDGE_UPDATES: Cell = OnceLock::new();
+    static FULL_RECOMPUTES: Cell = OnceLock::new();
+    static STEPPED_SKIPS: Cell = OnceLock::new();
+    static SEARCHES: Cell = OnceLock::new();
+    static SEARCHES_SKIPPED: Cell = OnceLock::new();
+    static UNDO_DEPTH: OnceLock<Arc<Gauge>> = OnceLock::new();
+    add(
+        &STEPS,
+        "plankton_rpvp_steps_total",
+        "RPVP transitions applied by the model checker.",
+        stats.steps,
+    );
+    add(
+        &EDGE_UPDATES,
+        "plankton_enabled_edge_updates_total",
+        "Enabled-set entries patched for the one advertisement a step changed.",
+        enabled.edge_update_count(),
+    );
+    add(
+        &FULL_RECOMPUTES,
+        "plankton_enabled_full_recomputes_total",
+        "Enabled-set entries re-derived from every peer's advertisement.",
+        stats.enabled_recomputed_nodes,
+    );
+    add(
+        &STEPPED_SKIPS,
+        "plankton_enabled_stepped_skips_total",
+        "Stepped-node entries dropped without a re-derivation (the node adopted a maximal update).",
+        enabled.stepped_skip_count(),
+    );
+    add(
+        &SEARCHES,
+        "plankton_independence_searches_total",
+        "Decision-independence searches run by the model checker.",
+        searches.run,
+    );
+    add(
+        &SEARCHES_SKIPPED,
+        "plankton_independence_searches_skipped_total",
+        "Decision-independence searches avoided because the POR heuristic already chose the independent step.",
+        searches.skipped,
+    );
     UNDO_DEPTH
         .get_or_init(|| {
-            registry.gauge(
+            plankton_telemetry::metrics::global().gauge(
                 "plankton_undo_depth_max",
                 "Deepest apply/undo stack observed across all searches.",
             )
@@ -128,6 +183,8 @@ pub struct ModelChecker<'m> {
     snapshots: SnapshotPool,
     /// Reusable buffers for the decision-independence reachability search.
     di_scratch: DiScratch,
+    /// How often that search ran, and how often `pick` made it unnecessary.
+    searches: IndependenceSearches,
 }
 
 impl<'m> ModelChecker<'m> {
@@ -189,6 +246,7 @@ impl<'m> ModelChecker<'m> {
             undo: parts.undo,
             snapshots: parts.snapshots,
             di_scratch: DiScratch::new(),
+            searches: IndependenceSearches::default(),
         }
     }
 
@@ -226,7 +284,7 @@ impl<'m> ModelChecker<'m> {
         self.stats.visited_states = self.visited.len() as u64;
         self.stats.approx_memory_bytes =
             (self.interner.run_approx_bytes() + self.visited.approx_bytes()) as u64;
-        record_run_metrics(&self.stats, self.enabled.edge_update_count());
+        record_run_metrics(&self.stats, &self.enabled, self.searches);
         (
             self.stats,
             ScratchParts {
@@ -357,17 +415,20 @@ impl<'m> ModelChecker<'m> {
             // Consistent-execution pruning (§4.1.1): a node that has already
             // selected a path but is enabled again would have to change it —
             // evidence that this execution is not consistent with any
-            // converged state, so abandon it.
-            if self.options.consistent_executions {
-                let inconsistent = self
-                    .enabled
+            // converged state, so abandon it. The enabled set counts such
+            // entries as it swaps them in and out.
+            debug_assert_eq!(
+                self.enabled.inconsistent_count(),
+                self.enabled
                     .view()
                     .iter()
-                    .any(|c| c.invalid || state.has_route(c.node));
-                if inconsistent {
-                    self.stats.pruned_inconsistent += 1;
-                    break;
-                }
+                    .filter(|c| c.invalid || state.has_route(c.node))
+                    .count(),
+                "the enabled set's consistency counter disagrees with a scan"
+            );
+            if self.options.consistent_executions && self.enabled.inconsistent_count() > 0 {
+                self.stats.pruned_inconsistent += 1;
+                break;
             }
 
             // Policy-based pruning (§4.2): once every source node has made
@@ -384,23 +445,7 @@ impl<'m> ModelChecker<'m> {
                 break;
             }
 
-            // Partial order reduction.
-            let decision = if self.options.decision_independence {
-                let view = self.enabled.view();
-                decision_independent(self.rpvp.model(), &view, decided, &mut self.di_scratch)
-            } else {
-                None
-            }
-            .unwrap_or_else(|| {
-                if self.options.deterministic_nodes {
-                    self.por
-                        .pick(state, &self.enabled.view(), decided, &self.interner)
-                } else {
-                    PorDecision::BranchAll
-                }
-            });
-
-            match decision {
+            match self.decide(state, decided) {
                 PorDecision::Deterministic { node, update } => {
                     // Copy the (peer, handle) pair out before applying: both
                     // are `Copy`, so the enabled-set borrow ends here.
@@ -443,6 +488,41 @@ impl<'m> ModelChecker<'m> {
         }
         // Revert every deterministic step this frame applied.
         self.unwind_to(undo_mark, state, decided);
+    }
+
+    /// Partial order reduction: the same decision as "decision independence
+    /// (§4.1.3) if it holds, else the heuristic", asked the other way round.
+    /// Independence, when it holds, picks the first enabled node
+    /// ([`independent_decision`]); when the heuristic already picked exactly
+    /// that, the answer is the same whether or not independence holds, so
+    /// the search is skipped. Needs a non-empty enabled set.
+    fn decide(&mut self, state: &RpvpState, decided: &[bool]) -> PorDecision {
+        let view = self.enabled.view();
+        let picked = if self.options.deterministic_nodes {
+            self.por.pick(state, &view, decided, &self.interner)
+        } else {
+            PorDecision::BranchAll
+        };
+        if !self.options.decision_independence {
+            return picked;
+        }
+        let first = view.first().expect("decide needs an enabled node");
+        if picked == independent_decision(first) {
+            self.searches.skipped += 1;
+            if cfg!(debug_assertions) {
+                let searched =
+                    decision_independent(self.rpvp.model(), &view, decided, &mut self.di_scratch);
+                assert_eq!(
+                    searched.unwrap_or(picked),
+                    picked,
+                    "skipping the independence search changed the decision"
+                );
+            }
+            return picked;
+        }
+        self.searches.run += 1;
+        decision_independent(self.rpvp.model(), &view, decided, &mut self.di_scratch)
+            .unwrap_or(picked)
     }
 
     /// Branch over the given enabled choices: for each choice, one branch per
@@ -522,8 +602,11 @@ mod tests {
     use super::*;
     use crate::por::{BgpPor, NoPor, OspfPor};
     use plankton_config::scenarios::{disagree_gadget, ring_ospf};
+    use plankton_net::ip::Prefix;
     use plankton_protocols::bgp::{BgpModel, UniformUnderlay};
     use plankton_protocols::ospf::OspfModel;
+    use plankton_protocols::rpvp::EnabledView;
+    use plankton_protocols::{Preference, Route};
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -749,6 +832,87 @@ mod tests {
             assert!(!t.is_empty());
             assert!(t.nondeterministic_steps() > 0);
         }
+    }
+
+    /// An origin (node 0), two relays (1, 2) listening to it, and `leaves`
+    /// nodes listening to both relays that rank the two routes equal. Once
+    /// the relays decide, the leaves are independent and each has two tied
+    /// updates: decision independence branches over them.
+    struct TiedLeaves(usize);
+
+    impl ProtocolModel for TiedLeaves {
+        fn node_count(&self) -> usize {
+            3 + self.0
+        }
+        fn origins(&self) -> &[NodeId] {
+            &[NodeId(0)]
+        }
+        fn peers(&self, n: NodeId) -> &[NodeId] {
+            match n.0 {
+                0 => &[],
+                1 | 2 => &[NodeId(0)],
+                _ => &[NodeId(1), NodeId(2)],
+            }
+        }
+        fn advertise(&self, from: NodeId, to: NodeId, r: &Route) -> Option<Route> {
+            (!r.traverses(to)).then(|| r.extended_through(from))
+        }
+        fn origin_route(&self, _o: NodeId) -> Route {
+            Route::originated(Prefix::DEFAULT)
+        }
+        fn prefer(&self, _n: NodeId, a: &Route, b: &Route) -> Preference {
+            match a.hop_count().cmp(&b.hop_count()) {
+                std::cmp::Ordering::Less => Preference::Better,
+                std::cmp::Ordering::Greater => Preference::Worse,
+                std::cmp::Ordering::Equal => Preference::Tied,
+            }
+        }
+        fn name(&self) -> &'static str {
+            "tied-leaves"
+        }
+    }
+
+    /// Always "step the first enabled node's first update".
+    struct FirstUpdate;
+
+    impl PorHeuristic for FirstUpdate {
+        fn pick(
+            &self,
+            _state: &RpvpState,
+            enabled: &EnabledView<'_>,
+            _decided: &[bool],
+            _interner: &RouteInterner,
+        ) -> PorDecision {
+            enabled
+                .first()
+                .map_or(PorDecision::BranchAll, |c| PorDecision::Deterministic {
+                    node: c.node,
+                    update: 0,
+                })
+        }
+    }
+
+    #[test]
+    fn a_pick_on_the_first_node_does_not_replace_independence_branching() {
+        // `pick` names the first enabled node but not independence's
+        // decision for it (it has two tied updates), so the search must
+        // still run and branch: the order the reference explorer asks in.
+        let leaves = 3;
+        let model = TiedLeaves(leaves);
+        let options = SearchOptions::all_optimizations();
+        let (states, stats) = collect_converged(&model, Box::new(FirstUpdate), options.clone());
+        let reference = crate::ReferenceChecker::new(
+            &model,
+            Box::new(FirstUpdate),
+            options,
+            FailureSet::none(),
+        )
+        .run(&mut |_, _| Verdict::Continue);
+        assert_eq!(states.len(), 1 << leaves);
+        assert_eq!(
+            stats.without_incremental_counters(),
+            reference.without_incremental_counters()
+        );
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use plankton_net::topology::NodeId;
 use plankton_protocols::bgp::BgpModel;
-use plankton_protocols::rpvp::{EnabledView, RpvpState};
+use plankton_protocols::rpvp::{EnabledChoice, EnabledView, RpvpState};
 use plankton_protocols::{ProtocolModel, Route, RouteInterner, SessionType};
 
 /// What the explorer should do at the current state.
@@ -360,15 +360,35 @@ impl DiScratch {
     }
 }
 
-/// Decision independence (§4.1.3), applied generically before the
-/// protocol-specific heuristic.
+/// Condition (a) of [`decision_independent`]: does every pending update come
+/// from a peer that has already decided? In a search that marks a node
+/// decided whenever it adopts a peer's route, this always holds (see there);
+/// the reference explorer still tests it, as an oracle for that argument.
+pub fn updates_from_decided(enabled: &EnabledView<'_>, decided: &[bool]) -> bool {
+    enabled.iter().all(|choice| {
+        choice
+            .best_updates
+            .iter()
+            .all(|(peer, _)| decided[peer.index()])
+    })
+}
+
+/// Decision independence (§4.1.3), generic across protocols.
 ///
 /// The execution order between the enabled nodes is irrelevant when (a) every
 /// pending update comes from a peer that has already made its final decision,
 /// and (b) no advertisement can flow between any two enabled nodes without
 /// passing through an already-decided node: the enabled nodes lie in
 /// pairwise-distinct connected components of the peer graph restricted to
-/// undecided nodes. When both hold, a single arbitrary order is explored.
+/// undecided nodes. When both hold, a single arbitrary order is explored:
+/// the first enabled node's updates.
+///
+/// (a) is an invariant of the search, not a test: an update from a peer
+/// needs that peer to hold a route, a node holds one only as an origin
+/// (decided from the start) or after a step that adopted a peer's route
+/// (which marks it decided), and undo restores route and mark together. The
+/// caller must uphold it; debug builds assert it
+/// ([`updates_from_decided`]), and only (b) is searched.
 ///
 /// (b) is checked by a breadth-first search from each enabled node over
 /// undecided nodes that gives up the moment it reaches a second enabled
@@ -386,15 +406,10 @@ pub fn decision_independent(
     scratch: &mut DiScratch,
 ) -> Option<PorDecision> {
     let first = enabled.first()?;
-    let all_from_decided = enabled.iter().all(|choice| {
-        choice
-            .best_updates
-            .iter()
-            .all(|(peer, _)| decided[peer.index()])
-    });
-    if !all_from_decided {
-        return None;
-    }
+    debug_assert!(
+        updates_from_decided(enabled, decided),
+        "a pending update comes from an undecided peer"
+    );
     if enabled.len() > 1 {
         scratch.begin(model.node_count());
         let (stamp, epoch, queue) = (&mut scratch.stamp, scratch.epoch, &mut scratch.queue);
@@ -430,14 +445,20 @@ pub fn decision_independent(
             }
         }
     }
-    // Order does not matter; still branch over a node's tied updates.
+    Some(independent_decision(first))
+}
+
+/// What the explorer does with `first`, the first enabled node, when
+/// decision independence holds: order does not matter, but a node's tied
+/// updates are still branched over.
+pub fn independent_decision(first: &EnabledChoice) -> PorDecision {
     if first.best_updates.len() > 1 {
-        Some(PorDecision::BranchUpdates { node: first.node })
+        PorDecision::BranchUpdates { node: first.node }
     } else {
-        Some(PorDecision::Deterministic {
+        PorDecision::Deterministic {
             node: first.node,
             update: 0,
-        })
+        }
     }
 }
 
@@ -579,9 +600,11 @@ mod tests {
         let view = EnabledView::Slice(&enabled);
         let mut decided = vec![false; 4];
         let mut scratch = DiScratch::new();
-        // Pending updates come from the (undecided) origin: no independence.
-        assert!(decision_independent(&model, &view, &decided, &mut scratch).is_none());
+        // Pending updates come from the (undecided) origin: condition (a)
+        // fails, which no search state can produce (an origin starts decided).
+        assert!(!updates_from_decided(&view, &decided));
         decided[s.origin.index()] = true;
+        assert!(updates_from_decided(&view, &decided));
         // Updates now come from a decided node, but the two enabled neighbors
         // of the origin can still reach each other through the undecided far
         // side of the ring, so independence still must not apply.
@@ -725,11 +748,18 @@ mod tests {
                         enabled.push(EnabledChoice {
                             node,
                             invalid: false,
+                            routed: false,
                             best_updates,
                         });
                     }
                     let view = EnabledView::Slice(&enabled);
-                    let got = decision_independent(&model, &view, &decided, &mut scratch);
+                    // Condition (a) is the caller's, as in the reference
+                    // explorer; the oracle still tests it itself.
+                    let got = if updates_from_decided(&view, &decided) {
+                        decision_independent(&model, &view, &decided, &mut scratch)
+                    } else {
+                        None
+                    };
                     let want = decision_independent_by_labelling(&model, &view, &decided);
                     assert_eq!(got, want, "{:?} decided={decided:?} {enabled:?}", model.0);
                     if enabled.len() > 1 {

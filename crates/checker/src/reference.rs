@@ -27,7 +27,9 @@
 
 use crate::explorer::{influence_set, Verdict};
 use crate::options::SearchOptions;
-use crate::por::{decision_independent, DiScratch, PorDecision, PorHeuristic};
+use crate::por::{
+    decision_independent, updates_from_decided, DiScratch, PorDecision, PorHeuristic,
+};
 use crate::stats::SearchStats;
 use crate::trail::Trail;
 use crate::visited::VisitedSet;
@@ -224,7 +226,10 @@ impl<'m> ReferenceChecker<'m> {
             }
 
             let view = EnabledView::Slice(&enabled);
-            let decision = if self.options.decision_independence {
+            // Condition (a) of decision independence is tested here, not
+            // assumed: the oracle for the invariant the explorer relies on.
+            let search = self.options.decision_independence && updates_from_decided(&view, decided);
+            let decision = if search {
                 decision_independent(self.rpvp.model(), &view, decided, &mut self.di_scratch)
             } else {
                 None

@@ -29,8 +29,11 @@ pub struct SearchStats {
     /// full*, from every peer's advertisement (the pre-incremental explorer
     /// did that for every node at every step, so `steps × node_count` is the
     /// figure this improves on). Single-edge patches of a reverse peer's
-    /// entry are not counted here; the process metrics report them as
-    /// `plankton_enabled_edge_updates_total`.
+    /// entry are not counted here, and neither is dropping the stepped
+    /// node's own entry after it adopted one of its maximal updates (no
+    /// re-derivation happens); the process metrics report those as
+    /// `plankton_enabled_edge_updates_total` and
+    /// `plankton_enabled_stepped_skips_total`.
     #[serde(default)]
     pub enabled_recomputed_nodes: u64,
     /// Deepest apply/undo stack reached by the in-place DFS (the number of

@@ -27,12 +27,14 @@
 //! [`Rpvp::enabled`], the reference explorer and
 //! [`IncrementalEnabled::rebuild`] are loops over it. A search does not call
 //! it per node per step, though. [`IncrementalEnabled`] keeps the entries
-//! across steps and, after a step at `n`, re-derives `n`'s entry only; each
-//! node listening to `n` has its cached entry *patched* for the single
-//! advertisement that changed, which costs one `advertise` and a comparison
-//! or two instead of a pass over its peers. A step is O(deg) route
-//! derivations rather than O(deg²); the rule, the argument that it is exact,
-//! and the cases that fall back to the full routine are on the type.
+//! across steps. After a step at `n` that adopted one of `n`'s own cached
+//! maximal updates, `n`'s entry is simply dropped (nothing beats a maximal
+//! update); any other step re-derives it. Each node listening to `n` has its
+//! cached entry *patched* for the single advertisement that changed, which
+//! costs one `advertise` and a comparison or two instead of a pass over its
+//! peers. A step is O(deg) route derivations rather than O(deg²); the rules,
+//! the argument that they are exact, and the cases that fall back to the
+//! full routine are on the type.
 
 use crate::interner::{RouteHandle, RouteInterner};
 use crate::model::{Preference, ProtocolModel, ReversePeer};
@@ -194,6 +196,13 @@ pub struct EnabledChoice {
     /// Is the node's current best path invalid (its next hop no longer
     /// carries the matching path)?
     pub invalid: bool,
+    /// Did the node hold a route when this entry was derived? (`invalid`
+    /// implies it.) An enabled node that holds a route would have to change
+    /// or clear it, which is what consistent-execution pruning (§4.1.1)
+    /// abandons an execution for. The flag travels with the entry, so a
+    /// cache that restores entries before routes on undo
+    /// ([`IncrementalEnabled`]) still counts such entries exactly.
+    pub routed: bool,
     /// The peers producing the highest-ranked usable advertisements, together
     /// with those advertisements (interned). Empty iff the node is enabled
     /// only because its path is invalid.
@@ -563,6 +572,7 @@ impl<'m> Rpvp<'m> {
         Some(EnabledChoice {
             node: n,
             invalid,
+            routed: state.has_route(n),
             best_updates,
         })
     }
@@ -680,13 +690,25 @@ impl<'m> Rpvp<'m> {
 /// ([`ProtocolModel::reverse_peers`]) — and a reverse peer `m` sees the step
 /// through exactly one advertisement, `n → m`.
 ///
+/// # The stepped node
+///
+/// When `n` adopted a member `a` of its own cached maximal set `U`, its
+/// entry becomes empty without a re-derivation: its peers' routes did not
+/// change, so neither did its candidates, and a candidate strictly preferred
+/// over `a` would have been usable before the step too (it beats `a`, which
+/// beat the route `n` held, if any) and so would have dominated `a` — but
+/// nothing dominates a maximal element of a strict partial order. A freshly
+/// adopted path is valid, so `n` is not enabled at all. This holds whatever
+/// `n` held before; it needs only that `n` does not listen to itself. Any
+/// other step at `n` (a clear-only step, a self-listening node) re-derives
+/// the entry in full ([`Rpvp::enabled_at_with`]).
+///
 /// # The single-edge rule
 ///
-/// `n`'s own entry is recomputed in full ([`Rpvp::enabled_at_with`]). For a
-/// reverse peer `m`, when `n` held `⊥` before the step, the candidate set of
-/// `m` gained at most one element — `a = advertise(n→m, best(n))`, if `m`
-/// can use it — and lost none, so the cached maximal set `U` is patched
-/// instead of re-derived:
+/// For a reverse peer `m`, when `n` held `⊥` before the step, the candidate
+/// set of `m` gained at most one element — `a = advertise(n→m, best(n))`,
+/// if `m` can use it — and lost none, so the cached maximal set `U` is
+/// patched instead of re-derived:
 ///
 /// * some `u ∈ U` is strictly preferred over `a` ⇒ the entry is unchanged;
 /// * otherwise `a` is maximal: the members it beats leave `U`, and `a` is
@@ -706,7 +728,8 @@ impl<'m> Rpvp<'m> {
 /// reachable with consistent-execution pruning off) or occurs twice in
 /// `peers(m)`, `m` falls back to the full recomputation. That routine stays
 /// the single definition of an entry: debug builds re-derive every patched
-/// slot with it and assert equality, so any debug test run audits the rule.
+/// slot and every dropped stepped-node entry with it and assert equality, so
+/// any debug test run audits both rules.
 ///
 /// # Storage
 ///
@@ -715,6 +738,11 @@ impl<'m> Rpvp<'m> {
 /// order as [`Rpvp::enabled`] — is a word-at-a-time bitset sweep
 /// ([`EnabledView::Slots`]). Displaced entries are handed back to the caller
 /// so an apply/undo search can restore them exactly when it backtracks.
+///
+/// The same O(1) slot swap keeps a count of entries whose node holds a route
+/// ([`EnabledChoice::routed`]), so the §4.1.1 consistency question "is any
+/// enabled node already routed?" is
+/// [`IncrementalEnabled::inconsistent_count`]` > 0`, not a scan.
 pub struct IncrementalEnabled {
     /// `slots[n]` = node `n`'s enabled choice, if currently enabled.
     slots: Vec<Option<EnabledChoice>>,
@@ -722,6 +750,8 @@ pub struct IncrementalEnabled {
     bits: Vec<u64>,
     /// Number of enabled nodes.
     len: usize,
+    /// Number of enabled entries whose node holds a route.
+    inconsistent: usize,
     /// `rev_peers[n]` = nodes that consider advertisements from `n`, each
     /// with `n`'s slot in their peer list.
     rev_peers: Vec<Vec<ReversePeer>>,
@@ -734,6 +764,8 @@ pub struct IncrementalEnabled {
     recomputed: u64,
     /// Single-edge updates performed in place of a full recomputation.
     edge_updates: u64,
+    /// Stepped-node entries dropped in place of a full recomputation.
+    stepped_skips: u64,
     /// Candidate-route buffer threaded into
     /// [`Rpvp::enabled_at_with`], reused across every recomputation.
     candidates: Vec<(NodeId, Route)>,
@@ -748,10 +780,12 @@ impl IncrementalEnabled {
             slots: (0..n).map(|_| None).collect(),
             bits: vec![0; n.div_ceil(64)],
             len: 0,
+            inconsistent: 0,
             rev_peers,
             eligible,
             recomputed: 0,
             edge_updates: 0,
+            stepped_skips: 0,
             candidates: Vec::new(),
         }
     }
@@ -763,18 +797,15 @@ impl IncrementalEnabled {
         }
         self.bits.fill(0);
         self.len = 0;
+        self.inconsistent = 0;
         for i in 0..self.eligible.len() {
             if !self.eligible[i] {
                 continue;
             }
             self.recomputed += 1;
-            if let Some(choice) =
-                rpvp.enabled_at_with(state, interner, NodeId(i as u32), &mut self.candidates)
-            {
-                self.slots[i] = Some(choice);
-                self.bits[i / 64] |= 1 << (i % 64);
-                self.len += 1;
-            }
+            let node = NodeId(i as u32);
+            let entry = rpvp.enabled_at_with(state, interner, node, &mut self.candidates);
+            self.set_entry(node, entry);
         }
     }
 
@@ -809,10 +840,23 @@ impl IncrementalEnabled {
         self.edge_updates
     }
 
+    /// Number of stepped-node entries dropped without a re-derivation so far
+    /// (see the type docs); each is a full recomputation avoided.
+    pub fn stepped_skip_count(&self) -> u64 {
+        self.stepped_skips
+    }
+
+    /// Number of enabled entries whose node holds a route
+    /// ([`EnabledChoice::routed`]). The state is consistent in the §4.1.1
+    /// sense iff this is zero. O(1): maintained by every slot swap.
+    pub fn inconsistent_count(&self) -> usize {
+        self.inconsistent
+    }
+
     /// Install `entry` as node `node`'s cache slot (None = not enabled) and
     /// return the displaced previous slot. O(1): a slot swap plus a bitset
-    /// update. Used both for delta maintenance and for restoring displaced
-    /// entries on undo.
+    /// and counter update. Used both for delta maintenance and for restoring
+    /// displaced entries on undo.
     pub fn set_entry(
         &mut self,
         node: NodeId,
@@ -820,6 +864,7 @@ impl IncrementalEnabled {
     ) -> Option<EnabledChoice> {
         let idx = node.index();
         let now = entry.is_some();
+        let routed_now = entry.as_ref().is_some_and(|c| c.routed);
         let prev = std::mem::replace(&mut self.slots[idx], entry);
         let was = prev.is_some();
         if now != was {
@@ -832,16 +877,18 @@ impl IncrementalEnabled {
                 self.len -= 1;
             }
         }
+        self.inconsistent += usize::from(routed_now);
+        self.inconsistent -= usize::from(prev.as_ref().is_some_and(|c| c.routed));
         prev
     }
 
     /// Bring the cache up to date after `node`'s best route changed from
-    /// `prev` to `state.best[node]`: `node` itself is recomputed, each
-    /// reverse peer gets a single-edge update (see the type docs) or, when
-    /// its preconditions do not hold, a full recomputation. Every displaced
-    /// cache slot is pushed onto `displaced` (in update order) so the caller
-    /// can undo the step by replaying them in reverse through
-    /// [`IncrementalEnabled::set_entry`].
+    /// `prev` to `state.best[node]`: `node`'s own entry is dropped or
+    /// recomputed, each reverse peer gets a single-edge update or, when its
+    /// preconditions do not hold, a full recomputation (see the type docs).
+    /// Every displaced cache slot is pushed onto `displaced` (in update
+    /// order) so the caller can undo the step by replaying them in reverse
+    /// through [`IncrementalEnabled::set_entry`].
     pub fn refresh_after_step(
         &mut self,
         rpvp: &Rpvp,
@@ -851,7 +898,22 @@ impl IncrementalEnabled {
         prev: RouteHandle,
         displaced: &mut Vec<(NodeId, Option<EnabledChoice>)>,
     ) {
-        self.refresh_node(rpvp, state, interner, node, displaced);
+        let adopted = state.best[node.index()];
+        let adopted_maximal = adopted.is_some()
+            && self.slots[node.index()]
+                .as_ref()
+                .is_some_and(|c| c.best_updates.iter().any(|&(_, h)| h == adopted));
+        let listens_to_itself = self.rev_peers[node.index()]
+            .binary_search_by_key(&node, |r| r.node)
+            .is_ok();
+        if adopted_maximal && !listens_to_itself {
+            self.stepped_skips += 1;
+            let prev_entry = self.set_entry(node, None);
+            displaced.push((node, prev_entry));
+            self.audit(rpvp, state, interner, node, "stepped-node skip");
+        } else {
+            self.refresh_node(rpvp, state, interner, node, displaced);
+        }
         for k in 0..self.rev_peers[node.index()].len() {
             let to = self.rev_peers[node.index()][k];
             if to.node == node {
@@ -906,6 +968,7 @@ impl IncrementalEnabled {
         let model = rpvp.model;
         let old = self.slots[m.index()].as_ref();
         let current = interner.resolve(state.best[m.index()]);
+        let routed = current.is_some();
         let invalid = if current.and_then(Route::next_hop) == Some(n) {
             rpvp.invalid(state, interner, m)
         } else {
@@ -934,7 +997,7 @@ impl IncrementalEnabled {
             });
         let best_updates = match adv {
             None if old.is_some_and(|c| c.invalid) == invalid => {
-                return self.audit(rpvp, state, interner, m);
+                return self.audit(rpvp, state, interner, m, "single-edge update");
             }
             None => old_updates.iter().copied().collect(),
             Some(adv) => {
@@ -965,21 +1028,29 @@ impl IncrementalEnabled {
         let entry = (invalid || !best_updates.is_empty()).then_some(EnabledChoice {
             node: m,
             invalid,
+            routed,
             best_updates,
         });
         let prev = self.set_entry(m, entry);
         displaced.push((m, prev));
-        self.audit(rpvp, state, interner, m);
+        self.audit(rpvp, state, interner, m, "single-edge update");
     }
 
-    /// Debug builds challenge every patched slot by re-deriving it with the
-    /// full routine (which interns nothing the patch did not).
-    fn audit(&mut self, rpvp: &Rpvp, state: &RpvpState, interner: &mut RouteInterner, m: NodeId) {
+    /// Debug builds challenge every patched or dropped slot by re-deriving it
+    /// with the full routine (which interns nothing the shortcut did not).
+    fn audit(
+        &mut self,
+        rpvp: &Rpvp,
+        state: &RpvpState,
+        interner: &mut RouteInterner,
+        m: NodeId,
+        rule: &str,
+    ) {
         if cfg!(debug_assertions) {
             assert_eq!(
                 self.slots[m.index()],
                 rpvp.enabled_at_with(state, interner, m, &mut self.candidates),
-                "single-edge update of {m} diverged from the full recomputation"
+                "{rule} of {m} diverged from the full recomputation"
             );
         }
     }
@@ -1307,8 +1378,10 @@ mod tests {
             inc.refresh_after_step(&rpvp, &s, &mut interner, choice.node, prev, &mut displaced);
             assert_eq!(inc.view().to_vec(), rpvp.enabled(&s, &mut interner));
             if choice.node == NodeId(1) {
-                // Itself and node 2 in full; the origin is not eligible.
-                assert_eq!(inc.recompute_count(), full + 2);
+                // Node 2 in full; node 1 adopted a maximal update, so its
+                // own entry is dropped; the origin is not eligible.
+                assert_eq!(inc.recompute_count(), full + 1);
+                assert_eq!(inc.stepped_skip_count(), 1);
                 assert_eq!(inc.edge_update_count(), edges);
                 // Both copies of the advertisement are maximal.
                 assert_eq!(inc.view().first().unwrap().best_updates.len(), 2);

@@ -326,6 +326,24 @@ mod tests {
     use super::*;
     use std::os::unix::net::{UnixListener, UnixStream};
 
+    /// The kernel reads `epoll_event` as its C layout: packed on x86-64 (12
+    /// bytes, payload right after the 32-bit mask), naturally aligned
+    /// elsewhere (16 bytes, payload at 8). A wrong layout would hand
+    /// `epoll_wait` a buffer whose tokens come back shifted.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn epoll_event_has_the_kernel_layout() {
+        use std::mem::{offset_of, size_of};
+        let (size, data_at) = if cfg!(target_arch = "x86_64") {
+            (12, 4)
+        } else {
+            (16, 8)
+        };
+        assert_eq!(size_of::<sys::EpollEvent>(), size);
+        assert_eq!(offset_of!(sys::EpollEvent, events), 0);
+        assert_eq!(offset_of!(sys::EpollEvent, data), data_at);
+    }
+
     #[test]
     fn wake_unblocks_wait_with_no_events() {
         let poller = std::sync::Arc::new(Poller::new().unwrap());

@@ -51,6 +51,7 @@ fn main() {
         },
         start.elapsed().as_secs_f64()
     );
+    println!("  {}", report.summary());
     for violation in report.violations.iter().take(3) {
         println!("  e.g. {violation}");
     }

@@ -8,6 +8,10 @@
 //! after every apply and every undo of a seeded random walk (apply a few
 //! steps, unwind a few, repeat), and the two enabled sets must agree route
 //! for route — and, at the end, so must the number of routes each interned.
+//! The same comparison covers the stepped node's own entry, which the cache
+//! drops instead of re-deriving when the node adopted one of its maximal
+//! updates, and the cache's count of enabled nodes that already hold a
+//! route is checked against a scan of the oracle's state.
 //!
 //! Walks run with consistent-execution pruning emulated (a node only ever
 //! steps from `⊥`, the explorer's default and the single-edge rule's home
@@ -139,6 +143,16 @@ fn walk(label: &str, model: &dyn ProtocolModel, consistent: bool, seed: u64) -> 
             "{label} (seed {seed}, consistent={consistent}): enabled set diverged after {what} #{op}"
         );
         assert_eq!(inc.len(), full.len());
+        // The §4.1.1 counter against the same scan the walk prunes on, over
+        // the oracle's own state and enabled set.
+        assert_eq!(
+            inc.inconsistent_count(),
+            full.iter()
+                .filter(|c| c.invalid || oracle.state.has_route(c.node))
+                .count(),
+            "{label} (seed {seed}, consistent={consistent}): consistency counter diverged \
+             after {what} #{op}"
+        );
     };
     check(&inc, &interner, &mut oracle, "rebuild", 0);
 
@@ -233,10 +247,10 @@ fn walk(label: &str, model: &dyn ProtocolModel, consistent: bool, seed: u64) -> 
     if totals.path_changes == 0 {
         // Every step left `⊥`, so every reverse peer took the single-edge
         // path: the only full recomputations are the rebuild's and one per
-        // stepped node.
+        // stepped node that did not adopt one of its own maximal updates.
         assert_eq!(
             inc.recompute_count(),
-            eligible_count + totals.applies,
+            eligible_count + totals.applies - inc.stepped_skip_count(),
             "{label}: a step from ⊥ fell back to a full recomputation"
         );
     }

@@ -204,6 +204,9 @@ fn metrics_request_renders_prometheus_text_with_live_families() {
         "plankton_undo_depth_max",
         "plankton_enabled_edge_updates_total",
         "plankton_enabled_full_recomputes_total",
+        "plankton_enabled_stepped_skips_total",
+        "plankton_independence_searches_total",
+        "plankton_independence_searches_skipped_total",
         "plankton_cache_capacity",
     ] {
         assert!(
