@@ -29,15 +29,23 @@
 //!     could differ: when independence holds the explorer takes the first
 //!     enabled node, so a `pick` that already chose exactly that decision
 //!     needs no search (debug builds search anyway and assert agreement);
+//!   - nor is it searched while two *adjacent* nodes are both enabled and
+//!     undecided: a count of such pairs, moved only for the nodes a step or
+//!     undo touches, witnesses dependence in O(1) (debug builds search
+//!     anyway and assert it fails);
 //!   - independence's condition (a), "every pending update comes from a
 //!     decided peer", is an invariant of the search rather than a sweep
 //!     (see [`decision_independent`]).
 //!
-//!   What remains per step is `pick` itself (a pass over the enabled set for
-//!   [`OspfPor`](crate::OspfPor) and [`BgpPor`](crate::BgpPor)), the
-//!   independence search when `pick` disagrees with it (it usually gives up
-//!   a few hops from its first node), and O(deg) route derivations for the
-//!   reverse peers.
+//!   What a step costs, then: for [`OspfPor`](crate::OspfPor), `pick` is
+//!   the top of the enabled set's cost heap (O(1); O(log n) per entry the
+//!   step changed to keep it) — [`BgpPor`](crate::BgpPor) still passes over
+//!   the enabled set; the independence search runs only when neither the
+//!   pick nor the witness settles it (it usually gives up a few hops from its
+//!   first node); and the reverse peers cost O(deg) comparisons, with a
+//!   route built and interned only for a peer that keeps it. On a
+//!   deterministic (OSPF) run that is Dijkstra's work plus the bookkeeping
+//!   that makes it undoable.
 //! * **Apply/undo DFS** — steps are applied in place and reverted from a
 //!   compact undo stack ([`UndoStack`](crate::UndoStack)), eliminating the
 //!   full `RpvpState` clone plus `decided.to_vec()` per branch alternative.
@@ -73,16 +81,84 @@ use plankton_net::topology::NodeId;
 use plankton_protocols::rpvp::{
     ConvergedState, EnabledChoice, IncrementalEnabled, Rpvp, RpvpState,
 };
-use plankton_protocols::{ProtocolModel, RouteHandle, RouteInterner};
+use plankton_protocols::{ProtocolModel, ReversePeer, RouteHandle, RouteInterner};
 use plankton_telemetry::{Counter, Gauge};
 use std::sync::{Arc, OnceLock};
 
-/// Decision-independence searches of one run: run, and avoided because the
-/// heuristic's answer already was independence's.
+/// Decision-independence searches of one run: run, avoided because the
+/// heuristic's answer already was independence's, and avoided because the
+/// dependence witness already knew the answer.
 #[derive(Clone, Copy, Debug, Default)]
 struct IndependenceSearches {
     run: u64,
     skipped: u64,
+    witnessed: u64,
+}
+
+/// An O(1) witness that decision independence (§4.1.3) fails: the number of
+/// peer-graph pairs `(u, v)`, `v ∈ peers(u)`, `u ≠ v`, whose ends are both
+/// enabled and undecided ("active"), counted with multiplicity.
+///
+/// A positive count names two active nodes next to each other, so the
+/// search from either reaches the other through no decided node and
+/// [`decision_independent`] answers `None` (under its assumption that peers
+/// are symmetric). A step changes the activity of the stepped node and of
+/// the nodes whose entries it displaced, and of no other; `apply` and
+/// `undo_one` re-read exactly those, so the count costs O(degree) per node
+/// whose activity flipped.
+#[derive(Default)]
+struct DependenceWitness {
+    /// `active[n]` ⟺ node `n` is counted as enabled and undecided.
+    active: Vec<bool>,
+    /// The number of active pairs.
+    pairs: usize,
+}
+
+impl DependenceWitness {
+    /// Start a run with every node inactive.
+    fn reset(&mut self, nodes: usize) {
+        self.active.clear();
+        self.active.resize(nodes, false);
+        self.pairs = 0;
+    }
+
+    /// Re-read whether `x` is active and move the count by the active pairs
+    /// `x` enters or leaves: its own peer slots, and the slots other nodes
+    /// hold for it.
+    fn update(
+        &mut self,
+        model: &dyn ProtocolModel,
+        enabled: &IncrementalEnabled,
+        decided: &[bool],
+        x: NodeId,
+    ) {
+        let now = enabled.contains(x) && !decided[x.index()];
+        if now == self.active[x.index()] {
+            return;
+        }
+        self.active[x.index()] = now;
+        let active = &self.active;
+        let mut touching = model
+            .peers(x)
+            .iter()
+            .filter(|&&v| v != x && active[v.index()])
+            .count();
+        for r in enabled.reverse_peers(x) {
+            if r.node == x || !active[r.node.index()] {
+                continue;
+            }
+            touching += if r.slot == ReversePeer::REPEATED {
+                model.peers(r.node).iter().filter(|&&p| p == x).count()
+            } else {
+                1
+            };
+        }
+        if now {
+            self.pairs += touching;
+        } else {
+            self.pairs -= touching;
+        }
+    }
 }
 
 /// Fold one finished search into the process-global metrics. Handles are
@@ -102,8 +178,10 @@ fn record_run_metrics(
     static EDGE_UPDATES: Cell = OnceLock::new();
     static FULL_RECOMPUTES: Cell = OnceLock::new();
     static STEPPED_SKIPS: Cell = OnceLock::new();
+    static UNBUILT: Cell = OnceLock::new();
     static SEARCHES: Cell = OnceLock::new();
     static SEARCHES_SKIPPED: Cell = OnceLock::new();
+    static SEARCHES_WITNESSED: Cell = OnceLock::new();
     static UNDO_DEPTH: OnceLock<Arc<Gauge>> = OnceLock::new();
     add(
         &STEPS,
@@ -130,6 +208,12 @@ fn record_run_metrics(
         enabled.stepped_skip_count(),
     );
     add(
+        &UNBUILT,
+        "plankton_edge_updates_unbuilt_total",
+        "Enabled-set edge patches that ranked the changed advertisement without building it, and did not keep it.",
+        enabled.edge_update_unbuilt_count(),
+    );
+    add(
         &SEARCHES,
         "plankton_independence_searches_total",
         "Decision-independence searches run by the model checker.",
@@ -140,6 +224,12 @@ fn record_run_metrics(
         "plankton_independence_searches_skipped_total",
         "Decision-independence searches avoided because the POR heuristic already chose the independent step.",
         searches.skipped,
+    );
+    add(
+        &SEARCHES_WITNESSED,
+        "plankton_independence_searches_witnessed_total",
+        "Decision-independence searches avoided because two adjacent enabled, undecided nodes already showed dependence.",
+        searches.witnessed,
     );
     UNDO_DEPTH
         .get_or_init(|| {
@@ -183,8 +273,11 @@ pub struct ModelChecker<'m> {
     snapshots: SnapshotPool,
     /// Reusable buffers for the decision-independence reachability search.
     di_scratch: DiScratch,
-    /// How often that search ran, and how often `pick` made it unnecessary.
+    /// How often that search ran, and how often it was not needed.
     searches: IndependenceSearches,
+    /// Adjacent enabled, undecided pairs; kept only when decision
+    /// independence is on (nothing else reads it).
+    witness: Option<DependenceWitness>,
 }
 
 impl<'m> ModelChecker<'m> {
@@ -231,7 +324,13 @@ impl<'m> ModelChecker<'m> {
                 *e &= a;
             }
         }
-        let enabled = IncrementalEnabled::new(model.reverse_peers(), eligible);
+        let mut enabled = IncrementalEnabled::new(model.reverse_peers(), eligible);
+        if options.deterministic_nodes && por.reads_cost_heap() {
+            enabled = enabled.with_cost_heap();
+        }
+        let witness = options
+            .decision_independence
+            .then(DependenceWitness::default);
         ModelChecker {
             rpvp,
             por,
@@ -247,6 +346,7 @@ impl<'m> ModelChecker<'m> {
             snapshots: parts.snapshots,
             di_scratch: DiScratch::new(),
             searches: IndependenceSearches::default(),
+            witness,
         }
     }
 
@@ -275,6 +375,13 @@ impl<'m> ModelChecker<'m> {
             // Disjoint-field reborrow: `enabled` is rebuilt from `rpvp`.
             let (enabled, rpvp, interner) = (&mut self.enabled, &self.rpvp, &mut self.interner);
             enabled.rebuild(rpvp, &state, interner);
+        }
+        if let Some(witness) = &mut self.witness {
+            let model = self.rpvp.model();
+            witness.reset(model.node_count());
+            for i in 0..model.node_count() {
+                witness.update(model, &self.enabled, &decided, NodeId(i as u32));
+            }
         }
         self.dfs(&mut state, &mut decided, 0, callback);
         self.stats.enabled_recomputed_nodes = self.enabled.recompute_count();
@@ -351,6 +458,13 @@ impl<'m> ModelChecker<'m> {
             prev_best,
             &mut self.undo.enabled_prev,
         );
+        if let Some(witness) = &mut self.witness {
+            let model = self.rpvp.model();
+            witness.update(model, &self.enabled, decided, node);
+            for &(m, _) in &self.undo.enabled_prev[enabled_mark..] {
+                witness.update(model, &self.enabled, decided, m);
+            }
+        }
         self.undo.push_frame(UndoFrame {
             node,
             prev_best,
@@ -375,11 +489,20 @@ impl<'m> ModelChecker<'m> {
     fn undo_one(&mut self, state: &mut RpvpState, decided: &mut [bool]) {
         self.trail.pop();
         let frame = self.undo.pop_frame();
+        let model = self.rpvp.model();
         while self.undo.enabled_prev.len() > frame.enabled_mark {
             let (m, prev) = self.undo.enabled_prev.pop().expect("mark within stack");
             self.enabled.set_entry(m, prev);
+            // Final for every node but the stepped one, whose `decided`
+            // bit is restored below and which is re-read after it.
+            if let Some(witness) = &mut self.witness {
+                witness.update(model, &self.enabled, decided, m);
+            }
         }
         decided[frame.node.index()] = frame.prev_decided;
+        if let Some(witness) = &mut self.witness {
+            witness.update(model, &self.enabled, decided, frame.node);
+        }
         self.rpvp.undo_step(state, frame.node, frame.prev_best);
     }
 
@@ -486,8 +609,13 @@ impl<'m> ModelChecker<'m> {
                 }
             }
         }
-        // Revert every deterministic step this frame applied.
-        self.unwind_to(undo_mark, state, decided);
+        // Revert every deterministic step this frame applied — except in
+        // the outermost frame: the finished run discards its state, enabled
+        // set and trail, and restoring them (heap and witness included)
+        // would be a whole chain of undos for nothing.
+        if undo_mark > 0 {
+            self.unwind_to(undo_mark, state, decided);
+        }
     }
 
     /// Partial order reduction: the same decision as "decision independence
@@ -518,6 +646,15 @@ impl<'m> ModelChecker<'m> {
                     "skipping the independence search changed the decision"
                 );
             }
+            return picked;
+        }
+        if self.witness.as_ref().is_some_and(|w| w.pairs > 0) {
+            self.searches.witnessed += 1;
+            debug_assert_eq!(
+                decision_independent(self.rpvp.model(), &view, decided, &mut self.di_scratch),
+                None,
+                "the dependence witness named a pair the independence search did not find"
+            );
             return picked;
         }
         self.searches.run += 1;
@@ -913,6 +1050,89 @@ mod tests {
             stats.without_incremental_counters(),
             reference.without_incremental_counters()
         );
+    }
+
+    /// A symmetric peer graph routed by hop count, ties left to branching.
+    struct HopGraph(Vec<Vec<NodeId>>);
+
+    impl ProtocolModel for HopGraph {
+        fn node_count(&self) -> usize {
+            self.0.len()
+        }
+        fn origins(&self) -> &[NodeId] {
+            &[NodeId(0)]
+        }
+        fn peers(&self, n: NodeId) -> &[NodeId] {
+            &self.0[n.index()]
+        }
+        fn advertise(&self, from: NodeId, to: NodeId, r: &Route) -> Option<Route> {
+            TiedLeaves(0).advertise(from, to, r)
+        }
+        fn origin_route(&self, o: NodeId) -> Route {
+            TiedLeaves(0).origin_route(o)
+        }
+        fn prefer(&self, n: NodeId, a: &Route, b: &Route) -> Preference {
+            TiedLeaves(0).prefer(n, a, b)
+        }
+        fn name(&self) -> &'static str {
+            "hop-graph"
+        }
+    }
+
+    #[test]
+    fn branching_searches_match_the_reference_on_random_graphs() {
+        // Branch points undo steps, so the dependence witness must follow
+        // every undo: a stale pair would skip a search that finds
+        // independence, and the tree would differ from the reference's.
+        let mut x = 0x5851_F42D_4C95_7F2Du64;
+        let mut below = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let mut branch_points = 0;
+        for _ in 0..400 {
+            let n = 3 + below(5);
+            let mut peers = vec![Vec::new(); n];
+            for _ in 0..n + below(n) {
+                let (a, b) = (below(n), below(n));
+                if a != b && !peers[a].contains(&NodeId(b as u32)) {
+                    peers[a].push(NodeId(b as u32));
+                    peers[b].push(NodeId(a as u32));
+                }
+            }
+            for p in &mut peers {
+                p.sort();
+            }
+            let model = HopGraph(peers);
+            let options = SearchOptions::all_optimizations();
+            for por in [0, 1] {
+                let heuristic = || -> Box<dyn PorHeuristic> {
+                    if por == 0 {
+                        Box::new(NoPor)
+                    } else {
+                        Box::new(FirstUpdate)
+                    }
+                };
+                let (_, stats) = collect_converged(&model, heuristic(), options.clone());
+                let reference = crate::ReferenceChecker::new(
+                    &model,
+                    heuristic(),
+                    options.clone(),
+                    FailureSet::none(),
+                )
+                .run(&mut |_, _| Verdict::Continue);
+                assert_eq!(
+                    stats.without_incremental_counters(),
+                    reference.without_incremental_counters(),
+                    "{:?} heuristic {por}",
+                    model.0
+                );
+                branch_points += stats.branch_points;
+            }
+        }
+        assert!(branch_points > 1000, "{branch_points} branch points");
     }
 
     #[test]

@@ -20,8 +20,11 @@
 //! [`OspfPor`] implements the paper's OSPF heuristic (process nodes in
 //! shortest-path order — realized here as "the enabled node with the globally
 //! cheapest pending update", which is the same Dijkstra greedy argument
-//! without needing a separate cached computation). [`BgpPor`] implements the
-//! conservative BGP decision-process walk. [`NoPor`] disables the
+//! without needing a separate cached computation). On the explorer's enabled
+//! set that node is the top of a cost heap the set maintains
+//! ([`EnabledView::cheapest`]), so the pick costs O(1) rather than a pass
+//! over every entry. [`BgpPor`] implements the conservative BGP
+//! decision-process walk, a pass over the enabled set. [`NoPor`] disables the
 //! optimization (Figure 8's ablations).
 
 use plankton_net::topology::NodeId;
@@ -63,6 +66,12 @@ pub trait PorHeuristic: Sync {
         decided: &[bool],
         interner: &RouteInterner,
     ) -> PorDecision;
+
+    /// Does `pick` read [`EnabledView::cheapest`]? The explorer keeps its
+    /// enabled set's cost heap only for a heuristic that does.
+    fn reads_cost_heap(&self) -> bool {
+        false
+    }
 }
 
 /// No reduction: always branch over everything.
@@ -83,19 +92,26 @@ impl PorHeuristic for NoPor {
 
 /// The OSPF heuristic: shortest-path protocols admit a Dijkstra argument —
 /// among all pending updates, the one with the globally minimal cost can
-/// never be displaced by a later advertisement (link costs are
-/// non-negative), so its node is deterministic.
+/// never be displaced by a later advertisement, so its node is
+/// deterministic.
+///
+/// The argument needs every link cost to be **positive** (RFC 2328 App.
+/// C.3): at cost 0 an equal-cost path with fewer hops — which OSPF's ranking
+/// prefers — can arrive after the node has stepped. `Network::validate`
+/// refuses such configurations, and `OspfModel::new` asserts it in debug
+/// builds.
+///
+/// The pick is the first cheapest update in enabled (node-id) order, with
+/// invalid-only entries last. On the explorer's enabled set it is read off
+/// the cost heap in O(1) ([`EnabledView::cheapest`]); on a view without one
+/// it is a scan, and debug builds check the heap against the scan at every
+/// decision.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OspfPor;
 
-impl PorHeuristic for OspfPor {
-    fn pick(
-        &self,
-        _state: &RpvpState,
-        enabled: &EnabledView<'_>,
-        _decided: &[bool],
-        interner: &RouteInterner,
-    ) -> PorDecision {
+impl OspfPor {
+    /// The pick by a pass over every pending update.
+    fn scan(enabled: &EnabledView<'_>, interner: &RouteInterner) -> PorDecision {
         let mut best: Option<(NodeId, usize, u64)> = None;
         for choice in enabled.iter() {
             for (ui, &(_, handle)) in choice.best_updates.iter().enumerate() {
@@ -121,6 +137,41 @@ impl PorHeuristic for OspfPor {
                 None => PorDecision::BranchAll,
             },
         }
+    }
+}
+
+impl PorHeuristic for OspfPor {
+    fn pick(
+        &self,
+        _state: &RpvpState,
+        enabled: &EnabledView<'_>,
+        _decided: &[bool],
+        interner: &RouteInterner,
+    ) -> PorDecision {
+        let Some(choice) = enabled.cheapest() else {
+            return Self::scan(enabled, interner);
+        };
+        // The entry's first update at its least cost (index 0 past an empty
+        // list is the clear step).
+        let update = choice
+            .best_updates
+            .iter()
+            .position(|&(_, h)| interner.resolve(h).map(|r| r.igp_cost) == Some(choice.least_cost))
+            .unwrap_or(0);
+        let picked = PorDecision::Deterministic {
+            node: choice.node,
+            update,
+        };
+        debug_assert_eq!(
+            picked,
+            Self::scan(enabled, interner),
+            "the cost heap's pick differs from the scan"
+        );
+        picked
+    }
+
+    fn reads_cost_heap(&self) -> bool {
+        true
     }
 }
 
@@ -711,7 +762,7 @@ mod tests {
             (x % n as u64) as usize
         };
         let mut scratch = DiScratch::new();
-        let (mut independent, mut dependent) = (0, 0);
+        let (mut independent, mut dependent, mut witnessed_cases) = (0, 0, 0);
         for _ in 0..2000 {
             let n = 2 + below(23);
             // Sparse graphs, so the undecided subgraph falls apart into
@@ -749,6 +800,7 @@ mod tests {
                             node,
                             invalid: false,
                             routed: false,
+                            least_cost: 0,
                             best_updates,
                         });
                     }
@@ -762,6 +814,16 @@ mod tests {
                     };
                     let want = decision_independent_by_labelling(&model, &view, &decided);
                     assert_eq!(got, want, "{:?} decided={decided:?} {enabled:?}", model.0);
+                    // The explorer's dependence witness: a peer pair whose
+                    // ends are both enabled and undecided.
+                    let active = |n: NodeId| !decided[n.index()] && view.get_node(n).is_some();
+                    let witnessed = enabled
+                        .iter()
+                        .any(|c| active(c.node) && model.peers(c.node).iter().any(|&p| active(p)));
+                    if witnessed {
+                        witnessed_cases += 1;
+                        assert_eq!((got, want), (None, None), "a witnessed pair is dependent");
+                    }
                     if enabled.len() > 1 {
                         match got {
                             Some(_) => independent += 1,
@@ -774,6 +836,10 @@ mod tests {
         assert!(
             independent > 500 && dependent > 500,
             "one-sided oracle run: {independent} independent, {dependent} dependent"
+        );
+        assert!(
+            witnessed_cases > 100 && witnessed_cases < dependent,
+            "{witnessed_cases} witnessed of {dependent} dependent"
         );
     }
 }

@@ -124,6 +124,8 @@ pub enum DeltaError {
     NoBgpSession(NodeId, NodeId),
     /// A node with this name already exists.
     DuplicateNodeName(String),
+    /// An OSPF interface cost of 0 (see [`crate::ConfigError::ZeroOspfCost`]).
+    ZeroOspfCost(NodeId, LinkId),
     /// The delta is a no-op (e.g. removing a static route that is not
     /// configured); rejected so the operator learns their mental model of
     /// the running config is stale.
@@ -139,6 +141,9 @@ impl fmt::Display for DeltaError {
             DeltaError::NoBgpSession(n, p) => write!(f, "{n} has no BGP session with {p}"),
             DeltaError::DuplicateNodeName(name) => {
                 write!(f, "a device named {name:?} already exists")
+            }
+            DeltaError::ZeroOspfCost(n, l) => {
+                write!(f, "OSPF cost 0 for {n} on {l} (costs must be at least 1)")
             }
             DeltaError::NoOp(what) => write!(f, "delta is a no-op: {what}"),
         }
@@ -211,6 +216,9 @@ impl ConfigDelta {
                 check_link(*link)?;
                 if !network.topology.link(*link).touches(*device) {
                     return Err(DeltaError::UnknownLink(*link));
+                }
+                if *cost == 0 {
+                    return Err(DeltaError::ZeroOspfCost(*device, *link));
                 }
                 // The region the edit can influence: the device's speaker
                 // component *before and after* the edit (a cost change never
@@ -304,6 +312,10 @@ impl ConfigDelta {
                 }
                 for &peer in links {
                     check_device(peer)?;
+                }
+                if let Some(link) = config.ospf.as_ref().and_then(|o| o.zero_cost_link()) {
+                    let id = NodeId(network.node_count() as u32);
+                    return Err(DeltaError::ZeroOspfCost(id, link));
                 }
                 let id = network.topology.grow_node(name, NodeKind::Router);
                 if let Some(lb) = loopback {

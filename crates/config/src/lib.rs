@@ -28,7 +28,7 @@ pub use device::DeviceConfig;
 pub use fingerprint::{
     combine, fingerprint_of, Fingerprinter, OspfScopedSlices, SliceMemo, FINGERPRINT_SCHEME_VERSION,
 };
-pub use network::Network;
+pub use network::{ConfigError, Network};
 pub use ospf::OspfConfig;
 pub use route_map::{
     MatchCondition, RouteAttrs, RouteMap, RouteMapAction, RouteMapClause, SetAction,

@@ -71,6 +71,15 @@ pub enum ConfigError {
         /// The device with multipath configured.
         device: NodeId,
     },
+    /// An OSPF interface cost is 0. RFC 2328 (App. C.3) requires costs
+    /// greater than 0, and the OSPF reduction's shortest-path argument needs
+    /// it: at cost 0 it can miss the converged state.
+    ZeroOspfCost {
+        /// The misconfigured device.
+        device: NodeId,
+        /// The link with cost 0.
+        link: LinkId,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -98,6 +107,12 @@ impl fmt::Display for ConfigError {
                 write!(
                     f,
                     "{device} enables BGP multipath, which Plankton does not support"
+                )
+            }
+            ConfigError::ZeroOspfCost { device, link } => {
+                write!(
+                    f,
+                    "{device} has OSPF cost 0 on {link} (interface costs must be at least 1)"
                 )
             }
         }
@@ -223,6 +238,9 @@ impl Network {
         }
         for n in self.topology.node_ids() {
             let d = self.device(n);
+            if let Some(link) = d.ospf.as_ref().and_then(|o| o.zero_cost_link()) {
+                errors.push(ConfigError::ZeroOspfCost { device: n, link });
+            }
             if let Some(bgp) = &d.bgp {
                 if bgp.multipath {
                     errors.push(ConfigError::BgpMultipathUnsupported { device: n });

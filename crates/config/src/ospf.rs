@@ -73,6 +73,15 @@ impl OspfConfig {
         )
     }
 
+    /// The first link configured with cost 0, if any (RFC 2328 requires
+    /// interface costs greater than 0).
+    pub fn zero_cost_link(&self) -> Option<LinkId> {
+        self.interface_costs
+            .iter()
+            .find(|&(_, &cost)| cost == 0)
+            .map(|(&link, _)| link)
+    }
+
     /// Does this router originate `prefix`?
     pub fn originates(&self, prefix: &Prefix) -> bool {
         self.networks.contains(prefix)

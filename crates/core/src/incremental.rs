@@ -380,7 +380,7 @@ impl Plankton {
                 &deps.components[c],
                 failures,
                 &lookup,
-                worker.scratch_cell(),
+                worker,
             );
             for (pec, outcome) in outcomes {
                 ctx.absorb(pec, failures, &outcome);

@@ -28,15 +28,15 @@ use crate::report::{VerificationReport, Violation};
 use crate::session::{PecSession, PlaneStream};
 use crate::underlay::DependencyUnderlay;
 use parking_lot::Mutex;
-use plankton_checker::{SearchScratch, SearchStats};
+use plankton_checker::SearchStats;
 use plankton_config::Network;
 use plankton_dataplane::{ForwardingGraph, WalkEnd};
+use plankton_engine::WorkerContext;
 use plankton_net::failure::{FailureScenario, FailureSet};
 use plankton_net::topology::NodeId;
 use plankton_pec::{compute_pecs, Pec, PecDependencies, PecId, PecSet};
 use plankton_policy::{ConvergedView, Policy};
 use plankton_telemetry::trace::{self, Field, Level};
-use std::cell::RefCell;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -297,7 +297,7 @@ impl Plankton {
         component: &[PecId],
         failures: &FailureSet,
         lookup: &dyn Fn(PecId) -> Option<Arc<ConvergedRecord>>,
-        scratch: &RefCell<SearchScratch>,
+        worker: &WorkerContext<'_>,
     ) -> Vec<(PecId, Arc<PolicyOutcome>)> {
         let mut out = Vec::with_capacity(component.len());
         for &pec_id in component {
@@ -318,8 +318,9 @@ impl Plankton {
             // structured `TaskFailure` (io_err has no meaning here).
             let _ = plankton_faultinject::trigger_keyed("task", "pec", pec_id.0 as u64);
             // Attribution is always on (like metrics), so the clock always
-            // runs: two `Instant` reads per *task*, nothing per step.
-            let task_start = Instant::now();
+            // runs: one `Instant` read per PEC, nothing per step. The PEC's
+            // time is a lap of the engine task's clock, so the per-PEC costs
+            // and `plankton_task_seconds` add up to the same total.
             let pec = self.pecs.pec(pec_id);
             let comp_idx = self.deps.component_of(pec_id);
             let component_has_dependents = ctx.has_dependents.contains(&comp_idx);
@@ -336,7 +337,7 @@ impl Plankton {
                 policy_sources: ctx.policy.sources(),
                 has_dependents: component_has_dependents,
                 has_dependencies: component_has_dependencies,
-                scratch: Some(scratch),
+                scratch: Some(worker.scratch_cell()),
             };
             // One pass per plane, as the explorer finds it: §3.5 signature,
             // dedupe, policy check; plus the record dependents read.
@@ -398,7 +399,7 @@ impl Plankton {
                     ctx.options.max_data_planes_per_pec,
                 );
             }
-            let elapsed = task_start.elapsed().as_micros() as u64;
+            let elapsed = worker.lap_micros();
             let costs = plankton_telemetry::taskstats::global();
             costs.record_run(
                 pec_id.0 as u64,

@@ -23,7 +23,7 @@ use crate::graph::{TaskGraph, TaskId};
 use crate::queue::TaskQueue;
 use crate::stats::{EngineStats, TaskFailure};
 use plankton_checker::SearchScratch;
-use std::cell::{RefCell, RefMut};
+use std::cell::{Cell, RefCell, RefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -204,6 +204,11 @@ pub struct WorkerContext<'e> {
     pub worker: usize,
     scratch: RefCell<SearchScratch>,
     shared: &'e dyn StopControl,
+    /// When the running task started.
+    task_start: Cell<Instant>,
+    /// Microseconds of the running task its laps have accounted for (`None`
+    /// before its first [`WorkerContext::lap_micros`]).
+    lapped: Cell<Option<u64>>,
 }
 
 impl<'e> WorkerContext<'e> {
@@ -227,6 +232,16 @@ impl<'e> WorkerContext<'e> {
     /// per model-checking run.
     pub fn scratch_cell(&self) -> &RefCell<SearchScratch> {
         &self.scratch
+    }
+
+    /// Microseconds since the running task started or since its previous
+    /// lap. A task that takes laps is observed in `plankton_task_seconds` as
+    /// the sum of its laps, so a caller that attributes its laps elsewhere
+    /// (per-PEC task costs) and the histogram read the same clock readings
+    /// and agree exactly.
+    pub fn lap_micros(&self) -> u64 {
+        let total = self.task_start.get().elapsed().as_micros() as u64;
+        total - self.lapped.replace(Some(total)).unwrap_or(0)
     }
 }
 
@@ -297,6 +312,8 @@ where
         worker,
         scratch: RefCell::new(SearchScratch::new()),
         shared,
+        task_start: Cell::new(Instant::now()),
+        lapped: Cell::new(None),
     };
     loop {
         if shared.completed.load(Ordering::Acquire) >= shared.total {
@@ -323,11 +340,13 @@ where
                     // closure never stored, and the caller gets a completed
                     // (but degraded) run instead of a dead process.
                     let task_start = Instant::now();
+                    ctx.task_start.set(task_start);
+                    ctx.lapped.set(None);
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(task, &ctx))) {
                         Ok(()) => {
                             let elapsed = task_start.elapsed().as_micros() as u64;
                             shared.busy_micros.fetch_add(elapsed, Ordering::Relaxed);
-                            task_seconds().observe(elapsed);
+                            task_seconds().observe(ctx.lapped.get().unwrap_or(elapsed));
                             shared.executed.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(payload) => {

@@ -84,6 +84,28 @@ pub trait ProtocolModel: Sync {
     /// ([`IncrementalEnabled`](crate::rpvp::IncrementalEnabled)).
     fn prefer(&self, n: NodeId, a: &Route, b: &Route) -> Preference;
 
+    /// `prefer(to, advertise(from, to, best_of_from), other)`, or `None` when
+    /// `advertise` rejects the route — asked before the advertisement is
+    /// built, so a model that can rank it from `best_of_from` alone builds
+    /// nothing. `built` caches the advertisement across the calls of one
+    /// candidate: the default builds it on the first call and reuses it
+    /// after, and the caller takes it from there when it keeps the
+    /// candidate, so the route is built at most once. Overrides must answer
+    /// exactly what the default does.
+    fn prefer_advertisement(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        best_of_from: &Route,
+        other: &Route,
+        built: &mut Option<Route>,
+    ) -> Option<Preference> {
+        if built.is_none() {
+            *built = Some(self.advertise(from, to, best_of_from)?);
+        }
+        built.as_ref().map(|adv| self.prefer(to, adv, other))
+    }
+
     /// A short protocol name for reporting ("ospf", "bgp").
     fn name(&self) -> &'static str;
 

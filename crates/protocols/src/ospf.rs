@@ -61,6 +61,9 @@ impl OspfModel {
                 let (Some(my_cost), Some(_)) = (my_ospf.cost(link), peer_ospf.cost(link)) else {
                     continue;
                 };
+                // RFC 2328 App. C.3; `Network::validate` refuses cost 0, and
+                // `OspfPor`'s Dijkstra argument needs every cost positive.
+                debug_assert!(my_cost > 0, "zero OSPF cost at {n} on {link}");
                 adjacent.push((m, my_cost as u64));
             }
             // Sorted by (peer, cost): the first entry of each peer's run is
@@ -124,6 +127,25 @@ impl OspfModel {
     }
 }
 
+/// OSPF's total order: lower cost wins, then fewer hops, then lower next-hop
+/// id — OSPF convergence is deterministic.
+fn preference_key(r: &Route) -> (u64, usize, u32) {
+    (
+        r.igp_cost,
+        r.hop_count(),
+        r.next_hop().map(|x| x.0).unwrap_or(0),
+    )
+}
+
+/// A smaller key is preferred.
+fn rank(order: std::cmp::Ordering) -> Preference {
+    match order {
+        std::cmp::Ordering::Less => Preference::Better,
+        std::cmp::Ordering::Greater => Preference::Worse,
+        std::cmp::Ordering::Equal => Preference::Tied,
+    }
+}
+
 impl ProtocolModel for OspfModel {
     fn node_count(&self) -> usize {
         self.node_count
@@ -155,20 +177,29 @@ impl ProtocolModel for OspfModel {
     }
 
     fn prefer(&self, _n: NodeId, a: &Route, b: &Route) -> Preference {
-        // Total order: lower cost wins, then fewer hops, then lower next-hop
-        // id — OSPF convergence is deterministic.
-        let key = |r: &Route| {
-            (
-                r.igp_cost,
-                r.hop_count(),
-                r.next_hop().map(|x| x.0).unwrap_or(0),
-            )
-        };
-        match key(a).cmp(&key(b)) {
-            std::cmp::Ordering::Less => Preference::Better,
-            std::cmp::Ordering::Greater => Preference::Worse,
-            std::cmp::Ordering::Equal => Preference::Tied,
+        rank(preference_key(a).cmp(&preference_key(b)))
+    }
+
+    /// The advertisement's key is `(cost + link, hops + 1, from)`: ranked
+    /// from `best_of_from` without building the route.
+    fn prefer_advertisement(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        best_of_from: &Route,
+        other: &Route,
+        _built: &mut Option<Route>,
+    ) -> Option<Preference> {
+        if best_of_from.traverses(to) {
+            return None;
         }
+        let link = self.link_cost(to, from)?;
+        let key = (
+            best_of_from.igp_cost.saturating_add(link),
+            best_of_from.hop_count() + 1,
+            from.0,
+        );
+        Some(rank(key.cmp(&preference_key(other))))
     }
 
     fn name(&self) -> &'static str {
@@ -322,6 +353,99 @@ mod tests {
         let (state, interner) = run_to_convergence(&model);
         let converged = ConvergedState::new(&state.best, &interner);
         assert_eq!(converged.best(b).unwrap().igp_cost, 7);
+    }
+
+    /// The override ranks exactly what building the advertisement and
+    /// comparing it would: seeded random networks with asymmetric costs up
+    /// to `u32::MAX`, random `from → to` pairs (adjacent or not), paths that
+    /// may already traverse `to`, costs that saturate, and `other` routes
+    /// drawn to tie with the advertisement's key.
+    #[test]
+    fn prefer_advertisement_equals_building_then_preferring() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut below = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let p: Prefix = "10.0.0.0/24".parse().unwrap();
+        let (mut rejected, mut tied, mut saturated) = (0, 0, 0);
+        for _ in 0..300 {
+            let n = 2 + below(7) as usize;
+            let mut tb = TopologyBuilder::new();
+            let routers: Vec<NodeId> = (0..n).map(|i| tb.add_router(&format!("r{i}"))).collect();
+            let mut links = Vec::new();
+            for _ in 0..below(2 * n as u64) {
+                let (a, b) = (below(n as u64) as usize, below(n as u64) as usize);
+                if a != b {
+                    links.push((routers[a], routers[b], tb.add_link(routers[a], routers[b])));
+                }
+            }
+            let mut net = Network::unconfigured(tb.build());
+            let cost = |below: &mut dyn FnMut(u64) -> u64| match below(4) {
+                0 => u32::MAX - below(3) as u32,
+                _ => 1 + below(20) as u32,
+            };
+            let mut configs: Vec<OspfConfig> = vec![OspfConfig::enabled(); n];
+            for &(a, b, l) in &links {
+                configs[a.index()]
+                    .interface_costs
+                    .insert(l, cost(&mut below));
+                configs[b.index()]
+                    .interface_costs
+                    .insert(l, cost(&mut below));
+            }
+            for (r, c) in routers.iter().zip(configs) {
+                *net.device_mut(*r) = DeviceConfig::empty().with_ospf(c);
+            }
+            let model = OspfModel::new(&net, p, vec![routers[0]], &FailureSet::none());
+            let random_route = |below: &mut dyn FnMut(u64) -> u64| {
+                let mut r = Route::originated(p);
+                for _ in 0..below(4) {
+                    r = r.extended_through(routers[below(n as u64) as usize]);
+                }
+                r.igp_cost = match below(3) {
+                    0 => u64::MAX - below(3),
+                    _ => below(100),
+                };
+                r
+            };
+            for _ in 0..40 {
+                let from = routers[below(n as u64) as usize];
+                let to = routers[below(n as u64) as usize];
+                let best_of_from = random_route(&mut below);
+                let built = model.advertise(from, to, &best_of_from);
+                let other = match (&built, below(3)) {
+                    // Same key, different path where there is one to change.
+                    (Some(adv), 0) => {
+                        let mut hops: Vec<NodeId> = adv.path.iter().copied().collect();
+                        if let Some(last) = hops.last_mut() {
+                            *last = NodeId(last.0 + 1);
+                        }
+                        let mut other = Route::originated(p);
+                        for &hop in hops.iter().rev() {
+                            other = other.extended_through(hop);
+                        }
+                        other.igp_cost = adv.igp_cost;
+                        other
+                    }
+                    _ => random_route(&mut below),
+                };
+                let want = built.as_ref().map(|adv| model.prefer(to, adv, &other));
+                let mut cache = None;
+                let got = model.prefer_advertisement(from, to, &best_of_from, &other, &mut cache);
+                assert_eq!(got, want, "{from}→{to} {best_of_from:?} vs {other:?}");
+                assert!(cache.is_none(), "the override builds nothing");
+                rejected += usize::from(want.is_none());
+                tied += usize::from(want == Some(Preference::Tied));
+                saturated += usize::from(built.is_some_and(|a| a.igp_cost == u64::MAX));
+            }
+        }
+        assert!(
+            rejected > 1000 && tied > 100 && saturated > 50,
+            "{rejected} rejected, {tied} tied, {saturated} saturated"
+        );
     }
 
     #[test]

@@ -31,10 +31,14 @@
 //! maximal updates, `n`'s entry is simply dropped (nothing beats a maximal
 //! update); any other step re-derives it. Each node listening to `n` has its
 //! cached entry *patched* for the single advertisement that changed, which
-//! costs one `advertise` and a comparison or two instead of a pass over its
-//! peers. A step is O(deg) route derivations rather than O(deg²); the rules,
-//! the argument that they are exact, and the cases that fall back to the
-//! full routine are on the type.
+//! costs a comparison or two instead of a pass over its peers: the
+//! advertisement is ranked before it is built
+//! ([`ProtocolModel::prefer_advertisement`]), and built and interned only
+//! when the node keeps it — for OSPF, one patch in thirteen on a k=16 fat
+//! tree. A step is O(deg) comparisons rather than O(deg²) route
+//! derivations, plus O(log n) per changed entry for the cost heap the OSPF
+//! heuristic reads; the rules, the argument that they are exact, and the
+//! cases that fall back to the full routine are on the type.
 
 use crate::interner::{RouteHandle, RouteInterner};
 use crate::model::{Preference, ProtocolModel, ReversePeer};
@@ -203,6 +207,11 @@ pub struct EnabledChoice {
     /// cache that restores entries before routes on undo
     /// ([`IncrementalEnabled`]) still counts such entries exactly.
     pub routed: bool,
+    /// The least `igp_cost` among `best_updates` (`u64::MAX` when there are
+    /// none): the key of [`IncrementalEnabled`]'s cost heap. Like `routed`
+    /// it is stored with the entry, because undo restores entries before
+    /// routes.
+    pub least_cost: u64,
     /// The peers producing the highest-ranked usable advertisements, together
     /// with those advertisements (interned). Empty iff the node is enabled
     /// only because its path is invalid.
@@ -227,6 +236,9 @@ pub enum EnabledView<'a> {
         bits: &'a [u64],
         /// Number of enabled nodes.
         len: usize,
+        /// The top of the cost heap, when the set keeps one
+        /// ([`IncrementalEnabled::with_cost_heap`]) and is not empty.
+        cheapest: Option<NodeId>,
     },
 }
 
@@ -258,6 +270,17 @@ impl<'a> EnabledView<'a> {
     /// The first enabled choice in node-id order.
     pub fn first(&self) -> Option<&'a EnabledChoice> {
         self.iter().next()
+    }
+
+    /// The entry with the least key (has no update, `least_cost`, node id)
+    /// — the first cheapest entry in node-id order, entries without an
+    /// update last — read off the cost heap in O(1). `None` when the view
+    /// has no heap (a slice, or a set without one) or is empty.
+    pub fn cheapest(&self) -> Option<&'a EnabledChoice> {
+        match self {
+            EnabledView::Slice(_) => None,
+            EnabledView::Slots { cheapest, .. } => cheapest.and_then(|n| self.get_node(n)),
+        }
     }
 
     /// Iterate the enabled choices in node-id order.
@@ -554,6 +577,7 @@ impl<'m> Rpvp<'m> {
         // `best({n' | can-update(n')})`), preserving candidate order —
         // exactly `ProtocolModel::best_indices` — and intern only those.
         let mut best_updates = UpdateVec::new();
+        let mut least_cost = u64::MAX;
         for i in 0..scratch.len() {
             let mut dominated = false;
             for j in 0..scratch.len() {
@@ -567,12 +591,14 @@ impl<'m> Rpvp<'m> {
             if !dominated {
                 let handle = interner.intern(&scratch[i].1);
                 best_updates.push((scratch[i].0, handle));
+                least_cost = least_cost.min(scratch[i].1.igp_cost);
             }
         }
         Some(EnabledChoice {
             node: n,
             invalid,
             routed: state.has_route(n),
+            least_cost,
             best_updates,
         })
     }
@@ -723,6 +749,11 @@ impl<'m> Rpvp<'m> {
 /// maximal when `a` removes that member (then `a` beats it too). For the same
 /// reason an `a` that is beaten by one member cannot beat another.
 ///
+/// The comparisons rank `a` before it exists
+/// ([`ProtocolModel::prefer_advertisement`]): a model that can tell from
+/// `best(n)` alone how `a` compares (OSPF) builds and interns `a` only when
+/// `m` keeps it, and the default builds it at most once.
+///
 /// The rule needs the old contribution of `n` to be empty and `n`'s slot to
 /// be unique; when `n` held a route before the step (a path change, only
 /// reachable with consistent-execution pruning off) or occurs twice in
@@ -743,6 +774,13 @@ impl<'m> Rpvp<'m> {
 /// ([`EnabledChoice::routed`]), so the §4.1.1 consistency question "is any
 /// enabled node already routed?" is
 /// [`IncrementalEnabled::inconsistent_count`]` > 0`, not a scan.
+///
+/// A set built [`with_cost_heap`](IncrementalEnabled::with_cost_heap) also
+/// keeps its entries in an indexed binary min-heap keyed by (has no update,
+/// [`EnabledChoice::least_cost`], node id), updated by the same slot swap in
+/// O(log n). Its top ([`EnabledView::cheapest`]) is the first cheapest entry
+/// in node-id order, which is what the OSPF heuristic steps. Undo replays
+/// [`IncrementalEnabled::set_entry`], so it restores the heap too.
 pub struct IncrementalEnabled {
     /// `slots[n]` = node `n`'s enabled choice, if currently enabled.
     slots: Vec<Option<EnabledChoice>>,
@@ -752,6 +790,8 @@ pub struct IncrementalEnabled {
     len: usize,
     /// Number of enabled entries whose node holds a route.
     inconsistent: usize,
+    /// The cost heap, for heuristics that read it.
+    costs: Option<CostHeap>,
     /// `rev_peers[n]` = nodes that consider advertisements from `n`, each
     /// with `n`'s slot in their peer list.
     rev_peers: Vec<Vec<ReversePeer>>,
@@ -766,6 +806,9 @@ pub struct IncrementalEnabled {
     edge_updates: u64,
     /// Stepped-node entries dropped in place of a full recomputation.
     stepped_skips: u64,
+    /// Single-edge updates that built no advertisement (the model ranked
+    /// it without building, and `m` did not keep it).
+    edge_updates_unbuilt: u64,
     /// Candidate-route buffer threaded into
     /// [`Rpvp::enabled_at_with`], reused across every recomputation.
     candidates: Vec<(NodeId, Route)>,
@@ -781,13 +824,22 @@ impl IncrementalEnabled {
             bits: vec![0; n.div_ceil(64)],
             len: 0,
             inconsistent: 0,
+            costs: None,
             rev_peers,
             eligible,
             recomputed: 0,
             edge_updates: 0,
             stepped_skips: 0,
+            edge_updates_unbuilt: 0,
             candidates: Vec::new(),
         }
+    }
+
+    /// Also keep the cost heap (see the type docs), so that views expose
+    /// [`EnabledView::cheapest`].
+    pub fn with_cost_heap(mut self) -> Self {
+        self.costs = Some(CostHeap::new(self.slots.len()));
+        self
     }
 
     /// Recompute the whole enabled set from scratch (initialization).
@@ -798,6 +850,9 @@ impl IncrementalEnabled {
         self.bits.fill(0);
         self.len = 0;
         self.inconsistent = 0;
+        if let Some(costs) = &mut self.costs {
+            costs.clear();
+        }
         for i in 0..self.eligible.len() {
             if !self.eligible[i] {
                 continue;
@@ -817,12 +872,24 @@ impl IncrementalEnabled {
             slots: &self.slots,
             bits: &self.bits,
             len: self.len,
+            cheapest: self.costs.as_ref().and_then(CostHeap::top),
         }
     }
 
     /// Number of currently enabled nodes.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Is `node` currently enabled? O(1).
+    pub fn contains(&self, node: NodeId) -> bool {
+        self.slots[node.index()].is_some()
+    }
+
+    /// The nodes that listen to `n`, each with `n`'s slot in their peer
+    /// list ([`ProtocolModel::reverse_peers`]).
+    pub fn reverse_peers(&self, n: NodeId) -> &[ReversePeer] {
+        &self.rev_peers[n.index()]
     }
 
     /// Is the enabled set empty (i.e. the state converged)?
@@ -846,6 +913,11 @@ impl IncrementalEnabled {
         self.stepped_skips
     }
 
+    /// Number of single-edge updates so far that built no advertisement.
+    pub fn edge_update_unbuilt_count(&self) -> u64 {
+        self.edge_updates_unbuilt
+    }
+
     /// Number of enabled entries whose node holds a route
     /// ([`EnabledChoice::routed`]). The state is consistent in the §4.1.1
     /// sense iff this is zero. O(1): maintained by every slot swap.
@@ -855,8 +927,8 @@ impl IncrementalEnabled {
 
     /// Install `entry` as node `node`'s cache slot (None = not enabled) and
     /// return the displaced previous slot. O(1): a slot swap plus a bitset
-    /// and counter update. Used both for delta maintenance and for restoring
-    /// displaced entries on undo.
+    /// and counter update (O(log n) more with the cost heap). Used both for
+    /// delta maintenance and for restoring displaced entries on undo.
     pub fn set_entry(
         &mut self,
         node: NodeId,
@@ -865,6 +937,9 @@ impl IncrementalEnabled {
         let idx = node.index();
         let now = entry.is_some();
         let routed_now = entry.as_ref().is_some_and(|c| c.routed);
+        if let Some(costs) = &mut self.costs {
+            costs.set(node, entry.as_ref().map(CostHeap::key));
+        }
         let prev = std::mem::replace(&mut self.slots[idx], entry);
         let was = prev.is_some();
         if now != was {
@@ -975,31 +1050,49 @@ impl IncrementalEnabled {
             old.is_some_and(|c| c.invalid)
         };
         let old_updates = old.map_or(&[][..], |c| &c.best_updates);
-        // The new advertisement, if `m` can use it and no cached maximal
-        // update dominates it; `kept` collects the updates it does not beat.
+        // Does `m` keep the new advertisement — usable over its current
+        // route, and dominated by no cached maximal update? It is ranked
+        // before it is built; `kept` collects the updates it ties with, and
+        // `kept_cost` their least cost.
+        let best_n = interner.resolve(state.best[n.index()]);
+        let mut built = None;
         let mut kept = UpdateVec::new();
-        let adv = interner
-            .resolve(state.best[n.index()])
-            .and_then(|best_n| model.advertise(n, m, best_n))
-            .filter(|a| {
-                current.is_none_or(|cur| model.prefer(m, a, cur) == Preference::Better)
-                    && old_updates.iter().all(|&(p, u)| {
-                        let cached = interner.resolve(u).expect("cached update is interned");
-                        match model.prefer(m, a, cached) {
-                            Preference::Worse => false,
-                            Preference::Better => true,
-                            Preference::Tied => {
-                                kept.push((p, u));
-                                true
-                            }
+        let mut kept_cost = u64::MAX;
+        let keeps = best_n.is_some_and(|best_n| {
+            let mut rank =
+                |other: &Route| model.prefer_advertisement(n, m, best_n, other, &mut built);
+            current.is_none_or(|cur| rank(cur) == Some(Preference::Better))
+                && old_updates.iter().all(|&(p, u)| {
+                    let cached = interner.resolve(u).expect("cached update is interned");
+                    match rank(cached) {
+                        None | Some(Preference::Worse) => false,
+                        Some(Preference::Better) => true,
+                        Some(Preference::Tied) => {
+                            kept.push((p, u));
+                            kept_cost = kept_cost.min(cached.igp_cost);
+                            true
                         }
-                    })
-            });
-        let best_updates = match adv {
+                    }
+                })
+        });
+        let adv = if keeps {
+            built
+                .take()
+                .or_else(|| best_n.and_then(|best_n| model.advertise(n, m, best_n)))
+        } else {
+            None
+        };
+        if adv.is_none() && built.is_none() {
+            self.edge_updates_unbuilt += 1;
+        }
+        let (best_updates, least_cost) = match adv {
             None if old.is_some_and(|c| c.invalid) == invalid => {
                 return self.audit(rpvp, state, interner, m, "single-edge update");
             }
-            None => old_updates.iter().copied().collect(),
+            None => (
+                old_updates.iter().copied().collect(),
+                old.map_or(u64::MAX, |c| c.least_cost),
+            ),
             Some(adv) => {
                 // Survivors keep their order; `adv` goes where `n` sits in
                 // `peers(m)`. A survivor precedes it iff its peer occupies an
@@ -1013,6 +1106,7 @@ impl IncrementalEnabled {
                         }
                     }
                 }
+                let least_cost = kept_cost.min(adv.igp_cost);
                 let handle = interner.intern_owned(adv);
                 let mut updates = UpdateVec::new();
                 for &e in &kept[..before] {
@@ -1022,13 +1116,14 @@ impl IncrementalEnabled {
                 for &e in &kept[before..] {
                     updates.push(e);
                 }
-                updates
+                (updates, least_cost)
             }
         };
         let entry = (invalid || !best_updates.is_empty()).then_some(EnabledChoice {
             node: m,
             invalid,
             routed,
+            least_cost,
             best_updates,
         });
         let prev = self.set_entry(m, entry);
@@ -1053,6 +1148,114 @@ impl IncrementalEnabled {
                 "{rule} of {m} diverged from the full recomputation"
             );
         }
+    }
+}
+
+/// An indexed binary min-heap over the enabled nodes of an
+/// [`IncrementalEnabled`], keyed by (has no update, least update cost, node
+/// id). The node id makes keys unique, so the top does not depend on the
+/// order entries arrived in — an undo that replays them differently lands on
+/// the same top.
+struct CostHeap {
+    /// Heap-ordered `(no update, least cost, node id)` keys.
+    heap: Vec<(bool, u64, u32)>,
+    /// `pos[n]` = index of node `n`'s key in `heap`, or [`CostHeap::ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl CostHeap {
+    const ABSENT: u32 = u32::MAX;
+
+    fn new(nodes: usize) -> Self {
+        CostHeap {
+            heap: Vec::with_capacity(nodes),
+            pos: vec![Self::ABSENT; nodes],
+        }
+    }
+
+    /// The key of an entry, without its node id.
+    fn key(choice: &EnabledChoice) -> (bool, u64) {
+        (choice.best_updates.is_empty(), choice.least_cost)
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.pos.fill(Self::ABSENT);
+    }
+
+    fn top(&self) -> Option<NodeId> {
+        self.heap.first().map(|&(_, _, n)| NodeId(n))
+    }
+
+    /// Insert, re-key or (with `None`) remove `node`.
+    fn set(&mut self, node: NodeId, key: Option<(bool, u64)>) {
+        let at = self.pos[node.index()];
+        match (at, key) {
+            (Self::ABSENT, None) => {}
+            (Self::ABSENT, Some((empty, cost))) => {
+                self.heap.push((empty, cost, node.0));
+                let i = self.heap.len() - 1;
+                self.pos[node.index()] = i as u32;
+                self.sift_up(i);
+            }
+            (i, Some((empty, cost))) => {
+                self.heap[i as usize] = (empty, cost, node.0);
+                self.sift(i as usize);
+            }
+            (i, None) => {
+                self.pos[node.index()] = Self::ABSENT;
+                let last = self.heap.pop().expect("a present node is in the heap");
+                if (i as usize) < self.heap.len() {
+                    self.heap[i as usize] = last;
+                    self.pos[last.2 as usize] = i;
+                    self.sift(i as usize);
+                }
+            }
+        }
+    }
+
+    /// Restore the heap order around a key that changed at `i`.
+    fn sift(&mut self, i: usize) {
+        let i = self.sift_up(i);
+        self.sift_down(i);
+    }
+
+    fn sift_up(&mut self, mut i: usize) -> usize {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[i] >= self.heap[parent] {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+        i
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                return;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.heap[right] < self.heap[left] {
+                right
+            } else {
+                left
+            };
+            if self.heap[child] >= self.heap[i] {
+                return;
+            }
+            self.swap(i, child);
+            i = child;
+        }
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.pos[self.heap[a].2 as usize] = a as u32;
+        self.pos[self.heap[b].2 as usize] = b as u32;
     }
 }
 

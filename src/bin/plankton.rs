@@ -103,6 +103,15 @@ fn main() {
     for p in &problems {
         eprintln!("config warning: {p}");
     }
+    // A zero OSPF cost is refused, not warned about: the OSPF reduction
+    // could answer wrongly on it.
+    if let Some(p) = problems
+        .iter()
+        .find(|p| matches!(p, plankton::config::ConfigError::ZeroOspfCost { .. }))
+    {
+        eprintln!("invalid configuration: {p}");
+        exit(2);
+    }
 
     let verifier = Plankton::new(network.clone());
     if args.command == "pecs" {

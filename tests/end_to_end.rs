@@ -145,3 +145,86 @@ fn verification_report_serializes() {
     let json = serde_json::to_string(&report).expect("report serializes");
     assert!(json.contains("reachability"));
 }
+
+/// Routers `o, y, a, b, x` (created in that order), links `o–x, x–y, y–a,
+/// o–b, b–a`, `o` originating 203.0.113.0/24; `x` costs 5 on `o–x`, `y` 5 on
+/// `x–y`, `a` costs `a_cost` on both of its links, everything else the
+/// default. From `a`, the path via `b` and the path via `y, x` cost the same
+/// whenever `a_cost` is; the one via `b` has fewer hops and wins.
+fn equal_cost_detour(a_cost: u32) -> (Network, [NodeId; 5], [LinkId; 5], Prefix) {
+    use plankton::config::{DeviceConfig, OspfConfig};
+    let mut tb = TopologyBuilder::new();
+    let [o, y, a, b, x] = ["o", "y", "a", "b", "x"].map(|name| tb.add_router(name));
+    let links = [(o, x), (x, y), (y, a), (o, b), (b, a)].map(|(u, v)| tb.add_link(u, v));
+    let [ox, xy, ya, ob, ba] = links;
+    let prefix: Prefix = "203.0.113.0/24".parse().unwrap();
+    let mut net = Network::unconfigured(tb.build());
+    let ospf = |config: OspfConfig| DeviceConfig::empty().with_ospf(config);
+    *net.device_mut(o) = ospf(OspfConfig::originating(vec![prefix]));
+    *net.device_mut(x) = ospf(OspfConfig::enabled().with_cost(ox, 5));
+    *net.device_mut(y) = ospf(OspfConfig::enabled().with_cost(xy, 5));
+    *net.device_mut(a) = ospf(
+        OspfConfig::enabled()
+            .with_cost(ya, a_cost)
+            .with_cost(ba, a_cost),
+    );
+    *net.device_mut(b) = ospf(OspfConfig::enabled());
+    (net, [o, y, a, b, x], [ox, xy, ya, ob, ba], prefix)
+}
+
+/// At interface cost 0 the OSPF reduction's "cheapest pending update is
+/// final" does not hold: `a` can step via `y, x` before the equal-cost,
+/// shorter path via `b` reaches it, and the default options answered HOLDS
+/// for `a`'s waypoint `x` although the converged state routes `a` via `b`.
+/// RFC 2328 requires costs of at least 1, so cost 0 is refused wherever a
+/// configuration comes in.
+#[test]
+fn zero_ospf_costs_are_refused_at_every_input_boundary() {
+    let (net, [_, _, a, _, x], [_, _, ya, _, _], prefix) = equal_cost_detour(0);
+    assert_eq!(
+        net.validate(),
+        vec![plankton::config::ConfigError::ZeroOspfCost {
+            device: a,
+            link: ya
+        }]
+    );
+
+    // The CLI refuses it as a usage error.
+    let dir = std::env::temp_dir().join(format!("plankton-zero-cost-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = dir.join("zero-cost.json");
+    std::fs::write(&config, net.to_json()).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_plankton"))
+        .args(["verify", "--config", config.to_str().unwrap()])
+        .args(["--policy", "waypoint", "--source", "a", "--waypoint", "x"])
+        .args(["--prefix", "203.0.113.0/24"])
+        .output()
+        .expect("run plankton");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("cost 0"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // So does a delta that would introduce it.
+    let (mut net, ..) = equal_cost_detour(1);
+    let delta = plankton::config::ConfigDelta::OspfCostChange {
+        device: a,
+        link: ya,
+        cost: 0,
+    };
+    assert!(matches!(
+        delta.apply(&mut net),
+        Err(plankton::config::DeltaError::ZeroOspfCost(n, l)) if n == a && l == ya
+    ));
+    assert!(net.validate().is_empty());
+
+    // At cost 1 the same shape verifies correctly with every reduction on:
+    // `a` routes via `b`, never through `x`.
+    let report = Plankton::new(net).verify(
+        &Waypoint::new(vec![a], vec![x]),
+        &FailureScenario::no_failures(),
+        &PlanktonOptions::default().restricted_to(vec![prefix]),
+    );
+    assert!(!report.holds(), "{report}");
+}

@@ -207,6 +207,8 @@ fn metrics_request_renders_prometheus_text_with_live_families() {
         "plankton_enabled_stepped_skips_total",
         "plankton_independence_searches_total",
         "plankton_independence_searches_skipped_total",
+        "plankton_independence_searches_witnessed_total",
+        "plankton_edge_updates_unbuilt_total",
         "plankton_cache_capacity",
     ] {
         assert!(
