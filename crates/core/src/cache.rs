@@ -14,7 +14,9 @@
 //! [`ResultCache::SHARDS`] independently locked shards (keys are FNV
 //! outputs, so the low bits spread uniformly), which keeps insert traffic
 //! from the engine's worker pool and planning-pass lookups from several
-//! client connections off one global lock. Counters are plain atomics.
+//! client connections off one global lock. Its hit, miss, eviction and
+//! occupancy counts are instruments in a [`Registry`]: a private one by
+//! default, the owning session's with [`ResultCache::in_registry`].
 //!
 //! The cache also owns the session's [`SliceMemo`] — the memo of the
 //! Dijkstra-derived slice fingerprints that task keys are composed from. It
@@ -35,31 +37,31 @@ use crate::report::Violation;
 use parking_lot::Mutex;
 use plankton_checker::SearchStats;
 use plankton_config::{Fingerprinter, SliceMemo, FINGERPRINT_SCHEME_VERSION};
+use plankton_telemetry::{Counter, Gauge, Registry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Process-global cache metrics, resolved once. Every [`ResultCache`]
-/// instance in the process folds into the same series (the daemon runs one
-/// cache; tests tolerate sharing).
+/// A cache's instruments, registered in the registry the cache was built
+/// in. A registry hands out one instrument per name, so a cache rebuilt in
+/// the same registry (a daemon's `Load`) continues its predecessor's counts.
+#[derive(Debug)]
 struct CacheMetrics {
-    hits: Arc<plankton_telemetry::Counter>,
-    misses: Arc<plankton_telemetry::Counter>,
-    evictions: Arc<plankton_telemetry::Counter>,
-    capacity: Arc<plankton_telemetry::Gauge>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    capacity: Arc<Gauge>,
     /// One occupancy gauge per shard, labelled `shard="0"`..`shard="15"`.
-    shard_entries: Vec<Arc<plankton_telemetry::Gauge>>,
+    shard_entries: Vec<Arc<Gauge>>,
 }
 
-fn cache_metrics() -> &'static CacheMetrics {
-    static METRICS: OnceLock<CacheMetrics> = OnceLock::new();
-    const SHARD_LABELS: [&str; ResultCache::SHARDS] = [
-        "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
-    ];
-    METRICS.get_or_init(|| {
-        let registry = plankton_telemetry::metrics::global();
+impl CacheMetrics {
+    fn register(registry: &Registry) -> Self {
+        const SHARD_LABELS: [&str; ResultCache::SHARDS] = [
+            "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
+        ];
         CacheMetrics {
             hits: registry.counter(
                 "plankton_cache_hits_total",
@@ -88,7 +90,7 @@ fn cache_metrics() -> &'static CacheMetrics {
                 })
                 .collect(),
         }
-    })
+    }
 }
 
 /// The cached outcome of one (PEC × failure scenario) verification task.
@@ -201,9 +203,7 @@ pub struct ResultCache {
     /// Does the bound grow with the passes seen (`new`), or stay as given
     /// (`with_capacity`)?
     follows_passes: bool,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    metrics: CacheMetrics,
     slice_memo: SliceMemo,
 }
 
@@ -222,29 +222,42 @@ impl ResultCache {
     /// select uniformly).
     pub const SHARDS: usize = 16;
 
-    /// An empty cache whose capacity follows the largest pass it serves.
+    /// An empty cache whose capacity follows the largest pass it serves,
+    /// counting in a private registry.
     pub fn new() -> Self {
+        Self::in_registry(&Registry::new())
+    }
+
+    /// [`ResultCache::new`], with its instruments registered in `registry`
+    /// (a daemon session's, so `Stats` and the `Metrics` scrape read them).
+    pub fn in_registry(registry: &Registry) -> Self {
         ResultCache {
             follows_passes: true,
-            ..Self::with_capacity(Self::DEFAULT_CAPACITY)
+            ..Self::bounded(Self::DEFAULT_CAPACITY, registry)
         }
     }
 
     /// An empty cache bounded to (approximately, rounded up to a multiple of
-    /// [`ResultCache::SHARDS`]) `capacity` entries, for good.
+    /// [`ResultCache::SHARDS`]) `capacity` entries, for good, counting in a
+    /// private registry.
     pub fn with_capacity(capacity: usize) -> Self {
+        Self::bounded(capacity, &Registry::new())
+    }
+
+    fn bounded(capacity: usize, registry: &Registry) -> Self {
         let shards = (0..Self::SHARDS).map(|_| Mutex::new(Shard::default()));
         let shard_capacity = capacity.max(1).div_ceil(Self::SHARDS);
-        cache_metrics()
-            .capacity
-            .set((shard_capacity * Self::SHARDS) as u64);
+        let metrics = CacheMetrics::register(registry);
+        metrics.capacity.set((shard_capacity * Self::SHARDS) as u64);
+        // A cache replacing another in the same registry starts empty.
+        for gauge in &metrics.shard_entries {
+            gauge.set(0);
+        }
         ResultCache {
             shards: shards.collect(),
             shard_capacity: AtomicUsize::new(shard_capacity),
             follows_passes: false,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            metrics,
             slice_memo: SliceMemo::new(),
         }
     }
@@ -264,7 +277,7 @@ impl ResultCache {
         }
         let wanted = tasks.saturating_mul(4).div_ceil(Self::SHARDS);
         if self.shard_capacity.fetch_max(wanted, Ordering::Relaxed) < wanted {
-            cache_metrics().capacity.set(self.capacity() as u64);
+            self.metrics.capacity.set(self.capacity() as u64);
         }
     }
 
@@ -283,14 +296,8 @@ impl ResultCache {
     pub fn get(&self, key: u64) -> Option<Arc<PolicyOutcome>> {
         let found = self.shard(key).lock().lookup(key);
         match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                cache_metrics().hits.inc();
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                cache_metrics().misses.inc();
-            }
+            Some(_) => self.metrics.hits.inc(),
+            None => self.metrics.misses.inc(),
         };
         found
     }
@@ -306,14 +313,12 @@ impl ResultCache {
     /// Record `n` tasks actually served from the cache (the planning pass
     /// classifies with [`ResultCache::peek`] and reports reuse explicitly).
     pub fn count_hits(&self, n: u64) {
-        self.hits.fetch_add(n, Ordering::Relaxed);
-        cache_metrics().hits.add(n);
+        self.metrics.hits.add(n);
     }
 
     /// Record `n` tasks that had to be recomputed.
     pub fn count_misses(&self, n: u64) {
-        self.misses.fetch_add(n, Ordering::Relaxed);
-        cache_metrics().misses.add(n);
+        self.metrics.misses.add(n);
     }
 
     /// Insert a task outcome. First write wins (outcomes for equal keys are
@@ -327,10 +332,9 @@ impl ResultCache {
         }
         let capacity = self.shard_capacity.load(Ordering::Relaxed);
         if shard.store(key, outcome, capacity) {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            cache_metrics().evictions.inc();
+            self.metrics.evictions.inc();
         }
-        cache_metrics().shard_entries[(key as usize) & (Self::SHARDS - 1)]
+        self.metrics.shard_entries[(key as usize) & (Self::SHARDS - 1)]
             .set(shard.slots.len() as u64);
         true
     }
@@ -351,19 +355,21 @@ impl ResultCache {
         self.shards.iter().map(|s| s.lock().slots.len()).collect()
     }
 
-    /// Lifetime hit count.
+    /// Hits counted by the cache's registry: this cache's own lifetime
+    /// in a private registry, the registry's in a shared one.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.metrics.hits.get()
     }
 
-    /// Lifetime miss count.
+    /// Misses, counted as [`ResultCache::hits`] are.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.metrics.misses.get()
     }
 
-    /// Entries evicted by the capacity bound, lifetime.
+    /// Entries evicted by the capacity bound, counted as
+    /// [`ResultCache::hits`] are.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.metrics.evictions.get()
     }
 
     /// A serializable image of the current contents, stamped with the

@@ -148,14 +148,15 @@ impl Engine {
 /// Fold one finished engine run into the process-global metrics. Handles
 /// resolve once per process; this runs once per engine run, and the only
 /// per-task cost added anywhere is two `Instant` reads and one histogram
-/// observe in [`worker_loop`].
+/// observe in [`worker_loop`]. Contained panics are not counted here: the
+/// run's caller reads them from [`EngineStats::tasks_panicked`] (a daemon
+/// session counts them in its own registry).
 fn record_run_metrics(stats: &EngineStats) {
     use std::sync::OnceLock;
     struct Handles {
         stolen: std::sync::Arc<plankton_telemetry::Counter>,
         busy: std::sync::Arc<plankton_telemetry::Counter>,
         queue_depth: std::sync::Arc<plankton_telemetry::Gauge>,
-        panicked: std::sync::Arc<plankton_telemetry::Counter>,
     }
     static HANDLES: OnceLock<Handles> = OnceLock::new();
     let handles = HANDLES.get_or_init(|| {
@@ -173,16 +174,11 @@ fn record_run_metrics(stats: &EngineStats) {
                 "plankton_queue_depth_max",
                 "High-water mark of runnable tasks queued at once, across all engine runs.",
             ),
-            panicked: registry.counter(
-                "plankton_tasks_panicked_total",
-                "Task closures that panicked and were contained as structured failures.",
-            ),
         }
     });
     handles.stolen.add(stats.tasks_stolen);
     handles.busy.add(stats.busy_micros);
     handles.queue_depth.record_max(stats.queue_depth_max as u64);
-    handles.panicked.add(stats.tasks_panicked);
 }
 
 /// The per-task wall-time histogram (`plankton_task_seconds`), resolved once.

@@ -34,7 +34,6 @@ pub use proto::{
 };
 pub use queue::{
     coalesce_batch, BatchFate, CoalescedBatch, Coalescer, DeltaQueue, LagSnapshot, PushError,
-    QueueCounters,
 };
 #[cfg(unix)]
 pub use serve::{connect_with_retry, serve_unix};

@@ -259,8 +259,8 @@ pub enum Request {
     },
     /// Service statistics.
     Stats,
-    /// The process-global metrics registry, rendered as Prometheus-style
-    /// text exposition (answered with [`Response::MetricsText`]).
+    /// The process-global and the session's metrics registries, rendered as
+    /// Prometheus-style text exposition (answered with [`Response::MetricsText`]).
     Metrics,
     /// Write the result cache to the daemon's `--cache-dir` now (it is also
     /// written automatically on shutdown). Errors when no cache directory
@@ -477,91 +477,94 @@ pub struct LagSummary {
     pub p99_ms: f64,
 }
 
-/// Aggregate statistics of the running service.
+/// Aggregate statistics of the running service: a view of the instruments in
+/// the session's registry that `Metrics` renders. Each field's doc gives its scope: the
+/// *session* (its lifetime, across `Load`s), the *network* or *cache* the last `Load`
+/// installed, or *live*.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ServiceStats {
-    /// Is a network loaded?
+    /// Is a network loaded? Live.
     pub loaded: bool,
-    /// Deltas applied since the network was loaded.
+    /// Deltas applied. Network.
     pub deltas_applied: u64,
-    /// Verify requests served.
+    /// Verify requests admitted that ran the verifier. Session.
     pub verifies: u64,
-    /// Resident result-cache entries.
+    /// Resident result-cache entries. Cache.
     pub cache_entries: usize,
-    /// Lifetime per-task cache key hits.
+    /// Per-task cache key hits. Session.
     pub cache_hits: u64,
-    /// Lifetime per-task cache key misses.
+    /// Per-task cache key misses. Session.
     pub cache_misses: u64,
-    /// Request lines that failed to parse (the daemon replies with an
-    /// `Error` and keeps serving, but exits non-zero at end of stream).
+    /// Request lines that failed to parse (the daemon replies with an `Error` and keeps
+    /// serving, but exits non-zero at end of stream). Session.
     #[serde(default)]
     pub parse_errors: u64,
-    /// Entries evicted by the cache capacity bound (second chance).
+    /// Entries evicted by the cache capacity bound (second chance). Session.
     pub cache_evictions: u64,
-    /// Client connections currently open (socket mode; 0 on stdio).
+    /// Client connections currently open (socket mode; 0 on stdio). Live.
     #[serde(default)]
     pub connections_open: u64,
-    /// Client connections accepted since the daemon started.
+    /// Client connections accepted. Session.
     #[serde(default)]
     pub connections_served: u64,
-    /// Connections forcibly unblocked by the shutdown drain (their streams
-    /// were shut down while a request might still have been in flight).
+    /// Connections forcibly unblocked by the shutdown drain (their streams were shut
+    /// down while a request might still have been in flight). Session.
     #[serde(default)]
     pub connections_drained: u64,
     /// Resident result-cache entries per shard, in shard order (occupancy
-    /// skew means the key hash is not spreading).
+    /// skew means the key hash is not spreading). Cache.
     #[serde(default)]
     pub cache_shard_entries: Vec<usize>,
-    /// Lifetime cache hit rate, `hits / (hits + misses)` (0.0 when the cache
-    /// was never consulted).
+    /// Cache hit rate, `hits / (hits + misses)` (0.0 when the cache was
+    /// never consulted). Session.
     #[serde(default)]
     pub cache_hit_rate: f64,
-    /// PECs in the current partition.
+    /// PECs in the partition. Network.
     pub pecs_total: usize,
-    /// Milliseconds since the service started.
+    /// Milliseconds since the session started.
     pub uptime_ms: u64,
-    /// Engine tasks that panicked and were contained as structured errors
-    /// (the daemon answered `task_panicked` and kept serving).
+    /// Engine tasks that panicked and were contained as structured errors,
+    /// in `Verify` requests and streaming re-verifies alike. Session.
     #[serde(default)]
     pub tasks_panicked: u64,
     /// Verify requests refused with `overloaded` by the `--max-inflight`
-    /// admission gate.
+    /// admission gate. Session.
     #[serde(default)]
     pub requests_shed: u64,
-    /// Verify requests abandoned at their `deadline_ms` budget.
+    /// Verify requests abandoned at their `deadline_ms` budget. Session.
     #[serde(default)]
     pub deadline_exceeded: u64,
     /// Persisted-cache loads that failed (corrupt/truncated/stale snapshot)
-    /// and degraded to a cold start instead of an error.
+    /// and degraded to a cold start instead of an error. Session.
     #[serde(default)]
     pub cache_recoveries: u64,
-    /// Deltas pending in the streaming queue (after coalescing).
+    /// Deltas pending in the streaming queue (after coalescing). Live.
     #[serde(default)]
     pub queue_depth: u64,
-    /// Deltas ever accepted into the streaming queue.
+    /// Deltas accepted into the streaming queue. Session.
     #[serde(default)]
     pub deltas_enqueued: u64,
     /// Pending deltas coalesced away before verification (the work the
-    /// queue saved).
+    /// queue saved). Session.
     #[serde(default)]
     pub deltas_coalesced: u64,
-    /// Deltas shed at the queue high-water mark (`--max-pending-deltas`).
+    /// Deltas shed at the queue high-water mark (`--max-pending-deltas`). Session.
     #[serde(default)]
     pub deltas_shed: u64,
-    /// Coalesced batches drained from the streaming queue.
+    /// Coalesced batches drained from the streaming queue. Session.
     #[serde(default)]
     pub delta_batches: u64,
-    /// Largest drained batch.
+    /// Largest drained batch. Session.
     #[serde(default)]
     pub max_batch: u64,
-    /// Median enqueue→verified lag over recent drains, milliseconds.
+    /// Median enqueue→verified lag over recent drains, milliseconds. Session.
     #[serde(default)]
     pub verify_lag_p50_ms: f64,
-    /// 99th-percentile enqueue→verified lag over recent drains, milliseconds.
+    /// 99th-percentile enqueue→verified lag over recent drains, milliseconds. Session.
     #[serde(default)]
     pub verify_lag_p99_ms: f64,
     /// Policies the background drain re-verifies after each batch (every
-    /// policy a `Verify` request has run since load).
+    /// policy a `Verify` request has run since load). Network.
     #[serde(default)]
     pub streaming_policies: u64,
 }
@@ -644,7 +647,7 @@ pub enum Response {
     },
     /// Service statistics.
     Stats(ServiceStats),
-    /// The metrics registry in Prometheus text exposition format.
+    /// Both metrics registries in Prometheus text exposition format.
     MetricsText {
         /// The rendered exposition.
         text: String,

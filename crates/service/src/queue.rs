@@ -51,9 +51,9 @@
 use plankton_config::ConfigDelta;
 use plankton_net::ip::Prefix;
 use plankton_net::topology::{LinkId, NodeId};
+use plankton_telemetry::{Counter, Gauge, Histogram, Registry, Unit};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Where a delta lands in the coalescing map: one slot per independently
@@ -333,55 +333,32 @@ pub fn coalesce_batch(deltas: Vec<ConfigDelta>) -> CoalescedBatch {
     }
 }
 
-/// Counters a queue exposes in `Stats` and as metric families. All
-/// monotonic except `depth`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct QueueCounters {
-    /// Deltas currently pending (live, after coalescing).
-    pub depth: u64,
-    /// Deltas ever accepted into the queue.
-    pub enqueued: u64,
-    /// Deltas coalesced away while pending.
-    pub coalesced: u64,
-    /// Deltas shed at the high-water mark.
-    pub shed: u64,
-    /// Batches drained.
-    pub batches: u64,
-    /// Largest batch drained.
-    pub max_batch: u64,
-    /// Longest apply+verify drain cycle observed, in microseconds.
-    pub max_cycle_micros: u64,
-}
-
 /// Verify-lag percentiles over the recent-sample ring.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LagSnapshot {
-    /// Samples currently in the ring.
-    pub samples: u64,
     /// Median enqueue→verified lag, microseconds.
     pub p50_micros: u64,
     /// 99th-percentile enqueue→verified lag, microseconds.
     pub p99_micros: u64,
-    /// Maximum enqueue→verified lag in the ring, microseconds.
-    pub max_micros: u64,
 }
 
 /// How many recent lag samples the percentile ring keeps.
 const LAG_RING: usize = 4096;
 
-struct QueueMetrics {
-    depth: Arc<plankton_telemetry::Gauge>,
-    enqueued: Arc<plankton_telemetry::Counter>,
-    coalesced: Arc<plankton_telemetry::Counter>,
-    shed: Arc<plankton_telemetry::Counter>,
-    batches: Arc<plankton_telemetry::Counter>,
-    lag: Arc<plankton_telemetry::Histogram>,
+/// A queue's instruments, registered in the registry it was built in (the
+/// session's `Stats` reads them there).
+pub(crate) struct QueueMetrics {
+    depth: Arc<Gauge>,
+    pub(crate) enqueued: Arc<Counter>,
+    pub(crate) coalesced: Arc<Counter>,
+    pub(crate) shed: Arc<Counter>,
+    pub(crate) batches: Arc<Counter>,
+    pub(crate) max_batch: Arc<Gauge>,
+    lag: Arc<Histogram>,
 }
 
-fn queue_metrics() -> &'static QueueMetrics {
-    static METRICS: OnceLock<QueueMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = plankton_telemetry::metrics::global();
+impl QueueMetrics {
+    fn register(registry: &Registry) -> Self {
         QueueMetrics {
             depth: registry.gauge(
                 "plankton_delta_queue_depth",
@@ -403,13 +380,17 @@ fn queue_metrics() -> &'static QueueMetrics {
                 "plankton_delta_batches_total",
                 "Coalesced batches drained from the streaming queue.",
             ),
+            max_batch: registry.gauge(
+                "plankton_delta_batch_max",
+                "Largest coalesced batch drained from the streaming queue.",
+            ),
             lag: registry.histogram(
                 "plankton_verify_lag_seconds",
                 "Per-delta enqueue-to-verified lag through the streaming path.",
-                plankton_telemetry::Unit::Micros,
+                Unit::Micros,
             ),
         }
-    })
+    }
 }
 
 struct QueueInner {
@@ -429,12 +410,7 @@ struct QueueInner {
 pub struct DeltaQueue {
     inner: Mutex<QueueInner>,
     drain_wakeup: Condvar,
-    enqueued: AtomicU64,
-    coalesced: AtomicU64,
-    shed: AtomicU64,
-    batches: AtomicU64,
-    max_batch: AtomicU64,
-    max_cycle_micros: AtomicU64,
+    pub(crate) metrics: QueueMetrics,
     lag_ring: Mutex<VecDeque<u64>>,
 }
 
@@ -454,8 +430,14 @@ impl Default for DeltaQueue {
 }
 
 impl DeltaQueue {
-    /// An empty queue.
+    /// An empty queue, counting in a private registry.
     pub fn new() -> Self {
+        Self::in_registry(&Registry::new())
+    }
+
+    /// An empty queue whose instruments are registered in `registry` (a
+    /// daemon session's, so `Stats` and the `Metrics` scrape read them).
+    pub fn in_registry(registry: &Registry) -> Self {
         DeltaQueue {
             inner: Mutex::new(QueueInner {
                 coalescer: Coalescer::default(),
@@ -464,12 +446,7 @@ impl DeltaQueue {
                 drain_untimed: false,
             }),
             drain_wakeup: Condvar::new(),
-            enqueued: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-            max_cycle_micros: AtomicU64::new(0),
+            metrics: QueueMetrics::register(registry),
             lag_ring: Mutex::new(VecDeque::with_capacity(LAG_RING)),
         }
     }
@@ -484,8 +461,7 @@ impl DeltaQueue {
         }
         if inner.coalescer.live() as u64 >= high_water {
             drop(inner);
-            self.shed.fetch_add(1, Ordering::Relaxed);
-            queue_metrics().shed.add(1);
+            self.metrics.shed.inc();
             return Err(PushError::HighWater);
         }
         let (_, folded) = inner.coalescer.push(delta, Instant::now());
@@ -498,14 +474,11 @@ impl DeltaQueue {
         // lock hand-off each, exactly while the daemon is otherwise idle.
         let wake = inner.drain_untimed || depth >= inner.drain_at;
         drop(inner);
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.coalesced.fetch_add(folded, Ordering::Relaxed);
-        let metrics = queue_metrics();
-        metrics.enqueued.add(1);
+        self.metrics.enqueued.inc();
         if folded > 0 {
-            metrics.coalesced.add(folded);
+            self.metrics.coalesced.add(folded);
         }
-        metrics.depth.set(depth);
+        self.metrics.depth.set(depth);
         if wake {
             self.drain_wakeup.notify_one();
         }
@@ -574,32 +547,26 @@ impl DeltaQueue {
     }
 
     fn note_batch(&self, batch: &[(ConfigDelta, Instant)]) {
-        queue_metrics().depth.set(0);
+        self.metrics.depth.set(0);
         if batch.is_empty() {
             return;
         }
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        queue_metrics().batches.add(1);
-        self.max_batch
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
+        self.metrics.batches.inc();
+        self.metrics.max_batch.record_max(batch.len() as u64);
     }
 
     /// Record enqueue→verified lag for a drained batch, once its
-    /// verification completed, plus the drain cycle's own duration.
-    pub fn record_drain(&self, enqueued: &[Instant], cycle: Duration) {
-        let metrics = queue_metrics();
+    /// verification completed.
+    pub fn record_drain(&self, enqueued: &[Instant]) {
         let mut ring = self.lag_ring.lock().unwrap();
         for at in enqueued {
             let micros = at.elapsed().as_micros() as u64;
-            metrics.lag.observe(micros);
+            self.metrics.lag.observe(micros);
             if ring.len() == LAG_RING {
                 ring.pop_front();
             }
             ring.push_back(micros);
         }
-        drop(ring);
-        self.max_cycle_micros
-            .fetch_max(cycle.as_micros() as u64, Ordering::Relaxed);
     }
 
     /// Discard everything pending without counting a drained batch (used
@@ -608,7 +575,7 @@ impl DeltaQueue {
         let mut inner = self.inner.lock().unwrap();
         let _ = inner.coalescer.take();
         drop(inner);
-        queue_metrics().depth.set(0);
+        self.metrics.depth.set(0);
     }
 
     /// Stop the queue: pushes fail, and [`DeltaQueue::wait_drain_needed`]
@@ -617,19 +584,6 @@ impl DeltaQueue {
     pub fn stop(&self) {
         self.inner.lock().unwrap().stopped = true;
         self.drain_wakeup.notify_all();
-    }
-
-    /// Monotonic counters plus the current depth.
-    pub fn counters(&self) -> QueueCounters {
-        QueueCounters {
-            depth: self.depth(),
-            enqueued: self.enqueued.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-            max_cycle_micros: self.max_cycle_micros.load(Ordering::Relaxed),
-        }
     }
 
     /// Lag percentiles over the recent-sample ring.
@@ -642,10 +596,8 @@ impl DeltaQueue {
         sorted.sort_unstable();
         let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q) as usize];
         LagSnapshot {
-            samples: sorted.len() as u64,
             p50_micros: at(0.50),
             p99_micros: at(0.99),
-            max_micros: *sorted.last().unwrap(),
         }
     }
 }
@@ -836,10 +788,9 @@ mod tests {
         queue
             .push(ConfigDelta::LinkUp { link: link(0) }, 5)
             .unwrap();
-        let counters = queue.counters();
-        assert_eq!(counters.depth, 4);
-        assert_eq!(counters.shed, 1);
-        assert_eq!(counters.coalesced, 1);
+        assert_eq!(queue.depth(), 4);
+        assert_eq!(queue.metrics.shed.get(), 1);
+        assert_eq!(queue.metrics.coalesced.get(), 1);
     }
 
     #[test]
@@ -934,11 +885,9 @@ mod tests {
         let queue = DeltaQueue::new();
         let past = Instant::now();
         std::thread::sleep(Duration::from_millis(2));
-        queue.record_drain(&[past, past, past, past], Duration::from_millis(1));
+        queue.record_drain(&[past, past, past, past]);
         let lag = queue.lag();
-        assert_eq!(lag.samples, 4);
         assert!(lag.p50_micros >= 2_000);
         assert!(lag.p99_micros >= lag.p50_micros);
-        assert!(lag.max_micros >= lag.p99_micros);
     }
 }

@@ -37,14 +37,16 @@ use crate::serve::ServeOptions;
 use parking_lot::{Mutex, RwLock};
 use plankton_config::{ConfigDelta, DeltaError, Network};
 use plankton_core::{
-    AppliedBatch, AppliedDelta, IncrementalVerifier, Plankton, PlanktonOptions, VerificationReport,
+    AppliedBatch, AppliedDelta, IncrementalVerifier, Plankton, PlanktonOptions, ResultCache,
+    VerificationReport,
 };
 use plankton_net::failure::FailureScenario;
 use plankton_telemetry::trace::{self, Field, Level};
+use plankton_telemetry::{Counter, Gauge, Registry, Unit};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Retry hint handed to shed clients. A verify on any non-trivial network
@@ -52,26 +54,27 @@ use std::time::{Duration, Instant};
 /// making well-behaved clients wait out a long fixed penalty.
 const SHED_RETRY_AFTER_MS: u64 = 100;
 
-/// Process-global service-level instruments, resolved once. Per-request
-/// series (`plankton_requests_total{kind}`, `plankton_request_seconds{kind}`)
-/// go through the registry on each request instead — one short map lookup
-/// against a full JSON parse is noise, and it keeps the kind set open.
-struct ServiceMetrics {
-    inflight: Arc<plankton_telemetry::Gauge>,
-    parse_errors: Arc<plankton_telemetry::Counter>,
-    connections_open: Arc<plankton_telemetry::Gauge>,
-    connections_total: Arc<plankton_telemetry::Counter>,
-    connections_drained: Arc<plankton_telemetry::Counter>,
-    requests_shed: Arc<plankton_telemetry::Counter>,
-    deadline_exceeded: Arc<plankton_telemetry::Counter>,
-    cache_recoveries: Arc<plankton_telemetry::Counter>,
-    request_panics: Arc<plankton_telemetry::Counter>,
+/// The session's own instruments, read by `Stats` and rendered by `Metrics`.
+/// Per-request series (`plankton_requests_total{kind}`,
+/// `plankton_request_seconds{kind}`) go through the registry on each request
+/// instead — one map lookup against a JSON parse is noise, and it keeps the
+/// kind set open.
+struct SessionMetrics {
+    verifies: Arc<Counter>,
+    inflight: Arc<Gauge>,
+    parse_errors: Arc<Counter>,
+    connections_open: Arc<Gauge>,
+    connections_total: Arc<Counter>,
+    connections_drained: Arc<Counter>,
+    tasks_panicked: Arc<Counter>,
+    requests_shed: Arc<Counter>,
+    deadline_exceeded: Arc<Counter>,
+    cache_recoveries: Arc<Counter>,
+    request_panics: Arc<Counter>,
 }
 
-fn service_metrics() -> &'static ServiceMetrics {
-    static METRICS: OnceLock<ServiceMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = plankton_telemetry::metrics::global();
+impl SessionMetrics {
+    fn register(registry: &Registry) -> Self {
         // Build identity, exposed once so scrapes can tell which daemon
         // build (and cache fingerprint scheme) produced the series.
         let scheme = plankton_config::FINGERPRINT_SCHEME_VERSION.to_string();
@@ -85,7 +88,11 @@ fn service_metrics() -> &'static ServiceMetrics {
                 ],
             )
             .set(1);
-        ServiceMetrics {
+        SessionMetrics {
+            verifies: registry.counter(
+                "plankton_verifies_total",
+                "Verify requests that ran the verifier (after admission).",
+            ),
             inflight: registry.gauge(
                 "plankton_requests_inflight",
                 "Requests currently being handled.",
@@ -106,6 +113,11 @@ fn service_metrics() -> &'static ServiceMetrics {
                 "plankton_connections_drained_total",
                 "Connections forcibly unblocked by the shutdown drain.",
             ),
+            tasks_panicked: registry.counter(
+                "plankton_tasks_panicked_total",
+                "Task closures that panicked and were contained as structured failures, \
+                 in Verify requests and streaming re-verifies alike.",
+            ),
             requests_shed: registry.counter(
                 "plankton_requests_shed_total",
                 "Verify requests refused with `overloaded` by the --max-inflight gate.",
@@ -123,7 +135,7 @@ fn service_metrics() -> &'static ServiceMetrics {
                 "Request handlers that panicked and were contained as internal_panic errors.",
             ),
         }
-    })
+    }
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -191,19 +203,11 @@ pub struct ServiceSession {
     /// *is* the current one (`Arc::ptr_eq`); a verify that raced a delta and
     /// stored a report for the superseded network is simply never served.
     last_reports: Mutex<BTreeMap<String, SnapshotReport>>,
-    verifies: AtomicU64,
-    /// Request lines that failed to parse. The request loop keeps serving
-    /// after a malformed line (one bad client line must not take the daemon
-    /// down), but `planktond` exits non-zero at end of stream when any
-    /// request failed to parse, so scripted pipelines cannot silently
-    /// mistake a typo'd request for success.
-    parse_errors: AtomicU64,
-    /// Client connections currently open (socket mode).
-    connections_open: AtomicU64,
-    /// Client connections accepted over the session's lifetime.
-    connections_served: AtomicU64,
-    /// Connections forcibly unblocked by the shutdown drain.
-    connections_drained: AtomicU64,
+    /// The session's metrics registry: everything the session, its queue
+    /// and its result cache count. `Metrics` renders it after the
+    /// process-global registry (what verification runs count).
+    registry: Registry,
+    metrics: SessionMetrics,
     /// Where the result cache is persisted across restarts, when configured.
     cache_dir: Option<PathBuf>,
     /// The daemon's settings: admission bound, slow-task threshold,
@@ -215,16 +219,9 @@ pub struct ServiceSession {
     queue: Arc<DeltaQueue>,
     /// Policies the background drain re-verifies after each batch.
     streaming_policies: Mutex<BTreeMap<String, StreamingPolicy>>,
-    /// `Verify` requests currently inside the verifier.
+    /// `Verify` requests currently inside the verifier: the admission
+    /// gate's state, not a statistic.
     verifies_inflight: AtomicU64,
-    /// Engine tasks that panicked and were contained (lifetime).
-    tasks_panicked: AtomicU64,
-    /// Verifies refused by the admission gate (lifetime).
-    requests_shed: AtomicU64,
-    /// Verifies abandoned at their deadline (lifetime).
-    deadline_exceeded: AtomicU64,
-    /// Corrupt persisted-cache loads degraded to cold starts (lifetime).
-    cache_recoveries: AtomicU64,
     started: Instant,
 }
 
@@ -240,24 +237,18 @@ impl ServiceSession {
 
     /// An empty session (no network loaded).
     pub fn new() -> Self {
+        let registry = Registry::new();
         ServiceSession {
             verifier: RwLock::new(None),
             mutate: Mutex::new(()),
             last_reports: Mutex::new(BTreeMap::new()),
-            verifies: AtomicU64::new(0),
-            parse_errors: AtomicU64::new(0),
-            connections_open: AtomicU64::new(0),
-            connections_served: AtomicU64::new(0),
-            connections_drained: AtomicU64::new(0),
+            metrics: SessionMetrics::register(&registry),
+            queue: Arc::new(DeltaQueue::in_registry(&registry)),
+            registry,
             cache_dir: None,
             options: ServeOptions::default(),
-            queue: Arc::new(DeltaQueue::new()),
             streaming_policies: Mutex::new(BTreeMap::new()),
             verifies_inflight: AtomicU64::new(0),
-            tasks_panicked: AtomicU64::new(0),
-            requests_shed: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            cache_recoveries: AtomicU64::new(0),
             started: Instant::now(),
         }
     }
@@ -287,11 +278,6 @@ impl ServiceSession {
         &self.options
     }
 
-    /// The streaming delta queue.
-    pub fn queue(&self) -> &DeltaQueue {
-        &self.queue
-    }
-
     /// The persisted-cache path, if a cache directory is configured.
     pub fn cache_file(&self) -> Option<PathBuf> {
         self.cache_dir.as_ref().map(|d| d.join(Self::CACHE_FILE))
@@ -299,38 +285,32 @@ impl ServiceSession {
 
     /// Record one request line that failed to parse.
     pub fn note_parse_error(&self) {
-        self.parse_errors.fetch_add(1, Ordering::Relaxed);
-        service_metrics().parse_errors.inc();
+        self.metrics.parse_errors.inc();
     }
 
-    /// Request lines that failed to parse since the session started.
+    /// Request lines that failed to parse since the session started. The
+    /// request loop keeps serving after a malformed line (one bad client
+    /// line must not take the daemon down), but `planktond` exits non-zero
+    /// at end of stream when any request failed to parse, so scripted
+    /// pipelines cannot silently mistake a typo'd request for success.
     pub fn parse_errors(&self) -> u64 {
-        self.parse_errors.load(Ordering::Relaxed)
+        self.metrics.parse_errors.get()
     }
 
     /// Record one client connection opening (socket mode).
     pub fn connection_opened(&self) {
-        self.connections_open.fetch_add(1, Ordering::Relaxed);
-        self.connections_served.fetch_add(1, Ordering::Relaxed);
-        service_metrics().connections_open.add(1);
-        service_metrics().connections_total.inc();
+        self.metrics.connections_open.add(1);
+        self.metrics.connections_total.inc();
     }
 
     /// Record one client connection closing (socket mode).
     pub fn connection_closed(&self) {
-        self.connections_open.fetch_sub(1, Ordering::Relaxed);
-        service_metrics().connections_open.sub(1);
+        self.metrics.connections_open.sub(1);
     }
 
     /// Record one connection the shutdown drain forcibly unblocked.
     pub fn note_connection_drained(&self) {
-        self.connections_drained.fetch_add(1, Ordering::Relaxed);
-        service_metrics().connections_drained.inc();
-    }
-
-    /// Client connections currently open.
-    pub fn connections_open(&self) -> u64 {
-        self.connections_open.load(Ordering::Relaxed)
+        self.metrics.connections_drained.inc();
     }
 
     /// A session pre-loaded with a network.
@@ -349,7 +329,10 @@ impl ServiceSession {
         let _serialize = self.mutate.lock();
         let devices = network.node_count();
         let links = network.topology.link_count();
-        let verifier = Arc::new(IncrementalVerifier::new(network));
+        // The cache counts in the session's registry, so a reloaded cache
+        // continues the session's hit/miss/eviction counts.
+        let cache = Arc::new(ResultCache::in_registry(&self.registry));
+        let verifier = Arc::new(IncrementalVerifier::with_cache(network, cache));
         let mut cache_warm_entries = 0;
         if let Some(path) = self.cache_file() {
             if path.exists() {
@@ -360,8 +343,7 @@ impl ServiceSession {
                         // bad JSON, failpoint) degrades to a cold start —
                         // worst case is re-verification work, never a wrong
                         // answer served from a damaged cache.
-                        self.cache_recoveries.fetch_add(1, Ordering::Relaxed);
-                        service_metrics().cache_recoveries.inc();
+                        self.metrics.cache_recoveries.inc();
                         let shown_path = path.display().to_string();
                         let error = e.to_string();
                         trace::event(
@@ -423,7 +405,7 @@ impl ServiceSession {
             _ => None,
         };
         trace::event(Level::Info, "request", &[Field::str("kind", kind)]);
-        let metrics = service_metrics();
+        let metrics = &self.metrics;
         metrics.inflight.add(1);
         let start = Instant::now();
         // A panic anywhere in a handler (engine join bug, shim edge case,
@@ -449,16 +431,15 @@ impl ServiceSession {
                     )
                 }
             };
-        let registry = plankton_telemetry::metrics::global();
-        registry
+        self.registry
             .histogram_with(
                 "plankton_request_seconds",
                 "Request handling latency by request kind.",
-                plankton_telemetry::Unit::Micros,
+                Unit::Micros,
                 &[("kind", kind)],
             )
             .observe(start.elapsed().as_micros() as u64);
-        registry
+        self.registry
             .counter_with(
                 "plankton_requests_total",
                 "Requests handled by request kind.",
@@ -492,8 +473,7 @@ impl ServiceSession {
                 let Some(pass) = self.apply_pending_then(std::slice::from_ref(delta)) else {
                     return Response::error("no network loaded");
                 };
-                self.queue
-                    .record_drain(&pass.enqueued, pass.started.elapsed());
+                self.queue.record_drain(&pass.enqueued);
                 let lone = pass
                     .outcome(0)
                     .expect("a lone delta has nothing to fold into");
@@ -524,9 +504,11 @@ impl ServiceSession {
             }
             Request::Query { query } => self.query(query),
             Request::Stats => Response::Stats(self.stats()),
-            Request::Metrics => Response::MetricsText {
-                text: plankton_telemetry::metrics::global().render(),
-            },
+            Request::Metrics => {
+                let mut text = plankton_telemetry::metrics::global().render();
+                text.push_str(&self.registry.render());
+                Response::MetricsText { text }
+            }
             Request::Persist => match self.persist() {
                 Ok(entries) => {
                     // `Persist` is the durability point: the log tail goes
@@ -621,8 +603,7 @@ impl ServiceSession {
         let _inflight = InflightGuard(&self.verifies_inflight);
         if let Some(max) = self.options.max_inflight {
             if self.verifies_inflight.load(Ordering::Relaxed) > max {
-                self.requests_shed.fetch_add(1, Ordering::Relaxed);
-                service_metrics().requests_shed.inc();
+                self.metrics.requests_shed.inc();
                 trace::event(
                     Level::Warn,
                     "request_shed",
@@ -641,8 +622,7 @@ impl ServiceSession {
         // verify is applied first (an empty queue skips the mutation lock).
         if self.queue.depth() > 0 {
             if let Some(pass) = self.apply_pending_then(&[]) {
-                self.queue
-                    .record_drain(&pass.enqueued, pass.started.elapsed());
+                self.queue.record_drain(&pass.enqueued);
             }
         }
         // Pin the snapshot for name resolution *and* verification: a delta
@@ -667,42 +647,20 @@ impl ServiceSession {
             &plankton_options,
             verifier.cache(),
         );
-        self.verifies.fetch_add(1, Ordering::Relaxed);
+        self.metrics.verifies.inc();
         // A run with contained task panics or an expired deadline is
         // *incomplete*: its verdict is not trustworthy, so it is neither
         // served as a report nor stored for follow-up queries. (The result
         // cache is already safe — incomplete per-task results are never
         // inserted — so a clean retry recomputes only what was abandoned.)
-        if let Some(engine) = &report.engine {
-            if engine.tasks_panicked > 0 {
-                self.tasks_panicked
-                    .fetch_add(engine.tasks_panicked, Ordering::Relaxed);
-                let detail = engine
-                    .failures
-                    .first()
-                    .map(|f| format!("task {}: {}", f.task, f.message))
-                    .unwrap_or_else(|| "no failure detail".into());
-                trace::event(
-                    Level::Error,
-                    "verify_task_panicked",
-                    &[
-                        Field::u64("tasks_panicked", engine.tasks_panicked),
-                        Field::str("first_failure", &detail),
-                    ],
-                );
-                return Response::error_kind(
-                    error_kind::TASK_PANICKED,
-                    format!(
-                        "verification abandoned: {} task(s) panicked ({detail}); \
-                         partial results were not cached",
-                        engine.tasks_panicked
-                    ),
-                );
-            }
+        if let Some(panicked) = self.note_task_panics(&report, "verify") {
+            return Response::error_kind(
+                error_kind::TASK_PANICKED,
+                format!("verification abandoned: {panicked}; partial results were not cached"),
+            );
         }
         if report.deadline_exceeded {
-            self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-            service_metrics().deadline_exceeded.inc();
+            self.metrics.deadline_exceeded.inc();
             trace::event(
                 Level::Warn,
                 "verify_deadline_exceeded",
@@ -732,6 +690,32 @@ impl ServiceSession {
             .lock()
             .insert(summary.policy.clone(), (spec.clone(), streaming));
         Response::Report(summary)
+    }
+
+    /// Count a run's contained task panics and log them, whichever run it
+    /// was (`origin`: a `Verify` request or the streaming drain). `None`
+    /// for a run with no panics, else what panicked, for the reply.
+    fn note_task_panics(&self, report: &VerificationReport, origin: &str) -> Option<String> {
+        let engine = report.engine.as_ref().filter(|e| e.tasks_panicked > 0)?;
+        self.metrics.tasks_panicked.add(engine.tasks_panicked);
+        let detail = engine
+            .failures
+            .first()
+            .map(|f| format!("task {}: {}", f.task, f.message))
+            .unwrap_or_else(|| "no failure detail".into());
+        trace::event(
+            Level::Error,
+            "verify_task_panicked",
+            &[
+                Field::u64("tasks_panicked", engine.tasks_panicked),
+                Field::str("first_failure", &detail),
+                Field::str("origin", origin),
+            ],
+        );
+        Some(format!(
+            "{} task(s) panicked ({detail})",
+            engine.tasks_panicked
+        ))
     }
 
     /// [`VerifyOptions::resolve`] under the daemon's slow-task threshold.
@@ -826,8 +810,7 @@ impl ServiceSession {
         let Some(pass) = self.apply_pending_then(deltas) else {
             return Response::error("no network loaded");
         };
-        self.queue
-            .record_drain(&pass.enqueued, pass.started.elapsed());
+        self.queue.record_drain(&pass.enqueued);
         let acks = deltas
             .iter()
             .enumerate()
@@ -946,18 +929,17 @@ impl ServiceSession {
                 &options,
                 pass.verifier.cache(),
             );
-            if let Some(engine) = &report.engine {
-                if engine.tasks_panicked > 0 {
-                    continue;
-                }
+            // An incomplete re-verify is counted and logged like a `Verify`
+            // one, and its report is not stored.
+            if self.note_task_panics(&report, "drain").is_some() {
+                continue;
             }
             reverified += 1;
             self.last_reports
                 .lock()
                 .insert(report.policy.clone(), (snapshot.clone(), Arc::new(report)));
         }
-        self.queue
-            .record_drain(&pass.enqueued, pass.started.elapsed());
+        self.queue.record_drain(&pass.enqueued);
         trace::event(
             Level::Info,
             "stream_drain",
@@ -1046,34 +1028,36 @@ impl ServiceSession {
         }
     }
 
-    /// Current aggregate statistics.
+    /// Current aggregate statistics: the session registry's instruments,
+    /// plus what is read live from the queue, the verifier and its cache.
     pub fn stats(&self) -> ServiceStats {
         let verifier = self.verifier();
+        let metrics = &self.metrics;
+        let queue = &self.queue.metrics;
+        let lag = self.queue.lag();
         let mut stats = ServiceStats {
             loaded: verifier.is_some(),
-            verifies: self.verifies.load(Ordering::Relaxed),
-            parse_errors: self.parse_errors(),
-            connections_open: self.connections_open.load(Ordering::Relaxed),
-            connections_served: self.connections_served.load(Ordering::Relaxed),
-            connections_drained: self.connections_drained.load(Ordering::Relaxed),
-            tasks_panicked: self.tasks_panicked.load(Ordering::Relaxed),
-            requests_shed: self.requests_shed.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            cache_recoveries: self.cache_recoveries.load(Ordering::Relaxed),
+            verifies: metrics.verifies.get(),
+            parse_errors: metrics.parse_errors.get(),
+            connections_open: metrics.connections_open.get(),
+            connections_served: metrics.connections_total.get(),
+            connections_drained: metrics.connections_drained.get(),
+            tasks_panicked: metrics.tasks_panicked.get(),
+            requests_shed: metrics.requests_shed.get(),
+            deadline_exceeded: metrics.deadline_exceeded.get(),
+            cache_recoveries: metrics.cache_recoveries.get(),
             uptime_ms: self.started.elapsed().as_millis() as u64,
+            queue_depth: self.queue.depth(),
+            deltas_enqueued: queue.enqueued.get(),
+            deltas_coalesced: queue.coalesced.get(),
+            deltas_shed: queue.shed.get(),
+            delta_batches: queue.batches.get(),
+            max_batch: queue.max_batch.get(),
+            verify_lag_p50_ms: lag.p50_micros as f64 / 1_000.0,
+            verify_lag_p99_ms: lag.p99_micros as f64 / 1_000.0,
+            streaming_policies: self.streaming_policies.lock().len() as u64,
             ..Default::default()
         };
-        let counters = self.queue.counters();
-        let lag = self.queue.lag();
-        stats.queue_depth = counters.depth;
-        stats.deltas_enqueued = counters.enqueued;
-        stats.deltas_coalesced = counters.coalesced;
-        stats.deltas_shed = counters.shed;
-        stats.delta_batches = counters.batches;
-        stats.max_batch = counters.max_batch;
-        stats.verify_lag_p50_ms = lag.p50_micros as f64 / 1_000.0;
-        stats.verify_lag_p99_ms = lag.p99_micros as f64 / 1_000.0;
-        stats.streaming_policies = self.streaming_policies.lock().len() as u64;
         if let Some(v) = verifier {
             stats.deltas_applied = v.deltas_applied();
             stats.cache_entries = v.cache().len();

@@ -1,10 +1,11 @@
 //! # plankton-telemetry
 //!
-//! The measurement substrate of the verifier: a process-global **metrics
-//! registry** (counters, gauges, fixed-log-bucket histograms, rendered as
-//! Prometheus-style text exposition) and lightweight **structured tracing**
-//! (levelled events and spans tagged with a per-request trace id, written as
-//! JSON lines to a pluggable sink).
+//! The measurement substrate of the verifier: **metrics registries**
+//! (counters, gauges, fixed-log-bucket histograms, rendered as
+//! Prometheus-style text exposition — one process-global for verification
+//! runs, one per service session for its own counts) and lightweight
+//! **structured tracing** (levelled events and spans tagged with a
+//! per-request trace id, written as JSON lines to a pluggable sink).
 //!
 //! Like the other `crates/shims`-era infrastructure, this crate is built for
 //! an offline environment: it depends on `std` only — no registry crates, no

@@ -1,8 +1,17 @@
 //! The metrics registry: named counter/gauge/histogram families with
 //! optional labels, rendered as Prometheus-style text exposition.
 //!
-//! Instruments are handed out as `Arc`s; call sites on hot paths cache the
-//! handle in a `OnceLock` so steady-state updates are single atomic
+//! Two kinds of registry exist in a running daemon. The process-global one
+//! ([`global`]) holds what verification runs count — checker, engine,
+//! incremental core and key derivation — wherever they run. Each service
+//! session owns another for its own counts (requests, connections, its
+//! streaming queue and its result cache): its `Stats` reply reads those
+//! instruments, and its `Metrics` reply renders the global registry followed
+//! by its own. Each count has exactly one instrument.
+//!
+//! Instruments are handed out as `Arc`s; call sites on hot paths keep the
+//! handle (in a `OnceLock` for the global registry, in a per-instance
+//! struct for a session's) so steady-state updates are single atomic
 //! operations with no registry lock. Histograms use one fixed log-scale
 //! bucket ladder ([`BUCKET_BOUNDS`], powers of four) — latency metrics
 //! observe **microseconds** and declare [`Unit::Micros`] so the exposition
@@ -180,14 +189,18 @@ struct Family {
     series: BTreeMap<String, Instrument>,
 }
 
-/// A registry of metric families. One process-global instance serves the
-/// whole verifier ([`global`]); tests build private ones.
+/// A registry of metric families. One process-global instance ([`global`])
+/// serves what verification runs count; each service session owns one for
+/// its own counts, and objects built outside a session (a one-shot CLI
+/// cache, a benchmark's queue) count in a private one. Asking for a name
+/// twice returns the same instrument, so an object rebuilt in the same
+/// registry continues its predecessor's counts.
 #[derive(Debug, Default)]
 pub struct Registry {
     families: Mutex<BTreeMap<&'static str, Family>>,
 }
 
-/// The process-global registry every subsystem registers into.
+/// The process-global registry verification runs register into.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::default)

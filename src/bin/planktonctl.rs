@@ -17,8 +17,9 @@
 //! ```
 //!
 //! The `metrics` subcommand sends a `Metrics` request and prints the
-//! daemon's metrics registry as Prometheus text exposition (unwrapped from
-//! the JSON response), ready to pipe to a file a scraper reads.
+//! daemon's metrics registries (process-global, then the session's) as
+//! Prometheus text exposition (unwrapped from the JSON response), ready to
+//! pipe to a file a scraper reads.
 //!
 //! The `top` subcommand is a live view over the daemon's per-task cost
 //! attribution: it polls `Top` and `Stats` every `--interval` seconds and

@@ -243,6 +243,52 @@ fn handler_panic_is_contained_and_the_old_snapshot_keeps_serving() {
     );
 }
 
+/// A streaming re-verify whose tasks panic is counted and logged like a
+/// `Verify` whose tasks panic: the drain skips storing the incomplete
+/// report, `Stats` and the session's `Metrics` count the panic once, and
+/// the next `Verify` reports cleanly.
+#[test]
+fn drain_reverify_task_panics_are_counted_like_verify_panics() {
+    let _guard = FAILPOINTS.lock().unwrap();
+    let session = std::sync::Arc::new(ServiceSession::with_network(ring_ospf(4).network));
+    let streaming = session.start_streaming();
+    // A clean verify registers the policy the drain re-verifies.
+    assert!(matches!(
+        session.handle(&verify_request(0)),
+        Response::Report(_)
+    ));
+
+    plankton_faultinject::configure("task=panic*1").unwrap();
+    let enqueue: Request = serde_json::from_str(
+        r#"{"ApplyDeltas": {"deltas": [{"LinkDown": {"link": 0}}], "ack": "enqueued"}}"#,
+    )
+    .unwrap();
+    assert!(matches!(
+        session.handle(&enqueue),
+        Response::DeltasAccepted { .. }
+    ));
+    // Stopping the drain applies the delta and re-verifies the policy.
+    streaming.stop();
+    plankton_faultinject::clear();
+
+    assert_eq!(session.stats().tasks_panicked, 1);
+    let Response::MetricsText { text } = session.handle(&Request::Metrics) else {
+        panic!("expected metrics");
+    };
+    assert!(
+        text.contains("\nplankton_tasks_panicked_total 1\n"),
+        "the session's scrape counts the drain's panic:\n{text}"
+    );
+    assert!(
+        session.last_report("loop-freedom").is_none(),
+        "an incomplete re-verify must not be stored"
+    );
+    assert!(matches!(
+        session.handle(&verify_request(0)),
+        Response::Report(_)
+    ));
+}
+
 // ---------------------------------------------------------------------------
 // Spawned-process chaos: faults that only mean something across a process
 // boundary (SIGKILL, env-armed failpoints, client-observed timeouts).

@@ -5,11 +5,13 @@
 //! renders the live metric families as Prometheus text exposition. Also:
 //! (c) planes the per-(PEC × failure set) cap keeps from the policy are
 //! never silent — a counter, a warn event per capped task, and a note from
-//! `plankton verify`.
+//! `plankton verify`. And (d): `Stats` reads the instruments the session's
+//! `Metrics` renders, and each session counts only its own requests.
 
 use plankton::config::scenarios::fat_tree_bgp_rfc7938;
 use plankton::policy::Waypoint;
 use plankton::prelude::*;
+use plankton::service::{Request, Response, ServiceSession, ServiceStats};
 use plankton_telemetry::trace::{self, Event, FieldValue, Level, Sink};
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -481,4 +483,276 @@ fn plankton_verify_refuses_a_policy_without_sources() {
         assert!(out.stdout.is_empty(), "{extra:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// `Stats` is a view of the session's registry: every count it reports is the
+// value of one exposition series, and each session counts only its own.
+// ---------------------------------------------------------------------------
+
+/// Exposition series (name plus label set) → rendered value.
+fn series_of(text: &str) -> std::collections::BTreeMap<&str, &str> {
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .collect()
+}
+
+/// Assert every `Stats` counter equals its exposition series, and that no
+/// family is rendered twice (one instrument per count, one registry per
+/// family).
+fn assert_stats_match_metrics(stats: &ServiceStats, text: &str) {
+    let series = series_of(text);
+    let read = |name: &str| -> u64 {
+        series
+            .get(name)
+            .unwrap_or_else(|| panic!("series {name} not rendered:\n{text}"))
+            .parse()
+            .unwrap()
+    };
+    for (name, value) in [
+        ("plankton_verifies_total", stats.verifies),
+        ("plankton_parse_errors_total", stats.parse_errors),
+        ("plankton_connections_open", stats.connections_open),
+        ("plankton_connections_total", stats.connections_served),
+        (
+            "plankton_connections_drained_total",
+            stats.connections_drained,
+        ),
+        ("plankton_tasks_panicked_total", stats.tasks_panicked),
+        ("plankton_requests_shed_total", stats.requests_shed),
+        ("plankton_deadline_exceeded_total", stats.deadline_exceeded),
+        ("plankton_cache_recoveries_total", stats.cache_recoveries),
+        ("plankton_cache_hits_total", stats.cache_hits),
+        ("plankton_cache_misses_total", stats.cache_misses),
+        ("plankton_cache_evictions_total", stats.cache_evictions),
+        ("plankton_delta_queue_depth", stats.queue_depth),
+        ("plankton_deltas_enqueued_total", stats.deltas_enqueued),
+        ("plankton_deltas_coalesced_total", stats.deltas_coalesced),
+        ("plankton_deltas_shed_total", stats.deltas_shed),
+        ("plankton_delta_batches_total", stats.delta_batches),
+        ("plankton_delta_batch_max", stats.max_batch),
+    ] {
+        assert_eq!(read(name), value, "Stats and {name} disagree:\n{text}");
+    }
+    assert_eq!(stats.cache_shard_entries.len(), 16);
+    for (shard, &entries) in stats.cache_shard_entries.iter().enumerate() {
+        let name = format!("plankton_cache_entries{{shard=\"{shard}\"}}");
+        assert_eq!(read(&name), entries as u64, "shard {shard}:\n{text}");
+    }
+    let mut families: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+    let rendered = families.len();
+    families.sort_unstable();
+    families.dedup();
+    assert_eq!(
+        families.len(),
+        rendered,
+        "a family is rendered twice:\n{text}"
+    );
+}
+
+/// Run `planktond --scenario ring:4 <flags>` over `requests` (with
+/// `"Stats"`, `"Metrics"` and `"Shutdown"` appended) and return the replies.
+fn stats_and_metrics_of(
+    flags: &[&str],
+    failpoints: Option<&str>,
+    requests: &[&str],
+) -> (Vec<Response>, ServiceStats, String) {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_planktond"));
+    command
+        .args(["--scenario", "ring:4"])
+        .args(flags)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null());
+    if let Some(spec) = failpoints {
+        command.env(plankton_faultinject::ENV_VAR, spec);
+    }
+    let mut child = command.spawn().expect("spawn planktond");
+    let input: String = requests
+        .iter()
+        .chain(&[r#""Stats""#, r#""Metrics""#, r#""Shutdown""#])
+        .map(|line| format!("{line}\n"))
+        .collect();
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let mut replies: Vec<Response> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("response parses"))
+        .collect();
+    replies.pop(); // Shutdown's Ok
+    let Some(Response::MetricsText { text }) = replies.pop() else {
+        panic!("expected a MetricsText reply");
+    };
+    let Some(Response::Stats(stats)) = replies.pop() else {
+        panic!("expected a Stats reply");
+    };
+    (replies, stats, text)
+}
+
+/// Two daemon runs between them drive every counter `Stats` reports: a
+/// parse error, a shed verify, enqueued deltas that coalesce and hit the
+/// high-water mark, an unusable persisted cache, a verify past its
+/// deadline, a verify that flushes the queue and one that hits the cache.
+/// In both, each `Stats` counter equals its series in the same daemon's
+/// `Metrics` reply, and no family is rendered twice.
+#[test]
+fn stats_counters_equal_their_exposition_series() {
+    // A lag bound past the test's life: only a verify drains the queue.
+    let lag = ["--max-lag-ms", "600000", "--max-lag-deltas", "1000"];
+    let storm = r#"{"ApplyDeltas": {"deltas": [{"LinkDown": {"link": 0}}, {"LinkUp": {"link": 0}}, {"LinkDown": {"link": 1}}, {"LinkDown": {"link": 2}}], "ack": "enqueued"}}"#;
+    let (replies, stats, text) = stats_and_metrics_of(
+        &[
+            &lag[..],
+            &["--max-inflight", "0", "--max-pending-deltas", "2"],
+        ]
+        .concat(),
+        None,
+        &[
+            "this is not json",
+            r#"{"Verify": {"policy": "LoopFreedom"}}"#,
+            storm,
+        ],
+    );
+    assert_eq!(replies.len(), 3, "{replies:?}");
+    assert_eq!(
+        (stats.parse_errors, stats.requests_shed, stats.verifies),
+        (1, 1, 0)
+    );
+    assert_eq!(
+        (
+            stats.deltas_enqueued,
+            stats.deltas_coalesced,
+            stats.deltas_shed
+        ),
+        (3, 1, 1)
+    );
+    assert_eq!(stats.queue_depth, 2);
+    assert_stats_match_metrics(&stats, &text);
+
+    let dir = std::env::temp_dir().join(format!("plankton-view-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(ServiceSession::CACHE_FILE), "not a cache snapshot").unwrap();
+    let verify = r#"{"Verify": {"policy": "LoopFreedom", "options": {"max_failures": 1}}}"#;
+    let (_, stats, text) = stats_and_metrics_of(
+        &[&lag[..], &["--cache-dir", dir.to_str().unwrap()]].concat(),
+        Some("task=delay:5ms"),
+        &[
+            r#"{"Verify": {"policy": "LoopFreedom", "options": {"deadline_ms": 1}}}"#,
+            r#"{"ApplyDeltas": {"deltas": [{"LinkDown": {"link": 0}}, {"LinkDown": {"link": 1}}, {"LinkUp": {"link": 1}}], "ack": "enqueued"}}"#,
+            verify,
+            verify,
+        ],
+    );
+    assert_eq!(
+        (
+            stats.cache_recoveries,
+            stats.deadline_exceeded,
+            stats.verifies
+        ),
+        (1, 1, 3)
+    );
+    assert_eq!((stats.delta_batches, stats.max_batch), (1, 2));
+    assert!(stats.cache_hits > 0 && stats.cache_misses > 0, "{stats:?}");
+    assert!(stats.cache_shard_entries.iter().any(|&n| n > 0));
+    assert_stats_match_metrics(&stats, &text);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn metrics_of(session: &ServiceSession) -> String {
+    match session.handle(&Request::Metrics) {
+        Response::MetricsText { text } => text,
+        other => panic!("expected metrics, got {other:?}"),
+    }
+}
+
+/// Two sessions in one process count apart: each one's `Stats` and
+/// `Metrics` show its own parse errors, verifies and cache traffic only.
+#[test]
+fn each_session_counts_only_its_own_requests() {
+    let network = plankton::config::scenarios::ring_ospf(4).network;
+    let first = ServiceSession::with_network(network.clone());
+    let second = ServiceSession::with_network(network);
+    first.note_parse_error();
+    for _ in 0..2 {
+        second.note_parse_error();
+    }
+    let verify = Request::Verify {
+        policy: plankton::service::PolicySpec::LoopFreedom,
+        options: None,
+    };
+    assert!(matches!(first.handle(&verify), Response::Report(_)));
+
+    let (one, two) = (first.stats(), second.stats());
+    assert_eq!((one.parse_errors, two.parse_errors), (1, 2));
+    assert_eq!((one.verifies, two.verifies), (1, 0));
+    assert!(one.cache_misses > 0);
+    assert_eq!(two.cache_hits + two.cache_misses, 0);
+
+    let (one_text, two_text) = (metrics_of(&first), metrics_of(&second));
+    for (text, expected) in [
+        (
+            &one_text,
+            ["plankton_parse_errors_total 1", "plankton_verifies_total 1"],
+        ),
+        (
+            &two_text,
+            ["plankton_parse_errors_total 2", "plankton_verifies_total 0"],
+        ),
+    ] {
+        for line in expected {
+            assert!(text.lines().any(|l| l == line), "{line} missing:\n{text}");
+        }
+    }
+    assert!(two_text
+        .lines()
+        .any(|l| l == "plankton_cache_misses_total 0"));
+    assert_stats_match_metrics(&one, &one_text);
+    assert_stats_match_metrics(&two, &two_text);
+}
+
+/// A `Load` replaces the result cache, and the shard gauges follow: after
+/// Load → Verify → Load, every `plankton_cache_entries{shard}` series reads
+/// the new (empty) cache's occupancy, as `Stats.cache_shard_entries` does,
+/// while the cache's hit and miss counts carry on for the session.
+#[test]
+fn shard_gauges_follow_the_cache_a_load_installs() {
+    let network = plankton::config::scenarios::ring_ospf(4).network;
+    let session = ServiceSession::new();
+    let load = Request::Load {
+        network: network.clone(),
+    };
+    assert!(matches!(session.handle(&load), Response::Loaded { .. }));
+    let verify = Request::Verify {
+        policy: plankton::service::PolicySpec::LoopFreedom,
+        options: None,
+    };
+    assert!(matches!(session.handle(&verify), Response::Report(_)));
+    let before = session.stats();
+    assert!(before.cache_entries > 0);
+    assert!(matches!(session.handle(&load), Response::Loaded { .. }));
+
+    let stats = session.stats();
+    assert_eq!(stats.cache_entries, 0);
+    let text = metrics_of(&session);
+    let series = series_of(&text);
+    for (shard, entries) in stats.cache_shard_entries.iter().enumerate() {
+        let name = format!("plankton_cache_entries{{shard=\"{shard}\"}}");
+        assert_eq!(
+            series.get(name.as_str()),
+            Some(&entries.to_string().as_str()),
+            "{name} still reads the replaced cache:\n{text}"
+        );
+    }
+    assert_eq!(
+        (stats.cache_hits, stats.cache_misses),
+        (before.cache_hits, before.cache_misses),
+        "the session's cache counts outlive the cache a Load replaces"
+    );
+    assert_stats_match_metrics(&stats, &text);
 }
