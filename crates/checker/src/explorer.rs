@@ -39,13 +39,15 @@
 //!
 //!   What a step costs, then: for [`OspfPor`](crate::OspfPor), `pick` is
 //!   the top of the enabled set's cost heap (O(1); O(log n) per entry the
-//!   step changed to keep it) — [`BgpPor`](crate::BgpPor) still passes over
-//!   the enabled set; the independence search runs only when neither the
-//!   pick nor the witness settles it (it usually gives up a few hops from its
-//!   first node); and the reverse peers cost O(deg) comparisons, with a
-//!   route built and interned only for a peer that keeps it. On a
-//!   deterministic (OSPF) run that is Dijkstra's work plus the bookkeeping
-//!   that makes it undoable.
+//!   step changed to keep it); [`BgpPor`](crate::BgpPor) passes over the
+//!   enabled set but re-rates only the nodes the enabled set stamped since
+//!   its last pick — the stepped or reverted node and its reverse peers —
+//!   and reuses every other node's cached verdict; the independence search
+//!   runs only when neither the pick nor the witness settles it (it usually
+//!   gives up a few hops from its first node); and the reverse peers cost
+//!   O(deg) comparisons, with a route built and interned only for a peer
+//!   that keeps it. On a deterministic (OSPF) run that is Dijkstra's work
+//!   plus the bookkeeping that makes it undoable.
 //! * **Apply/undo DFS** — steps are applied in place and reverted from a
 //!   compact undo stack ([`UndoStack`](crate::UndoStack)), eliminating the
 //!   full `RpvpState` clone plus `decided.to_vec()` per branch alternative.
@@ -53,9 +55,14 @@
 //!   computation itself
 //!   ([`RouteInterner`](plankton_protocols::RouteInterner) threaded below
 //!   the RPVP layer), so the state is a flat vector of handles: a step is
-//!   an integer swap (no route clone, no lazily-synced handle mirror), an
-//!   undo frame is `Copy`, and a visited-set check is a direct handle
-//!   comparison with no re-interning pass.
+//!   an integer swap (no route clone, no lazily-synced handle mirror) and
+//!   an undo frame is `Copy`.
+//! * **An incrementally hashed visited set** — the explorer keeps the
+//!   state's Zobrist hash ([`state_hash`](crate::visited::state_hash)), moved
+//!   in O(1) by every step and undo from the one handle it swaps, so a
+//!   visited-set check hashes nothing: it is a bucket lookup in the exact
+//!   set's state arena, confirmed by comparing handles, and a new state is
+//!   copied into the arena without allocating once the worker is warm.
 //! * **Borrowed converged states** — the callback receives a
 //!   [`ConvergedState`] view of the live handle vector and the interner, so
 //!   an emit copies nothing; what the caller keeps past the callback, it
@@ -69,13 +76,13 @@
 
 use crate::options::SearchOptions;
 use crate::por::{
-    decision_independent, independent_decision, DiScratch, PorDecision, PorHeuristic,
+    decision_independent, independent_decision, DiScratch, PorDecision, PorHeuristic, VerdictCounts,
 };
 use crate::scratch::{ScratchParts, SnapshotPool};
 use crate::stats::SearchStats;
 use crate::trail::Trail;
 use crate::undo::{UndoFrame, UndoStack};
-use crate::visited::VisitedSet;
+use crate::visited::{state_hash, state_term, VisitedSet};
 use plankton_net::failure::FailureSet;
 use plankton_net::topology::NodeId;
 use plankton_protocols::rpvp::{
@@ -168,6 +175,7 @@ fn record_run_metrics(
     stats: &SearchStats,
     enabled: &IncrementalEnabled,
     searches: IndependenceSearches,
+    verdicts: VerdictCounts,
 ) {
     type Cell = OnceLock<Arc<Counter>>;
     fn add(cell: &'static Cell, name: &'static str, help: &'static str, value: u64) {
@@ -182,6 +190,8 @@ fn record_run_metrics(
     static SEARCHES: Cell = OnceLock::new();
     static SEARCHES_SKIPPED: Cell = OnceLock::new();
     static SEARCHES_WITNESSED: Cell = OnceLock::new();
+    static VERDICTS_RECOMPUTED: Cell = OnceLock::new();
+    static VERDICTS_REUSED: Cell = OnceLock::new();
     static UNDO_DEPTH: OnceLock<Arc<Gauge>> = OnceLock::new();
     add(
         &STEPS,
@@ -231,6 +241,18 @@ fn record_run_metrics(
         "Decision-independence searches avoided because two adjacent enabled, undecided nodes already showed dependence.",
         searches.witnessed,
     );
+    add(
+        &VERDICTS_RECOMPUTED,
+        "plankton_bgp_pick_verdicts_recomputed_total",
+        "Per-node BGP deterministic-node verdicts derived because a step or undo touched the node.",
+        verdicts.recomputed,
+    );
+    add(
+        &VERDICTS_REUSED,
+        "plankton_bgp_pick_verdicts_reused_total",
+        "Per-node BGP deterministic-node verdicts reused from an earlier pick of the same search.",
+        verdicts.reused,
+    );
     UNDO_DEPTH
         .get_or_init(|| {
             plankton_telemetry::metrics::global().gauge(
@@ -278,6 +300,8 @@ pub struct ModelChecker<'m> {
     /// Adjacent enabled, undecided pairs; kept only when decision
     /// independence is on (nothing else reads it).
     witness: Option<DependenceWitness>,
+    /// The Zobrist hash of the live state, kept by `apply` and `undo_one`.
+    hash: u64,
 }
 
 impl<'m> ModelChecker<'m> {
@@ -328,6 +352,9 @@ impl<'m> ModelChecker<'m> {
         if options.deterministic_nodes && por.reads_cost_heap() {
             enabled = enabled.with_cost_heap();
         }
+        if options.deterministic_nodes && por.reads_change_stamps() {
+            enabled = enabled.with_change_stamps();
+        }
         let witness = options
             .decision_independence
             .then(DependenceWitness::default);
@@ -347,6 +374,7 @@ impl<'m> ModelChecker<'m> {
             di_scratch: DiScratch::new(),
             searches: IndependenceSearches::default(),
             witness,
+            hash: 0,
         }
     }
 
@@ -367,6 +395,7 @@ impl<'m> ModelChecker<'m> {
         F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
         let mut state = self.rpvp.initial_state(&mut self.interner);
+        self.hash = state_hash(&state.best);
         let mut decided = vec![false; self.rpvp.model().node_count()];
         for &o in self.rpvp.model().origins() {
             decided[o.index()] = true;
@@ -391,7 +420,12 @@ impl<'m> ModelChecker<'m> {
         self.stats.visited_states = self.visited.len() as u64;
         self.stats.approx_memory_bytes =
             (self.interner.run_approx_bytes() + self.visited.approx_bytes()) as u64;
-        record_run_metrics(&self.stats, &self.enabled, self.searches);
+        record_run_metrics(
+            &self.stats,
+            &self.enabled,
+            self.searches,
+            self.por.verdict_counts(),
+        );
         (
             self.stats,
             ScratchParts {
@@ -445,6 +479,7 @@ impl<'m> ModelChecker<'m> {
     ) {
         let idx = node.index();
         let prev_best = self.rpvp.step_adopting(state, &self.interner, node, adopt);
+        self.hash ^= state_term(idx, prev_best) ^ state_term(idx, state.best[idx]);
         let prev_decided = decided[idx];
         if peer.is_some() {
             decided[idx] = true;
@@ -503,6 +538,9 @@ impl<'m> ModelChecker<'m> {
         if let Some(witness) = &mut self.witness {
             witness.update(model, &self.enabled, decided, frame.node);
         }
+        self.enabled.mark_changed(frame.node);
+        let idx = frame.node.index();
+        self.hash ^= state_term(idx, state.best[idx]) ^ state_term(idx, frame.prev_best);
         self.rpvp.undo_step(state, frame.node, frame.prev_best);
     }
 
@@ -512,10 +550,15 @@ impl<'m> ModelChecker<'m> {
         }
     }
 
-    /// Record the state in the visited set. The state is already
-    /// handle-native, so this is a direct lookup — no re-interning pass.
+    /// Record the state in the visited set, under the hash `apply` and
+    /// `undo_one` keep (debug builds fold it afresh and compare).
     fn insert_visited(&mut self, state: &RpvpState) -> bool {
-        self.visited.insert(&state.best, &self.interner)
+        debug_assert_eq!(
+            self.hash,
+            state_hash(&state.best),
+            "the incrementally kept state hash differs from the fold"
+        );
+        self.visited.insert(&state.best, self.hash, &self.interner)
     }
 
     fn dfs<F>(&mut self, state: &mut RpvpState, decided: &mut [bool], depth: u64, callback: &mut F)
@@ -1014,7 +1057,7 @@ mod tests {
 
     impl PorHeuristic for FirstUpdate {
         fn pick(
-            &self,
+            &mut self,
             _state: &RpvpState,
             enabled: &EnabledView<'_>,
             _decided: &[bool],

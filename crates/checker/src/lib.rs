@@ -18,7 +18,8 @@
 //!   influence a source;
 //! * **state hashing** (§4.4) — routes are interned once and states are
 //!   vectors of 64-bit handles; visited-state detection works on those
-//!   handles, optionally through a Bloom filter (SPIN's bitstate hashing,
+//!   handles, exactly (a state arena keyed by a Zobrist hash the explorer
+//!   moves per step) or through a Bloom filter (SPIN's bitstate hashing,
 //!   Figure 9).
 //!
 //! The search itself is **incremental**: delta-maintained enabled sets (only
@@ -43,7 +44,7 @@ pub mod visited;
 pub use explorer::{ModelChecker, Verdict};
 pub use options::SearchOptions;
 pub use plankton_protocols::{RouteHandle, RouteInterner};
-pub use por::{BgpPor, DiScratch, NoPor, OspfPor, PorDecision, PorHeuristic};
+pub use por::{BgpPor, DiScratch, NoPor, OspfPor, PorDecision, PorHeuristic, VerdictCounts};
 pub use reference::ReferenceChecker;
 pub use scratch::{ScratchParts, SearchScratch, SnapshotPool};
 pub use stats::SearchStats;

@@ -24,8 +24,13 @@
 //! set that node is the top of a cost heap the set maintains
 //! ([`EnabledView::cheapest`]), so the pick costs O(1) rather than a pass
 //! over every entry. [`BgpPor`] implements the conservative BGP
-//! decision-process walk, a pass over the enabled set. [`NoPor`] disables the
-//! optimization (Figure 8's ablations).
+//! decision-process walk: a pass over the enabled set that rates each node
+//! against every peer that could still advertise to it. On the explorer's
+//! enabled set a node's rating is cached and re-derived only when the set's
+//! change stamps ([`EnabledView::clock`]) say a step or undo touched the
+//! node, so the pass costs a few reads per entry rather than a dominance test
+//! per update and peer. [`NoPor`] disables the optimization (Figure 8's
+//! ablations).
 
 use plankton_net::topology::NodeId;
 use plankton_protocols::bgp::BgpModel;
@@ -53,14 +58,26 @@ pub enum PorDecision {
     BranchAll,
 }
 
+/// Per-node verdicts a heuristic's `pick` re-derived and reused (see
+/// [`PorHeuristic::verdict_counts`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct VerdictCounts {
+    /// Verdicts derived because the node was stamped since the last one.
+    pub recomputed: u64,
+    /// Verdicts reused from an earlier pick.
+    pub reused: u64,
+}
+
 /// A partial-order-reduction heuristic.
 pub trait PorHeuristic: Sync {
     /// Decide how to treat the enabled set of `state`. `decided[n]` is true
     /// when node `n` has already made its (final, under consistent-execution
     /// pruning) best-path selection in the current execution. Routes inside
     /// the enabled choices are interned; resolve them through `interner`.
+    /// A heuristic may keep what it derived about a node for later picks of
+    /// the same search, valid while the view's change stamps allow.
     fn pick(
-        &self,
+        &mut self,
         state: &RpvpState,
         enabled: &EnabledView<'_>,
         decided: &[bool],
@@ -72,6 +89,18 @@ pub trait PorHeuristic: Sync {
     fn reads_cost_heap(&self) -> bool {
         false
     }
+
+    /// Does `pick` read [`EnabledView::clock`]? The explorer keeps its
+    /// enabled set's change stamps only for a heuristic that does.
+    fn reads_change_stamps(&self) -> bool {
+        false
+    }
+
+    /// The per-node verdicts `pick` re-derived and reused so far (zero for a
+    /// heuristic that caches none).
+    fn verdict_counts(&self) -> VerdictCounts {
+        VerdictCounts::default()
+    }
 }
 
 /// No reduction: always branch over everything.
@@ -80,7 +109,7 @@ pub struct NoPor;
 
 impl PorHeuristic for NoPor {
     fn pick(
-        &self,
+        &mut self,
         _state: &RpvpState,
         _enabled: &EnabledView<'_>,
         _decided: &[bool],
@@ -142,7 +171,7 @@ impl OspfPor {
 
 impl PorHeuristic for OspfPor {
     fn pick(
-        &self,
+        &mut self,
         _state: &RpvpState,
         enabled: &EnabledView<'_>,
         _decided: &[bool],
@@ -186,7 +215,28 @@ enum Dominance {
     Unknown,
 }
 
+/// What [`BgpPor::pick`] needs to know about one enabled node with pending
+/// updates.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct NodeVerdict {
+    /// A single pending update that strictly dominates everything that
+    /// could still arrive: the node is deterministic.
+    strict_single: bool,
+    /// No pending update can be beaten (ties allowed).
+    all_known: bool,
+}
+
 /// The conservative BGP deterministic-node detector (§4.1.2).
+///
+/// A node's [`NodeVerdict`] reads only its enabled entry and, for each peer
+/// it listens to, that peer's route and `decided` bit. A step or undo at `x`
+/// changes those inputs for `x` and its reverse peers only — the nodes the
+/// explorer's enabled set stamps ([`EnabledView::changed_at`]). So on a view
+/// with change stamps each verdict is kept with the clock it was derived at
+/// and re-derived only when its node was stamped since; the pick is the
+/// same node-order pass either way. A view without stamps (the reference
+/// explorer's) gets the full pass, and debug builds compare the two at
+/// every decision.
 pub struct BgpPor {
     /// The highest LOCAL_PREF any import policy could assign.
     max_local_pref: u32,
@@ -199,6 +249,11 @@ pub struct BgpPor {
     /// advertisement (no eBGP sessions, not an origin): split horizon stops
     /// them from re-advertising iBGP-learned routes.
     peer_bounds: Vec<Vec<(NodeId, bool, u64, bool)>>,
+    /// Per node, its last verdict and the view clock it was derived at (0:
+    /// never derived; clocks start at 1).
+    verdicts: Vec<(u64, NodeVerdict)>,
+    /// Verdicts re-derived and reused by cached picks.
+    counts: VerdictCounts,
 }
 
 impl BgpPor {
@@ -228,6 +283,8 @@ impl BgpPor {
             max_local_pref,
             min_as_dist,
             peer_bounds,
+            verdicts: vec![(0, NodeVerdict::default()); model.node_count()],
+            counts: VerdictCounts::default(),
         }
     }
 
@@ -321,48 +378,53 @@ impl BgpPor {
             self.max_local_pref.max(peer_best.attrs.local_pref)
         }
     }
-}
 
-impl PorHeuristic for BgpPor {
-    fn pick(
+    /// Rate an enabled node with pending updates, streamed per update: an
+    /// `Unknown` verdict short-circuits the node's remaining updates (it can
+    /// neither be a strict singleton nor all-known).
+    fn verdict(
         &self,
         state: &RpvpState,
-        enabled: &EnabledView<'_>,
-        decided: &[bool],
         interner: &RouteInterner,
-    ) -> PorDecision {
-        // First pass, streamed per update: a node with a single pending
-        // update that strictly dominates everything else is deterministic.
-        // An `Unknown` verdict short-circuits the node's remaining updates
-        // (it can neither be a strict singleton nor all-known).
+        decided: &[bool],
+        choice: &EnabledChoice,
+    ) -> NodeVerdict {
+        let mut first = Dominance::Unknown;
+        let mut all_known = true;
+        for (ui, &(peer, handle)) in choice.best_updates.iter().enumerate() {
+            let Some(route) = interner.resolve(handle) else {
+                all_known = false;
+                break;
+            };
+            let d = self.dominance(state, interner, decided, choice.node, peer, route);
+            if ui == 0 {
+                first = d;
+            }
+            if d == Dominance::Unknown {
+                all_known = false;
+                break;
+            }
+        }
+        NodeVerdict {
+            strict_single: choice.best_updates.len() == 1 && first == Dominance::StrictWinner,
+            all_known,
+        }
+    }
+
+    /// The decision from the verdicts of the enabled nodes with pending
+    /// updates, in node-id order (consumed only up to a deterministic node).
+    fn decide<'c>(verdicts: impl Iterator<Item = (&'c EnabledChoice, NodeVerdict)>) -> PorDecision {
+        // First pass: a node with a single pending update that strictly
+        // dominates everything else is deterministic.
         let mut tied_candidate: Option<(NodeId, usize)> = None;
-        for choice in enabled.iter() {
-            if choice.best_updates.is_empty() {
-                continue;
-            }
-            let mut first = Dominance::Unknown;
-            let mut all_known = true;
-            for (ui, &(peer, handle)) in choice.best_updates.iter().enumerate() {
-                let Some(route) = interner.resolve(handle) else {
-                    all_known = false;
-                    break;
-                };
-                let d = self.dominance(state, interner, decided, choice.node, peer, route);
-                if ui == 0 {
-                    first = d;
-                }
-                if d == Dominance::Unknown {
-                    all_known = false;
-                    break;
-                }
-            }
-            if choice.best_updates.len() == 1 && first == Dominance::StrictWinner {
+        for (choice, verdict) in verdicts {
+            if verdict.strict_single {
                 return PorDecision::Deterministic {
                     node: choice.node,
                     update: 0,
                 };
             }
-            if tied_candidate.is_none() && all_known {
+            if tied_candidate.is_none() && verdict.all_known {
                 tied_candidate = Some((choice.node, choice.best_updates.len()));
             }
         }
@@ -379,6 +441,70 @@ impl PorHeuristic for BgpPor {
             return PorDecision::BranchUpdates { node };
         }
         PorDecision::BranchAll
+    }
+
+    /// The pick with every verdict derived afresh.
+    fn full_pass(
+        &self,
+        state: &RpvpState,
+        enabled: &EnabledView<'_>,
+        decided: &[bool],
+        interner: &RouteInterner,
+    ) -> PorDecision {
+        Self::decide(
+            enabled
+                .iter()
+                .filter(|c| !c.best_updates.is_empty())
+                .map(|c| (c, self.verdict(state, interner, decided, c))),
+        )
+    }
+}
+
+impl PorHeuristic for BgpPor {
+    fn pick(
+        &mut self,
+        state: &RpvpState,
+        enabled: &EnabledView<'_>,
+        decided: &[bool],
+        interner: &RouteInterner,
+    ) -> PorDecision {
+        let Some(clock) = enabled.clock() else {
+            return self.full_pass(state, enabled, decided, interner);
+        };
+        let mut verdicts = std::mem::take(&mut self.verdicts);
+        let mut counts = self.counts;
+        let picked = Self::decide(
+            enabled
+                .iter()
+                .filter(|c| !c.best_updates.is_empty())
+                .map(|c| {
+                    let (at, verdict) = &mut verdicts[c.node.index()];
+                    if *at < enabled.changed_at(c.node) {
+                        *at = clock;
+                        *verdict = self.verdict(state, interner, decided, c);
+                        counts.recomputed += 1;
+                    } else {
+                        counts.reused += 1;
+                    }
+                    (c, *verdict)
+                }),
+        );
+        self.verdicts = verdicts;
+        self.counts = counts;
+        debug_assert_eq!(
+            picked,
+            self.full_pass(state, enabled, decided, interner),
+            "the cached verdicts' pick differs from the full pass"
+        );
+        picked
+    }
+
+    fn reads_change_stamps(&self) -> bool {
+        true
+    }
+
+    fn verdict_counts(&self) -> VerdictCounts {
+        self.counts
     }
 }
 
@@ -591,7 +717,7 @@ mod tests {
             &FailureSet::none(),
             Arc::new(UniformUnderlay),
         );
-        let por = BgpPor::from_model(&model);
+        let mut por = BgpPor::from_model(&model);
         let rpvp = Rpvp::new(&model);
         let mut interner = RouteInterner::new();
         let state = rpvp.initial_state(&mut interner);
@@ -624,7 +750,7 @@ mod tests {
             &FailureSet::none(),
             Arc::new(UniformUnderlay),
         );
-        let por = BgpPor::from_model(&model);
+        let mut por = BgpPor::from_model(&model);
         let rpvp = Rpvp::new(&model);
         let mut interner = RouteInterner::new();
         let state = rpvp.initial_state(&mut interner);

@@ -32,7 +32,7 @@ use crate::por::{
 };
 use crate::stats::SearchStats;
 use crate::trail::Trail;
-use crate::visited::VisitedSet;
+use crate::visited::{state_hash, VisitedSet};
 use plankton_net::failure::FailureSet;
 use plankton_net::topology::NodeId;
 use plankton_protocols::rpvp::{ConvergedState, EnabledChoice, EnabledView, Rpvp, RpvpState};
@@ -291,7 +291,10 @@ impl<'m> ReferenceChecker<'m> {
                 let mut child_decided = decided.to_vec();
                 self.apply(&mut child, &mut child_decided, choice.node, peer, false);
                 // The state is already handle-native — no re-interning pass.
-                if !self.visited.insert(&child.best, &self.interner) {
+                if !self
+                    .visited
+                    .insert(&child.best, state_hash(&child.best), &self.interner)
+                {
                     self.stats.pruned_visited += 1;
                     self.trail.pop();
                     continue;

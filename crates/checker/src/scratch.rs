@@ -9,9 +9,11 @@
 //! same worker, bundled as [`ScratchParts`].
 //!
 //! The parts must *never* be shared across concurrent runs or carried over
-//! without clearing: visited states are vectors of route handles, so stale
+//! without clearing: visited states are arrays of route handles, so stale
 //! entries from another run could alias fresh states and unsoundly suppress
-//! exploration. The scratch API enforces the clear on every reuse.
+//! exploration. The scratch API enforces the clear on every reuse. A cleared
+//! exact visited set keeps its state arena and index, so a warmed worker's
+//! runs record states without allocating.
 //!
 //! The interner is the exception: its handles are content-addressed and stay
 //! valid across runs, so reuse keeps the table *warm* — a worker verifying
@@ -190,6 +192,7 @@ impl SearchScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::visited::state_hash;
     use plankton_protocols::RouteHandle;
 
     #[test]
@@ -198,7 +201,8 @@ mod tests {
         let options = SearchOptions::all_optimizations();
         let int = RouteInterner::new();
         let mut v = scratch.take_visited(&options);
-        assert!(v.insert(&[RouteHandle(1), RouteHandle(2)], &int));
+        let state = [RouteHandle(1), RouteHandle(2)];
+        assert!(v.insert(&state, state_hash(&state), &int));
         scratch.put_visited(v);
 
         let v2 = scratch.take_visited(&options);
@@ -239,7 +243,9 @@ mod tests {
         let mut parts = scratch.take_parts(&options);
         let route = plankton_protocols::Route::originated(plankton_net::ip::Prefix::DEFAULT);
         let h = parts.interner.intern(&route);
-        assert!(parts.visited.insert(&[h], &parts.interner));
+        assert!(parts
+            .visited
+            .insert(&[h], state_hash(&[h]), &parts.interner));
         scratch.put_parts(parts);
         let mut parts = scratch.take_parts(&options);
         assert!(parts.visited.is_empty(), "visited must come back cleared");

@@ -1,10 +1,154 @@
 //! Visited-state tracking: exact storage of interned states, or SPIN-style
 //! bitstate hashing through a Bloom filter (§5, Figure 9 of the paper).
+//!
+//! The exact set is keyed by a 64-bit Zobrist hash of the state: the XOR of
+//! one [`state_term`] per `(node, handle)` pair, `⊥` contributing 0. A step
+//! changes one node's handle, so the explorer keeps the hash current in O(1)
+//! per step and undo ([`state_hash`] is the same hash folded from scratch,
+//! for the reference explorer and for audits). States are stored back to
+//! back in one arena ([`StateArena`]) behind a chained hash index; a hash hit
+//! is confirmed by comparing the stored handles with the live state, so the
+//! set has no false positives, and clearing it keeps every buffer, so a
+//! warmed worker's runs insert without allocating.
 
 use plankton_protocols::{RouteHandle, RouteInterner};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
+
+/// Node `node`'s term of the Zobrist state hash when it holds `handle`: a
+/// 64-bit mix of the pair (the splitmix64 finalizer), 0 for `⊥`.
+#[inline]
+pub fn state_term(node: usize, handle: RouteHandle) -> u64 {
+    if handle.is_none() {
+        return 0;
+    }
+    let mut z = handle
+        .0
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(node as u64);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The Zobrist hash of a whole state, folded from its handles: what an
+/// explorer that updates the hash per step must hold.
+pub fn state_hash(state: &[RouteHandle]) -> u64 {
+    state
+        .iter()
+        .enumerate()
+        .fold(0, |h, (node, &handle)| h ^ state_term(node, handle))
+}
+
+/// Exact visited-state storage: every recorded state's handles back to back
+/// in one arena, found through a chained index on the state hash.
+#[derive(Default)]
+pub struct StateArena {
+    /// Handles per state (the node count), fixed while the arena is not
+    /// empty.
+    width: usize,
+    /// State `i` is `handles[i * width..(i + 1) * width]`.
+    handles: Vec<RouteHandle>,
+    /// `hashes[i]` = state `i`'s hash, so a chain walk compares handles
+    /// only on a full hash match.
+    hashes: Vec<u64>,
+    /// `next[i]` = the state after `i` in its bucket's chain, or
+    /// [`StateArena::NIL`].
+    next: Vec<u32>,
+    /// `heads[b]` = the first state of bucket `b` (buckets are the low hash
+    /// bits; the count is zero or a power of two).
+    heads: Vec<u32>,
+}
+
+impl StateArena {
+    /// The end of a chain.
+    const NIL: u32 = u32::MAX;
+
+    fn bucket(&self, hash: u64) -> usize {
+        hash as usize & (self.heads.len() - 1)
+    }
+
+    fn state(&self, id: usize) -> &[RouteHandle] {
+        &self.handles[id * self.width..(id + 1) * self.width]
+    }
+
+    /// Record `state`, whose hash is `hash`. Returns `true` if no equal
+    /// state was recorded before. Equal states must come with equal hashes
+    /// (distinct states may share one).
+    pub fn insert(&mut self, state: &[RouteHandle], hash: u64) -> bool {
+        if self.hashes.is_empty() {
+            self.width = state.len();
+        }
+        debug_assert_eq!(state.len(), self.width, "states of one run have one width");
+        if !self.heads.is_empty() {
+            let mut id = self.heads[self.bucket(hash)];
+            while id != Self::NIL {
+                let i = id as usize;
+                if self.hashes[i] == hash && self.state(i) == state {
+                    return false;
+                }
+                id = self.next[i];
+            }
+        }
+        // Keep the load factor at most 3/4.
+        if 4 * (self.hashes.len() + 1) > 3 * self.heads.len() {
+            self.grow();
+        }
+        assert!(
+            self.hashes.len() < Self::NIL as usize,
+            "too many visited states"
+        );
+        let id = self.hashes.len() as u32;
+        let b = self.bucket(hash);
+        self.handles.extend_from_slice(state);
+        self.hashes.push(hash);
+        self.next.push(self.heads[b]);
+        self.heads[b] = id;
+        true
+    }
+
+    /// Double the bucket count (64 at first) and re-link every chain.
+    fn grow(&mut self) {
+        let buckets = (2 * self.heads.len()).max(64);
+        self.heads.clear();
+        self.heads.resize(buckets, Self::NIL);
+        for i in 0..self.hashes.len() {
+            let b = self.bucket(self.hashes[i]);
+            self.next[i] = self.heads[b];
+            self.heads[b] = i as u32;
+        }
+    }
+
+    /// Forget every state, keeping every buffer (free when empty).
+    pub fn clear(&mut self) {
+        if self.hashes.is_empty() {
+            return;
+        }
+        self.handles.clear();
+        self.hashes.clear();
+        self.next.clear();
+        self.heads.fill(Self::NIL);
+    }
+
+    /// Number of recorded states.
+    pub fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// Is the arena empty?
+    pub fn is_empty(&self) -> bool {
+        self.hashes.is_empty()
+    }
+
+    /// Bytes the recorded states take: their handles plus each one's hash
+    /// and chain link. Spare capacity and the bucket array are left out, so
+    /// the figure depends on the run alone, not on what an earlier run on
+    /// the same worker left allocated.
+    pub fn bytes(&self) -> usize {
+        self.handles.len() * std::mem::size_of::<RouteHandle>()
+            + self.hashes.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
+    }
+}
 
 /// A Bloom filter over state fingerprints. Bitstate hashing trades a small
 /// probability of false positives (states wrongly considered visited, i.e.
@@ -104,9 +248,9 @@ impl BloomFilter {
 
 /// The visited-state set used by the explorer.
 pub enum VisitedSet {
-    /// Store every visited state exactly (as its vector of interned route
-    /// handles). No false positives.
-    Exact(HashSet<Vec<RouteHandle>>),
+    /// Store every visited state exactly (its interned route handles, in a
+    /// [`StateArena`]). No false positives.
+    Exact(StateArena),
     /// Bitstate hashing: store only Bloom-filter bits of the state
     /// fingerprint.
     Bitstate(BloomFilter),
@@ -115,7 +259,7 @@ pub enum VisitedSet {
 impl VisitedSet {
     /// An exact visited set.
     pub fn exact() -> Self {
-        VisitedSet::Exact(HashSet::new())
+        VisitedSet::Exact(StateArena::default())
     }
 
     /// A bitstate (Bloom filter) visited set with the given number of bits.
@@ -137,12 +281,13 @@ impl VisitedSet {
         h.finish()
     }
 
-    /// Reset to empty while keeping the underlying allocations (the hash
-    /// set's table or the Bloom filter's bit array), so a worker can reuse
-    /// one visited set across many verification runs without reallocating.
+    /// Reset to empty while keeping the underlying allocations (the state
+    /// arena and its index, or the Bloom filter's bit array), so a worker can
+    /// reuse one visited set across many verification runs without
+    /// reallocating.
     pub fn clear(&mut self) {
         match self {
-            VisitedSet::Exact(set) => set.clear(),
+            VisitedSet::Exact(arena) => arena.clear(),
             VisitedSet::Bitstate(bloom) => bloom.clear(),
         }
     }
@@ -155,20 +300,14 @@ impl VisitedSet {
         }
     }
 
-    /// Record a state. Returns `true` if the state had not been seen before
-    /// (definitely for [`VisitedSet::Exact`], probabilistically for
-    /// [`VisitedSet::Bitstate`]). The interner is only consulted for
-    /// bitstate fingerprints (content hashes); exact storage compares the
-    /// handles directly.
-    pub fn insert(&mut self, state: &[RouteHandle], interner: &RouteInterner) -> bool {
+    /// Record a state whose [`state_hash`] is `hash`. Returns `true` if the
+    /// state had not been seen before (definitely for [`VisitedSet::Exact`],
+    /// probabilistically for [`VisitedSet::Bitstate`]). Exact storage finds
+    /// the state by `hash` and compares handles; the bitstate set ignores
+    /// `hash` and fingerprints content hashes through the interner.
+    pub fn insert(&mut self, state: &[RouteHandle], hash: u64, interner: &RouteInterner) -> bool {
         match self {
-            VisitedSet::Exact(set) => {
-                if set.contains(state) {
-                    false
-                } else {
-                    set.insert(state.to_vec())
-                }
-            }
+            VisitedSet::Exact(arena) => arena.insert(state, hash),
             VisitedSet::Bitstate(bloom) => bloom.insert(Self::fingerprint(state, interner)),
         }
     }
@@ -176,7 +315,7 @@ impl VisitedSet {
     /// Number of distinct states recorded.
     pub fn len(&self) -> usize {
         match self {
-            VisitedSet::Exact(set) => set.len(),
+            VisitedSet::Exact(arena) => arena.len(),
             VisitedSet::Bitstate(bloom) => bloom.inserted(),
         }
     }
@@ -186,13 +325,11 @@ impl VisitedSet {
         self.len() == 0
     }
 
-    /// Approximate memory footprint in bytes.
+    /// Approximate memory footprint in bytes (for the exact set, see
+    /// [`StateArena::bytes`]).
     pub fn approx_bytes(&self) -> usize {
         match self {
-            VisitedSet::Exact(set) => set
-                .iter()
-                .map(|v| v.len() * std::mem::size_of::<RouteHandle>() + 48)
-                .sum(),
+            VisitedSet::Exact(arena) => arena.bytes(),
             VisitedSet::Bitstate(bloom) => bloom.bytes(),
         }
     }
@@ -206,6 +343,12 @@ mod tests {
         vals.iter().map(|&v| RouteHandle(v)).collect()
     }
 
+    /// Insert `vals` under its folded hash.
+    fn insert(v: &mut VisitedSet, vals: &[u64], interner: &RouteInterner) -> bool {
+        let s = state(vals);
+        v.insert(&s, state_hash(&s), interner)
+    }
+
     // An empty interner: `content_hash` falls back to the handle value, so
     // arbitrary handles still fingerprint consistently in these tests.
     fn interner() -> RouteInterner {
@@ -216,20 +359,60 @@ mod tests {
     fn exact_set_detects_duplicates() {
         let i = interner();
         let mut v = VisitedSet::exact();
-        assert!(v.insert(&state(&[1, 2, 3]), &i));
-        assert!(!v.insert(&state(&[1, 2, 3]), &i));
-        assert!(v.insert(&state(&[1, 2, 4]), &i));
+        assert!(insert(&mut v, &[1, 2, 3], &i));
+        assert!(!insert(&mut v, &[1, 2, 3], &i));
+        assert!(insert(&mut v, &[1, 2, 4], &i));
         assert_eq!(v.len(), 2);
         assert!(v.approx_bytes() > 0);
+    }
+
+    #[test]
+    fn exact_set_confirms_hash_hits_by_comparing_states() {
+        // Every state under one hash: one chain holds them all, so only the
+        // handle comparison tells them apart.
+        let i = interner();
+        let mut v = VisitedSet::exact();
+        let states: Vec<Vec<RouteHandle>> = (0..200u64)
+            .map(|k| state(&[k % 7, k / 7, 0, k % 3]))
+            .collect();
+        for (round, expect_new) in [(0, true), (1, false)] {
+            for s in &states {
+                assert_eq!(v.insert(s, 42, &i), expect_new, "round {round}: {s:?}");
+            }
+            assert_eq!(v.len(), states.len());
+        }
+        let bytes = v.approx_bytes();
+        assert_eq!(bytes, states.len() * (4 * 8 + 8 + 4));
+        v.clear();
+        assert!(v.is_empty());
+        assert_eq!(v.approx_bytes(), 0);
+        for s in &states {
+            assert!(v.insert(s, 42, &i), "cleared set forgets {s:?}");
+        }
+        assert_eq!(v.len(), states.len());
+        assert_eq!(v.approx_bytes(), bytes);
+    }
+
+    #[test]
+    fn state_hash_follows_single_node_updates() {
+        let mut s = state(&[0, 5, 9, 0]);
+        let mut h = state_hash(&s);
+        for (node, handle) in [(0, 3u64), (1, 0), (3, 8), (0, 0), (2, 4)] {
+            let prev = std::mem::replace(&mut s[node], RouteHandle(handle));
+            h ^= state_term(node, prev) ^ state_term(node, s[node]);
+            assert_eq!(h, state_hash(&s), "after {node} := {handle}");
+        }
+        assert_eq!(state_hash(&state(&[0, 0, 0])), 0, "⊥ contributes nothing");
+        assert_ne!(state_term(0, RouteHandle(1)), state_term(1, RouteHandle(1)));
     }
 
     #[test]
     fn bitstate_detects_duplicates() {
         let i = interner();
         let mut v = VisitedSet::bitstate(1 << 16);
-        assert!(v.insert(&state(&[1, 2, 3]), &i));
-        assert!(!v.insert(&state(&[1, 2, 3]), &i));
-        assert!(v.insert(&state(&[9, 9, 9]), &i));
+        assert!(insert(&mut v, &[1, 2, 3], &i));
+        assert!(!insert(&mut v, &[1, 2, 3], &i));
+        assert!(insert(&mut v, &[9, 9, 9], &i));
         assert_eq!(v.len(), 2);
     }
 
@@ -239,13 +422,13 @@ mod tests {
         let mut v = VisitedSet::bitstate(1 << 16);
         let before = v.approx_bytes();
         for i in 0..1000u64 {
-            v.insert(&state(&[i, i + 1, i + 2]), &int);
+            insert(&mut v, &[i, i + 1, i + 2], &int);
         }
         assert_eq!(v.approx_bytes(), before);
         // Exact storage grows with the number of states.
         let mut e = VisitedSet::exact();
         for i in 0..1000u64 {
-            e.insert(&state(&[i, i + 1, i + 2]), &int);
+            insert(&mut e, &[i, i + 1, i + 2], &int);
         }
         assert!(e.approx_bytes() > v.approx_bytes() / 4);
     }

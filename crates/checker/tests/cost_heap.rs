@@ -20,7 +20,7 @@ struct HeapAgainstScan<'a> {
 
 impl PorHeuristic for HeapAgainstScan<'_> {
     fn pick(
-        &self,
+        &mut self,
         state: &RpvpState,
         enabled: &EnabledView<'_>,
         decided: &[bool],

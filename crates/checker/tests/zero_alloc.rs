@@ -18,7 +18,9 @@
 //! The same holds one level up, for converged states: the explorer hands
 //! its callback a view of the live handle vector, so a steady-state run
 //! whose callback only reads routes through that view allocates nothing
-//! from its first converged state to its last.
+//! from its first converged state to its last — with either visited set:
+//! the bitstate filter has fixed memory, and the exact set copies each new
+//! state into an arena that a warmed worker's cleared set still holds.
 //!
 //! This lives in its own integration-test binary because the global
 //! allocator is process-wide; allocations are counted per thread, so the
@@ -28,6 +30,7 @@
 mod counting_alloc;
 
 use counting_alloc::allocations;
+use plankton_checker::visited::state_hash;
 use plankton_checker::{ModelChecker, NoPor, SearchOptions, SearchScratch, Verdict, VisitedSet};
 use plankton_config::scenarios::ring_ospf;
 use plankton_net::failure::FailureSet;
@@ -80,7 +83,7 @@ fn steady_state_step_path_does_not_allocate() {
         displaced.clear();
         inc.refresh_after_step(&rpvp, &state, &mut interner, node, prev, &mut displaced);
     }
-    visited.insert(&state.best, &interner);
+    visited.insert(&state.best, state_hash(&state.best), &interner);
     let interned_after_warmup = interner.len();
 
     // Measured pass: replay the same execution from the initial state,
@@ -124,7 +127,7 @@ fn steady_state_step_path_does_not_allocate() {
         displaced.clear();
         inc.refresh_after_step(&rpvp, &state, &mut interner, node, prev, &mut displaced);
         let before = allocations();
-        visited.insert(&state.best, &interner);
+        visited.insert(&state.best, state_hash(&state.best), &interner);
         measured += allocations() - before;
         steps += 1;
     }
@@ -186,13 +189,13 @@ impl ProtocolModel for TwoRelays {
     }
 }
 
-#[test]
-fn steady_state_run_emits_converged_states_without_allocating() {
+/// Run the unreduced search on [`TwoRelays`] twice through one
+/// [`SearchScratch`] and assert the second (warm) run allocates nothing from
+/// its first converged state to its end. The search branches over every
+/// choice and records every branch's state in the visited set.
+fn assert_warm_run_emits_without_allocating(options: SearchOptions) {
     let leaves = 5usize;
     let model = TwoRelays::new(leaves);
-    // No reduction: the search branches over every choice and reaches each
-    // of the 2^leaves converged states once (bitstate: fixed memory).
-    let options = SearchOptions::no_optimizations().with_bitstate(1 << 16);
     let mut scratch = SearchScratch::new();
     let mut run = || {
         let parts = scratch.take_parts(&options);
@@ -223,11 +226,24 @@ fn steady_state_run_emits_converged_states_without_allocating() {
     let (warm, _, _) = run();
     let (stats, via_relay, allocated) = run();
     assert_eq!(stats.converged_states, 1 << leaves);
-    assert_eq!(stats.converged_states, warm.converged_states);
+    assert_eq!(stats, warm);
+    assert!(stats.visited_states > stats.converged_states);
     assert_eq!(via_relay, stats.converged_states * leaves as u64);
     assert_eq!(
         allocated, 0,
         "{allocated} allocations from the first of {} converged states to the end of the run",
         stats.converged_states
     );
+}
+
+#[test]
+fn steady_state_run_emits_converged_states_without_allocating() {
+    assert_warm_run_emits_without_allocating(
+        SearchOptions::no_optimizations().with_bitstate(1 << 16),
+    );
+}
+
+#[test]
+fn warm_exact_visited_set_records_states_without_allocating() {
+    assert_warm_run_emits_without_allocating(SearchOptions::no_optimizations());
 }

@@ -16,7 +16,7 @@
 //! method), so [`RpvpState`] is a flat vector of
 //! [`RouteHandle`](crate::interner::RouteHandle)s, a step is an integer
 //! swap, an undo record is a single `Copy` handle, and visited-state checks
-//! upstream are direct handle compares with no re-interning pass. Converged
+//! upstream hash and compare handles with no re-interning pass. Converged
 //! states leave the layer the same way: a [`ConvergedState`] is a borrowed
 //! view of the live handle vector and the interner, so emitting one to a
 //! policy callback copies no route.
@@ -239,6 +239,9 @@ pub enum EnabledView<'a> {
         /// The top of the cost heap, when the set keeps one
         /// ([`IncrementalEnabled::with_cost_heap`]) and is not empty.
         cheapest: Option<NodeId>,
+        /// The change clock and per-node stamps, when the set keeps them
+        /// ([`IncrementalEnabled::with_change_stamps`]).
+        stamps: Option<(u64, &'a [u64])>,
     },
 }
 
@@ -280,6 +283,29 @@ impl<'a> EnabledView<'a> {
         match self {
             EnabledView::Slice(_) => None,
             EnabledView::Slots { cheapest, .. } => cheapest.and_then(|n| self.get_node(n)),
+        }
+    }
+
+    /// The change clock, when the view has change stamps
+    /// ([`IncrementalEnabled::with_change_stamps`]): something derived about
+    /// node `n` from this view at clock `t` — from its entry, and from the
+    /// routes and decisions of the peers it listens to — still holds while
+    /// [`EnabledView::changed_at`]`(n) <= t`. `None` for a view without
+    /// stamps (a slice, or a set without them).
+    pub fn clock(&self) -> Option<u64> {
+        match self {
+            EnabledView::Slice(_) => None,
+            EnabledView::Slots { stamps, .. } => stamps.map(|(clock, _)| clock),
+        }
+    }
+
+    /// The clock of the last step or undo that could change what
+    /// [`EnabledView::clock`] promises about `node`: a step at `node` or at
+    /// a peer it listens to. 0 without stamps.
+    pub fn changed_at(&self, node: NodeId) -> u64 {
+        match self {
+            EnabledView::Slice(_) => 0,
+            EnabledView::Slots { stamps, .. } => stamps.map_or(0, |(_, s)| s[node.index()]),
         }
     }
 
@@ -781,6 +807,17 @@ impl<'m> Rpvp<'m> {
 /// O(log n). Its top ([`EnabledView::cheapest`]) is the first cheapest entry
 /// in node-id order, which is what the OSPF heuristic steps. Undo replays
 /// [`IncrementalEnabled::set_entry`], so it restores the heap too.
+///
+/// A set built [`with_change_stamps`](IncrementalEnabled::with_change_stamps)
+/// also stamps, with a clock bumped per step and per undo, every node whose
+/// entry or whose peers' routes that step or undo may have changed: the
+/// stepped node and its reverse peers, the set [`refresh_after_step`]
+/// already visits (undo marks it with
+/// [`IncrementalEnabled::mark_changed`]). A heuristic that caches per-node
+/// verdicts re-derives only the nodes stamped after it last looked
+/// ([`EnabledView::clock`]).
+///
+/// [`refresh_after_step`]: IncrementalEnabled::refresh_after_step
 pub struct IncrementalEnabled {
     /// `slots[n]` = node `n`'s enabled choice, if currently enabled.
     slots: Vec<Option<EnabledChoice>>,
@@ -792,6 +829,8 @@ pub struct IncrementalEnabled {
     inconsistent: usize,
     /// The cost heap, for heuristics that read it.
     costs: Option<CostHeap>,
+    /// The change clock and per-node stamps, for heuristics that read them.
+    stamps: Option<(u64, Vec<u64>)>,
     /// `rev_peers[n]` = nodes that consider advertisements from `n`, each
     /// with `n`'s slot in their peer list.
     rev_peers: Vec<Vec<ReversePeer>>,
@@ -825,6 +864,7 @@ impl IncrementalEnabled {
             len: 0,
             inconsistent: 0,
             costs: None,
+            stamps: None,
             rev_peers,
             eligible,
             recomputed: 0,
@@ -842,8 +882,20 @@ impl IncrementalEnabled {
         self
     }
 
-    /// Recompute the whole enabled set from scratch (initialization).
+    /// Also keep change stamps (see the type docs), so that views expose
+    /// [`EnabledView::clock`].
+    pub fn with_change_stamps(mut self) -> Self {
+        self.stamps = Some((0, vec![0; self.slots.len()]));
+        self
+    }
+
+    /// Recompute the whole enabled set from scratch (initialization). Every
+    /// node counts as changed.
     pub fn rebuild(&mut self, rpvp: &Rpvp, state: &RpvpState, interner: &mut RouteInterner) {
+        if let Some((clock, stamps)) = &mut self.stamps {
+            *clock += 1;
+            stamps.fill(*clock);
+        }
         for slot in &mut self.slots {
             *slot = None;
         }
@@ -873,12 +925,28 @@ impl IncrementalEnabled {
             bits: &self.bits,
             len: self.len,
             cheapest: self.costs.as_ref().and_then(CostHeap::top),
+            stamps: self.stamps.as_ref().map(|(clock, s)| (*clock, &s[..])),
         }
     }
 
     /// Number of currently enabled nodes.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Stamp `x` and its reverse peers as changed at a new clock: the nodes
+    /// whose entries, or whose peers' routes and decisions, a step at `x` —
+    /// or its undo — may change. [`IncrementalEnabled::refresh_after_step`]
+    /// calls it; an undo must call it for the node it reverts. A no-op
+    /// without change stamps.
+    pub fn mark_changed(&mut self, x: NodeId) {
+        if let Some((clock, stamps)) = &mut self.stamps {
+            *clock += 1;
+            stamps[x.index()] = *clock;
+            for r in &self.rev_peers[x.index()] {
+                stamps[r.node.index()] = *clock;
+            }
+        }
     }
 
     /// Is `node` currently enabled? O(1).
@@ -973,6 +1041,7 @@ impl IncrementalEnabled {
         prev: RouteHandle,
         displaced: &mut Vec<(NodeId, Option<EnabledChoice>)>,
     ) {
+        self.mark_changed(node);
         let adopted = state.best[node.index()];
         let adopted_maximal = adopted.is_some()
             && self.slots[node.index()]

@@ -65,4 +65,17 @@ fn main() {
         &PlanktonOptions::default().restricted_to(vec![dst_prefix]),
     );
     println!("\nreachability of the same prefix: {}", report.summary());
+
+    // The same question on a k=8 data center, over every prefix and with
+    // every violation collected: the question the `cold_bgp_dc` benchmark
+    // workload times. Its counts pin the branching BGP search's explored
+    // tree exactly.
+    let scenario = fat_tree_bgp_rfc7938(8, 7938);
+    let verifier = Plankton::new(scenario.network.clone());
+    let report = verifier.verify(
+        &Waypoint::new(vec![scenario.monitored_edges.0], scenario.waypoints.clone()),
+        &FailureScenario::no_failures(),
+        &PlanktonOptions::default().collect_all_violations(),
+    );
+    println!("\nk=8, every prefix, all violations: {}", report.summary());
 }

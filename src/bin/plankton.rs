@@ -12,7 +12,31 @@
 
 use plankton::prelude::*;
 use plankton::service::{PolicySpec, VerifyOptions};
+use std::io::Write;
 use std::process::exit;
+
+/// Write to stdout through its lock. When the reader has gone away
+/// (`plankton pecs … | head -1`) the write fails with `BrokenPipe`: exit
+/// quietly with `status`, the exit status the command has anyway. Any other
+/// write error is reported, with exit status 1.
+fn print_or_exit(status: i32, text: std::fmt::Arguments<'_>) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(text).and_then(|()| stdout.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(status);
+        }
+        eprintln!("plankton: cannot write to stdout: {e}");
+        exit(1);
+    }
+}
+
+/// `println!` through [`print_or_exit`], leaving with `$status` if stdout
+/// is closed.
+macro_rules! say {
+    ($status:expr, $($arg:tt)*) => {
+        print_or_exit($status, format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -115,7 +139,8 @@ fn main() {
 
     let verifier = Plankton::new(network.clone());
     if args.command == "pecs" {
-        println!(
+        say!(
+            0,
             "{} devices, {} links, {} packet equivalence classes ({} active), largest dependency SCC {}",
             network.node_count(),
             network.topology.link_count(),
@@ -125,7 +150,8 @@ fn main() {
         );
         for pec in verifier.pecs().active_pecs() {
             let prefixes: Vec<String> = pec.prefixes.iter().map(|p| p.prefix.to_string()).collect();
-            println!(
+            say!(
+                0,
                 "  {} {} prefixes [{}]",
                 pec.id,
                 pec.range,
@@ -143,7 +169,8 @@ fn main() {
     let (options, scenario) = args.options.resolve();
 
     let report = verifier.verify(policy.as_ref(), &scenario, &options);
-    println!("{report}");
+    let status = if report.holds() { 0 } else { 1 };
+    say!(status, "{report}");
     // The report does not say when the per-(PEC × failure set) plane cap
     // kept converged states from the policy; say it here.
     let capped = plankton::core::data_planes_capped_counter().get();
@@ -155,7 +182,7 @@ fn main() {
         );
     }
     if let Some(violation) = report.first_violation() {
-        println!("counterexample trail:\n{}", violation.trail);
+        say!(status, "counterexample trail:\n{}", violation.trail);
     }
-    exit(if report.holds() { 0 } else { 1 });
+    exit(status);
 }

@@ -32,6 +32,36 @@
 
 use std::process::exit;
 
+/// Write to stdout through its lock. When the reader has gone away
+/// (`planktonctl … | head -1`) the write fails with `BrokenPipe`: exit
+/// quietly with status 0, as a finished batch would. Any other write error
+/// is reported, with exit status 1.
+fn print_or_exit(text: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(text).and_then(|()| stdout.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(0);
+        }
+        eprintln!("planktonctl: cannot write to stdout: {e}");
+        exit(1);
+    }
+}
+
+/// `print!` through [`print_or_exit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        print_or_exit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`print_or_exit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        print_or_exit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn usage() -> ! {
     eprintln!("usage:\n  planktonctl --socket <path> [--timeout <secs>] [--pipeline] [REQUEST_JSON]...\n  planktonctl --socket <path> [--timeout <secs>] metrics\n  planktonctl --socket <path> [--timeout <secs>] top [--once] [--interval <secs>] [-k <N>]\n  planktonctl --socket <path> [--timeout <secs>] dump [--trace <id>] [--last <N>]\n\nWith no REQUEST_JSON arguments, request lines are read from stdin.\n--timeout bounds the connect retry loop, each socket read, and the\noverloaded-retry loop (default 5s; 0 disables the read timeout);\n--pipeline sends every request before reading the responses. When the\ndaemon sheds a request (`overloaded`, from planktond --max-inflight),\nnon-pipelined requests are retried with the daemon's retry_after_ms\nhint until --timeout elapses. The `metrics` subcommand prints the\ndaemon's metrics as Prometheus text exposition. `top` renders the\nhottest (PEC x failure-set) tasks live (default every 2s; --once for a\nsingle sample); `dump` prints the daemon's in-memory flight recorder as\nJSON lines (--trace filters to one request's causal chain).");
     exit(2);
@@ -171,7 +201,7 @@ fn main() {
         }
     };
     let receive = |reader: &mut BufReader<std::os::unix::net::UnixStream>| {
-        print!("{}", read_response(reader));
+        out!("{}", read_response(reader));
     };
 
     // v2 handshake, once per connection: the daemon advertises its protocol
@@ -234,7 +264,7 @@ fn main() {
                     continue;
                 }
             }
-            print!("{response}");
+            out!("{response}");
             return;
         }
     };
@@ -246,7 +276,7 @@ fn main() {
         send(&mut writer, "\"Metrics\"");
         let response = read_response(&mut reader);
         match serde_json::from_str::<plankton_service::Response>(&response) {
-            Ok(plankton_service::Response::MetricsText { text }) => print!("{text}"),
+            Ok(plankton_service::Response::MetricsText { text }) => out!("{text}"),
             Ok(other) => {
                 eprintln!("planktonctl: unexpected response: {other:?}");
                 exit(1);
@@ -277,7 +307,7 @@ fn main() {
                 dropped,
             }) => {
                 for event in &events {
-                    println!("{}", event.json);
+                    outln!("{}", event.json);
                 }
                 eprintln!(
                     "planktonctl: {} event(s) ({total_recorded} recorded, {dropped} overwritten)",
@@ -361,7 +391,7 @@ fn main() {
 
             if !once {
                 // Clear + home, like top(1): each poll repaints in place.
-                print!("\x1b[H\x1b[2J");
+                out!("\x1b[H\x1b[2J");
             }
             let lookups = stats.cache_hits + stats.cache_misses;
             let lifetime_hit = if lookups > 0 {
@@ -369,13 +399,20 @@ fn main() {
             } else {
                 "-".to_string()
             };
-            println!(
+            outln!(
                 "plankton top — {tasks_tracked} task(s) tracked, {} total, hit rate {lifetime_hit}{rates}",
                 fmt_micros(total_micros)
             );
-            println!(
+            outln!(
                 "{:>6}  {:<24} {:>6} {:>9} {:>9} {:>10} {:>6} {:>6}",
-                "PEC", "FAILURES", "RUNS", "TOTAL", "MAX", "STATES", "HITS", "PANIC"
+                "PEC",
+                "FAILURES",
+                "RUNS",
+                "TOTAL",
+                "MAX",
+                "STATES",
+                "HITS",
+                "PANIC"
             );
             for row in &rows {
                 let mut failures = row.failures.clone();
@@ -383,7 +420,7 @@ fn main() {
                     failures.truncate(23);
                     failures.push('…');
                 }
-                println!(
+                outln!(
                     "{:>6}  {:<24} {:>6} {:>9} {:>9} {:>10} {:>6} {:>6}",
                     row.pec,
                     failures,
@@ -396,12 +433,11 @@ fn main() {
                 );
             }
             if rows.is_empty() {
-                println!("(no tasks recorded yet — run a Verify)");
+                outln!("(no tasks recorded yet — run a Verify)");
             }
             if once {
                 return;
             }
-            let _ = std::io::stdout().flush();
             std::thread::sleep(interval);
         }
     }

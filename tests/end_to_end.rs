@@ -228,3 +228,65 @@ fn zero_ospf_costs_are_refused_at_every_input_boundary() {
     );
     assert!(!report.holds(), "{report}");
 }
+
+/// A reader that stops early (`plankton pecs … | head -1`) closes the CLI's
+/// stdout before it writes: `plankton` leaves quietly with the exit status
+/// the command has anyway, not with a panic (status 101) on the write. The
+/// config is served through a FIFO, so the read end is closed before the
+/// child can have loaded it, let alone written anything.
+#[cfg(unix)]
+#[test]
+fn cli_exits_with_its_own_status_when_stdout_is_closed() {
+    use std::os::unix::ffi::OsStrExt;
+    extern "C" {
+        fn mkfifo(path: *const std::ffi::c_char, mode: u32) -> i32;
+    }
+    let json = ring_ospf(6).network.to_json();
+    let dir = std::env::temp_dir().join(format!("plankton-closed-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fifo = dir.join("ring6.json");
+    let path = std::ffi::CString::new(fifo.as_os_str().as_bytes()).unwrap();
+    // SAFETY: `path` is a NUL-terminated string that outlives the call.
+    assert_eq!(
+        unsafe { mkfifo(path.as_ptr(), 0o600) },
+        0,
+        "mkfifo {fifo:?}"
+    );
+    let config = fifo.to_str().unwrap();
+    let verify = |failures: &'static str| {
+        vec![
+            "verify",
+            "--config",
+            config,
+            "--policy",
+            "reachability",
+            "--source",
+            "r3",
+            "--prefix",
+            "10.99.0.0/24",
+            "--max-failures",
+            failures,
+        ]
+    };
+    for (args, status) in [
+        (vec!["pecs", "--config", config], 0),
+        (verify("1"), 0),
+        // Two failures partition the ring: a violation, and a trail to print.
+        (verify("2"), 1),
+    ] {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_plankton"))
+            .args(&args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("run plankton");
+        drop(child.stdout.take());
+        // Opening the FIFO waits for the child to open it for reading.
+        std::fs::write(&fifo, &json).expect("serve the config");
+        let out = child.wait_with_output().expect("wait for plankton");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(status), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

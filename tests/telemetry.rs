@@ -211,6 +211,8 @@ fn metrics_request_renders_prometheus_text_with_live_families() {
         "plankton_independence_searches_skipped_total",
         "plankton_independence_searches_witnessed_total",
         "plankton_edge_updates_unbuilt_total",
+        "plankton_bgp_pick_verdicts_recomputed_total",
+        "plankton_bgp_pick_verdicts_reused_total",
         "plankton_cache_capacity",
     ] {
         assert!(
