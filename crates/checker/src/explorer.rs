@@ -69,26 +69,25 @@
 //!   copies itself.
 //!
 //! All per-run scratch — visited set, undo stack, interner, branch-snapshot
-//! buffers — lives in a [`ScratchParts`](crate::scratch::ScratchParts)
-//! bundle that a worker threads from run to run via
-//! [`SearchScratch`](crate::SearchScratch), so steady-state runs allocate
-//! nothing on the step path.
+//! buffers — lives in one [`SearchScratch`], which a worker threads from run
+//! to run ([`ModelChecker::run_in`]), so steady-state runs allocate nothing
+//! on the step path.
 
 use crate::options::SearchOptions;
 use crate::por::{
     decision_independent, independent_decision, DiScratch, PorDecision, PorHeuristic, VerdictCounts,
 };
-use crate::scratch::{ScratchParts, SnapshotPool};
+use crate::scratch::SearchScratch;
 use crate::stats::SearchStats;
 use crate::trail::Trail;
-use crate::undo::{UndoFrame, UndoStack};
-use crate::visited::{state_hash, state_term, VisitedSet};
+use crate::undo::UndoFrame;
+use crate::visited::{state_hash, state_term};
 use plankton_net::failure::FailureSet;
 use plankton_net::topology::NodeId;
 use plankton_protocols::rpvp::{
     ConvergedState, EnabledChoice, IncrementalEnabled, Rpvp, RpvpState,
 };
-use plankton_protocols::{ProtocolModel, ReversePeer, RouteHandle, RouteInterner};
+use plankton_protocols::{ProtocolModel, ReversePeer, RouteHandle};
 use plankton_telemetry::{Counter, Gauge};
 use std::sync::{Arc, OnceLock};
 
@@ -279,8 +278,9 @@ pub struct ModelChecker<'m> {
     rpvp: Rpvp<'m>,
     por: Box<dyn PorHeuristic + 'm>,
     options: SearchOptions,
-    interner: RouteInterner,
-    visited: VisitedSet,
+    /// Visited set, undo stack, interner and snapshot buffers: the checker's
+    /// own until [`ModelChecker::run_in`] swaps in a worker's.
+    scratch: SearchScratch,
     stats: SearchStats,
     trail: Trail,
     sources: Option<Vec<NodeId>>,
@@ -288,11 +288,6 @@ pub struct ModelChecker<'m> {
     /// Delta-maintained enabled set (already restricted to allowed
     /// non-origin nodes, iterated in node-id order).
     enabled: IncrementalEnabled,
-    /// The apply/undo stack (reusable across runs via
-    /// [`SearchScratch`](crate::SearchScratch)).
-    undo: UndoStack,
-    /// Pooled buffers for branch-point enabled-set snapshots.
-    snapshots: SnapshotPool,
     /// Reusable buffers for the decision-independence reachability search.
     di_scratch: DiScratch,
     /// How often that search ran, and how often it was not needed.
@@ -310,25 +305,9 @@ impl<'m> ModelChecker<'m> {
     pub fn new(
         model: &'m dyn ProtocolModel,
         por: Box<dyn PorHeuristic + 'm>,
-        options: SearchOptions,
-        failures: FailureSet,
-    ) -> Self {
-        let parts = ScratchParts::fresh(&options);
-        Self::new_with_scratch(model, por, options, failures, parts)
-    }
-
-    /// Like [`ModelChecker::new`], but draws every reusable allocation —
-    /// visited set, undo stack, interner, snapshot buffers — from `parts`
-    /// (each cleared first): the zero-allocation path for
-    /// [`SearchScratch`](crate::SearchScratch) reuse.
-    pub fn new_with_scratch(
-        model: &'m dyn ProtocolModel,
-        por: Box<dyn PorHeuristic + 'm>,
         mut options: SearchOptions,
         failures: FailureSet,
-        mut parts: ScratchParts,
     ) -> Self {
-        parts.clear();
         // Hoist the source list out of the per-run options (the old code
         // cloned it on every run): the checker owns its options, so the
         // list is moved, not copied.
@@ -362,15 +341,12 @@ impl<'m> ModelChecker<'m> {
             rpvp,
             por,
             options,
-            interner: parts.interner,
-            visited: parts.visited,
+            scratch: SearchScratch::new(),
             stats: SearchStats::default(),
             trail: Trail::new(failures),
             sources,
             stop: false,
             enabled,
-            undo: parts.undo,
-            snapshots: parts.snapshots,
             di_scratch: DiScratch::new(),
             searches: IndependenceSearches::default(),
             witness,
@@ -380,21 +356,32 @@ impl<'m> ModelChecker<'m> {
 
     /// Run the exhaustive search, invoking `callback` on every converged
     /// state. Returns the search statistics.
-    pub fn run<F>(self, callback: &mut F) -> SearchStats
+    pub fn run<F>(mut self, callback: &mut F) -> SearchStats
     where
         F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
-        self.run_returning(callback).0
+        self.explore(callback)
     }
 
-    /// Like [`ModelChecker::run`], but also hands back the scratch bundle so
-    /// the caller can return it to a
-    /// [`SearchScratch`](crate::SearchScratch) for the next run.
-    pub fn run_returning<F>(mut self, callback: &mut F) -> (SearchStats, ScratchParts)
+    /// [`ModelChecker::run`] on a worker's `scratch`, which the run prepares
+    /// for its options and leaves holding its allocations for the next run:
+    /// the zero-allocation path.
+    pub fn run_in<F>(mut self, scratch: &mut SearchScratch, callback: &mut F) -> SearchStats
     where
         F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
-        let mut state = self.rpvp.initial_state(&mut self.interner);
+        std::mem::swap(&mut self.scratch, scratch);
+        let stats = self.explore(callback);
+        std::mem::swap(&mut self.scratch, scratch);
+        stats
+    }
+
+    fn explore<F>(&mut self, callback: &mut F) -> SearchStats
+    where
+        F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
+    {
+        self.scratch.prepare(&self.options);
+        let mut state = self.rpvp.initial_state(&mut self.scratch.interner);
         self.hash = state_hash(&state.best);
         let mut decided = vec![false; self.rpvp.model().node_count()];
         for &o in self.rpvp.model().origins() {
@@ -402,7 +389,8 @@ impl<'m> ModelChecker<'m> {
         }
         {
             // Disjoint-field reborrow: `enabled` is rebuilt from `rpvp`.
-            let (enabled, rpvp, interner) = (&mut self.enabled, &self.rpvp, &mut self.interner);
+            let (enabled, rpvp, interner) =
+                (&mut self.enabled, &self.rpvp, &mut self.scratch.interner);
             enabled.rebuild(rpvp, &state, interner);
         }
         if let Some(witness) = &mut self.witness {
@@ -416,25 +404,18 @@ impl<'m> ModelChecker<'m> {
         self.stats.enabled_recomputed_nodes = self.enabled.recompute_count();
         // Run-scoped interner stats: the table may be warm from a previous
         // run on this worker, so report what a fresh interner would hold.
-        self.stats.interned_routes = self.interner.run_interned();
-        self.stats.visited_states = self.visited.len() as u64;
+        let scratch = &self.scratch;
+        self.stats.interned_routes = scratch.interner.run_interned();
+        self.stats.visited_states = scratch.visited.len() as u64;
         self.stats.approx_memory_bytes =
-            (self.interner.run_approx_bytes() + self.visited.approx_bytes()) as u64;
+            (scratch.interner.run_approx_bytes() + scratch.visited.approx_bytes()) as u64;
         record_run_metrics(
             &self.stats,
             &self.enabled,
             self.searches,
             self.por.verdict_counts(),
         );
-        (
-            self.stats,
-            ScratchParts {
-                visited: self.visited,
-                undo: self.undo,
-                interner: self.interner,
-                snapshots: self.snapshots,
-            },
-        )
+        self.stats
     }
 
     fn all_sources_decided(&self, state: &RpvpState) -> bool {
@@ -454,14 +435,9 @@ impl<'m> ModelChecker<'m> {
         F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
         self.stats.converged_states += 1;
-        let converged = ConvergedState::new(&state.best, &self.interner);
+        let converged = ConvergedState::new(&state.best, &self.scratch.interner);
         if callback(&converged, &self.trail) == Verdict::Stop {
             self.stop = true;
-        }
-        if let Some(max) = self.options.max_converged_states {
-            if self.stats.converged_states >= max as u64 {
-                self.stop = true;
-            }
         }
     }
 
@@ -478,35 +454,40 @@ impl<'m> ModelChecker<'m> {
         deterministic: bool,
     ) {
         let idx = node.index();
-        let prev_best = self.rpvp.step_adopting(state, &self.interner, node, adopt);
+        let prev_best = self
+            .rpvp
+            .step_adopting(state, &self.scratch.interner, node, adopt);
         self.hash ^= state_term(idx, prev_best) ^ state_term(idx, state.best[idx]);
         let prev_decided = decided[idx];
         if peer.is_some() {
             decided[idx] = true;
         }
-        let enabled_mark = self.undo.enabled_mark();
+        let enabled_mark = self.scratch.undo.enabled_mark();
         self.enabled.refresh_after_step(
             &self.rpvp,
             state,
-            &mut self.interner,
+            &mut self.scratch.interner,
             node,
             prev_best,
-            &mut self.undo.enabled_prev,
+            &mut self.scratch.undo.enabled_prev,
         );
         if let Some(witness) = &mut self.witness {
             let model = self.rpvp.model();
             witness.update(model, &self.enabled, decided, node);
-            for &(m, _) in &self.undo.enabled_prev[enabled_mark..] {
+            for &(m, _) in &self.scratch.undo.enabled_prev[enabled_mark..] {
                 witness.update(model, &self.enabled, decided, m);
             }
         }
-        self.undo.push_frame(UndoFrame {
+        self.scratch.undo.push_frame(UndoFrame {
             node,
             prev_best,
             prev_decided,
             enabled_mark,
         });
-        self.stats.undo_depth_max = self.stats.undo_depth_max.max(self.undo.depth() as u64);
+        self.stats.undo_depth_max = self
+            .stats
+            .undo_depth_max
+            .max(self.scratch.undo.depth() as u64);
         self.trail.push(node, peer, deterministic);
         self.stats.steps += 1;
         if deterministic {
@@ -523,10 +504,15 @@ impl<'m> ModelChecker<'m> {
     /// never popped them on exit).
     fn undo_one(&mut self, state: &mut RpvpState, decided: &mut [bool]) {
         self.trail.pop();
-        let frame = self.undo.pop_frame();
+        let frame = self.scratch.undo.pop_frame();
         let model = self.rpvp.model();
-        while self.undo.enabled_prev.len() > frame.enabled_mark {
-            let (m, prev) = self.undo.enabled_prev.pop().expect("mark within stack");
+        while self.scratch.undo.enabled_prev.len() > frame.enabled_mark {
+            let (m, prev) = self
+                .scratch
+                .undo
+                .enabled_prev
+                .pop()
+                .expect("mark within stack");
             self.enabled.set_entry(m, prev);
             // Final for every node but the stepped one, whose `decided`
             // bit is restored below and which is re-read after it.
@@ -545,7 +531,7 @@ impl<'m> ModelChecker<'m> {
     }
 
     fn unwind_to(&mut self, mark: usize, state: &mut RpvpState, decided: &mut [bool]) {
-        while self.undo.depth() > mark {
+        while self.scratch.undo.depth() > mark {
             self.undo_one(state, decided);
         }
     }
@@ -558,14 +544,17 @@ impl<'m> ModelChecker<'m> {
             state_hash(&state.best),
             "the incrementally kept state hash differs from the fold"
         );
-        self.visited.insert(&state.best, self.hash, &self.interner)
+        let scratch = &mut self.scratch;
+        scratch
+            .visited
+            .insert(&state.best, self.hash, &scratch.interner)
     }
 
     fn dfs<F>(&mut self, state: &mut RpvpState, decided: &mut [bool], depth: u64, callback: &mut F)
     where
         F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
-        let undo_mark = self.undo.depth();
+        let undo_mark = self.scratch.undo.depth();
         let mut depth = depth;
         loop {
             if self.stop {
@@ -644,10 +633,11 @@ impl<'m> ModelChecker<'m> {
                     break;
                 }
                 PorDecision::BranchAll => {
-                    let mut snapshot = self.snapshots.pop();
+                    let mut snapshot = self.scratch.snapshots.pop().unwrap_or_default();
+                    snapshot.clear();
                     snapshot.extend(self.enabled.view().iter().cloned());
                     self.branch(state, decided, depth, callback, &snapshot, true);
-                    self.snapshots.push(snapshot);
+                    self.scratch.snapshots.push(snapshot);
                     break;
                 }
             }
@@ -670,7 +660,7 @@ impl<'m> ModelChecker<'m> {
     fn decide(&mut self, state: &RpvpState, decided: &[bool]) -> PorDecision {
         let view = self.enabled.view();
         let picked = if self.options.deterministic_nodes {
-            self.por.pick(state, &view, decided, &self.interner)
+            self.por.pick(state, &view, decided, &self.scratch.interner)
         } else {
             PorDecision::BranchAll
         };
@@ -786,7 +776,7 @@ mod tests {
     use plankton_protocols::bgp::{BgpModel, UniformUnderlay};
     use plankton_protocols::ospf::OspfModel;
     use plankton_protocols::rpvp::EnabledView;
-    use plankton_protocols::{Preference, Route};
+    use plankton_protocols::{Preference, Route, RouteInterner};
     use std::collections::HashSet;
     use std::sync::Arc;
 

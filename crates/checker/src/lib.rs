@@ -27,9 +27,11 @@
 //! an apply/undo DFS (no state clones at branch points) — see [`explorer`].
 //! States are handle-native end to end: routes are interned at generation
 //! time in the protocol layer, so visited checks compare handle vectors
-//! directly and steps move a single `u64`. The pre-incremental search is
-//! preserved as [`reference::ReferenceChecker`] and differentially tested
-//! against the incremental one.
+//! directly and steps move a single `u64`. A run's reusable buffers — visited
+//! set, undo stack, interner, branch snapshots — live in one
+//! [`SearchScratch`] that a worker threads from run to run. The
+//! pre-incremental search is preserved as [`reference::ReferenceChecker`]
+//! and differentially tested against the incremental one.
 
 pub mod explorer;
 pub mod options;
@@ -46,7 +48,7 @@ pub use options::SearchOptions;
 pub use plankton_protocols::{RouteHandle, RouteInterner};
 pub use por::{BgpPor, DiScratch, NoPor, OspfPor, PorDecision, PorHeuristic, VerdictCounts};
 pub use reference::ReferenceChecker;
-pub use scratch::{ScratchParts, SearchScratch, SnapshotPool};
+pub use scratch::SearchScratch;
 pub use stats::SearchStats;
 pub use trail::{Trail, TrailEvent};
 pub use undo::UndoStack;

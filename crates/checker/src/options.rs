@@ -27,10 +27,6 @@ pub struct SearchOptions {
     /// §4.4 / Figure 9 — use bitstate hashing (a Bloom filter with this many
     /// bits) instead of exact visited-state storage.
     pub bitstate_bits: Option<usize>,
-    /// Stop after this many converged states have been emitted (`None` = no
-    /// limit). The verifier sets this to 1 when it only needs to know whether
-    /// any converged state exists.
-    pub max_converged_states: Option<usize>,
     /// Abort the search after this many RPVP steps (safety net against state
     /// explosion when optimizations are disabled, as in Figure 8's "None"
     /// rows).
@@ -47,7 +43,6 @@ impl Default for SearchOptions {
             influence_pruning: true,
             source_nodes: None,
             bitstate_bits: None,
-            max_converged_states: None,
             max_steps: 200_000_000,
         }
     }
@@ -70,7 +65,6 @@ impl SearchOptions {
             influence_pruning: false,
             source_nodes: None,
             bitstate_bits: None,
-            max_converged_states: None,
             max_steps: 200_000_000,
         }
     }
@@ -98,13 +92,6 @@ impl SearchOptions {
     /// Enable bitstate hashing with the given number of bits, builder-style.
     pub fn with_bitstate(mut self, bits: usize) -> Self {
         self.bitstate_bits = Some(bits);
-        self
-    }
-
-    /// Stop after the first converged state (used when the caller only needs
-    /// existence, e.g. simulation-style checks).
-    pub fn first_converged_only(mut self) -> Self {
-        self.max_converged_states = Some(1);
         self
     }
 }
@@ -139,12 +126,10 @@ mod tests {
         let o = SearchOptions::all_optimizations()
             .with_sources(vec![NodeId(1), NodeId(2)])
             .without_deterministic_nodes()
-            .with_bitstate(1 << 20)
-            .first_converged_only();
+            .with_bitstate(1 << 20);
         assert_eq!(o.source_nodes.as_ref().unwrap().len(), 2);
         assert!(!o.deterministic_nodes);
         assert_eq!(o.bitstate_bits, Some(1 << 20));
-        assert_eq!(o.max_converged_states, Some(1));
         let p = SearchOptions::all_optimizations().without_policy_pruning();
         assert!(!p.policy_pruning);
         assert!(!p.influence_pruning);

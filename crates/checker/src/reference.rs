@@ -30,21 +30,23 @@ use crate::options::SearchOptions;
 use crate::por::{
     decision_independent, updates_from_decided, DiScratch, PorDecision, PorHeuristic,
 };
+use crate::scratch::SearchScratch;
 use crate::stats::SearchStats;
 use crate::trail::Trail;
-use crate::visited::{state_hash, VisitedSet};
+use crate::visited::state_hash;
 use plankton_net::failure::FailureSet;
 use plankton_net::topology::NodeId;
 use plankton_protocols::rpvp::{ConvergedState, EnabledChoice, EnabledView, Rpvp, RpvpState};
-use plankton_protocols::{ProtocolModel, RouteInterner};
+use plankton_protocols::ProtocolModel;
 
 /// The pre-change explicit-state model checker (see module docs).
 pub struct ReferenceChecker<'m> {
     rpvp: Rpvp<'m>,
     por: Box<dyn PorHeuristic + 'm>,
     options: SearchOptions,
-    interner: RouteInterner,
-    visited: VisitedSet,
+    /// A fresh scratch per checker: only its interner and visited set are
+    /// used.
+    scratch: SearchScratch,
     stats: SearchStats,
     trail: Trail,
     /// Nodes the search may evaluate: non-origins allowed by influence
@@ -63,10 +65,8 @@ impl<'m> ReferenceChecker<'m> {
         mut options: SearchOptions,
         failures: FailureSet,
     ) -> Self {
-        let visited = match options.bitstate_bits {
-            Some(bits) => VisitedSet::bitstate(bits),
-            None => VisitedSet::exact(),
-        };
+        let mut scratch = SearchScratch::new();
+        scratch.prepare(&options);
         // Moved out of the run path, mirroring the incremental explorer.
         let sources = options.source_nodes.take();
         let allowed = if options.influence_pruning {
@@ -86,8 +86,7 @@ impl<'m> ReferenceChecker<'m> {
             rpvp,
             por,
             options,
-            interner: RouteInterner::new(),
-            visited,
+            scratch,
             stats: SearchStats::default(),
             trail: Trail::new(failures),
             eligible,
@@ -103,16 +102,17 @@ impl<'m> ReferenceChecker<'m> {
     where
         F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
-        let mut state = self.rpvp.initial_state(&mut self.interner);
+        let mut state = self.rpvp.initial_state(&mut self.scratch.interner);
         let mut decided = vec![false; self.rpvp.model().node_count()];
         for &o in self.rpvp.model().origins() {
             decided[o.index()] = true;
         }
         self.dfs(&mut state, &mut decided, 0, callback);
-        self.stats.interned_routes = self.interner.len() as u64;
-        self.stats.visited_states = self.visited.len() as u64;
+        let scratch = &self.scratch;
+        self.stats.interned_routes = scratch.interner.len() as u64;
+        self.stats.visited_states = scratch.visited.len() as u64;
         self.stats.approx_memory_bytes =
-            (self.interner.approx_bytes() + self.visited.approx_bytes()) as u64;
+            (scratch.interner.approx_bytes() + scratch.visited.approx_bytes()) as u64;
         self.stats
     }
 
@@ -125,10 +125,12 @@ impl<'m> ReferenceChecker<'m> {
             if !self.eligible[i] {
                 continue;
             }
-            if let Some(choice) =
-                self.rpvp
-                    .enabled_at_with(state, &mut self.interner, NodeId(i as u32), &mut scratch)
-            {
+            if let Some(choice) = self.rpvp.enabled_at_with(
+                state,
+                &mut self.scratch.interner,
+                NodeId(i as u32),
+                &mut scratch,
+            ) {
                 out.push(choice);
             }
         }
@@ -152,14 +154,9 @@ impl<'m> ReferenceChecker<'m> {
         F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
         self.stats.converged_states += 1;
-        let converged = ConvergedState::new(&state.best, &self.interner);
+        let converged = ConvergedState::new(&state.best, &self.scratch.interner);
         if callback(&converged, &self.trail) == Verdict::Stop {
             self.stop = true;
-        }
-        if let Some(max) = self.options.max_converged_states {
-            if self.stats.converged_states >= max as u64 {
-                self.stop = true;
-            }
         }
     }
 
@@ -171,7 +168,8 @@ impl<'m> ReferenceChecker<'m> {
         peer: Option<NodeId>,
         deterministic: bool,
     ) {
-        self.rpvp.step(state, &mut self.interner, node, peer);
+        self.rpvp
+            .step(state, &mut self.scratch.interner, node, peer);
         if peer.is_some() {
             decided[node.index()] = true;
         }
@@ -236,7 +234,7 @@ impl<'m> ReferenceChecker<'m> {
             }
             .unwrap_or_else(|| {
                 if self.options.deterministic_nodes {
-                    self.por.pick(state, &view, decided, &self.interner)
+                    self.por.pick(state, &view, decided, &self.scratch.interner)
                 } else {
                     PorDecision::BranchAll
                 }
@@ -291,10 +289,9 @@ impl<'m> ReferenceChecker<'m> {
                 let mut child_decided = decided.to_vec();
                 self.apply(&mut child, &mut child_decided, choice.node, peer, false);
                 // The state is already handle-native — no re-interning pass.
-                if !self
-                    .visited
-                    .insert(&child.best, state_hash(&child.best), &self.interner)
-                {
+                let scratch = &mut self.scratch;
+                let hash = state_hash(&child.best);
+                if !scratch.visited.insert(&child.best, hash, &scratch.interner) {
                     self.stats.pruned_visited += 1;
                     self.trail.pop();
                     continue;

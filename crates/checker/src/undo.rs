@@ -10,9 +10,10 @@
 //! DFS frame pops records down to a watermark.
 //!
 //! The stack is two flat vectors (fixed-size frames plus a shared
-//! variable-length spill for displaced enabled entries), so a worker reuses
-//! its allocations across every run via
-//! [`SearchScratch`](crate::SearchScratch).
+//! variable-length spill for displaced enabled entries). It is one of the
+//! buffers a worker's [`SearchScratch`](crate::SearchScratch) carries from
+//! run to run, cleared by [`SearchScratch::prepare`](crate::SearchScratch::prepare)
+//! with both allocations kept.
 
 use plankton_net::topology::NodeId;
 use plankton_protocols::rpvp::EnabledChoice;

@@ -9,7 +9,10 @@
 //! back in one arena ([`StateArena`]) behind a chained hash index; a hash hit
 //! is confirmed by comparing the stored handles with the live state, so the
 //! set has no false positives, and clearing it keeps every buffer, so a
-//! warmed worker's runs insert without allocating.
+//! warmed worker's runs insert without allocating. Which of the two a run
+//! records into is chosen in one place,
+//! [`SearchScratch::prepare`](crate::SearchScratch::prepare), from
+//! [`SearchOptions::bitstate_bits`](crate::SearchOptions::bitstate_bits).
 
 use plankton_protocols::{RouteHandle, RouteInterner};
 use std::collections::hash_map::DefaultHasher;
@@ -165,8 +168,8 @@ pub struct BloomFilter {
 impl BloomFilter {
     /// The actual bit-array size allocated for a requested size: rounded up
     /// to a power of two, with a 1024-bit floor. Shared with
-    /// [`SearchScratch`](crate::SearchScratch) so its reuse check can never
-    /// drift from the allocation policy.
+    /// [`SearchScratch::prepare`](crate::SearchScratch::prepare) so its reuse
+    /// check can never drift from the allocation policy.
     pub fn rounded_bits(bits: usize) -> usize {
         bits.next_power_of_two().max(1024)
     }
@@ -254,6 +257,12 @@ pub enum VisitedSet {
     /// Bitstate hashing: store only Bloom-filter bits of the state
     /// fingerprint.
     Bitstate(BloomFilter),
+}
+
+impl Default for VisitedSet {
+    fn default() -> Self {
+        Self::exact()
+    }
 }
 
 impl VisitedSet {

@@ -198,18 +198,12 @@ fn assert_warm_run_emits_without_allocating(options: SearchOptions) {
     let model = TwoRelays::new(leaves);
     let mut scratch = SearchScratch::new();
     let mut run = || {
-        let parts = scratch.take_parts(&options);
-        let checker = ModelChecker::new_with_scratch(
-            &model,
-            Box::new(NoPor),
-            options.clone(),
-            FailureSet::none(),
-            parts,
-        );
+        let checker =
+            ModelChecker::new(&model, Box::new(NoPor), options.clone(), FailureSet::none());
         // Allocation count at the first emit, and the next hops read.
         let mut first_emit = None;
         let mut via_relay = 0u64;
-        let (stats, parts) = checker.run_returning(&mut |state, _| {
+        let stats = checker.run_in(&mut scratch, &mut |state, _| {
             first_emit.get_or_insert_with(allocations);
             for n in 0..state.node_count() as u32 {
                 let n = NodeId(n);
@@ -219,7 +213,6 @@ fn assert_warm_run_emits_without_allocating(options: SearchOptions) {
             Verdict::Continue
         });
         let allocated = allocations() - first_emit.expect("the run converges");
-        scratch.put_parts(parts);
         (stats, via_relay, allocated)
     };
     // Warm-up: interns every route and sizes every pooled buffer.

@@ -156,8 +156,9 @@ impl serde::Sink for Fingerprinter {
 /// serve results keyed under different semantics.
 ///
 /// History: 1 = byte-wise FNV-1a over the serde `Value` tree; 2 = word-wise
-/// FNV-1a over the streamed shape.
-pub const FINGERPRINT_SCHEME_VERSION: u32 = 2;
+/// FNV-1a over the streamed shape; 3 = the options fingerprint no longer
+/// hashes a converged-state limit (the search option is gone).
+pub const FINGERPRINT_SCHEME_VERSION: u32 = 3;
 
 /// Fingerprint one serializable value.
 pub fn fingerprint_of<T: Serialize + ?Sized>(t: &T) -> u64 {

@@ -162,12 +162,6 @@ impl Network {
         &mut self.devices[n.index()]
     }
 
-    /// Replace the configuration of device `n`, builder-style.
-    pub fn with_device(mut self, n: NodeId, config: DeviceConfig) -> Self {
-        self.devices[n.index()] = config;
-        self
-    }
-
     /// Number of devices.
     pub fn node_count(&self) -> usize {
         self.topology.node_count()

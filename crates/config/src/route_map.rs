@@ -229,12 +229,6 @@ impl RouteMap {
             || (self.clauses.len() == 1 && self.clauses[0] == RouteMapClause::permit_any())
     }
 
-    /// Add a clause at the end, builder-style.
-    pub fn with_clause(mut self, clause: RouteMapClause) -> Self {
-        self.clauses.push(clause);
-        self
-    }
-
     /// Evaluate the map on `route` exchanged with `peer`. Returns the
     /// (possibly rewritten) route if permitted, `None` if denied.
     pub fn apply(&self, route: &RouteAttrs, peer: NodeId) -> Option<RouteAttrs> {

@@ -155,7 +155,6 @@ impl PlanktonOptions {
             None => fp.write_u8(0xfe),
         }
         fp.write_u64(s.bitstate_bits.map(|b| b as u64).unwrap_or(u64::MAX));
-        fp.write_u64(s.max_converged_states.map(|b| b as u64).unwrap_or(u64::MAX));
         fp.write_u64(s.max_steps);
         fp.finish()
     }

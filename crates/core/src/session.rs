@@ -428,9 +428,9 @@ pub struct PecSession<'a> {
     /// source may traverse IGP transit nodes that have not yet selected
     /// their route in the partial state.
     pub has_dependencies: bool,
-    /// Reusable per-worker search state (visited-set allocations), when the
-    /// session runs inside the parallel engine. `None` allocates fresh state
-    /// per model-checking run.
+    /// The worker's search scratch, borrowed by each model-checking run,
+    /// when the session runs inside the parallel engine. `None` allocates
+    /// fresh state per run.
     pub scratch: Option<&'a RefCell<SearchScratch>>,
 }
 
@@ -541,24 +541,11 @@ impl<'a> PecSession<'a> {
             let checker = ReferenceChecker::new(model, por, search_options, self.failures.clone());
             return checker.run(&mut callback);
         }
-        let checker = match self.scratch {
-            Some(scratch) => {
-                let parts = scratch.borrow_mut().take_parts(&search_options);
-                ModelChecker::new_with_scratch(
-                    model,
-                    por,
-                    search_options,
-                    self.failures.clone(),
-                    parts,
-                )
-            }
-            None => ModelChecker::new(model, por, search_options, self.failures.clone()),
-        };
-        let (stats, parts) = checker.run_returning(&mut callback);
-        if let Some(scratch) = self.scratch {
-            scratch.borrow_mut().put_parts(parts);
+        let checker = ModelChecker::new(model, por, search_options, self.failures.clone());
+        match self.scratch {
+            Some(scratch) => checker.run_in(&mut scratch.borrow_mut(), &mut callback),
+            None => checker.run(&mut callback),
         }
-        stats
     }
 
     /// Model check `cfg`'s instance of `protocol`, keeping every converged

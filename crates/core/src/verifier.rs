@@ -337,7 +337,7 @@ impl Plankton {
                 policy_sources: ctx.policy.sources(),
                 has_dependents: component_has_dependents,
                 has_dependencies: component_has_dependencies,
-                scratch: Some(worker.scratch_cell()),
+                scratch: Some(worker.scratch()),
             };
             // One pass per plane, as the explorer finds it: §3.5 signature,
             // dedupe, policy check; plus the record dependents read.

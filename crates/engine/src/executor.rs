@@ -23,7 +23,7 @@ use crate::graph::{TaskGraph, TaskId};
 use crate::queue::TaskQueue;
 use crate::stats::{EngineStats, TaskFailure};
 use plankton_checker::SearchScratch;
-use std::cell::{Cell, RefCell, RefMut};
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -218,15 +218,9 @@ impl<'e> WorkerContext<'e> {
         self.shared.stop_requested()
     }
 
-    /// This worker's reusable search scratch (visited-set allocations shared
-    /// across the worker's sequence of model-checking runs).
-    pub fn scratch(&self) -> RefMut<'_, SearchScratch> {
-        self.scratch.borrow_mut()
-    }
-
-    /// The scratch cell itself, for threading into code that borrows it
-    /// per model-checking run.
-    pub fn scratch_cell(&self) -> &RefCell<SearchScratch> {
+    /// This worker's search scratch, which each of its model-checking runs
+    /// borrows in turn.
+    pub fn scratch(&self) -> &RefCell<SearchScratch> {
         &self.scratch
     }
 
@@ -531,9 +525,7 @@ mod tests {
         let graph = TaskGraph::new(8);
         let opts = plankton_checker::SearchOptions::all_optimizations();
         let stats = Engine::new(2).run(&graph, |_, ctx| {
-            let mut scratch = ctx.scratch();
-            let visited = scratch.take_visited(&opts);
-            scratch.put_visited(visited);
+            ctx.scratch().borrow_mut().prepare(&opts);
         });
         // 8 runs across 2 workers: at least 6 visited-set reuses.
         assert!(stats.scratch_reuses >= 6, "{stats}");

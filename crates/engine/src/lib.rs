@@ -26,9 +26,10 @@
 //!   the caller asked for all violations), and an [`stats::EngineStats`]
 //!   snapshot of what the pool did;
 //! * per-worker [`SearchScratch`](plankton_checker::SearchScratch) reuse —
-//!   each worker hands the visited-set allocation of its previous
-//!   model-checking run to the next one, killing the per-task allocation
-//!   churn.
+//!   each worker's model-checking runs borrow one scratch in turn
+//!   ([`WorkerContext::scratch`](executor::WorkerContext::scratch)), so a run
+//!   finds the previous run's visited set, undo stack, warm interner and
+//!   snapshot buffers still allocated.
 //!
 //! The engine is deliberately generic: it executes *tasks* identified by
 //! [`graph::TaskId`] and knows nothing about PECs beyond the convenience

@@ -100,11 +100,6 @@ impl AsTopology {
         self.link_weights[link.index()]
     }
 
-    /// All destination prefixes originated in this AS.
-    pub fn all_prefixes(&self) -> Vec<Prefix> {
-        self.access_prefixes.clone()
-    }
-
     /// An ingress router with more than one incident link (as the paper's
     /// Figure 7(d) experiment requires). Deterministic for a given topology.
     pub fn multi_homed_ingress(&self) -> NodeId {

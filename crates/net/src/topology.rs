@@ -13,7 +13,7 @@ use std::fmt;
 /// Identifier of a device (router or host) in a [`Topology`].
 ///
 /// Node ids are dense indices assigned in insertion order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

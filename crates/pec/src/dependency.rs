@@ -18,7 +18,7 @@
 use crate::pec::{PecId, PecSet};
 use plankton_config::Network;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The dependency graph over a [`PecSet`].
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -296,16 +296,6 @@ impl PecDependencies {
             .collect();
         out.sort();
         out
-    }
-
-    /// A map from component index to the PECs it contains, useful for
-    /// reporting.
-    pub fn components_by_index(&self) -> BTreeMap<usize, Vec<PecId>> {
-        self.components
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, c.clone()))
-            .collect()
     }
 }
 

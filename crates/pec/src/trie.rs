@@ -74,12 +74,6 @@ impl<T> PrefixTrie<T> {
         self.len += 1;
     }
 
-    /// Mark `prefix` as a partition boundary without attaching a payload.
-    pub fn insert_boundary(&mut self, prefix: Prefix) {
-        let node = self.node_mut(prefix);
-        node.terminal = true;
-    }
-
     fn node_mut(&mut self, prefix: Prefix) -> &mut Node<T> {
         let mut node = &mut self.root;
         for i in 0..prefix.len() {

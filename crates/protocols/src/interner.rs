@@ -23,8 +23,9 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Handle of an interned route. `NONE` represents `⊥` (no route).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+/// Handle of an interned route. `NONE` represents `⊥` (no route), and is
+/// the default.
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RouteHandle(pub u64);
 
 impl RouteHandle {
@@ -91,6 +92,9 @@ pub struct RouteInterner {
 
 /// The per-route term of the memory estimate (doubled by the reporting
 /// methods: the route is referenced from both the map key and the table).
+/// `size_of::<Route>()` includes the path's inline buffer, so the layout of
+/// [`HopVec`](crate::HopVec) is part of every report's
+/// `approx_memory_bytes` (its tests pin it).
 fn route_bytes(r: &Route) -> usize {
     std::mem::size_of::<Route>()
         + r.path.len() * std::mem::size_of::<u32>()

@@ -1,4 +1,9 @@
 //! The route representation shared by every protocol model.
+//!
+//! A route's node path is a [`HopVec`], the RPVP layer's inline vector: up to
+//! four hops live inside the `Route`, so the clones the checker makes of
+//! adopted and extended routes allocate nothing for the short paths real
+//! networks have.
 
 use crate::hopvec::HopVec;
 use plankton_config::route_map::RouteAttrs;
@@ -142,11 +147,11 @@ mod tests {
     fn extension_prepends_advertiser() {
         let origin = Route::originated(prefix());
         let at_neighbor = origin.extended_through(NodeId(5));
-        assert_eq!(at_neighbor.path, vec![NodeId(5)]);
+        assert_eq!(*at_neighbor.path, [NodeId(5)]);
         assert_eq!(at_neighbor.next_hop(), Some(NodeId(5)));
         assert_eq!(at_neighbor.origin_node(), Some(NodeId(5)));
         let further = at_neighbor.extended_through(NodeId(7));
-        assert_eq!(further.path, vec![NodeId(7), NodeId(5)]);
+        assert_eq!(*further.path, [NodeId(7), NodeId(5)]);
         assert_eq!(further.next_hop(), Some(NodeId(7)));
         assert_eq!(further.origin_node(), Some(NodeId(5)));
         assert_eq!(further.rest(), &[NodeId(5)]);

@@ -15,7 +15,9 @@
 //! ([`RouteInterner`](crate::interner::RouteInterner) threaded through every
 //! method), so [`RpvpState`] is a flat vector of
 //! [`RouteHandle`](crate::interner::RouteHandle)s, a step is an integer
-//! swap, an undo record is a single `Copy` handle, and visited-state checks
+//! swap, an undo record is a single `Copy` handle, an enabled entry's
+//! maximal updates are an inline [`UpdateVec`] of `(peer, handle)` pairs
+//! (the same inline vector as a route's path), and visited-state checks
 //! upstream hash and compare handles with no re-interning pass. Converged
 //! states leave the layer the same way: a [`ConvergedState`] is a borrowed
 //! view of the live handle vector and the interner, so emitting one to a
@@ -40,6 +42,7 @@
 //! heuristic reads; the rules, the argument that they are exact, and the
 //! cases that fall back to the full routine are on the type.
 
+use crate::hopvec::InlineVec;
 use crate::interner::{RouteHandle, RouteInterner};
 use crate::model::{Preference, ProtocolModel, ReversePeer};
 use crate::route::Route;
@@ -102,93 +105,11 @@ impl RpvpState {
     }
 }
 
-/// An inline small-vector of `(peer, interned advertisement)` pairs — the
-/// payload of [`EnabledChoice::best_updates`]. Branch-heavy searches clone
-/// enabled choices at every branch point; with up to [`UpdateVec::INLINE`]
-/// entries in place that clone is a `memcpy`, matching the
-/// [`HopVec`](crate::hopvec::HopVec) treatment of route paths.
-#[derive(Clone)]
-pub struct UpdateVec {
-    len: u8,
-    buf: [(NodeId, RouteHandle); Self::INLINE],
-    spill: Vec<(NodeId, RouteHandle)>,
-}
-
-impl UpdateVec {
-    /// Entries stored without a heap allocation.
-    pub const INLINE: usize = 4;
-
-    /// An empty update list.
-    pub fn new() -> Self {
-        UpdateVec {
-            len: 0,
-            buf: [(NodeId(0), RouteHandle::NONE); Self::INLINE],
-            spill: Vec::new(),
-        }
-    }
-
-    /// Append one entry, spilling to the heap past the inline capacity.
-    pub fn push(&mut self, entry: (NodeId, RouteHandle)) {
-        let n = self.len as usize;
-        if self.spill.is_empty() && n < Self::INLINE {
-            self.buf[n] = entry;
-            self.len += 1;
-        } else {
-            if self.spill.is_empty() {
-                self.spill.reserve(Self::INLINE * 2);
-                self.spill.extend_from_slice(&self.buf[..n]);
-                self.len = 0;
-            }
-            self.spill.push(entry);
-        }
-    }
-
-    /// The entries as a slice.
-    pub fn as_slice(&self) -> &[(NodeId, RouteHandle)] {
-        if self.spill.is_empty() {
-            &self.buf[..self.len as usize]
-        } else {
-            &self.spill
-        }
-    }
-}
-
-impl Default for UpdateVec {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::ops::Deref for UpdateVec {
-    type Target = [(NodeId, RouteHandle)];
-    fn deref(&self) -> &[(NodeId, RouteHandle)] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for UpdateVec {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for UpdateVec {}
-
-impl std::fmt::Debug for UpdateVec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        std::fmt::Debug::fmt(self.as_slice(), f)
-    }
-}
-
-impl FromIterator<(NodeId, RouteHandle)> for UpdateVec {
-    fn from_iter<I: IntoIterator<Item = (NodeId, RouteHandle)>>(iter: I) -> Self {
-        let mut out = UpdateVec::new();
-        for e in iter {
-            out.push(e);
-        }
-        out
-    }
-}
+/// The `(peer, interned advertisement)` pairs of
+/// [`EnabledChoice::best_updates`], inline up to four entries: branch-heavy
+/// searches clone enabled choices at every branch point, and inline that
+/// clone is a `memcpy`.
+pub type UpdateVec = InlineVec<(NodeId, RouteHandle), 4>;
 
 /// One entry of the enabled set: a node that must still act, why it is
 /// enabled, and the peers whose advertisements are maximal for it (the
@@ -509,29 +430,7 @@ impl<'m> Rpvp<'m> {
         };
         match state.best(head, interner) {
             None => true,
-            Some(head_route) => head_route.path != route.rest(),
-        }
-    }
-
-    /// Can `peer` produce an advertisement that `n` strictly prefers over its
-    /// current best route? Returns that advertisement if so.
-    pub fn update_from(
-        &self,
-        state: &RpvpState,
-        interner: &RouteInterner,
-        n: NodeId,
-        peer: NodeId,
-    ) -> Option<Route> {
-        let adv = self.advertisement(state, interner, peer, n)?;
-        match state.best(n, interner) {
-            None => Some(adv),
-            Some(current) => {
-                if self.model.prefer(n, &adv, current) == Preference::Better {
-                    Some(adv)
-                } else {
-                    None
-                }
-            }
+            Some(head_route) => head_route.path.as_slice() != route.rest(),
         }
     }
 
@@ -1536,21 +1435,6 @@ mod tests {
             .collect();
         let rebuilt = RpvpState::from_routes(&routes, &mut interner);
         assert_eq!(rebuilt, s, "re-interning the same routes hits same handles");
-    }
-
-    #[test]
-    fn update_vec_spills_past_inline_capacity() {
-        let mut v = UpdateVec::new();
-        for i in 0..UpdateVec::INLINE as u32 + 2 {
-            v.push((NodeId(i), RouteHandle(i as u64 + 1)));
-        }
-        assert_eq!(v.len(), UpdateVec::INLINE + 2);
-        for (i, &(n, h)) in v.iter().enumerate() {
-            assert_eq!(n, NodeId(i as u32));
-            assert_eq!(h, RouteHandle(i as u64 + 1));
-        }
-        let w: UpdateVec = v.iter().copied().collect();
-        assert_eq!(v, w);
     }
 
     fn eligible_for(m: &dyn ProtocolModel) -> Vec<bool> {

@@ -1084,19 +1084,6 @@ impl ServiceSession {
         let (of, report) = reports.get(policy)?;
         Arc::ptr_eq(of, &current).then(|| report.clone())
     }
-
-    /// Does any stored current-snapshot report violate for this PEC?
-    pub fn pec_holds_everywhere(&self, pec: plankton_pec::PecId) -> bool {
-        let Some(verifier) = self.verifier() else {
-            return true;
-        };
-        let current = verifier.snapshot();
-        self.last_reports
-            .lock()
-            .values()
-            .filter(|(of, _)| Arc::ptr_eq(of, &current))
-            .all(|(_, r)| !r.violations.iter().any(|v| v.pec == pec))
-    }
 }
 
 /// Owner of the background drain thread started by
