@@ -1,13 +1,11 @@
 //! Configuration deltas: the small, operator-shaped edits the incremental
 //! verification service accepts between verifications.
 //!
-//! A [`ConfigDelta`] is applied to a [`Network`] in place and reports a
-//! [`DeltaTouch`]: the prefixes, devices and links whose configuration
-//! surface the edit touched. The touch set is the *diff layer* the service
-//! uses for reporting and coarse invalidation accounting; the authoritative
-//! cache-invalidation decision is made per PEC from content fingerprints
-//! (see `plankton-pec`'s invalidation module), so a delta can never
-//! under-invalidate even if its touch set were imprecise.
+//! A [`ConfigDelta`] is applied to a [`Network`] in place; on error the
+//! network is unchanged. A delta does not say what it dirtied: which cached
+//! results it made stale is decided per (PEC × failure set) task from
+//! content keys over the edited network (see `plankton-pec`'s invalidation
+//! module), so a new delta kind needs no invalidation rule of its own.
 //!
 //! Topology shape is append-only: `NodeAdd` appends node/link ids (existing
 //! ids are never renumbered) and `NodeRemove` *drains* a device — its
@@ -90,27 +88,6 @@ pub enum ConfigDelta {
     },
 }
 
-/// What a delta touched, for reporting and coarse invalidation accounting.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct DeltaTouch {
-    /// Prefixes whose configuration surface changed (static route targets,
-    /// route-map matches, originated networks, loopback host prefixes).
-    pub prefixes: Vec<Prefix>,
-    /// Devices whose configuration changed.
-    pub devices: Vec<NodeId>,
-    /// Links whose state or cost changed.
-    pub links: Vec<LinkId>,
-    /// Did the delta change the protocol-visible topology (link state,
-    /// costs, node set)? Such deltas can dirty every PEC that runs a
-    /// protocol over the changed element.
-    pub topology: bool,
-    /// For OSPF edits: the speaker-component members the edit can influence
-    /// (an OSPF change cannot leak across component boundaries). `None`
-    /// means unscoped — the edit may affect any OSPF PEC.
-    #[serde(default)]
-    pub ospf_region: Option<Vec<NodeId>>,
-}
-
 /// Why a delta could not be applied.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DeltaError {
@@ -169,7 +146,7 @@ impl ConfigDelta {
 
     /// Apply the delta to `network` in place. On error the network is
     /// unchanged.
-    pub fn apply(&self, network: &mut Network) -> Result<DeltaTouch, DeltaError> {
+    pub fn apply(&self, network: &mut Network) -> Result<(), DeltaError> {
         let check_device = |n: NodeId| {
             if n.index() < network.node_count() {
                 Ok(())
@@ -191,13 +168,7 @@ impl ConfigDelta {
                     return Err(DeltaError::NoOp(format!("{link} is already down")));
                 }
                 network.set_link_down(*link);
-                // Only the link's state changed — the endpoint devices keep
-                // their configuration, so they are not config-touched.
-                Ok(DeltaTouch {
-                    links: vec![*link],
-                    topology: true,
-                    ..Default::default()
-                })
+                Ok(())
             }
             ConfigDelta::LinkUp { link } => {
                 check_link(*link)?;
@@ -205,11 +176,7 @@ impl ConfigDelta {
                     return Err(DeltaError::NoOp(format!("{link} is already up")));
                 }
                 network.set_link_up(*link);
-                Ok(DeltaTouch {
-                    links: vec![*link],
-                    topology: true,
-                    ..Default::default()
-                })
+                Ok(())
             }
             ConfigDelta::OspfCostChange { device, link, cost } => {
                 check_device(*device)?;
@@ -220,35 +187,16 @@ impl ConfigDelta {
                 if *cost == 0 {
                     return Err(DeltaError::ZeroOspfCost(*device, *link));
                 }
-                // The region the edit can influence: the device's speaker
-                // component *before and after* the edit (a cost change never
-                // alters adjacency, so the two coincide). `ospf_region_of` is
-                // `Some` exactly when the device runs OSPF.
-                let Some(region) = network.ospf_region_of(*device) else {
+                let Some(ospf) = network.device_mut(*device).ospf.as_mut() else {
                     return Err(DeltaError::NoOspfProcess(*device));
                 };
-                let ospf = network
-                    .device_mut(*device)
-                    .ospf
-                    .as_mut()
-                    .expect("ospf_region_of implies an OSPF process");
                 ospf.interface_costs.insert(*link, *cost);
-                Ok(DeltaTouch {
-                    devices: vec![*device],
-                    links: vec![*link],
-                    topology: true,
-                    ospf_region: Some(region),
-                    ..Default::default()
-                })
+                Ok(())
             }
             ConfigDelta::StaticRouteAdd { device, route } => {
                 check_device(*device)?;
                 network.device_mut(*device).static_routes.push(*route);
-                Ok(DeltaTouch {
-                    prefixes: vec![route.prefix],
-                    devices: vec![*device],
-                    ..Default::default()
-                })
+                Ok(())
             }
             ConfigDelta::StaticRouteRemove { device, prefix } => {
                 check_device(*device)?;
@@ -260,11 +208,7 @@ impl ConfigDelta {
                         "{device} has no static route for {prefix}"
                     )));
                 }
-                Ok(DeltaTouch {
-                    prefixes: vec![*prefix],
-                    devices: vec![*device],
-                    ..Default::default()
-                })
+                Ok(())
             }
             ConfigDelta::BgpPolicyEdit {
                 device,
@@ -284,22 +228,13 @@ impl ConfigDelta {
                         "neither import nor export given for {device}→{peer}"
                     )));
                 }
-                let mut prefixes = Vec::new();
                 if let Some(map) = import {
-                    prefixes.extend(map.referenced_prefixes());
                     nbr.import = map.clone();
                 }
                 if let Some(map) = export {
-                    prefixes.extend(map.referenced_prefixes());
                     nbr.export = map.clone();
                 }
-                prefixes.sort();
-                prefixes.dedup();
-                Ok(DeltaTouch {
-                    prefixes,
-                    devices: vec![*device, *peer],
-                    ..Default::default()
-                })
+                Ok(())
             }
             ConfigDelta::NodeAdd {
                 name,
@@ -321,24 +256,11 @@ impl ConfigDelta {
                 if let Some(lb) = loopback {
                     network.topology.assign_loopback(id, *lb);
                 }
-                let mut new_links = Vec::new();
                 for &peer in links {
-                    new_links.push(network.topology.grow_link(id, peer));
+                    network.topology.grow_link(id, peer);
                 }
                 network.devices.push(config.clone());
-                let mut prefixes = config.referenced_prefixes();
-                if let Some(lb) = loopback {
-                    prefixes.push(Prefix::host(*lb));
-                }
-                prefixes.sort();
-                prefixes.dedup();
-                Ok(DeltaTouch {
-                    prefixes,
-                    devices: vec![id],
-                    links: new_links,
-                    topology: true,
-                    ospf_region: None,
-                })
+                Ok(())
             }
             ConfigDelta::NodeRemove { device } => {
                 check_device(*device)?;
@@ -350,29 +272,17 @@ impl ConfigDelta {
                 if !network.devices[device.index()].is_configured() && !incident_up {
                     return Err(DeltaError::NoOp(format!("{device} is already drained")));
                 }
-                let old = std::mem::take(&mut network.devices[device.index()]);
-                let mut prefixes = old.referenced_prefixes();
-                if let Some(lb) = network.topology.node(*device).loopback {
-                    prefixes.push(Prefix::host(lb));
-                }
-                prefixes.sort();
-                prefixes.dedup();
+                network.devices[device.index()] = DeviceConfig::default();
                 let incident: Vec<LinkId> = network
                     .topology
                     .neighbors(*device)
                     .iter()
                     .map(|&(_, l)| l)
                     .collect();
-                for &l in &incident {
+                for l in incident {
                     network.set_link_down(l);
                 }
-                Ok(DeltaTouch {
-                    prefixes,
-                    devices: vec![*device],
-                    links: incident,
-                    topology: true,
-                    ospf_region: None,
-                })
+                Ok(())
             }
         }
     }
@@ -388,8 +298,7 @@ mod tests {
         let s = ring_ospf(4);
         let mut net = s.network.clone();
         let link = s.ring.links[0];
-        let touch = ConfigDelta::LinkDown { link }.apply(&mut net).unwrap();
-        assert!(touch.topology);
+        ConfigDelta::LinkDown { link }.apply(&mut net).unwrap();
         assert!(net.is_link_down(link));
         // Downing again is a no-op error.
         assert!(matches!(
@@ -408,11 +317,10 @@ mod tests {
         let device = s.fat_tree.core[0];
         let prefix = s.destinations[0];
         let route = StaticRoute::null(prefix);
-        let touch = ConfigDelta::StaticRouteAdd { device, route }
+        ConfigDelta::StaticRouteAdd { device, route }
             .apply(&mut net)
             .unwrap();
-        assert_eq!(touch.prefixes, vec![prefix]);
-        assert!(!touch.topology);
+        assert_ne!(net.fingerprint(), s.network.fingerprint());
         ConfigDelta::StaticRouteRemove { device, prefix }
             .apply(&mut net)
             .unwrap();
@@ -440,15 +348,59 @@ mod tests {
             net.device(device).ospf.as_ref().unwrap().cost(link),
             Some(42)
         );
-        // A link not touching the device is rejected.
-        let far_link = s.ring.links[2];
-        assert!(ConfigDelta::OspfCostChange {
-            device,
-            link: far_link,
-            cost: 1,
+    }
+
+    /// Each refused `OspfCostChange` names its reason and leaves the network
+    /// byte-identical.
+    #[test]
+    fn refused_ospf_cost_changes_leave_the_network_unchanged() {
+        let s = ring_ospf(4);
+        let mut net = s.network.clone();
+        let (device, link) = (s.ring.routers[0], s.ring.links[0]);
+        let bare = s.ring.routers[1];
+        net.device_mut(bare).ospf = None;
+        let bare_link = *s
+            .ring
+            .links
+            .iter()
+            .find(|&&l| net.topology.link(l).touches(bare))
+            .unwrap();
+        let far_link = *s
+            .ring
+            .links
+            .iter()
+            .find(|&&l| !net.topology.link(l).touches(device))
+            .unwrap();
+        let before = net.to_json();
+        for (delta, expected) in [
+            (
+                ConfigDelta::OspfCostChange {
+                    device: bare,
+                    link: bare_link,
+                    cost: 5,
+                },
+                DeltaError::NoOspfProcess(bare),
+            ),
+            (
+                ConfigDelta::OspfCostChange {
+                    device,
+                    link: far_link,
+                    cost: 5,
+                },
+                DeltaError::UnknownLink(far_link),
+            ),
+            (
+                ConfigDelta::OspfCostChange {
+                    device,
+                    link,
+                    cost: 0,
+                },
+                DeltaError::ZeroOspfCost(device, link),
+            ),
+        ] {
+            assert_eq!(delta.apply(&mut net), Err(expected));
+            assert_eq!(net.to_json(), before, "{delta:?}");
         }
-        .apply(&mut net)
-        .is_err());
     }
 
     #[test]
@@ -457,7 +409,7 @@ mod tests {
         let mut net = s.network.clone();
         let n_before = net.node_count();
         let l_before = net.topology.link_count();
-        let touch = ConfigDelta::NodeAdd {
+        ConfigDelta::NodeAdd {
             name: "new-r".into(),
             loopback: Some(Ipv4Addr::new(9, 9, 9, 9)),
             links: vec![s.ring.routers[0], s.ring.routers[2]],
@@ -467,10 +419,12 @@ mod tests {
         .unwrap();
         assert_eq!(net.node_count(), n_before + 1);
         assert_eq!(net.topology.link_count(), l_before + 2);
-        assert_eq!(touch.devices, vec![NodeId(n_before as u32)]);
-        assert!(touch
-            .prefixes
-            .contains(&Prefix::host(Ipv4Addr::new(9, 9, 9, 9))));
+        let id = NodeId(n_before as u32);
+        assert_eq!(net.topology.node(id).name, "new-r");
+        assert_eq!(
+            net.topology.node(id).loopback,
+            Some(Ipv4Addr::new(9, 9, 9, 9))
+        );
         // Old ids untouched.
         assert_eq!(
             net.topology.node(s.ring.routers[1]).name,
@@ -493,12 +447,13 @@ mod tests {
         let s = ring_ospf(4);
         let mut net = s.network.clone();
         let victim = s.ring.routers[2];
-        let touch = ConfigDelta::NodeRemove { device: victim }
+        ConfigDelta::NodeRemove { device: victim }
             .apply(&mut net)
             .unwrap();
         assert!(!net.device(victim).is_configured());
-        assert_eq!(touch.links.len(), 2);
-        for l in touch.links {
+        let incident = net.topology.neighbors(victim);
+        assert_eq!(incident.len(), 2);
+        for &(_, l) in incident {
             assert!(net.is_link_down(l));
         }
     }

@@ -58,27 +58,6 @@ impl DeviceConfig {
         self.ospf.is_some()
     }
 
-    /// Every prefix this device's configuration mentions: originated
-    /// networks, static route destinations and route-map matches. The PEC
-    /// trie is seeded with these (§3.1).
-    pub fn referenced_prefixes(&self) -> Vec<Prefix> {
-        let mut out = Vec::new();
-        if let Some(ospf) = &self.ospf {
-            out.extend_from_slice(&ospf.networks);
-        }
-        if let Some(bgp) = &self.bgp {
-            out.extend_from_slice(&bgp.networks);
-            for n in &bgp.neighbors {
-                out.extend(n.import.referenced_prefixes());
-                out.extend(n.export.referenced_prefixes());
-            }
-        }
-        for sr in &self.static_routes {
-            out.push(sr.prefix);
-        }
-        out
-    }
-
     /// The static routes whose prefix covers any part of `prefix`.
     pub fn static_routes_for(&self, prefix: &Prefix) -> Vec<&StaticRoute> {
         self.static_routes
@@ -106,12 +85,11 @@ mod tests {
     fn empty_device() {
         let d = DeviceConfig::empty();
         assert!(!d.is_configured());
-        assert!(d.referenced_prefixes().is_empty());
         assert!(d.bgp_peers().is_empty());
     }
 
     #[test]
-    fn referenced_prefixes_cover_all_sources() {
+    fn configured_device_reports_its_processes() {
         let d = DeviceConfig::empty()
             .with_ospf(OspfConfig::originating(vec!["10.0.0.0/24"
                 .parse()
@@ -122,8 +100,6 @@ mod tests {
                     .with_neighbor(BgpNeighborConfig::ebgp(NodeId(5), 65002)),
             )
             .with_static_route(StaticRoute::null("30.0.0.0/8".parse().unwrap()));
-        let ps = d.referenced_prefixes();
-        assert_eq!(ps.len(), 3);
         assert!(d.is_configured());
         assert!(d.runs_bgp());
         assert!(d.runs_ospf());

@@ -157,8 +157,9 @@ impl serde::Sink for Fingerprinter {
 ///
 /// History: 1 = byte-wise FNV-1a over the serde `Value` tree; 2 = word-wise
 /// FNV-1a over the streamed shape; 3 = the options fingerprint no longer
-/// hashes a converged-state limit (the search option is gone).
-pub const FINGERPRINT_SCHEME_VERSION: u32 = 3;
+/// hashes a converged-state limit (the search option is gone); 4 = nor a
+/// per-PEC data-plane limit (every converged plane is checked).
+pub const FINGERPRINT_SCHEME_VERSION: u32 = 4;
 
 /// Fingerprint one serializable value.
 pub fn fingerprint_of<T: Serialize + ?Sized>(t: &T) -> u64 {
@@ -307,15 +308,6 @@ impl Network {
         )
     }
 
-    /// The OSPF speaker component members around `device`, if it is a
-    /// speaker — the region an OSPF edit at `device` can influence, used by
-    /// the delta layer's advisory touch reporting.
-    pub fn ospf_region_of(&self, device: NodeId) -> Option<Vec<NodeId>> {
-        let components = self.ospf_components();
-        let c = components.component_of(device)?;
-        Some(components.members(c).to_vec())
-    }
-
     /// The scoped OSPF slicing state for this network: the OSPF speaker
     /// graph's connected components plus per-request closures, over the
     /// session-lifetime `memo` of competitive fingerprints. Compute once per
@@ -391,9 +383,8 @@ impl Network {
 /// half). Nothing in the key names a snapshot, so an entry never goes stale
 /// and there is no invalidation step: a delta that changes a cost changes
 /// the region hash and simply looks up (or computes) a different entry, and
-/// a restore to an earlier state finds the earlier entry again. The
-/// advisory `DeltaTouch` is never consulted. Debug builds recompute every
-/// hit and assert it equal.
+/// a restore to an earlier state finds the earlier entry again. Debug builds
+/// recompute every hit and assert it equal.
 ///
 /// **Bound.** Two generations of at most [`SliceMemo::GENERATION_ENTRIES`]
 /// fixed-size entries each — under half a megabyte in all. Inserts go to
@@ -970,7 +961,6 @@ mod tests {
         let memo = SliceMemo::new();
         let slices = net.ospf_scoped_slices(&memo);
         assert_eq!(slices.fingerprint(&[edge], &FailureSet::none()), None);
-        assert!(net.ospf_region_of(edge).is_none());
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod scenarios;
 pub mod static_routes;
 
 pub use bgp::{BgpConfig, BgpNeighborConfig, BgpSessionKind};
-pub use delta::{ConfigDelta, DeltaError, DeltaTouch};
+pub use delta::{ConfigDelta, DeltaError};
 pub use device::DeviceConfig;
 pub use fingerprint::{
     combine, fingerprint_of, Fingerprinter, OspfScopedSlices, SliceMemo, FINGERPRINT_SCHEME_VERSION,

@@ -183,24 +183,6 @@ impl Network {
             .collect()
     }
 
-    /// Every prefix referenced anywhere in the configuration (origins, static
-    /// routes, route maps) plus every loopback host prefix. This is the seed
-    /// set for the PEC trie (§3.1).
-    pub fn referenced_prefixes(&self) -> Vec<Prefix> {
-        let mut out: Vec<Prefix> = Vec::new();
-        for n in self.topology.node_ids() {
-            out.extend(self.device(n).referenced_prefixes());
-        }
-        for node in self.topology.nodes() {
-            if let Some(lb) = node.loopback {
-                out.push(Prefix::host(lb));
-            }
-        }
-        out.sort();
-        out.dedup();
-        out
-    }
-
     /// The devices that originate `prefix` into any protocol.
     pub fn origins_of(&self, prefix: &Prefix) -> Vec<NodeId> {
         self.topology
@@ -317,19 +299,6 @@ mod tests {
         let net = Network::unconfigured(t);
         assert!(net.validate().is_empty());
         assert!(net.bgp_speakers().is_empty());
-    }
-
-    #[test]
-    fn referenced_prefixes_include_loopbacks() {
-        let (t, a, _) = two_routers();
-        let mut net = Network::unconfigured(t);
-        net.device_mut(a).ospf = Some(OspfConfig::originating(vec!["10.0.0.0/24"
-            .parse()
-            .unwrap()]));
-        let ps = net.referenced_prefixes();
-        assert!(ps.contains(&"10.0.0.0/24".parse().unwrap()));
-        assert!(ps.contains(&Prefix::host(Ipv4Addr::new(1, 1, 1, 1))));
-        assert!(ps.contains(&Prefix::host(Ipv4Addr::new(2, 2, 2, 2))));
     }
 
     #[test]

@@ -24,10 +24,10 @@ use crate::options::PlanktonOptions;
 use crate::outcome::ConvergedRecord;
 use crate::report::{PhaseTimings, VerificationReport};
 use crate::verifier::Plankton;
-use plankton_config::{ConfigDelta, DeltaError, DeltaTouch, Network};
+use plankton_config::{ConfigDelta, DeltaError, Network};
 use plankton_engine::{pec_task_graph_sparse, Engine};
 use plankton_net::failure::FailureScenario;
-use plankton_pec::{pecs_touched_by, OspfSliceMode, PecId, TaskKeys};
+use plankton_pec::{OspfSliceMode, PecId, TaskKeys};
 use plankton_telemetry::trace::{self, Field, Level};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -35,18 +35,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Process-global incremental-path instruments, resolved once. The ratio of
-/// `plankton_tasks_rerun_total` to `plankton_pecs_dirty_advisory_total`
-/// (folded in by [`IncrementalVerifier::apply_deltas`] for every applied
-/// delta) is the invalidation precision the content keys buy over the
-/// advisory touch set.
+/// Process-global incremental-path instruments, resolved once.
 struct IncrementalMetrics {
     tasks_rerun: Arc<plankton_telemetry::Counter>,
     tasks_cached: Arc<plankton_telemetry::Counter>,
     key_memo_hits: Arc<plankton_telemetry::Counter>,
     key_memo_misses: Arc<plankton_telemetry::Counter>,
     key_memo_entries: Arc<plankton_telemetry::Gauge>,
-    pecs_dirty: Arc<plankton_telemetry::Counter>,
     swap_seconds: Arc<plankton_telemetry::Histogram>,
 }
 
@@ -55,11 +50,6 @@ fn incremental_metrics() -> &'static IncrementalMetrics {
     METRICS.get_or_init(|| {
         let registry = plankton_telemetry::metrics::global();
         IncrementalMetrics {
-            pecs_dirty: registry.counter(
-                "plankton_pecs_dirty_advisory_total",
-                "PECs the advisory touch set marked dirty across all deltas \
-                 (compare with plankton_tasks_rerun_total for invalidation precision).",
-            ),
             swap_seconds: registry.histogram(
                 "plankton_snapshot_swap_seconds",
                 "Delta apply end-to-end: analysis rebuild plus snapshot pointer swap.",
@@ -117,26 +107,20 @@ pub struct IncrementalRunStats {
     pub steps_cached: u64,
 }
 
-/// What one applied delta touched, as reported by
-/// [`IncrementalVerifier::apply_deltas`].
+/// One delta that [`IncrementalVerifier::apply_deltas`] applied. What it
+/// made stale is not reported here: the next verification's content keys
+/// decide that, and its [`IncrementalRunStats`] say what re-ran.
 #[derive(Clone, Debug)]
 pub struct AppliedDelta {
     /// The delta's kind tag (for logs/statistics).
     pub kind: &'static str,
-    /// What the config diff layer reports as touched.
-    pub touch: DeltaTouch,
-    /// The PECs (of the *post-batch* partition) the touch maps to, closed
-    /// under reverse dependencies — the advisory dirty set.
-    pub pecs_touched: BTreeSet<PecId>,
-    /// Number of PECs in the post-batch partition.
-    pub pecs_total: usize,
 }
 
 /// The result of applying a batch of deltas in one rebuild
 /// ([`IncrementalVerifier::apply_deltas`]).
 pub struct AppliedBatch {
-    /// Per input delta, in order: `Ok` carries the advisory dirty info,
-    /// `Err` the apply error. An errored delta left the network unchanged —
+    /// Per input delta, in order: `Ok` for an applied delta, `Err` the apply
+    /// error. An errored delta left the network unchanged —
     /// exactly what sequential replay of the same sequence would have done.
     pub outcomes: Vec<Result<AppliedDelta, DeltaError>>,
     /// Number of deltas that applied (the `Ok` outcomes).
@@ -147,9 +131,8 @@ pub struct AppliedBatch {
 }
 
 /// Instrument one rebuild of [`IncrementalVerifier::apply_deltas`]: the
-/// swap latency, the advisory dirty count of every applied delta, and one
-/// `delta_applied` event (`kind` is `mixed` when the applied deltas differ
-/// in kind; `pecs_touched` is the union of their dirty sets).
+/// swap latency and one `delta_applied` event (`kind` is `mixed` when the
+/// applied deltas differ in kind).
 fn record_rebuild(
     start: Instant,
     deltas: usize,
@@ -158,18 +141,12 @@ fn record_rebuild(
 ) {
     let elapsed = start.elapsed().as_micros() as u64;
     let applied: Vec<&AppliedDelta> = outcomes.iter().flatten().collect();
-    let dirty: usize = applied.iter().map(|a| a.pecs_touched.len()).sum();
-    let union: BTreeSet<PecId> = applied
-        .iter()
-        .flat_map(|a| a.pecs_touched.iter().copied())
-        .collect();
     let kind = match applied.split_first() {
         Some((first, rest)) if rest.iter().all(|a| a.kind == first.kind) => first.kind,
         _ => "mixed",
     };
     let metrics = incremental_metrics();
     metrics.swap_seconds.observe(elapsed);
-    metrics.pecs_dirty.add(dirty as u64);
     trace::event(
         Level::Info,
         "delta_applied",
@@ -177,7 +154,6 @@ fn record_rebuild(
             Field::str("kind", kind),
             Field::u64("applied", applied.len() as u64),
             Field::u64("skipped", (deltas - applied.len()) as u64),
-            Field::u64("pecs_touched", union.len() as u64),
             Field::u64("pecs_total", pecs_total as u64),
             Field::u64("elapsed_us", elapsed),
         ],
@@ -525,9 +501,9 @@ impl IncrementalVerifier {
     /// delta applied to it in order, one `Plankton::new` (PEC trie and
     /// dependency graph, built off-lock while concurrent verifies keep
     /// reading the old snapshot), one snapshot swap. N queued updates cost
-    /// one rebuild instead of N. Each applied delta's advisory dirty set is
-    /// its touch mapped through the post-batch partition. The result cache
-    /// is kept — content keys make stale entries unreachable.
+    /// one rebuild instead of N. The result cache is kept — content keys
+    /// make stale entries unreachable, so nothing here decides what a delta
+    /// dirtied.
     ///
     /// A delta that fails to apply (e.g. [`DeltaError::NoOp`] from an
     /// `[Up, Down]` pair coalesced to a no-op) is skipped and reported in its
@@ -550,42 +526,24 @@ impl IncrementalVerifier {
 
         let current = self.snapshot();
         let mut network = current.network().clone();
-        let touches: Vec<Result<DeltaTouch, DeltaError>> = deltas
+        let outcomes: Vec<Result<AppliedDelta, DeltaError>> = deltas
             .iter()
-            .map(|delta| delta.apply(&mut network))
+            .map(|delta| {
+                delta.apply(&mut network)?;
+                Ok(AppliedDelta { kind: delta.kind() })
+            })
             .collect();
-        let applied = touches.iter().filter(|touch| touch.is_ok()).count();
+        let applied = outcomes.iter().filter(|outcome| outcome.is_ok()).count();
         let snapshot = if applied == 0 {
             current
         } else {
-            Arc::new(Plankton::new(network))
-        };
-        let pecs_total = snapshot.pecs().len();
-        let outcomes: Vec<Result<AppliedDelta, DeltaError>> = deltas
-            .iter()
-            .zip(touches)
-            .map(|(delta, touch)| {
-                let touch = touch?;
-                let pecs_touched = pecs_touched_by(
-                    snapshot.network(),
-                    snapshot.pecs(),
-                    snapshot.dependencies(),
-                    &touch,
-                );
-                Ok(AppliedDelta {
-                    kind: delta.kind(),
-                    touch,
-                    pecs_touched,
-                    pecs_total,
-                })
-            })
-            .collect();
-        if applied > 0 {
+            let snapshot = Arc::new(Plankton::new(network));
             *self.snapshot.write() = Arc::clone(&snapshot);
             self.deltas_applied
                 .fetch_add(applied as u64, Ordering::Relaxed);
-            record_rebuild(start, deltas.len(), &outcomes, pecs_total);
-        }
+            record_rebuild(start, deltas.len(), &outcomes, snapshot.pecs().len());
+            snapshot
+        };
         AppliedBatch {
             outcomes,
             applied,
@@ -648,6 +606,65 @@ mod tests {
         assert_eq!(incr.normalized_json(), oneshot.normalized_json());
     }
 
+    /// Refused `OspfCostChange`s inside a batch are reported in their slots
+    /// and the deltas after them still apply.
+    #[test]
+    fn rejected_slots_do_not_stop_the_rest_of_a_batch() {
+        let s = ring_ospf(4);
+        let mut network = s.network.clone();
+        let bare = s.ring.routers[1];
+        network.device_mut(bare).ospf = None;
+        let (device, link) = (s.ring.routers[0], s.ring.links[0]);
+        let touching = |n, yes| {
+            *s.ring
+                .links
+                .iter()
+                .find(|&&l| network.topology.link(l).touches(n) == yes)
+                .expect("a ring has such a link")
+        };
+        let (bare_link, far_link) = (touching(bare, true), touching(device, false));
+        let applied = [
+            ConfigDelta::LinkDown {
+                link: s.ring.links[2],
+            },
+            ConfigDelta::OspfCostChange {
+                device,
+                link,
+                cost: 7,
+            },
+        ];
+        let cost = |device, link, cost| ConfigDelta::OspfCostChange { device, link, cost };
+        let batch = [
+            applied[0].clone(),
+            cost(bare, bare_link, 5),
+            cost(device, far_link, 5),
+            cost(device, link, 0),
+            applied[1].clone(),
+        ];
+        let session = IncrementalVerifier::new(network.clone());
+        let result = session.apply_deltas(&batch);
+        assert_eq!(result.applied, 2);
+        let errors: Vec<Option<DeltaError>> = result
+            .outcomes
+            .into_iter()
+            .map(|outcome| outcome.err())
+            .collect();
+        assert_eq!(
+            errors,
+            [
+                None,
+                Some(DeltaError::NoOspfProcess(bare)),
+                Some(DeltaError::UnknownLink(far_link)),
+                Some(DeltaError::ZeroOspfCost(device, link)),
+                None,
+            ]
+        );
+        for delta in &applied {
+            delta.apply(&mut network).unwrap();
+        }
+        assert_eq!(result.snapshot.network().to_json(), network.to_json());
+    }
+
     #[test]
     fn static_route_delta_reexplores_one_pec() {
         let s = fat_tree_ospf(4, CoreStaticRoutes::None);
@@ -664,7 +681,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(applied.kind, "static_route_add");
-        assert!(!applied.pecs_touched.is_empty());
 
         let (incr, run) = session.verify(&policy, 1, &scenario, &options);
         assert!(run.pecs_reexplored < run.pecs_checked, "{run:?}");

@@ -31,4 +31,4 @@ pub use incremental::{AppliedBatch, AppliedDelta, IncrementalRunStats, Increment
 pub use options::{PlanktonOptions, DEFAULT_SLOW_TASK_MICROS};
 pub use outcome::ConvergedRecord;
 pub use report::{PhaseTimings, VerificationReport, Violation};
-pub use verifier::{data_planes_capped_counter, Plankton};
+pub use verifier::Plankton;

@@ -28,9 +28,6 @@ pub struct PlanktonOptions {
     /// from the policy's point of view (same source path lengths, same
     /// interesting-node positions).
     pub equivalence_suppression: bool,
-    /// Upper bound on the number of combined data planes built per PEC and
-    /// failure scenario (cross product of per-prefix converged states).
-    pub max_data_planes_per_pec: usize,
     /// Optimization toggles forwarded to every model-checking run.
     pub search: SearchOptions,
     /// Abandon the run once this instant passes: remaining tasks drain via
@@ -55,7 +52,6 @@ impl Default for PlanktonOptions {
             stop_at_first_violation: true,
             restrict_to_prefixes: None,
             equivalence_suppression: true,
-            max_data_planes_per_pec: 512,
             search: SearchOptions::all_optimizations(),
             deadline: None,
             slow_task_micros: DEFAULT_SLOW_TASK_MICROS,
@@ -81,7 +77,6 @@ impl PlanktonOptions {
             stop_at_first_violation: true,
             restrict_to_prefixes: None,
             equivalence_suppression: false,
-            max_data_planes_per_pec: 512,
             search: SearchOptions::no_optimizations(),
             deadline: None,
             slow_task_micros: DEFAULT_SLOW_TASK_MICROS,
@@ -139,7 +134,6 @@ impl PlanktonOptions {
         fp.write_u8(self.lec_failure_pruning as u8);
         fp.write_u8(self.stop_at_first_violation as u8);
         fp.write_u8(self.equivalence_suppression as u8);
-        fp.write_u64(self.max_data_planes_per_pec as u64);
         match &self.restrict_to_prefixes {
             Some(prefixes) => fp.write(prefixes),
             None => fp.write_u8(0xff),

@@ -159,9 +159,6 @@ pub struct PlaneStream {
     pub stats: SearchStats,
     /// Planes handed to the sink.
     pub planes: u64,
-    /// Planes of the cross product that
-    /// [`PlanktonOptions::max_data_planes_per_pec`] kept from the sink.
-    pub capped: u64,
 }
 
 /// How a protocol instance's converged routes become FIB entries.
@@ -279,7 +276,6 @@ struct PlaneBuilder<'s> {
     base: &'s [Vec<FibEntry>],
     addr: Ipv4Addr,
     failures: &'s FailureSet,
-    cap: usize,
     /// The planes are built alternately in these two buffers, so the one
     /// before is still intact while the sink sees the current one.
     graphs: [ForwardingGraph; 2],
@@ -293,7 +289,6 @@ struct PlaneBuilder<'s> {
     /// Converged states the streamed prefix produced.
     states: u64,
     planes: u64,
-    capped: u64,
 }
 
 impl<'s> PlaneBuilder<'s> {
@@ -301,7 +296,6 @@ impl<'s> PlaneBuilder<'s> {
         session: &'s PecSession<'_>,
         collected: &'s [PrefixRun],
         base: &'s [Vec<FibEntry>],
-        cap: usize,
     ) -> Self {
         let n = session.network.node_count();
         PlaneBuilder {
@@ -309,31 +303,26 @@ impl<'s> PlaneBuilder<'s> {
             base,
             addr: session.pec.representative(),
             failures: session.failures,
-            cap,
             graphs: [ForwardingGraph::new(n), ForwardingGraph::new(n)],
             next: 0,
             selection: vec![0; collected.len()],
             hops: Vec::new(),
             states: 0,
             planes: 0,
-            capped: 0,
         }
     }
 
     /// Emit every plane that pairs `streamed` (`None`: the streamed prefix
     /// contributes its base entries only) with a selection of the collected
-    /// alternatives, in odometer order, until the cap is reached; count the
-    /// rest as capped.
+    /// alternatives, in odometer order.
     fn emit(&mut self, streamed: Option<&Streamed<'_>>, sink: &mut dyn FnMut(&PlaneRef<'_>)) {
         let selections: usize = self
             .collected
             .iter()
             .map(|run| run.alternatives.len())
             .product();
-        let build = selections.min(self.cap.saturating_sub(self.planes as usize));
-        self.capped += (selections - build) as u64;
         self.selection.fill(0);
-        for _ in 0..build {
+        for _ in 0..selections {
             self.build(streamed);
             let (control, trail) = self.control(streamed);
             sink(&PlaneRef {
@@ -627,8 +616,7 @@ impl<'a> PecSession<'a> {
     }
 
     /// Verify the PEC under this session's failure set, handing each
-    /// combined data plane to `sink` as it is built (bounded by
-    /// [`PlanktonOptions::max_data_planes_per_pec`]; see the module docs).
+    /// combined data plane to `sink` as it is built (see the module docs).
     pub fn stream_planes(&self, sink: &mut dyn FnMut(&PlaneRef<'_>)) -> PlaneStream {
         let n = self.network.node_count();
         let single_prefix = self.pec.prefixes.len() <= 1;
@@ -656,14 +644,7 @@ impl<'a> PecSession<'a> {
             Some((last, ..)) => self.base_entries(last),
             None => vec![Vec::new(); n],
         };
-        // A PEC with no configuration has a single all-blackhole data plane,
-        // not counted against the cap.
-        let cap = if self.pec.prefixes.is_empty() {
-            usize::MAX
-        } else {
-            self.options.max_data_planes_per_pec
-        };
-        let mut builder = PlaneBuilder::new(self, &collected, &base, cap);
+        let mut builder = PlaneBuilder::new(self, &collected, &base);
         if let Some((last, protocol, origins)) = streamed {
             let on_converged =
                 &mut |state: &ConvergedState<'_>, trail: &Trail, forwarder: &Forwarder<'_>| {
@@ -684,7 +665,6 @@ impl<'a> PecSession<'a> {
         PlaneStream {
             stats,
             planes: builder.planes,
-            capped: builder.capped,
         }
     }
 

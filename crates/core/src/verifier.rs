@@ -25,7 +25,7 @@ use crate::failures::failure_sets_to_explore;
 use crate::options::PlanktonOptions;
 use crate::outcome::ConvergedRecord;
 use crate::report::{VerificationReport, Violation};
-use crate::session::{PecSession, PlaneStream};
+use crate::session::PecSession;
 use crate::underlay::DependencyUnderlay;
 use parking_lot::Mutex;
 use plankton_checker::SearchStats;
@@ -391,14 +391,6 @@ impl Plankton {
                 }
             });
             result.stats = stream.stats;
-            if stream.capped > 0 {
-                record_capped(
-                    pec_id,
-                    failures,
-                    &stream,
-                    ctx.options.max_data_planes_per_pec,
-                );
-            }
             let elapsed = worker.lap_micros();
             let costs = plankton_telemetry::taskstats::global();
             costs.record_run(
@@ -474,38 +466,6 @@ impl Plankton {
             underlay.add_address_record(addr, &record);
         }
         underlay
-    }
-}
-
-/// The counter of planes [`PlanktonOptions::max_data_planes_per_pec`] kept
-/// from the policy (`plankton_data_planes_capped_total`).
-pub fn data_planes_capped_counter() -> &'static Arc<plankton_telemetry::Counter> {
-    static CAPPED: std::sync::OnceLock<Arc<plankton_telemetry::Counter>> =
-        std::sync::OnceLock::new();
-    CAPPED.get_or_init(|| {
-        plankton_telemetry::metrics::global().counter(
-            "plankton_data_planes_capped_total",
-            "Converged data planes skipped because a (PEC x failure set) reached max_data_planes_per_pec.",
-        )
-    })
-}
-
-/// Account for planes the cap kept from the policy: a counter and a warn
-/// event, so that reduced coverage is never silent.
-fn record_capped(pec: PecId, failures: &FailureSet, stream: &PlaneStream, cap: usize) {
-    data_planes_capped_counter().add(stream.capped);
-    if trace::enabled(Level::Warn) {
-        let failures_text = failures.to_string();
-        trace::event(
-            Level::Warn,
-            "data_planes_capped",
-            &[
-                Field::u64("pec", pec.0 as u64),
-                Field::str("failures", &failures_text),
-                Field::u64("converged", stream.planes + stream.capped),
-                Field::u64("cap", cap as u64),
-            ],
-        );
     }
 }
 

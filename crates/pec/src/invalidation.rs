@@ -1,32 +1,25 @@
-//! Delta-aware PEC invalidation: which equivalence classes does a
-//! configuration change dirty, and what content key identifies a
-//! (PEC × failure-scenario) verification task?
+//! Delta-aware PEC invalidation: what content key identifies a
+//! (PEC × failure-scenario) verification task, so that a configuration
+//! change re-runs exactly the tasks whose inputs it changed.
 //!
-//! Two mechanisms cooperate:
-//!
-//! * **Content keys** (authoritative): [`TaskKeys`] hashes, per PEC,
-//!   everything its verification run reads — the PEC's own range and prefix
-//!   configuration, the network slices consumed by the protocol models it
-//!   instantiates, the verifying policy/options fingerprints, the failure
-//!   set, and (composed recursively, in dependency order) the keys of every
-//!   PEC it transitively depends on. Two tasks with equal keys have
-//!   bit-identical inputs, so a result cache keyed this way can never serve
-//!   a stale outcome: any delta that could change a task's result changes
-//!   some input in its key, directly or through a dependency's key.
-//! * **Touch mapping** (advisory, for reporting/statistics): a
-//!   [`DeltaTouch`](plankton_config::DeltaTouch) from the config diff layer
-//!   is mapped through the PEC set — prefix touches via range overlap (the
-//!   trie's partition), device/link touches via the protocol slices — and
-//!   closed under reverse dependencies, yielding the set of PECs the delta
-//!   *may* have dirtied.
+//! [`TaskKeys`] hashes, per PEC, everything its verification run reads — the
+//! PEC's own range and prefix configuration, the network slices consumed by
+//! the protocol models it instantiates, the verifying policy/options
+//! fingerprints, the failure set, and (composed recursively, in dependency
+//! order) the keys of every PEC it transitively depends on. Two tasks with
+//! equal keys have bit-identical inputs, so a result cache keyed this way
+//! can never serve a stale outcome: any delta that could change a task's
+//! result changes some input in its key, directly or through a dependency's
+//! key. The keys are the only invalidation mechanism: a delta reports
+//! nothing about what it dirtied, and the verifier's run statistics
+//! (`tasks_rerun`, `pecs_reexplored`, `key_misses`) say what re-ran.
 
 use crate::dependency::PecDependencies;
 use crate::pec::{OriginProtocol, Pec, PecId, PecSet};
 use plankton_config::static_routes::StaticNextHop;
-use plankton_config::{DeltaTouch, Fingerprinter, Network, OspfScopedSlices, SliceMemo};
+use plankton_config::{Fingerprinter, Network, OspfScopedSlices, SliceMemo};
 use plankton_net::failure::FailureSet;
 use plankton_net::topology::NodeId;
-use std::collections::BTreeSet;
 
 /// The content fingerprint of a PEC itself: its address range plus every
 /// contributing prefix's configuration (origins, static routes), which is
@@ -325,119 +318,6 @@ impl TaskKeys {
     }
 }
 
-/// Map a config-diff touch set onto the PEC set: the PECs the delta may have
-/// dirtied, closed under reverse dependencies. A superset of the truly
-/// dirty PECs (content keys decide re-execution); used for reporting and
-/// cache-eviction accounting.
-pub fn pecs_touched_by(
-    network: &Network,
-    pecs: &PecSet,
-    deps: &PecDependencies,
-    touch: &DeltaTouch,
-) -> BTreeSet<PecId> {
-    let mut dirty: BTreeSet<PecId> = BTreeSet::new();
-
-    // Prefix touches: every PEC whose range the prefix overlaps (the trie
-    // partition property: a prefix's addresses land in exactly these PECs).
-    for prefix in &touch.prefixes {
-        for pec in pecs.pecs_overlapping(prefix) {
-            dirty.insert(pec.id);
-        }
-    }
-
-    // Device touches: PECs carrying configuration from those devices.
-    for pec in pecs.iter() {
-        if dirty.contains(&pec.id) {
-            continue;
-        }
-        let touches_device = pec.prefixes.iter().any(|cfg| {
-            cfg.origins.iter().any(|(n, _)| touch.devices.contains(n))
-                || cfg
-                    .static_routes
-                    .iter()
-                    .any(|(n, _)| touch.devices.contains(n))
-        });
-        if touches_device {
-            dirty.insert(pec.id);
-        }
-    }
-
-    // Topology touches: a changed link dirties every PEC whose protocol can
-    // see it — OSPF PECs when both endpoints speak OSPF, BGP PECs when the
-    // link can carry one of their eBGP sessions, and PECs with interface
-    // static routes across the link.
-    if touch.topology {
-        for pec in pecs.iter() {
-            if dirty.contains(&pec.id) {
-                continue;
-            }
-            let mut affected = false;
-            for &link in &touch.links {
-                if link.index() >= network.topology.link_count() {
-                    continue;
-                }
-                let l = network.topology.link(link);
-                let (a, b) = l.endpoints();
-                for cfg in &pec.prefixes {
-                    if cfg.originated_into(OriginProtocol::Ospf)
-                        && network.device(a).runs_ospf()
-                        && network.device(b).runs_ospf()
-                        // When the delta reports the OSPF region it can
-                        // influence (the touched device's speaker component),
-                        // only PECs with an origin inside that region are
-                        // advisory-dirty — a cost change cannot leak across
-                        // component boundaries.
-                        && touch.ospf_region.as_ref().is_none_or(|region| {
-                            cfg.origins.iter().any(|(n, p)| {
-                                *p == OriginProtocol::Ospf && region.contains(n)
-                            })
-                        })
-                    {
-                        affected = true;
-                    }
-                    if cfg.originated_into(OriginProtocol::Bgp)
-                        && network.device(a).runs_bgp()
-                        && network.device(b).runs_bgp()
-                    {
-                        affected = true;
-                    }
-                    if cfg.static_routes.iter().any(|(device, sr)| {
-                        matches!(sr.next_hop, StaticNextHop::Interface(nbr)
-                                 if (*device == a && nbr == b) || (*device == b && nbr == a))
-                    }) {
-                        affected = true;
-                    }
-                }
-            }
-            if affected {
-                dirty.insert(pec.id);
-            }
-        }
-    }
-
-    // Close under reverse dependencies: a dirty dependency dirties every
-    // transitive dependent.
-    let mut grown = true;
-    while grown {
-        grown = false;
-        for pec in pecs.iter() {
-            if dirty.contains(&pec.id) {
-                continue;
-            }
-            let comp = deps.component_of(pec.id);
-            if deps
-                .transitive_dependencies(comp)
-                .iter()
-                .any(|d| dirty.contains(d))
-            {
-                dirty.insert(pec.id);
-                grown = true;
-            }
-        }
-    }
-    dirty
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,66 +381,6 @@ mod tests {
             }
         }
         assert_eq!(changed, 1, "exactly the touched PEC re-keys");
-    }
-
-    #[test]
-    fn link_touch_dirties_protocol_pecs_but_not_connected_only_pecs() {
-        let s = fat_tree_ospf(4, CoreStaticRoutes::None);
-        let pecs = compute_pecs(&s.network);
-        let deps = PecDependencies::compute(&s.network, &pecs);
-        let link = s.network.topology.links()[0].id;
-        let mut net = s.network.clone();
-        let touch = ConfigDelta::LinkDown { link }.apply(&mut net).unwrap();
-        let dirty = pecs_touched_by(&net, &pecs, &deps, &touch);
-        assert!(!dirty.is_empty());
-        // Loopback host PECs carry only Connected origins: a link change
-        // cannot dirty them (their data plane is local delivery only)...
-        for pec in pecs.iter() {
-            let connected_only = !pec.is_inert()
-                && pec.prefixes.iter().all(|c| {
-                    c.static_routes.is_empty()
-                        && c.origins
-                            .iter()
-                            .all(|(_, p)| *p == OriginProtocol::Connected)
-                });
-            if connected_only {
-                assert!(!dirty.contains(&pec.id), "{} wrongly dirtied", pec.id);
-            }
-        }
-        // ...so the dirty set is a strict subset of the active PECs.
-        assert!(dirty.len() < pecs.active_pecs().len());
-    }
-
-    #[test]
-    fn dependency_dirt_propagates_to_dependents() {
-        let s = isp_ibgp_over_ospf(&AsTopologySpec::paper_as(3967));
-        let pecs = compute_pecs(&s.network);
-        let deps = PecDependencies::compute(&s.network, &pecs);
-        // Touch a loopback PEC (an IGP dependency of the BGP PECs).
-        let lb = s
-            .network
-            .topology
-            .nodes()
-            .iter()
-            .find_map(|n| n.loopback)
-            .unwrap();
-        let lb_pec = pecs.pec_containing(lb).unwrap();
-        let touch = DeltaTouch {
-            prefixes: vec![plankton_net::ip::Prefix::host(lb)],
-            ..Default::default()
-        };
-        let dirty = pecs_touched_by(&s.network, &pecs, &deps, &touch);
-        assert!(dirty.contains(&lb_pec.id));
-        // Every BGP destination PEC depends on the loopback PECs.
-        for p in &s.bgp_destinations {
-            let pec = pecs.pecs_overlapping(p)[0];
-            if deps
-                .transitive_dependencies(deps.component_of(pec.id))
-                .contains(&lb_pec.id)
-            {
-                assert!(dirty.contains(&pec.id), "{} must be dirtied", pec.id);
-            }
-        }
     }
 
     #[test]
@@ -679,40 +499,6 @@ mod tests {
                 pec.id
             );
         }
-    }
-
-    #[test]
-    fn ospf_region_refines_advisory_touch() {
-        // A cost change reports its speaker component as the region, and the
-        // region-refined advisory dirty set is a subset of the unrefined one
-        // (on this one-component fat tree they coincide; the cross-component
-        // case — an out-of-region edit leaving the slice untouched — is
-        // covered by tests/properties.rs).
-        let s = fat_tree_ospf(4, CoreStaticRoutes::None);
-        let pecs = compute_pecs(&s.network);
-        let deps = PecDependencies::compute(&s.network, &pecs);
-        let device = s.fat_tree.aggregation[0][0];
-        let link = s.network.topology.neighbors(device)[0].1;
-        let mut net = s.network.clone();
-        let touch = ConfigDelta::OspfCostChange {
-            device,
-            link,
-            cost: 5,
-        }
-        .apply(&mut net)
-        .unwrap();
-        let region = touch
-            .ospf_region
-            .clone()
-            .expect("cost change reports its region");
-        assert!(region.contains(&device));
-        // The fat tree is one speaker component: the advisory set matches the
-        // unrefined one. Dropping the region must never shrink the dirty set.
-        let with_region = pecs_touched_by(&net, &pecs, &deps, &touch);
-        let mut without = touch.clone();
-        without.ospf_region = None;
-        let unrefined = pecs_touched_by(&net, &pecs, &deps, &without);
-        assert!(with_region.is_subset(&unrefined));
     }
 
     #[test]

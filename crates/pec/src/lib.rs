@@ -14,7 +14,7 @@
 //!   strongly connected components are verified together, dependencies
 //!   first (§3.2) — the scheduling itself is `plankton-engine`'s.
 //! * [`invalidation`] — the content keys of (PEC × failure-scenario)
-//!   verification tasks, and the advisory delta → dirty-PEC mapping.
+//!   verification tasks, which alone decide what a delta made stale.
 
 pub mod compute;
 pub mod dependency;
@@ -24,8 +24,6 @@ pub mod trie;
 
 pub use compute::compute_pecs;
 pub use dependency::{DependencyGraph, PecDependencies};
-pub use invalidation::{
-    pec_content_fingerprint, pec_failure_invariant, pecs_touched_by, OspfSliceMode, TaskKeys,
-};
+pub use invalidation::{pec_content_fingerprint, pec_failure_invariant, OspfSliceMode, TaskKeys};
 pub use pec::{OriginProtocol, Pec, PecId, PecSet, PrefixConfig};
 pub use trie::PrefixTrie;

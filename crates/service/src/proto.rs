@@ -27,9 +27,11 @@ use std::time::Duration;
 /// The protocol version answered by [`Response::Welcome`]. Major bumps mean
 /// incompatible changes (a client refusing an unknown major is correct);
 /// minor bumps are additive — v1 request lines parse unchanged under v2.
-pub const PROTO_VERSION: &str = "2.0";
+/// 3.0 removed `DeltaApplied`'s four advisory touch fields and the applied
+/// `DeltaAck` detail that echoed them; request lines are unchanged.
+pub const PROTO_VERSION: &str = "3.0";
 /// The major component of [`PROTO_VERSION`], for client-side refusal.
-pub const PROTO_VERSION_MAJOR: u64 = 2;
+pub const PROTO_VERSION_MAJOR: u64 = 3;
 /// Capabilities advertised by [`Response::Welcome`].
 pub const PROTO_FEATURES: [&str; 4] = ["streaming", "dump", "top", "persist"];
 
@@ -428,19 +430,13 @@ impl ReportSummary {
     }
 }
 
-/// The result of an `ApplyDelta` request.
+/// The result of an `ApplyDelta` request. What the delta made stale is
+/// decided by content keys at the next `Verify`, whose `run` reports it
+/// (`tasks_rerun`, `pecs_reexplored`, `key_misses`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct DeltaSummary {
     /// The delta kind tag.
     pub kind: String,
-    /// Devices the config diff touched (names).
-    pub devices_touched: Vec<String>,
-    /// Prefixes the config diff touched.
-    pub prefixes_touched: Vec<String>,
-    /// Did the protocol-visible topology change?
-    pub topology_changed: bool,
-    /// PECs of the new partition the touch maps to (advisory dirty set).
-    pub pecs_touched: usize,
     /// Total PECs in the new partition.
     pub pecs_total: usize,
 }
@@ -907,7 +903,7 @@ mod tests {
             features: PROTO_FEATURES.iter().map(|f| f.to_string()).collect(),
         };
         let line = welcome.to_line();
-        assert!(line.contains("2.0"));
+        assert!(line.contains("3.0"));
         assert!(line.contains("streaming"));
         let major: u64 = PROTO_VERSION.split('.').next().unwrap().parse().unwrap();
         assert_eq!(major, PROTO_VERSION_MAJOR);

@@ -478,27 +478,10 @@ impl ServiceSession {
                     .outcome(0)
                     .expect("a lone delta has nothing to fold into");
                 match lone {
-                    Ok(applied) => {
-                        let network = pass.batch.snapshot.network();
-                        Response::DeltaApplied(DeltaSummary {
-                            kind: applied.kind.to_string(),
-                            devices_touched: applied
-                                .touch
-                                .devices
-                                .iter()
-                                .map(|n| network.topology.node(*n).name.clone())
-                                .collect(),
-                            prefixes_touched: applied
-                                .touch
-                                .prefixes
-                                .iter()
-                                .map(|p| p.to_string())
-                                .collect(),
-                            topology_changed: applied.touch.topology,
-                            pecs_touched: applied.pecs_touched.len(),
-                            pecs_total: applied.pecs_total,
-                        })
-                    }
+                    Ok(applied) => Response::DeltaApplied(DeltaSummary {
+                        kind: applied.kind.to_string(),
+                        pecs_total: pass.batch.snapshot.pecs().len(),
+                    }),
                     Err(e) => Response::error(e.to_string()),
                 }
             }
@@ -824,11 +807,7 @@ impl ServiceSession {
                     Ok(applied) => DeltaAck {
                         kind: applied.kind.to_string(),
                         status: "applied".to_string(),
-                        detail: format!(
-                            "{} of {} PECs touched",
-                            applied.pecs_touched.len(),
-                            applied.pecs_total
-                        ),
+                        detail: String::new(),
                     },
                     Err(e) => DeltaAck {
                         kind: delta.kind().to_string(),

@@ -4,8 +4,8 @@
 //! the state is combined with the other prefixes' alternatives in a reused
 //! forwarding-graph buffer and handed to the §3.5 filter and the policy
 //! without ever being stored. A mistake there — a wrong tie order between
-//! FIB entries, a plane combined with the wrong alternative, an off-by-one
-//! in the per-(PEC × failure set) cap — silently changes which planes the
+//! FIB entries, a plane combined with the wrong alternative, a converged
+//! state that never reaches the sink — silently changes which planes the
 //! policy sees. This suite re-implements the pipeline the builder replaced,
 //! from public APIs only and sharing none of its code: collect every
 //! converged state through a `ModelChecker` callback, combine the prefixes'
@@ -13,7 +13,7 @@
 //! PEC up with `ForwardingGraph::from_fib`, drop planes whose §3.5 signature
 //! was seen, and check the rest. Violations (in report order, trails
 //! included) and the number of planes checked must equal the verifier's, at
-//! 1 and 4 workers and at the default cap and a cap of 3.
+//! 1 and 4 workers.
 
 use plankton::checker::{
     BgpPor, ModelChecker, NoPor, OspfPor, PorHeuristic, SearchOptions, Trail, Verdict,
@@ -27,6 +27,7 @@ use plankton::config::{
     SetAction, StaticNextHop, StaticRoute,
 };
 use plankton::core::failures::failure_sets_to_explore;
+use plankton::core::session::PecSession;
 use plankton::core::underlay::DependencyUnderlay;
 use plankton::core::{ConvergedRecord, Violation};
 use plankton::dataplane::{FibEntry, ForwardingGraph, NetworkFib, RouteSource};
@@ -244,7 +245,7 @@ impl Task<'_> {
     }
 
     /// Every combined data plane, in odometer order (the most specific
-    /// prefix turns fastest), up to the cap.
+    /// prefix turns fastest).
     fn planes(&self) -> Vec<Plane> {
         let n = self.network.node_count();
         let mut runs: Vec<(Vec<Vec<FibEntry>>, Vec<Alternative>)> = Vec::new();
@@ -289,7 +290,7 @@ impl Task<'_> {
             }];
         }
         let total: usize = runs.iter().map(|(_, alts)| alts.len()).product();
-        (0..total.min(self.options.max_data_planes_per_pec))
+        (0..total)
             .map(|mut index| {
                 let mut fib = NetworkFib::new(n);
                 let mut chosen: Option<&Alternative> = None;
@@ -459,8 +460,7 @@ fn oracle(
     (violations, planes_checked)
 }
 
-/// Compare the verifier with the oracle at 1 and 4 workers, at the default
-/// cap and at a cap of 3.
+/// Compare the verifier with the oracle at 1 and 4 workers.
 fn assert_matches_oracle(
     label: &str,
     network: &Network,
@@ -469,24 +469,21 @@ fn assert_matches_oracle(
     options: PlanktonOptions,
 ) {
     let plankton = Plankton::new(network.clone());
-    for cap in [512, 3] {
-        let mut options = options.clone().collect_all_violations();
-        options.max_data_planes_per_pec = cap;
-        let (violations, planes_checked) = oracle(network, policy, scenario, &options);
-        let expected = serde_json::to_string(&violations).expect("violations serialize");
-        for workers in [1, 4] {
-            options.parallelism = workers;
-            let report = plankton.verify(policy, scenario, &options);
-            assert_eq!(
-                report.data_planes_checked, planes_checked,
-                "{label}, cap {cap}, {workers} workers: data planes checked"
-            );
-            assert_eq!(
-                serde_json::to_string(&report.violations).expect("violations serialize"),
-                expected,
-                "{label}, cap {cap}, {workers} workers: violations"
-            );
-        }
+    let mut options = options.collect_all_violations();
+    let (violations, planes_checked) = oracle(network, policy, scenario, &options);
+    let expected = serde_json::to_string(&violations).expect("violations serialize");
+    for workers in [1, 4] {
+        options.parallelism = workers;
+        let report = plankton.verify(policy, scenario, &options);
+        assert_eq!(
+            report.data_planes_checked, planes_checked,
+            "{label}, {workers} workers: data planes checked"
+        );
+        assert_eq!(
+            serde_json::to_string(&report.violations).expect("violations serialize"),
+            expected,
+            "{label}, {workers} workers: violations"
+        );
     }
 }
 
@@ -645,14 +642,63 @@ fn nested_prefixes_match_the_oracle() {
                 &scenario,
                 PlanktonOptions::default(),
             );
-            if !tie_statics && source == c {
-                // A cap of 3 keeps planes of new signatures from the policy.
-                let all = PlanktonOptions::default().collect_all_violations();
-                let mut capped = all.clone();
-                capped.max_data_planes_per_pec = 3;
-                let checked = |options| oracle(&network, &policy, &scenario, options).1;
-                assert!(checked(&capped) < checked(&all), "{label}");
-            }
         }
     }
+}
+
+/// Every converged state of the streamed prefix reaches the sink. Under the
+/// RFC 7938 k=8 data center's waypoint question, the rack prefix of the
+/// monitored destination converges 1 024 ways; `stream_planes` must hand
+/// the sink one plane per converged state a collecting `ModelChecker`
+/// callback sees, however many there are.
+#[test]
+fn every_converged_data_center_state_becomes_a_plane() {
+    let s = fat_tree_bgp_rfc7938(8, 7938);
+    let policy = Waypoint::new(vec![s.monitored_edges.0], s.waypoints.clone());
+    let plankton = Plankton::new(s.network.clone());
+    assert_eq!(plankton.dependencies().graph.edge_count(), 0);
+    let prefix = *s
+        .network
+        .device(s.monitored_edges.1)
+        .bgp
+        .as_ref()
+        .expect("edge switches speak BGP")
+        .networks
+        .first()
+        .expect("the edge switch originates its rack prefix");
+    let pecs = plankton.pecs().pecs_overlapping(&prefix);
+    assert_eq!(pecs.len(), 1);
+    let pec = pecs[0];
+    assert_eq!(pec.prefixes.len(), 1);
+    let options = PlanktonOptions::default().collect_all_violations();
+    let failures = FailureSet::none();
+    let underlay = Arc::new(DependencyUnderlay::new());
+    let converged = Task {
+        network: &s.network,
+        pec,
+        failures: &failures,
+        underlay: underlay.clone(),
+        options: &options,
+        sources: policy.sources(),
+        has_dependents: false,
+        has_dependencies: false,
+    }
+    .bgp(&pec.prefixes[0])
+    .len();
+    assert_eq!(converged, 1_024);
+    let session = PecSession {
+        network: &s.network,
+        pec,
+        failures: &failures,
+        underlay,
+        options: &options,
+        policy_sources: policy.sources(),
+        has_dependents: false,
+        has_dependencies: false,
+        scratch: None,
+    };
+    let mut seen = 0;
+    let stream = session.stream_planes(&mut |_| seen += 1);
+    assert_eq!(seen, converged);
+    assert_eq!(stream.planes, converged as u64);
 }

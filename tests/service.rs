@@ -42,9 +42,9 @@ fn assert_delta_incremental(
         incremental.normalized_json(),
         scratch.normalized_json(),
         "{label}: incremental report must equal from-scratch verification \
-         (delta {}, touched {} PECs)",
+         (delta {}, {} PECs re-explored)",
         applied.kind,
-        applied.pecs_touched.len(),
+        run.pecs_reexplored,
     );
     // Sanity: the warm report was computed on the pre-delta network; nothing
     // requires it to match, but it must at least be well-formed.

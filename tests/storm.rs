@@ -506,7 +506,7 @@ fn connections_can_dwarf_the_worker_pool() {
             else {
                 panic!("no Welcome: {line}");
             };
-            assert!(proto_version.starts_with("2."));
+            assert!(proto_version.starts_with("3."));
 
             writer.write_all(b"\"Stats\"\n").unwrap();
             line.clear();

@@ -3,19 +3,16 @@
 //! (request → delta applied → keys invalidated → tasks re-run → report
 //! merged) with one trace id per request, and (b) the `Metrics` request
 //! renders the live metric families as Prometheus text exposition. Also:
-//! (c) planes the per-(PEC × failure set) cap keeps from the policy are
-//! never silent — a counter, a warn event per capped task, and a note from
-//! `plankton verify`. And (d): `Stats` reads the instruments the session's
-//! `Metrics` renders, and each session counts only its own requests.
+//! (c) `plankton verify` checks every converged plane of the data-center
+//! question and has nothing to say on stderr. And (d): `Stats` reads the
+//! instruments the session's `Metrics` renders, and each session counts
+//! only its own requests.
 
 use plankton::config::scenarios::fat_tree_bgp_rfc7938;
-use plankton::policy::Waypoint;
 use plankton::prelude::*;
 use plankton::service::{Request, Response, ServiceSession, ServiceStats};
-use plankton_telemetry::trace::{self, Event, FieldValue, Level, Sink};
 use std::io::Write;
 use std::process::{Command, Stdio};
-use std::sync::{Arc, Mutex};
 
 /// Spawn `planktond --scenario ring:4 --log-json <log>` and feed it
 /// `input` on stdin; returns (stdout, exit-success).
@@ -256,8 +253,8 @@ fn metrics_request_renders_prometheus_text_with_live_families() {
 
 /// Deltas that only ever arrive enqueue-acked go through the same apply as
 /// v1 ones: the `Verify` that flushes them logs `delta_applied` in its own
-/// chain, and the advisory dirty counter — the denominator of the
-/// invalidation-precision ratio — counts them.
+/// chain, and the rebuild they cause is timed in the snapshot-swap
+/// histogram.
 #[test]
 fn enqueued_deltas_are_logged_and_counted_like_v1_deltas() {
     let dir = std::env::temp_dir().join(format!("plankton-enqueued-{}", std::process::id()));
@@ -298,14 +295,14 @@ fn enqueued_deltas_are_logged_and_counted_like_v1_deltas() {
     else {
         panic!("MetricsText.text missing: {metrics_line}");
     };
-    let dirty: u64 = text
+    let swaps: u64 = text
         .lines()
-        .find_map(|l| l.strip_prefix("plankton_pecs_dirty_advisory_total "))
+        .find_map(|l| l.strip_prefix("plankton_snapshot_swap_seconds_count "))
         .map(|n| n.parse().unwrap())
         .unwrap_or(0);
     assert!(
-        dirty > 0,
-        "the enqueued delta's dirty PECs went uncounted:\n{text}"
+        swaps > 0,
+        "the enqueued delta's rebuild went unrecorded:\n{text}"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -352,72 +349,13 @@ fn planktonctl_metrics_prints_raw_exposition() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `data_planes_capped` events seen, as (pec, failures, converged, cap).
-#[derive(Default)]
-struct CappedEvents(Mutex<Vec<(u64, String, u64, u64)>>);
-
-impl Sink for CappedEvents {
-    fn emit(&self, event: &Event<'_>) {
-        if event.name != "data_planes_capped" {
-            return;
-        }
-        let field = |key: &str| event.fields.iter().find(|f| f.key == key).map(|f| f.value);
-        let number = |key: &str| match field(key) {
-            Some(FieldValue::U64(n)) => n,
-            other => panic!("{key} is not a number: {other:?}"),
-        };
-        let failures = match field("failures") {
-            Some(FieldValue::Str(s)) => s.to_string(),
-            other => panic!("failures is not a string: {other:?}"),
-        };
-        let seen = (number("pec"), failures, number("converged"), number("cap"));
-        self.0.lock().unwrap().push(seen);
-    }
-}
-
-/// A cap of 3 on the RFC 7938 k=4 data center, whose PECs converge in more
-/// ways than that: every capped (PEC × failure set) leaves a warn event, and
-/// the counter moves by exactly the planes the events say were skipped.
+/// `plankton verify` on the RFC 7938 data centers writes nothing to stderr,
+/// and on k=8 its summary counts every plane the question converges to.
 #[test]
-fn capped_planes_are_counted_and_reported() {
-    let s = fat_tree_bgp_rfc7938(4, 7938);
-    let policy = Waypoint::new(vec![s.monitored_edges.0], s.waypoints.clone());
-    let mut options = PlanktonOptions::with_cores(1).collect_all_violations();
-    options.max_data_planes_per_pec = 3;
-    let sink = Arc::new(CappedEvents::default());
-    trace::add_sink(Level::Warn, sink.clone());
-    let counter = plankton::core::data_planes_capped_counter();
-    let before = counter.get();
-    Plankton::new(s.network.clone()).verify(&policy, &FailureScenario::up_to(1), &options);
-    let after = counter.get();
-    trace::clear_sinks();
-    let events = std::mem::take(&mut *sink.0.lock().unwrap());
-    assert!(!events.is_empty(), "some PEC converges in more than 3 ways");
-    let mut skipped = 0;
-    for (pec, failures, converged, cap) in &events {
-        assert_eq!(*cap, 3, "pec{pec} under {failures}");
-        assert!(
-            *converged > 3,
-            "pec{pec} under {failures}: {converged} planes"
-        );
-        skipped += converged - cap;
-    }
-    assert!(
-        events
-            .iter()
-            .any(|(_, failures, ..)| failures != "(no failures)"),
-        "failure sets are named"
-    );
-    assert_eq!(after - before, skipped);
-}
-
-/// `plankton verify` says on stderr when the cap kept planes from the
-/// policy (the report itself does not change), and says nothing otherwise.
-#[test]
-fn plankton_verify_notes_capped_planes_on_stderr() {
-    let dir = std::env::temp_dir().join(format!("plankton-capped-{}", std::process::id()));
+fn plankton_verify_checks_every_plane_without_a_note() {
+    let dir = std::env::temp_dir().join(format!("plankton-planes-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for (k, capped) in [(4, None), (8, Some(14_336))] {
+    for k in [4, 8] {
         let s = fat_tree_bgp_rfc7938(k, 7938);
         let config = dir.join(format!("bgp_k{k}.json"));
         std::fs::write(&config, s.network.to_json()).unwrap();
@@ -440,18 +378,13 @@ fn plankton_verify_notes_capped_planes_on_stderr() {
             .output()
             .expect("run plankton");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        match capped {
-            None => assert!(stderr.is_empty(), "k={k}: {stderr}"),
-            Some(n) => {
-                let prefix = format!("note: {n} converged data planes were not checked");
-                assert_eq!(stderr.lines().count(), 1, "k={k}: {stderr}");
-                assert!(stderr.starts_with(&prefix), "k={k}: {stderr}");
-                let stdout = String::from_utf8_lossy(&out.stdout);
-                assert!(
-                    stdout.contains(", 120 data planes, 38825 states,"),
-                    "{stdout}"
-                );
-            }
+        assert!(stderr.is_empty(), "k={k}: {stderr}");
+        if k == 8 {
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                stdout.contains(", 120 data planes, 38825 states,"),
+                "{stdout}"
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
