@@ -207,7 +207,7 @@ fn record_run_metrics(
     add(
         &FULL_RECOMPUTES,
         "plankton_enabled_full_recomputes_total",
-        "Enabled-set entries re-derived from every peer's advertisement.",
+        "Enabled-set entries settled in full: re-derived from every peer's advertisement after a step, and every eligible entry at a rebuild.",
         stats.enabled_recomputed_nodes,
     );
     add(
@@ -394,10 +394,12 @@ impl<'m> ModelChecker<'m> {
             enabled.rebuild(rpvp, &state, interner);
         }
         if let Some(witness) = &mut self.witness {
+            // Only an enabled node can be active: the enabled set is all
+            // the witness has to read, not every node.
             let model = self.rpvp.model();
             witness.reset(model.node_count());
-            for i in 0..model.node_count() {
-                witness.update(model, &self.enabled, &decided, NodeId(i as u32));
+            for choice in self.enabled.view().iter() {
+                witness.update(model, &self.enabled, &decided, choice.node);
             }
         }
         self.dfs(&mut state, &mut decided, 0, callback);
@@ -749,7 +751,9 @@ impl<'m> ModelChecker<'m> {
 pub(crate) fn influence_set(model: &dyn ProtocolModel, sources: &[NodeId]) -> Vec<bool> {
     let n = model.node_count();
     let mut allowed = vec![false; n];
-    let mut queue: std::collections::VecDeque<NodeId> = std::collections::VecDeque::new();
+    // Sized once: every node enters the queue at most once.
+    let mut queue: std::collections::VecDeque<NodeId> =
+        std::collections::VecDeque::with_capacity(n);
     for &s in sources {
         if s.index() < n && !allowed[s.index()] {
             allowed[s.index()] = true;

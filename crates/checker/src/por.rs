@@ -127,7 +127,7 @@ impl PorHeuristic for NoPor {
 /// The argument needs every link cost to be **positive** (RFC 2328 App.
 /// C.3): at cost 0 an equal-cost path with fewer hops — which OSPF's ranking
 /// prefers — can arrive after the node has stepped. `Network::validate`
-/// refuses such configurations, and `OspfModel::new` asserts it in debug
+/// refuses such configurations, and `OspfAdjacency::new` asserts it in debug
 /// builds.
 ///
 /// The pick is the first cheapest update in enabled (node-id) order, with

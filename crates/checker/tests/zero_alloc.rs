@@ -22,6 +22,11 @@
 //! the bitstate filter has fixed memory, and the exact set copies each new
 //! state into an arena that a warmed worker's cleared set still holds.
 //!
+//! Before the first step, a task's set-up allocates a fixed number of
+//! times whatever the network's size: an OSPF model is a view of an
+//! adjacency the run already built, and the checker takes the adjacency's
+//! shared reverse-peer index instead of building per-node lists.
+//!
 //! This lives in its own integration-test binary because the global
 //! allocator is process-wide; allocations are counted per thread, so the
 //! tests here do not see each other's.
@@ -31,14 +36,17 @@ mod counting_alloc;
 
 use counting_alloc::allocations;
 use plankton_checker::visited::state_hash;
-use plankton_checker::{ModelChecker, NoPor, SearchOptions, SearchScratch, Verdict, VisitedSet};
-use plankton_config::scenarios::ring_ospf;
+use plankton_checker::{
+    ModelChecker, NoPor, OspfPor, SearchOptions, SearchScratch, Verdict, VisitedSet,
+};
+use plankton_config::scenarios::{fat_tree_ospf, ring_ospf, CoreStaticRoutes};
 use plankton_net::failure::FailureSet;
 use plankton_net::ip::Prefix;
 use plankton_net::topology::NodeId;
-use plankton_protocols::ospf::OspfModel;
+use plankton_protocols::ospf::{OspfAdjacency, OspfModel};
 use plankton_protocols::rpvp::{EnabledChoice, IncrementalEnabled, Rpvp};
 use plankton_protocols::{Preference, ProtocolModel, Route, RouteHandle, RouteInterner};
+use std::sync::Arc;
 
 /// The first enabled choice's `(node, adoption handle)`, copied out so the
 /// borrow of the cache ends before the state is mutated. `NONE` requests an
@@ -239,4 +247,38 @@ fn steady_state_run_emits_converged_states_without_allocating() {
 #[test]
 fn warm_exact_visited_set_records_states_without_allocating() {
     assert_warm_run_emits_without_allocating(SearchOptions::no_optimizations());
+}
+
+/// Allocations of one OSPF task's set-up on a k-ary fat tree: a view of an
+/// adjacency built beforehand, for the first edge switch's prefix, and the
+/// checker over it — with and without the policy sources that turn on
+/// influence pruning.
+fn task_setup_allocations(k: usize, sourced: bool) -> usize {
+    let s = fat_tree_ospf(k, CoreStaticRoutes::None);
+    let origin = s.fat_tree.edge[0][0];
+    let prefix = s.fat_tree.prefix_of_edge(origin).expect("edges originate");
+    let adjacency = Arc::new(OspfAdjacency::new(&s.network, &FailureSet::none()));
+    let options = SearchOptions {
+        source_nodes: sourced.then(|| vec![s.fat_tree.edge[k - 1][0]]),
+        ..SearchOptions::default()
+    };
+    let before = allocations();
+    let model = OspfModel::over(Arc::clone(&adjacency), prefix, vec![origin]);
+    let checker = ModelChecker::new(&model, Box::new(OspfPor), options, FailureSet::none());
+    let allocated = allocations() - before;
+    drop(checker);
+    allocated
+}
+
+#[test]
+fn task_setup_allocates_the_same_at_every_network_size() {
+    for sourced in [false, true] {
+        let small = task_setup_allocations(4, sourced);
+        let large = task_setup_allocations(8, sourced);
+        assert_eq!(
+            small, large,
+            "task set-up allocated {small} times at k=4 (20 nodes) and {large} at k=8 \
+             (80 nodes), policy sources: {sourced}"
+        );
+    }
 }

@@ -351,13 +351,8 @@ impl Plankton {
             let lookup = |p: PecId| -> Option<Arc<ConvergedRecord>> {
                 slot(p, f)?.get()?.records.first().cloned()
             };
-            let outcomes = self.run_component_under_failures(
-                &ctx,
-                &deps.components[c],
-                failures,
-                &lookup,
-                worker,
-            );
+            let outcomes =
+                self.run_component_under_failures(&ctx, &deps.components[c], f, &lookup, worker);
             for (pec, outcome) in outcomes {
                 ctx.absorb(pec, failures, &outcome);
                 cache.insert(keys.key(pec, f), Arc::clone(&outcome));

@@ -20,6 +20,12 @@
 //! stored, and a plane's control routes and trail are copied only when the
 //! sink asks for them. [`PecSession::data_planes`] is a collector over the
 //! same stream.
+//!
+//! An OSPF instance is a view ([`OspfModel::over`]) of the network's OSPF
+//! adjacency under the session's failure set. The adjacency comes from the
+//! caller: a verify run shares one per failure set across its PECs' tasks
+//! (`verifier::OspfAdjacencies`); a standalone
+//! [`PecSession::stream_planes`] builds one per OSPF instance.
 
 use crate::options::PlanktonOptions;
 use crate::outcome::ConvergedRecord;
@@ -34,7 +40,9 @@ use plankton_net::failure::FailureSet;
 use plankton_net::ip::{Ipv4Addr, Prefix};
 use plankton_net::topology::NodeId;
 use plankton_pec::{OriginProtocol, Pec, PrefixConfig};
-use plankton_protocols::{BgpModel, ConvergedState, OspfModel, ProtocolModel, Route, SessionType};
+use plankton_protocols::{
+    BgpModel, ConvergedState, OspfAdjacency, OspfModel, ProtocolModel, Route, SessionType,
+};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -493,6 +501,7 @@ impl<'a> PecSession<'a> {
     /// to `on_converged`.
     fn run_protocol(
         &self,
+        adjacency: &dyn Fn() -> Arc<OspfAdjacency>,
         cfg: &PrefixConfig,
         protocol: OriginProtocol,
         origins: Vec<NodeId>,
@@ -502,7 +511,7 @@ impl<'a> PecSession<'a> {
         let (ospf, bgp);
         let (model, por, forwarder): (&dyn ProtocolModel, Box<dyn PorHeuristic>, _) =
             if protocol == OriginProtocol::Ospf {
-                ospf = OspfModel::new(self.network, cfg.prefix, origins, self.failures);
+                ospf = OspfModel::over(adjacency(), cfg.prefix, origins);
                 (&ospf, Box::new(OspfPor), Forwarder::Ospf(&ospf))
             } else {
                 bgp = BgpModel::new(
@@ -541,6 +550,7 @@ impl<'a> PecSession<'a> {
     /// state as an alternative.
     fn collect(
         &self,
+        adjacency: &dyn Fn() -> Arc<OspfAdjacency>,
         cfg: &PrefixConfig,
         protocol: OriginProtocol,
         origins: Vec<NodeId>,
@@ -548,9 +558,14 @@ impl<'a> PecSession<'a> {
     ) -> (Vec<PrefixAlternative>, SearchStats) {
         let mut alternatives = Vec::new();
         let mut hops = Vec::new();
-        let stats = self.run_protocol(cfg, protocol, origins, single_prefix, &mut |s, t, f| {
-            alternatives.push(f.alternative(cfg.prefix, s, t, &mut hops))
-        });
+        let stats = self.run_protocol(
+            adjacency,
+            cfg,
+            protocol,
+            origins,
+            single_prefix,
+            &mut |s, t, f| alternatives.push(f.alternative(cfg.prefix, s, t, &mut hops)),
+        );
         (alternatives, stats)
     }
 
@@ -559,6 +574,7 @@ impl<'a> PecSession<'a> {
     /// one side is empty or both have a single element).
     fn collect_prefix(
         &self,
+        adjacency: &dyn Fn() -> Arc<OspfAdjacency>,
         cfg: &PrefixConfig,
         single_prefix: bool,
         stats: &mut SearchStats,
@@ -569,7 +585,7 @@ impl<'a> PecSession<'a> {
             if origins.is_empty() {
                 return Vec::new();
             }
-            let (alternatives, s) = self.collect(cfg, protocol, origins, single_prefix);
+            let (alternatives, s) = self.collect(adjacency, cfg, protocol, origins, single_prefix);
             *stats += s;
             alternatives
         };
@@ -618,6 +634,18 @@ impl<'a> PecSession<'a> {
     /// Verify the PEC under this session's failure set, handing each
     /// combined data plane to `sink` as it is built (see the module docs).
     pub fn stream_planes(&self, sink: &mut dyn FnMut(&PlaneRef<'_>)) -> PlaneStream {
+        let build = || Arc::new(OspfAdjacency::new(self.network, self.failures));
+        self.stream_planes_over(&build, sink)
+    }
+
+    /// [`PecSession::stream_planes`] with OSPF instances viewing the
+    /// adjacency `adjacency` returns, which must be that of this session's
+    /// network under its failure set.
+    pub(crate) fn stream_planes_over(
+        &self,
+        adjacency: &dyn Fn() -> Arc<OspfAdjacency>,
+        sink: &mut dyn FnMut(&PlaneRef<'_>),
+    ) -> PlaneStream {
         let n = self.network.node_count();
         let single_prefix = self.pec.prefixes.len() <= 1;
         let mut stats = SearchStats::default();
@@ -638,7 +666,7 @@ impl<'a> PecSession<'a> {
         };
         let collected: Vec<PrefixRun> = collected_cfgs
             .iter()
-            .map(|cfg| self.collect_prefix(cfg, single_prefix, &mut stats))
+            .map(|cfg| self.collect_prefix(adjacency, cfg, single_prefix, &mut stats))
             .collect();
         let base = match streamed {
             Some((last, ..)) => self.base_entries(last),
@@ -657,7 +685,14 @@ impl<'a> PecSession<'a> {
                     };
                     builder.emit(Some(&streamed), sink);
                 };
-            stats += self.run_protocol(last, protocol, origins, single_prefix, on_converged);
+            stats += self.run_protocol(
+                adjacency,
+                last,
+                protocol,
+                origins,
+                single_prefix,
+                on_converged,
+            );
         }
         if builder.states == 0 {
             builder.emit(None, sink);

@@ -36,9 +36,10 @@ use plankton_net::failure::{FailureScenario, FailureSet};
 use plankton_net::topology::NodeId;
 use plankton_pec::{compute_pecs, Pec, PecDependencies, PecId, PecSet};
 use plankton_policy::{ConvergedView, Policy};
+use plankton_protocols::OspfAdjacency;
 use plankton_telemetry::trace::{self, Field, Level};
 use std::collections::{BTreeSet, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -96,12 +97,76 @@ pub struct Plankton {
     deps: PecDependencies,
 }
 
+/// The OSPF adjacencies of one verify run, one slot per failure set: the
+/// first OSPF task under a set builds its adjacency, and every other PEC's
+/// task under the set views the same one.
+///
+/// Tasks run component by component, so each set's adjacency is needed
+/// again in every component, until the run ends. What the slots hold
+/// together is therefore capped at [`OspfAdjacencies::BUDGET`] bytes,
+/// whatever the number of failure sets: a set whose adjacency does not fit
+/// leaves its slot empty, and each of its tasks builds a private one, as
+/// every task did before adjacencies were shared.
+pub(crate) struct OspfAdjacencies {
+    slots: Vec<Mutex<Option<Arc<OspfAdjacency>>>>,
+    /// Bytes the filled slots hold.
+    held: AtomicUsize,
+    budget: usize,
+}
+
+impl OspfAdjacencies {
+    /// 1 MiB: every set of a run with few failure sets (a k=16 fat tree's
+    /// adjacency is ≈ 68 KB), and a bounded prefix of the sets of a run with
+    /// thousands, where the per-task build it spares is a small share.
+    const BUDGET: usize = 1 << 20;
+
+    pub(crate) fn new(failure_sets: usize) -> Self {
+        Self::with_budget(failure_sets, Self::BUDGET)
+    }
+
+    fn with_budget(failure_sets: usize, budget: usize) -> Self {
+        OspfAdjacencies {
+            slots: (0..failure_sets).map(|_| Mutex::new(None)).collect(),
+            held: AtomicUsize::new(0),
+            budget,
+        }
+    }
+
+    /// The adjacency of `network` under `failures`, the run's failure set
+    /// `f`: the one in its slot, or a new one, kept in the slot if it fits
+    /// the budget.
+    pub(crate) fn get(
+        &self,
+        f: usize,
+        network: &Network,
+        failures: &FailureSet,
+    ) -> Arc<OspfAdjacency> {
+        let mut slot = self.slots[f].lock();
+        if let Some(adjacency) = &*slot {
+            return Arc::clone(adjacency);
+        }
+        let adjacency = Arc::new(OspfAdjacency::new(network, failures));
+        let bytes = adjacency.bytes();
+        if self.held.fetch_add(bytes, Ordering::Relaxed) + bytes <= self.budget {
+            *slot = Some(Arc::clone(&adjacency));
+        } else {
+            self.held.fetch_sub(bytes, Ordering::Relaxed);
+        }
+        adjacency
+    }
+}
+
 /// Shared state of one verification run, visible to every worker.
 pub(crate) struct RunCtx<'a> {
     pub(crate) policy: &'a dyn Policy,
     pub(crate) options: &'a PlanktonOptions,
     pub(crate) interesting: Vec<NodeId>,
     pub(crate) failure_sets: Vec<FailureSet>,
+    /// The OSPF adjacency of the snapshot under each failure set (same
+    /// index). Scoped to this run over one immutable snapshot, so no delta
+    /// can meet a stale adjacency, and a run whose tasks all hit the cache
+    /// builds none.
+    pub(crate) ospf_adjacencies: OspfAdjacencies,
     /// PECs that must be verified (restricted set plus transitive deps).
     pub(crate) needed: BTreeSet<PecId>,
     /// PECs whose policy verdict matters.
@@ -257,6 +322,7 @@ impl Plankton {
             policy,
             options,
             interesting,
+            ospf_adjacencies: OspfAdjacencies::new(failure_sets.len()),
             failure_sets,
             needed,
             checked,
@@ -285,8 +351,8 @@ impl Plankton {
             .0
     }
 
-    /// Verify every PEC of one component under one failure set: the work of
-    /// one engine task. Returns the outcome of every PEC that ran to
+    /// Verify every PEC of one component under failure set `f` (an index
+    /// into the run's sets): the work of one engine task. Returns the outcome of every PEC that ran to
     /// completion — a PEC the early-stop broadcast (or the deadline) skipped
     /// has none, so partial results can never be cached. The *caller* folds
     /// the outcomes into the run aggregates ([`RunCtx::absorb`]), caches
@@ -295,10 +361,11 @@ impl Plankton {
         &self,
         ctx: &RunCtx<'_>,
         component: &[PecId],
-        failures: &FailureSet,
+        f: usize,
         lookup: &dyn Fn(PecId) -> Option<Arc<ConvergedRecord>>,
         worker: &WorkerContext<'_>,
     ) -> Vec<(PecId, Arc<PolicyOutcome>)> {
+        let failures = &ctx.failure_sets[f];
         let mut out = Vec::with_capacity(component.len());
         for &pec_id in component {
             // The stop flag latches, so the rest of the component is
@@ -348,7 +415,8 @@ impl Plankton {
             );
             let mut first_unsigned = false;
             let mut control_routes = Vec::new();
-            let stream = session.stream_planes(&mut |plane| {
+            let adjacency = || ctx.ospf_adjacencies.get(f, &self.network, failures);
+            let stream = session.stream_planes_over(&adjacency, &mut |plane| {
                 if component_has_dependents {
                     result.records.push(Arc::new(session.record_of(plane)));
                 }
@@ -528,6 +596,23 @@ mod tests {
     use super::*;
     use plankton_config::scenarios::{disagree_gadget, fat_tree_ospf, ring_ospf, CoreStaticRoutes};
     use plankton_policy::{LoopFreedom, Reachability};
+
+    #[test]
+    fn ospf_adjacencies_are_shared_within_the_budget() {
+        let s = ring_ospf(4);
+        let none = FailureSet::none();
+        let get = |run: &OspfAdjacencies, f| run.get(f, &s.network, &none);
+        // Room for one adjacency.
+        let run = OspfAdjacencies::with_budget(2, OspfAdjacency::new(&s.network, &none).bytes());
+        assert!(
+            Arc::ptr_eq(&get(&run, 0), &get(&run, 0)),
+            "one build per set"
+        );
+        assert!(
+            !Arc::ptr_eq(&get(&run, 1), &get(&run, 1)),
+            "over the budget"
+        );
+    }
 
     #[test]
     fn ring_reachability_holds_under_single_failures() {

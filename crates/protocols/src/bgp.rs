@@ -15,7 +15,7 @@
 use crate::model::{Preference, ProtocolModel};
 use crate::route::{Route, SessionType};
 use plankton_config::bgp::BgpSessionKind;
-use plankton_config::route_map::RouteAttrs;
+use plankton_config::route_map::{RouteAttrs, RouteMap};
 use plankton_config::Network;
 use plankton_net::failure::FailureSet;
 use plankton_net::ip::Prefix;
@@ -69,11 +69,16 @@ impl IgpUnderlay for TableUnderlay {
     }
 }
 
-/// One configured, currently-up BGP session as seen from one side.
+/// One configured, currently-up BGP session as seen from one side, with the
+/// route maps this side applies on it.
 #[derive(Clone, Debug)]
 struct Session {
     peer: NodeId,
     kind: BgpSessionKind,
+    /// Applied to advertisements received from `peer`.
+    import: RouteMap,
+    /// Applied to advertisements sent to `peer`.
+    export: RouteMap,
 }
 
 /// A BGP instance for a single destination prefix.
@@ -87,8 +92,8 @@ pub struct BgpModel {
     peer_lists: Vec<Vec<NodeId>>,
     asn: Vec<u32>,
     underlay: Arc<dyn IgpUnderlay>,
-    /// The per-device configuration, needed for import/export maps.
-    network: Network,
+    /// [`BgpModel::max_import_local_pref_global`], computed once.
+    max_import_local_pref: u32,
 }
 
 impl BgpModel {
@@ -123,9 +128,14 @@ impl BgpModel {
                 };
                 // The peer must run BGP too.
                 if up && network.device(nbr.peer).runs_bgp() {
+                    // The maps of the first neighbor entry for the peer,
+                    // which is the one a lookup by peer finds.
+                    let cfg = bgp.neighbor(nbr.peer).expect("nbr is one of bgp.neighbors");
                     sessions[n.index()].push(Session {
                         peer: nbr.peer,
                         kind: nbr.kind,
+                        import: cfg.import.clone(),
+                        export: cfg.export.clone(),
                     });
                 }
             }
@@ -148,7 +158,7 @@ impl BgpModel {
             peer_lists,
             asn,
             underlay,
-            network: network.clone(),
+            max_import_local_pref: max_import_local_pref(network),
         }
     }
 
@@ -191,23 +201,7 @@ impl BgpModel {
     /// the deterministic-node heuristic (§4.1.2): no future advertisement can
     /// arrive with a higher local preference than this.
     pub fn max_import_local_pref_global(&self) -> u32 {
-        use plankton_config::route_map::SetAction;
-        let mut max = 100u32;
-        for n in self.network.topology.node_ids() {
-            let Some(bgp) = &self.network.device(n).bgp else {
-                continue;
-            };
-            for nbr in &bgp.neighbors {
-                for clause in &nbr.import.clauses {
-                    for set in &clause.sets {
-                        if let SetAction::LocalPref(v) = set {
-                            max = max.max(*v);
-                        }
-                    }
-                }
-            }
-        }
-        max
+        self.max_import_local_pref
     }
 
     /// For every node, the minimum possible AS-path length of any route it
@@ -260,6 +254,28 @@ impl BgpModel {
     }
 }
 
+/// The highest LOCAL_PREF any import route map of `network` sets, and at
+/// least the default of 100.
+fn max_import_local_pref(network: &Network) -> u32 {
+    use plankton_config::route_map::SetAction;
+    let mut max = 100u32;
+    for n in network.topology.node_ids() {
+        let Some(bgp) = &network.device(n).bgp else {
+            continue;
+        };
+        for nbr in &bgp.neighbors {
+            for clause in &nbr.import.clauses {
+                for set in &clause.sets {
+                    if let SetAction::LocalPref(v) = set {
+                        max = max.max(*v);
+                    }
+                }
+            }
+        }
+    }
+    max
+}
+
 impl ProtocolModel for BgpModel {
     fn node_count(&self) -> usize {
         self.node_count
@@ -289,14 +305,8 @@ impl ProtocolModel for BgpModel {
             return None;
         }
 
-        let from_cfg = self.network.device(from).bgp.as_ref()?;
-        let to_cfg = self.network.device(to).bgp.as_ref()?;
-
         // Export at `from`.
-        let mut attrs: RouteAttrs = from_cfg
-            .neighbor(to)
-            .map(|nbr| nbr.export.apply(&best_of_from.attrs, to))
-            .unwrap_or_else(|| Some(best_of_from.attrs.clone()))?;
+        let mut attrs: RouteAttrs = from_session.export.apply(&best_of_from.attrs, to)?;
 
         if from_session.kind == BgpSessionKind::Ebgp {
             // The exporting AS prepends itself.
@@ -315,10 +325,7 @@ impl ProtocolModel for BgpModel {
         }
 
         // Import at `to`.
-        let attrs = to_cfg
-            .neighbor(from)
-            .map(|nbr| nbr.import.apply(&attrs, from))
-            .unwrap_or(Some(attrs))?;
+        let attrs = to_session.import.apply(&attrs, from)?;
 
         let mut route = best_of_from.extended_through(from);
         route.attrs = attrs;

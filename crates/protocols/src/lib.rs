@@ -16,7 +16,8 @@
 //!   reference implementation used to cross-check RPVP in tests.
 //! * [`ospf`] — OSPF as a protocol model: shortest paths over configured
 //!   link costs, deterministic outcome, equal-cost multipath derived from the
-//!   converged costs.
+//!   converged costs; a model is a view of an adjacency shared per failure
+//!   set.
 //! * [`bgp`] — BGP as a protocol model: import/export route maps, the BGP
 //!   decision process as a partial-order ranking function, eBGP and iBGP
 //!   sessions, with iBGP rankings driven by an IGP underlay supplied by the
@@ -34,8 +35,8 @@ pub mod spvp;
 pub use bgp::{BgpModel, IgpUnderlay, TableUnderlay, UniformUnderlay};
 pub use hopvec::HopVec;
 pub use interner::{RouteHandle, RouteInterner};
-pub use model::{Preference, ProtocolModel, ReversePeer};
-pub use ospf::OspfModel;
+pub use model::{Preference, ProtocolModel, ReversePeer, ReversePeers};
+pub use ospf::{OspfAdjacency, OspfModel};
 pub use route::{Route, SessionType};
 pub use rpvp::{
     ConvergedState, EnabledChoice, EnabledView, IncrementalEnabled, Rpvp, RpvpState, UpdateVec,

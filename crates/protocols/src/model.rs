@@ -3,6 +3,7 @@
 
 use crate::route::Route;
 use plankton_net::topology::NodeId;
+use std::sync::Arc;
 
 /// The result of comparing two candidate routes at a node.
 ///
@@ -31,8 +32,8 @@ impl Preference {
     }
 }
 
-/// One entry of [`ProtocolModel::reverse_peers`]`()[n]`: a node that listens
-/// to `n`, and where.
+/// One entry of a [`ReversePeers`] row: a node that listens to the row's
+/// node `n`, and where.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReversePeer {
     /// The listening node `m` (`n ∈ peers(m)`).
@@ -45,6 +46,84 @@ pub struct ReversePeer {
 impl ReversePeer {
     /// The `slot` of a node that lists the same peer more than once.
     pub const REPEATED: u32 = u32::MAX;
+}
+
+/// The reverse-peer index of a peer relation ([`ProtocolModel::reverse_peers`])
+/// in compressed sparse rows: one flat entry array, and per node an offset
+/// into it. Row `n` (`rev[n]`) lists every `m` with `n ∈ peers(m)`, sorted by
+/// node and deduplicated, each with the slot `n` occupies in `peers(m)`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ReversePeers {
+    /// Row `n` is `entries[offsets[n]..offsets[n + 1]]`.
+    offsets: Vec<u32>,
+    entries: Vec<ReversePeer>,
+}
+
+impl ReversePeers {
+    /// Invert the peer relation `peers` over nodes `0..node_count`: a
+    /// counting pass sizes the rows, a second pass fills them. Listeners are
+    /// visited in id order, so each row comes out sorted, and a repeat of a
+    /// listener can only be the entry its row received last.
+    pub(crate) fn build<'p>(node_count: usize, peers: impl Fn(NodeId) -> &'p [NodeId]) -> Self {
+        // `last[p]` = the last listener counted (then placed) in row `p`.
+        let mut last = vec![u32::MAX; node_count];
+        let mut offsets = vec![0u32; node_count + 1];
+        for m in 0..node_count as u32 {
+            for &p in peers(NodeId(m)) {
+                if last[p.index()] != m {
+                    last[p.index()] = m;
+                    offsets[p.index() + 1] += 1;
+                }
+            }
+        }
+        for i in 0..node_count {
+            offsets[i + 1] += offsets[i];
+        }
+        let placeholder = ReversePeer {
+            node: NodeId(0),
+            slot: 0,
+        };
+        let mut entries = vec![placeholder; offsets[node_count] as usize];
+        // `cursor[p]` = where row `p`'s next entry goes.
+        let mut cursor = offsets[..node_count].to_vec();
+        last.fill(u32::MAX);
+        for m in 0..node_count as u32 {
+            for (slot, &p) in peers(NodeId(m)).iter().enumerate() {
+                let row = p.index();
+                if last[row] == m {
+                    entries[cursor[row] as usize - 1].slot = ReversePeer::REPEATED;
+                } else {
+                    last[row] = m;
+                    entries[cursor[row] as usize] = ReversePeer {
+                        node: NodeId(m),
+                        slot: slot as u32,
+                    };
+                    cursor[row] += 1;
+                }
+            }
+        }
+        ReversePeers { offsets, entries }
+    }
+
+    /// The number of rows: one per node.
+    pub(crate) fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Heap bytes the index holds.
+    pub(crate) fn bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<u32>()
+            + self.entries.capacity() * std::mem::size_of::<ReversePeer>()
+    }
+}
+
+impl std::ops::Index<NodeId> for ReversePeers {
+    type Output = [ReversePeer];
+
+    fn index(&self, n: NodeId) -> &[ReversePeer] {
+        let i = n.index();
+        &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
 }
 
 /// A routing protocol instance for **one destination prefix**: the abstract
@@ -109,32 +188,18 @@ pub trait ProtocolModel: Sync {
     /// A short protocol name for reporting ("ospf", "bgp").
     fn name(&self) -> &'static str;
 
-    /// The reverse-peer index: `reverse_peers()[n]` lists the nodes that
-    /// consider advertisements *from* `n` (every `m` with `n ∈ peers(m)`),
-    /// sorted by node and deduplicated, each with the slot `n` occupies in
-    /// `peers(m)` ([`ReversePeer`]). An RPVP step at `n` can only change the
-    /// enabled status of `n` itself and of these nodes, and only through the
-    /// one advertisement `n → m` — which is what makes delta-maintained
-    /// enabled sets sound, and single-edge updates of them possible. Built
-    /// once per checker run (O(edges)).
-    fn reverse_peers(&self) -> Vec<Vec<ReversePeer>> {
-        let n = self.node_count();
-        let mut rev: Vec<Vec<ReversePeer>> = vec![Vec::new(); n];
-        for i in 0..n {
-            let m = NodeId(i as u32);
-            for (slot, &p) in self.peers(m).iter().enumerate() {
-                // Nodes are visited in id order, so each list stays sorted
-                // and a repeat of `m` can only be the entry pushed last.
-                match rev[p.index()].last_mut() {
-                    Some(last) if last.node == m => last.slot = ReversePeer::REPEATED,
-                    _ => rev[p.index()].push(ReversePeer {
-                        node: m,
-                        slot: slot as u32,
-                    }),
-                }
-            }
-        }
-        rev
+    /// The reverse-peer index ([`ReversePeers`]): row `n` lists the nodes
+    /// that consider advertisements *from* `n` (every `m` with
+    /// `n ∈ peers(m)`), each with the slot `n` occupies in `peers(m)`. An
+    /// RPVP step at `n` can only change the enabled status of `n` itself and
+    /// of these nodes, and only through the one advertisement `n → m` —
+    /// which is what makes delta-maintained enabled sets sound, and
+    /// single-edge updates of them possible. The default inverts
+    /// [`ProtocolModel::peers`] in O(nodes + edges) on every call; a model
+    /// whose peer relation is shared across instances (OSPF, per failure
+    /// set) hands out its shared index instead.
+    fn reverse_peers(&self) -> Arc<ReversePeers> {
+        Arc::new(ReversePeers::build(self.node_count(), |m| self.peers(m)))
     }
 
     /// Select the most-preferred routes among `candidates` according to `n`'s
@@ -238,7 +303,7 @@ mod tests {
             for j in 0..3u32 {
                 let mm = NodeId(j);
                 let slot = m.peers(mm).iter().position(|&p| p == n);
-                let entry = rev[n.index()].iter().find(|r| r.node == mm);
+                let entry = rev[n].iter().find(|r| r.node == mm);
                 assert_eq!(
                     entry.map(|r| r.slot as usize),
                     slot,
@@ -246,7 +311,7 @@ mod tests {
                 );
             }
             // Sorted and deduplicated.
-            assert!(rev[n.index()].windows(2).all(|w| w[0].node < w[1].node));
+            assert!(rev[n].windows(2).all(|w| w[0].node < w[1].node));
         }
     }
 

@@ -7,31 +7,144 @@
 //! after convergence from the converged costs ([`OspfModel::ecmp_next_hops`])
 //! — the special-case deviation from single-best-path RPVP that the paper
 //! describes for OSPF.
+//!
+//! Everything about an OSPF instance except its prefix and origins is a
+//! function of the network and the failed links: who is adjacent, at what
+//! cost, and the reverse-peer index the explorer patches enabled sets
+//! through. That part is an [`OspfAdjacency`], built once per (network,
+//! failure set) and shared by `Arc`; an [`OspfModel`] is a view of one
+//! adjacency for one prefix. A verify run builds one adjacency per failure
+//! set, on its first OSPF task, and every PEC's task under that set takes a
+//! view of it (up to a memory cap on what the run keeps), so a task's model
+//! set-up is O(origins), not O(edges).
 
-use crate::model::{Preference, ProtocolModel};
+use crate::model::{Preference, ProtocolModel, ReversePeers};
 use crate::route::{Route, SessionType};
 use crate::rpvp::ConvergedState;
 use plankton_config::Network;
 use plankton_net::failure::FailureSet;
 use plankton_net::ip::Prefix;
 use plankton_net::topology::NodeId;
+use std::sync::Arc;
 
-/// An OSPF instance for a single destination prefix.
+/// The OSPF adjacency of a network under one failure set, in compressed
+/// sparse rows: per node, its live OSPF peers sorted by id, each with the
+/// cost of the cheapest live parallel link towards it, plus the reverse-peer
+/// index of that relation. Prefix-independent, so every OSPF instance under
+/// the same failure set can share one ([`OspfModel::over`]).
+#[derive(Debug)]
+pub struct OspfAdjacency {
+    /// Node `n`'s peers are `peers[offsets[n]..offsets[n + 1]]`, and
+    /// `costs` the same range of `n`'s link costs towards them.
+    offsets: Vec<u32>,
+    peers: Vec<NodeId>,
+    /// The cost configured at `n` for its cheapest live, OSPF-enabled link
+    /// towards the peer at the same index.
+    costs: Vec<u32>,
+    /// `speaks[n]` ⟺ `n` runs an OSPF process (only those originate).
+    speaks: Vec<bool>,
+    /// The reverse-peer index of `peers`, handed to every view's explorer.
+    reverse: Arc<ReversePeers>,
+}
+
+impl OspfAdjacency {
+    /// The adjacency of `network` with `failures` down. Only routers with
+    /// an OSPF process participate; adjacency requires OSPF enabled on the
+    /// link at both ends and the link to be alive.
+    pub fn new(network: &Network, failures: &FailureSet) -> Self {
+        let topo = &network.topology;
+        let node_count = topo.node_count();
+        let mut offsets = Vec::with_capacity(node_count + 1);
+        offsets.push(0u32);
+        let mut peers = Vec::new();
+        let mut costs = Vec::new();
+        let mut adjacent: Vec<(NodeId, u32)> = Vec::new();
+        for n in topo.node_ids() {
+            if let Some(my_ospf) = &network.device(n).ospf {
+                adjacent.clear();
+                for &(m, link) in topo.neighbors(n) {
+                    if failures.contains(link) {
+                        continue;
+                    }
+                    let Some(peer_ospf) = &network.device(m).ospf else {
+                        continue;
+                    };
+                    let (Some(my_cost), Some(_)) = (my_ospf.cost(link), peer_ospf.cost(link))
+                    else {
+                        continue;
+                    };
+                    // RFC 2328 App. C.3; `Network::validate` refuses cost 0,
+                    // and `OspfPor`'s Dijkstra argument needs every cost
+                    // positive.
+                    debug_assert!(my_cost > 0, "zero OSPF cost at {n} on {link}");
+                    adjacent.push((m, my_cost));
+                }
+                // Sorted by (peer, cost): the first entry of each peer's run
+                // is its cheapest parallel link.
+                adjacent.sort_unstable();
+                adjacent.dedup_by_key(|&mut (m, _)| m);
+                peers.extend(adjacent.iter().map(|&(m, _)| m));
+                costs.extend(adjacent.iter().map(|&(_, c)| c));
+            }
+            offsets.push(peers.len() as u32);
+        }
+        let speaks = topo
+            .node_ids()
+            .map(|n| network.device(n).runs_ospf())
+            .collect();
+        let row = |n: NodeId| &peers[offsets[n.index()] as usize..offsets[n.index() + 1] as usize];
+        let reverse = Arc::new(ReversePeers::build(node_count, row));
+        OspfAdjacency {
+            offsets,
+            peers,
+            costs,
+            speaks,
+            reverse,
+        }
+    }
+
+    /// Heap bytes the adjacency holds, its reverse-peer index included.
+    pub fn bytes(&self) -> usize {
+        (self.offsets.capacity() + self.costs.capacity()) * std::mem::size_of::<u32>()
+            + self.peers.capacity() * std::mem::size_of::<NodeId>()
+            + self.speaks.capacity()
+            + self.reverse.bytes()
+    }
+
+    fn node_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn range(&self, n: NodeId) -> std::ops::Range<usize> {
+        self.offsets[n.index()] as usize..self.offsets[n.index() + 1] as usize
+    }
+
+    /// The OSPF peers of `n`, sorted by node id.
+    fn peers(&self, n: NodeId) -> &[NodeId] {
+        &self.peers[self.range(n)]
+    }
+
+    /// The configured cost from `n` towards `m`, if they are OSPF-adjacent.
+    fn link_cost(&self, n: NodeId, m: NodeId) -> Option<u64> {
+        let range = self.range(n);
+        let i = self.peers[range.clone()].binary_search(&m).ok()?;
+        Some(u64::from(self.costs[range.start + i]))
+    }
+}
+
+/// An OSPF instance for a single destination prefix: a view of a shared
+/// [`OspfAdjacency`] plus the prefix and its origins.
 #[derive(Clone, Debug)]
 pub struct OspfModel {
-    node_count: usize,
+    adjacency: Arc<OspfAdjacency>,
     origins: Vec<NodeId>,
-    /// `peers[n]`, sorted by node id.
-    peers: Vec<Vec<NodeId>>,
-    /// `costs[n][i]` = the cost configured at `n` for its cheapest live,
-    /// OSPF-enabled link towards `peers[n][i]`.
-    costs: Vec<Vec<u64>>,
     prefix: Prefix,
 }
 
 impl OspfModel {
     /// Build the OSPF model for `prefix` with the given originating routers,
-    /// under a set of failed links. Only routers with an OSPF process
+    /// under a set of failed links: a view of a fresh
+    /// [`OspfAdjacency::new`]. Only routers with an OSPF process
     /// participate; adjacency requires OSPF enabled on the link at both ends
     /// and the link to be alive.
     pub fn new(
@@ -40,51 +153,25 @@ impl OspfModel {
         origins: Vec<NodeId>,
         failures: &FailureSet,
     ) -> Self {
-        let topo = &network.topology;
-        let node_count = topo.node_count();
-        let mut peers = vec![Vec::new(); node_count];
-        let mut costs = vec![Vec::new(); node_count];
-        let mut adjacent: Vec<(NodeId, u64)> = Vec::new();
+        Self::over(
+            Arc::new(OspfAdjacency::new(network, failures)),
+            prefix,
+            origins,
+        )
+    }
 
-        for n in topo.node_ids() {
-            let Some(my_ospf) = &network.device(n).ospf else {
-                continue;
-            };
-            adjacent.clear();
-            for &(m, link) in topo.neighbors(n) {
-                if failures.contains(link) {
-                    continue;
-                }
-                let Some(peer_ospf) = &network.device(m).ospf else {
-                    continue;
-                };
-                let (Some(my_cost), Some(_)) = (my_ospf.cost(link), peer_ospf.cost(link)) else {
-                    continue;
-                };
-                // RFC 2328 App. C.3; `Network::validate` refuses cost 0, and
-                // `OspfPor`'s Dijkstra argument needs every cost positive.
-                debug_assert!(my_cost > 0, "zero OSPF cost at {n} on {link}");
-                adjacent.push((m, my_cost as u64));
-            }
-            // Sorted by (peer, cost): the first entry of each peer's run is
-            // its cheapest parallel link.
-            adjacent.sort_unstable();
-            adjacent.dedup_by_key(|&mut (m, _)| m);
-            peers[n.index()] = adjacent.iter().map(|&(m, _)| m).collect();
-            costs[n.index()] = adjacent.iter().map(|&(_, c)| c).collect();
-        }
-
+    /// The OSPF model for `prefix` with the given originating routers, as a
+    /// view of `adjacency`. Origins are sorted and deduplicated in place;
+    /// the view allocates nothing else.
+    pub fn over(adjacency: Arc<OspfAdjacency>, prefix: Prefix, origins: Vec<NodeId>) -> Self {
         let mut origins = origins;
         origins.sort();
         origins.dedup();
         // Only OSPF speakers can originate into OSPF.
-        origins.retain(|o| network.device(*o).runs_ospf());
-
+        origins.retain(|o| adjacency.speaks[o.index()]);
         OspfModel {
-            node_count,
+            adjacency,
             origins,
-            peers,
-            costs,
             prefix,
         }
     }
@@ -96,8 +183,7 @@ impl OspfModel {
 
     /// The configured cost from `n` towards `m`, if they are OSPF-adjacent.
     pub fn link_cost(&self, n: NodeId, m: NodeId) -> Option<u64> {
-        let i = self.peers[n.index()].binary_search(&m).ok()?;
-        Some(self.costs[n.index()][i])
+        self.adjacency.link_cost(n, m)
     }
 
     /// The equal-cost next hops of `n` in a converged state, written into
@@ -112,14 +198,16 @@ impl OspfModel {
         if my_best.is_origin() {
             return;
         }
-        for (&m, &link) in self.peers[n.index()].iter().zip(&self.costs[n.index()]) {
+        let range = self.adjacency.range(n);
+        let peers = &self.adjacency.peers[range.clone()];
+        for (&m, &link) in peers.iter().zip(&self.adjacency.costs[range]) {
             let Some(peer_best) = state.best(m) else {
                 continue;
             };
             if peer_best.traverses(n) {
                 continue;
             }
-            if peer_best.igp_cost + link == my_best.igp_cost {
+            if peer_best.igp_cost + u64::from(link) == my_best.igp_cost {
                 hops.push(m);
             }
         }
@@ -148,7 +236,7 @@ fn rank(order: std::cmp::Ordering) -> Preference {
 
 impl ProtocolModel for OspfModel {
     fn node_count(&self) -> usize {
-        self.node_count
+        self.adjacency.node_count()
     }
 
     fn origins(&self) -> &[NodeId] {
@@ -156,7 +244,7 @@ impl ProtocolModel for OspfModel {
     }
 
     fn peers(&self, n: NodeId) -> &[NodeId] {
-        &self.peers[n.index()]
+        self.adjacency.peers(n)
     }
 
     fn advertise(&self, from: NodeId, to: NodeId, best_of_from: &Route) -> Option<Route> {
@@ -204,6 +292,11 @@ impl ProtocolModel for OspfModel {
 
     fn name(&self) -> &'static str {
         "ospf"
+    }
+
+    /// The adjacency's shared index: O(1).
+    fn reverse_peers(&self) -> Arc<ReversePeers> {
+        Arc::clone(&self.adjacency.reverse)
     }
 }
 

@@ -44,10 +44,11 @@
 
 use crate::hopvec::InlineVec;
 use crate::interner::{RouteHandle, RouteInterner};
-use crate::model::{Preference, ProtocolModel, ReversePeer};
+use crate::model::{Preference, ProtocolModel, ReversePeer, ReversePeers};
 use crate::route::Route;
 use plankton_net::topology::NodeId;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The RPVP network state: the best route of every node, as interned
 /// handles (`RouteHandle::NONE` is the paper's `⊥`).
@@ -695,6 +696,11 @@ impl<'m> Rpvp<'m> {
 /// ([`EnabledView::Slots`]). Displaced entries are handed back to the caller
 /// so an apply/undo search can restore them exactly when it backtracks.
 ///
+/// The reverse-peer index is the model's flat one
+/// ([`ProtocolModel::reverse_peers`]), held by `Arc`: an OSPF model shares
+/// one index across every task under the same failure set, so a set built
+/// over it allocates per node only its own slots, not per-node lists.
+///
 /// The same O(1) slot swap keeps a count of entries whose node holds a route
 /// ([`EnabledChoice::routed`]), so the §4.1.1 consistency question "is any
 /// enabled node already routed?" is
@@ -716,6 +722,20 @@ impl<'m> Rpvp<'m> {
 /// verdicts re-derives only the nodes stamped after it last looked
 /// ([`EnabledView::clock`]).
 ///
+///
+/// # Initialization
+///
+/// [`IncrementalEnabled::rebuild`] derives only the entries that can be
+/// non-empty: a node with no route whose peers hold none has no candidate
+/// and nothing to invalidate. So it visits the nodes that hold a route and
+/// their reverse peers — in the initial state, the origins' listeners — in
+/// node-id order, the order a full pass would derive (and intern) them in.
+/// Debug builds re-derive every eligible node afterwards and assert the
+/// result equals the full pass. The rebuild still counts one recomputation
+/// per eligible node ([`IncrementalEnabled::recompute_count`]): it settles
+/// every entry, the skipped ones by the rule above instead of a pass over
+/// their peers.
+///
 /// [`refresh_after_step`]: IncrementalEnabled::refresh_after_step
 pub struct IncrementalEnabled {
     /// `slots[n]` = node `n`'s enabled choice, if currently enabled.
@@ -732,11 +752,13 @@ pub struct IncrementalEnabled {
     stamps: Option<(u64, Vec<u64>)>,
     /// `rev_peers[n]` = nodes that consider advertisements from `n`, each
     /// with `n`'s slot in their peer list.
-    rev_peers: Vec<Vec<ReversePeer>>,
+    rev_peers: Arc<ReversePeers>,
     /// Nodes that may ever be enabled (non-origins, and allowed by any
     /// influence pruning the search applies). Ineligible nodes are skipped
     /// entirely, never recomputed.
     eligible: Vec<bool>,
+    /// The number of eligible nodes: what a rebuild adds to `recomputed`.
+    eligible_count: u64,
     /// Full `enabled_at` recomputations performed (the pre-incremental
     /// explorer did one per node per step).
     recomputed: u64,
@@ -750,13 +772,16 @@ pub struct IncrementalEnabled {
     /// Candidate-route buffer threaded into
     /// [`Rpvp::enabled_at_with`], reused across every recomputation.
     candidates: Vec<(NodeId, Route)>,
+    /// The nodes [`IncrementalEnabled::rebuild`] derives, reused.
+    touched: Vec<NodeId>,
 }
 
 impl IncrementalEnabled {
     /// An enabled set over the given reverse-peer index and eligibility mask.
     /// Call [`IncrementalEnabled::rebuild`] before use.
-    pub fn new(rev_peers: Vec<Vec<ReversePeer>>, eligible: Vec<bool>) -> Self {
+    pub fn new(rev_peers: Arc<ReversePeers>, eligible: Vec<bool>) -> Self {
         let n = eligible.len();
+        debug_assert_eq!(rev_peers.len(), n, "one reverse-peer row per node");
         IncrementalEnabled {
             slots: (0..n).map(|_| None).collect(),
             bits: vec![0; n.div_ceil(64)],
@@ -765,12 +790,14 @@ impl IncrementalEnabled {
             costs: None,
             stamps: None,
             rev_peers,
+            eligible_count: eligible.iter().filter(|&&e| e).count() as u64,
             eligible,
             recomputed: 0,
             edge_updates: 0,
             stepped_skips: 0,
             edge_updates_unbuilt: 0,
             candidates: Vec::new(),
+            touched: Vec::new(),
         }
     }
 
@@ -788,8 +815,9 @@ impl IncrementalEnabled {
         self
     }
 
-    /// Recompute the whole enabled set from scratch (initialization). Every
-    /// node counts as changed.
+    /// Recompute the whole enabled set from scratch (initialization),
+    /// deriving only the nodes that hold a route and their reverse peers
+    /// (see the type docs). Every node counts as changed.
     pub fn rebuild(&mut self, rpvp: &Rpvp, state: &RpvpState, interner: &mut RouteInterner) {
         if let Some((clock, stamps)) = &mut self.stamps {
             *clock += 1;
@@ -804,14 +832,27 @@ impl IncrementalEnabled {
         if let Some(costs) = &mut self.costs {
             costs.clear();
         }
-        for i in 0..self.eligible.len() {
-            if !self.eligible[i] {
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
+        for n in state.nodes_with_routes() {
+            touched.push(n);
+            touched.extend(self.rev_peers[n].iter().map(|r| r.node));
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        self.recomputed += self.eligible_count;
+        for &node in &touched {
+            if !self.eligible[node.index()] {
                 continue;
             }
-            self.recomputed += 1;
-            let node = NodeId(i as u32);
             let entry = rpvp.enabled_at_with(state, interner, node, &mut self.candidates);
             self.set_entry(node, entry);
+        }
+        self.touched = touched;
+        for i in 0..self.eligible.len() {
+            if self.eligible[i] {
+                self.audit(rpvp, state, interner, NodeId(i as u32), "sparse rebuild");
+            }
         }
     }
 
@@ -842,7 +883,7 @@ impl IncrementalEnabled {
         if let Some((clock, stamps)) = &mut self.stamps {
             *clock += 1;
             stamps[x.index()] = *clock;
-            for r in &self.rev_peers[x.index()] {
+            for r in &self.rev_peers[x] {
                 stamps[r.node.index()] = *clock;
             }
         }
@@ -856,7 +897,7 @@ impl IncrementalEnabled {
     /// The nodes that listen to `n`, each with `n`'s slot in their peer
     /// list ([`ProtocolModel::reverse_peers`]).
     pub fn reverse_peers(&self, n: NodeId) -> &[ReversePeer] {
-        &self.rev_peers[n.index()]
+        &self.rev_peers[n]
     }
 
     /// Is the enabled set empty (i.e. the state converged)?
@@ -864,7 +905,11 @@ impl IncrementalEnabled {
         self.len == 0
     }
 
-    /// Number of full `enabled_at` recomputations performed so far.
+    /// Number of enabled-set entries settled in full so far: one per
+    /// `enabled_at` recomputation after a step, plus every eligible node at
+    /// each rebuild — which derives only the entries that can be non-empty
+    /// and settles the rest empty by rule (see the type docs), so this
+    /// exceeds the derivations actually run by the skipped ones.
     pub fn recompute_count(&self) -> u64 {
         self.recomputed
     }
@@ -946,7 +991,7 @@ impl IncrementalEnabled {
             && self.slots[node.index()]
                 .as_ref()
                 .is_some_and(|c| c.best_updates.iter().any(|&(_, h)| h == adopted));
-        let listens_to_itself = self.rev_peers[node.index()]
+        let listens_to_itself = self.rev_peers[node]
             .binary_search_by_key(&node, |r| r.node)
             .is_ok();
         if adopted_maximal && !listens_to_itself {
@@ -957,8 +1002,8 @@ impl IncrementalEnabled {
         } else {
             self.refresh_node(rpvp, state, interner, node, displaced);
         }
-        for k in 0..self.rev_peers[node.index()].len() {
-            let to = self.rev_peers[node.index()][k];
+        for k in 0..self.rev_peers[node].len() {
+            let to = self.rev_peers[node][k];
             if to.node == node {
                 continue;
             }
@@ -1510,8 +1555,8 @@ mod tests {
         let m = Line4Doubled;
         let rev = m.reverse_peers();
         assert_eq!(
-            rev[1],
-            vec![
+            rev[NodeId(1)],
+            [
                 ReversePeer {
                     node: NodeId(0),
                     slot: 0

@@ -339,3 +339,75 @@ fn incremental_enabled_matches_full_recompute_on_random_walk() {
     }
     assert!(inc.recompute_count() > 0);
 }
+
+/// A verify run builds each failure set's OSPF adjacency once and shares it
+/// across the run's tasks; the adjacency must not outlive the run. On a k=4
+/// fat tree under ≤ 1 failure, a session verifies, takes an OSPF cost
+/// change, verifies, takes a link-down, and verifies again; after each step
+/// its report must equal a from-scratch verification of the snapshot. The
+/// question (paths from `agg0_0` of at most two hops) sees both deltas: the
+/// cost change sends `agg0_0`'s traffic for `edge0_0` the long way round
+/// (three hops), and downing `agg0_1`–`edge0_0` brings it back to the direct
+/// link. An adjacency kept from an earlier run — keyed by failure set or by
+/// its index — answers with the old paths.
+#[test]
+fn adjacencies_are_scoped_to_one_run_across_deltas() {
+    use plankton::config::delta::ConfigDelta;
+    use plankton::core::IncrementalVerifier;
+
+    let s = fat_tree_ospf(4, CoreStaticRoutes::None);
+    let topology = &s.network.topology;
+    let (agg00, agg01) = (s.fat_tree.aggregation[0][0], s.fat_tree.aggregation[0][1]);
+    let edge00 = s.fat_tree.edge[0][0];
+    let direct = topology
+        .link_between(agg00, edge00)
+        .expect("agg0_0–edge0_0");
+    let detour = topology
+        .link_between(agg01, edge00)
+        .expect("agg0_1–edge0_0");
+    let session = IncrementalVerifier::new(s.network.clone());
+    let policy = BoundedPathLength::new(vec![agg00], 2);
+    let scenario = FailureScenario::up_to(1);
+    let options = PlanktonOptions::default().collect_all_violations();
+    let violations_for_edge00 = |report: &VerificationReport| {
+        let prefix = s.fat_tree.prefix_of_edge(edge00);
+        report
+            .violations
+            .iter()
+            .filter(|v| v.prefix == prefix && v.failures.is_empty())
+            .count()
+    };
+    let mut seen = Vec::new();
+    let mut verify_and_compare = |label: &str| {
+        let snapshot = session.snapshot();
+        let (report, _) = session.verify(&policy, 11, &scenario, &options);
+        let scratch =
+            Plankton::new(snapshot.network().clone()).verify(&policy, &scenario, &options);
+        assert_eq!(
+            report.normalized_json(),
+            scratch.normalized_json(),
+            "{label}: the session's report diverged from a from-scratch verification"
+        );
+        seen.push(violations_for_edge00(&report));
+    };
+    verify_and_compare("initial");
+    session
+        .apply_delta(&ConfigDelta::OspfCostChange {
+            device: agg00,
+            link: direct,
+            cost: 1000,
+        })
+        .expect("a cost change applies");
+    verify_and_compare("after the cost change");
+    session
+        .apply_delta(&ConfigDelta::LinkDown { link: detour })
+        .expect("a link-down applies");
+    verify_and_compare("after the link-down");
+    // Each delta flipped the question's answer for edge0_0's prefix, so a
+    // stale adjacency cannot agree with the from-scratch reports.
+    assert_eq!(
+        seen,
+        [0, 1, 0],
+        "violations for edge0_0's prefix, no failures"
+    );
+}
