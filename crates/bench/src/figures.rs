@@ -818,6 +818,8 @@ pub fn fig8(quick: bool) -> FigureResult {
     };
     let ablation_cap = if quick { 200_000 } else { 2_000_000 };
     let (all_r, all_t) = run(SearchOptions::all_optimizations());
+    // "All but deterministic node": policy pruning goes with it (it is only
+    // sound when decisions are final), so this row pays for both.
     let mut nodet_opts = SearchOptions::all_optimizations().without_deterministic_nodes();
     nodet_opts.max_steps = ablation_cap;
     let (nodet_r, nodet_t) = run(nodet_opts);
@@ -851,6 +853,7 @@ pub fn fig8(quick: bool) -> FigureResult {
             })
         };
         let (all_r, all_t) = run(SearchOptions::all_optimizations());
+        // Policy pruning is off with the deterministic nodes, as above.
         let mut nodet_opts = SearchOptions::all_optimizations().without_deterministic_nodes();
         nodet_opts.max_steps = 2_000_000;
         let (nodet_r, nodet_t) = run(nodet_opts);

@@ -207,7 +207,7 @@ fn record_run_metrics(
     add(
         &FULL_RECOMPUTES,
         "plankton_enabled_full_recomputes_total",
-        "Enabled-set entries settled in full: re-derived from every peer's advertisement after a step, and every eligible entry at a rebuild.",
+        "Enabled-set entries re-derived from every peer's advertisement: after a step, and the origins' listeners at a rebuild.",
         stats.enabled_recomputed_nodes,
     );
     add(
@@ -305,9 +305,10 @@ impl<'m> ModelChecker<'m> {
     pub fn new(
         model: &'m dyn ProtocolModel,
         por: Box<dyn PorHeuristic + 'm>,
-        mut options: SearchOptions,
+        options: SearchOptions,
         failures: FailureSet,
     ) -> Self {
+        let mut options = options.effective();
         // Hoist the source list out of the per-run options (the old code
         // cloned it on every run): the checker owns its options, so the
         // list is moved, not copied.

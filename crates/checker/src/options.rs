@@ -17,9 +17,13 @@ pub struct SearchOptions {
     /// pick a single arbitrary execution order.
     pub decision_independence: bool,
     /// §4.2 — stop an execution once every policy source node has decided.
+    /// Only sound when a decision is final, which the deterministic-node
+    /// order guarantees: the checkers treat it as off when
+    /// `deterministic_nodes` is.
     pub policy_pruning: bool,
     /// §4.2 — additionally restrict execution to nodes that can influence a
     /// source node (only sound for single-prefix PECs with no dependents).
+    /// Off when `deterministic_nodes` is, like `policy_pruning`.
     pub influence_pruning: bool,
     /// The policy's source nodes, if it declared any (`None` = all nodes are
     /// potential sources, disabling policy-based pruning for this run).
@@ -76,7 +80,10 @@ impl SearchOptions {
     }
 
     /// Disable the deterministic-node heuristic, builder-style (Figure 8's
-    /// "All but deterministic node opt" rows).
+    /// "All but deterministic node opt" rows). Policy and influence pruning
+    /// go with it: without the deterministic order a source may adopt a
+    /// route it later gives up, so stopping once the sources have decided
+    /// could report a state that never converges.
     pub fn without_deterministic_nodes(mut self) -> Self {
         self.deterministic_nodes = false;
         self
@@ -86,6 +93,16 @@ impl SearchOptions {
     pub fn without_policy_pruning(mut self) -> Self {
         self.policy_pruning = false;
         self.influence_pruning = false;
+        self
+    }
+
+    /// The options a checker runs with: policy and influence pruning are
+    /// off unless deterministic nodes are on (see the fields).
+    pub(crate) fn effective(mut self) -> Self {
+        if !self.deterministic_nodes {
+            self.policy_pruning = false;
+            self.influence_pruning = false;
+        }
         self
     }
 

@@ -62,9 +62,10 @@ impl<'m> ReferenceChecker<'m> {
     pub fn new(
         model: &'m dyn ProtocolModel,
         por: Box<dyn PorHeuristic + 'm>,
-        mut options: SearchOptions,
+        options: SearchOptions,
         failures: FailureSet,
     ) -> Self {
+        let mut options = options.effective();
         let mut scratch = SearchScratch::new();
         scratch.prepare(&options);
         // Moved out of the run path, mirroring the incremental explorer.

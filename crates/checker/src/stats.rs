@@ -33,9 +33,9 @@ pub struct SearchStats {
     /// node's own entry after it adopted one of its maximal updates (no
     /// re-derivation happens); the process metrics report those as
     /// `plankton_enabled_edge_updates_total` and
-    /// `plankton_enabled_stepped_skips_total`. An initialization counts
-    /// every eligible entry as settled, though it derives only those that
-    /// can be non-empty (the origins' listeners).
+    /// `plankton_enabled_stepped_skips_total`. An initialization counts the
+    /// entries it derives: only those that can be non-empty (the origins'
+    /// listeners).
     #[serde(default)]
     pub enabled_recomputed_nodes: u64,
     /// Deepest apply/undo stack reached by the in-place DFS (the number of

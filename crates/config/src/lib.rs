@@ -25,9 +25,7 @@ pub mod static_routes;
 pub use bgp::{BgpConfig, BgpNeighborConfig, BgpSessionKind};
 pub use delta::{ConfigDelta, DeltaError};
 pub use device::DeviceConfig;
-pub use fingerprint::{
-    combine, fingerprint_of, Fingerprinter, OspfScopedSlices, SliceMemo, FINGERPRINT_SCHEME_VERSION,
-};
+pub use fingerprint::{combine, fingerprint_of, Fingerprinter, FINGERPRINT_SCHEME_VERSION};
 pub use network::{ConfigError, Network};
 pub use ospf::OspfConfig;
 pub use route_map::{

@@ -36,7 +36,8 @@ use crate::outcome::ConvergedRecord;
 use crate::report::Violation;
 use parking_lot::Mutex;
 use plankton_checker::SearchStats;
-use plankton_config::{Fingerprinter, SliceMemo, FINGERPRINT_SCHEME_VERSION};
+use plankton_config::{Fingerprinter, FINGERPRINT_SCHEME_VERSION};
+use plankton_pec::SliceMemo;
 use plankton_telemetry::{Counter, Gauge, Registry};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;

@@ -13,11 +13,17 @@
 //! key. The keys are the only invalidation mechanism: a delta reports
 //! nothing about what it dirtied, and the verifier's run statistics
 //! (`tasks_rerun`, `pecs_reexplored`, `key_misses`) say what re-ran.
+//!
+//! Every key decision is made in this crate: the OSPF part of a key is a
+//! scoped slice ([`OspfScopedSlices`]), whose competitive Dijkstra runs on
+//! the same `OspfAdjacency` the OSPF model explores over, so one adjacency
+//! feeds both the keys and the model.
 
 use crate::dependency::PecDependencies;
 use crate::pec::{OriginProtocol, Pec, PecId, PecSet};
+use crate::slices::{OspfScopedSlices, SliceMemo};
 use plankton_config::static_routes::StaticNextHop;
-use plankton_config::{Fingerprinter, Network, OspfScopedSlices, SliceMemo};
+use plankton_config::{Fingerprinter, Network};
 use plankton_net::failure::FailureSet;
 use plankton_net::topology::NodeId;
 
@@ -37,7 +43,7 @@ pub fn pec_content_fingerprint(pec: &Pec) -> u64 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OspfSliceMode {
     /// Per-(PEC × failure-set) scoped slices
-    /// ([`Network::ospf_scoped_slices`]), falling back to the global slice
+    /// ([`OspfScopedSlices`]), falling back to the global slice
     /// for any PEC whose scoping cannot be proven sound. Only valid when the
     /// exploration runs with deterministic-node detection enabled — the
     /// scoped-slice soundness argument is the `OspfPor` Dijkstra trajectory;
@@ -68,7 +74,7 @@ impl<'a> NetworkSlices<'a> {
             bgp: network.bgp_slice_fingerprint(),
             ownership: network.address_ownership_fingerprint(),
             scoped: match mode {
-                OspfSliceMode::Scoped => Some(network.ospf_scoped_slices(memo)),
+                OspfSliceMode::Scoped => Some(OspfScopedSlices::new(network, memo)),
                 OspfSliceMode::Global => None,
             },
         }
@@ -145,6 +151,17 @@ pub fn pec_failure_invariant(pec: &Pec) -> bool {
                 .iter()
                 .all(|(_, proto)| *proto == OriginProtocol::Connected)
     })
+}
+
+/// The failure-independent inputs of one needed PEC's task keys.
+struct PecTask {
+    pec: PecId,
+    /// Content, network slices, policy, options, run flags and SCC size.
+    base: u64,
+    /// Keyed with a constant failure slot (see [`pec_failure_invariant`]).
+    invariant: bool,
+    origin_sets: Vec<Vec<NodeId>>,
+    dependency_pecs: Vec<PecId>,
 }
 
 /// The per-(PEC × failure-set) task keys of one verification request.
@@ -227,14 +244,17 @@ impl TaskKeys {
             })
             .collect();
         let slices = NetworkSlices::of(network, mode, memo);
+        // The failure-independent part of each needed PEC's key. Components
+        // are listed dependencies-first, so every dependency comes before
+        // its dependents.
+        let mut tasks = Vec::new();
         let mut keys = vec![Vec::new(); pecs.len()];
-        // Components are listed dependencies-first, so every dependency's
-        // keys exist by the time a dependent composes them.
         for component in &deps.components {
             for &pec_id in component {
                 let Some(flags) = run_flags(pec_id) else {
                     continue;
                 };
+                keys[pec_id.index()] = Vec::with_capacity(nf);
                 let pec = pecs.pec(pec_id);
                 let comp = deps.component_of(pec_id);
                 let dependency_pecs = deps.transitive_dependencies(comp);
@@ -252,52 +272,59 @@ impl TaskKeys {
                 base.write_u8(flags);
                 // PECs verified together in one SCC share the run.
                 base.write_u64(component.len() as u64);
-                let base = base.finish();
                 // Failure-invariant PECs (no protocols, no static routes, no
                 // dependencies, nothing depending on them — bit 0 of the run
                 // flags) share one outcome across every failure set; the
                 // merge layer rewrites the failure annotations.
                 let invariant =
                     pec_failure_invariant(pec) && dependency_pecs.is_empty() && flags & 1 == 0;
-                let origin_sets = ospf_origin_sets(pec);
-                let mut row = Vec::with_capacity(nf);
-                for f in 0..nf {
-                    let mut fp = Fingerprinter::new();
-                    fp.write_u64(base);
-                    fp.write_u64(if invariant { 0 } else { failure_fps[f] });
-                    // The OSPF slice, composed per (PEC × failure-set): each
-                    // contributing OSPF prefix contributes its scoped slice
-                    // under this failure set, or — when any prefix's scoping
-                    // cannot be proven sound — the whole PEC conservatively
-                    // takes the global slice.
-                    if !origin_sets.is_empty() {
-                        let scoped_fps: Option<Vec<u64>> =
-                            slices.scoped.as_ref().and_then(|scoped| {
-                                origin_sets
-                                    .iter()
-                                    .map(|origins| scoped.fingerprint(origins, &failure_sets[f]))
-                                    .collect()
-                            });
-                        match scoped_fps {
-                            Some(fps) => {
-                                fp.write_u8(1);
-                                fp.write_u64(fps.len() as u64);
-                                for v in fps {
-                                    fp.write_u64(v);
-                                }
-                            }
-                            None => {
-                                fp.write_u8(2);
-                                fp.write_u64(slices.ospf_global);
+                tasks.push(PecTask {
+                    pec: pec_id,
+                    base: base.finish(),
+                    invariant,
+                    origin_sets: ospf_origin_sets(pec),
+                    dependency_pecs,
+                });
+            }
+        }
+        // Failure-set-major, so the scoped slicer needs one live adjacency
+        // at a time; a dependency's key for `f` is pushed before its
+        // dependents read it.
+        for (f, failures) in failure_sets.iter().enumerate() {
+            for task in &tasks {
+                let mut fp = Fingerprinter::new();
+                fp.write_u64(task.base);
+                fp.write_u64(if task.invariant { 0 } else { failure_fps[f] });
+                // The OSPF slice, composed per (PEC × failure-set): each
+                // contributing OSPF prefix contributes its scoped slice
+                // under this failure set, or — when any prefix's scoping
+                // cannot be proven sound — the whole PEC conservatively
+                // takes the global slice.
+                if !task.origin_sets.is_empty() {
+                    let scoped_fps: Option<Vec<u64>> = slices.scoped.as_ref().and_then(|scoped| {
+                        task.origin_sets
+                            .iter()
+                            .map(|origins| scoped.fingerprint(origins, failures))
+                            .collect()
+                    });
+                    match scoped_fps {
+                        Some(fps) => {
+                            fp.write_u8(1);
+                            fp.write_u64(fps.len() as u64);
+                            for v in fps {
+                                fp.write_u64(v);
                             }
                         }
+                        None => {
+                            fp.write_u8(2);
+                            fp.write_u64(slices.ospf_global);
+                        }
                     }
-                    for &dep in &dependency_pecs {
-                        fp.write_u64(keys[dep.index()][f]);
-                    }
-                    row.push(fp.finish());
                 }
-                keys[pec_id.index()] = row;
+                for &dep in &task.dependency_pecs {
+                    fp.write_u64(keys[dep.index()][f]);
+                }
+                keys[task.pec.index()].push(fp.finish());
             }
         }
         let memo_stats = slices

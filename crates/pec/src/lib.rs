@@ -15,15 +15,19 @@
 //!   first (§3.2) — the scheduling itself is `plankton-engine`'s.
 //! * [`invalidation`] — the content keys of (PEC × failure-scenario)
 //!   verification tasks, which alone decide what a delta made stale.
+//! * [`slices`] — the scoped OSPF slices those keys compose, computed on
+//!   the OSPF model's own adjacency, and the session memo behind them.
 
 pub mod compute;
 pub mod dependency;
 pub mod invalidation;
 pub mod pec;
+pub mod slices;
 pub mod trie;
 
 pub use compute::compute_pecs;
 pub use dependency::{DependencyGraph, PecDependencies};
 pub use invalidation::{pec_content_fingerprint, pec_failure_invariant, OspfSliceMode, TaskKeys};
 pub use pec::{OriginProtocol, Pec, PecId, PecSet, PrefixConfig};
+pub use slices::{OspfScopedSlices, SliceMemo};
 pub use trie::PrefixTrie;

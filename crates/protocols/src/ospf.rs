@@ -17,6 +17,12 @@
 //! set, on its first OSPF task, and every PEC's task under that set takes a
 //! view of it (up to a memory cap on what the run keeps), so a task's model
 //! set-up is O(origins), not O(edges).
+//!
+//! The task keys read the same adjacency: `plankton-pec`'s scoped OSPF
+//! slices run their competitive Dijkstra on an `OspfAdjacency` through
+//! [`OspfAdjacency::row`] and [`OspfAdjacency::distances_from`], so one
+//! adjacency feeds both the keys and the model, and nothing else derives
+//! the live OSPF graph.
 
 use crate::model::{Preference, ProtocolModel, ReversePeers};
 use crate::route::{Route, SessionType};
@@ -129,6 +135,42 @@ impl OspfAdjacency {
         let range = self.range(n);
         let i = self.peers[range.clone()].binary_search(&m).ok()?;
         Some(u64::from(self.costs[range.start + i]))
+    }
+
+    /// Node `n`'s row: its OSPF peers `m`, sorted by id, and the cost
+    /// configured at `n` towards each, `c(n ← m)`.
+    pub fn row(&self, n: NodeId) -> (&[NodeId], &[u32]) {
+        let range = self.range(n);
+        (&self.peers[range.clone()], &self.costs[range])
+    }
+
+    /// Multi-source Dijkstra from `origins`: per node, the cost of its
+    /// converged best route (`u64::MAX` where no live path leads to an
+    /// origin). Relaxes `dist(m) ≤ dist(n) + c(m ← n)`, reading `c(m ← n)`
+    /// from `m`'s row at the slot the reverse-peer index names.
+    pub fn distances_from(&self, origins: &[NodeId]) -> Vec<u64> {
+        use std::cmp::Reverse;
+        let mut dist = vec![u64::MAX; self.node_count()];
+        let mut heap = std::collections::BinaryHeap::with_capacity(origins.len());
+        for &o in origins {
+            dist[o.index()] = 0;
+            heap.push(Reverse((0, o)));
+        }
+        while let Some(Reverse((d, n))) = heap.pop() {
+            if dist[n.index()] < d {
+                continue;
+            }
+            for r in &self.reverse[n] {
+                // Rows hold each peer once, so every slot is a real one.
+                let cost = self.costs[self.offsets[r.node.index()] as usize + r.slot as usize];
+                let cand = d.saturating_add(u64::from(cost));
+                if cand < dist[r.node.index()] {
+                    dist[r.node.index()] = cand;
+                    heap.push(Reverse((cand, r.node)));
+                }
+            }
+        }
+        dist
     }
 }
 

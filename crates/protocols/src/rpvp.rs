@@ -731,10 +731,9 @@ impl<'m> Rpvp<'m> {
 /// their reverse peers — in the initial state, the origins' listeners — in
 /// node-id order, the order a full pass would derive (and intern) them in.
 /// Debug builds re-derive every eligible node afterwards and assert the
-/// result equals the full pass. The rebuild still counts one recomputation
-/// per eligible node ([`IncrementalEnabled::recompute_count`]): it settles
-/// every entry, the skipped ones by the rule above instead of a pass over
-/// their peers.
+/// result equals the full pass. The rebuild counts one recomputation per
+/// entry it derived ([`IncrementalEnabled::recompute_count`]); the entries
+/// it settles empty by the rule above cost no derivation and count none.
 ///
 /// [`refresh_after_step`]: IncrementalEnabled::refresh_after_step
 pub struct IncrementalEnabled {
@@ -757,8 +756,6 @@ pub struct IncrementalEnabled {
     /// influence pruning the search applies). Ineligible nodes are skipped
     /// entirely, never recomputed.
     eligible: Vec<bool>,
-    /// The number of eligible nodes: what a rebuild adds to `recomputed`.
-    eligible_count: u64,
     /// Full `enabled_at` recomputations performed (the pre-incremental
     /// explorer did one per node per step).
     recomputed: u64,
@@ -790,7 +787,6 @@ impl IncrementalEnabled {
             costs: None,
             stamps: None,
             rev_peers,
-            eligible_count: eligible.iter().filter(|&&e| e).count() as u64,
             eligible,
             recomputed: 0,
             edge_updates: 0,
@@ -840,11 +836,11 @@ impl IncrementalEnabled {
         }
         touched.sort_unstable();
         touched.dedup();
-        self.recomputed += self.eligible_count;
         for &node in &touched {
             if !self.eligible[node.index()] {
                 continue;
             }
+            self.recomputed += 1;
             let entry = rpvp.enabled_at_with(state, interner, node, &mut self.candidates);
             self.set_entry(node, entry);
         }
@@ -905,11 +901,9 @@ impl IncrementalEnabled {
         self.len == 0
     }
 
-    /// Number of enabled-set entries settled in full so far: one per
-    /// `enabled_at` recomputation after a step, plus every eligible node at
-    /// each rebuild — which derives only the entries that can be non-empty
-    /// and settles the rest empty by rule (see the type docs), so this
-    /// exceeds the derivations actually run by the skipped ones.
+    /// Number of full `enabled_at` derivations so far: one per entry a
+    /// rebuild derived (see the type docs) and one per recomputation after a
+    /// step.
     pub fn recompute_count(&self) -> u64 {
         self.recomputed
     }

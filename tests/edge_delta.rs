@@ -110,7 +110,13 @@ fn walk(label: &str, model: &dyn ProtocolModel, consistent: bool, seed: u64) -> 
     let eligible: Vec<bool> = (0..model.node_count())
         .map(|i| !rpvp.is_origin(NodeId(i as u32)))
         .collect();
-    let eligible_count = eligible.iter().filter(|&&e| e).count() as u64;
+    // The rebuild derives the routed nodes and their listeners; initially
+    // the routed nodes are the (ineligible) origins.
+    let initial_derivations = (0..model.node_count() as u32)
+        .map(NodeId)
+        .filter(|&m| eligible[m.index()])
+        .filter(|&m| model.peers(m).iter().any(|p| model.origins().contains(p)))
+        .count() as u64;
     let mut inc = IncrementalEnabled::new(model.reverse_peers(), eligible);
     inc.rebuild(&rpvp, &state, &mut interner);
 
@@ -246,11 +252,12 @@ fn walk(label: &str, model: &dyn ProtocolModel, consistent: bool, seed: u64) -> 
     totals.edge_updates = inc.edge_update_count();
     if totals.path_changes == 0 {
         // Every step left `⊥`, so every reverse peer took the single-edge
-        // path: the only full recomputations are the rebuild's and one per
-        // stepped node that did not adopt one of its own maximal updates.
+        // path: the only full recomputations are the rebuild's derivations
+        // and one per stepped node that did not adopt one of its own maximal
+        // updates.
         assert_eq!(
             inc.recompute_count(),
-            eligible_count + totals.applies - inc.stepped_skip_count(),
+            initial_derivations + totals.applies - inc.stepped_skip_count(),
             "{label}: a step from ⊥ fell back to a full recomputation"
         );
     }

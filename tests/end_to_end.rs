@@ -290,3 +290,95 @@ fn cli_exits_with_its_own_status_when_stdout_is_closed() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Five eBGP routers, each its own AS: `d` originates 198.51.100.0/24, and
+/// the source `s` reaches it through the waypoint `a` (`s–a–d`, a 2-AS path)
+/// or through the detour `s–b–c–d` (3 ASes). Shorter AS paths win, so every
+/// converged state routes `s` through `a`.
+fn waypoint_detour() -> (Network, Prefix, [NodeId; 5]) {
+    use plankton::config::{BgpConfig, BgpNeighborConfig};
+    let mut tb = TopologyBuilder::new();
+    let routers = ["s", "a", "b", "c", "d"].map(|name| tb.add_router(name));
+    let [s, a, b, c, d] = routers;
+    let sessions = [(s, a), (a, d), (s, b), (b, c), (c, d)];
+    for (u, v) in sessions {
+        tb.add_link(u, v);
+    }
+    let prefix: Prefix = "198.51.100.0/24".parse().unwrap();
+    let mut net = Network::unconfigured(tb.build());
+    for n in routers {
+        let mut bgp = BgpConfig::new(65000 + n.0, n.0 + 1);
+        for &(u, v) in &sessions {
+            let peer = if u == n {
+                v
+            } else if v == n {
+                u
+            } else {
+                continue;
+            };
+            bgp = bgp.with_neighbor(BgpNeighborConfig::ebgp(peer, 65000 + peer.0));
+        }
+        if n == d {
+            bgp = bgp.with_network(prefix);
+        }
+        net.device_mut(n).bgp = Some(bgp);
+    }
+    (net, prefix, routers)
+}
+
+/// Dropping the deterministic-node optimization is an ablation: it may cost
+/// time, never change a verdict. Without it the search branches over every
+/// enabled node, so `s` can adopt the detour before the shorter path reaches
+/// it; policy pruning used to stop there, as if `s` had decided, and
+/// reported the detour as a waypoint violation though no converged state
+/// has it. Every ablation must find exactly the full optimization's
+/// violations, in both explorers.
+#[test]
+fn ablations_report_only_converged_violations() {
+    use plankton::checker::SearchOptions;
+    use std::collections::BTreeSet;
+    let (net, prefix, [s, a, b, ..]) = waypoint_detour();
+    let verifier = Plankton::new(net);
+    let violations = |policy: &Waypoint, search: SearchOptions, reference_explorer: bool| {
+        let options = PlanktonOptions {
+            search,
+            reference_explorer,
+            ..PlanktonOptions::default()
+                .restricted_to(vec![prefix])
+                .collect_all_violations()
+        };
+        let report = verifier.verify(policy, &FailureScenario::up_to(1), &options);
+        report
+            .violations
+            .iter()
+            .map(|v| (v.failures.to_string(), v.reason.clone()))
+            .collect::<BTreeSet<_>>()
+    };
+    let through_a = Waypoint::new(vec![s], vec![a]);
+    let through_b = Waypoint::new(vec![s], vec![b]);
+    for (policy, failure_free_holds) in [(&through_a, true), (&through_b, false)] {
+        let full = violations(policy, SearchOptions::all_optimizations(), false);
+        // Failing `a`'s links is the only way to push `s` onto the detour.
+        assert_eq!(
+            full.iter()
+                .any(|(failures, _)| *failures == FailureSet::none().to_string()),
+            !failure_free_holds,
+            "{full:?}"
+        );
+        for reference_explorer in [false, true] {
+            for (label, search) in [
+                (
+                    "all but deterministic nodes",
+                    SearchOptions::all_optimizations().without_deterministic_nodes(),
+                ),
+                ("none", SearchOptions::no_optimizations()),
+            ] {
+                assert_eq!(
+                    violations(policy, search, reference_explorer),
+                    full,
+                    "{label}, reference explorer {reference_explorer}"
+                );
+            }
+        }
+    }
+}

@@ -218,7 +218,7 @@ fn random_walk(
         "{label}: {warm_misses} Dijkstras through the session memo, {fresh_misses} from nothing"
     );
     let resident = session.cache().slice_memo().len();
-    assert!(resident <= 2 * plankton::config::SliceMemo::GENERATION_ENTRIES);
+    assert!(resident <= 2 * plankton::pec::SliceMemo::GENERATION_ENTRIES);
 }
 
 #[test]
@@ -290,7 +290,7 @@ fn restricted_requests_derive_only_the_needed_pecs_keys() {
     let flags =
         |p: PecId| (needed.contains(&p) && p != checked) as u8 | ((p == checked) as u8) << 1;
 
-    let derive = |memo: &plankton::config::SliceMemo, restricted: bool| {
+    let derive = |memo: &plankton::pec::SliceMemo, restricted: bool| {
         TaskKeys::compute_with_memo(
             memo,
             network,
@@ -303,9 +303,9 @@ fn restricted_requests_derive_only_the_needed_pecs_keys() {
             |p| (!restricted || needed.contains(&p)).then(|| flags(p)),
         )
     };
-    let memo = plankton::config::SliceMemo::new();
+    let memo = plankton::pec::SliceMemo::new();
     let restricted = derive(&memo, true);
-    let all = derive(&plankton::config::SliceMemo::new(), false);
+    let all = derive(&plankton::pec::SliceMemo::new(), false);
     for &pec in &needed {
         for (f, failures) in sets.iter().enumerate() {
             assert_eq!(

@@ -246,3 +246,84 @@ fn shared_adjacency_views_match_a_brute_force_derivation() {
          {silent} silent devices, {adverts} advertisements"
     );
 }
+
+/// The key layer's Dijkstra ([`OspfAdjacency::distances_from`]) against
+/// `plankton::net::graph::dijkstra` run once per origin over the
+/// `Topology`, with the receiving end's configured cost on each link: the
+/// multi-source distance of a node is the least of its per-origin ones.
+/// Checked under no failure and every single-link failure, on the ring,
+/// the k=4 OSPF fat tree, AS3967 and seeded random networks whose parallel
+/// links carry different costs at their two ends.
+#[test]
+fn multi_source_distances_match_per_origin_dijkstra() {
+    use plankton::config::scenarios::{fat_tree_ospf, isp_ospf, ring_ospf, CoreStaticRoutes};
+    use plankton::net::generators::as_topo::AsTopologySpec;
+    use plankton::net::graph::dijkstra;
+
+    let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+    let mut networks = vec![
+        ring_ospf(8).network,
+        fat_tree_ospf(4, CoreStaticRoutes::None).network,
+        isp_ospf(&AsTopologySpec::paper_as(3967)).network,
+    ];
+    networks.extend((0..60).map(|_| random_network(&mut rng)));
+    let (mut checked, mut asymmetric_parallel, mut reached) = (0, 0, 0);
+    for network in &networks {
+        let topo = &network.topology;
+        let none = FailureSet::none();
+        for l in topo.links() {
+            let (a, b) = (l.a.node, l.b.node);
+            let parallel = topo.links_between(a, b).len() > 1;
+            let (ca, cb) = (
+                live_cost(network, &none, l.id, a),
+                live_cost(network, &none, l.id, b),
+            );
+            asymmetric_parallel += usize::from(parallel && ca.is_some() && ca != cb);
+        }
+        let n = network.node_count() as u64;
+        let origin_sets: Vec<Vec<NodeId>> = (0..4)
+            .map(|size| (0..=size).map(|_| NodeId(rng.below(n) as u32)).collect())
+            .collect();
+        let failure_sets =
+            std::iter::once(FailureSet::none()).chain(topo.link_ids().map(FailureSet::single));
+        for failures in failure_sets {
+            let adjacency = OspfAdjacency::new(network, &failures);
+            for origins in &origin_sets {
+                // Edge `u → v` costs what `v` pays to reach `u`: routes
+                // flow from the origins, costs are charged where they land.
+                let per_origin: Vec<_> = origins
+                    .iter()
+                    .map(|&o| {
+                        dijkstra(topo, o, &failures, |u, link| {
+                            let l = topo.link(link);
+                            let v = if l.a.node == u { l.b.node } else { l.a.node };
+                            live_cost(network, &failures, link, v)
+                        })
+                    })
+                    .collect();
+                let want: Vec<u64> = topo
+                    .node_ids()
+                    .map(|v| {
+                        per_origin
+                            .iter()
+                            .filter_map(|sp| sp.cost(v))
+                            .min()
+                            .unwrap_or(u64::MAX)
+                    })
+                    .collect();
+                assert_eq!(
+                    adjacency.distances_from(origins),
+                    want,
+                    "origins {origins:?} under {failures}"
+                );
+                reached += want.iter().filter(|&&d| d != 0 && d != u64::MAX).count();
+                checked += 1;
+            }
+        }
+    }
+    assert!(
+        checked > 2000 && asymmetric_parallel > 40 && reached > 40_000,
+        "{checked} (origins, failure set) pairs, {asymmetric_parallel} parallel links with \
+         different costs at their ends, {reached} nodes reached"
+    );
+}

@@ -286,9 +286,8 @@ fn scoped_slices_invariant_under_down_link_permutations() {
         let fixed_failures = FailureSet::none();
         // One memo for the whole walk: every step after the first is a memo
         // hit, which debug builds recompute and compare.
-        let memo = plankton::config::SliceMemo::new();
-        let baseline = network
-            .ospf_scoped_slices(&memo)
+        let memo = plankton::pec::SliceMemo::new();
+        let baseline = plankton::pec::OspfScopedSlices::new(&network, &memo)
             .fingerprint(&origins, &fixed_failures)
             .expect("origins are speakers");
 
@@ -304,7 +303,7 @@ fn scoped_slices_invariant_under_down_link_permutations() {
                 downed.push(l);
             }
             assert_eq!(
-                net.ospf_scoped_slices(&memo)
+                plankton::pec::OspfScopedSlices::new(&net, &memo)
                     .fingerprint(&origins, &fixed_failures),
                 Some(baseline),
                 "seed {seed}: slice moved after downing {downed:?}"
@@ -314,7 +313,7 @@ fn scoped_slices_invariant_under_down_link_permutations() {
             let l = downed.swap_remove(rng.gen_range(0..downed.len()));
             net.set_link_up(l);
             assert_eq!(
-                net.ospf_scoped_slices(&memo)
+                plankton::pec::OspfScopedSlices::new(&net, &memo)
                     .fingerprint(&origins, &fixed_failures),
                 Some(baseline),
                 "seed {seed}: slice moved after re-raising {l:?}"
@@ -336,8 +335,8 @@ fn scoped_slices_invariant_under_out_of_region_edits() {
         let (network, origin_a, origin_b, b_links) =
             build_two_component_network(&mut rng, dest_a, dest_b);
         let none = FailureSet::none();
-        let memo = plankton::config::SliceMemo::new();
-        let slices = network.ospf_scoped_slices(&memo);
+        let memo = plankton::pec::SliceMemo::new();
+        let slices = plankton::pec::OspfScopedSlices::new(&network, &memo);
         assert_ne!(
             slices.components().component_of(origin_a),
             slices.components().component_of(origin_b),
@@ -358,8 +357,7 @@ fn scoped_slices_invariant_under_out_of_region_edits() {
         .apply(&mut net)
         .expect("edit applies");
         assert_eq!(
-            net.ospf_scoped_slices(&memo)
-                .fingerprint(&[origin_a], &none),
+            plankton::pec::OspfScopedSlices::new(&net, &memo).fingerprint(&[origin_a], &none),
             Some(a_baseline),
             "seed {seed}: B-side cost edit moved A's scoped slice"
         );
@@ -374,8 +372,7 @@ fn scoped_slices_invariant_under_out_of_region_edits() {
             .static_routes
             .push(plankton::config::StaticRoute::null(dest_b));
         assert_eq!(
-            net.ospf_scoped_slices(&memo)
-                .fingerprint(&[origin_a], &none),
+            plankton::pec::OspfScopedSlices::new(&net, &memo).fingerprint(&[origin_a], &none),
             Some(a_baseline),
             "seed {seed}: static route moved the scoped OSPF slice"
         );
