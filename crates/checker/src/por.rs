@@ -209,7 +209,8 @@ impl PorHeuristic for OspfPor {
 enum Dominance {
     /// Strictly preferred over every present and possible future alternative.
     StrictWinner,
-    /// At least as preferred as every alternative, but some may tie.
+    /// At least as preferred as every alternative, but a decided peer's
+    /// may tie.
     TiedWinner,
     /// Could be beaten by a future advertisement.
     Unknown,
@@ -357,6 +358,10 @@ impl BgpPor {
             };
             match Self::compare(update_key, alternative) {
                 std::cmp::Ordering::Greater => {}
+                // A tie with an undecided peer is a route that may arrive
+                // later and would have to be branched over here; which of
+                // the two is seen first must not depend on node ids.
+                std::cmp::Ordering::Equal if !decided[peer.index()] => return Dominance::Unknown,
                 std::cmp::Ordering::Equal => {
                     if result == Dominance::StrictWinner {
                         result = Dominance::TiedWinner;
@@ -432,10 +437,13 @@ impl BgpPor {
         // cannot be beaten, only tied — branch over exactly those updates.
         if let Some((node, updates)) = tied_candidate {
             if updates == 1 {
-                // A single unbeatable-but-tieable update: the tie partner may
-                // arrive later; branching over just this node is the paper's
-                // behavior (the alternative converged state, if any, is still
-                // reachable through the later node's own choice point).
+                // A single unbeatable-but-tieable update. Ties are only with
+                // decided peers (a tie with an undecided one is `Unknown`),
+                // and a decided peer's best never changes, so an
+                // advertisement of its that truly ties is already pending
+                // here — among `best_updates`, which holds just this one.
+                // No route this node can still receive beats or ties it:
+                // stepping it is the only choice.
                 return PorDecision::Deterministic { node, update: 0 };
             }
             return PorDecision::BranchUpdates { node };

@@ -11,8 +11,12 @@
 //! with iBGP over OSPF, enterprise networks with recursive static routes).
 //! Examples, integration tests and the benchmark harness all build their
 //! networks through these.
+//!
+//! [`clock`] holds [`ClockTable`], the bounded content-addressed table a
+//! verification session's result cache and slice memo are both built on.
 
 pub mod bgp;
+pub mod clock;
 pub mod delta;
 pub mod device;
 pub mod fingerprint;
@@ -23,6 +27,7 @@ pub mod scenarios;
 pub mod static_routes;
 
 pub use bgp::{BgpConfig, BgpNeighborConfig, BgpSessionKind};
+pub use clock::ClockTable;
 pub use delta::{ConfigDelta, DeltaError};
 pub use device::DeviceConfig;
 pub use fingerprint::{combine, fingerprint_of, Fingerprinter, FINGERPRINT_SCHEME_VERSION};

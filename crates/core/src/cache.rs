@@ -10,20 +10,21 @@
 //! incremental re-verification serves clean tasks from here and re-executes
 //! only tasks whose key misses.
 //!
-//! The cache is built for concurrent sessions: the map is split into
-//! [`ResultCache::SHARDS`] independently locked shards (keys are FNV
-//! outputs, so the low bits spread uniformly), which keeps insert traffic
-//! from the engine's worker pool and planning-pass lookups from several
-//! client connections off one global lock. Its hit, miss, eviction and
-//! occupancy counts are instruments in a [`Registry`]: a private one by
-//! default, the owning session's with [`ResultCache::in_registry`].
+//! The map is a [`ClockTable`] (`plankton_config::clock`): sharded so
+//! insert traffic from the engine's worker pool and planning-pass lookups
+//! from several client connections stay off one global lock, and bounded
+//! with second-chance eviction. Its hit, miss, eviction and occupancy
+//! counts are instruments in a [`Registry`]: a private one by default, the
+//! owning session's with [`ResultCache::in_registry`].
 //!
 //! The cache also owns the session's [`SliceMemo`] — the memo of the
 //! Dijkstra-derived slice fingerprints that task keys are composed from. It
 //! lives here because it has the cache's lifetime and the cache's soundness
 //! argument (content-addressed, so valid across snapshots with nothing to
 //! invalidate), and because every caller that can consult the cache already
-//! holds it.
+//! holds it. It is the same clock table, over fingerprints, and its bound
+//! follows the largest key pass the way this cache's follows the largest
+//! verification pass.
 //!
 //! Because keys are content hashes, entries are also meaningful *across
 //! process lifetimes*: [`ResultCache::to_snapshot`] /
@@ -34,15 +35,14 @@
 
 use crate::outcome::ConvergedRecord;
 use crate::report::Violation;
-use parking_lot::Mutex;
 use plankton_checker::SearchStats;
+use plankton_config::clock::{self, ClockTable};
 use plankton_config::{Fingerprinter, FINGERPRINT_SCHEME_VERSION};
 use plankton_pec::SliceMemo;
 use plankton_telemetry::{Counter, Gauge, Registry};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A cache's instruments, registered in the registry the cache was built
@@ -60,7 +60,7 @@ struct CacheMetrics {
 
 impl CacheMetrics {
     fn register(registry: &Registry) -> Self {
-        const SHARD_LABELS: [&str; ResultCache::SHARDS] = [
+        const SHARD_LABELS: [&str; clock::SHARDS] = [
             "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
         ];
         CacheMetrics {
@@ -111,61 +111,6 @@ pub struct PolicyOutcome {
     pub records: Vec<Arc<ConvergedRecord>>,
 }
 
-/// One resident entry, in its shard's clock.
-#[derive(Debug)]
-struct Slot {
-    key: u64,
-    outcome: Arc<PolicyOutcome>,
-    /// Set by every lookup that hits; cleared when the clock hand passes.
-    referenced: bool,
-}
-
-/// One lock's worth of the cache: the resident entries in a clock (a ring of
-/// slots with a hand), plus the key → slot index.
-#[derive(Debug, Default)]
-struct Shard {
-    slots: Vec<Slot>,
-    index: HashMap<u64, usize>,
-    /// The next slot the eviction sweep examines.
-    hand: usize,
-}
-
-impl Shard {
-    /// The outcome under `key`, marking it referenced.
-    fn lookup(&mut self, key: u64) -> Option<Arc<PolicyOutcome>> {
-        let slot = &mut self.slots[*self.index.get(&key)?];
-        slot.referenced = true;
-        Some(Arc::clone(&slot.outcome))
-    }
-
-    /// Store a non-resident `key`, keeping at most `capacity` entries.
-    /// Returns whether an entry was evicted to make room.
-    fn store(&mut self, key: u64, outcome: Arc<PolicyOutcome>, capacity: usize) -> bool {
-        let slot = Slot {
-            key,
-            outcome,
-            referenced: false,
-        };
-        if self.slots.len() < capacity {
-            self.index.insert(key, self.slots.len());
-            self.slots.push(slot);
-            return false;
-        }
-        // Second chance: an entry looked up since the hand last passed it
-        // gives up its mark instead of its slot. Terminates within two
-        // laps — the first clears every mark it meets.
-        while self.slots[self.hand].referenced {
-            self.slots[self.hand].referenced = false;
-            self.hand = (self.hand + 1) % self.slots.len();
-        }
-        self.index.remove(&self.slots[self.hand].key);
-        self.index.insert(key, self.hand);
-        self.slots[self.hand] = slot;
-        self.hand = (self.hand + 1) % self.slots.len();
-        true
-    }
-}
-
 /// A serializable image of the cache contents, stamped with the
 /// fingerprint-scheme version that produced the keys. Snapshots from a
 /// different scheme version are rejected on load: their keys were computed
@@ -180,30 +125,22 @@ pub struct CacheSnapshot {
 
 /// A concurrent, sharded, content-hash-keyed map of task outcomes.
 ///
-/// Entries are immutable once inserted (`Arc`-shared). The cache is bounded
-/// per shard, and the bound is what keeps a long-lived daemon's memory from
-/// following its request count: every delta mints keys that are never looked
-/// up again. When an insert would exceed a shard's share of the capacity, a
-/// *second-chance* sweep picks the victim: each entry carries a referenced
-/// bit that any hit ([`ResultCache::get`] / [`ResultCache::peek`]) sets; the
-/// clock hand clears set bits as it passes and evicts the first entry whose
-/// bit is already clear. Entries that every re-verify touches — the base
-/// configuration's tasks — therefore outlive any number of one-shot keys,
-/// while a never-reused key is gone within one lap. Eviction only costs
-/// re-verification, never correctness.
+/// Entries are immutable once inserted (`Arc`-shared). The map is a
+/// [`ClockTable`]: bounded, with second-chance eviction, so entries that
+/// every re-verify touches — the base configuration's tasks, marked by any
+/// hit ([`ResultCache::get`] / [`ResultCache::peek`]) — outlive any number
+/// of one-shot keys, and eviction only costs re-verification.
 ///
 /// A cache built with [`ResultCache::new`] sizes its bound from the work it
-/// sees: [`ResultCache::DEFAULT_CAPACITY`] entries, raised to four times the
+/// sees: [`clock::DEFAULT_CAPACITY`] entries, raised to four times the
 /// task count of the largest verification pass ([`ResultCache::fit_pass`]),
 /// so one pass's results can never evict each other. A cache built with
-/// [`ResultCache::with_capacity`] keeps exactly the bound it was given.
+/// [`ResultCache::with_capacity`] keeps exactly the bound it was given. The
+/// session's [`SliceMemo`] is the same table over slice fingerprints, and
+/// sizes itself the same way.
 #[derive(Debug)]
 pub struct ResultCache {
-    shards: Box<[Mutex<Shard>]>,
-    shard_capacity: AtomicUsize,
-    /// Does the bound grow with the passes seen (`new`), or stay as given
-    /// (`with_capacity`)?
-    follows_passes: bool,
+    table: ClockTable<Arc<PolicyOutcome>>,
     metrics: CacheMetrics,
     slice_memo: SliceMemo,
 }
@@ -215,14 +152,6 @@ impl Default for ResultCache {
 }
 
 impl ResultCache {
-    /// The bound on resident entries a [`ResultCache::new`] cache starts
-    /// with (and never goes below).
-    pub const DEFAULT_CAPACITY: usize = 16_384;
-
-    /// Lock shards (a power of two; keys are FNV hashes, so the low bits
-    /// select uniformly).
-    pub const SHARDS: usize = 16;
-
     /// An empty cache whose capacity follows the largest pass it serves,
     /// counting in a private registry.
     pub fn new() -> Self {
@@ -232,32 +161,25 @@ impl ResultCache {
     /// [`ResultCache::new`], with its instruments registered in `registry`
     /// (a daemon session's, so `Stats` and the `Metrics` scrape read them).
     pub fn in_registry(registry: &Registry) -> Self {
-        ResultCache {
-            follows_passes: true,
-            ..Self::bounded(Self::DEFAULT_CAPACITY, registry)
-        }
+        Self::over(ClockTable::new(), registry)
     }
 
     /// An empty cache bounded to (approximately, rounded up to a multiple of
-    /// [`ResultCache::SHARDS`]) `capacity` entries, for good, counting in a
+    /// [`clock::SHARDS`]) `capacity` entries, for good, counting in a
     /// private registry.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::bounded(capacity, &Registry::new())
+        Self::over(ClockTable::with_capacity(capacity), &Registry::new())
     }
 
-    fn bounded(capacity: usize, registry: &Registry) -> Self {
-        let shards = (0..Self::SHARDS).map(|_| Mutex::new(Shard::default()));
-        let shard_capacity = capacity.max(1).div_ceil(Self::SHARDS);
+    fn over(table: ClockTable<Arc<PolicyOutcome>>, registry: &Registry) -> Self {
         let metrics = CacheMetrics::register(registry);
-        metrics.capacity.set((shard_capacity * Self::SHARDS) as u64);
+        metrics.capacity.set(table.capacity() as u64);
         // A cache replacing another in the same registry starts empty.
         for gauge in &metrics.shard_entries {
             gauge.set(0);
         }
         ResultCache {
-            shards: shards.collect(),
-            shard_capacity: AtomicUsize::new(shard_capacity),
-            follows_passes: false,
+            table,
             metrics,
             slice_memo: SliceMemo::new(),
         }
@@ -265,7 +187,7 @@ impl ResultCache {
 
     /// The current bound on resident entries.
     pub fn capacity(&self) -> usize {
-        self.shard_capacity.load(Ordering::Relaxed) * Self::SHARDS
+        self.table.capacity()
     }
 
     /// Tell the cache a verification pass of `tasks` (PEC × failure-set)
@@ -273,11 +195,7 @@ impl ResultCache {
     /// [`ResultCache::new`] raises its bound to hold four such passes; one
     /// from [`ResultCache::with_capacity`] ignores the hint.
     pub fn fit_pass(&self, tasks: usize) {
-        if !self.follows_passes {
-            return;
-        }
-        let wanted = tasks.saturating_mul(4).div_ceil(Self::SHARDS);
-        if self.shard_capacity.fetch_max(wanted, Ordering::Relaxed) < wanted {
+        if self.table.fit_pass(tasks) {
             self.metrics.capacity.set(self.capacity() as u64);
         }
     }
@@ -289,13 +207,9 @@ impl ResultCache {
         &self.slice_memo
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
-        &self.shards[(key as usize) & (Self::SHARDS - 1)]
-    }
-
     /// Look a task outcome up, counting the hit/miss.
     pub fn get(&self, key: u64) -> Option<Arc<PolicyOutcome>> {
-        let found = self.shard(key).lock().lookup(key);
+        let found = self.table.get(key);
         match &found {
             Some(_) => self.metrics.hits.inc(),
             None => self.metrics.misses.inc(),
@@ -308,7 +222,7 @@ impl ResultCache {
     /// that hits but whose component re-runs anyway saved no work and must
     /// not count as reuse).
     pub fn peek(&self, key: u64) -> Option<Arc<PolicyOutcome>> {
-        self.shard(key).lock().lookup(key)
+        self.table.get(key)
     }
 
     /// Record `n` tasks actually served from the cache (the planning pass
@@ -327,33 +241,30 @@ impl ResultCache {
     /// inserted (`false` = the key was already resident). When the shard is
     /// at capacity a second-chance sweep evicts one entry to make room.
     pub fn insert(&self, key: u64, outcome: Arc<PolicyOutcome>) -> bool {
-        let mut shard = self.shard(key).lock();
-        if shard.index.contains_key(&key) {
+        let Some(stored) = self.table.insert(key, outcome) else {
             return false;
-        }
-        let capacity = self.shard_capacity.load(Ordering::Relaxed);
-        if shard.store(key, outcome, capacity) {
+        };
+        if stored.evicted {
             self.metrics.evictions.inc();
         }
-        self.metrics.shard_entries[(key as usize) & (Self::SHARDS - 1)]
-            .set(shard.slots.len() as u64);
+        self.metrics.shard_entries[stored.shard].set(stored.shard_len as u64);
         true
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().slots.len()).sum()
+        self.table.len()
     }
 
     /// Is the cache empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.table.is_empty()
     }
 
     /// Resident entries per shard, in shard order (surfaced in daemon
     /// `Stats` so occupancy skew is visible without a metrics scrape).
     pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.lock().slots.len()).collect()
+        self.table.shard_occupancy()
     }
 
     /// Hits counted by the cache's registry: this cache's own lifetime
@@ -376,19 +287,9 @@ impl ResultCache {
     /// A serializable image of the current contents, stamped with the
     /// running fingerprint-scheme version.
     pub fn to_snapshot(&self) -> CacheSnapshot {
-        let mut entries = Vec::new();
-        for shard in self.shards.iter() {
-            let shard = shard.lock();
-            entries.extend(
-                shard
-                    .slots
-                    .iter()
-                    .map(|slot| (slot.key, Arc::clone(&slot.outcome))),
-            );
-        }
         CacheSnapshot {
             version: FINGERPRINT_SCHEME_VERSION,
-            entries,
+            entries: self.table.entries(),
         }
     }
 
@@ -498,12 +399,7 @@ fn verify_checksum(raw: &str) -> Result<&str, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Keys that all land in one shard (multiples of SHARDS keep the low
-    /// bits equal), so the per-shard capacity bound is observable.
-    fn shard_key(i: u64) -> u64 {
-        i * ResultCache::SHARDS as u64
-    }
+    use parking_lot::Mutex;
 
     /// Tests that touch `save_to`/`load_from` share this lock: one of them
     /// arms the process-global `cache_save` failpoint, which must not fire
@@ -528,66 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bound_evicts_unreferenced_entries_in_clock_order() {
-        // Two entries per shard, all keys in one shard.
-        let cache = ResultCache::with_capacity(ResultCache::SHARDS * 2);
-        cache.insert(shard_key(0), outcome());
-        cache.insert(shard_key(1), outcome());
-        cache.insert(shard_key(2), outcome());
-        assert_eq!(cache.evictions(), 1);
-        assert!(
-            cache.peek(shard_key(1)).is_some(),
-            "key 1 resident, now marked"
-        );
-        // The hand stands on key 1: its mark buys it one pass, key 2 goes.
-        cache.insert(shard_key(3), outcome());
-        assert_eq!(cache.evictions(), 2);
-        assert_eq!(cache.len(), 2);
-        // The mark is spent: key 1 is the next victim.
-        cache.insert(shard_key(4), outcome());
-        let resident: Vec<u64> = cache.to_snapshot().entries.iter().map(|e| e.0).collect();
-        assert_eq!(resident, vec![shard_key(3), shard_key(4)]);
-    }
-
-    #[test]
-    fn reinserting_a_resident_key_neither_evicts_nor_marks() {
-        let cache = ResultCache::with_capacity(ResultCache::SHARDS * 2);
-        cache.insert(shard_key(0), outcome());
-        cache.insert(shard_key(1), outcome());
-        // Shard full; re-inserting a resident key must not evict anything.
-        assert!(!cache.insert(shard_key(0), outcome()));
-        assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.len(), 2);
-        // Nor does it count as a use: key 0 is still the first victim.
-        cache.insert(shard_key(2), outcome());
-        assert_eq!(cache.evictions(), 1);
-        let resident: Vec<u64> = cache.to_snapshot().entries.iter().map(|e| e.0).collect();
-        assert_eq!(resident, vec![shard_key(2), shard_key(1)]);
-    }
-
-    #[test]
-    fn a_hot_key_survives_ten_capacities_of_cold_inserts() {
-        let capacity = ResultCache::SHARDS * 8;
-        let cache = ResultCache::with_capacity(capacity);
-        let hot = shard_key(0);
-        cache.insert(hot, outcome());
-        for i in 1..=10 * capacity as u64 {
-            // The hot key is looked up twice per lap of its shard's clock
-            // (eight slots), get and peek alternating.
-            if i % 4 == 0 {
-                let found = if i % 8 == 0 {
-                    cache.get(hot)
-                } else {
-                    cache.peek(hot)
-                };
-                assert!(found.is_some(), "hot key evicted after {i} cold inserts");
-            }
-            cache.insert(shard_key(i), outcome());
-        }
-        assert!(cache.evictions() >= 9 * capacity as u64);
-    }
-
-    #[test]
     fn never_reused_keys_do_not_grow_the_cache_past_its_capacity() {
         let cache = ResultCache::with_capacity(64);
         let mut key = 0u64;
@@ -606,9 +442,9 @@ mod tests {
     #[test]
     fn the_default_capacity_follows_the_largest_pass() {
         let cache = ResultCache::new();
-        assert_eq!(cache.capacity(), ResultCache::DEFAULT_CAPACITY);
+        assert_eq!(cache.capacity(), clock::DEFAULT_CAPACITY);
         cache.fit_pass(100);
-        assert_eq!(cache.capacity(), ResultCache::DEFAULT_CAPACITY, "a floor");
+        assert_eq!(cache.capacity(), clock::DEFAULT_CAPACITY, "a floor");
         cache.fit_pass(10_000);
         assert_eq!(cache.capacity(), 40_000);
         cache.fit_pass(5_000);

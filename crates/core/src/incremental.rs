@@ -41,7 +41,9 @@ struct IncrementalMetrics {
     tasks_cached: Arc<plankton_telemetry::Counter>,
     key_memo_hits: Arc<plankton_telemetry::Counter>,
     key_memo_misses: Arc<plankton_telemetry::Counter>,
+    key_memo_evictions: Arc<plankton_telemetry::Counter>,
     key_memo_entries: Arc<plankton_telemetry::Gauge>,
+    key_memo_capacity: Arc<plankton_telemetry::Gauge>,
     swap_seconds: Arc<plankton_telemetry::Histogram>,
 }
 
@@ -72,9 +74,17 @@ fn incremental_metrics() -> &'static IncrementalMetrics {
                 "plankton_key_memo_misses_total",
                 "Scoped OSPF slice fingerprints that had to run their Dijkstra.",
             ),
+            key_memo_evictions: registry.counter(
+                "plankton_key_memo_evictions_total",
+                "Slice memo entries evicted (second chance) by its bound.",
+            ),
             key_memo_entries: registry.gauge(
                 "plankton_key_memo_entries",
-                "Entries resident in the slice memo (bounded; two generations).",
+                "Entries resident in the slice memo.",
+            ),
+            key_memo_capacity: registry.gauge(
+                "plankton_key_memo_capacity",
+                "Bound on resident slice memo entries (follows the largest key pass seen).",
             ),
         }
     })
@@ -246,7 +256,7 @@ impl Plankton {
             },
         );
         phases.key_compute_micros = lap(&mut mark);
-        let (memo_hits, memo_misses) = keys.memo_stats();
+        let (memo_hits, memo_misses, memo_evictions) = keys.memo_stats();
 
         // Plan: a component task is clean only if *every* PEC it verifies
         // hits the cache; otherwise the whole task re-runs (its PECs share
@@ -304,9 +314,10 @@ impl Plankton {
         metrics.tasks_cached.add(stats.tasks_cached as u64);
         metrics.key_memo_hits.add(memo_hits);
         metrics.key_memo_misses.add(memo_misses);
-        metrics
-            .key_memo_entries
-            .set(cache.slice_memo().len() as u64);
+        metrics.key_memo_evictions.add(memo_evictions);
+        let memo = cache.slice_memo();
+        metrics.key_memo_entries.set(memo.len() as u64);
+        metrics.key_memo_capacity.set(memo.capacity() as u64);
         trace::event(
             Level::Info,
             "keys_invalidated",

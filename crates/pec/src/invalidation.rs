@@ -170,8 +170,8 @@ pub struct TaskKeys {
     /// `keys[pec.index()][failure_idx]` — an empty row for PECs the request
     /// does not run (never derived, and a lookup panics).
     keys: Vec<Vec<u64>>,
-    /// This pass's `(hits, misses)` in the session's slice memo.
-    memo_stats: (u64, u64),
+    /// This pass's `(hits, misses, evictions)` in the session's slice memo.
+    memo_stats: (u64, u64, u64),
 }
 
 impl TaskKeys {
@@ -287,6 +287,12 @@ impl TaskKeys {
                 });
             }
         }
+        // The memo holds four passes of this one's lookups, so the pass
+        // never evicts its own entries.
+        if slices.scoped.is_some() {
+            let origin_sets: usize = tasks.iter().map(|t| t.origin_sets.len()).sum();
+            memo.fit_pass(origin_sets * nf);
+        }
         // Failure-set-major, so the scoped slicer needs one live adjacency
         // at a time; a dependency's key for `f` is pushed before its
         // dependents read it.
@@ -330,12 +336,13 @@ impl TaskKeys {
         let memo_stats = slices
             .scoped
             .as_ref()
-            .map_or((0, 0), OspfScopedSlices::memo_stats);
+            .map_or((0, 0, 0), OspfScopedSlices::memo_stats);
         TaskKeys { keys, memo_stats }
     }
 
-    /// `(hits, misses)` of this derivation's lookups in the slice memo.
-    pub fn memo_stats(&self) -> (u64, u64) {
+    /// `(hits, misses, evictions)` of this derivation's lookups in the
+    /// slice memo.
+    pub fn memo_stats(&self) -> (u64, u64, u64) {
         self.memo_stats
     }
 

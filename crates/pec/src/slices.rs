@@ -7,54 +7,47 @@
 //! derived in one place, so the keys cannot drift from what the explorer
 //! steps over.
 
+use plankton_config::ClockTable;
 use plankton_config::{Fingerprinter, Network};
 use plankton_net::failure::FailureSet;
 use plankton_net::topology::{LinkId, NodeId, SubgraphComponents};
 use plankton_protocols::OspfAdjacency;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// A session-lifetime, thread-safe memo of competitive-cost fingerprints
 /// (see [`OspfScopedSlices`]), shared by every request and every snapshot of
-/// a verification session — it lives beside the result cache.
+/// a verification session — it lives beside the result cache, and is the
+/// same [`ClockTable`], over fingerprints.
 ///
-/// **Soundness.** An entry is keyed by *content*: the hash of the region's
-/// per-link directional cost table, and the hash of the sorted origin
-/// devices plus the failed links inside the region. Those are the whole
+/// **Soundness.** An entry is keyed by *content*: one 64-bit hash of the
+/// region's per-link directional cost table hash, the sorted origin
+/// devices and the failed links inside the region. Those are the whole
 /// input of the Dijkstra the fingerprint is computed from, so equal key ⇒
 /// identical input ⇒ identical fingerprint — the argument the result cache
-/// itself rests on (and, like its keys, up to a 64-bit collision in each
-/// half). Nothing in the key names a snapshot, so an entry never goes stale
-/// and there is no invalidation step: a delta that changes a cost changes
-/// the region hash and simply looks up (or computes) a different entry, and
-/// a restore to an earlier state finds the earlier entry again. Debug builds
+/// itself rests on (and, like its keys, up to a 64-bit collision). Nothing
+/// in the key names a snapshot, so an entry never goes stale and there is
+/// no invalidation step: a delta that changes a cost changes the region
+/// hash and simply looks up (or computes) a different entry, and a restore
+/// to an earlier state finds the earlier entry again. Debug builds
 /// recompute every hit and assert it equal.
 ///
-/// **Bound.** Two generations of at most [`SliceMemo::GENERATION_ENTRIES`]
-/// fixed-size entries each — under half a megabyte in all. Inserts go to
-/// the young generation; when it is full it becomes the old one and the
-/// previous old one is dropped. A hit in the old generation is copied
-/// forward, so what recent requests used survives a rotation. Eviction only
-/// costs a recomputation.
-#[derive(Debug, Default)]
-pub struct SliceMemo {
-    generations: Mutex<Generations>,
-}
+/// **Bound.** The result cache's: second-chance eviction at
+/// [`DEFAULT_CAPACITY`](plankton_config::clock::DEFAULT_CAPACITY) entries,
+/// raised before each key pass to four times that pass's lookups
+/// ([`TaskKeys`] calls [`ClockTable::fit_pass`]), so a pass never evicts
+/// its own entries and a repeated pass runs no Dijkstra. An entry is 24
+/// bytes plus its index slot. Eviction only costs a recomputation.
+///
+/// [`TaskKeys`]: crate::TaskKeys
+pub type SliceMemo = ClockTable<u64>;
 
-#[derive(Debug, Default)]
-struct Generations {
-    young: HashMap<MemoKey, u64>,
-    old: HashMap<MemoKey, u64>,
-}
-
-/// (region cost-table hash, hash of `[origin count, origins.., failed
-/// links..]`).
-type MemoKey = (u64, u64);
-
-fn memo_key(region: u64, origins: &[NodeId], failed_in_scope: &[LinkId]) -> MemoKey {
+/// The memo key of one competitive Dijkstra: the region's cost-table hash,
+/// then `[origin count, origins.., failed links..]`.
+fn memo_key(region: u64, origins: &[NodeId], failed_in_scope: &[LinkId]) -> u64 {
     let mut fp = Fingerprinter::new();
     fp.write_u8(b'K');
+    fp.write_u64(region);
     fp.write_u64(origins.len() as u64);
     for o in origins {
         fp.write_u64(o.0 as u64);
@@ -62,63 +55,7 @@ fn memo_key(region: u64, origins: &[NodeId], failed_in_scope: &[LinkId]) -> Memo
     for l in failed_in_scope {
         fp.write_u64(l.0 as u64);
     }
-    (region, fp.finish())
-}
-
-impl SliceMemo {
-    /// Entries per generation: a full generation is a hash table of 8 192
-    /// slots of 25 bytes (16-byte key, 8-byte fingerprint, 1 control byte)
-    /// at its maximum load of 7/8 — 200 KB, 400 KB for both.
-    pub const GENERATION_ENTRIES: usize = 7 * 1024;
-
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Generations> {
-        // A holder only moves or inserts map entries; a panic between two
-        // such steps leaves valid maps, so a poisoned lock is still usable.
-        self.generations
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn get(&self, key: MemoKey) -> Option<u64> {
-        let mut g = self.lock();
-        if let Some(&fp) = g.young.get(&key) {
-            return Some(fp);
-        }
-        let fp = g.old.get(&key).copied()?;
-        g.insert(key, fp);
-        Some(fp)
-    }
-
-    fn insert(&self, key: MemoKey, fp: u64) {
-        self.lock().insert(key, fp);
-    }
-
-    /// Resident entries (both generations; an entry copied forward counts
-    /// twice until the old generation is dropped). Never above twice
-    /// [`SliceMemo::GENERATION_ENTRIES`].
-    pub fn len(&self) -> usize {
-        let g = self.lock();
-        g.young.len() + g.old.len()
-    }
-
-    /// Is the memo empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Generations {
-    fn insert(&mut self, key: MemoKey, fp: u64) {
-        if self.young.len() >= SliceMemo::GENERATION_ENTRIES {
-            self.old = std::mem::take(&mut self.young);
-        }
-        self.young.insert(key, fp);
-    }
+    fp.finish()
 }
 
 /// Per-PEC scoped OSPF slices: fingerprint only what one destination's OSPF
@@ -179,6 +116,7 @@ pub struct OspfScopedSlices<'a> {
     live: RefCell<Option<(Vec<LinkId>, OspfAdjacency)>>,
     memo_hits: Cell<u64>,
     memo_misses: Cell<u64>,
+    memo_evictions: Cell<u64>,
 }
 
 impl<'a> OspfScopedSlices<'a> {
@@ -205,6 +143,7 @@ impl<'a> OspfScopedSlices<'a> {
             live: RefCell::new(None),
             memo_hits: Cell::new(0),
             memo_misses: Cell::new(0),
+            memo_evictions: Cell::new(0),
         }
     }
 
@@ -213,9 +152,11 @@ impl<'a> OspfScopedSlices<'a> {
         &self.components
     }
 
-    /// `(hits, misses)` of this pass's lookups in the session memo.
-    pub fn memo_stats(&self) -> (u64, u64) {
-        (self.memo_hits.get(), self.memo_misses.get())
+    /// `(hits, misses, evictions)` of this pass's lookups in the session
+    /// memo: the entries its inserts evicted are the last figure.
+    pub fn memo_stats(&self) -> (u64, u64, u64) {
+        let evictions = self.memo_evictions.get();
+        (self.memo_hits.get(), self.memo_misses.get(), evictions)
     }
 
     /// The scoped slice fingerprint for a task whose OSPF origin devices are
@@ -284,12 +225,12 @@ impl<'a> OspfScopedSlices<'a> {
             .collect();
         let key = memo_key(self.region_hash(comps), origins, &failed_in_scope);
         let remembered = self.memo.get(key);
-        let counter = if remembered.is_some() {
+        let count = |counter: &Cell<u64>| counter.set(counter.get() + 1);
+        count(if remembered.is_some() {
             &self.memo_hits
         } else {
             &self.memo_misses
-        };
-        counter.set(counter.get() + 1);
+        });
         // Release builds trust a remembered answer; debug builds challenge
         // it: a stored answer must equal its recomputation.
         if let (Some(fp), false) = (remembered, cfg!(debug_assertions)) {
@@ -314,7 +255,11 @@ impl<'a> OspfScopedSlices<'a> {
                 stored, fp,
                 "slice memo served a fingerprint its own inputs do not reproduce"
             ),
-            None => self.memo.insert(key, fp),
+            None => {
+                if self.memo.insert(key, fp).is_some_and(|s| s.evicted) {
+                    count(&self.memo_evictions);
+                }
+            }
         }
         fp
     }
@@ -405,7 +350,11 @@ mod tests {
         let none = FailureSet::none();
         let a = slices.fingerprint(&o1, &none).unwrap();
         assert_eq!(a, slices.fingerprint(&o1, &none).unwrap(), "memo stable");
-        assert_eq!(slices.memo_stats(), (1, 1), "second lookup is a memo hit");
+        assert_eq!(
+            slices.memo_stats(),
+            (1, 1, 0),
+            "second lookup is a memo hit"
+        );
         assert_ne!(
             a,
             slices.fingerprint(&o2, &none).unwrap(),
@@ -505,15 +454,15 @@ mod tests {
     #[test]
     fn memo_stays_under_its_bound_and_eviction_never_changes_a_fingerprint() {
         // 5 000 distinct region states (one cost value each) x 6 origins
-        // fill the memo several times over. The resident entries must never
-        // exceed the cap, and every fingerprint served through the shared
-        // memo — fresh, remembered, or recomputed after eviction — must
-        // equal the one a fresh memo computes.
+        // fill the memo twice over. The resident entries must never exceed
+        // the bound, and every fingerprint served through the shared memo —
+        // fresh, remembered, or recomputed after eviction — must equal the
+        // one a fresh memo computes.
         let s = ring_ospf(6);
         let none = FailureSet::none();
         let shared = SliceMemo::new();
         let mut net = s.network.clone();
-        let mut peak = 0;
+        let (mut peak, mut evictions) = (0, 0);
         for state in 0..5_000u32 {
             if let Some(ospf) = &mut net.device_mut(s.ring.routers[0]).ospf {
                 ospf.interface_costs.insert(s.ring.links[0], 1 + state);
@@ -530,14 +479,16 @@ mod tests {
                     "state {state}, origin {origin:?}"
                 );
             }
+            evictions += warm.memo_stats().2;
             peak = peak.max(shared.len());
-            assert!(peak <= 2 * SliceMemo::GENERATION_ENTRIES, "{peak} entries");
+            assert!(peak <= shared.capacity(), "{peak} entries");
         }
-        assert!(
-            peak > SliceMemo::GENERATION_ENTRIES,
-            "the walk must fill a generation, or it tests no eviction ({peak} entries)"
+        assert_eq!(
+            peak,
+            shared.capacity(),
+            "the walk must fill the memo, or it tests no eviction"
         );
-        assert!(shared.len() < 5_000 * 6, "entries were evicted");
+        assert_eq!(evictions as usize, 5_000 * 6 - shared.len());
         // The base state was seen first and evicted long ago: asking again
         // recomputes it, to the same value.
         let base = OspfScopedSlices::new(&s.network, &shared);
@@ -546,16 +497,18 @@ mod tests {
             base.fingerprint(&[s.origin], &none),
             OspfScopedSlices::new(&s.network, &oracle).fingerprint(&[s.origin], &none)
         );
+        assert_eq!(base.memo_stats().1, 1, "evicted");
     }
 
     #[test]
-    fn a_hit_in_the_old_generation_survives_the_next_rotation() {
+    fn a_hot_entry_survives_a_flood_of_cold_inserts() {
         let s = ring_ospf(6);
         let none = FailureSet::none();
         let memo = SliceMemo::new();
         let hot = [s.origin];
         OspfScopedSlices::new(&s.network, &memo).fingerprint(&hot, &none);
         let mut net = s.network.clone();
+        let mut evictions = 0;
         for state in 0..4_000u32 {
             if let Some(ospf) = &mut net.device_mut(s.ring.routers[0]).ospf {
                 ospf.interface_costs.insert(s.ring.links[0], 100 + state);
@@ -564,11 +517,17 @@ mod tests {
             for &origin in &s.ring.routers {
                 slices.fingerprint(&[origin], &none);
             }
+            evictions += slices.memo_stats().2;
             // The hot entry is asked for between the cold ones, as the base
             // state is between a benchmark's forward deltas.
             let base = OspfScopedSlices::new(&s.network, &memo);
             base.fingerprint(&hot, &none);
-            assert_eq!(base.memo_stats(), (1, 0), "hot entry lost at state {state}");
+            assert_eq!(
+                base.memo_stats(),
+                (1, 0, 0),
+                "hot entry lost at state {state}"
+            );
         }
+        assert!(evictions > 0, "the flood must overflow the memo");
     }
 }

@@ -454,8 +454,8 @@ mod unix_server {
 /// `session` (deltas applied through one connection are visible to every
 /// other: the whole point of a persistent daemon).
 ///
-/// Connections are *readiness-multiplexed* (epoll on Linux, `poll(2)`
-/// elsewhere — [`crate::readiness`]): idle connections are parked in the
+/// Connections are *readiness-multiplexed* (`poll(2)` —
+/// [`crate::readiness`]): idle connections are parked in the
 /// kernel at no per-connection thread cost, and a fixed worker pool
 /// ([`ServeOptions::workers`]) pumps whichever connections are readable.
 /// Connection fds are registered oneshot, so one worker owns a connection

@@ -4,10 +4,11 @@
 //! Coalescing is a performance transform: whatever `coalesce_batch` keeps,
 //! applying it in order (skipping errors) must leave the network exactly as
 //! one-at-a-time replay of the raw sequence does. Every sequence of up to
-//! four deltas over a ten-letter alphabet — link flaps on two links, static
-//! route adds and removes for two prefixes on one device, and import or
-//! export edits of one BGP session — is checked for that, for one fate per
-//! input, and for survivors in arrival order.
+//! four deltas over a 13-letter alphabet — link flaps on two links, static
+//! route adds and removes for two prefixes on one device, import or export
+//! edits of one BGP session, and OSPF costs (two on one interface, one on a
+//! second) — is checked for that, for one fate per input, and for survivors
+//! in arrival order.
 
 use plankton::config::scenarios::{ring_ospf, RingOspfScenario};
 use plankton::config::static_routes::StaticRoute;
@@ -55,6 +56,12 @@ fn fixture() -> (RingOspfScenario, Vec<ConfigDelta>) {
         import: None,
         export: Some(RouteMap::deny_all()),
     });
+    let [(_, first), (_, second)] = [0, 1].map(|i| s.network.topology.neighbors(device)[i]);
+    for (link, cost) in [(first, 5), (first, 7), (second, 9)] {
+        let change = ConfigDelta::OspfCostChange { device, link, cost };
+        assert_eq!(change.apply(&mut s.network.clone()), Ok(()), "{change:?}");
+        alphabet.push(change);
+    }
     (s, alphabet)
 }
 
@@ -67,13 +74,15 @@ fn replay(network: &Network, deltas: &[ConfigDelta]) -> Network {
     network
 }
 
-/// The link or BGP session a delta writes. Such deltas share one entry per
-/// link or session, overwritten in place, so their survivor keeps the first
-/// one's position; static route adds and removes (`None`) append.
+/// The link, BGP session or OSPF interface a delta writes. Such deltas share
+/// one entry per link, session or interface, overwritten in place, so their
+/// survivor keeps the first one's position; static route adds and removes
+/// (`None`) append.
 fn slot(delta: &ConfigDelta) -> Option<String> {
     match delta {
         ConfigDelta::LinkDown { link } | ConfigDelta::LinkUp { link } => Some(format!("{link}")),
         ConfigDelta::BgpPolicyEdit { device, peer, .. } => Some(format!("{device}-{peer}")),
+        ConfigDelta::OspfCostChange { device, link, .. } => Some(format!("{device}@{link}")),
         _ => None,
     }
 }
@@ -115,8 +124,8 @@ fn check_sequence(network: &Network, sequence: &[ConfigDelta]) {
         "{sequence:?}"
     );
 
-    // Survivors in arrival order: a link or session survivor arrives with
-    // the first delta on its link or session, a static route survivor with
+    // Survivors in arrival order: a link, session or interface survivor
+    // arrives with the first delta on its slot, a static route survivor with
     // itself.
     let arrival = |input: usize| match slot(&sequence[input]) {
         Some(key) => sequence
@@ -158,7 +167,7 @@ fn every_short_sequence_coalesces_to_its_sequential_replay() {
             checked += 1;
         }
     }
-    assert_eq!(checked, 11_111);
+    assert_eq!(checked, 30_941);
 }
 
 /// Deterministic xorshift64* PRNG: the sample is reproducible from a seed.

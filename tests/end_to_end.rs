@@ -382,3 +382,109 @@ fn ablations_report_only_converged_violations() {
         }
     }
 }
+
+/// `network` with node ids reversed (`n` becomes `count - 1 - n`): nodes,
+/// link endpoints, adjacency, device order and BGP peers follow; names,
+/// loopbacks, link ids and router ids stay.
+fn with_node_ids_reversed(network: &Network) -> Network {
+    let count = network.node_count();
+    let map = |n: NodeId| NodeId((count - 1 - n.index()) as u32);
+    let mut topology = TopologyBuilder::new();
+    for node in network.topology.nodes().iter().rev() {
+        let id = topology.add_node(&node.name, node.kind);
+        if let Some(loopback) = node.loopback {
+            topology.set_loopback(id, loopback);
+        }
+    }
+    for link in network.topology.links() {
+        topology.add_link_addressed(map(link.a.node), link.a.addr, map(link.b.node), link.b.addr);
+    }
+    let devices = network.devices.iter().rev().map(|device| {
+        assert!(
+            device.static_routes.is_empty(),
+            "static next hops are not remapped"
+        );
+        let mut device = device.clone();
+        for neighbor in device.bgp.iter_mut().flat_map(|bgp| &mut bgp.neighbors) {
+            neighbor.peer = map(neighbor.peer);
+        }
+        device
+    });
+    Network {
+        topology: topology.build(),
+        devices: devices.collect(),
+        down_links: network.down_links.clone(),
+    }
+}
+
+/// A report's violations with every node id (`n7`) in their explanations
+/// replaced by the device's name.
+fn violations_by_name(network: &Network, report: &VerificationReport) -> Vec<String> {
+    let mut named: Vec<String> = report
+        .violations
+        .iter()
+        .map(|v| {
+            let mut out = String::new();
+            let mut chars = v.reason.chars().peekable();
+            while let Some(c) = chars.next() {
+                let starts_id = c == 'n'
+                    && !out.ends_with(|p: char| p.is_alphanumeric())
+                    && chars.peek().is_some_and(char::is_ascii_digit);
+                if !starts_id {
+                    out.push(c);
+                    continue;
+                }
+                let mut id = 0u32;
+                while let Some(d) = chars.peek().and_then(|d| d.to_digit(10)) {
+                    id = id * 10 + d;
+                    chars.next();
+                }
+                out.push_str(&network.topology.node(NodeId(id)).name);
+            }
+            format!("{:?} under {}: {out}", v.prefix, v.failures)
+        })
+        .collect();
+    named.sort();
+    named.dedup();
+    named
+}
+
+/// The same question on a network and on a copy with node ids reversed
+/// gets the same answer. On the RFC 7938 k=4 tree, the tie-breaking of the
+/// deterministic-node rule once stepped a tied BGP update without
+/// branching over its tie partner when ids put the partner second, and the
+/// reversed copy answered HOLDS.
+#[test]
+fn a_verdict_does_not_depend_on_node_numbering() {
+    let original = plankton::config::scenarios::fat_tree_bgp_rfc7938(4, 7).network;
+    let reversed = with_node_ids_reversed(&original);
+    let prefix: Prefix = "10.0.2.0/24".parse().unwrap();
+    for policy_pruning in [true, false] {
+        let answers: Vec<Vec<String>> = [&original, &reversed]
+            .into_iter()
+            .map(|network| {
+                let id = |name: &str| network.topology.node_by_name(name).unwrap();
+                let waypoint = Waypoint::new(
+                    vec![id("edge0_0")],
+                    vec![id("agg2_0"), id("agg2_1"), id("agg0_1")],
+                );
+                let search = plankton::checker::SearchOptions {
+                    policy_pruning,
+                    ..Default::default()
+                };
+                let options = PlanktonOptions::default()
+                    .restricted_to(vec![prefix])
+                    .with_search(search)
+                    .collect_all_violations();
+                let report = Plankton::new(network.clone()).verify(
+                    &waypoint,
+                    &FailureScenario::no_failures(),
+                    &options,
+                );
+                assert!(!report.holds(), "policy pruning {policy_pruning}: {report}");
+                violations_by_name(network, &report)
+            })
+            .collect();
+        assert_eq!(answers[0], answers[1], "policy pruning {policy_pruning}");
+    }
+}

@@ -13,7 +13,7 @@
 //! (Debug builds also recompute every memo hit inside the memo itself, so
 //! every other test in the workspace audits its own hits.)
 
-use plankton::config::scenarios::{fat_tree_ospf, isp_ibgp_over_ospf, CoreStaticRoutes};
+use plankton::config::scenarios::{fat_tree_ospf, isp_ibgp_over_ospf, isp_ospf, CoreStaticRoutes};
 use plankton::config::static_routes::StaticRoute;
 use plankton::config::{ConfigDelta, DeviceConfig, OspfConfig};
 use plankton::core::failures::failure_sets_to_explore;
@@ -217,8 +217,8 @@ fn random_walk(
         0 < warm_misses && warm_misses < fresh_misses,
         "{label}: {warm_misses} Dijkstras through the session memo, {fresh_misses} from nothing"
     );
-    let resident = session.cache().slice_memo().len();
-    assert!(resident <= 2 * plankton::pec::SliceMemo::GENERATION_ENTRIES);
+    let memo = session.cache().slice_memo();
+    assert!(memo.len() <= memo.capacity());
 }
 
 #[test]
@@ -325,6 +325,44 @@ fn restricted_requests_derive_only_the_needed_pecs_keys() {
     let rest_misses = derive(&memo, false).memo_stats().1;
     assert!(rest_misses > 0, "un-needed PECs were derived after all");
     assert_eq!(needed_misses + rest_misses, all.memo_stats().1);
+}
+
+/// A key pass repeated on one memo runs no Dijkstra. AS3967's ≤ 1-failure
+/// pass over every prefix runs some twelve thousand distinct Dijkstras; the
+/// memo is sized to four times the pass's lookups before the pass starts,
+/// so the pass cannot evict its own entries.
+#[test]
+fn a_repeated_as3967_key_pass_runs_no_dijkstra() {
+    let s = isp_ospf(&AsTopologySpec::paper_as(3967));
+    let plankton = Plankton::new(s.network.clone());
+    let (network, pecs, deps) = (plankton.network(), plankton.pecs(), plankton.dependencies());
+    let sets = failure_sets_to_explore(network, &FailureScenario::up_to(1), &[], false);
+    let memo = plankton::pec::SliceMemo::new();
+    let derive = || {
+        TaskKeys::compute_with_memo(
+            &memo,
+            network,
+            pecs,
+            deps,
+            &sets,
+            1,
+            2,
+            OspfSliceMode::Scoped,
+            |_| Some(2),
+        )
+    };
+    let first = derive();
+    let (first_hits, first_misses, _) = first.memo_stats();
+    let lookups = first_hits + first_misses;
+    assert!(first_misses > 10_000, "{first_misses} Dijkstras");
+    assert!(memo.capacity() >= 4 * lookups as usize);
+    let second = derive();
+    assert_eq!(second.memo_stats(), (lookups, 0, 0));
+    for pec in pecs.active_pecs() {
+        for f in 0..sets.len() {
+            assert_eq!(first.key(pec.id, f), second.key(pec.id, f));
+        }
+    }
 }
 
 /// Three verifying readers and one delta writer share one session — one
