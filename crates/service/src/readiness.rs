@@ -48,14 +48,12 @@ pub const TOKEN_WAKE: u64 = 1;
 /// First token free for connection fds.
 pub const TOKEN_FIRST_CONN: u64 = 2;
 
-/// One readiness event: which registration fired, and whether the peer has
-/// hung up (best-effort; a read returning 0 is still the authoritative EOF).
+/// One readiness event: which registration fired. A hang-up or an error
+/// fires it too; the owner's read then returns 0 or the error.
 #[derive(Clone, Copy, Debug)]
 pub struct Event {
     /// The token the fd was registered under.
     pub token: u64,
-    /// The peer closed (HUP/ERR); the fd should be drained and dropped.
-    pub closed: bool,
 }
 
 /// `struct pollfd`, the same layout on every unix.
@@ -67,9 +65,6 @@ struct PollFd {
 }
 
 const POLLIN: c_short = 0x001;
-const POLLERR: c_short = 0x008;
-const POLLHUP: c_short = 0x010;
-const POLLNVAL: c_short = 0x020;
 
 extern "C" {
     // `nfds_t` is `unsigned long` on Linux and `unsigned int` on the BSDs;
@@ -239,10 +234,7 @@ impl Poller {
             if registration.oneshot {
                 registration.armed = false;
             }
-            events.push(Event {
-                token,
-                closed: pollfd.revents & (POLLERR | POLLHUP | POLLNVAL) != 0,
-            });
+            events.push(Event { token });
         }
         Ok(())
     }
