@@ -58,24 +58,27 @@
 //!   an integer swap (no route clone, no lazily-synced handle mirror) and
 //!   an undo frame is `Copy`.
 //! * **An incrementally hashed visited set** — the explorer keeps the
-//!   state's Zobrist hash ([`state_hash`](crate::visited::state_hash)), moved
-//!   in O(1) by every step and undo from the one handle it swaps, so a
-//!   visited-set check hashes nothing: it is a bucket lookup in the exact
-//!   set's state arena, confirmed by comparing handles, and a new state is
-//!   copied into the arena without allocating once the worker is warm.
+//!   state's one Zobrist hash ([`state_hash`](crate::visited::state_hash),
+//!   over route content hashes), moved in O(1) by every step and undo from
+//!   the one route it swaps, so a visited-set check hashes nothing: it is a
+//!   bucket lookup in the exact set's state arena, confirmed by comparing
+//!   handles, or three probes of the bitstate filter.
 //! * **Borrowed converged states** — the callback receives a
 //!   [`ConvergedState`] view of the live handle vector and the interner, so
 //!   an emit copies nothing; what the caller keeps past the callback, it
 //!   copies itself.
 //!
-//! All per-run scratch — visited set, undo stack, interner, branch-snapshot
-//! buffers — lives in one [`SearchScratch`], which a worker threads from run
-//! to run ([`ModelChecker::run_in`]), so steady-state runs allocate nothing
-//! on the step path.
+//! The enabled set always keeps its cost heap and change stamps, and the
+//! explorer always keeps its dependence witness, whatever the heuristic and
+//! options read: one shape of run state. All of it — enabled set, witness,
+//! state, visited set, undo stack, interner, trail and every other buffer —
+//! lives in one [`SearchScratch`], which a worker threads from run to run
+//! ([`ModelChecker::run_in`]), so a warm worker sets a task up without
+//! allocating and steady-state runs allocate nothing on the step path.
 
 use crate::options::SearchOptions;
 use crate::por::{
-    decision_independent, independent_decision, DiScratch, PorDecision, PorHeuristic, VerdictCounts,
+    decision_independent, independent_decision, PorDecision, PorHeuristic, VerdictCounts,
 };
 use crate::scratch::SearchScratch;
 use crate::stats::SearchStats;
@@ -84,9 +87,7 @@ use crate::undo::UndoFrame;
 use crate::visited::{state_hash, state_term};
 use plankton_net::failure::FailureSet;
 use plankton_net::topology::NodeId;
-use plankton_protocols::rpvp::{
-    ConvergedState, EnabledChoice, IncrementalEnabled, Rpvp, RpvpState,
-};
+use plankton_protocols::rpvp::{ConvergedState, EnabledChoice, IncrementalEnabled, Rpvp};
 use plankton_protocols::{ProtocolModel, ReversePeer, RouteHandle};
 use plankton_telemetry::{Counter, Gauge};
 use std::sync::{Arc, OnceLock};
@@ -113,7 +114,7 @@ struct IndependenceSearches {
 /// `undo_one` re-read exactly those, so the count costs O(degree) per node
 /// whose activity flipped.
 #[derive(Default)]
-struct DependenceWitness {
+pub(crate) struct DependenceWitness {
     /// `active[n]` ⟺ node `n` is counted as enabled and undecided.
     active: Vec<bool>,
     /// The number of active pairs.
@@ -273,35 +274,31 @@ pub enum Verdict {
     Stop,
 }
 
-/// The explicit-state model checker for one protocol instance.
+/// The explicit-state model checker for one protocol instance: the question
+/// (model, heuristic, options, policy sources, failure scenario). Every
+/// buffer a run fills lives in the [`SearchScratch`] it runs in.
 pub struct ModelChecker<'m> {
     rpvp: Rpvp<'m>,
     por: Box<dyn PorHeuristic + 'm>,
     options: SearchOptions,
-    /// Visited set, undo stack, interner and snapshot buffers: the checker's
-    /// own until [`ModelChecker::run_in`] swaps in a worker's.
-    scratch: SearchScratch,
     stats: SearchStats,
-    trail: Trail,
+    /// The failure scenario, recorded in the trail (already applied when
+    /// the model was built).
+    failures: FailureSet,
     sources: Option<Vec<NodeId>>,
     stop: bool,
-    /// Delta-maintained enabled set (already restricted to allowed
-    /// non-origin nodes, iterated in node-id order).
-    enabled: IncrementalEnabled,
-    /// Reusable buffers for the decision-independence reachability search.
-    di_scratch: DiScratch,
-    /// How often that search ran, and how often it was not needed.
+    /// How often the decision-independence search ran, and how often it was
+    /// not needed.
     searches: IndependenceSearches,
-    /// Adjacent enabled, undecided pairs; kept only when decision
-    /// independence is on (nothing else reads it).
-    witness: Option<DependenceWitness>,
     /// The Zobrist hash of the live state, kept by `apply` and `undo_one`.
     hash: u64,
 }
 
 impl<'m> ModelChecker<'m> {
     /// Build a checker for `model` under `failures` (already applied when the
-    /// model was constructed; recorded here only for the trail).
+    /// model was constructed; recorded here only for the trail). Allocates
+    /// only the RPVP layer's origin mask: everything sized by the run lives
+    /// in the scratch it runs in.
     pub fn new(
         model: &'m dyn ProtocolModel,
         por: Box<dyn PorHeuristic + 'm>,
@@ -309,137 +306,103 @@ impl<'m> ModelChecker<'m> {
         failures: FailureSet,
     ) -> Self {
         let mut options = options.effective();
-        // Hoist the source list out of the per-run options (the old code
-        // cloned it on every run): the checker owns its options, so the
-        // list is moved, not copied.
+        // Hoist the source list out of the per-run options: the checker owns
+        // its options, so the list is moved, not copied.
         let sources = options.source_nodes.take();
-        // Influence pruning (§4.2) folds into the enabled set's eligibility
-        // mask: disallowed nodes are never recomputed, never enabled.
-        let allowed = if options.influence_pruning {
-            sources.as_ref().map(|s| influence_set(model, s))
-        } else {
-            None
-        };
-        let rpvp = Rpvp::new(model);
-        let n = model.node_count();
-        let mut eligible: Vec<bool> = (0..n).map(|i| !rpvp.is_origin(NodeId(i as u32))).collect();
-        if let Some(allowed) = &allowed {
-            for (e, &a) in eligible.iter_mut().zip(allowed) {
-                *e &= a;
-            }
-        }
-        let mut enabled = IncrementalEnabled::new(model.reverse_peers(), eligible);
-        if options.deterministic_nodes && por.reads_cost_heap() {
-            enabled = enabled.with_cost_heap();
-        }
-        if options.deterministic_nodes && por.reads_change_stamps() {
-            enabled = enabled.with_change_stamps();
-        }
-        let witness = options
-            .decision_independence
-            .then(DependenceWitness::default);
         ModelChecker {
-            rpvp,
+            rpvp: Rpvp::new(model),
             por,
             options,
-            scratch: SearchScratch::new(),
             stats: SearchStats::default(),
-            trail: Trail::new(failures),
+            failures,
             sources,
             stop: false,
-            enabled,
-            di_scratch: DiScratch::new(),
             searches: IndependenceSearches::default(),
-            witness,
             hash: 0,
         }
     }
 
     /// Run the exhaustive search, invoking `callback` on every converged
-    /// state. Returns the search statistics.
-    pub fn run<F>(mut self, callback: &mut F) -> SearchStats
+    /// state. Returns the search statistics. [`ModelChecker::run_in`] over a
+    /// fresh scratch.
+    pub fn run<F>(self, callback: &mut F) -> SearchStats
     where
         F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
-        self.explore(callback)
+        self.run_in(&mut SearchScratch::new(), callback)
     }
 
     /// [`ModelChecker::run`] on a worker's `scratch`, which the run prepares
-    /// for its options and leaves holding its allocations for the next run:
-    /// the zero-allocation path.
-    pub fn run_in<F>(mut self, scratch: &mut SearchScratch, callback: &mut F) -> SearchStats
+    /// for its model and options and leaves holding its allocations for the
+    /// next run: the zero-allocation path.
+    pub fn run_in<F>(mut self, s: &mut SearchScratch, callback: &mut F) -> SearchStats
     where
         F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
-        std::mem::swap(&mut self.scratch, scratch);
-        let stats = self.explore(callback);
-        std::mem::swap(&mut self.scratch, scratch);
-        stats
-    }
-
-    fn explore<F>(&mut self, callback: &mut F) -> SearchStats
-    where
-        F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
-    {
-        self.scratch.prepare(&self.options);
-        let mut state = self.rpvp.initial_state(&mut self.scratch.interner);
-        self.hash = state_hash(&state.best);
-        let mut decided = vec![false; self.rpvp.model().node_count()];
-        for &o in self.rpvp.model().origins() {
-            decided[o.index()] = true;
+        s.prepare(&self.options);
+        let model = self.rpvp.model();
+        let n = model.node_count();
+        s.state.reset(model, &mut s.interner);
+        self.hash = state_hash(&s.state.best, &s.interner);
+        s.decided.clear();
+        s.decided.resize(n, false);
+        for &o in model.origins() {
+            s.decided[o.index()] = true;
         }
-        {
-            // Disjoint-field reborrow: `enabled` is rebuilt from `rpvp`.
-            let (enabled, rpvp, interner) =
-                (&mut self.enabled, &self.rpvp, &mut self.scratch.interner);
-            enabled.rebuild(rpvp, &state, interner);
+        s.trail.failures = std::mem::take(&mut self.failures);
+        s.trail.events.clear();
+        // Influence pruning (§4.2) folds into the enabled set's eligibility
+        // mask: disallowed nodes are never recomputed, never enabled.
+        let sources = self
+            .sources
+            .as_deref()
+            .filter(|_| self.options.influence_pruning);
+        let eligible = eligible_nodes(&self.rpvp, sources, &mut s.allowed, &mut s.frontier);
+        s.enabled.reset(model.reverse_peers(), eligible);
+        s.enabled.rebuild(&self.rpvp, &s.state, &mut s.interner);
+        // Only an enabled node can be active: the enabled set is all the
+        // witness has to read, not every node.
+        s.witness.reset(n);
+        for choice in s.enabled.view().iter() {
+            s.witness.update(model, &s.enabled, &s.decided, choice.node);
         }
-        if let Some(witness) = &mut self.witness {
-            // Only an enabled node can be active: the enabled set is all
-            // the witness has to read, not every node.
-            let model = self.rpvp.model();
-            witness.reset(model.node_count());
-            for choice in self.enabled.view().iter() {
-                witness.update(model, &self.enabled, &decided, choice.node);
-            }
-        }
-        self.dfs(&mut state, &mut decided, 0, callback);
-        self.stats.enabled_recomputed_nodes = self.enabled.recompute_count();
+        self.dfs(s, 0, callback);
+        self.stats.enabled_recomputed_nodes = s.enabled.recompute_count();
         // Run-scoped interner stats: the table may be warm from a previous
         // run on this worker, so report what a fresh interner would hold.
-        let scratch = &self.scratch;
-        self.stats.interned_routes = scratch.interner.run_interned();
-        self.stats.visited_states = scratch.visited.len() as u64;
+        self.stats.interned_routes = s.interner.run_interned();
+        self.stats.visited_states = s.visited.len() as u64;
         self.stats.approx_memory_bytes =
-            (scratch.interner.run_approx_bytes() + scratch.visited.approx_bytes()) as u64;
+            (s.interner.run_approx_bytes() + s.visited.approx_bytes()) as u64;
         record_run_metrics(
             &self.stats,
-            &self.enabled,
+            &s.enabled,
             self.searches,
             self.por.verdict_counts(),
         );
+        s.enabled.release();
         self.stats
     }
 
-    fn all_sources_decided(&self, state: &RpvpState) -> bool {
+    fn all_sources_decided(&self, s: &SearchScratch) -> bool {
         match &self.sources {
             None => false,
             Some(sources) => {
                 !sources.is_empty()
                     && sources
                         .iter()
-                        .all(|s| state.has_route(*s) || self.rpvp.is_origin(*s))
+                        .all(|&n| s.state.has_route(n) || self.rpvp.is_origin(n))
             }
         }
     }
 
-    fn emit<F>(&mut self, state: &RpvpState, callback: &mut F)
+    fn emit<F>(&mut self, s: &SearchScratch, callback: &mut F)
     where
         F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
         self.stats.converged_states += 1;
-        let converged = ConvergedState::new(&state.best, &self.scratch.interner);
-        if callback(&converged, &self.trail) == Verdict::Stop {
+        let converged = ConvergedState::new(&s.state.best, &s.interner);
+        if callback(&converged, &s.trail) == Verdict::Stop {
             self.stop = true;
         }
     }
@@ -449,8 +412,7 @@ impl<'m> ModelChecker<'m> {
     /// and refresh the enabled set's dirty neighborhood.
     fn apply(
         &mut self,
-        state: &mut RpvpState,
-        decided: &mut [bool],
+        s: &mut SearchScratch,
         node: NodeId,
         peer: Option<NodeId>,
         adopt: RouteHandle,
@@ -459,39 +421,35 @@ impl<'m> ModelChecker<'m> {
         let idx = node.index();
         let prev_best = self
             .rpvp
-            .step_adopting(state, &self.scratch.interner, node, adopt);
-        self.hash ^= state_term(idx, prev_best) ^ state_term(idx, state.best[idx]);
-        let prev_decided = decided[idx];
+            .step_adopting(&mut s.state, &s.interner, node, adopt);
+        self.hash ^= state_term(idx, prev_best, &s.interner)
+            ^ state_term(idx, s.state.best[idx], &s.interner);
+        let prev_decided = s.decided[idx];
         if peer.is_some() {
-            decided[idx] = true;
+            s.decided[idx] = true;
         }
-        let enabled_mark = self.scratch.undo.enabled_mark();
-        self.enabled.refresh_after_step(
+        let enabled_mark = s.undo.enabled_mark();
+        s.enabled.refresh_after_step(
             &self.rpvp,
-            state,
-            &mut self.scratch.interner,
+            &s.state,
+            &mut s.interner,
             node,
             prev_best,
-            &mut self.scratch.undo.enabled_prev,
+            &mut s.undo.enabled_prev,
         );
-        if let Some(witness) = &mut self.witness {
-            let model = self.rpvp.model();
-            witness.update(model, &self.enabled, decided, node);
-            for &(m, _) in &self.scratch.undo.enabled_prev[enabled_mark..] {
-                witness.update(model, &self.enabled, decided, m);
-            }
+        let model = self.rpvp.model();
+        s.witness.update(model, &s.enabled, &s.decided, node);
+        for &(m, _) in &s.undo.enabled_prev[enabled_mark..] {
+            s.witness.update(model, &s.enabled, &s.decided, m);
         }
-        self.scratch.undo.push_frame(UndoFrame {
+        s.undo.push_frame(UndoFrame {
             node,
             prev_best,
             prev_decided,
             enabled_mark,
         });
-        self.stats.undo_depth_max = self
-            .stats
-            .undo_depth_max
-            .max(self.scratch.undo.depth() as u64);
-        self.trail.push(node, peer, deterministic);
+        self.stats.undo_depth_max = self.stats.undo_depth_max.max(s.undo.depth() as u64);
+        s.trail.push(node, peer, deterministic);
         self.stats.steps += 1;
         if deterministic {
             self.stats.deterministic_steps += 1;
@@ -505,59 +463,49 @@ impl<'m> ModelChecker<'m> {
     /// all times (the seed shipped with a bug here: deterministic steps of
     /// abandoned sibling branches leaked into emitted trails because frames
     /// never popped them on exit).
-    fn undo_one(&mut self, state: &mut RpvpState, decided: &mut [bool]) {
-        self.trail.pop();
-        let frame = self.scratch.undo.pop_frame();
+    fn undo_one(&mut self, s: &mut SearchScratch) {
+        s.trail.pop();
+        let frame = s.undo.pop_frame();
         let model = self.rpvp.model();
-        while self.scratch.undo.enabled_prev.len() > frame.enabled_mark {
-            let (m, prev) = self
-                .scratch
-                .undo
-                .enabled_prev
-                .pop()
-                .expect("mark within stack");
-            self.enabled.set_entry(m, prev);
+        while s.undo.enabled_prev.len() > frame.enabled_mark {
+            let (m, prev) = s.undo.enabled_prev.pop().expect("mark within stack");
+            s.enabled.set_entry(m, prev);
             // Final for every node but the stepped one, whose `decided`
             // bit is restored below and which is re-read after it.
-            if let Some(witness) = &mut self.witness {
-                witness.update(model, &self.enabled, decided, m);
-            }
+            s.witness.update(model, &s.enabled, &s.decided, m);
         }
-        decided[frame.node.index()] = frame.prev_decided;
-        if let Some(witness) = &mut self.witness {
-            witness.update(model, &self.enabled, decided, frame.node);
-        }
-        self.enabled.mark_changed(frame.node);
         let idx = frame.node.index();
-        self.hash ^= state_term(idx, state.best[idx]) ^ state_term(idx, frame.prev_best);
-        self.rpvp.undo_step(state, frame.node, frame.prev_best);
+        s.decided[idx] = frame.prev_decided;
+        s.witness.update(model, &s.enabled, &s.decided, frame.node);
+        s.enabled.mark_changed(frame.node);
+        self.hash ^= state_term(idx, s.state.best[idx], &s.interner)
+            ^ state_term(idx, frame.prev_best, &s.interner);
+        self.rpvp
+            .undo_step(&mut s.state, frame.node, frame.prev_best);
     }
 
-    fn unwind_to(&mut self, mark: usize, state: &mut RpvpState, decided: &mut [bool]) {
-        while self.scratch.undo.depth() > mark {
-            self.undo_one(state, decided);
+    fn unwind_to(&mut self, s: &mut SearchScratch, mark: usize) {
+        while s.undo.depth() > mark {
+            self.undo_one(s);
         }
     }
 
-    /// Record the state in the visited set, under the hash `apply` and
+    /// Record the live state in the visited set, under the hash `apply` and
     /// `undo_one` keep (debug builds fold it afresh and compare).
-    fn insert_visited(&mut self, state: &RpvpState) -> bool {
+    fn insert_visited(&mut self, s: &mut SearchScratch) -> bool {
         debug_assert_eq!(
             self.hash,
-            state_hash(&state.best),
+            state_hash(&s.state.best, &s.interner),
             "the incrementally kept state hash differs from the fold"
         );
-        let scratch = &mut self.scratch;
-        scratch
-            .visited
-            .insert(&state.best, self.hash, &scratch.interner)
+        s.visited.insert(&s.state.best, self.hash)
     }
 
-    fn dfs<F>(&mut self, state: &mut RpvpState, decided: &mut [bool], depth: u64, callback: &mut F)
+    fn dfs<F>(&mut self, s: &mut SearchScratch, depth: u64, callback: &mut F)
     where
         F: FnMut(&ConvergedState<'_>, &Trail) -> Verdict,
     {
-        let undo_mark = self.scratch.undo.depth();
+        let undo_mark = s.undo.depth();
         let mut depth = depth;
         loop {
             if self.stop {
@@ -576,15 +524,15 @@ impl<'m> ModelChecker<'m> {
             // converged state, so abandon it. The enabled set counts such
             // entries as it swaps them in and out.
             debug_assert_eq!(
-                self.enabled.inconsistent_count(),
-                self.enabled
+                s.enabled.inconsistent_count(),
+                s.enabled
                     .view()
                     .iter()
-                    .filter(|c| c.invalid || state.has_route(c.node))
+                    .filter(|c| c.invalid || s.state.has_route(c.node))
                     .count(),
                 "the enabled set's consistency counter disagrees with a scan"
             );
-            if self.options.consistent_executions && self.enabled.inconsistent_count() > 0 {
+            if self.options.consistent_executions && s.enabled.inconsistent_count() > 0 {
                 self.stats.pruned_inconsistent += 1;
                 break;
             }
@@ -592,23 +540,23 @@ impl<'m> ModelChecker<'m> {
             // Policy-based pruning (§4.2): once every source node has made
             // its decision the rest of the execution cannot change the
             // policy's verdict.
-            if self.options.policy_pruning && self.all_sources_decided(state) {
+            if self.options.policy_pruning && self.all_sources_decided(s) {
                 self.stats.pruned_by_policy += 1;
-                self.emit(state, callback);
+                self.emit(s, callback);
                 break;
             }
 
-            if self.enabled.is_empty() {
-                self.emit(state, callback);
+            if s.enabled.is_empty() {
+                self.emit(s, callback);
                 break;
             }
 
-            match self.decide(state, decided) {
+            match self.decide(s) {
                 PorDecision::Deterministic { node, update } => {
                     // Copy the (peer, handle) pair out before applying: both
                     // are `Copy`, so the enabled-set borrow ends here.
                     let (peer, adopt) = {
-                        let c = self
+                        let c = s
                             .enabled
                             .view()
                             .get_node(node)
@@ -618,7 +566,7 @@ impl<'m> ModelChecker<'m> {
                             None => (None, RouteHandle::NONE),
                         }
                     };
-                    self.apply(state, decided, node, peer, adopt, true);
+                    self.apply(s, node, peer, adopt, true);
                     depth += 1;
                     continue;
                 }
@@ -626,21 +574,21 @@ impl<'m> ModelChecker<'m> {
                     // The enabled set mutates during recursion, so branching
                     // snapshots the choices it iterates (branch points only —
                     // the deterministic fast path stays allocation-free).
-                    let snapshot = [self
+                    let snapshot = [s
                         .enabled
                         .view()
                         .get_node(node)
                         .expect("branch node is enabled")
                         .clone()];
-                    self.branch(state, decided, depth, callback, &snapshot, false);
+                    self.branch(s, depth, callback, &snapshot, false);
                     break;
                 }
                 PorDecision::BranchAll => {
-                    let mut snapshot = self.scratch.snapshots.pop().unwrap_or_default();
+                    let mut snapshot = s.snapshots.pop().unwrap_or_default();
                     snapshot.clear();
-                    snapshot.extend(self.enabled.view().iter().cloned());
-                    self.branch(state, decided, depth, callback, &snapshot, true);
-                    self.scratch.snapshots.push(snapshot);
+                    snapshot.extend(s.enabled.view().iter().cloned());
+                    self.branch(s, depth, callback, &snapshot, true);
+                    s.snapshots.push(snapshot);
                     break;
                 }
             }
@@ -650,7 +598,7 @@ impl<'m> ModelChecker<'m> {
         // set and trail, and restoring them (heap and witness included)
         // would be a whole chain of undos for nothing.
         if undo_mark > 0 {
-            self.unwind_to(undo_mark, state, decided);
+            self.unwind_to(s, undo_mark);
         }
     }
 
@@ -660,22 +608,22 @@ impl<'m> ModelChecker<'m> {
     /// ([`independent_decision`]); when the heuristic already picked exactly
     /// that, the answer is the same whether or not independence holds, so
     /// the search is skipped. Needs a non-empty enabled set.
-    fn decide(&mut self, state: &RpvpState, decided: &[bool]) -> PorDecision {
-        let view = self.enabled.view();
+    fn decide(&mut self, s: &mut SearchScratch) -> PorDecision {
+        let view = s.enabled.view();
         let picked = if self.options.deterministic_nodes {
-            self.por.pick(state, &view, decided, &self.scratch.interner)
+            self.por.pick(&s.state, &view, &s.decided, &s.interner)
         } else {
             PorDecision::BranchAll
         };
         if !self.options.decision_independence {
             return picked;
         }
+        let model = self.rpvp.model();
         let first = view.first().expect("decide needs an enabled node");
         if picked == independent_decision(first) {
             self.searches.skipped += 1;
             if cfg!(debug_assertions) {
-                let searched =
-                    decision_independent(self.rpvp.model(), &view, decided, &mut self.di_scratch);
+                let searched = decision_independent(model, &view, &s.decided, &mut s.independence);
                 assert_eq!(
                     searched.unwrap_or(picked),
                     picked,
@@ -684,18 +632,17 @@ impl<'m> ModelChecker<'m> {
             }
             return picked;
         }
-        if self.witness.as_ref().is_some_and(|w| w.pairs > 0) {
+        if s.witness.pairs > 0 {
             self.searches.witnessed += 1;
             debug_assert_eq!(
-                decision_independent(self.rpvp.model(), &view, decided, &mut self.di_scratch),
+                decision_independent(model, &view, &s.decided, &mut s.independence),
                 None,
                 "the dependence witness named a pair the independence search did not find"
             );
             return picked;
         }
         self.searches.run += 1;
-        decision_independent(self.rpvp.model(), &view, decided, &mut self.di_scratch)
-            .unwrap_or(picked)
+        decision_independent(model, &view, &s.decided, &mut s.independence).unwrap_or(picked)
     }
 
     /// Branch over the given enabled choices: for each choice, one branch per
@@ -704,8 +651,7 @@ impl<'m> ModelChecker<'m> {
     /// is applied in place, explored, and undone.
     fn branch<F>(
         &mut self,
-        state: &mut RpvpState,
-        decided: &mut [bool],
+        s: &mut SearchScratch,
         depth: u64,
         callback: &mut F,
         choices: &[EnabledChoice],
@@ -732,44 +678,54 @@ impl<'m> ModelChecker<'m> {
                     let (p, h) = choice.best_updates[alt];
                     (Some(p), h)
                 };
-                self.apply(state, decided, choice.node, peer, adopt, false);
+                self.apply(s, choice.node, peer, adopt, false);
                 // Visited-state detection at branch points only.
-                if !self.insert_visited(state) {
+                if !self.insert_visited(s) {
                     self.stats.pruned_visited += 1;
-                    self.undo_one(state, decided);
+                    self.undo_one(s);
                     continue;
                 }
-                self.dfs(state, decided, depth + 1, callback);
-                self.undo_one(state, decided);
+                self.dfs(s, depth + 1, callback);
+                self.undo_one(s);
             }
         }
     }
 }
 
-/// The set of nodes that can influence any of the `sources` through chains of
-/// advertisements (§4.2): reverse reachability over the peer graph. Nodes
-/// outside this set are not allowed to execute.
-pub(crate) fn influence_set(model: &dyn ProtocolModel, sources: &[NodeId]) -> Vec<bool> {
+/// The eligibility mask of a search, one bit per node: every non-origin,
+/// restricted when `sources` is given (influence pruning, §4.2) to the nodes
+/// that can influence a source through chains of advertisements — reverse
+/// reachability over the peer graph, computed into `allowed` with
+/// `frontier` as its queue.
+pub(crate) fn eligible_nodes<'a>(
+    rpvp: &'a Rpvp<'_>,
+    sources: Option<&[NodeId]>,
+    allowed: &'a mut Vec<bool>,
+    frontier: &mut Vec<NodeId>,
+) -> impl Iterator<Item = bool> + 'a {
+    let model = rpvp.model();
     let n = model.node_count();
-    let mut allowed = vec![false; n];
-    // Sized once: every node enters the queue at most once.
-    let mut queue: std::collections::VecDeque<NodeId> =
-        std::collections::VecDeque::with_capacity(n);
-    for &s in sources {
+    allowed.clear();
+    allowed.resize(n, sources.is_none());
+    frontier.clear();
+    for &s in sources.unwrap_or_default() {
         if s.index() < n && !allowed[s.index()] {
             allowed[s.index()] = true;
-            queue.push_back(s);
+            frontier.push(s);
         }
     }
-    while let Some(u) = queue.pop_front() {
+    let mut head = 0;
+    while let Some(&u) = frontier.get(head) {
+        head += 1;
         for &p in model.peers(u) {
             if !allowed[p.index()] {
                 allowed[p.index()] = true;
-                queue.push_back(p);
+                frontier.push(p);
             }
         }
     }
-    allowed
+    let allowed = &*allowed;
+    (0..n).map(move |i| allowed[i] && !rpvp.is_origin(NodeId(i as u32)))
 }
 
 #[cfg(test)]
@@ -780,7 +736,7 @@ mod tests {
     use plankton_net::ip::Prefix;
     use plankton_protocols::bgp::{BgpModel, UniformUnderlay};
     use plankton_protocols::ospf::OspfModel;
-    use plankton_protocols::rpvp::EnabledView;
+    use plankton_protocols::rpvp::{EnabledView, RpvpState};
     use plankton_protocols::{Preference, Route, RouteInterner};
     use std::collections::HashSet;
     use std::sync::Arc;
@@ -1182,8 +1138,15 @@ mod tests {
             vec![s.origin],
             &FailureSet::none(),
         );
-        let allowed = influence_set(&model, &[s.ring.routers[2]]);
-        // The ring is connected, so everything can influence the source.
+        let rpvp = Rpvp::new(&model);
+        let (mut allowed, mut frontier) = (Vec::new(), Vec::new());
+        let sources = Some(&[s.ring.routers[2]][..]);
+        let eligible: Vec<bool> =
+            eligible_nodes(&rpvp, sources, &mut allowed, &mut frontier).collect();
+        // The ring is connected, so everything can influence the source, and
+        // every node but the origin may step.
         assert!(allowed.iter().all(|&a| a));
+        assert_eq!(eligible.iter().filter(|&&e| !e).count(), 1);
+        assert!(!eligible[s.origin.index()]);
     }
 }

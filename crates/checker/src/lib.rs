@@ -18,17 +18,17 @@
 //!   influence a source;
 //! * **state hashing** (§4.4) — routes are interned once and states are
 //!   vectors of 64-bit handles; visited-state detection works on those
-//!   handles, exactly (a state arena keyed by a Zobrist hash the explorer
-//!   moves per step) or through a Bloom filter (SPIN's bitstate hashing,
-//!   Figure 9).
+//!   handles, exactly (a state arena) or through a Bloom filter (SPIN's
+//!   bitstate hashing, Figure 9), both keyed by one Zobrist hash of route
+//!   content hashes that the explorer moves per step.
 //!
 //! The search itself is **incremental**: delta-maintained enabled sets (only
 //! the stepped node's reverse-peer neighborhood is recomputed per step) and
 //! an apply/undo DFS (no state clones at branch points) — see [`explorer`].
 //! States are handle-native end to end: routes are interned at generation
 //! time in the protocol layer, so visited checks compare handle vectors
-//! directly and steps move a single `u64`. A run's reusable buffers — visited
-//! set, undo stack, interner, branch snapshots — live in one
+//! directly and steps move a single `u64`. Every buffer of a run — enabled
+//! set, visited set, undo stack, interner, state, trail — lives in one
 //! [`SearchScratch`] that a worker threads from run to run. The
 //! pre-incremental search is preserved as [`reference::ReferenceChecker`]
 //! and differentially tested against the incremental one.

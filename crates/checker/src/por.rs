@@ -84,18 +84,6 @@ pub trait PorHeuristic: Sync {
         interner: &RouteInterner,
     ) -> PorDecision;
 
-    /// Does `pick` read [`EnabledView::cheapest`]? The explorer keeps its
-    /// enabled set's cost heap only for a heuristic that does.
-    fn reads_cost_heap(&self) -> bool {
-        false
-    }
-
-    /// Does `pick` read [`EnabledView::clock`]? The explorer keeps its
-    /// enabled set's change stamps only for a heuristic that does.
-    fn reads_change_stamps(&self) -> bool {
-        false
-    }
-
     /// The per-node verdicts `pick` re-derived and reused so far (zero for a
     /// heuristic that caches none).
     fn verdict_counts(&self) -> VerdictCounts {
@@ -132,9 +120,9 @@ impl PorHeuristic for NoPor {
 ///
 /// The pick is the first cheapest update in enabled (node-id) order, with
 /// invalid-only entries last. On the explorer's enabled set it is read off
-/// the cost heap in O(1) ([`EnabledView::cheapest`]); on a view without one
-/// it is a scan, and debug builds check the heap against the scan at every
-/// decision.
+/// the cost heap in O(1) ([`EnabledView::cheapest`]); on a slice (the
+/// reference explorer's view) it is a scan, and debug builds check the heap
+/// against the scan at every decision.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OspfPor;
 
@@ -198,10 +186,6 @@ impl PorHeuristic for OspfPor {
         );
         picked
     }
-
-    fn reads_cost_heap(&self) -> bool {
-        true
-    }
 }
 
 /// How a pending update compares against everything that could still arrive.
@@ -232,12 +216,12 @@ struct NodeVerdict {
 /// A node's [`NodeVerdict`] reads only its enabled entry and, for each peer
 /// it listens to, that peer's route and `decided` bit. A step or undo at `x`
 /// changes those inputs for `x` and its reverse peers only — the nodes the
-/// explorer's enabled set stamps ([`EnabledView::changed_at`]). So on a view
-/// with change stamps each verdict is kept with the clock it was derived at
-/// and re-derived only when its node was stamped since; the pick is the
-/// same node-order pass either way. A view without stamps (the reference
-/// explorer's) gets the full pass, and debug builds compare the two at
-/// every decision.
+/// explorer's enabled set stamps ([`EnabledView::changed_at`]). So on that
+/// set each verdict is kept with the clock it was derived at and re-derived
+/// only when its node was stamped since; the pick is the same node-order
+/// pass either way. A slice, which has no stamps (the reference explorer's
+/// view), gets the full pass, and debug builds compare the two at every
+/// decision.
 pub struct BgpPor {
     /// The highest LOCAL_PREF any import policy could assign.
     max_local_pref: u32,
@@ -507,10 +491,6 @@ impl PorHeuristic for BgpPor {
         picked
     }
 
-    fn reads_change_stamps(&self) -> bool {
-        true
-    }
-
     fn verdict_counts(&self) -> VerdictCounts {
         self.counts
     }
@@ -529,11 +509,6 @@ pub struct DiScratch {
 }
 
 impl DiScratch {
-    /// Empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Open a fresh search over `n` nodes.
     fn begin(&mut self, n: usize) {
         if self.stamp.len() != n || self.epoch == u32::MAX {
@@ -784,7 +759,7 @@ mod tests {
         let enabled = rpvp.enabled(&state, &mut interner);
         let view = EnabledView::Slice(&enabled);
         let mut decided = vec![false; 4];
-        let mut scratch = DiScratch::new();
+        let mut scratch = DiScratch::default();
         // Pending updates come from the (undecided) origin: condition (a)
         // fails, which no search state can produce (an origin starts decided).
         assert!(!updates_from_decided(&view, &decided));
@@ -895,7 +870,7 @@ mod tests {
             x ^= x << 17;
             (x % n as u64) as usize
         };
-        let mut scratch = DiScratch::new();
+        let mut scratch = DiScratch::default();
         let (mut independent, mut dependent, mut witnessed_cases) = (0, 0, 0);
         for _ in 0..2000 {
             let n = 2 + below(23);

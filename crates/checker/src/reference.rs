@@ -25,11 +25,9 @@
 //! live DFS path — the fix is applied to both in lockstep, keeping the
 //! differential tests byte-identical.
 
-use crate::explorer::{influence_set, Verdict};
+use crate::explorer::{eligible_nodes, Verdict};
 use crate::options::SearchOptions;
-use crate::por::{
-    decision_independent, updates_from_decided, DiScratch, PorDecision, PorHeuristic,
-};
+use crate::por::{decision_independent, updates_from_decided, PorDecision, PorHeuristic};
 use crate::scratch::SearchScratch;
 use crate::stats::SearchStats;
 use crate::trail::Trail;
@@ -44,8 +42,8 @@ pub struct ReferenceChecker<'m> {
     rpvp: Rpvp<'m>,
     por: Box<dyn PorHeuristic + 'm>,
     options: SearchOptions,
-    /// A fresh scratch per checker: only its interner and visited set are
-    /// used.
+    /// A fresh scratch per checker: only its interner, visited set,
+    /// independence-search and influence-set buffers are used.
     scratch: SearchScratch,
     stats: SearchStats,
     trail: Trail,
@@ -54,7 +52,6 @@ pub struct ReferenceChecker<'m> {
     eligible: Vec<bool>,
     sources: Option<Vec<NodeId>>,
     stop: bool,
-    di_scratch: DiScratch,
 }
 
 impl<'m> ReferenceChecker<'m> {
@@ -70,19 +67,14 @@ impl<'m> ReferenceChecker<'m> {
         scratch.prepare(&options);
         // Moved out of the run path, mirroring the incremental explorer.
         let sources = options.source_nodes.take();
-        let allowed = if options.influence_pruning {
-            sources.as_ref().map(|s| influence_set(model, s))
-        } else {
-            None
-        };
         let rpvp = Rpvp::new(model);
-        let n = model.node_count();
-        let mut eligible: Vec<bool> = (0..n).map(|i| !rpvp.is_origin(NodeId(i as u32))).collect();
-        if let Some(allowed) = &allowed {
-            for (e, &a) in eligible.iter_mut().zip(allowed) {
-                *e &= a;
-            }
-        }
+        let eligible = eligible_nodes(
+            &rpvp,
+            sources.as_deref().filter(|_| options.influence_pruning),
+            &mut scratch.allowed,
+            &mut scratch.frontier,
+        )
+        .collect();
         ReferenceChecker {
             rpvp,
             por,
@@ -93,7 +85,6 @@ impl<'m> ReferenceChecker<'m> {
             eligible,
             sources,
             stop: false,
-            di_scratch: DiScratch::new(),
         }
     }
 
@@ -229,7 +220,12 @@ impl<'m> ReferenceChecker<'m> {
             // assumed: the oracle for the invariant the explorer relies on.
             let search = self.options.decision_independence && updates_from_decided(&view, decided);
             let decision = if search {
-                decision_independent(self.rpvp.model(), &view, decided, &mut self.di_scratch)
+                decision_independent(
+                    self.rpvp.model(),
+                    &view,
+                    decided,
+                    &mut self.scratch.independence,
+                )
             } else {
                 None
             }
@@ -291,8 +287,8 @@ impl<'m> ReferenceChecker<'m> {
                 self.apply(&mut child, &mut child_decided, choice.node, peer, false);
                 // The state is already handle-native — no re-interning pass.
                 let scratch = &mut self.scratch;
-                let hash = state_hash(&child.best);
-                if !scratch.visited.insert(&child.best, hash, &scratch.interner) {
+                let hash = state_hash(&child.best, &scratch.interner);
+                if !scratch.visited.insert(&child.best, hash) {
                     self.stats.pruned_visited += 1;
                     self.trail.pop();
                     continue;

@@ -42,11 +42,6 @@ pub struct UndoStack {
 }
 
 impl UndoStack {
-    /// An empty stack.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Current number of live frames (a watermark for
     /// [`UndoStack::pop_frame`]-driven unwinding).
     pub fn depth(&self) -> usize {
@@ -80,7 +75,7 @@ mod tests {
 
     #[test]
     fn frames_and_marks_are_lifo() {
-        let mut s = UndoStack::new();
+        let mut s = UndoStack::default();
         assert_eq!(s.depth(), 0);
         assert_eq!(s.enabled_mark(), 0);
         s.enabled_prev.push((NodeId(7), None));

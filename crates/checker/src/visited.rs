@@ -1,32 +1,37 @@
 //! Visited-state tracking: exact storage of interned states, or SPIN-style
 //! bitstate hashing through a Bloom filter (§5, Figure 9 of the paper).
 //!
-//! The exact set is keyed by a 64-bit Zobrist hash of the state: the XOR of
-//! one [`state_term`] per `(node, handle)` pair, `⊥` contributing 0. A step
-//! changes one node's handle, so the explorer keeps the hash current in O(1)
-//! per step and undo ([`state_hash`] is the same hash folded from scratch,
-//! for the reference explorer and for audits). States are stored back to
-//! back in one arena ([`StateArena`]) behind a chained hash index; a hash hit
-//! is confirmed by comparing the stored handles with the live state, so the
-//! set has no false positives, and clearing it keeps every buffer, so a
-//! warmed worker's runs insert without allocating. Which of the two a run
-//! records into is chosen in one place,
+//! Both are keyed by one 64-bit Zobrist hash of the state: the XOR of one
+//! [`state_term`] per `(node, route)` pair, `⊥` contributing 0. A term
+//! mixes the route's interner content hash, not its handle, so the hash of
+//! a state does not depend on the order routes were interned in: two
+//! explorers that intern in different orders hash every state alike. A
+//! step changes one node's route, so the explorer keeps the hash current in
+//! O(1) per step and undo ([`state_hash`] is the same hash folded from
+//! scratch, for the reference explorer and for audits).
+//!
+//! The exact set stores states back to back in one arena ([`StateArena`])
+//! behind a chained index on the hash; a hash hit is confirmed by comparing
+//! the stored handles with the live state, so the set has no false
+//! positives, and clearing it keeps every buffer, so a warmed worker's runs
+//! insert without allocating. The bitstate set probes its Bloom filter from
+//! the same hash ([`BloomFilter::insert`]), so it hashes nothing either.
+//! Which of the two a run records into is chosen in one place,
 //! [`SearchScratch::prepare`](crate::SearchScratch::prepare), from
 //! [`SearchOptions::bitstate_bits`](crate::SearchOptions::bitstate_bits).
 
 use plankton_protocols::{RouteHandle, RouteInterner};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
 /// Node `node`'s term of the Zobrist state hash when it holds `handle`: a
-/// 64-bit mix of the pair (the splitmix64 finalizer), 0 for `⊥`.
+/// 64-bit mix (the splitmix64 finalizer) of the node and the route's
+/// content hash ([`RouteInterner::content_hash`]), 0 for `⊥`.
 #[inline]
-pub fn state_term(node: usize, handle: RouteHandle) -> u64 {
+pub fn state_term(node: usize, handle: RouteHandle, interner: &RouteInterner) -> u64 {
     if handle.is_none() {
         return 0;
     }
-    let mut z = handle
-        .0
+    let mut z = interner
+        .content_hash(handle)
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(node as u64);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -34,13 +39,12 @@ pub fn state_term(node: usize, handle: RouteHandle) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The Zobrist hash of a whole state, folded from its handles: what an
+/// The Zobrist hash of a whole state, folded from its routes: what an
 /// explorer that updates the hash per step must hold.
-pub fn state_hash(state: &[RouteHandle]) -> u64 {
-    state
-        .iter()
-        .enumerate()
-        .fold(0, |h, (node, &handle)| h ^ state_term(node, handle))
+pub fn state_hash(state: &[RouteHandle], interner: &RouteInterner) -> u64 {
+    state.iter().enumerate().fold(0, |h, (node, &handle)| {
+        h ^ state_term(node, handle, interner)
+    })
 }
 
 /// Exact visited-state storage: every recorded state's handles back to back
@@ -153,10 +157,12 @@ impl StateArena {
     }
 }
 
-/// A Bloom filter over state fingerprints. Bitstate hashing trades a small
+/// A Bloom filter over state hashes. Bitstate hashing trades a small
 /// probability of false positives (states wrongly considered visited, i.e.
 /// reduced coverage) for a large reduction in memory — the paper reports
-/// coverage above 99.9% in its experiments.
+/// coverage above 99.9% in its experiments. Its keys must already be
+/// uniformly mixed 64-bit hashes (the explorer's [`state_hash`]): the
+/// filter probes from their bits and hashes nothing itself.
 #[derive(Clone, Debug)]
 pub struct BloomFilter {
     bits: Vec<u64>,
@@ -185,28 +191,23 @@ impl BloomFilter {
         }
     }
 
-    /// The probe bases for double hashing (Kirsch–Mitzenmacher): one SipHash
-    /// run yields `h1`, the second hash is derived from its upper bits and
-    /// forced odd so every stride is a unit modulo the power-of-two bit
-    /// count. Probe `i` lands at `h1 + i·h2` — no per-call allocation, no
-    /// extra hasher runs.
+    /// The probe bases for double hashing (Kirsch–Mitzenmacher): `h1` is
+    /// the hash itself, and the stride `h2` is its upper half forced odd, so
+    /// every stride is a unit modulo the power-of-two bit count. Probe `i`
+    /// lands at `h1 + i·h2`.
     #[inline]
-    fn probe(fingerprint: u64) -> (u64, u64) {
-        let mut h = DefaultHasher::new();
-        fingerprint.hash(&mut h);
-        let h1 = h.finish();
-        let h2 = (h1 >> 32) | 1;
-        (h1, h2)
+    fn probe(hash: u64) -> (u64, u64) {
+        (hash, (hash >> 32) | 1)
     }
 
-    fn positions(&self, fingerprint: u64) -> impl Iterator<Item = u64> + '_ {
-        let (h1, h2) = Self::probe(fingerprint);
+    fn positions(&self, hash: u64) -> impl Iterator<Item = u64> + '_ {
+        let (h1, h2) = Self::probe(hash);
         (0..self.hashes as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) & self.mask)
     }
 
-    /// Insert a fingerprint; returns `true` if it was (probably) new.
-    pub fn insert(&mut self, fingerprint: u64) -> bool {
-        let (h1, h2) = Self::probe(fingerprint);
+    /// Insert a hash; returns `true` if it was (probably) new.
+    pub fn insert(&mut self, hash: u64) -> bool {
+        let (h1, h2) = Self::probe(hash);
         let mut new = false;
         for i in 0..self.hashes as u64 {
             let pos = h1.wrapping_add(i.wrapping_mul(h2)) & self.mask;
@@ -232,13 +233,13 @@ impl BloomFilter {
         self.inserted = 0;
     }
 
-    /// Has the fingerprint (probably) been inserted?
-    pub fn contains(&self, fingerprint: u64) -> bool {
-        self.positions(fingerprint)
+    /// Has the hash (probably) been inserted?
+    pub fn contains(&self, hash: u64) -> bool {
+        self.positions(hash)
             .all(|pos| self.bits[(pos / 64) as usize] & (1 << (pos % 64)) != 0)
     }
 
-    /// Number of fingerprints that were new when inserted.
+    /// Number of hashes that were new when inserted.
     pub fn inserted(&self) -> usize {
         self.inserted
     }
@@ -254,8 +255,7 @@ pub enum VisitedSet {
     /// Store every visited state exactly (its interned route handles, in a
     /// [`StateArena`]). No false positives.
     Exact(StateArena),
-    /// Bitstate hashing: store only Bloom-filter bits of the state
-    /// fingerprint.
+    /// Bitstate hashing: store only Bloom-filter bits of the state hash.
     Bitstate(BloomFilter),
 }
 
@@ -274,20 +274,6 @@ impl VisitedSet {
     /// A bitstate (Bloom filter) visited set with the given number of bits.
     pub fn bitstate(bits: usize) -> Self {
         VisitedSet::Bitstate(BloomFilter::with_bits(bits))
-    }
-
-    /// The bitstate fingerprint hashes the *content-hash sequence* of the
-    /// state, not the handles: handle numbering depends on first-occurrence
-    /// order, which differs between explorers that evaluate nodes in
-    /// different orders, while content hashes are numbering-independent —
-    /// so both explorers make identical pruning decisions.
-    fn fingerprint(state: &[RouteHandle], interner: &RouteInterner) -> u64 {
-        let mut h = DefaultHasher::new();
-        state.len().hash(&mut h);
-        for &handle in state {
-            interner.content_hash(handle).hash(&mut h);
-        }
-        h.finish()
     }
 
     /// Reset to empty while keeping the underlying allocations (the state
@@ -312,12 +298,12 @@ impl VisitedSet {
     /// Record a state whose [`state_hash`] is `hash`. Returns `true` if the
     /// state had not been seen before (definitely for [`VisitedSet::Exact`],
     /// probabilistically for [`VisitedSet::Bitstate`]). Exact storage finds
-    /// the state by `hash` and compares handles; the bitstate set ignores
-    /// `hash` and fingerprints content hashes through the interner.
-    pub fn insert(&mut self, state: &[RouteHandle], hash: u64, interner: &RouteInterner) -> bool {
+    /// the state by `hash` and compares handles; the bitstate set probes
+    /// from `hash` alone.
+    pub fn insert(&mut self, state: &[RouteHandle], hash: u64) -> bool {
         match self {
             VisitedSet::Exact(arena) => arena.insert(state, hash),
-            VisitedSet::Bitstate(bloom) => bloom.insert(Self::fingerprint(state, interner)),
+            VisitedSet::Bitstate(bloom) => bloom.insert(hash),
         }
     }
 
@@ -352,25 +338,29 @@ mod tests {
         vals.iter().map(|&v| RouteHandle(v)).collect()
     }
 
-    /// Insert `vals` under its folded hash.
-    fn insert(v: &mut VisitedSet, vals: &[u64], interner: &RouteInterner) -> bool {
-        let s = state(vals);
-        v.insert(&s, state_hash(&s), interner)
-    }
-
     // An empty interner: `content_hash` falls back to the handle value, so
-    // arbitrary handles still fingerprint consistently in these tests.
+    // arbitrary handles still hash consistently in these tests.
     fn interner() -> RouteInterner {
         RouteInterner::new()
     }
 
+    /// Insert `vals` under its folded hash.
+    fn insert(v: &mut VisitedSet, vals: &[u64]) -> bool {
+        let s = state(vals);
+        v.insert(&s, state_hash(&s, &interner()))
+    }
+
+    /// A well-mixed 64-bit key per integer, as the filter expects.
+    fn mixed(i: u64) -> u64 {
+        state_term(0, RouteHandle(i + 1), &interner())
+    }
+
     #[test]
     fn exact_set_detects_duplicates() {
-        let i = interner();
         let mut v = VisitedSet::exact();
-        assert!(insert(&mut v, &[1, 2, 3], &i));
-        assert!(!insert(&mut v, &[1, 2, 3], &i));
-        assert!(insert(&mut v, &[1, 2, 4], &i));
+        assert!(insert(&mut v, &[1, 2, 3]));
+        assert!(!insert(&mut v, &[1, 2, 3]));
+        assert!(insert(&mut v, &[1, 2, 4]));
         assert_eq!(v.len(), 2);
         assert!(v.approx_bytes() > 0);
     }
@@ -379,14 +369,13 @@ mod tests {
     fn exact_set_confirms_hash_hits_by_comparing_states() {
         // Every state under one hash: one chain holds them all, so only the
         // handle comparison tells them apart.
-        let i = interner();
         let mut v = VisitedSet::exact();
         let states: Vec<Vec<RouteHandle>> = (0..200u64)
             .map(|k| state(&[k % 7, k / 7, 0, k % 3]))
             .collect();
         for (round, expect_new) in [(0, true), (1, false)] {
             for s in &states {
-                assert_eq!(v.insert(s, 42, &i), expect_new, "round {round}: {s:?}");
+                assert_eq!(v.insert(s, 42), expect_new, "round {round}: {s:?}");
             }
             assert_eq!(v.len(), states.len());
         }
@@ -396,7 +385,7 @@ mod tests {
         assert!(v.is_empty());
         assert_eq!(v.approx_bytes(), 0);
         for s in &states {
-            assert!(v.insert(s, 42, &i), "cleared set forgets {s:?}");
+            assert!(v.insert(s, 42), "cleared set forgets {s:?}");
         }
         assert_eq!(v.len(), states.len());
         assert_eq!(v.approx_bytes(), bytes);
@@ -404,40 +393,46 @@ mod tests {
 
     #[test]
     fn state_hash_follows_single_node_updates() {
+        let i = interner();
         let mut s = state(&[0, 5, 9, 0]);
-        let mut h = state_hash(&s);
+        let mut h = state_hash(&s, &i);
         for (node, handle) in [(0, 3u64), (1, 0), (3, 8), (0, 0), (2, 4)] {
             let prev = std::mem::replace(&mut s[node], RouteHandle(handle));
-            h ^= state_term(node, prev) ^ state_term(node, s[node]);
-            assert_eq!(h, state_hash(&s), "after {node} := {handle}");
+            h ^= state_term(node, prev, &i) ^ state_term(node, s[node], &i);
+            assert_eq!(h, state_hash(&s, &i), "after {node} := {handle}");
         }
-        assert_eq!(state_hash(&state(&[0, 0, 0])), 0, "⊥ contributes nothing");
-        assert_ne!(state_term(0, RouteHandle(1)), state_term(1, RouteHandle(1)));
+        assert_eq!(
+            state_hash(&state(&[0, 0, 0]), &i),
+            0,
+            "⊥ contributes nothing"
+        );
+        assert_ne!(
+            state_term(0, RouteHandle(1), &i),
+            state_term(1, RouteHandle(1), &i)
+        );
     }
 
     #[test]
     fn bitstate_detects_duplicates() {
-        let i = interner();
         let mut v = VisitedSet::bitstate(1 << 16);
-        assert!(insert(&mut v, &[1, 2, 3], &i));
-        assert!(!insert(&mut v, &[1, 2, 3], &i));
-        assert!(insert(&mut v, &[9, 9, 9], &i));
+        assert!(insert(&mut v, &[1, 2, 3]));
+        assert!(!insert(&mut v, &[1, 2, 3]));
+        assert!(insert(&mut v, &[9, 9, 9]));
         assert_eq!(v.len(), 2);
     }
 
     #[test]
     fn bitstate_uses_fixed_memory() {
-        let int = interner();
         let mut v = VisitedSet::bitstate(1 << 16);
         let before = v.approx_bytes();
         for i in 0..1000u64 {
-            insert(&mut v, &[i, i + 1, i + 2], &int);
+            insert(&mut v, &[i, i + 1, i + 2]);
         }
         assert_eq!(v.approx_bytes(), before);
         // Exact storage grows with the number of states.
         let mut e = VisitedSet::exact();
         for i in 0..1000u64 {
-            insert(&mut e, &[i, i + 1, i + 2], &int);
+            insert(&mut e, &[i, i + 1, i + 2]);
         }
         assert!(e.approx_bytes() > v.approx_bytes() / 4);
     }
@@ -445,17 +440,17 @@ mod tests {
     #[test]
     fn bloom_contains_after_insert() {
         let mut b = BloomFilter::with_bits(1 << 14);
-        assert!(!b.contains(42));
-        b.insert(42);
-        assert!(b.contains(42));
+        assert!(!b.contains(mixed(42)));
+        b.insert(mixed(42));
+        assert!(b.contains(mixed(42)));
         assert_eq!(b.inserted(), 1);
     }
 
     #[test]
     fn double_hashing_probes_three_distinct_positions() {
         let b = BloomFilter::with_bits(1 << 14);
-        for fp in 0..1000u64 {
-            let positions: Vec<u64> = b.positions(fp).collect();
+        for i in 0..1000u64 {
+            let positions: Vec<u64> = b.positions(mixed(i)).collect();
             assert_eq!(positions.len(), 3);
             // The stride is odd, so probes are pairwise distinct modulo the
             // power-of-two bit count.
@@ -470,9 +465,11 @@ mod tests {
     fn bloom_false_positive_rate_is_low_when_sized_generously() {
         let mut b = BloomFilter::with_bits(1 << 18);
         for i in 0..1000u64 {
-            b.insert(i);
+            b.insert(mixed(i));
         }
-        let false_positives = (10_000..20_000u64).filter(|&i| b.contains(i)).count();
+        let false_positives = (10_000..20_000u64)
+            .filter(|&i| b.contains(mixed(i)))
+            .count();
         assert!(false_positives < 50, "false positives: {false_positives}");
     }
 }

@@ -28,7 +28,7 @@ impl PorHeuristic for HeapAgainstScan<'_> {
     ) -> PorDecision {
         assert!(
             enabled.cheapest().is_some(),
-            "the explorer keeps a cost heap for a heuristic that reads it"
+            "the explorer's enabled set always keeps a cost heap"
         );
         let heap = OspfPor.pick(state, enabled, decided, interner);
         let entries = enabled.to_vec();
@@ -36,10 +36,6 @@ impl PorHeuristic for HeapAgainstScan<'_> {
         assert_eq!(heap, scan, "heap and scan disagree on {entries:?}");
         self.decisions.fetch_add(1, Ordering::Relaxed);
         heap
-    }
-
-    fn reads_cost_heap(&self) -> bool {
-        true
     }
 }
 
@@ -64,7 +60,7 @@ fn assert_heap_matches(inc: &IncrementalEnabled, interner: &RouteInterner, what:
 }
 
 /// Free RPVP walks (any enabled node, any update, paths that change and
-/// clear) with undo, on the explorer's enabled set with a cost heap: entries
+/// clear) with undo, on the explorer's enabled set and its cost heap: entries
 /// are re-keyed as better updates arrive, and undo restores them in reverse,
 /// both of which a deterministic OSPF search never does.
 #[test]
@@ -88,7 +84,7 @@ fn heap_top_survives_free_walks_with_undo() {
         let eligible = (0..model.node_count())
             .map(|i| !rpvp.is_origin(NodeId(i as u32)))
             .collect();
-        let mut inc = IncrementalEnabled::new(model.reverse_peers(), eligible).with_cost_heap();
+        let mut inc = IncrementalEnabled::new(model.reverse_peers(), eligible);
         inc.rebuild(&rpvp, &state, &mut interner);
         assert_heap_matches(&inc, &interner, "rebuild");
         let mut displaced: Vec<(NodeId, Option<EnabledChoice>)> = Vec::new();

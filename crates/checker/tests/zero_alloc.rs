@@ -25,7 +25,12 @@
 //! Before the first step, a task's set-up allocates a fixed number of
 //! times whatever the network's size: an OSPF model is a view of an
 //! adjacency the run already built, and the checker takes the adjacency's
-//! shared reverse-peer index instead of building per-node lists.
+//! shared reverse-peer index instead of building per-node lists. Building
+//! the checker allocates only the RPVP layer's origin mask, and every
+//! buffer a run sizes (enabled set, witness, `decided`, state, trail,
+//! influence set) belongs to the worker's scratch, so a warm worker runs a
+//! whole deterministic OSPF task without allocating (checked in release
+//! builds, where the debug audits that re-derive routes are compiled out).
 //!
 //! This lives in its own integration-test binary because the global
 //! allocator is process-wide; allocations are counted per thread, so the
@@ -91,7 +96,7 @@ fn steady_state_step_path_does_not_allocate() {
         displaced.clear();
         inc.refresh_after_step(&rpvp, &state, &mut interner, node, prev, &mut displaced);
     }
-    visited.insert(&state.best, state_hash(&state.best), &interner);
+    visited.insert(&state.best, state_hash(&state.best, &interner));
     let interned_after_warmup = interner.len();
 
     // Measured pass: replay the same execution from the initial state,
@@ -135,7 +140,7 @@ fn steady_state_step_path_does_not_allocate() {
         displaced.clear();
         inc.refresh_after_step(&rpvp, &state, &mut interner, node, prev, &mut displaced);
         let before = allocations();
-        visited.insert(&state.best, state_hash(&state.best), &interner);
+        visited.insert(&state.best, state_hash(&state.best, &interner));
         measured += allocations() - before;
         steps += 1;
     }
@@ -278,6 +283,79 @@ fn task_setup_allocates_the_same_at_every_network_size() {
         assert_eq!(
             small, large,
             "task set-up allocated {small} times at k=4 (20 nodes) and {large} at k=8 \
+             (80 nodes), policy sources: {sourced}"
+        );
+    }
+}
+
+/// Allocations of one OSPF task on a k-ary fat tree through a warm
+/// [`SearchScratch`]: the task for the first edge switch's prefix, with the
+/// model built before counting, and the scratch warmed by one run of the same
+/// task. Returns what [`ModelChecker::new`] and what [`ModelChecker::run_in`]
+/// allocated.
+fn warm_task_allocations(k: usize, sourced: bool) -> (usize, usize) {
+    let s = fat_tree_ospf(k, CoreStaticRoutes::None);
+    let origin = s.fat_tree.edge[0][0];
+    let prefix = s.fat_tree.prefix_of_edge(origin).expect("edges originate");
+    let model = OspfModel::new(&s.network, prefix, vec![origin], &FailureSet::none());
+    let options = SearchOptions {
+        source_nodes: sourced.then(|| vec![s.fat_tree.edge[k - 1][0]]),
+        ..SearchOptions::default()
+    };
+    let mut scratch = SearchScratch::new();
+    let run = |scratch: &mut SearchScratch| {
+        let options = options.clone();
+        let before = allocations();
+        let checker = ModelChecker::new(&model, Box::new(OspfPor), options, FailureSet::none());
+        let built = allocations() - before;
+        let before = allocations();
+        let stats = checker.run_in(scratch, &mut |_, _| Verdict::Continue);
+        (built, allocations() - before, stats)
+    };
+    let index = model.reverse_peers();
+    let holders = Arc::strong_count(&index);
+    let (_, _, warm) = run(&mut scratch);
+    let (built, ran, stats) = run(&mut scratch);
+    assert_eq!(stats, warm, "a warm run reports what a cold one did");
+    assert_eq!(stats.converged_states, 1);
+    assert_eq!(
+        Arc::strong_count(&index),
+        holders,
+        "a finished run's scratch still holds the model's reverse-peer index"
+    );
+    (built, ran)
+}
+
+#[test]
+fn building_a_checker_allocates_only_the_origin_mask() {
+    for k in [4, 8] {
+        for sourced in [false, true] {
+            let (built, _) = warm_task_allocations(k, sourced);
+            assert!(
+                built <= 1,
+                "ModelChecker::new allocated {built} times at k={k}, policy sources: \
+                 {sourced}; everything a run sizes belongs in its SearchScratch"
+            );
+        }
+    }
+}
+
+/// Debug builds audit every enabled-set shortcut by re-deriving entries in
+/// full, which builds (and allocates) routes in proportion to the network:
+/// the count is only meaningful with the audits compiled out.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "debug-build audits allocate per node; run with --release"
+)]
+fn a_warm_worker_runs_a_task_without_allocating() {
+    for sourced in [false, true] {
+        let (_, small) = warm_task_allocations(4, sourced);
+        let (_, large) = warm_task_allocations(8, sourced);
+        assert_eq!(
+            (small, large),
+            (0, 0),
+            "a warm run_in allocated {small} times at k=4 (20 nodes) and {large} at k=8 \
              (80 nodes), policy sources: {sourced}"
         );
     }

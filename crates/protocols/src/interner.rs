@@ -12,9 +12,10 @@
 //!
 //! Each entry also carries a *content hash* computed once at intern time.
 //! Handle numbering depends on first-occurrence order, which differs
-//! between explorers that evaluate nodes in different orders; bitstate
-//! fingerprints therefore hash the content-hash sequence instead of the
-//! handles, making pruning decisions independent of numbering.
+//! between explorers that evaluate nodes in different orders; the
+//! checker's state hash therefore mixes content hashes instead of handles,
+//! making visited-set decisions (bitstate false positives included)
+//! independent of numbering.
 
 use crate::route::Route;
 use serde::{Deserialize, Serialize};
@@ -183,11 +184,6 @@ impl RouteInterner {
         }
     }
 
-    /// Compress a full state (one optional route per node) into handles.
-    pub fn compress_state(&mut self, best: &[Option<Route>]) -> Vec<RouteHandle> {
-        best.iter().map(|r| self.intern_opt(r.as_ref())).collect()
-    }
-
     /// Number of distinct routes interned.
     pub fn len(&self) -> usize {
         self.by_handle.len()
@@ -287,22 +283,6 @@ mod tests {
         let h = i.intern_opt(Some(&route(&[5])));
         assert!(!h.is_none());
         assert!(h.is_some());
-    }
-
-    #[test]
-    fn compress_state_roundtrips() {
-        let mut i = RouteInterner::new();
-        let state = vec![Some(route(&[1])), None, Some(route(&[1, 2]))];
-        let compressed = i.compress_state(&state);
-        assert_eq!(compressed.len(), 3);
-        assert_eq!(i.resolve(compressed[0]), state[0].as_ref());
-        assert_eq!(i.resolve(compressed[1]), None);
-        assert_eq!(i.resolve(compressed[2]), state[2].as_ref());
-        // Same state compresses to the same handles without growing the table.
-        let before = i.len();
-        let again = i.compress_state(&state);
-        assert_eq!(again, compressed);
-        assert_eq!(i.len(), before);
     }
 
     #[test]

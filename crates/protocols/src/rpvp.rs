@@ -52,7 +52,7 @@ use std::sync::Arc;
 
 /// The RPVP network state: the best route of every node, as interned
 /// handles (`RouteHandle::NONE` is the paper's `⊥`).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RpvpState {
     /// `best[n]` = the handle of the best route currently selected by node
     /// `n` (interned in the run's [`RouteInterner`]).
@@ -63,11 +63,19 @@ impl RpvpState {
     /// The initial state for a protocol model: origins hold `ε`, everyone
     /// else holds `⊥`.
     pub fn initial(model: &dyn ProtocolModel, interner: &mut RouteInterner) -> Self {
-        let mut best = vec![RouteHandle::NONE; model.node_count()];
+        let mut state = RpvpState { best: Vec::new() };
+        state.reset(model, interner);
+        state
+    }
+
+    /// Make this the initial state for `model` ([`RpvpState::initial`]) in
+    /// place, keeping the handle vector's allocation.
+    pub fn reset(&mut self, model: &dyn ProtocolModel, interner: &mut RouteInterner) {
+        self.best.clear();
+        self.best.resize(model.node_count(), RouteHandle::NONE);
         for &o in model.origins() {
-            best[o.index()] = interner.intern_owned(model.origin_route(o));
+            self.best[o.index()] = interner.intern_owned(model.origin_route(o));
         }
-        RpvpState { best }
     }
 
     /// Build a state from owned per-node routes, interning each (used by
@@ -158,12 +166,12 @@ pub enum EnabledView<'a> {
         bits: &'a [u64],
         /// Number of enabled nodes.
         len: usize,
-        /// The top of the cost heap, when the set keeps one
-        /// ([`IncrementalEnabled::with_cost_heap`]) and is not empty.
+        /// The top of the cost heap (`None` when the set is empty).
         cheapest: Option<NodeId>,
-        /// The change clock and per-node stamps, when the set keeps them
-        /// ([`IncrementalEnabled::with_change_stamps`]).
-        stamps: Option<(u64, &'a [u64])>,
+        /// The change clock.
+        clock: u64,
+        /// The per-node change stamps.
+        stamps: &'a [u64],
     },
 }
 
@@ -199,8 +207,8 @@ impl<'a> EnabledView<'a> {
 
     /// The entry with the least key (has no update, `least_cost`, node id)
     /// — the first cheapest entry in node-id order, entries without an
-    /// update last — read off the cost heap in O(1). `None` when the view
-    /// has no heap (a slice, or a set without one) or is empty.
+    /// update last — read off the [`IncrementalEnabled`] cost heap in O(1).
+    /// `None` for a slice, which has no heap, and for an empty set.
     pub fn cheapest(&self) -> Option<&'a EnabledChoice> {
         match self {
             EnabledView::Slice(_) => None,
@@ -208,26 +216,25 @@ impl<'a> EnabledView<'a> {
         }
     }
 
-    /// The change clock, when the view has change stamps
-    /// ([`IncrementalEnabled::with_change_stamps`]): something derived about
-    /// node `n` from this view at clock `t` — from its entry, and from the
-    /// routes and decisions of the peers it listens to — still holds while
-    /// [`EnabledView::changed_at`]`(n) <= t`. `None` for a view without
-    /// stamps (a slice, or a set without them).
+    /// The change clock of an [`IncrementalEnabled`] view: something
+    /// derived about node `n` from this view at clock `t` — from its entry,
+    /// and from the routes and decisions of the peers it listens to — still
+    /// holds while [`EnabledView::changed_at`]`(n) <= t`. `None` for a
+    /// slice, which has no stamps.
     pub fn clock(&self) -> Option<u64> {
         match self {
             EnabledView::Slice(_) => None,
-            EnabledView::Slots { stamps, .. } => stamps.map(|(clock, _)| clock),
+            EnabledView::Slots { clock, .. } => Some(*clock),
         }
     }
 
     /// The clock of the last step or undo that could change what
     /// [`EnabledView::clock`] promises about `node`: a step at `node` or at
-    /// a peer it listens to. 0 without stamps.
+    /// a peer it listens to. 0 for a slice.
     pub fn changed_at(&self, node: NodeId) -> u64 {
         match self {
             EnabledView::Slice(_) => 0,
-            EnabledView::Slots { stamps, .. } => stamps.map_or(0, |(_, s)| s[node.index()]),
+            EnabledView::Slots { stamps, .. } => stamps[node.index()],
         }
     }
 
@@ -706,22 +713,30 @@ impl<'m> Rpvp<'m> {
 /// enabled node already routed?" is
 /// [`IncrementalEnabled::inconsistent_count`]` > 0`, not a scan.
 ///
-/// A set built [`with_cost_heap`](IncrementalEnabled::with_cost_heap) also
-/// keeps its entries in an indexed binary min-heap keyed by (has no update,
-/// [`EnabledChoice::least_cost`], node id), updated by the same slot swap in
-/// O(log n). Its top ([`EnabledView::cheapest`]) is the first cheapest entry
-/// in node-id order, which is what the OSPF heuristic steps. Undo replays
-/// [`IncrementalEnabled::set_entry`], so it restores the heap too.
+/// The set also keeps its entries in an indexed binary min-heap keyed by
+/// (has no update, [`EnabledChoice::least_cost`], node id), updated by the
+/// same slot swap in O(log n). Its top ([`EnabledView::cheapest`]) is the
+/// first cheapest entry in node-id order, which is what the OSPF heuristic
+/// steps. Undo replays [`IncrementalEnabled::set_entry`], so it restores the
+/// heap too.
 ///
-/// A set built [`with_change_stamps`](IncrementalEnabled::with_change_stamps)
-/// also stamps, with a clock bumped per step and per undo, every node whose
-/// entry or whose peers' routes that step or undo may have changed: the
-/// stepped node and its reverse peers, the set [`refresh_after_step`]
+/// And it stamps, with a clock bumped per step and per undo, every node
+/// whose entry or whose peers' routes that step or undo may have changed:
+/// the stepped node and its reverse peers, the set [`refresh_after_step`]
 /// already visits (undo marks it with
 /// [`IncrementalEnabled::mark_changed`]). A heuristic that caches per-node
 /// verdicts re-derives only the nodes stamped after it last looked
-/// ([`EnabledView::clock`]).
+/// ([`EnabledView::clock`]). Heap and stamps are kept whatever the
+/// heuristic reads: one shape for every search, at O(log n) per changed
+/// entry and O(deg) per step.
 ///
+/// # Reuse
+///
+/// A worker keeps one set from run to run:
+/// [`IncrementalEnabled::reset`] sizes it for the next model in place, so a
+/// warmed set starts a run of the same size without allocating, and
+/// [`IncrementalEnabled::release`] drops the model's reverse-peer index
+/// when the run ends, so an idle set pins no adjacency.
 ///
 /// # Initialization
 ///
@@ -745,10 +760,12 @@ pub struct IncrementalEnabled {
     len: usize,
     /// Number of enabled entries whose node holds a route.
     inconsistent: usize,
-    /// The cost heap, for heuristics that read it.
-    costs: Option<CostHeap>,
-    /// The change clock and per-node stamps, for heuristics that read them.
-    stamps: Option<(u64, Vec<u64>)>,
+    /// The cost heap.
+    costs: CostHeap,
+    /// The change clock, bumped per step and per undo.
+    clock: u64,
+    /// `stamps[n]` = the clock at which node `n` last changed.
+    stamps: Vec<u64>,
     /// `rev_peers[n]` = nodes that consider advertisements from `n`, each
     /// with `n`'s slot in their peer list.
     rev_peers: Arc<ReversePeers>,
@@ -773,21 +790,25 @@ pub struct IncrementalEnabled {
     touched: Vec<NodeId>,
 }
 
-impl IncrementalEnabled {
-    /// An enabled set over the given reverse-peer index and eligibility mask.
-    /// Call [`IncrementalEnabled::rebuild`] before use.
-    pub fn new(rev_peers: Arc<ReversePeers>, eligible: Vec<bool>) -> Self {
-        let n = eligible.len();
-        debug_assert_eq!(rev_peers.len(), n, "one reverse-peer row per node");
+/// The reverse-peer index of no node: what a set holds between runs.
+fn no_reverse_peers() -> Arc<ReversePeers> {
+    static EMPTY: std::sync::OnceLock<Arc<ReversePeers>> = std::sync::OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(|| Arc::new(ReversePeers::build(0, |_| &[]))))
+}
+
+impl Default for IncrementalEnabled {
+    /// A set over no node; [`IncrementalEnabled::reset`] sizes it.
+    fn default() -> Self {
         IncrementalEnabled {
-            slots: (0..n).map(|_| None).collect(),
-            bits: vec![0; n.div_ceil(64)],
+            slots: Vec::new(),
+            bits: Vec::new(),
             len: 0,
             inconsistent: 0,
-            costs: None,
-            stamps: None,
-            rev_peers,
-            eligible,
+            costs: CostHeap::default(),
+            clock: 0,
+            stamps: Vec::new(),
+            rev_peers: no_reverse_peers(),
+            eligible: Vec::new(),
             recomputed: 0,
             edge_updates: 0,
             stepped_skips: 0,
@@ -796,38 +817,57 @@ impl IncrementalEnabled {
             touched: Vec::new(),
         }
     }
+}
 
-    /// Also keep the cost heap (see the type docs), so that views expose
-    /// [`EnabledView::cheapest`].
-    pub fn with_cost_heap(mut self) -> Self {
-        self.costs = Some(CostHeap::new(self.slots.len()));
-        self
+impl IncrementalEnabled {
+    /// An enabled set over the given reverse-peer index and eligibility mask.
+    /// Call [`IncrementalEnabled::rebuild`] before use.
+    pub fn new(rev_peers: Arc<ReversePeers>, eligible: Vec<bool>) -> Self {
+        let mut set = Self::default();
+        set.reset(rev_peers, eligible);
+        set
     }
 
-    /// Also keep change stamps (see the type docs), so that views expose
-    /// [`EnabledView::clock`].
-    pub fn with_change_stamps(mut self) -> Self {
-        self.stamps = Some((0, vec![0; self.slots.len()]));
-        self
+    /// Size the set for a model with `rev_peers` and one eligibility bit per
+    /// node from `eligible`, keeping every buffer (a set reset to a size it
+    /// held before allocates nothing), and restart the counters. The entries
+    /// are stale until [`IncrementalEnabled::rebuild`].
+    pub fn reset(
+        &mut self,
+        rev_peers: Arc<ReversePeers>,
+        eligible: impl IntoIterator<Item = bool>,
+    ) {
+        self.eligible.clear();
+        self.eligible.extend(eligible);
+        let n = self.eligible.len();
+        debug_assert_eq!(rev_peers.len(), n, "one reverse-peer row per node");
+        self.rev_peers = rev_peers;
+        self.slots.resize(n, None);
+        self.bits.resize(n.div_ceil(64), 0);
+        self.stamps.resize(n, 0);
+        self.costs.reset(n);
+        (self.recomputed, self.edge_updates) = (0, 0);
+        (self.stepped_skips, self.edge_updates_unbuilt) = (0, 0);
+    }
+
+    /// Drop the reverse-peer index, so a worker that finished a run does not
+    /// keep that run's adjacency alive. The set is unusable until the next
+    /// [`IncrementalEnabled::reset`].
+    pub fn release(&mut self) {
+        self.rev_peers = no_reverse_peers();
     }
 
     /// Recompute the whole enabled set from scratch (initialization),
     /// deriving only the nodes that hold a route and their reverse peers
     /// (see the type docs). Every node counts as changed.
     pub fn rebuild(&mut self, rpvp: &Rpvp, state: &RpvpState, interner: &mut RouteInterner) {
-        if let Some((clock, stamps)) = &mut self.stamps {
-            *clock += 1;
-            stamps.fill(*clock);
-        }
-        for slot in &mut self.slots {
-            *slot = None;
-        }
+        self.clock += 1;
+        self.stamps.fill(self.clock);
+        self.slots.fill(None);
         self.bits.fill(0);
         self.len = 0;
         self.inconsistent = 0;
-        if let Some(costs) = &mut self.costs {
-            costs.clear();
-        }
+        self.costs.reset(self.slots.len());
         let mut touched = std::mem::take(&mut self.touched);
         touched.clear();
         for n in state.nodes_with_routes() {
@@ -860,8 +900,9 @@ impl IncrementalEnabled {
             slots: &self.slots,
             bits: &self.bits,
             len: self.len,
-            cheapest: self.costs.as_ref().and_then(CostHeap::top),
-            stamps: self.stamps.as_ref().map(|(clock, s)| (*clock, &s[..])),
+            cheapest: self.costs.top(),
+            clock: self.clock,
+            stamps: &self.stamps,
         }
     }
 
@@ -873,15 +914,12 @@ impl IncrementalEnabled {
     /// Stamp `x` and its reverse peers as changed at a new clock: the nodes
     /// whose entries, or whose peers' routes and decisions, a step at `x` —
     /// or its undo — may change. [`IncrementalEnabled::refresh_after_step`]
-    /// calls it; an undo must call it for the node it reverts. A no-op
-    /// without change stamps.
+    /// calls it; an undo must call it for the node it reverts.
     pub fn mark_changed(&mut self, x: NodeId) {
-        if let Some((clock, stamps)) = &mut self.stamps {
-            *clock += 1;
-            stamps[x.index()] = *clock;
-            for r in &self.rev_peers[x] {
-                stamps[r.node.index()] = *clock;
-            }
+        self.clock += 1;
+        self.stamps[x.index()] = self.clock;
+        for r in &self.rev_peers[x] {
+            self.stamps[r.node.index()] = self.clock;
         }
     }
 
@@ -932,8 +970,8 @@ impl IncrementalEnabled {
     }
 
     /// Install `entry` as node `node`'s cache slot (None = not enabled) and
-    /// return the displaced previous slot. O(1): a slot swap plus a bitset
-    /// and counter update (O(log n) more with the cost heap). Used both for
+    /// return the displaced previous slot: an O(1) slot swap, bitset and
+    /// counter update, and an O(log n) cost-heap update. Used both for
     /// delta maintenance and for restoring displaced entries on undo.
     pub fn set_entry(
         &mut self,
@@ -943,9 +981,7 @@ impl IncrementalEnabled {
         let idx = node.index();
         let now = entry.is_some();
         let routed_now = entry.as_ref().is_some_and(|c| c.routed);
-        if let Some(costs) = &mut self.costs {
-            costs.set(node, entry.as_ref().map(CostHeap::key));
-        }
+        self.costs.set(node, entry.as_ref().map(CostHeap::key));
         let prev = std::mem::replace(&mut self.slots[idx], entry);
         let was = prev.is_some();
         if now != was {
@@ -1163,6 +1199,7 @@ impl IncrementalEnabled {
 /// id). The node id makes keys unique, so the top does not depend on the
 /// order entries arrived in — an undo that replays them differently lands on
 /// the same top.
+#[derive(Default)]
 struct CostHeap {
     /// Heap-ordered `(no update, least cost, node id)` keys.
     heap: Vec<(bool, u64, u32)>,
@@ -1173,21 +1210,17 @@ struct CostHeap {
 impl CostHeap {
     const ABSENT: u32 = u32::MAX;
 
-    fn new(nodes: usize) -> Self {
-        CostHeap {
-            heap: Vec::with_capacity(nodes),
-            pos: vec![Self::ABSENT; nodes],
-        }
-    }
-
     /// The key of an entry, without its node id.
     fn key(choice: &EnabledChoice) -> (bool, u64) {
         (choice.best_updates.is_empty(), choice.least_cost)
     }
 
-    fn clear(&mut self) {
+    /// Empty the heap over `nodes` nodes, keeping both buffers.
+    fn reset(&mut self, nodes: usize) {
         self.heap.clear();
-        self.pos.fill(Self::ABSENT);
+        self.heap.reserve(nodes);
+        self.pos.clear();
+        self.pos.resize(nodes, Self::ABSENT);
     }
 
     fn top(&self) -> Option<NodeId> {
@@ -1206,8 +1239,11 @@ impl CostHeap {
                 self.sift_up(i);
             }
             (i, Some((empty, cost))) => {
-                self.heap[i as usize] = (empty, cost, node.0);
-                self.sift(i as usize);
+                // Most patches keep the key: nothing to move.
+                if self.heap[i as usize] != (empty, cost, node.0) {
+                    self.heap[i as usize] = (empty, cost, node.0);
+                    self.sift(i as usize);
+                }
             }
             (i, None) => {
                 self.pos[node.index()] = Self::ABSENT;

@@ -586,18 +586,22 @@ impl DeltaQueue {
         self.drain_wakeup.notify_all();
     }
 
-    /// Lag percentiles over the recent-sample ring.
+    /// Lag percentiles over the recent-sample ring: the samples at ranks
+    /// `⌊(len − 1)·q⌋` of the sorted ring. The ring is copied under its lock
+    /// and the two ranks are selected after it is released, so a reader
+    /// never holds up the drain's [`DeltaQueue::record_drain`].
     pub fn lag(&self) -> LagSnapshot {
-        let ring = self.lag_ring.lock().unwrap();
-        if ring.is_empty() {
+        let mut samples: Vec<u64> = self.lag_ring.lock().unwrap().iter().copied().collect();
+        if samples.is_empty() {
             return LagSnapshot::default();
         }
-        let mut sorted: Vec<u64> = ring.iter().copied().collect();
-        sorted.sort_unstable();
-        let at = |q: f64| sorted[((sorted.len() - 1) as f64 * q) as usize];
+        let rank = |q: f64| ((samples.len() - 1) as f64 * q) as usize;
+        let (p50, p99) = (rank(0.50), rank(0.99));
+        let p99_micros = *samples.select_nth_unstable(p99).1;
         LagSnapshot {
-            p50_micros: at(0.50),
-            p99_micros: at(0.99),
+            // Selection left every sample of a lower rank before `p99`.
+            p50_micros: *samples[..=p99].select_nth_unstable(p50).1,
+            p99_micros,
         }
     }
 }
@@ -889,5 +893,19 @@ mod tests {
         let lag = queue.lag();
         assert!(lag.p50_micros >= 2_000);
         assert!(lag.p99_micros >= lag.p50_micros);
+    }
+
+    #[test]
+    fn lag_percentiles_equal_the_sorted_ring_ranks() {
+        let queue = DeltaQueue::new();
+        for len in (1..=300).chain([LAG_RING - 1, LAG_RING]) {
+            let mix = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58;
+            let mut sorted: Vec<u64> = (0..len as u64).map(mix).collect();
+            *queue.lag_ring.lock().unwrap() = sorted.iter().copied().collect();
+            sorted.sort_unstable();
+            let at = |q: f64| sorted[((len - 1) as f64 * q) as usize];
+            let lag = queue.lag();
+            assert_eq!((lag.p50_micros, lag.p99_micros), (at(0.5), at(0.99)));
+        }
     }
 }

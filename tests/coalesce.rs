@@ -184,10 +184,11 @@ impl XorShift {
     }
 }
 
-/// 200 seeded sequences through one session per ack mode: after each
+/// 200 seeded sequences through one session per mode — v2 `ApplyDeltas` in
+/// both ack modes, and v1 `ApplyDelta`, one delta per request: after each
 /// request (flushed by a `Verify` when enqueued) the session's network
-/// equals one-at-a-time replay of everything sent so far, and the acks
-/// report one fate per delta.
+/// equals one-at-a-time replay of everything sent so far, the v2 acks report
+/// one fate per delta, and each v1 answer says whether its delta applied.
 #[test]
 fn seeded_sequences_through_the_session_match_sequential_replay() {
     let (s, alphabet) = fixture();
@@ -198,7 +199,9 @@ fn seeded_sequences_through_the_session_match_sequential_replay() {
             ..VerifyOptions::default()
         }),
     };
-    for ack in ["verified", "enqueued"] {
+    // v1 answers: applied, rejected.
+    let mut v1_answers = [0u32; 2];
+    for ack in ["verified", "enqueued", "v1"] {
         let session = ServiceSession::with_network(s.network.clone());
         let mut expected = s.network.clone();
         let mut rng = XorShift(0xC0A1_E5CE);
@@ -207,37 +210,53 @@ fn seeded_sequences_through_the_session_match_sequential_replay() {
             let sequence: Vec<ConfigDelta> = (0..len)
                 .map(|_| alphabet[rng.next() as usize % alphabet.len()].clone())
                 .collect();
-            expected = replay(&expected, &sequence);
-            let response = session.handle(&Request::ApplyDeltas {
-                deltas: sequence.clone(),
-                ack: ack.into(),
-            });
-            let Response::DeltasAccepted {
-                deltas: acks,
-                coalesced,
-                ..
-            } = &response
-            else {
-                panic!("{ack} step {step}: {response:?}");
-            };
-            assert_eq!(acks.len(), len, "{ack} step {step}");
-            let folded = acks.iter().filter(|a| a.status == "coalesced").count();
-            let allowed: &[&str] = match ack {
-                "verified" => &["applied", "rejected", "coalesced"],
-                _ => &["enqueued", "coalesced"],
-            };
-            for a in acks {
-                assert!(
-                    allowed.contains(&a.status.as_str()),
-                    "{ack} step {step}: {a:?}"
-                );
-            }
-            if ack == "verified" {
-                assert_eq!(folded as u64, *coalesced, "{ack} step {step}");
+            if ack == "v1" {
+                for delta in &sequence {
+                    let applies = delta.apply(&mut expected).is_ok();
+                    let response = session.handle(&Request::ApplyDelta {
+                        delta: delta.clone(),
+                    });
+                    match (&response, applies) {
+                        (Response::DeltaApplied(_), true) => v1_answers[0] += 1,
+                        (Response::Error { kind, .. }, false) if kind == "request" => {
+                            v1_answers[1] += 1
+                        }
+                        _ => panic!("v1 step {step}: {delta:?} applies: {applies}, {response:?}"),
+                    }
+                }
             } else {
-                let Response::Report(_) = session.handle(&flush) else {
-                    panic!("{ack} step {step}: the flushing Verify failed");
+                expected = replay(&expected, &sequence);
+                let response = session.handle(&Request::ApplyDeltas {
+                    deltas: sequence.clone(),
+                    ack: ack.into(),
+                });
+                let Response::DeltasAccepted {
+                    deltas: acks,
+                    coalesced,
+                    ..
+                } = &response
+                else {
+                    panic!("{ack} step {step}: {response:?}");
                 };
+                assert_eq!(acks.len(), len, "{ack} step {step}");
+                let folded = acks.iter().filter(|a| a.status == "coalesced").count();
+                let allowed: &[&str] = match ack {
+                    "verified" => &["applied", "rejected", "coalesced"],
+                    _ => &["enqueued", "coalesced"],
+                };
+                for a in acks {
+                    assert!(
+                        allowed.contains(&a.status.as_str()),
+                        "{ack} step {step}: {a:?}"
+                    );
+                }
+                if ack == "verified" {
+                    assert_eq!(folded as u64, *coalesced, "{ack} step {step}");
+                } else {
+                    let Response::Report(_) = session.handle(&flush) else {
+                        panic!("{ack} step {step}: the flushing Verify failed");
+                    };
+                }
             }
             let network = session
                 .verifier()
@@ -252,4 +271,8 @@ fn seeded_sequences_through_the_session_match_sequential_replay() {
             );
         }
     }
+    assert!(
+        v1_answers.iter().all(|&n| n > 0),
+        "v1 deltas applied, rejected: {v1_answers:?}"
+    );
 }
